@@ -16,11 +16,11 @@ MAX_REGRESS = 0.25
 # local activity (`make fuzz FUZZTIME=10m`).
 FUZZTIME = 10s
 
-.PHONY: check ci build vet lint test test-race race-smoke fmt-check bench bench-smoke bench-baseline chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke clean
+.PHONY: check ci build vet lint test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke clean
 
 check: fmt-check lint build test-race
 
-ci: check bench-smoke chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke
+ci: check flake-gate bench-smoke chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -43,9 +43,17 @@ test-race:
 # Focused race pass over the packages with real concurrency: the VM's
 # async translation pipeline, the manager's concurrent commit/prune paths,
 # and the cache server. Much faster than test-race, so it runs as its own
-# CI job on every push.
+# CI job on every push. The shared-store tests — goroutines, then real
+# processes, committing into one store directory with no lock — run twenty
+# times over: a lost race there is an intermittent failure, not a steady one.
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/cacheserver/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore' ./internal/core/
+
+# Tier-1 three times in shuffled order: an intermittent or order-dependent
+# failure has to show up here, not on somebody's unrelated push.
+flake-gate:
+	$(GO) test -shuffle=on -count=3 ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -53,6 +61,11 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# The host-clock benchmark (wall time and allocation per launch, seven
+# workloads, ~95 s); see bench/README.md. Report-only: machines differ.
+bench-host:
+	$(GO) run ./bench
 
 # Run the smoke experiments and fail on a >25% tick regression vs the
 # checked-in baseline.

@@ -11,7 +11,7 @@
 //	pcc-cachectl -dir DB prune           # drop entries whose files are gone
 //	pcc-cachectl -dir DB repair          # quarantine corrupt files, rebuild index
 //	pcc-cachectl -dir DB migrate         # convert legacy files to manifest+blob format
-//	pcc-cachectl -dir DB compact         # deduplicating generational store compaction
+//	pcc-cachectl -dir DB compact         # reclaim store blobs no manifest references
 //	pcc-cachectl -server ADDR stats      # same totals, from a cache daemon
 //	pcc-cachectl -server ADDR metrics    # the daemon's metrics registry
 //	pcc-cachectl metrics FILE            # render a pcc-run -metrics-out file
@@ -271,13 +271,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := smgr.CompactStore(0)
+		rep, err := smgr.CompactStore()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("generation: %d\n", rep.Gen)
-		fmt.Printf("carried: %d live blobs\n", rep.Carried)
-		fmt.Printf("pruned: %d orphan blobs, %d cold blobs\n", rep.PrunedOrphans, rep.PrunedCold)
+		fmt.Printf("pruned: %d orphan blobs\n", rep.PrunedOrphans)
 		fmt.Printf("reclaimed: %s\n", stats.Bytes(rep.ReclaimedBytes))
 	default:
 		fatal(fmt.Errorf("unknown subcommand %q", flag.Arg(0)))

@@ -435,8 +435,8 @@ func (c *Client) Evict(stems []string) (*EvictReport, error) {
 	return decodeEvictReport(resp)
 }
 
-// CompactStore asks the daemon to run generational compaction over its
-// content-addressed store, reclaiming blobs orphaned by eviction. A daemon
+// CompactStore asks the daemon to compact its content-addressed store,
+// reclaiming blobs orphaned by eviction. A daemon
 // with no store side reports an all-zero result.
 func (c *Client) CompactStore() (*store.CompactReport, error) {
 	resp, err := c.do(OpCompact, nil)

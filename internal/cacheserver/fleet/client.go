@@ -472,7 +472,7 @@ type CompactReport struct {
 // gathers every shard's per-entry usage summaries, ranks entries
 // fleet-wide by utility — hit frequency × translation cost, with replica
 // hit counts summed — keeps the top `keep`, evicts the rest from every
-// shard that holds them, and runs generational store compaction per shard
+// shard that holds them, and runs store compaction per shard
 // to reclaim the freed blobs. The minimum utility among survivors is
 // reported as the admission floor. keep ≤ 0 evicts nothing (report and
 // compact only).

@@ -50,11 +50,10 @@ const (
 	// client library) gathers per-shard UTILITY summaries, ranks entries
 	// globally by hit frequency × translation cost (ShareJIT's global cache
 	// management), and EVICTs the losers on every shard that holds them.
-	// COMPACT then reclaims the freed blobs via generational store
-	// compaction.
+	// COMPACT then reclaims the blobs no surviving manifest references.
 	OpUtility = 10 // → per-entry usage summaries (stem, hits, traces, code pool)
 	OpEvict   = 11 // entry stems → remove from index, disk, and memory
-	OpCompact = 12 // → run generational store compaction (store.CompactReport)
+	OpCompact = 12 // → reclaim unreferenced store blobs (store.CompactReport)
 )
 
 // maxBulkFiles bounds how many cache files one bulk fetch may return (the
@@ -514,10 +513,7 @@ func decodeEvictReport(b []byte) (*EvictReport, error) {
 
 func encodeCompactReport(rep *store.CompactReport) []byte {
 	w := &binenc.Writer{}
-	w.U32(uint32(rep.Gen))
-	w.U32(uint32(rep.Carried))
 	w.U32(uint32(rep.PrunedOrphans))
-	w.U32(uint32(rep.PrunedCold))
 	w.U64(rep.ReclaimedBytes)
 	return w.Buf
 }
@@ -525,10 +521,7 @@ func encodeCompactReport(rep *store.CompactReport) []byte {
 func decodeCompactReport(b []byte) (*store.CompactReport, error) {
 	r := &binenc.Reader{Buf: b}
 	rep := &store.CompactReport{}
-	rep.Gen = int(r.U32())
-	rep.Carried = int(r.U32())
 	rep.PrunedOrphans = int(r.U32())
-	rep.PrunedCold = int(r.U32())
 	rep.ReclaimedBytes = r.U64()
 	return rep, r.Done()
 }

@@ -15,7 +15,6 @@ import (
 	"persistcc/internal/binenc"
 	"persistcc/internal/core"
 	"persistcc/internal/metrics"
-	"persistcc/internal/store"
 )
 
 // ErrServerClosed is returned by Serve after Close.
@@ -853,18 +852,11 @@ func (s *Server) handleEvict(payload []byte) ([]byte, error) {
 	return encodeEvictReport(rep), nil
 }
 
-// handleCompact runs generational store compaction, reclaiming blobs no
-// surviving manifest references (typically after an eviction round). A
-// purely legacy database reports an all-zero result.
+// handleCompact reclaims store blobs no surviving manifest references
+// (typically after an eviction round). A purely legacy database reports an
+// all-zero result.
 func (s *Server) handleCompact() ([]byte, error) {
-	st, err := s.mgr.StoreIfPresent()
-	if err != nil {
-		return nil, err
-	}
-	if st == nil {
-		return encodeCompactReport(&store.CompactReport{}), nil
-	}
-	rep, err := s.mgr.CompactStore(0)
+	rep, err := s.mgr.CompactStore()
 	if err != nil {
 		return nil, err
 	}

@@ -160,12 +160,14 @@ func (m *Manager) recoverIndexLocked() (*indexFile, *RecoverReport, error) {
 	// Heal the blob store first (if this database has one), so manifest
 	// verification below runs against a store whose every blob is
 	// content-verified; its quarantined blobs count like quarantined files.
+	// The store is shared without a lock, so a temp there is debris only
+	// once it is older than a crashed writer's lock would be.
 	st, err := m.storeIfPresent()
 	if err != nil {
 		return nil, nil, err
 	}
 	if st != nil {
-		srep, err := st.Recover()
+		srep, err := st.Recover(m.lockWait)
 		if err != nil {
 			return nil, nil, err
 		}

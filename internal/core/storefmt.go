@@ -375,11 +375,9 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	return rep, nil
 }
 
-// CompactStore runs generational compaction over the blob store:
-// manifests define the live set, orphans are deleted, and (with
-// minUtility > 0) cold low-utility blobs are pruned and stripped from the
-// manifests that referenced them — those traces re-translate on next use.
-func (m *Manager) CompactStore(minUtility uint64) (*store.CompactReport, error) {
+// CompactStore reclaims the blobs no manifest in this database references
+// any more (left behind by merges, evictions and interrupted commits).
+func (m *Manager) CompactStore() (*store.CompactReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	unlock, err := m.lockDB()
@@ -401,7 +399,6 @@ func (m *Manager) CompactStore(minUtility uint64) (*store.CompactReport, error) 
 		return nil, err
 	}
 	live := make(map[store.Hash]bool)
-	decoded := make(map[string]*store.Manifest, len(manifests))
 	for _, f := range manifests {
 		b, err := m.fs.ReadFile(f)
 		if err != nil {
@@ -412,53 +409,11 @@ func (m *Manager) CompactStore(minUtility uint64) (*store.CompactReport, error) 
 			m.quarantine(f, "manifest")
 			continue
 		}
-		decoded[f] = man
 		for _, h := range man.BlobHashes() {
 			live[h] = true
 		}
 	}
-
-	rep, err := st.Compact(live, minUtility)
-	if err != nil {
-		return rep, err
-	}
-	if len(rep.ColdHashes) == 0 {
-		return rep, nil
-	}
-
-	// Strip pruned traces from the manifests that referenced them.
-	pruned := make(map[store.Hash]bool, len(rep.ColdHashes))
-	for _, h := range rep.ColdHashes {
-		pruned[h] = true
-	}
-	for f, man := range decoded {
-		touched := false
-		kept := man.Traces[:0]
-		for _, tr := range man.Traces {
-			if pruned[tr.Blob] {
-				touched = true
-				continue
-			}
-			kept = append(kept, tr)
-		}
-		if !touched {
-			continue
-		}
-		man.Traces = kept
-		cf, err := materializeManifest(man, &store.Tiered{Store: st})
-		if err != nil {
-			m.quarantine(f, "manifest")
-			continue
-		}
-		if _, _, err := m.writeStoreFormat(cf, f); err != nil {
-			return rep, err
-		}
-		ks := KeySet{App: Key(man.AppKey), VM: Key(man.VMKey), Tool: Key(man.ToolKey)}
-		if err := m.updateIndexLocked(ks, cf, filepath.Base(f)); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return st.Compact(live)
 }
 
 // StoreDBStats extends DBStats with the content-store view: how many
@@ -487,7 +442,7 @@ func (m *Manager) storeStats() (*StoreDBStats, error) {
 	ss := st.Stats()
 	out := &StoreDBStats{Blobs: ss.Blobs, BlobBytes: ss.BlobBytes, Generations: ss.Generations}
 	var logical, physical uint64
-	referenced := make(map[store.Hash]bool)
+	sizes := make(map[store.Hash]uint64) // each referenced blob is stat'ed once
 	for _, f := range manifests {
 		b, err := m.fs.ReadFile(f)
 		if err != nil {
@@ -500,15 +455,16 @@ func (m *Manager) storeStats() (*StoreDBStats, error) {
 		out.Manifests++
 		logical += man.EncodedBytes
 		for _, h := range man.BlobHashes() {
-			size, ok := st.SizeOf(h)
-			if !ok {
-				continue
-			}
-			logical += size
-			if !referenced[h] {
-				referenced[h] = true
+			size, seen := sizes[h]
+			if !seen {
+				var ok bool
+				if size, ok = st.SizeOf(h); !ok {
+					continue
+				}
+				sizes[h] = size
 				physical += size
 			}
+			logical += size
 		}
 		physical += man.EncodedBytes
 	}

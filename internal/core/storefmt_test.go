@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -306,8 +307,9 @@ func TestConcurrentManagersDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Recover(); err != nil {
-		t.Fatal(err)
+	// A scrub finds every blob whole and no temp left behind.
+	if rep, err := st.Recover(0); err != nil || rep.Quarantined != 0 || rep.TmpRemoved != 0 {
+		t.Fatalf("shared store scrub: %+v, %v; want nothing quarantined, no temps", rep, err)
 	}
 	man := readManifest(t, dirs[0], env.ksA.ManifestFileName())
 	manB := readManifest(t, dirs[0], env.ksB.ManifestFileName())
@@ -320,45 +322,190 @@ func TestConcurrentManagersDedup(t *testing.T) {
 	}
 }
 
-// TestCompactStoreStripsPrunedTraces: manager-level compaction prunes cold
-// blobs and rewrites the referencing manifests so the database never
-// points at deleted content.
-func TestCompactStoreStripsPrunedTraces(t *testing.T) {
-	restore := core.SetLockTimeout(50 * time.Millisecond)
-	defer restore()
+// TestCompactStoreReclaimsOnlyOrphans: manager-level compaction deletes
+// the blobs a removed entry leaves behind and nothing a surviving manifest
+// references, so the database never points at deleted content.
+func TestCompactStoreReclaimsOnlyOrphans(t *testing.T) {
 	env := buildChaosEnv(t)
 	dir := t.TempDir()
 	mgr := newStoreMgr(t, dir, core.WithLockTimeout(2*time.Second))
 	if _, err := mgr.CommitFile(env.ksA, env.cfA); err != nil {
 		t.Fatal(err)
 	}
-	// Round 1 (no threshold) ages the blobs into an older generation.
-	if _, err := mgr.CompactStore(0); err != nil {
+	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
 		t.Fatal(err)
 	}
-	// Round 2 with a huge threshold prunes everything cold (no hits were
-	// recorded) and must strip the manifest accordingly.
-	rep, err := mgr.CompactStore(1 << 62)
+	if rep, err := mgr.CompactStore(); err != nil || rep.PrunedOrphans != 0 {
+		t.Fatalf("compact with every blob referenced: %+v, %v; want a no-op", rep, err)
+	}
+	seen := make(map[store.Hash]bool)
+	for _, h := range readManifest(t, dir, env.ksA.ManifestFileName()).BlobHashes() {
+		seen[h] = true
+	}
+	onlyB := 0 // distinct hashes no manifest but B's references
+	for _, h := range readManifest(t, dir, env.ksB.ManifestFileName()).BlobHashes() {
+		if !seen[h] {
+			seen[h] = true
+			onlyB++
+		}
+	}
+	if err := mgr.RemoveEntry(env.ksB.ManifestFileName()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mgr.CompactStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PrunedCold == 0 {
-		t.Fatalf("compact pruned nothing: %+v", rep)
+	if rep.PrunedOrphans != onlyB || rep.ReclaimedBytes == 0 {
+		t.Fatalf("compact: %+v, want the %d blobs only the removed entry referenced", rep, onlyB)
 	}
-	// The entry still resolves — with fewer traces, never with dangling
-	// blob references.
 	cf, err := mgr.Lookup(env.ksA)
 	if err != nil {
-		t.Fatalf("entry unreadable after cold pruning: %v", err)
+		t.Fatalf("entry unreadable after compaction: %v", err)
 	}
-	if len(cf.Traces)+rep.PrunedCold < len(env.cfA.Traces) {
-		t.Fatalf("traces unaccounted for: %d left + %d pruned < %d original",
-			len(cf.Traces), rep.PrunedCold, len(env.cfA.Traces))
+	if len(cf.Traces) != len(env.cfA.Traces) {
+		t.Fatalf("compaction cost the surviving entry traces: %d, want %d", len(cf.Traces), len(env.cfA.Traces))
 	}
-	if _, err := mgr.RecoverIndex(); err != nil {
-		t.Fatal(err)
+	if rrep, err := mgr.RecoverIndex(); err != nil || rrep.FilesQuarantined != 0 {
+		t.Fatalf("recovery after compaction: %+v, %v", rrep, err)
 	}
 	if _, err := mgr.Lookup(env.ksA); err != nil {
 		t.Errorf("entry lost by recovery after compaction: %v", err)
 	}
+}
+
+// TestMultiProcessSharedStore is TestConcurrentManagersDedup with real
+// processes: the test binary re-executes itself as four workers, each
+// committing the same applications from its own database into one shared
+// store directory, while a fifth process keeps opening those databases and
+// reading whatever entries they already list. The store has no lock and no
+// index, so the only protocol under test is "a blob is published by one
+// rename of a writer-unique temp".
+func TestMultiProcessSharedStore(t *testing.T) {
+	const workers = 4
+	if role := os.Getenv("PCC_STORE_PROC"); role != "" {
+		storeProc(t, role, os.Getenv("PCC_STORE_ROOT"), workers)
+		return
+	}
+	root := t.TempDir()
+	var cmds []*exec.Cmd
+	outs := make([]bytes.Buffer, workers+1)
+	for i := 0; i <= workers; i++ {
+		role := fmt.Sprint(i)
+		if i == workers {
+			role = "reader"
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMultiProcessSharedStore$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "PCC_STORE_PROC="+role, "PCC_STORE_ROOT="+root)
+		cmd.Stdout, cmd.Stderr = &outs[i], &outs[i]
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		cmds = append(cmds, cmd)
+	}
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("process %d: %v\n%s", i, err, outs[i].String())
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Every database reads back, and together they reference exactly the
+	// blob files the store holds.
+	storeDir := filepath.Join(root, "store")
+	referenced := make(map[string]bool)
+	refs := 0
+	for i := 0; i < workers; i++ {
+		dir := filepath.Join(root, fmt.Sprint("db", i))
+		if n := readEveryEntry(t, dir, storeDir); n != 2 {
+			t.Fatalf("db %d serves %d entries, want 2", i, n)
+		}
+		manifests, _ := filepath.Glob(filepath.Join(dir, "*.pcm"))
+		for _, f := range manifests {
+			for _, h := range readManifest(t, dir, filepath.Base(f)).BlobHashes() {
+				referenced[h.Hex()+".pcb"] = true
+				refs++
+			}
+		}
+	}
+	if refs <= len(referenced) {
+		t.Fatalf("%d references to %d distinct blobs: the workers' content does not overlap", refs, len(referenced))
+	}
+	files, err := filepath.Glob(filepath.Join(storeDir, "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		// Anything but a referenced blob is a leaked temp, a quarantined
+		// blob, or a blob nobody committed.
+		if !referenced[filepath.Base(f)] || filepath.Base(filepath.Dir(f)) != "gen0000" {
+			t.Errorf("unexpected file in the shared store: %s", f)
+		}
+	}
+	if len(files) != len(referenced) {
+		t.Fatalf("shared store holds %d files; %d distinct hashes referenced", len(files), len(referenced))
+	}
+	if q, _ := filepath.Glob(filepath.Join(root, "*", "quarantine")); len(q) != 0 {
+		t.Errorf("something was quarantined: %v", q)
+	}
+}
+
+// storeProc is one child of TestMultiProcessSharedStore.
+func storeProc(t *testing.T, role, root string, workers int) {
+	storeDir := filepath.Join(root, "store")
+	if role != "reader" {
+		env := buildChaosEnv(t)
+		mgr, err := core.NewManager(filepath.Join(root, "db"+role), core.WithStore(), core.WithStoreDir(storeDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			ks core.KeySet
+			cf *core.CacheFile
+		}{{env.ksA, env.cfA}, {env.ksB, env.cfB1}, {env.ksB, env.cfB2}} {
+			if _, err := mgr.CommitFile(c.ks, c.cf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	// The reader polls until every worker's database serves both entries;
+	// each round opens fresh managers, so nothing is served from memory.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		served := 0
+		for i := 0; i < workers; i++ {
+			served += readEveryEntry(t, filepath.Join(root, fmt.Sprint("db", i)), storeDir)
+		}
+		if served == 2*workers {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d entries became readable", served, 2*workers)
+		}
+	}
+}
+
+// readEveryEntry opens the database at dir over the shared store and reads
+// each entry its index lists, returning how many there are. An entry that
+// is listed must read back whole (with more traces than listed when an
+// accumulating commit has replaced the manifest but not yet the index).
+func readEveryEntry(t *testing.T, dir, storeDir string) int {
+	t.Helper()
+	mgr, err := core.NewManager(dir, core.WithStore(), core.WithStoreDir(storeDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := mgr.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		cf, err := mgr.ReadPrior(e.File)
+		if err != nil || cf == nil || len(cf.Traces) < e.Traces {
+			t.Fatalf("%s lists %s with %d traces; reading it back: found=%t, err=%v", dir, e.File, e.Traces, cf != nil, err)
+		}
+	}
+	return len(entries)
 }

@@ -112,7 +112,7 @@ func corruptStoreBlobs(dir string) error {
 			}
 			enc := b.Encode()
 			h := store.Sum(enc)
-			if err := st.PutRaw(h, enc); err != nil {
+			if _, err := st.PutRaw(h, enc); err != nil {
 				return err
 			}
 			m.Traces[ti].Blob = h

@@ -1,115 +1,39 @@
 package store
 
-import (
-	"path/filepath"
-	"sort"
-)
-
-// CompactReport summarizes one generational compaction run.
+// CompactReport summarizes one compaction run.
 type CompactReport struct {
-	Gen            int    // new (hot) generation after the run
-	Carried        int    // live blobs moved into the new generation
 	PrunedOrphans  int    // blobs no manifest references, deleted
-	PrunedCold     int    // referenced blobs pruned for low utility
 	ReclaimedBytes uint64 // physical bytes deleted
-	ColdHashes     []Hash // pruned-cold hashes, for manifest repair
 }
 
-// Compact opens a fresh generation and rewrites the store against it:
-// unreferenced blobs are deleted outright, referenced blobs whose utility
-// (hit frequency × translation cost — the paper's cold-code economics) is
-// at least minUtility move into the new generation, and referenced but
-// cold blobs are pruned, their hashes reported so the caller can strip
-// them from manifests (a pruned trace simply re-translates on next use).
-// live maps every blob hash some manifest still references; minUtility <= 0
-// keeps every live blob. Hit counters halve each run so utility decays.
-func (s *Store) Compact(live map[Hash]bool, minUtility uint64) (*CompactReport, error) {
+// Compact deletes every blob file absent from live, the set of hashes some
+// manifest still references. Nothing is moved or rewritten, so the run is
+// idempotent and a crash part-way leaves only fewer orphans for the next.
+func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	newGen := s.gen + 1
-	if err := s.fs.MkdirAll(s.genDir(newGen), 0o755); err != nil {
-		return nil, err
-	}
-	rep := &CompactReport{Gen: newGen}
-
-	// Deterministic order: sorted by hash.
-	hashes := make([]Hash, 0, len(s.idx))
-	for h := range s.idx {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool {
-		a, b := hashes[i], hashes[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-
-	oldDirs := make(map[int]bool)
-	for _, h := range hashes {
-		info := s.idx[h]
-		oldDirs[info.Gen] = true
-		src := s.blobPath(info.Gen, h)
-		switch {
-		case !live[h]:
-			if err := s.fs.Remove(src); err == nil {
-				rep.PrunedOrphans++
-				rep.ReclaimedBytes += info.Size
-				s.met.pruned.With("orphan").Inc()
-				s.met.prunedBytes.Add(info.Size)
-			}
-			delete(s.idx, h)
-			s.l1mu.Lock()
-			delete(s.l1, h)
-			s.l1mu.Unlock()
-		case minUtility > 0 && info.Born < s.gen && info.Hits*translationCost(info) < minUtility:
-			// Cold: born before the current generation (so it has lived
-			// through at least one full window without earning its keep)
-			// and too cheap to re-translate. Pruning covers the loss.
-			if err := s.fs.Remove(src); err == nil {
-				rep.PrunedCold++
-				rep.ReclaimedBytes += info.Size
-				rep.ColdHashes = append(rep.ColdHashes, h)
-				s.met.pruned.With("cold").Inc()
-				s.met.prunedBytes.Add(info.Size)
-				delete(s.idx, h)
-				s.l1mu.Lock()
-				delete(s.l1, h)
-				s.l1mu.Unlock()
-			}
-		default:
-			dst := s.blobPath(newGen, h)
-			if err := s.fs.Rename(src, dst); err != nil {
-				// Keep the blob where it is rather than fail the run; it
-				// stays addressable in its old generation.
-				continue
-			}
-			info.Gen = newGen
-			info.Hits /= 2
-			s.idx[h] = info
-			rep.Carried++
-		}
-	}
-	s.gen = newGen
-
-	// Drop emptied generation directories; a non-empty one (rename failed
-	// above) is left alone and remains addressable.
-	for g := range oldDirs {
-		if g == newGen {
-			continue
-		}
-		if files, err := s.fs.Glob(filepath.Join(s.genDir(g), "*")); err == nil && len(files) == 0 {
-			s.fs.Remove(s.genDir(g))
-		}
-	}
-
-	if err := s.flushMetaLocked(); err != nil {
+	rep := &CompactReport{}
+	files, err := s.blobFiles()
+	if err != nil {
 		return rep, err
 	}
+	for _, p := range files {
+		h, err := hashOf(p)
+		if err != nil || live[h] {
+			continue
+		}
+		fi, err := s.fs.Stat(p)
+		if err != nil || s.fs.Remove(p) != nil {
+			continue
+		}
+		rep.PrunedOrphans++
+		rep.ReclaimedBytes += uint64(fi.Size())
+		s.met.pruned.Inc()
+		s.met.prunedBytes.Add(uint64(fi.Size()))
+		s.l1mu.Lock()
+		delete(s.l1, h)
+		s.l1mu.Unlock()
+	}
 	s.met.compactions.Inc()
-	s.publishGaugesLocked()
 	return rep, nil
 }

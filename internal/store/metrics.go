@@ -16,7 +16,7 @@ type storeMetrics struct {
 	dedupBytes   *metrics.Counter
 	quarantined  *metrics.Counter
 	compactions  *metrics.Counter
-	pruned       *metrics.CounterVec // reason=cold|orphan
+	pruned       *metrics.Counter
 	prunedBytes  *metrics.Counter
 
 	blobs      *metrics.Gauge
@@ -36,11 +36,11 @@ func newStoreMetrics(r *metrics.Registry) *storeMetrics {
 		dedupBlobs:   r.Counter("pcc_store_dedup_blobs_total", "blob writes elided because the content already existed"),
 		dedupBytes:   r.Counter("pcc_store_dedup_bytes_total", "bytes NOT written thanks to content deduplication"),
 		quarantined:  r.Counter("pcc_store_blob_quarantine_total", "blobs quarantined on a failed content check"),
-		compactions:  r.Counter("pcc_store_compactions_total", "generational compaction runs"),
-		pruned:       r.CounterVec("pcc_store_pruned_blobs_total", "blobs deleted by compaction, by reason", "reason"),
+		compactions:  r.Counter("pcc_store_compactions_total", "compaction runs"),
+		pruned:       r.Counter("pcc_store_pruned_blobs_total", "unreferenced blobs deleted by compaction"),
 		prunedBytes:  r.Counter("pcc_store_pruned_bytes_total", "bytes reclaimed by compaction"),
-		blobs:        r.Gauge("pcc_store_blobs", "addressable blobs in the local store"),
+		blobs:        r.Gauge("pcc_store_blobs", "addressable blobs in the local store, as of the last stats walk"),
 		blobBytes:    r.Gauge("pcc_store_blob_bytes", "physical bytes across addressable blobs"),
-		generation:   r.Gauge("pcc_store_generation", "current (hot) generation number"),
+		generation:   r.Gauge("pcc_store_generation", "generation new blobs are written to"),
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,18 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"persistcc/internal/fsx"
 	"persistcc/internal/metrics"
-	"persistcc/internal/vm"
 )
-
-// metaFile is the advisory store index: current generation plus per-blob
-// bookkeeping (generation, size, hit counts). It is rebuilt from the blob
-// files themselves by Recover, so losing it never loses data.
-const metaFile = "blobs.json"
 
 // quarantineDir receives blobs whose bytes no longer hash to their name,
 // mirroring the cache database's self-healing idiom.
@@ -73,124 +68,89 @@ var ErrBlobMissing = errors.New("store: blob missing")
 // the file.
 var ErrBlobCorrupt = errors.New("store: blob corrupt")
 
-// blobInfo is the per-blob bookkeeping persisted in the meta file. Gen is
-// where the blob physically lives (compaction moves it); Born is the
-// generation it was first written in, which never changes — the age guard
-// that keeps cold-pruning away from blobs too young to have earned hits.
-type blobInfo struct {
-	Gen   int    `json:"gen"`
-	Born  int    `json:"born"`
-	Size  uint64 `json:"size"`
-	Insts int    `json:"insts"`
-	Ops   int    `json:"ops"`
-	Hits  uint64 `json:"hits"`
-}
-
-type storeMeta struct {
-	Gen   int                 `json:"gen"`
-	Blobs map[string]blobInfo `json:"blobs"`
-}
-
 // Store is the local content-addressed blob store (tier L2) plus its
-// in-process decoded-blob map (tier L1). Blobs live under per-generation
-// directories (gen0000, gen0001, ...); compaction rewrites the live hot
-// set into a fresh generation and prunes the cold remainder.
+// in-process decoded-blob map (tier L1). The blob files
+// <generation>/<sha256>.pcb are the only on-disk state: presence is a
+// Stat, a blob is published by renaming a synced, writer-unique temp onto
+// its content address, and no file is ever rewritten in place — so any
+// number of stores, in any number of processes, share one directory
+// without a lock or an index to keep coherent.
 type Store struct {
 	dir string
 	fs  fsx.FS
 	met *storeMetrics
 
-	mu  sync.Mutex
-	gen int
-	idx map[Hash]blobInfo
+	// gens lists the generation directories, newest first, fixed at Open.
+	// New blobs land in gens[0]; older generations exist only in stores an
+	// earlier version compacted, and stay readable.
+	gens []string
+
+	// mu serializes this instance's writers, so a hash put twice through
+	// one store is written once and counted as one write and one dedup.
+	mu sync.Mutex
 
 	l1mu sync.RWMutex
 	l1   map[Hash]*Blob
 }
 
-// Open opens (creating if necessary) the store rooted at dir. All I/O goes
-// through fsys — the chaos seam. A corrupt or missing meta file triggers a
-// scan-rebuild instead of an error.
+// Open opens the store rooted at dir. All I/O goes through fsys — the
+// chaos seam. Open only lists the generation directories: it writes
+// nothing (the first put creates what it needs) and scrubs nothing, so it
+// is safe while peers are writing.
 func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 	if fsys == nil {
 		fsys = fsx.OS
 	}
-	s := &Store{
-		dir: dir,
-		fs:  fsys,
-		met: newStoreMetrics(reg),
-		idx: make(map[Hash]blobInfo),
-		l1:  make(map[Hash]*Blob),
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	gens, err := fsys.Glob(filepath.Join(dir, "gen[0-9][0-9][0-9][0-9]"))
+	if err != nil {
 		return nil, err
 	}
-	if err := s.loadMeta(); err != nil {
-		if _, rerr := s.Recover(); rerr != nil {
-			return nil, rerr
-		}
+	if len(gens) == 0 {
+		gens = []string{filepath.Join(dir, "gen0000")}
 	}
-	s.publishGauges()
-	return s, nil
+	sort.Sort(sort.Reverse(sort.StringSlice(gens)))
+	return &Store{
+		dir:  dir,
+		fs:   fsys,
+		met:  newStoreMetrics(reg),
+		gens: gens,
+		l1:   make(map[Hash]*Blob),
+	}, nil
 }
 
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) genDir(gen int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("gen%04d", gen))
-}
-
-func (s *Store) blobPath(gen int, h Hash) string {
-	return filepath.Join(s.genDir(gen), h.Hex()+".pcb")
-}
-
-func (s *Store) loadMeta() error {
-	b, err := s.fs.ReadFile(filepath.Join(s.dir, metaFile))
-	if err != nil {
-		return err
-	}
-	var m storeMeta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen = m.Gen
-	s.idx = make(map[Hash]blobInfo, len(m.Blobs))
-	for hs, info := range m.Blobs {
-		h, err := ParseHash(hs)
-		if err != nil {
-			return err
+// locate finds the newest generation holding h: one Stat per generation,
+// never a directory listing — this is the put and get hot path.
+func (s *Store) locate(h Hash) (string, fs.FileInfo, bool) {
+	name := h.Hex() + ".pcb"
+	for _, g := range s.gens {
+		p := filepath.Join(g, name)
+		if fi, err := s.fs.Stat(p); err == nil {
+			return p, fi, true
 		}
-		s.idx[h] = info
 	}
-	return nil
+	return "", nil, false
 }
 
-// metaSeq distinguishes concurrent meta flushes: the store directory is
-// shared across managers (and processes), so each writer needs its own
-// temp file or racing flushes consume each other's rename source.
-var metaSeq atomic.Uint64
+// blobFiles lists every blob file, generation by generation. Maintenance
+// only (stats, scrub, compaction): it reads whole directories.
+func (s *Store) blobFiles() ([]string, error) {
+	var all []string
+	for _, g := range s.gens {
+		files, err := s.fs.Glob(filepath.Join(g, "*.pcb"))
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, files...)
+	}
+	return all, nil
+}
 
-// flushMetaLocked writes the meta file atomically. Callers hold s.mu. The
-// meta is advisory — a racing writer's flush simply wins with its own
-// view, and readRaw's generation scan covers any blob it missed.
-func (s *Store) flushMetaLocked() error {
-	m := storeMeta{Gen: s.gen, Blobs: make(map[string]blobInfo, len(s.idx))}
-	for h, info := range s.idx {
-		m.Blobs[h.Hex()] = info
-	}
-	b, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.dir, metaFile)
-	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), metaSeq.Add(1))
-	if err := s.fs.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return s.fs.Rename(tmp, path)
+// hashOf parses a blob file's name back into its content address.
+func hashOf(path string) (Hash, error) {
+	return ParseHash(strings.TrimSuffix(filepath.Base(path), ".pcb"))
 }
 
 // PutReport summarizes one batch of blob writes.
@@ -202,120 +162,82 @@ type PutReport struct {
 }
 
 // PutAll writes a batch of blobs, deduplicating against the existing
-// content. The meta file is flushed once per batch; blob files land before
-// it does, so a crash between the two leaves only advisory state stale.
+// content, and returns their hashes index-for-index.
 func (s *Store) PutAll(blobs []*Blob) (PutReport, []Hash, error) {
 	var rep PutReport
 	hashes := make([]Hash, 0, len(blobs))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	madeDir := false
 	for _, b := range blobs {
 		enc := b.Encode()
 		h := Sum(enc)
 		hashes = append(hashes, h)
-		if info, ok := s.idx[h]; ok {
-			if _, err := s.fs.Stat(s.blobPath(info.Gen, h)); err == nil {
-				rep.Deduped++
-				rep.DedupBytes += uint64(len(enc))
-				s.met.dedupBlobs.Inc()
-				s.met.dedupBytes.Add(uint64(len(enc)))
-				continue
-			}
-			// Meta said present but the file is gone: fall through and
-			// rewrite it.
-			delete(s.idx, h)
-		}
-		if !madeDir {
-			if err := s.fs.MkdirAll(s.genDir(s.gen), 0o755); err != nil {
-				return rep, hashes, err
-			}
-			madeDir = true
-		}
-		path := s.blobPath(s.gen, h)
-		if fi, err := s.fs.Stat(path); err == nil {
-			// Another store instance over the same directory won the
-			// race; content addressing makes the copies identical.
-			s.idx[h] = blobInfo{Gen: s.gen, Born: s.gen, Size: uint64(fi.Size()), Insts: len(b.Insts), Ops: len(b.Ops)}
-			rep.Deduped++
-			rep.DedupBytes += uint64(len(enc))
-			s.met.dedupBlobs.Inc()
-			s.met.dedupBytes.Add(uint64(len(enc)))
-			continue
-		}
-		stored := deflateBlob(enc)
-		tmp := path + ".tmp"
-		if err := s.fs.WriteFile(tmp, stored, 0o644); err != nil {
+		written, err := s.put(h, enc)
+		switch {
+		case err != nil:
 			return rep, hashes, err
-		}
-		if err := s.fs.Rename(tmp, path); err != nil {
-			// A store instance in another process may have raced us on the
-			// same temp file; if the destination landed, the content is
-			// identical by construction — count it as a dedup hit.
-			if _, serr := s.fs.Stat(path); serr != nil {
-				return rep, hashes, err
-			}
-			s.idx[h] = blobInfo{Gen: s.gen, Born: s.gen, Size: uint64(len(stored)), Insts: len(b.Insts), Ops: len(b.Ops)}
+		case written == 0:
 			rep.Deduped++
 			rep.DedupBytes += uint64(len(enc))
-			s.met.dedupBlobs.Inc()
-			s.met.dedupBytes.Add(uint64(len(enc)))
-			continue
+		default:
+			rep.Added++
+			rep.AddedBytes += written
 		}
-		s.idx[h] = blobInfo{Gen: s.gen, Born: s.gen, Size: uint64(len(stored)), Insts: len(b.Insts), Ops: len(b.Ops)}
-		rep.Added++
-		rep.AddedBytes += uint64(len(stored))
-		s.met.written.Inc()
-		s.met.writtenBytes.Add(uint64(len(stored)))
 	}
-	if err := s.flushMetaLocked(); err != nil {
-		return rep, hashes, err
-	}
-	s.publishGaugesLocked()
 	return rep, hashes, nil
 }
 
 // PutRaw stores already-encoded blob bytes fetched from a remote tier,
-// verifying the content address first.
-func (s *Store) PutRaw(h Hash, enc []byte) error {
+// verifying the content address and the encoding first, and returns the
+// decoded blob.
+func (s *Store) PutRaw(h Hash, enc []byte) (*Blob, error) {
 	if Sum(enc) != h {
-		return fmt.Errorf("%w: fetched bytes do not hash to %s", ErrBlobCorrupt, h)
+		return nil, fmt.Errorf("%w: fetched bytes do not hash to %s", ErrBlobCorrupt, h)
 	}
 	b, err := DecodeBlob(enc)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if info, ok := s.idx[h]; ok {
-		if _, err := s.fs.Stat(s.blobPath(info.Gen, h)); err == nil {
-			return nil
-		}
-		delete(s.idx, h)
+	if _, err := s.put(h, enc); err != nil {
+		return nil, err
 	}
-	if err := s.fs.MkdirAll(s.genDir(s.gen), 0o755); err != nil {
-		return err
+	return b, nil
+}
+
+// tmpSeq makes temp names unique within the process; the pid makes them
+// unique across processes.
+var tmpSeq atomic.Uint64
+
+// put lands enc under its content address h and returns the bytes written,
+// 0 when the content was already present. A new blob is deflated, written
+// and synced under a temp name no other writer can share (a peer
+// truncating a shared temp between our sync and rename would publish a
+// short blob), then renamed into the newest generation. Callers hold s.mu.
+func (s *Store) put(h Hash, enc []byte) (uint64, error) {
+	if _, _, ok := s.locate(h); ok {
+		s.met.dedupBlobs.Inc()
+		s.met.dedupBytes.Add(uint64(len(enc)))
+		return 0, nil
 	}
-	path := s.blobPath(s.gen, h)
+	if err := s.fs.MkdirAll(s.gens[0], 0o755); err != nil {
+		return 0, err
+	}
+	path := filepath.Join(s.gens[0], h.Hex()+".pcb")
+	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
 	stored := deflateBlob(enc)
-	tmp := path + ".tmp"
-	if err := s.fs.WriteFile(tmp, stored, 0o644); err != nil {
-		return err
+	err := s.fs.WriteFile(tmp, stored, 0o644)
+	if err == nil {
+		err = s.fs.Rename(tmp, path)
 	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		// Racing writer in another process: identical content landed.
-		if _, serr := s.fs.Stat(path); serr != nil {
-			return err
-		}
+	if err != nil {
+		s.fs.Remove(tmp)
+		return 0, err
 	}
-	s.idx[h] = blobInfo{Gen: s.gen, Born: s.gen, Size: uint64(len(stored)), Insts: len(b.Insts), Ops: len(b.Ops)}
 	s.met.written.Inc()
 	s.met.writtenBytes.Add(uint64(len(stored)))
-	if err := s.flushMetaLocked(); err != nil {
-		return err
-	}
-	s.publishGaugesLocked()
-	return nil
+	return uint64(len(stored)), nil
 }
 
 // Has reports whether the blob is resident locally (L1 or L2).
@@ -323,25 +245,19 @@ func (s *Store) Has(h Hash) bool {
 	s.l1mu.RLock()
 	_, ok := s.l1[h]
 	s.l1mu.RUnlock()
-	if ok {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.idx[h]
 	if !ok {
-		return false
+		_, _, ok = s.locate(h)
 	}
-	_, err := s.fs.Stat(s.blobPath(info.Gen, h))
-	return err == nil
+	return ok
 }
 
-// SizeOf returns the encoded size of an indexed blob.
+// SizeOf returns the stored size of a blob.
 func (s *Store) SizeOf(h Hash) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.idx[h]
-	return info.Size, ok
+	_, fi, ok := s.locate(h)
+	if !ok {
+		return 0, false
+	}
+	return uint64(fi.Size()), true
 }
 
 // Get resolves a hash through L1 (in-process decoded map) then L2 (local
@@ -354,7 +270,6 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 	s.l1mu.RUnlock()
 	if ok {
 		s.met.hits.With("l1").Inc()
-		s.recordHit(h)
 		return b, nil
 	}
 	enc, err := s.readRaw(h)
@@ -366,12 +281,16 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 		s.quarantineBlob(h)
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
+	s.cache(h, b)
+	s.met.hits.With("l2").Inc()
+	return b, nil
+}
+
+// cache installs a decoded blob in L1.
+func (s *Store) cache(h Hash, b *Blob) {
 	s.l1mu.Lock()
 	s.l1[h] = b
 	s.l1mu.Unlock()
-	s.met.hits.With("l2").Inc()
-	s.recordHit(h)
-	return b, nil
 }
 
 // GetRaw returns the verified encoded bytes of a blob — the server's
@@ -382,28 +301,10 @@ func (s *Store) GetRaw(h Hash) ([]byte, error) {
 
 // readRaw loads and hash-verifies blob bytes from disk.
 func (s *Store) readRaw(h Hash) ([]byte, error) {
-	s.mu.Lock()
-	info, ok := s.idx[h]
-	s.mu.Unlock()
-	var path string
-	if ok {
-		p := s.blobPath(info.Gen, h)
-		if _, err := s.fs.Stat(p); err == nil {
-			path = p
-		}
-	}
-	if path == "" {
-		// Not where the advisory index says, or not indexed at all: scan
-		// every generation directory, newest first. A stale meta file — a
-		// crash mid-compaction leaves blobs renamed into a generation the
-		// meta never learned about — degrades to a slower hit, not a miss.
-		matches, _ := s.fs.Glob(filepath.Join(s.dir, "gen[0-9][0-9][0-9][0-9]", h.Hex()+".pcb"))
-		if len(matches) == 0 {
-			s.met.misses.Inc()
-			return nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
-		}
-		sort.Strings(matches)
-		path = matches[len(matches)-1]
+	path, _, ok := s.locate(h)
+	if !ok {
+		s.met.misses.Inc()
+		return nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
 	}
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -427,43 +328,24 @@ func (s *Store) readRaw(h Hash) ([]byte, error) {
 func (s *Store) quarantineBlob(h Hash) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.idx[h]
-	if !ok {
-		return
+	if path, _, ok := s.locate(h); ok {
+		s.quarantineFile(path)
 	}
-	src := s.blobPath(info.Gen, h)
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := s.fs.MkdirAll(qdir, 0o755); err == nil {
-		if err := s.fs.Rename(src, filepath.Join(qdir, h.Hex()+".pcb")); err != nil {
-			s.fs.Remove(src)
-		}
-	} else {
-		s.fs.Remove(src)
-	}
-	delete(s.idx, h)
 	s.l1mu.Lock()
 	delete(s.l1, h)
 	s.l1mu.Unlock()
+}
+
+// quarantineFile moves one blob file into the quarantine directory,
+// deleting it when the move fails, and reports whether it left the
+// addressable space either way.
+func (s *Store) quarantineFile(path string) bool {
 	s.met.quarantined.Inc()
-	s.flushMetaLocked()
-	s.publishGaugesLocked()
-}
-
-// recordHit bumps the utility counter feeding compaction.
-func (s *Store) recordHit(h Hash) {
-	s.mu.Lock()
-	if info, ok := s.idx[h]; ok {
-		info.Hits++
-		s.idx[h] = info
+	qdir := filepath.Join(s.dir, quarantineDir)
+	if s.fs.MkdirAll(qdir, 0o755) == nil && s.fs.Rename(path, filepath.Join(qdir, filepath.Base(path))) == nil {
+		return true
 	}
-	s.mu.Unlock()
-}
-
-// Flush persists the advisory meta (hit counters accumulate in memory).
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushMetaLocked()
+	return s.fs.Remove(path) == nil
 }
 
 // Stats summarizes the store's physical state.
@@ -474,159 +356,86 @@ type Stats struct {
 	Generations int    `json:"generations"`
 }
 
-// Stats reports blob count and physical bytes from the in-memory index.
+// Stats walks the store directory for blob count and physical bytes, and
+// refreshes the pcc_store_blobs/blob_bytes/generation gauges from it.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{Gen: s.gen}
-	gens := make(map[int]bool)
-	for _, info := range s.idx {
+	var st Stats
+	fmt.Sscanf(filepath.Base(s.gens[0]), "gen%d", &st.Gen)
+	files, _ := s.blobFiles()
+	lastGen := ""
+	for _, p := range files {
+		fi, err := s.fs.Stat(p)
+		if err != nil {
+			continue
+		}
 		st.Blobs++
-		st.BlobBytes += info.Size
-		gens[info.Gen] = true
+		st.BlobBytes += uint64(fi.Size())
+		if g := filepath.Dir(p); g != lastGen {
+			st.Generations++
+			lastGen = g
+		}
 	}
-	st.Generations = len(gens)
+	s.met.blobs.Set(float64(st.Blobs))
+	s.met.blobBytes.Set(float64(st.BlobBytes))
+	s.met.generation.Set(float64(st.Gen))
 	return st
 }
 
 // RecoverReport summarizes a store recovery pass.
 type RecoverReport struct {
-	Blobs       int // addressable blobs after the scan
+	Blobs       int // blobs that passed the scrub
 	Quarantined int // blobs whose bytes failed the content check
 	TmpRemoved  int // abandoned temp files deleted
 }
 
-// Recover rebuilds the store index from the blob files themselves:
-// abandoned temp files are removed, every blob is re-hashed against its
-// name (failures are quarantined), and the meta file is rewritten. Hit
-// counters survive when the old meta was readable.
-func (s *Store) Recover() (*RecoverReport, error) {
+// Recover scrubs the store: every blob is re-hashed against its name and
+// decoded (failures are quarantined), and temp files older than staleAfter
+// are deleted. A younger temp may be a live writer's, between its sync and
+// its rename, and is left alone.
+func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 	rep := &RecoverReport{}
-	oldInfo := make(map[Hash]blobInfo)
-	if b, err := s.fs.ReadFile(filepath.Join(s.dir, metaFile)); err == nil {
-		var m storeMeta
-		if json.Unmarshal(b, &m) == nil {
-			for hs, info := range m.Blobs {
-				if h, err := ParseHash(hs); err == nil {
-					oldInfo[h] = info
-				}
-			}
+	cutoff := time.Now().Add(-staleAfter)
+	for _, d := range append([]string{s.dir}, s.gens...) {
+		tmps, err := s.fs.Glob(filepath.Join(d, "*.tmp"))
+		if err != nil {
+			return nil, err
 		}
-	}
-	if tmps, err := s.fs.Glob(filepath.Join(s.dir, "*.tmp")); err == nil {
 		for _, p := range tmps {
+			fi, err := s.fs.Stat(p)
+			if err != nil || fi.ModTime().After(cutoff) {
+				continue
+			}
 			if s.fs.Remove(p) == nil {
 				rep.TmpRemoved++
 			}
 		}
 	}
-	genDirs, err := s.fs.Glob(filepath.Join(s.dir, "gen[0-9][0-9][0-9][0-9]"))
+	files, err := s.blobFiles()
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(genDirs)
-	idx := make(map[Hash]blobInfo)
-	maxGen := 0
-	for _, gd := range genDirs {
-		var gen int
-		if _, err := fmt.Sscanf(filepath.Base(gd), "gen%d", &gen); err != nil {
+	for _, p := range files {
+		h, err := hashOf(p)
+		if err != nil {
+			s.fs.Remove(p)
 			continue
 		}
-		if gen > maxGen {
-			maxGen = gen
-		}
-		if tmps, err := s.fs.Glob(filepath.Join(gd, "*.tmp")); err == nil {
-			for _, p := range tmps {
-				if s.fs.Remove(p) == nil {
-					rep.TmpRemoved++
-				}
-			}
-		}
-		files, err := s.fs.Glob(filepath.Join(gd, "*.pcb"))
+		data, err := s.fs.ReadFile(p)
 		if err != nil {
-			return nil, err
+			continue
 		}
-		for _, p := range files {
-			name := filepath.Base(p)
-			h, err := ParseHash(name[:len(name)-len(".pcb")])
-			if err != nil {
-				s.fs.Remove(p)
+		if enc, err := inflateBlob(data); err == nil && Sum(enc) == h {
+			if _, err := DecodeBlob(enc); err == nil {
+				rep.Blobs++
 				continue
 			}
-			data, err := s.fs.ReadFile(p)
-			if err != nil {
-				continue
-			}
-			enc, zerr := inflateBlob(data)
-			var b *Blob
-			var derr error
-			if zerr == nil {
-				b, derr = DecodeBlob(enc)
-			}
-			if zerr != nil || Sum(enc) != h || derr != nil {
-				qdir := filepath.Join(s.dir, quarantineDir)
-				if s.fs.MkdirAll(qdir, 0o755) == nil && s.fs.Rename(p, filepath.Join(qdir, name)) == nil {
-					rep.Quarantined++
-				} else if s.fs.Remove(p) == nil {
-					rep.Quarantined++
-				}
-				s.met.quarantined.Inc()
-				continue
-			}
-			if prev, ok := idx[h]; !ok || gen > prev.Gen {
-				// Hit counters and birth generation survive when the old
-				// meta was readable; a blob with no record is treated as
-				// born where it lies (conservatively young).
-				born := gen
-				if old, ok := oldInfo[h]; ok && old.Born < born {
-					born = old.Born
-				}
-				idx[h] = blobInfo{Gen: gen, Born: born, Size: uint64(len(data)), Insts: len(b.Insts), Ops: len(b.Ops), Hits: oldInfo[h].Hits}
-			}
+		}
+		if s.quarantineFile(p) {
+			rep.Quarantined++
 		}
 	}
-	s.mu.Lock()
-	s.gen = maxGen
-	s.idx = idx
-	rep.Blobs = len(idx)
-	err = s.flushMetaLocked()
-	s.publishGaugesLocked()
-	s.mu.Unlock()
 	s.l1mu.Lock()
 	s.l1 = make(map[Hash]*Blob)
 	s.l1mu.Unlock()
-	if err != nil {
-		return rep, err
-	}
 	return rep, nil
-}
-
-// IsNotExist reports whether err is a plain missing-file error, which
-// Open's meta load treats as "fresh store".
-func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
-
-func (s *Store) publishGauges() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.publishGaugesLocked()
-}
-
-func (s *Store) publishGaugesLocked() {
-	var bytes uint64
-	for _, info := range s.idx {
-		bytes += info.Size
-	}
-	s.met.blobs.Set(float64(len(s.idx)))
-	s.met.blobBytes.Set(float64(bytes))
-	s.met.generation.Set(float64(s.gen))
-}
-
-// translationCost models what re-translating the blob would cost — the
-// "value" half of the compaction utility score — using the calibrated
-// cost model's translation terms.
-func translationCost(info blobInfo) uint64 {
-	cm := vm.DefaultCostModel()
-	return cm.TransFixed +
-		uint64(info.Insts)*(cm.TransFetch+cm.TransPerInst) +
-		uint64(info.Ops)*cm.TransPerOp
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"persistcc/internal/isa"
 	"persistcc/internal/obj"
@@ -192,31 +193,33 @@ func TestGetQuarantinesCorruptBlob(t *testing.T) {
 	}
 }
 
-func TestRecoverRebuildsIndex(t *testing.T) {
+func TestRecoverScrubsBlobsAndTemps(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	a, b := mkBlob(4, 4), mkBlob(5, 6)
 	if _, _, err := s.PutAll([]*store.Blob{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one blob and delete the advisory meta: a reopen must rebuild
-	// the index from the files, quarantining the bad blob.
+	// Corrupt one blob and leave temp debris: the scrub quarantines the
+	// bad blob and sweeps the temps.
 	path := filepath.Join(dir, "gen0000", a.Hash().Hex()+".pcb")
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "blobs.json")); err != nil {
-		t.Fatal(err)
+	for _, tmp := range []string{"x.tmp", filepath.Join("gen0000", "y.pcb.1.1.tmp")} {
+		if err := os.WriteFile(filepath.Join(dir, tmp), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "x.tmp"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Recover()
+	rep, err := s.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Blobs != 1 || rep.Quarantined != 1 || rep.TmpRemoved != 1 {
-		t.Fatalf("recover: %+v, want 1 blob, 1 quarantined, 1 tmp removed", rep)
+	if rep.Blobs != 1 || rep.Quarantined != 1 || rep.TmpRemoved != 2 {
+		t.Fatalf("recover: %+v, want 1 blob, 1 quarantined, 2 tmp removed", rep)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", a.Hash().Hex()+".pcb")); err != nil {
+		t.Errorf("corrupt blob not quarantined: %v", err)
 	}
 	if _, err := s.Get(b.Hash()); err != nil {
 		t.Errorf("surviving blob unreadable after recover: %v", err)
@@ -224,59 +227,115 @@ func TestRecoverRebuildsIndex(t *testing.T) {
 	if _, err := s.Get(a.Hash()); err == nil {
 		t.Error("corrupt blob still served after recover")
 	}
-	// A missing meta file triggers the same scan-rebuild inside Open.
-	if err := os.Remove(filepath.Join(dir, "blobs.json")); err != nil {
-		t.Fatal(err)
-	}
+	// A fresh Open serves the surviving blob straight from the directory.
 	s2 := openStore(t, dir)
 	if _, err := s2.Get(b.Hash()); err != nil {
-		t.Errorf("reopen without meta lost the surviving blob: %v", err)
+		t.Errorf("reopen lost the surviving blob: %v", err)
 	}
 	if st := s2.Stats(); st.Blobs != 1 {
-		t.Fatalf("reopen without meta indexes %d blobs, want 1", st.Blobs)
+		t.Fatalf("reopen counts %d blobs, want 1", st.Blobs)
 	}
 }
 
-func TestCompactPrunesOrphansAndCold(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	hot, cold, orphan := mkBlob(6, 8), mkBlob(7, 2), mkBlob(8, 4)
-	if _, _, err := s.PutAll([]*store.Blob{hot, cold, orphan}); err != nil {
+// TestOpenAndRecoverSpareLiveTemp: a peer between its sync and its rename
+// owns a fresh temp in the shared directory. Neither Open nor a Recover
+// within the staleness bound may touch it, or the peer's rename fails.
+func TestOpenAndRecoverSpareLiveTemp(t *testing.T) {
+	dir := t.TempDir()
+	b := mkBlob(14, 4)
+	gen := filepath.Join(dir, "gen0000")
+	if err := os.MkdirAll(gen, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Age the blobs into an old generation (all live, no threshold).
-	live := map[store.Hash]bool{hot.Hash(): true, cold.Hash(): true, orphan.Hash(): true}
-	if _, err := s.Compact(live, 0); err != nil {
+	final := filepath.Join(gen, b.Hash().Hex()+".pcb")
+	tmp := final + ".4242.1.tmp"
+	if err := os.WriteFile(tmp, b.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Heat up only the hot blob, then compact with a utility threshold and
-	// without the orphan.
-	for i := 0; i < 50; i++ {
-		if _, err := s.Get(hot.Hash()); err != nil {
-			t.Fatal(err)
-		}
+	s := openStore(t, dir)
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("Open wrote into the store root: %v", names)
 	}
-	live = map[store.Hash]bool{hot.Hash(): true, cold.Hash(): true}
-	rep, err := s.Compact(live, 1)
+	rep, err := s.Recover(time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Carried != 1 || rep.PrunedOrphans != 1 || rep.PrunedCold != 1 {
-		t.Fatalf("compact: %+v, want carried=1 orphans=1 cold=1", rep)
+	if rep.TmpRemoved != 0 {
+		t.Fatalf("recover swept %d temps younger than the staleness bound", rep.TmpRemoved)
 	}
-	if len(rep.ColdHashes) != 1 || rep.ColdHashes[0] != cold.Hash() {
-		t.Fatalf("cold hashes: %v", rep.ColdHashes)
+	if err := os.Rename(tmp, final); err != nil {
+		t.Fatalf("peer's rename failed after Open+Recover: %v", err)
 	}
-	if rep.ReclaimedBytes == 0 {
-		t.Error("compact reclaimed no bytes")
+	if _, err := s.Get(b.Hash()); err != nil {
+		t.Errorf("peer's blob not served once published: %v", err)
 	}
-	if _, err := s.Get(hot.Hash()); err != nil {
-		t.Errorf("hot blob lost by compaction: %v", err)
+}
+
+func TestCompactPrunesOrphans(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	kept, orphan := mkBlob(6, 8), mkBlob(8, 4)
+	if _, _, err := s.PutAll([]*store.Blob{kept, orphan}); err != nil {
+		t.Fatal(err)
 	}
-	if s.Has(cold.Hash()) || s.Has(orphan.Hash()) {
-		t.Error("pruned blobs still resident")
+	live := map[store.Hash]bool{kept.Hash(): true}
+	rep, err := s.Compact(live)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Gen != 2 || st.Blobs != 1 {
+	if rep.PrunedOrphans != 1 || rep.ReclaimedBytes == 0 {
+		t.Fatalf("compact: %+v, want 1 orphan and its bytes reclaimed", rep)
+	}
+	if _, err := s.Get(kept.Hash()); err != nil {
+		t.Errorf("live blob lost by compaction: %v", err)
+	}
+	if s.Has(orphan.Hash()) {
+		t.Error("pruned blob still resident")
+	}
+	// Live blobs are not moved, and a second run finds nothing to do.
+	if _, err := os.Stat(filepath.Join(dir, "gen0000", kept.Hash().Hex()+".pcb")); err != nil {
+		t.Errorf("live blob moved by compaction: %v", err)
+	}
+	if rep, err := s.Compact(live); err != nil || rep.PrunedOrphans != 0 {
+		t.Fatalf("second compact: %+v, %v; want a no-op", rep, err)
+	}
+	if st := s.Stats(); st.Blobs != 1 {
 		t.Fatalf("stats after compact: %+v", st)
+	}
+}
+
+// TestOlderGenerationsStayReadable: a store an earlier version compacted
+// keeps blobs in several generations; lookups search them all and new
+// blobs join the newest.
+func TestOlderGenerationsStayReadable(t *testing.T) {
+	dir := t.TempDir()
+	old, older, fresh := mkBlob(17, 3), mkBlob(18, 3), mkBlob(19, 3)
+	for gen, b := range map[string]*store.Blob{"gen0000": older, "gen0002": old} {
+		if err := os.MkdirAll(filepath.Join(dir, gen), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, gen, b.Hash().Hex()+".pcb"), b.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openStore(t, dir)
+	rep, _, err := s.PutAll([]*store.Blob{old, older, fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Added != 1 || rep.Deduped != 2 {
+		t.Fatalf("added %d deduped %d, want 1/2", rep.Added, rep.Deduped)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "gen0002", fresh.Hash().Hex()+".pcb")); err != nil {
+		t.Errorf("new blob not in the newest generation: %v", err)
+	}
+	for _, b := range []*store.Blob{old, older, fresh} {
+		if _, err := s.Get(b.Hash()); err != nil {
+			t.Errorf("blob %s: %v", b.Hash(), err)
+		}
+	}
+	if st := s.Stats(); st.Gen != 2 || st.Blobs != 3 || st.Generations != 2 {
+		t.Fatalf("stats: %+v, want gen 2, 3 blobs, 2 generations", st)
 	}
 }
 

@@ -64,17 +64,12 @@ func (t *Tiered) GetAll(hashes []Hash) (map[Hash]*Blob, error) {
 		if !ok {
 			continue
 		}
-		if err := t.Store.PutRaw(h, enc); err != nil {
+		b, err := t.Store.PutRaw(h, enc)
+		if err != nil {
 			// Bad bytes from the remote: skip; the trace re-translates.
 			continue
 		}
-		b, err := DecodeBlob(enc)
-		if err != nil {
-			continue
-		}
-		t.Store.l1mu.Lock()
-		t.Store.l1[h] = b
-		t.Store.l1mu.Unlock()
+		t.Store.cache(h, b)
 		out[h] = b
 		t.Store.met.hits.With("l3").Inc()
 	}

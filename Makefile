@@ -44,11 +44,12 @@ test-race:
 # async translation pipeline, the manager's concurrent commit/prune paths,
 # and the cache server. Much faster than test-race, so it runs as its own
 # CI job on every push. The shared-store tests — goroutines, then real
-# processes, committing into one store directory with no lock — run twenty
+# processes, committing into one store directory with no lock, then a
+# manager crashing at every pack operation beside a live peer — run twenty
 # times over: a lost race there is an intermittent failure, not a steady one.
 race-smoke:
-	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/cacheserver/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore' ./internal/core/
+	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer' ./internal/core/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
 # failure has to show up here, not on somebody's unrelated push.
@@ -118,14 +119,15 @@ guestfuzz-smoke:
 	$(GO) run ./cmd/pcc-bench -run guestfuzz
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
-# decode, wire-protocol frames, cache-file bytes) plus the differential
-# translate/interpret equivalence property over generated workloads. Seed
-# corpora are checked in under each package's testdata/fuzz/.
+# decode, wire-protocol frames, cache-file bytes, store pack files) plus the
+# differential translate/interpret equivalence property over generated
+# workloads. Seed corpora are checked in under each package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/isa/ -fuzz FuzzDecodeInstr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cacheserver/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzReadCacheFile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 
 # Refresh the checked-in baseline after an intentional performance change.
 bench-baseline:

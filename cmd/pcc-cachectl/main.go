@@ -288,6 +288,9 @@ func printDBStats(st *core.DBStats) {
 	if ss := st.Store; ss != nil {
 		fmt.Printf("store: %d manifests over %d shared blobs (%s physical)\n",
 			ss.Manifests, ss.Blobs, stats.Bytes(ss.BlobBytes))
+		if ss.Packs+ss.LooseBlobs > 0 { // a local view: the wire response does not carry these
+			fmt.Printf("packs: %d, loose blobs remaining: %d\n", ss.Packs, ss.LooseBlobs)
+		}
 		fmt.Printf("dedup: %s logical → %.1f%% saved by content addressing\n",
 			stats.Bytes(ss.LogicalBytes), 100*ss.DedupRatio)
 	}

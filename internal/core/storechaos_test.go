@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,9 +18,10 @@ import (
 // Crash-consistency chaos over the store format: the same
 // crash-at-every-filesystem-op discipline as chaos_test.go, but the
 // injected sequence covers the manifest+blob surface — store-format
-// commits (blob batch + manifest write), accumulation, in-place migration
-// of a legacy entry, write-through of blobs fetched from a remote tier,
-// and compaction. Invariants:
+// commits (one pack of new blobs + manifest write), accumulation, in-place
+// migration of a legacy entry, write-through of blobs fetched from a remote
+// tier, eviction of an entry, and compaction (pack removal and the rewrite
+// of a pack that mixes live and dead blobs). Invariants:
 //
 //  1. the baseline entry committed before the crash stays warm-servable,
 //     whichever format it is in when the crash lands;
@@ -67,26 +70,32 @@ func buildChaosRemote(t *testing.T) *chaosRemote {
 // storeChaosSequence is the injected workload: two store-format commits
 // (fresh + accumulating), migration of the legacy baseline, a manifest
 // materialized from the remote tier (its library blobs are already local,
-// its own are fetched and written through), and a compaction pass that
-// reclaims those written-through blobs, which no local manifest
-// references — the full blob-write/migrate/write-through/compact crash
-// surface.
-func storeChaosSequence(mgr *core.Manager, env *chaosEnv, remote *chaosRemote) error {
-	if _, err := mgr.CommitFile(env.ksB, env.cfB1); err != nil {
-		return err
+// its own are fetched and written through as one pack), eviction of the
+// in-flight entry, and a compaction pass that removes the packs holding only
+// that entry's or only written-through blobs and rewrites the pack that
+// also holds the library blob the baseline references — the full
+// pack-write/migrate/write-through/compact crash surface. between, when
+// non-nil, runs before each step: a live peer's turn.
+func storeChaosSequence(mgr *core.Manager, env *chaosEnv, remote *chaosRemote, between func()) error {
+	steps := []func() error{
+		func() error { _, err := mgr.CommitFile(env.ksB, env.cfB1); return err },
+		func() error { _, err := mgr.CommitFile(env.ksB, env.cfB2); return err },
+		func() error { _, err := mgr.MigrateToStore(); return err },
+		func() error {
+			mgr.SetRemoteBlobs(remote)
+			_, err := mgr.MaterializeManifest(remote.man)
+			return err
+		},
+		func() error { return mgr.RemoveEntry(env.ksB.ManifestFileName()) },
+		func() error { _, err := mgr.CompactStore(); return err },
 	}
-	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
-		return err
-	}
-	if _, err := mgr.MigrateToStore(); err != nil {
-		return err
-	}
-	mgr.SetRemoteBlobs(remote)
-	if _, err := mgr.MaterializeManifest(remote.man); err != nil {
-		return err
-	}
-	if _, err := mgr.CompactStore(); err != nil {
-		return err
+	for _, step := range steps {
+		if between != nil {
+			between()
+		}
+		if err := step(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -154,12 +163,27 @@ func TestStoreChaosCrashAtEveryInjectionPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.StartRecording()
-	if err := storeChaosSequence(mgr, env, remote); err != nil {
+	if err := storeChaosSequence(mgr, env, remote, nil); err != nil {
 		t.Fatalf("fault-free sequence failed: %v", err)
 	}
 	ops := rec.Ops()
 	if len(ops) < 25 {
 		t.Fatalf("recorded only %d operations; the store sequence shrank suspiciously: %v", len(ops), ops)
+	}
+	// The sweep below must cover a crash between a pack's rename and the
+	// manifest write that follows it, and one inside compaction's rewrite
+	// (between the new pack's rename and the old pack's removal).
+	var packThenManifest, rewrite bool
+	for i := 0; i+1 < len(ops); i++ {
+		if ops[i].Op != fsx.OpRename || !strings.HasSuffix(ops[i].Path, ".pck") {
+			continue
+		}
+		next := ops[i+1]
+		packThenManifest = packThenManifest || (next.Op == fsx.OpWrite && strings.HasSuffix(next.Path, ".pcm.tmp"))
+		rewrite = rewrite || (next.Op == fsx.OpRemove && strings.HasSuffix(next.Path, ".pck"))
+	}
+	if !packThenManifest || !rewrite {
+		t.Fatalf("sequence lost a crash window: pack-rename→manifest-write %t, compaction rewrite %t", packThenManifest, rewrite)
 	}
 	assertStoreCrashInvariants(t, recDir, env, remote)
 
@@ -176,11 +200,124 @@ func TestStoreChaosCrashAtEveryInjectionPoint(t *testing.T) {
 			inj.CrashAtIndex(k)
 			// The sequence may fail (usually) or succeed (crash landed in
 			// post-publish cleanup); either way the database must hold.
-			storeChaosSequence(mgr, env, remote)
+			storeChaosSequence(mgr, env, remote, nil)
 			if !inj.Crashed() {
 				t.Fatalf("crash point %d never reached", k)
 			}
 			assertStoreCrashInvariants(t, dir, env, remote)
 		})
+	}
+}
+
+// TestStoreChaosWithLivePeer is the crash sweep's shared-directory variant:
+// the store directory has a live peer. Before every step of the sequence a
+// second Store publishes a pack and scrubs the directory within the
+// staleness bound; a third Store, opened before any of it, must resolve
+// each publish by listing the pack names again, while a reader goroutine
+// keeps it busy. The manager crashes at every operation that writes,
+// publishes or removes a pack; whatever temp it leaves behind must survive
+// the peer's scrub, and the crash invariants must hold with the peer's
+// packs in the directory.
+func TestStoreChaosWithLivePeer(t *testing.T) {
+	restore := core.SetLockTimeout(50 * time.Millisecond)
+	defer restore()
+	env := buildChaosEnv(t)
+	remote := buildChaosRemote(t)
+	_, seedBlobs, err := core.ToStoreFormat(env.cfA)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(t *testing.T, crashAt int) []fsx.Record {
+		dir := freshDB(t, env)
+		storeDir := filepath.Join(dir, "store")
+		open := func() *store.Store {
+			st, err := store.Open(storeDir, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		early, peer := open(), open()
+		inj := fsx.NewInject(fsx.OS)
+		mgr, err := core.NewManager(dir, core.WithStore(), core.WithFS(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var mu sync.Mutex
+		var published []store.Hash
+		stop := make(chan struct{})
+		var reader sync.WaitGroup
+		reader.Add(1)
+		go func() { // keeps early's index, pack cache and L1 under concurrent use
+			defer reader.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				hashes := append([]store.Hash(nil), published...)
+				mu.Unlock()
+				early.GetAll(hashes)
+			}
+		}()
+		tmps := func() []string {
+			names, _ := filepath.Glob(filepath.Join(storeDir, "gen*", "*.tmp"))
+			return names
+		}
+		peerTurn := func() {
+			b := *seedBlobs[0]
+			b.ModOff += uint32(len(published) + 1) // distinct content each turn
+			_, hashes, err := peer.PutAll([]*store.Blob{&b})
+			if err != nil {
+				t.Fatalf("peer publish: %v", err)
+			}
+			before := tmps()
+			if rep, err := peer.Recover(time.Minute); err != nil || rep.Quarantined != 0 || rep.TmpRemoved != 0 {
+				t.Errorf("peer scrub: %+v, %v; want nothing quarantined, no temp removed", rep, err)
+			}
+			if after := tmps(); len(after) != len(before) {
+				t.Errorf("peer scrub removed a writer's temp: %v, was %v", after, before)
+			}
+			if _, err := early.Get(hashes[0]); err != nil {
+				t.Errorf("store opened before the publish does not resolve it: %v", err)
+			}
+			mu.Lock()
+			published = append(published, hashes[0])
+			mu.Unlock()
+		}
+
+		if crashAt > 0 {
+			inj.CrashAtIndex(crashAt)
+		}
+		inj.StartRecording()
+		err = storeChaosSequence(mgr, env, remote, peerTurn)
+		if crashAt == 0 && err != nil {
+			t.Fatalf("fault-free sequence failed: %v", err)
+		}
+		if crashAt > 0 && !inj.Crashed() {
+			t.Fatalf("crash point %d never reached", crashAt)
+		}
+		peerTurn() // the peer outlives the crashed writer
+		close(stop)
+		reader.Wait()
+		assertStoreCrashInvariants(t, dir, env, remote)
+		return inj.Ops()
+	}
+
+	ops := run(t, 0)
+	points := 0
+	for k, op := range ops {
+		if !strings.Contains(op.Path, ".pck") || (op.Op != fsx.OpWrite && op.Op != fsx.OpSync && op.Op != fsx.OpRename && op.Op != fsx.OpRemove) {
+			continue
+		}
+		points++
+		t.Run(fmt.Sprintf("crash-%03d-%s", k+1, op.Op), func(t *testing.T) { run(t, k+1) })
+	}
+	if points < 15 {
+		t.Fatalf("only %d pack-writing operations in the sequence", points)
 	}
 }

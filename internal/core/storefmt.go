@@ -417,15 +417,17 @@ func (m *Manager) CompactStore() (*store.CompactReport, error) {
 }
 
 // StoreDBStats extends DBStats with the content-store view: how many
-// bytes the manifests logically reference versus what is physically
-// stored — the deduplication win.
+// blob bytes the manifests logically reference versus how many distinct
+// ones there are — the deduplication win.
 type StoreDBStats struct {
 	Manifests    int     `json:"manifests"`
 	Blobs        int     `json:"blobs"`
-	BlobBytes    uint64  `json:"blob_bytes"`    // physical bytes in the store
+	BlobBytes    uint64  `json:"blob_bytes"`    // physical bytes in the store (packs, indexes included, and loose blobs)
 	LogicalBytes uint64  `json:"logical_bytes"` // per-manifest referenced bytes, duplicates counted
-	DedupRatio   float64 `json:"dedup_ratio"`   // 1 - referenced-physical/logical
+	DedupRatio   float64 `json:"dedup_ratio"`   // 1 - referenced-once/logical
 	Generations  int     `json:"generations"`
+	Packs        int     `json:"packs"`       // not carried by the wire STATS response
+	LooseBlobs   int     `json:"loose_blobs"` // likewise: one-file-per-blob leftovers of earlier versions
 }
 
 // storeStats computes the dedup summary, or nil when the database has no
@@ -440,9 +442,16 @@ func (m *Manager) storeStats() (*StoreDBStats, error) {
 		return nil, err
 	}
 	ss := st.Stats()
-	out := &StoreDBStats{Blobs: ss.Blobs, BlobBytes: ss.BlobBytes, Generations: ss.Generations}
+	out := &StoreDBStats{
+		Blobs: ss.Blobs, BlobBytes: ss.BlobBytes, Generations: ss.Generations,
+		Packs: ss.Packs, LooseBlobs: ss.LooseBlobs,
+	}
+	// Both sides of the ratio count a blob at its encoded length
+	// (Store.SizeOf): blobs of one commit share a compressed stream, so
+	// none has a physical size of its own, and the ratio is what content
+	// addressing saves, apart from what compression saves (BlobBytes).
 	var logical, physical uint64
-	sizes := make(map[store.Hash]uint64) // each referenced blob is stat'ed once
+	sizes := make(map[store.Hash]uint64) // each referenced blob is sized once
 	for _, f := range manifests {
 		b, err := m.fs.ReadFile(f)
 		if err != nil {

@@ -379,8 +379,9 @@ func TestCompactStoreReclaimsOnlyOrphans(t *testing.T) {
 // committing the same applications from its own database into one shared
 // store directory, while a fifth process keeps opening those databases and
 // reading whatever entries they already list. The store has no lock and no
-// index, so the only protocol under test is "a blob is published by one
-// rename of a writer-unique temp".
+// shared index, so the only protocol under test is "a pack is published by
+// one rename of a writer-unique temp, and a reader that meets an unknown
+// hash lists the pack names again".
 func TestMultiProcessSharedStore(t *testing.T) {
 	const workers = 4
 	if role := os.Getenv("PCC_STORE_PROC"); role != "" {
@@ -413,9 +414,11 @@ func TestMultiProcessSharedStore(t *testing.T) {
 	}
 
 	// Every database reads back, and together they reference exactly the
-	// blob files the store holds.
+	// blobs the store's packs hold, each once: the workers commit the same
+	// sets in the same order, so their packs collide on content-derived
+	// names instead of piling up.
 	storeDir := filepath.Join(root, "store")
-	referenced := make(map[string]bool)
+	referenced := make(map[store.Hash]bool)
 	refs := 0
 	for i := 0; i < workers; i++ {
 		dir := filepath.Join(root, fmt.Sprint("db", i))
@@ -425,7 +428,7 @@ func TestMultiProcessSharedStore(t *testing.T) {
 		manifests, _ := filepath.Glob(filepath.Join(dir, "*.pcm"))
 		for _, f := range manifests {
 			for _, h := range readManifest(t, dir, filepath.Base(f)).BlobHashes() {
-				referenced[h.Hex()+".pcb"] = true
+				referenced[h] = true
 				refs++
 			}
 		}
@@ -437,15 +440,28 @@ func TestMultiProcessSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	packed := 0
 	for _, f := range files {
-		// Anything but a referenced blob is a leaked temp, a quarantined
-		// blob, or a blob nobody committed.
-		if !referenced[filepath.Base(f)] || filepath.Base(filepath.Dir(f)) != "gen0000" {
-			t.Errorf("unexpected file in the shared store: %s", f)
+		// Anything but a pack of referenced blobs is a leaked temp, a
+		// quarantined file, or blobs nobody committed.
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		pk, err := store.DecodePack(data)
+		if err != nil || filepath.Ext(f) != ".pck" || filepath.Base(filepath.Dir(f)) != "gen0000" {
+			t.Errorf("unexpected file in the shared store: %s (%v)", f, err)
+			continue
+		}
+		for _, h := range pk.Hashes {
+			if !referenced[h] {
+				t.Errorf("%s holds %s, which no manifest references", filepath.Base(f), h)
+			}
+		}
+		packed += len(pk.Hashes)
 	}
-	if len(files) != len(referenced) {
-		t.Fatalf("shared store holds %d files; %d distinct hashes referenced", len(files), len(referenced))
+	if packed != len(referenced) {
+		t.Fatalf("shared store packs hold %d blobs; %d distinct hashes referenced", packed, len(referenced))
 	}
 	if q, _ := filepath.Glob(filepath.Join(root, "*", "quarantine")); len(q) != 0 {
 		t.Errorf("something was quarantined: %v", q)

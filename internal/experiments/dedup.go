@@ -29,7 +29,9 @@ import (
 const dedupMinSaved = 0.30
 
 // diskBytes sums cache payload bytes under a database directory — legacy
-// images, manifests and blobs; bookkeeping (index, meta, locks) excluded.
+// images, manifests, packs (their indexes included: a pack's name does not
+// carry its blobs' hashes, so the index is payload) and the loose blobs of
+// earlier store versions; bookkeeping (index.json, locks) excluded.
 func diskBytes(dir string) (uint64, error) {
 	var total uint64
 	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
@@ -37,7 +39,7 @@ func diskBytes(dir string) (uint64, error) {
 			return err
 		}
 		switch filepath.Ext(p) {
-		case ".pcc", ".pcm", ".pcb":
+		case ".pcc", ".pcm", ".pck", ".pcb":
 			if info, err := d.Info(); err == nil {
 				total += uint64(info.Size())
 			}

@@ -12,6 +12,7 @@
 package fsx
 
 import (
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,6 +40,10 @@ const (
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadFile(path string) ([]byte, error)
+	// ReadFileRange reads up to n bytes of path starting at off; a range
+	// that runs past the end of the file comes back short, without error.
+	// It is how a reader takes a file's header without paying for its body.
+	ReadFileRange(path string, off int64, n int) ([]byte, error)
 	WriteFile(path string, data []byte, perm fs.FileMode) error
 	// AppendFile appends data to path (creating it when absent) and syncs
 	// before returning — the incremental-logging primitive the replay
@@ -67,6 +72,29 @@ func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(old
 func (osFS) Remove(path string) error                     { return os.Remove(path) }
 func (osFS) Stat(path string) (fs.FileInfo, error)        { return os.Stat(path) }
 func (osFS) Glob(pattern string) ([]string, error)        { return filepath.Glob(pattern) }
+
+func (osFS) ReadFileRange(path string, off int64, n int) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// The caller's n may come from a length field in the file itself:
+	// never allocate more than the file can supply.
+	if rest := fi.Size() - off; rest < int64(n) {
+		n = int(max(rest, 0))
+	}
+	buf := make([]byte, n)
+	got, err := f.ReadAt(buf, off)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:got], nil
+}
 
 // WriteFile writes data and fsyncs before closing: on a clean return the
 // bytes are durable, so the only crash-vulnerable window left is the rename

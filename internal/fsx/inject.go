@@ -196,6 +196,13 @@ func (f *InjectFS) ReadFile(path string) ([]byte, error) {
 	return f.base.ReadFile(path)
 }
 
+func (f *InjectFS) ReadFileRange(path string, off int64, n int) ([]byte, error) {
+	if _, err := f.check(OpRead, path); err != nil {
+		return nil, err
+	}
+	return f.base.ReadFileRange(path, off, n)
+}
+
 // WriteFile models two crash points: the write itself (a faulted write
 // leaves Frac of the data behind — a torn file) and the fsync that follows
 // (data fully written, but the fault fires before the op reports success).

@@ -101,27 +101,26 @@ func corruptStoreBlobs(dir string) error {
 		if err != nil {
 			return err
 		}
-		changed := false
+		var traces []int // manifest traces whose blob was perturbed
+		var blobs []*store.Blob
 		for ti := range m.Traces {
 			b, err := st.Get(m.Traces[ti].Blob)
-			if err != nil {
+			if err != nil || !perturbBlob(b) {
 				continue
 			}
-			if !perturbBlob(b) {
-				continue
-			}
-			enc := b.Encode()
-			h := store.Sum(enc)
-			if _, err := st.PutRaw(h, enc); err != nil {
-				return err
-			}
-			m.Traces[ti].Blob = h
-			changed = true
-			corrupted++
+			traces, blobs = append(traces, ti), append(blobs, b)
 		}
-		if !changed {
+		if len(blobs) == 0 {
 			continue
 		}
+		_, hashes, err := st.PutAll(blobs)
+		if err != nil {
+			return err
+		}
+		for i, ti := range traces {
+			m.Traces[ti].Blob = hashes[i]
+		}
+		corrupted += len(blobs)
 		if err := writeFileOS(mp, m.Encode()); err != nil {
 			return err
 		}

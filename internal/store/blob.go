@@ -4,10 +4,11 @@
 // so two applications that translate the same shared-library code at the
 // same placement produce the *same* blob and share a single on-disk copy.
 // Per-application manifests (manifest.go) reference blobs by hash instead
-// of embedding trace bodies, generations (compact.go) let the hot set be
-// rewritten compactly while cold low-utility blobs are pruned, and the
-// tiered lookup (tiered.go) resolves a hash through an in-process L1 map,
-// the local content store L2, and optionally a cache-server fleet L3.
+// of embedding trace bodies, blobs reach the disk a commit at a time as
+// immutable packs (pack.go, store.go) that compaction (compact.go) removes
+// or rewrites once manifests stop referencing their blobs, and the tiered
+// lookup (tiered.go) resolves a hash through an in-process L1 map, the
+// local content store L2, and optionally a cache-server fleet L3.
 //
 //pcc:fsxseam
 package store
@@ -43,7 +44,7 @@ const (
 // Hash is a blob's content address: SHA-256 over its encoded bytes.
 type Hash [32]byte
 
-// Hex returns the full lowercase hex form — the blob's file name stem.
+// Hex returns the full lowercase hex form — a file name stem.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 
 // String abbreviates the hash for logs and reports.

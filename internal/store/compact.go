@@ -6,14 +6,23 @@ type CompactReport struct {
 	ReclaimedBytes uint64 // physical bytes deleted
 }
 
-// Compact deletes every blob file absent from live, the set of hashes some
-// manifest still references. Nothing is moved or rewritten, so the run is
-// idempotent and a crash part-way leaves only fewer orphans for the next.
+// Compact deletes every blob absent from live, the set of hashes some
+// manifest still references. A pack with no live blob is removed; a pack
+// that mixes live and dead blobs is first rewritten as a new pack of its
+// live ones, then removed; a loose blob file is removed. Nothing live is
+// ever absent from disk, so the run is idempotent and a crash part-way
+// leaves at worst a live blob in two packs, which the next run resolves.
 func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep := &CompactReport{}
-	files, err := s.blobFiles()
+	prune := func(blobs int, bytes uint64) {
+		rep.PrunedOrphans += blobs
+		rep.ReclaimedBytes += bytes
+		s.met.pruned.Add(uint64(blobs))
+		s.met.prunedBytes.Add(bytes)
+	}
+	files, err := s.looseFiles()
 	if err != nil {
 		return rep, err
 	}
@@ -26,14 +35,59 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 		if err != nil || s.fs.Remove(p) != nil {
 			continue
 		}
-		rep.PrunedOrphans++
-		rep.ReclaimedBytes += uint64(fi.Size())
-		s.met.pruned.Inc()
-		s.met.prunedBytes.Add(uint64(fi.Size()))
-		s.l1mu.Lock()
-		delete(s.l1, h)
-		s.l1mu.Unlock()
+		prune(1, uint64(fi.Size()))
+		s.uncache(h)
+	}
+	s.relist()
+	for _, p := range s.sortedPacks() {
+		var keep, dead []Hash
+		for _, h := range p.ix.hashes {
+			if live[h] {
+				keep = append(keep, h)
+			} else {
+				dead = append(dead, h)
+			}
+		}
+		fi, err := s.fs.Stat(p.path)
+		if len(dead) == 0 || err != nil {
+			continue
+		}
+		reclaimed := uint64(fi.Size())
+		if len(keep) > 0 {
+			// A pack that does not read back whole keeps its file (or was
+			// just quarantined): it is never removed with live blobs in it.
+			encs, ok := s.readAll(keep)
+			if !ok {
+				continue
+			}
+			written, err := s.writePack(keep, encs)
+			if err != nil {
+				return rep, err
+			}
+			reclaimed -= min(written, reclaimed)
+		}
+		if s.fs.Remove(p.path) != nil {
+			continue
+		}
+		s.forget(p)
+		prune(len(dead), reclaimed)
+		s.uncache(dead...)
 	}
 	s.met.compactions.Inc()
 	return rep, nil
+}
+
+// readAll returns the verified encodings of hashes the index already
+// knows, or false when any of them cannot be read.
+func (s *Store) readAll(hashes []Hash) ([][]byte, bool) {
+	encs := make([][]byte, len(hashes))
+	relisted := true // the blobs are where the index says, or nowhere
+	for i, h := range hashes {
+		enc, _, err := s.readRaw(h, &relisted)
+		if err != nil {
+			return nil, false
+		}
+		encs[i] = enc
+	}
+	return encs, true
 }

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 	"io"
@@ -19,44 +17,23 @@ import (
 	"persistcc/internal/metrics"
 )
 
-// quarantineDir receives blobs whose bytes no longer hash to their name,
+// quarantineDir receives store files whose bytes fail a content check,
 // mirroring the cache database's self-healing idiom.
 const quarantineDir = "quarantine"
 
-// blobZipMagic prefixes flate-compressed blob files at rest. The content
-// address stays the SHA-256 of the *uncompressed* encoding, so compression
-// is purely a storage detail: the wire format, the hash a file is named
-// by, and every API boundary carry uncompressed bytes. A valid uncompressed
-// encoding starts with the blob magic, never this one, so the prefix is
-// unambiguous.
+// blobZipMagic prefixes the flate-compressed loose blob files earlier
+// versions wrote, one per blob. A valid uncompressed encoding starts with
+// the blob magic, never this one, so the prefix is unambiguous.
 var blobZipMagic = [4]byte{'P', 'C', 'Z', '1'}
 
-// deflateBlob compresses encoded blob bytes for storage. Payloads that do
-// not shrink are stored raw (no magic); the reader distinguishes the two
-// by prefix.
-func deflateBlob(enc []byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(blobZipMagic[:])
-	zw, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return enc
-	}
-	if _, err := zw.Write(enc); err != nil || zw.Close() != nil {
-		return enc
-	}
-	if buf.Len() >= len(enc) {
-		return enc
-	}
-	return buf.Bytes()
-}
-
-// inflateBlob undoes deflateBlob; raw payloads pass through untouched.
+// inflateBlob returns the encoding a loose blob file holds; raw payloads
+// pass through untouched.
 func inflateBlob(data []byte) ([]byte, error) {
 	if len(data) < 4 || string(data[:4]) != string(blobZipMagic[:]) {
 		return data, nil
 	}
-	zr := flate.NewReader(bytes.NewReader(data[4:]))
-	defer zr.Close()
+	zr, done := inflater(data[4:])
+	defer done()
 	return io.ReadAll(zr)
 }
 
@@ -68,20 +45,41 @@ var ErrBlobMissing = errors.New("store: blob missing")
 // the file.
 var ErrBlobCorrupt = errors.New("store: blob corrupt")
 
+// maxHotPacks bounds how many packs keep their inflated stream in memory
+// (at most packRawLimit bytes each): enough that a prime or a shard's blob
+// fetch inflates each pack it touches once, not once per blob.
+const maxHotPacks = 8
+
+// pack is one indexed pack file.
+type pack struct {
+	path string
+	ix   *packIndex
+	raw  []byte // the inflated stream while the pack is hot; guarded by Store.pmu
+}
+
+// member addresses one blob inside a pack.
+type member struct {
+	p *pack
+	i int
+}
+
 // Store is the local content-addressed blob store (tier L2) plus its
-// in-process decoded-blob map (tier L1). The blob files
-// <generation>/<sha256>.pcb are the only on-disk state: presence is a
-// Stat, a blob is published by renaming a synced, writer-unique temp onto
-// its content address, and no file is ever rewritten in place — so any
-// number of stores, in any number of processes, share one directory
-// without a lock or an index to keep coherent.
+// in-process decoded-blob map (tier L1). The pack files
+// <generation>/<id>.pck are the on-disk state: each holds the new blobs of
+// one commit, is published by renaming a synced, writer-unique temp onto a
+// name derived from its content, and is never rewritten in place — so any
+// number of stores, in any number of processes, share one directory without
+// a lock or a shared index to keep coherent. Each store indexes the packs
+// it has seen in memory and lists the directory again when it meets a hash
+// it does not know. Loose <sha256>.pcb files, one per blob, are what
+// earlier versions wrote; they stay readable and are never written.
 type Store struct {
 	dir string
 	fs  fsx.FS
 	met *storeMetrics
 
 	// gens lists the generation directories, newest first, fixed at Open.
-	// New blobs land in gens[0]; older generations exist only in stores an
+	// New packs land in gens[0]; older generations exist only in stores an
 	// earlier version compacted, and stay readable.
 	gens []string
 
@@ -89,14 +87,20 @@ type Store struct {
 	// one store is written once and counted as one write and one dedup.
 	mu sync.Mutex
 
+	pmu   sync.RWMutex
+	packs map[string]*pack // by path: the pack files indexed so far
+	index map[Hash]member  // where each packed blob lives
+	hot   []*pack          // packs holding their inflated stream, oldest first
+
 	l1mu sync.RWMutex
 	l1   map[Hash]*Blob
 }
 
 // Open opens the store rooted at dir. All I/O goes through fsys — the
-// chaos seam. Open only lists the generation directories: it writes
-// nothing (the first put creates what it needs) and scrubs nothing, so it
-// is safe while peers are writing.
+// chaos seam. Open lists the generation directories and reads the index of
+// every pack in them, never a pack body: it writes nothing (the first put
+// creates what it needs) and scrubs nothing, so it is safe while peers are
+// writing.
 func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 	if fsys == nil {
 		fsys = fsx.OS
@@ -109,34 +113,131 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 		gens = []string{filepath.Join(dir, "gen0000")}
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(gens)))
-	return &Store{
-		dir:  dir,
-		fs:   fsys,
-		met:  newStoreMetrics(reg),
-		gens: gens,
-		l1:   make(map[Hash]*Blob),
-	}, nil
+	s := &Store{
+		dir:   dir,
+		fs:    fsys,
+		met:   newStoreMetrics(reg),
+		gens:  gens,
+		packs: make(map[string]*pack),
+		index: make(map[Hash]member),
+		l1:    make(map[Hash]*Blob),
+	}
+	s.relist()
+	return s, nil
 }
 
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// locate finds the newest generation holding h: one Stat per generation,
-// never a directory listing — this is the put and get hot path.
-func (s *Store) locate(h Hash) (string, fs.FileInfo, bool) {
+// relist lists the pack names in every generation and indexes the packs
+// not seen before, reporting whether there were any. A pack whose index
+// cannot be read is skipped, not remembered: its blobs are misses until a
+// later listing reads it or Recover quarantines it.
+func (s *Store) relist() bool {
+	var found []*pack
+	for _, g := range s.gens {
+		paths, _ := s.fs.Glob(filepath.Join(g, "*.pck")) // a failed listing finds nothing new
+		for _, path := range paths {
+			s.pmu.RLock()
+			_, known := s.packs[path]
+			s.pmu.RUnlock()
+			if known {
+				continue
+			}
+			if ix, err := s.readPackIndex(path); err == nil {
+				found = append(found, &pack{path: path, ix: ix})
+			}
+		}
+	}
+	s.pmu.Lock()
+	for _, p := range found {
+		s.addPackLocked(p)
+	}
+	s.pmu.Unlock()
+	return len(found) > 0
+}
+
+// readPackIndex reads a pack's header, then exactly its index.
+func (s *Store) readPackIndex(path string) (*packIndex, error) {
+	header, err := s.fs.ReadFileRange(path, 0, packHeaderLen)
+	if err != nil {
+		return nil, err
+	}
+	count, err := packCount(header)
+	if err != nil {
+		return nil, err
+	}
+	prefix, err := s.fs.ReadFileRange(path, 0, indexLen(count))
+	if err != nil {
+		return nil, err
+	}
+	return parsePackIndex(prefix)
+}
+
+// addPackLocked indexes p and points its members' hashes at it. A blob
+// that several packs hold (two writers raced, or a compaction was
+// interrupted) resolves to the pack indexed last.
+func (s *Store) addPackLocked(p *pack) {
+	s.packs[p.path] = p
+	for i, h := range p.ix.hashes {
+		s.index[h] = member{p, i}
+	}
+}
+
+// forget drops a pack whose file is gone from the index.
+func (s *Store) forget(p *pack) {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	delete(s.packs, p.path)
+	for _, h := range p.ix.hashes {
+		if s.index[h].p == p {
+			delete(s.index, h)
+		}
+	}
+}
+
+// blobLoc is where a blob lives: in a pack, or (p == nil) in a loose file.
+type blobLoc struct {
+	member
+	loose string
+}
+
+// packed looks h up in the pack index.
+func (s *Store) packed(h Hash) (member, bool) {
+	s.pmu.RLock()
+	defer s.pmu.RUnlock()
+	m, ok := s.index[h]
+	return m, ok
+}
+
+// locate finds h: in the pack index, else as a loose file (one Stat per
+// generation, newest first), else — once per *relisted, which the caller
+// shares across all the hashes of one call — after listing the pack names
+// again, which is how a pack a peer published after Open is found.
+func (s *Store) locate(h Hash, relisted *bool) (blobLoc, bool) {
+	if m, ok := s.packed(h); ok {
+		return blobLoc{member: m}, true
+	}
 	name := h.Hex() + ".pcb"
 	for _, g := range s.gens {
 		p := filepath.Join(g, name)
-		if fi, err := s.fs.Stat(p); err == nil {
-			return p, fi, true
+		if _, err := s.fs.Stat(p); err == nil {
+			return blobLoc{loose: p}, true
 		}
 	}
-	return "", nil, false
+	if !*relisted {
+		*relisted = true
+		if s.relist() {
+			m, ok := s.packed(h)
+			return blobLoc{member: m}, ok
+		}
+	}
+	return blobLoc{}, false
 }
 
-// blobFiles lists every blob file, generation by generation. Maintenance
-// only (stats, scrub, compaction): it reads whole directories.
-func (s *Store) blobFiles() ([]string, error) {
+// looseFiles lists every loose blob file, generation by generation.
+// Maintenance only (stats, scrub, compaction): it reads whole directories.
+func (s *Store) looseFiles() ([]string, error) {
 	var all []string
 	for _, g := range s.gens {
 		files, err := s.fs.Glob(filepath.Join(g, "*.pcb"))
@@ -148,7 +249,19 @@ func (s *Store) blobFiles() ([]string, error) {
 	return all, nil
 }
 
-// hashOf parses a blob file's name back into its content address.
+// sortedPacks snapshots the indexed packs in path order.
+func (s *Store) sortedPacks() []*pack {
+	s.pmu.RLock()
+	packs := make([]*pack, 0, len(s.packs))
+	for _, p := range s.packs {
+		packs = append(packs, p)
+	}
+	s.pmu.RUnlock()
+	sort.Slice(packs, func(i, j int) bool { return packs[i].path < packs[j].path })
+	return packs
+}
+
+// hashOf parses a loose blob file's name back into its content address.
 func hashOf(path string) (Hash, error) {
 	return ParseHash(strings.TrimSuffix(filepath.Base(path), ".pcb"))
 }
@@ -164,80 +277,100 @@ type PutReport struct {
 // PutAll writes a batch of blobs, deduplicating against the existing
 // content, and returns their hashes index-for-index.
 func (s *Store) PutAll(blobs []*Blob) (PutReport, []Hash, error) {
-	var rep PutReport
-	hashes := make([]Hash, 0, len(blobs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range blobs {
-		enc := b.Encode()
-		h := Sum(enc)
-		hashes = append(hashes, h)
-		written, err := s.put(h, enc)
-		switch {
-		case err != nil:
-			return rep, hashes, err
-		case written == 0:
-			rep.Deduped++
-			rep.DedupBytes += uint64(len(enc))
-		default:
-			rep.Added++
-			rep.AddedBytes += written
-		}
+	hashes := make([]Hash, len(blobs))
+	encs := make([][]byte, len(blobs))
+	for i, b := range blobs {
+		encs[i] = b.Encode()
+		hashes[i] = Sum(encs[i])
 	}
-	return rep, hashes, nil
+	rep, err := s.putEncoded(hashes, encs)
+	return rep, hashes, err
 }
 
-// PutRaw stores already-encoded blob bytes fetched from a remote tier,
-// verifying the content address and the encoding first, and returns the
-// decoded blob.
-func (s *Store) PutRaw(h Hash, enc []byte) (*Blob, error) {
-	if Sum(enc) != h {
-		return nil, fmt.Errorf("%w: fetched bytes do not hash to %s", ErrBlobCorrupt, h)
-	}
-	b, err := DecodeBlob(enc)
-	if err != nil {
-		return nil, err
-	}
+// putEncoded lands the encodings the store does not hold yet — none of them
+// twice — as packs of at most packMaxRaw raw bytes, usually one. encs[i]
+// must hash to hashes[i].
+func (s *Store) putEncoded(hashes []Hash, encs [][]byte) (PutReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.put(h, enc); err != nil {
-		return nil, err
+	var rep PutReport
+	var newHashes []Hash
+	var newEncs [][]byte
+	raw := 0
+	flush := func() error {
+		if len(newHashes) == 0 {
+			return nil
+		}
+		n, err := s.writePack(newHashes, newEncs)
+		if err != nil {
+			return err
+		}
+		rep.Added += len(newHashes)
+		rep.AddedBytes += n
+		s.met.written.Add(uint64(len(newHashes)))
+		s.met.writtenBytes.Add(n)
+		newHashes, newEncs, raw = nil, nil, 0
+		return nil
 	}
-	return b, nil
+	relisted := false
+	batch := make(map[Hash]bool, len(hashes))
+	for i, h := range hashes {
+		if _, present := s.locate(h, &relisted); present || batch[h] {
+			rep.Deduped++
+			rep.DedupBytes += uint64(len(encs[i]))
+			s.met.dedupBlobs.Inc()
+			s.met.dedupBytes.Add(uint64(len(encs[i])))
+			continue
+		}
+		if raw+len(encs[i]) > packMaxRaw {
+			if err := flush(); err != nil {
+				return rep, err
+			}
+		}
+		batch[h] = true
+		newHashes, newEncs = append(newHashes, h), append(newEncs, encs[i])
+		raw += len(encs[i])
+	}
+	return rep, flush()
 }
 
 // tmpSeq makes temp names unique within the process; the pid makes them
 // unique across processes.
 var tmpSeq atomic.Uint64
 
-// put lands enc under its content address h and returns the bytes written,
-// 0 when the content was already present. A new blob is deflated, written
-// and synced under a temp name no other writer can share (a peer
-// truncating a shared temp between our sync and rename would publish a
-// short blob), then renamed into the newest generation. Callers hold s.mu.
-func (s *Store) put(h Hash, enc []byte) (uint64, error) {
-	if _, _, ok := s.locate(h); ok {
-		s.met.dedupBlobs.Inc()
-		s.met.dedupBytes.Add(uint64(len(enc)))
-		return 0, nil
+// writePack publishes one pack holding encs and returns the bytes written.
+// The file is written and synced under a temp name no other writer can
+// share (a peer truncating a shared temp between our sync and rename would
+// publish a short pack), then renamed into the newest generation: every
+// blob byte is durable before any name makes it reachable. A pack this
+// store already indexes under the same content-derived name is not written
+// again. Callers hold s.mu.
+func (s *Store) writePack(hashes []Hash, encs [][]byte) (uint64, error) {
+	id, ix, data := encodePack(hashes, encs)
+	path := filepath.Join(s.gens[0], id.Hex()+".pck")
+	s.pmu.RLock()
+	p := s.packs[path]
+	s.pmu.RUnlock()
+	written := uint64(0)
+	if p == nil {
+		if err := s.fs.MkdirAll(s.gens[0], 0o755); err != nil {
+			return 0, err
+		}
+		tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
+		err := s.fs.WriteFile(tmp, data, 0o644)
+		if err == nil {
+			err = s.fs.Rename(tmp, path)
+		}
+		if err != nil {
+			s.fs.Remove(tmp)
+			return 0, err
+		}
+		p, written = &pack{path: path, ix: ix}, uint64(len(data))
 	}
-	if err := s.fs.MkdirAll(s.gens[0], 0o755); err != nil {
-		return 0, err
-	}
-	path := filepath.Join(s.gens[0], h.Hex()+".pcb")
-	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
-	stored := deflateBlob(enc)
-	err := s.fs.WriteFile(tmp, stored, 0o644)
-	if err == nil {
-		err = s.fs.Rename(tmp, path)
-	}
-	if err != nil {
-		s.fs.Remove(tmp)
-		return 0, err
-	}
-	s.met.written.Inc()
-	s.met.writtenBytes.Add(uint64(len(stored)))
-	return uint64(len(stored)), nil
+	s.pmu.Lock()
+	s.addPackLocked(p)
+	s.pmu.Unlock()
+	return written, nil
 }
 
 // Has reports whether the blob is resident locally (L1 or L2).
@@ -246,25 +379,58 @@ func (s *Store) Has(h Hash) bool {
 	_, ok := s.l1[h]
 	s.l1mu.RUnlock()
 	if !ok {
-		_, _, ok = s.locate(h)
+		relisted := false
+		_, ok = s.locate(h, &relisted)
 	}
 	return ok
 }
 
-// SizeOf returns the stored size of a blob.
+// SizeOf returns the length of a blob's encoding. Blobs share one
+// compressed stream per pack, so a blob has no physical size of its own.
 func (s *Store) SizeOf(h Hash) (uint64, bool) {
-	_, fi, ok := s.locate(h)
+	relisted := false
+	loc, ok := s.locate(h, &relisted)
 	if !ok {
 		return 0, false
 	}
-	return uint64(fi.Size()), true
+	if loc.p != nil {
+		return uint64(loc.p.ix.offs[loc.i+1] - loc.p.ix.offs[loc.i]), true
+	}
+	enc, _, err := s.readRaw(h, &relisted)
+	return uint64(len(enc)), err == nil
 }
 
 // Get resolves a hash through L1 (in-process decoded map) then L2 (local
-// disk). A disk blob that fails the content-address or decode check is
-// quarantined and reported as ErrBlobCorrupt; an absent blob returns
-// ErrBlobMissing. Remote tiers are layered on by Tiered.
+// disk). A blob that fails the content-address or decode check has its
+// file — the whole pack, for a packed blob — quarantined and is reported
+// as ErrBlobCorrupt; an absent blob returns ErrBlobMissing. Remote tiers
+// are layered on by Tiered.
 func (s *Store) Get(h Hash) (*Blob, error) {
+	relisted := false
+	return s.get(h, &relisted)
+}
+
+// GetAll resolves a set of hashes like Get, listing the pack names again
+// at most once however many of them are unknown, and returns the blobs it
+// found and the hashes it did not.
+func (s *Store) GetAll(hashes []Hash) (map[Hash]*Blob, []Hash) {
+	out := make(map[Hash]*Blob, len(hashes))
+	var missing []Hash
+	relisted := false
+	for _, h := range hashes {
+		if _, ok := out[h]; ok {
+			continue
+		}
+		if b, err := s.get(h, &relisted); err == nil {
+			out[h] = b
+		} else {
+			missing = append(missing, h)
+		}
+	}
+	return out, missing
+}
+
+func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
 	s.l1mu.RLock()
 	b, ok := s.l1[h]
 	s.l1mu.RUnlock()
@@ -272,13 +438,13 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 		s.met.hits.With("l1").Inc()
 		return b, nil
 	}
-	enc, err := s.readRaw(h)
+	enc, loc, err := s.readRaw(h, relisted)
 	if err != nil {
 		return nil, err
 	}
 	b, err = DecodeBlob(enc)
 	if err != nil {
-		s.quarantineBlob(h)
+		s.quarantine(loc)
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
 	s.cache(h, b)
@@ -294,49 +460,114 @@ func (s *Store) cache(h Hash, b *Blob) {
 }
 
 // GetRaw returns the verified encoded bytes of a blob — the server's
-// serving path, where decoding would be wasted work.
+// serving path, where decoding would be wasted work. The bytes may alias a
+// pack's cached stream: callers must not modify them.
 func (s *Store) GetRaw(h Hash) ([]byte, error) {
-	return s.readRaw(h)
+	relisted := false
+	enc, _, err := s.readRaw(h, &relisted)
+	return enc, err
 }
 
 // readRaw loads and hash-verifies blob bytes from disk.
-func (s *Store) readRaw(h Hash) ([]byte, error) {
-	path, _, ok := s.locate(h)
-	if !ok {
-		s.met.misses.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
+func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
+	for {
+		loc, ok := s.locate(h, relisted)
+		if !ok {
+			s.met.misses.Inc()
+			return nil, loc, fmt.Errorf("%w: %s", ErrBlobMissing, h)
+		}
+		var enc []byte
+		var err error
+		if loc.p != nil {
+			var raw []byte
+			if raw, err = s.packStream(loc.p); err == nil {
+				enc = raw[loc.p.ix.offs[loc.i]:loc.p.ix.offs[loc.i+1]]
+			}
+		} else if enc, err = s.fs.ReadFile(loc.loose); err == nil {
+			if enc, err = inflateBlob(enc); err != nil {
+				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
+			}
+		}
+		switch {
+		case err == nil && Sum(enc) == h:
+			return enc, loc, nil
+		case err == nil:
+			err = fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
+			fallthrough
+		case errors.Is(err, ErrBlobCorrupt):
+			s.quarantine(loc)
+			return nil, loc, err
+		case loc.p != nil && errors.Is(err, fs.ErrNotExist):
+			// A peer's compaction removed the pack after we indexed it; the
+			// blob, if still live, is in a pack we have yet to list.
+			s.forget(loc.p)
+		default:
+			s.met.misses.Inc()
+			return nil, loc, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
+		}
 	}
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		s.met.misses.Inc()
-		return nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
-	}
-	enc, err := inflateBlob(data)
-	if err != nil {
-		s.quarantineBlob(h)
-		return nil, fmt.Errorf("%w: %s fails decompression: %v", ErrBlobCorrupt, h, err)
-	}
-	if Sum(enc) != h {
-		s.quarantineBlob(h)
-		return nil, fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
-	}
-	return enc, nil
 }
 
-// quarantineBlob moves a corrupt blob out of the addressable space so the
-// next lookup is a clean miss (and the next commit can rewrite it).
-func (s *Store) quarantineBlob(h Hash) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if path, _, ok := s.locate(h); ok {
-		s.quarantineFile(path)
+// packStream returns p's inflated stream, reading and inflating the file
+// unless the pack is hot. Only the index is checked here (against its crc);
+// members are verified against their hashes as they are read.
+func (s *Store) packStream(p *pack) ([]byte, error) {
+	s.pmu.RLock()
+	raw := p.raw
+	s.pmu.RUnlock()
+	if raw != nil {
+		return raw, nil
 	}
+	data, err := s.fs.ReadFile(p.path)
+	if err != nil {
+		return nil, err
+	}
+	count := len(p.ix.hashes)
+	if !indexIntact(data, count) {
+		return nil, fmt.Errorf("%w: pack %s: index fails its checksum", ErrBlobCorrupt, filepath.Base(p.path))
+	}
+	if raw, err = inflate(data[indexLen(count):], p.ix.rawLen()); err != nil {
+		return nil, fmt.Errorf("%w: pack %s: %v", ErrBlobCorrupt, filepath.Base(p.path), err)
+	}
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if p.raw == nil {
+		p.raw = raw
+		if s.hot = append(s.hot, p); len(s.hot) > maxHotPacks {
+			s.hot[0].raw = nil
+			s.hot = s.hot[1:]
+		}
+	}
+	return p.raw, nil
+}
+
+// quarantine moves the file behind loc out of the addressable space — for a
+// packed blob the whole pack, since one bad member means the file cannot be
+// trusted — so the next lookup of any blob in it is a clean miss (and the
+// next commit can rewrite it).
+func (s *Store) quarantine(loc blobLoc) {
+	if loc.p == nil {
+		if h, err := hashOf(loc.loose); err == nil {
+			s.uncache(h)
+		}
+		s.quarantineFile(loc.loose)
+		return
+	}
+	s.quarantineFile(loc.p.path)
+	s.forget(loc.p)
+	s.uncache(loc.p.ix.hashes...)
+}
+
+// uncache drops decoded blobs from L1.
+func (s *Store) uncache(hashes ...Hash) {
 	s.l1mu.Lock()
-	delete(s.l1, h)
+	for _, h := range hashes {
+		delete(s.l1, h)
+	}
 	s.l1mu.Unlock()
 }
 
-// quarantineFile moves one blob file into the quarantine directory,
+// quarantineFile moves one store file into the quarantine directory,
 // deleting it when the move fails, and reports whether it left the
 // addressable space either way.
 func (s *Store) quarantineFile(path string) bool {
@@ -351,9 +582,11 @@ func (s *Store) quarantineFile(path string) bool {
 // Stats summarizes the store's physical state.
 type Stats struct {
 	Gen         int    `json:"gen"`
-	Blobs       int    `json:"blobs"`
-	BlobBytes   uint64 `json:"blob_bytes"`
+	Blobs       int    `json:"blobs"`      // distinct addressable blobs, packed or loose
+	BlobBytes   uint64 `json:"blob_bytes"` // physical bytes: pack files (indexes included) and loose files
 	Generations int    `json:"generations"`
+	Packs       int    `json:"packs"`
+	LooseBlobs  int    `json:"loose_blobs"` // one-file-per-blob leftovers of earlier versions
 }
 
 // Stats walks the store directory for blob count and physical bytes, and
@@ -361,20 +594,40 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	var st Stats
 	fmt.Sscanf(filepath.Base(s.gens[0]), "gen%d", &st.Gen)
-	files, _ := s.blobFiles()
-	lastGen := ""
+	s.relist()
+	gens := make(map[string]bool)
+	for _, p := range s.sortedPacks() {
+		fi, err := s.fs.Stat(p.path)
+		if err != nil {
+			continue
+		}
+		st.Packs++
+		st.BlobBytes += uint64(fi.Size())
+		gens[filepath.Dir(p.path)] = true
+	}
+	files, _ := s.looseFiles()
+	var loose []Hash
 	for _, p := range files {
 		fi, err := s.fs.Stat(p)
 		if err != nil {
 			continue
 		}
-		st.Blobs++
+		st.LooseBlobs++
 		st.BlobBytes += uint64(fi.Size())
-		if g := filepath.Dir(p); g != lastGen {
-			st.Generations++
-			lastGen = g
+		gens[filepath.Dir(p)] = true
+		if h, err := hashOf(p); err == nil {
+			loose = append(loose, h)
 		}
 	}
+	s.pmu.RLock()
+	st.Blobs = len(s.index)
+	for _, h := range loose {
+		if _, packed := s.index[h]; !packed {
+			st.Blobs++
+		}
+	}
+	s.pmu.RUnlock()
+	st.Generations = len(gens)
 	s.met.blobs.Set(float64(st.Blobs))
 	s.met.blobBytes.Set(float64(st.BlobBytes))
 	s.met.generation.Set(float64(st.Gen))
@@ -384,14 +637,15 @@ func (s *Store) Stats() Stats {
 // RecoverReport summarizes a store recovery pass.
 type RecoverReport struct {
 	Blobs       int // blobs that passed the scrub
-	Quarantined int // blobs whose bytes failed the content check
+	Quarantined int // files (packs or loose blobs) that failed it
 	TmpRemoved  int // abandoned temp files deleted
 }
 
-// Recover scrubs the store: every blob is re-hashed against its name and
-// decoded (failures are quarantined), and temp files older than staleAfter
-// are deleted. A younger temp may be a live writer's, between its sync and
-// its rename, and is left alone.
+// Recover scrubs the store: every pack is read whole, every blob — packed
+// or loose — is re-hashed against its address and decoded (a file that
+// fails is quarantined), and temp files older than staleAfter are deleted.
+// A younger temp may be a live writer's, between its sync and its rename,
+// and is left alone.
 func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 	rep := &RecoverReport{}
 	cutoff := time.Now().Add(-staleAfter)
@@ -410,7 +664,26 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 			}
 		}
 	}
-	files, err := s.blobFiles()
+	var packFiles []string
+	for _, g := range s.gens {
+		packs, err := s.fs.Glob(filepath.Join(g, "*.pck"))
+		if err != nil {
+			return nil, err
+		}
+		packFiles = append(packFiles, packs...)
+	}
+	for _, p := range packFiles {
+		data, err := s.fs.ReadFile(p)
+		if err != nil {
+			continue
+		}
+		if n, ok := scrubPack(data); ok {
+			rep.Blobs += n
+		} else if s.quarantineFile(p) {
+			rep.Quarantined++
+		}
+	}
+	files, err := s.looseFiles()
 	if err != nil {
 		return nil, err
 	}
@@ -434,8 +707,29 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 			rep.Quarantined++
 		}
 	}
+	// Start over from what survived: nothing decoded or inflated before
+	// the scrub is trusted after it.
 	s.l1mu.Lock()
 	s.l1 = make(map[Hash]*Blob)
 	s.l1mu.Unlock()
+	s.pmu.Lock()
+	s.packs, s.index, s.hot = make(map[string]*pack), make(map[Hash]member), nil
+	s.pmu.Unlock()
+	s.relist()
 	return rep, nil
+}
+
+// scrubPack reports how many blobs a pack file holds and whether all of it
+// verifies: the index, the stream, every member's hash and encoding.
+func scrubPack(data []byte) (int, bool) {
+	p, err := DecodePack(data)
+	if err != nil {
+		return 0, false
+	}
+	for _, enc := range p.Encs {
+		if _, err := DecodeBlob(enc); err != nil {
+			return 0, false
+		}
+	}
+	return len(p.Encs), true
 }

@@ -2,11 +2,14 @@ package store_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"persistcc/internal/fsx"
 	"persistcc/internal/isa"
 	"persistcc/internal/obj"
 	"persistcc/internal/store"
@@ -120,8 +123,35 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// storeFiles lists what one kind of file the store holds, across
+// generations.
+func storeFiles(t *testing.T, dir, ext string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "gen*", "*"+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// writeLoose plants a blob the way earlier versions stored it: one file
+// named by its hash (here with the encoding uncompressed, which they wrote
+// whenever deflating did not shrink it).
+func writeLoose(t *testing.T, dir, gen string, b *store.Blob) string {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, gen), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, gen, b.Hash().Hex()+".pcb")
+	if err := os.WriteFile(path, b.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestPutAllDedup(t *testing.T) {
-	s := openStore(t, t.TempDir())
+	dir := t.TempDir()
+	s := openStore(t, dir)
 	a, b := mkBlob(1, 4), mkBlob(2, 4)
 	rep, hashes, err := s.PutAll([]*store.Blob{a, b, a})
 	if err != nil {
@@ -136,77 +166,185 @@ func TestPutAllDedup(t *testing.T) {
 	if rep.DedupBytes != uint64(len(a.Encode())) {
 		t.Errorf("dedup bytes %d, want %d", rep.DedupBytes, len(a.Encode()))
 	}
+	// The batch is one pack, and its size is what the report calls written.
+	packs := storeFiles(t, dir, ".pck")
+	if len(packs) != 1 || len(storeFiles(t, dir, "")) != 1 {
+		t.Fatalf("one PutAll left %v in the store, want one pack and nothing else", storeFiles(t, dir, ""))
+	}
+	if fi, _ := os.Stat(packs[0]); uint64(fi.Size()) != rep.AddedBytes {
+		t.Errorf("pack is %d bytes, report says %d written", fi.Size(), rep.AddedBytes)
+	}
 	// A second batch with the same content writes nothing new.
 	rep2, _, err := s.PutAll([]*store.Blob{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Added != 0 || rep2.Deduped != 2 {
-		t.Fatalf("second batch added %d deduped %d, want 0/2", rep2.Added, rep2.Deduped)
+	if rep2.Added != 0 || rep2.Deduped != 2 || len(storeFiles(t, dir, "")) != 1 {
+		t.Fatalf("second batch added %d deduped %d, want 0/2 and no new file", rep2.Added, rep2.Deduped)
 	}
 	st := s.Stats()
-	if st.Blobs != 2 {
-		t.Fatalf("store holds %d blobs, want 2", st.Blobs)
+	if st.Blobs != 2 || st.Packs != 1 || st.LooseBlobs != 0 || st.BlobBytes != rep.AddedBytes {
+		t.Fatalf("stats %+v, want 2 blobs in 1 pack of %d bytes", st, rep.AddedBytes)
 	}
-	got, err := s.Get(a.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Encode()) != string(a.Encode()) {
-		t.Fatal("stored blob differs from the original")
+	for _, st := range []*store.Store{s, openStore(t, dir)} {
+		got, err := st.Get(a.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Encode()) != string(a.Encode()) {
+			t.Fatal("stored blob differs from the original")
+		}
+		if n, ok := st.SizeOf(b.Hash()); !ok || n != uint64(len(b.Encode())) {
+			t.Errorf("SizeOf = %d, %t; want the encoded length %d", n, ok, len(b.Encode()))
+		}
 	}
 }
 
-func TestGetQuarantinesCorruptBlob(t *testing.T) {
+// TestPacksAreContentNamedAndBounded: the same blobs in the same order
+// make the same file whoever writes them, and a batch larger than the pack
+// bound is split.
+func TestPacksAreContentNamedAndBounded(t *testing.T) {
+	var blobs []*store.Blob
+	raw := 0
+	for seed := byte(0); seed < 40; seed++ { // ~32 KB each: past the 1 MiB pack bound
+		blobs = append(blobs, mkBlob(seed, 4000))
+		raw += len(blobs[seed].Encode())
+	}
+	var names [2][]string
+	for i := range names {
+		dir := t.TempDir()
+		s := openStore(t, dir)
+		rep, hashes, err := s.PutAll(blobs)
+		if err != nil || rep.Added != len(blobs) {
+			t.Fatalf("PutAll: %+v, %v", rep, err)
+		}
+		for _, p := range storeFiles(t, dir, ".pck") {
+			fi, _ := os.Stat(p)
+			names[i] = append(names[i], fmt.Sprint(filepath.Base(p), " ", fi.Size()))
+		}
+		if len(names[i]) != 2 {
+			t.Fatalf("%d raw bytes landed in %d packs, want 2", raw, len(names[i]))
+		}
+		fresh := openStore(t, dir)
+		for j, h := range hashes {
+			if got, err := fresh.Get(h); err != nil || got.Hash() != blobs[j].Hash() {
+				t.Fatalf("blob %d after reopen: %v", j, err)
+			}
+		}
+	}
+	if fmt.Sprint(names[0]) != fmt.Sprint(names[1]) {
+		t.Errorf("two fresh stores disagree on pack names or sizes:\n%v\n%v", names[0], names[1])
+	}
+}
+
+func TestGetQuarantinesCorruptPack(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	b := mkBlob(3, 4)
-	if _, _, err := s.PutAll([]*store.Blob{b}); err != nil {
+	a, b := mkBlob(3, 4), mkBlob(4, 40)
+	if _, _, err := s.PutAll([]*store.Blob{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte on disk: content no longer hashes to its name.
-	path := filepath.Join(dir, "gen0000", b.Hash().Hex()+".pcb")
-	enc, err := os.ReadFile(path)
+	// Flip a byte of the stream on disk: some member no longer hashes to
+	// its index entry (or the stream no longer inflates).
+	path := storeFiles(t, dir, ".pck")[0]
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc[len(enc)-1] ^= 0xff
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
+	data[len(data)-8] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(b.Hash()); !errors.Is(err, store.ErrBlobCorrupt) {
-		t.Fatalf("want ErrBlobCorrupt, got %v", err)
+	s = openStore(t, dir) // nothing inflated yet
+	_, errA := s.Get(a.Hash())
+	_, errB := s.Get(b.Hash())
+	if !errors.Is(errA, store.ErrBlobCorrupt) && !errors.Is(errB, store.ErrBlobCorrupt) {
+		t.Fatalf("want ErrBlobCorrupt from one of the members, got %v and %v", errA, errB)
 	}
-	// The corrupt file moved to quarantine; the hash is now a clean miss.
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", b.Hash().Hex()+".pcb")); err != nil {
-		t.Errorf("corrupt blob not quarantined: %v", err)
+	// The pack moved to quarantine whole; both hashes are now clean misses.
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(path))); err != nil {
+		t.Errorf("corrupt pack not quarantined: %v", err)
 	}
-	if _, err := s.Get(b.Hash()); !errors.Is(err, store.ErrBlobMissing) {
-		t.Fatalf("want ErrBlobMissing after quarantine, got %v", err)
+	for _, h := range []store.Hash{a.Hash(), b.Hash()} {
+		if _, err := s.Get(h); !errors.Is(err, store.ErrBlobMissing) {
+			t.Fatalf("want ErrBlobMissing after quarantine, got %v", err)
+		}
 	}
 	// And the content can be rewritten cleanly.
-	if _, _, err := s.PutAll([]*store.Blob{b}); err != nil {
-		t.Fatal(err)
+	if rep, _, err := s.PutAll([]*store.Blob{a, b}); err != nil || rep.Added != 2 {
+		t.Fatalf("rewrite after quarantine: %+v, %v", rep, err)
 	}
-	if _, err := s.Get(b.Hash()); err != nil {
+	if _, err := s.Get(a.Hash()); err != nil {
 		t.Fatalf("rewrite after quarantine not served: %v", err)
 	}
 }
 
-func TestRecoverScrubsBlobsAndTemps(t *testing.T) {
+// TestLooseBlobsStayReadable: one-file-per-blob stores written by earlier
+// versions are served, deduplicated against, quarantined blob by blob, and
+// never added to.
+func TestLooseBlobsStayReadable(t *testing.T) {
+	dir := t.TempDir()
+	old, bad, fresh := mkBlob(30, 4), mkBlob(31, 4), mkBlob(32, 4)
+	writeLoose(t, dir, "gen0000", old)
+	badPath := writeLoose(t, dir, "gen0000", bad)
+	if err := os.WriteFile(badPath, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir)
+	if got, err := s.Get(old.Hash()); err != nil || got.Hash() != old.Hash() {
+		t.Fatalf("loose blob: %v", err)
+	}
+	if n, ok := s.SizeOf(old.Hash()); !ok || n != uint64(len(old.Encode())) {
+		t.Errorf("SizeOf(loose) = %d, %t", n, ok)
+	}
+	if _, err := s.Get(bad.Hash()); !errors.Is(err, store.ErrBlobCorrupt) {
+		t.Fatalf("want ErrBlobCorrupt, got %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(badPath))); err != nil {
+		t.Errorf("corrupt loose blob not quarantined: %v", err)
+	}
+	rep, _, err := s.PutAll([]*store.Blob{old, fresh})
+	if err != nil || rep.Added != 1 || rep.Deduped != 1 {
+		t.Fatalf("PutAll over a loose store: %+v, %v; want 1 added, 1 deduped", rep, err)
+	}
+	if loose := storeFiles(t, dir, ".pcb"); len(loose) != 1 {
+		t.Errorf("loose files after a put: %v, want only the old one", loose)
+	}
+	if st := s.Stats(); st.Blobs != 2 || st.Packs != 1 || st.LooseBlobs != 1 {
+		t.Errorf("stats %+v, want 2 blobs: 1 pack, 1 loose", st)
+	}
+}
+
+func TestRecoverScrubsPacksBlobsAndTemps(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	a, b := mkBlob(4, 4), mkBlob(5, 6)
-	if _, _, err := s.PutAll([]*store.Blob{a, b}); err != nil {
-		t.Fatal(err)
+	a, b, c := mkBlob(4, 4), mkBlob(5, 6), mkBlob(6, 6)
+	for _, batch := range [][]*store.Blob{{a}, {b, c}} {
+		if _, _, err := s.PutAll(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Corrupt one blob and leave temp debris: the scrub quarantines the
-	// bad blob and sweeps the temps.
-	path := filepath.Join(dir, "gen0000", a.Hash().Hex()+".pcb")
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	loose := writeLoose(t, dir, "gen0000", mkBlob(7, 4))
+	// Corrupt a's pack and the loose blob, and leave temp debris: the scrub
+	// quarantines the bad files and sweeps the temps.
+	var aPack string
+	for _, p := range storeFiles(t, dir, ".pck") {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pk, err := store.DecodePack(data); err != nil {
+			t.Fatal(err)
+		} else if len(pk.Hashes) == 1 {
+			aPack = p
+		}
 	}
-	for _, tmp := range []string{"x.tmp", filepath.Join("gen0000", "y.pcb.1.1.tmp")} {
+	for _, p := range []string{aPack, loose} {
+		if err := os.WriteFile(p, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tmp := range []string{"x.tmp", filepath.Join("gen0000", "y.pck.1.1.tmp")} {
 		if err := os.WriteFile(filepath.Join(dir, tmp), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -215,25 +353,25 @@ func TestRecoverScrubsBlobsAndTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Blobs != 1 || rep.Quarantined != 1 || rep.TmpRemoved != 2 {
-		t.Fatalf("recover: %+v, want 1 blob, 1 quarantined, 2 tmp removed", rep)
+	if rep.Blobs != 2 || rep.Quarantined != 2 || rep.TmpRemoved != 2 {
+		t.Fatalf("recover: %+v, want 2 blobs, 2 quarantined, 2 tmp removed", rep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", a.Hash().Hex()+".pcb")); err != nil {
-		t.Errorf("corrupt blob not quarantined: %v", err)
+	for _, p := range []string{aPack, loose} {
+		if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(p))); err != nil {
+			t.Errorf("corrupt file not quarantined: %v", err)
+		}
 	}
-	if _, err := s.Get(b.Hash()); err != nil {
-		t.Errorf("surviving blob unreadable after recover: %v", err)
-	}
-	if _, err := s.Get(a.Hash()); err == nil {
-		t.Error("corrupt blob still served after recover")
-	}
-	// A fresh Open serves the surviving blob straight from the directory.
-	s2 := openStore(t, dir)
-	if _, err := s2.Get(b.Hash()); err != nil {
-		t.Errorf("reopen lost the surviving blob: %v", err)
-	}
-	if st := s2.Stats(); st.Blobs != 1 {
-		t.Fatalf("reopen counts %d blobs, want 1", st.Blobs)
+	// The same store and a fresh Open both serve exactly what survived.
+	for _, st := range []*store.Store{s, openStore(t, dir)} {
+		if _, err := st.Get(b.Hash()); err != nil {
+			t.Errorf("surviving blob unreadable after recover: %v", err)
+		}
+		if _, err := st.Get(a.Hash()); err == nil {
+			t.Error("corrupt blob still served after recover")
+		}
+		if stats := st.Stats(); stats.Blobs != 2 || stats.Packs != 1 {
+			t.Fatalf("stats after recover: %+v, want 2 blobs in 1 pack", stats)
+		}
 	}
 }
 
@@ -241,20 +379,36 @@ func TestRecoverScrubsBlobsAndTemps(t *testing.T) {
 // owns a fresh temp in the shared directory. Neither Open nor a Recover
 // within the staleness bound may touch it, or the peer's rename fails.
 func TestOpenAndRecoverSpareLiveTemp(t *testing.T) {
-	dir := t.TempDir()
+	// The peer's finished pack, to be replayed as its in-flight temp.
+	peerDir := t.TempDir()
 	b := mkBlob(14, 4)
+	if _, _, err := openStore(t, peerDir).PutAll([]*store.Blob{b}); err != nil {
+		t.Fatal(err)
+	}
+	pack := storeFiles(t, peerDir, ".pck")[0]
+	data, err := os.ReadFile(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
 	gen := filepath.Join(dir, "gen0000")
 	if err := os.MkdirAll(gen, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	final := filepath.Join(gen, b.Hash().Hex()+".pcb")
-	tmp := final + ".4242.1.tmp"
-	if err := os.WriteFile(tmp, b.Encode(), 0o644); err != nil {
-		t.Fatal(err)
+	final := filepath.Join(gen, filepath.Base(pack))
+	tmps := []string{final + ".4242.1.tmp", filepath.Join(gen, b.Hash().Hex()+".pcb.4242.2.tmp")}
+	for _, tmp := range tmps { // a pack temp, and an older version's blob temp
+		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := openStore(t, dir)
 	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
 		t.Fatalf("Open wrote into the store root: %v", names)
+	}
+	if s.Has(b.Hash()) {
+		t.Fatal("a temp's content is addressable before its rename")
 	}
 	rep, err := s.Recover(time.Minute)
 	if err != nil {
@@ -263,61 +417,155 @@ func TestOpenAndRecoverSpareLiveTemp(t *testing.T) {
 	if rep.TmpRemoved != 0 {
 		t.Fatalf("recover swept %d temps younger than the staleness bound", rep.TmpRemoved)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmps[0], final); err != nil {
 		t.Fatalf("peer's rename failed after Open+Recover: %v", err)
 	}
 	if _, err := s.Get(b.Hash()); err != nil {
-		t.Errorf("peer's blob not served once published: %v", err)
+		t.Errorf("peer's pack not served once published: %v", err)
+	}
+}
+
+// TestReloadOnMiss: a store opened before a peer's commit finds the peer's
+// pack when it meets a hash it does not know — listing the pack names once
+// per call, however many hashes are unknown.
+func TestReloadOnMiss(t *testing.T) {
+	dir := t.TempDir()
+	inj := fsx.NewInject(nil)
+	early, err := store.Open(dir, inj, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs []*store.Blob
+	var hashes []store.Hash
+	for seed := byte(0); seed < 20; seed++ {
+		blobs = append(blobs, mkBlob(seed, 3))
+		hashes = append(hashes, blobs[seed].Hash())
+	}
+	if _, _, err := openStore(t, dir).PutAll(blobs[:10]); err != nil {
+		t.Fatal(err)
+	}
+	listings := func() (n int) {
+		for _, op := range inj.Ops() {
+			if op.Op == fsx.OpGlob && strings.HasSuffix(op.Path, "*.pck") {
+				n++
+			}
+		}
+		return n
+	}
+	inj.StartRecording()
+	got, missing := early.GetAll(hashes)
+	if len(got) != 10 || len(missing) != 10 {
+		t.Fatalf("resolved %d, missed %d; want the peer's 10 and 10 misses", len(got), len(missing))
+	}
+	if n := listings(); n != 1 {
+		t.Errorf("GetAll with 20 unknown hashes listed the packs %d times, want 1", n)
+	}
+	// A put of known, peer-written and new blobs dedups against the peer's
+	// pack found above, and lists once more for the ones still unknown.
+	inj.StartRecording()
+	rep, _, err := early.PutAll(blobs[5:15])
+	if err != nil || rep.Deduped != 5 || rep.Added != 5 {
+		t.Fatalf("PutAll: %+v, %v; want 5 deduped against the peer's pack, 5 added", rep, err)
+	}
+	if n := listings(); n != 1 {
+		t.Errorf("PutAll with 5 unknown hashes listed the packs %d times, want 1", n)
 	}
 }
 
 func TestCompactPrunesOrphans(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	kept, orphan := mkBlob(6, 8), mkBlob(8, 4)
-	if _, _, err := s.PutAll([]*store.Blob{kept, orphan}); err != nil {
-		t.Fatal(err)
+	kept, orphan, dead1, dead2 := mkBlob(6, 8), mkBlob(8, 4), mkBlob(9, 4), mkBlob(10, 4)
+	for _, batch := range [][]*store.Blob{{kept, orphan}, {dead1, dead2}} {
+		if _, _, err := s.PutAll(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
+	looseOrphan := writeLoose(t, dir, "gen0000", mkBlob(11, 4))
+	reader := openStore(t, dir) // a peer that indexed the packs before they move
+	before := s.Stats().BlobBytes
 	live := map[store.Hash]bool{kept.Hash(): true}
 	rep, err := s.Compact(live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PrunedOrphans != 1 || rep.ReclaimedBytes == 0 {
-		t.Fatalf("compact: %+v, want 1 orphan and its bytes reclaimed", rep)
+	// The all-dead pack and the loose orphan are removed; the mixed pack is
+	// rewritten as a pack of its one live blob.
+	after := s.Stats()
+	if rep.PrunedOrphans != 4 || rep.ReclaimedBytes != before-after.BlobBytes {
+		t.Fatalf("compact: %+v, want 4 orphans and the %d bytes the store shrank by", rep, before-after.BlobBytes)
 	}
-	if _, err := s.Get(kept.Hash()); err != nil {
-		t.Errorf("live blob lost by compaction: %v", err)
+	if after.Blobs != 1 || after.Packs != 1 || after.LooseBlobs != 0 {
+		t.Fatalf("stats after compact: %+v, want 1 blob in 1 pack", after)
 	}
-	if s.Has(orphan.Hash()) {
-		t.Error("pruned blob still resident")
+	if _, err := os.Stat(looseOrphan); err == nil {
+		t.Error("loose orphan survived compaction")
 	}
-	// Live blobs are not moved, and a second run finds nothing to do.
-	if _, err := os.Stat(filepath.Join(dir, "gen0000", kept.Hash().Hex()+".pcb")); err != nil {
-		t.Errorf("live blob moved by compaction: %v", err)
+	for _, st := range []*store.Store{s, reader, openStore(t, dir)} {
+		if _, err := st.Get(kept.Hash()); err != nil {
+			t.Errorf("live blob lost by compaction: %v", err)
+		}
+		// (The peer still has the removed packs indexed: it learns they
+		// are gone when it reads from them.)
+		_, errOrphan := st.Get(orphan.Hash())
+		_, errDead := st.Get(dead1.Hash())
+		if !errors.Is(errOrphan, store.ErrBlobMissing) || !errors.Is(errDead, store.ErrBlobMissing) || st.Has(orphan.Hash()) {
+			t.Errorf("pruned blobs still served: %v, %v", errOrphan, errDead)
+		}
 	}
+	// A second run finds nothing to do and touches nothing.
+	names := fmt.Sprint(storeFiles(t, dir, ""))
 	if rep, err := s.Compact(live); err != nil || rep.PrunedOrphans != 0 {
 		t.Fatalf("second compact: %+v, %v; want a no-op", rep, err)
 	}
-	if st := s.Stats(); st.Blobs != 1 {
-		t.Fatalf("stats after compact: %+v", st)
+	if got := fmt.Sprint(storeFiles(t, dir, "")); got != names {
+		t.Errorf("second compact changed the store: %s, was %s", got, names)
+	}
+}
+
+// TestCompactInterruptedLeavesDuplicatesNotLosses: a crash between writing
+// the repacked live blobs and removing the pack they came from leaves them
+// in two packs; the next run removes the old one.
+func TestCompactInterruptedLeavesDuplicatesNotLosses(t *testing.T) {
+	dir := t.TempDir()
+	kept, orphan := mkBlob(6, 8), mkBlob(8, 4)
+	if _, _, err := openStore(t, dir).PutAll([]*store.Blob{kept, orphan}); err != nil {
+		t.Fatal(err)
+	}
+	live := map[store.Hash]bool{kept.Hash(): true}
+	inj := fsx.NewInject(nil)
+	inj.CrashAt(fsx.OpRemove, ".pck", 1)
+	s, err := store.Open(dir, inj, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Compact(live)
+	if !inj.Crashed() || len(storeFiles(t, dir, ".pck")) != 2 {
+		t.Fatalf("crash at the pack removal left %v, want the old and the new pack", storeFiles(t, dir, ".pck"))
+	}
+	s = openStore(t, dir)
+	if _, err := s.Get(kept.Hash()); err != nil {
+		t.Fatalf("live blob after the crash: %v", err)
+	}
+	rep, err := s.Compact(live)
+	if err != nil || rep.PrunedOrphans != 1 || len(storeFiles(t, dir, ".pck")) != 1 {
+		t.Fatalf("compact after the crash: %+v, %v, packs %v", rep, err, storeFiles(t, dir, ".pck"))
+	}
+	for _, st := range []*store.Store{s, openStore(t, dir)} {
+		if _, err := st.Get(kept.Hash()); err != nil {
+			t.Errorf("live blob lost: %v", err)
+		}
 	}
 }
 
 // TestOlderGenerationsStayReadable: a store an earlier version compacted
 // keeps blobs in several generations; lookups search them all and new
-// blobs join the newest.
+// packs join the newest.
 func TestOlderGenerationsStayReadable(t *testing.T) {
 	dir := t.TempDir()
 	old, older, fresh := mkBlob(17, 3), mkBlob(18, 3), mkBlob(19, 3)
-	for gen, b := range map[string]*store.Blob{"gen0000": older, "gen0002": old} {
-		if err := os.MkdirAll(filepath.Join(dir, gen), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, gen, b.Hash().Hex()+".pcb"), b.Encode(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeLoose(t, dir, "gen0000", older)
+	writeLoose(t, dir, "gen0002", old)
 	s := openStore(t, dir)
 	rep, _, err := s.PutAll([]*store.Blob{old, older, fresh})
 	if err != nil {
@@ -326,16 +574,18 @@ func TestOlderGenerationsStayReadable(t *testing.T) {
 	if rep.Added != 1 || rep.Deduped != 2 {
 		t.Fatalf("added %d deduped %d, want 1/2", rep.Added, rep.Deduped)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "gen0002", fresh.Hash().Hex()+".pcb")); err != nil {
-		t.Errorf("new blob not in the newest generation: %v", err)
+	if packs := storeFiles(t, dir, ".pck"); len(packs) != 1 || filepath.Base(filepath.Dir(packs[0])) != "gen0002" {
+		t.Errorf("new pack not in the newest generation: %v", packs)
 	}
-	for _, b := range []*store.Blob{old, older, fresh} {
-		if _, err := s.Get(b.Hash()); err != nil {
-			t.Errorf("blob %s: %v", b.Hash(), err)
+	for _, st := range []*store.Store{s, openStore(t, dir)} {
+		for _, b := range []*store.Blob{old, older, fresh} {
+			if _, err := st.Get(b.Hash()); err != nil {
+				t.Errorf("blob %s: %v", b.Hash(), err)
+			}
 		}
-	}
-	if st := s.Stats(); st.Gen != 2 || st.Blobs != 3 || st.Generations != 2 {
-		t.Fatalf("stats: %+v, want gen 2, 3 blobs, 2 generations", st)
+		if stats := st.Stats(); stats.Gen != 2 || stats.Blobs != 3 || stats.Generations != 2 {
+			t.Fatalf("stats: %+v, want gen 2, 3 blobs, 2 generations", stats)
+		}
 	}
 }
 
@@ -394,5 +644,35 @@ func TestTieredWriteThrough(t *testing.T) {
 	}
 	if s.Has(junk.Hash()) {
 		t.Error("corrupt remote bytes reached the local store")
+	}
+}
+
+// TestDecodePackRejectsDamage: no proper prefix of a pack file decodes, and
+// a flipped byte is either caught or (a spare bit of the flate stream)
+// changes nothing — the index is under its crc, the stream must inflate to
+// exactly the indexed length and end there, and every member must hash to
+// its entry.
+func TestDecodePackRejectsDamage(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := openStore(t, dir).PutAll([]*store.Blob{mkBlob(1, 4), mkBlob(2, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(storeFiles(t, dir, ".pck")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := store.DecodePack(valid)
+	if err != nil || len(intact.Hashes) != 2 {
+		t.Fatalf("intact pack: %v", err)
+	}
+	for n := range valid {
+		if _, err := store.DecodePack(valid[:n]); err == nil {
+			t.Errorf("the first %d of %d bytes decode as a pack", n, len(valid))
+		}
+		flipped := append([]byte(nil), valid...)
+		flipped[n] ^= 0x10
+		if p, err := store.DecodePack(flipped); err == nil && fmt.Sprint(p) != fmt.Sprint(intact) {
+			t.Errorf("pack with byte %d flipped decodes to something else", n)
+		}
 	}
 }

@@ -36,22 +36,10 @@ func (t *Tiered) Get(h Hash) (*Blob, error) {
 
 // GetAll resolves a set of hashes, batching the L3 round trip for the
 // misses. The result holds every hash that resolved; absent entries were
-// found in no tier. Corrupt local blobs are quarantined by Store.Get and
+// found in no tier. Corrupt local blobs are quarantined by the store and
 // then retried against L3 like any other miss.
 func (t *Tiered) GetAll(hashes []Hash) (map[Hash]*Blob, error) {
-	out := make(map[Hash]*Blob, len(hashes))
-	var missing []Hash
-	for _, h := range hashes {
-		if _, ok := out[h]; ok {
-			continue
-		}
-		b, err := t.Store.Get(h)
-		if err == nil {
-			out[h] = b
-			continue
-		}
-		missing = append(missing, h)
-	}
+	out, missing := t.Store.GetAll(hashes)
 	if len(missing) == 0 || t.Remote == nil {
 		return out, nil
 	}
@@ -59,19 +47,25 @@ func (t *Tiered) GetAll(hashes []Hash) (map[Hash]*Blob, error) {
 	if err != nil {
 		return out, err
 	}
+	var good []Hash
+	var encs [][]byte
 	for _, h := range missing {
 		enc, ok := fetched[h]
-		if !ok {
-			continue
+		if !ok || Sum(enc) != h {
+			continue // absent, or bad bytes from the remote: the trace re-translates
 		}
-		b, err := t.Store.PutRaw(h, enc)
+		b, err := DecodeBlob(enc)
 		if err != nil {
-			// Bad bytes from the remote: skip; the trace re-translates.
 			continue
 		}
 		t.Store.cache(h, b)
 		out[h] = b
 		t.Store.met.hits.With("l3").Inc()
+		good, encs = append(good, h), append(encs, enc)
 	}
+	// Write-through is one batch, so one pack. The blobs above are verified
+	// and serve this run from L1 whether or not the disk takes them: a
+	// failed write only means the next run fetches again.
+	_, _ = t.Store.putEncoded(good, encs)
 	return out, nil
 }

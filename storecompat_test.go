@@ -5,8 +5,9 @@ package persistcc_test
 // through that version's compaction, which moved every blob out of gen0000
 // into gen0001. It holds the entry of generated application compat-a and,
 // unreferenced, the twelve blobs of compat-b, whose entry was then evicted.
-// The index-free store must serve it as it lies: ignore the index file,
-// find blobs in gen0001, write new ones there, and reclaim the orphans.
+// The store must serve it as it lies: ignore the index file, find the
+// loose one-file-per-blob blobs in gen0001, write new ones (as a pack, which
+// is all it writes) there, and reclaim the orphans.
 //
 // The fixture is tied to the VM version and the workload generator through
 // its keys. After a deliberate change to either, rebuild it with the
@@ -97,8 +98,10 @@ func TestIndexedStoreFixtureServesUnderIndexFreeStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	blobsAfter, _ := filepath.Glob(filepath.Join(gen1, "*.pcb"))
-	if len(blobsAfter) != len(blobsBefore)+crep.NewTraces {
-		t.Fatalf("gen0001 went from %d to %d blobs for %d new traces", len(blobsBefore), len(blobsAfter), crep.NewTraces)
+	packs, _ := filepath.Glob(filepath.Join(gen1, "*.pck"))
+	if len(blobsAfter) != len(blobsBefore) || len(packs) != 1 || crep.NewTraces == 0 {
+		t.Fatalf("gen0001 went from %d to %d loose blobs and %d packs for %d new traces; want one new pack",
+			len(blobsBefore), len(blobsAfter), len(packs), crep.NewTraces)
 	}
 	if gens, _ := filepath.Glob(filepath.Join(dir, "store", "gen*")); len(gens) != 1 {
 		t.Fatalf("commit opened another generation: %v", gens)

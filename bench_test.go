@@ -14,6 +14,7 @@ import (
 	"os"
 	"testing"
 
+	"persistcc"
 	"persistcc/internal/core"
 	"persistcc/internal/experiments"
 	"persistcc/internal/guestopt"
@@ -118,6 +119,59 @@ func benchVM(b *testing.B, native bool, iters uint64) {
 
 func BenchmarkInterpreter(b *testing.B)   { benchVM(b, true, 200_000) }
 func BenchmarkCodeCacheExec(b *testing.B) { benchVM(b, false, 200_000) }
+
+// gftp is the first application of the GUI suite, the launch the paper's
+// headline figure is about.
+func gftp(b *testing.B) *workload.GUIApp {
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gui.Apps[0]
+}
+
+// BenchmarkLoaderLoadGUI is the fixed cost at the front of every launch:
+// mapping gftp and its libraries, stack, heap and input block.
+func BenchmarkLoaderLoadGUI(b *testing.B) {
+	app := gftp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := app.Prog.Load(loader.Config{Placement: loader.PlaceHashed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLaunchWarmGUI is one warm launch end to end through the facade:
+// load, prime from a seeded store database, run the start-up, commit.
+func BenchmarkLaunchWarmGUI(b *testing.B) {
+	app := gftp(b)
+	dir, err := os.MkdirTemp("", "pcc-bench-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	o := persistcc.RunOptions{
+		Input:   app.Startup.Words(),
+		Loader:  persistcc.LoaderConfig{Placement: persistcc.PlaceHashed},
+		Persist: true, StoreFormat: true, CacheDir: dir,
+	}
+	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err != nil { // seeds the database
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Stats.InstsTranslated != 0 {
+			b.Fatalf("warm launch translated %d instructions", out.Stats.InstsTranslated)
+		}
+	}
+}
 
 func BenchmarkTranslation(b *testing.B) {
 	// Translation throughput: a fresh VM translating gcc's footprint once.

@@ -251,6 +251,13 @@ func TestCLIMetricsAndEvents(t *testing.T) {
 	if v, _ := warm.Value("pcc_vm_ticks_total", "total"); v == 0 {
 		t.Error("warm snapshot missing total ticks")
 	}
+	// What the launch touched: far fewer pages hold memory than are mapped
+	// (stack, heap and input block are demand-zero).
+	mapped, _ := warm.Value("pcc_vm_mapped_pages")
+	resident, ok := warm.Value("pcc_vm_resident_pages")
+	if !ok || resident == 0 || resident*10 >= mapped {
+		t.Errorf("warm snapshot: %v resident of %v mapped pages, want a nonzero share under 10%%", resident, mapped)
+	}
 
 	// The cold run's event timeline must contain translate events followed
 	// by a commit event, each line valid JSON.

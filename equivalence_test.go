@@ -18,7 +18,6 @@ package persistcc_test
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -53,18 +52,7 @@ func takeSnap(mode string, v *vm.VM, res *vm.Result) *snap {
 	for r := 0; r < isa.NumRegs; r++ {
 		s.regs[r] = v.Reg(uint8(r))
 	}
-	h := sha256.New()
-	as := v.Process().AS
-	var word [8]byte
-	for _, m := range as.Mappings() {
-		binary.LittleEndian.PutUint64(word[:], uint64(m.Base)<<32|uint64(m.Size))
-		h.Write(word[:])
-		buf := make([]byte, m.Size)
-		if err := as.ReadBytes(m.Base, buf); err == nil {
-			h.Write(buf)
-		}
-	}
-	copy(s.memSum[:], h.Sum(nil))
+	s.memSum = replay.MemSum(v)
 	for _, mk := range res.Stats.Marks {
 		s.markIDs = append(s.markIDs, mk.ID)
 	}

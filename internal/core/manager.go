@@ -167,7 +167,12 @@ func (m *Manager) lookupPath(ks KeySet) string {
 // run re-translates instead of failing — corrupt state degrades to cold-run
 // behaviour, never to a broken run.
 func (m *Manager) Lookup(ks KeySet) (*CacheFile, error) {
-	cf, err := m.readVerified(m.lookupPath(ks))
+	return m.lookupAt(m.lookupPath(ks))
+}
+
+// lookupAt is Lookup for an entry path already resolved by lookupPath.
+func (m *Manager) lookupAt(path string) (*CacheFile, error) {
+	cf, err := m.readVerified(path)
 	switch {
 	case err == nil:
 		m.m.lookups.With("exact", "hit").Inc()
@@ -486,21 +491,11 @@ func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, 
 		AppPath: incoming.AppPath,
 		Modules: records,
 	}
-	seen := make(map[traceKey]bool)
 	rep := &CommitReport{}
 
 	// Incoming traces first (they are authoritative for this layout).
-	for _, t := range incoming.Traces {
-		k := traceKey{records[t.Module].Path, t.ModOff}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		cf.Traces = append(cf.Traces, t)
-		if !t.Persisted {
-			rep.NewTraces++
-		}
-	}
+	var seen map[traceKey]bool
+	cf.Traces, seen, rep.NewTraces = incomingTraces(incoming)
 
 	// Accumulate the prior cache's traces that the incoming run did not
 	// re-discover, dropping any whose mappings went stale.
@@ -510,7 +505,7 @@ func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, 
 		// matches the prior cache exactly, rewriting the file would buy
 		// nothing: skip the save entirely (reused runs then pay only the
 		// load cost).
-		if rep.NewTraces == 0 && len(cf.Traces) <= len(prior.Traces) && sameModules(cf.Modules, prior.Modules) {
+		if addsNothing(len(cf.Traces), rep.NewTraces, cf.Modules, len(prior.Traces), prior.Modules) {
 			rep.Skipped = true
 			rep.Traces = len(prior.Traces)
 			rep.CodePool = prior.CodePool
@@ -541,6 +536,33 @@ func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, 
 	return cf, rep, nil
 }
 
+// incomingTraces returns a run's traces with duplicates (same module path
+// and offset) dropped, the keys kept, and how many of them the run
+// translated itself rather than reused from a persistent cache.
+func incomingTraces(incoming *CacheFile) (traces []*vm.Trace, seen map[traceKey]bool, fresh int) {
+	seen = make(map[traceKey]bool, len(incoming.Traces))
+	for _, t := range incoming.Traces {
+		k := traceKey{incoming.Modules[t.Module].Path, t.ModOff}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		traces = append(traces, t)
+		if !t.Persisted {
+			fresh++
+		}
+	}
+	return traces, seen, fresh
+}
+
+// addsNothing reports whether a run (how many distinct traces, how many of
+// them fresh, its module table) has nothing to add to a prior cache of
+// priorTraces traces over priorModules: it discovered nothing new and its
+// layout matches the prior cache exactly.
+func addsNothing(distinct, fresh int, modules []ModuleRecord, priorTraces int, priorModules []ModuleRecord) bool {
+	return fresh == 0 && distinct <= priorTraces && sameModules(modules, priorModules)
+}
+
 // CommitFile merges incoming into the database entry for ks and atomically
 // rewrites it — the accumulation half of Commit, decoupled from the VM so a
 // cache server can merge files published over the wire. The whole
@@ -557,7 +579,13 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 	}
 	defer unlock()
 
-	prior, err := m.Lookup(ks)
+	path, priorPath := m.cachePath(ks), m.lookupPath(ks)
+	if rep := m.skipFromManifest(priorPath, incoming); rep != nil {
+		rep.File = filepath.Base(path)
+		m.m.commits.With("skipped").Inc()
+		return rep, nil
+	}
+	prior, err := m.lookupAt(priorPath)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrNoCache):
@@ -569,7 +597,6 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 	if err != nil {
 		return nil, err
 	}
-	path := m.cachePath(ks)
 	rep.File = filepath.Base(path)
 	m.m.mergeDropped.Add(uint64(rep.Dropped))
 	if rep.Skipped {

@@ -219,6 +219,49 @@ func (m *Manager) readVerifiedManifest(path string) (*CacheFile, error) {
 	return cf, nil
 }
 
+// skipFromManifest answers the commit of a run that has nothing to add to
+// a store-format entry from the entry's manifest alone: the module table
+// and the trace count are in it, so the prior cache — which a warm run has
+// just read, verified and decoded once to prime from — is not materialized
+// a second time only for the merge to be skipped. It returns the report
+// MergeCacheFiles would have, or nil when the commit must take the full
+// path: no manifest at path, one that does not decode (Lookup quarantines
+// it), a run that adds something, or a manifest any of whose blobs is not
+// in the local store — that prior counts as absent and is rewritten whole,
+// which is how a run primed from the fleet fills a stripped local store.
+func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitReport {
+	if !strings.HasSuffix(path, ".pcm") || incoming.checkTraceModules() != nil {
+		return nil
+	}
+	b, err := m.fs.ReadFile(path)
+	if err != nil {
+		return nil
+	}
+	man, err := store.DecodeManifest(b)
+	if err != nil {
+		return nil
+	}
+	traces, _, fresh := incomingTraces(incoming)
+	if !addsNothing(len(traces), fresh, incoming.Modules, len(man.Traces), recordModules(man.Modules)) {
+		return nil
+	}
+	st, err := m.Store()
+	if err != nil {
+		return nil
+	}
+	for _, h := range man.BlobHashes() {
+		if !st.Has(h) {
+			return nil
+		}
+	}
+	m.m.lookups.With("exact", "hit").Inc()
+	m.m.fileBytes.With("read").Add(man.EncodedBytes)
+	return &CommitReport{
+		Skipped: true, Accumulate: true,
+		Traces: len(man.Traces), CodePool: man.CodePool, DataPool: man.DataPool,
+	}
+}
+
 // writeStoreFormat writes cf at path in manifest+blob form: blobs land in
 // the content store first (deduplicated against existing content), then
 // the manifest is written atomically — a crash between the two strands

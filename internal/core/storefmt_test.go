@@ -7,12 +7,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"persistcc/internal/core"
+	"persistcc/internal/metrics"
 	"persistcc/internal/store"
+	"persistcc/internal/testutil"
 )
 
 // newStoreMgr opens a store-format manager over dir.
@@ -524,4 +527,131 @@ func readEveryEntry(t *testing.T, dir, storeDir string) int {
 		}
 	}
 	return len(entries)
+}
+
+// warmIncoming commits one run of a small program into a fresh store-format
+// database and returns the database directory plus what a second, fully
+// primed run of the same program would commit: every trace reused, none new.
+func warmIncoming(t *testing.T) (dir string, ks core.KeySet, incoming *core.CacheFile) {
+	t.Helper()
+	w := testutil.BuildWorld(t, "appa", fmt.Sprintf(chaosMainSrc, 1), map[string]string{"libwork.so": chaosLibSrc})
+	dir = t.TempDir()
+	mgr := newStoreMgr(t, dir)
+	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
+	v := w.NewVM(t, testutil.RunOpts{Input: []uint64{10}})
+	if _, err := mgr.Prime(v); err != nil {
+		t.Fatal(err)
+	}
+	res, err := v.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TracesTranslated != 0 {
+		t.Fatalf("warm run translated %d traces; the commit under test would not be a no-op", res.Stats.TracesTranslated)
+	}
+	incoming, ks = core.BuildCacheFile(v)
+	return dir, ks, incoming
+}
+
+// TestWarmCommitSkipsFromManifest: the commit of a run that found nothing
+// new is answered from the manifest — same report as the full merge, no
+// blob read, inflated or decoded to produce it.
+func TestWarmCommitSkipsFromManifest(t *testing.T) {
+	dir, ks, incoming := warmIncoming(t)
+
+	// What the full path reports: materialize the prior, merge, skip.
+	prior, err := newStoreMgr(t, dir).Lookup(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := core.MergeCacheFiles(incoming, prior, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Skipped {
+		t.Fatalf("reference merge did not skip: %+v", want)
+	}
+	want.File = ks.ManifestFileName()
+
+	reg := metrics.NewRegistry()
+	mgr := newStoreMgr(t, dir, core.WithMetrics(reg)) // fresh L1: any blob use would hit the disk
+	before, err := os.ReadFile(filepath.Join(dir, ks.ManifestFileName()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mgr.CommitFile(ks, incoming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("skipped commit report\n got %+v\nwant %+v", got, want)
+	}
+	snap := reg.Snapshot()
+	for _, tier := range []string{"l1", "l2", "l3"} {
+		if n, _ := snap.Value("pcc_store_blob_hits_total", tier); n != 0 {
+			t.Errorf("skipped commit resolved %v blobs from %s; it must decide from the manifest alone", n, tier)
+		}
+	}
+	if n, _ := snap.Value("pcc_core_commits_total", "skipped"); n != 1 {
+		t.Errorf("commits{skipped} = %v, want 1", n)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, ks.ManifestFileName()))
+	if err != nil || !bytes.Equal(before, after) {
+		t.Errorf("skipped commit touched the manifest (err %v)", err)
+	}
+}
+
+// TestWarmCommitRewritesWhenBlobsAreGone: a manifest whose blobs are not in
+// the local store is no prior at all — the run's traces are written out in
+// full, which is how a launch primed from the fleet fills a stripped store.
+func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
+	dir, ks, incoming := warmIncoming(t)
+	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
+	if len(packs) == 0 {
+		t.Fatal("no pack files to strip")
+	}
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr := newStoreMgr(t, dir)
+	rep, err := mgr.CommitFile(ks, incoming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped || rep.Accumulate || rep.Traces != len(incoming.Traces) {
+		t.Fatalf("commit over a stripped store: %+v, want a full rewrite of %d traces", rep, len(incoming.Traces))
+	}
+	cf, err := newStoreMgr(t, dir).Lookup(ks)
+	if err != nil {
+		t.Fatalf("entry unreadable after the rewrite: %v", err)
+	}
+	if len(cf.Traces) != len(incoming.Traces) {
+		t.Errorf("rewritten entry holds %d traces, want %d", len(cf.Traces), len(incoming.Traces))
+	}
+}
+
+// TestWarmCommitQuarantinesBadManifest: the manifest-only skip must not
+// swallow a manifest that does not decode — it still goes to quarantine and
+// the commit still writes a fresh entry.
+func TestWarmCommitQuarantinesBadManifest(t *testing.T) {
+	dir, ks, incoming := warmIncoming(t)
+	path := filepath.Join(dir, ks.ManifestFileName())
+	if err := os.WriteFile(path, []byte("not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := newStoreMgr(t, dir).CommitFile(ks, incoming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped {
+		t.Fatalf("commit over an undecodable manifest was skipped: %+v", rep)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, core.QuarantineDir, "*.pcm*")); len(q) != 1 {
+		t.Errorf("quarantine holds %d manifests, want 1", len(q))
+	}
+	if _, err := newStoreMgr(t, dir).Lookup(ks); err != nil {
+		t.Errorf("entry unreadable after the rewrite: %v", err)
+	}
 }

@@ -18,6 +18,7 @@ package loader
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 
 	"persistcc/internal/mem"
 	"persistcc/internal/obj"
@@ -119,10 +120,11 @@ type RelocSite struct {
 
 // LoadedModule is one mapped executable or library.
 type LoadedModule struct {
-	File  *obj.File
-	Base  uint32
-	MTime int64
-	Sites []RelocSite // sorted by Off
+	File   *obj.File
+	Base   uint32
+	MTime  int64
+	Digest [32]byte    // File.Digest(), computed once at load
+	Sites  []RelocSite // sorted by Off
 }
 
 // Contains reports whether addr falls inside the module image.
@@ -167,7 +169,7 @@ func (p *Process) Layout() []ModuleLayout {
 			Base:   m.Base,
 			Size:   m.File.ImageSize(),
 			MTime:  m.MTime,
-			Digest: m.File.Digest(),
+			Digest: m.Digest,
 		})
 	}
 	return out
@@ -252,18 +254,23 @@ func Load(exe *obj.File, cfg Config) (*Process, error) {
 				return nil, fmt.Errorf("loader: unknown placement %d", cfg.Placement)
 			}
 		}
-		m := &LoadedModule{File: f, Base: base, MTime: pend.mtime}
+		m := &LoadedModule{File: f, Base: base, MTime: pend.mtime, Digest: f.Digest()}
 		if err := p.AS.Map(mem.Mapping{
 			Path:       f.Name,
 			Base:       base,
 			Size:       size,
 			MTime:      pend.mtime,
-			Digest:     f.Digest(),
+			Digest:     m.Digest,
 			FileBacked: true,
 		}); err != nil {
 			return nil, fmt.Errorf("loader: mapping %s: %w", f.Name, err)
 		}
-		if err := p.AS.WriteBytes(base, f.Image()); err != nil {
+		// Text and data go straight into guest memory; the padding between
+		// them and the bss are never written and so read as zeros.
+		if err := p.AS.WriteBytes(base, f.Text); err != nil {
+			return nil, err
+		}
+		if err := p.AS.WriteBytes(base+f.DataOff(), f.Data); err != nil {
 			return nil, err
 		}
 		p.Modules = append(p.Modules, m)
@@ -380,9 +387,19 @@ func sortSites(sites []RelocSite) {
 // SitesIn returns the module's relocation sites overlapping [lo, hi)
 // (module-relative offsets).
 func (m *LoadedModule) SitesIn(lo, hi uint32) []RelocSite {
+	// No site is wider than 8 bytes, so none that starts more than 7
+	// bytes below lo can reach into the range.
+	var from uint32
+	if lo > 7 {
+		from = lo - 7
+	}
+	first := sort.Search(len(m.Sites), func(i int) bool { return m.Sites[i].Off >= from })
 	var out []RelocSite
-	for _, s := range m.Sites {
-		if s.Off+uint32(s.Type.Size()) > lo && s.Off < hi {
+	for _, s := range m.Sites[first:] {
+		if s.Off >= hi {
+			break
+		}
+		if s.Off+uint32(s.Type.Size()) > lo {
 			out = append(out, s)
 		}
 	}

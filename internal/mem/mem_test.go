@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +229,412 @@ func TestReadAfterWriteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func wantResident(t *testing.T, as *AddressSpace, want int, when string) {
+	t.Helper()
+	if got := as.Resident(); got != want {
+		t.Fatalf("Resident() = %d %s, want %d", got, when, want)
+	}
+}
+
+func wantFault(t *testing.T, err error, want Fault) {
+	t.Helper()
+	var f *Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("want fault %+v, got %v", want, err)
+	}
+	if *f != want {
+		t.Fatalf("fault = %+v, want %+v", *f, want)
+	}
+}
+
+// TestDemandZero: mapping and reading cost no page memory; a write
+// materialises exactly the pages it touches.
+func TestDemandZero(t *testing.T) {
+	const base, size = 0x2000_0000, 16 << 20
+	as := NewAddressSpace()
+	mustMap(t, as, base, size)
+	wantResident(t, as, 0, "after Map of 16 MiB")
+	if got := as.MappedPages(); got != size/PageSize {
+		t.Fatalf("MappedPages() = %d, want %d", got, size/PageSize)
+	}
+
+	buf := make([]byte, size)
+	if err := as.ReadBytes(base, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, size)) {
+		t.Fatal("untouched mapping does not read as zeros")
+	}
+	for _, sz := range []int{1, 2, 4, 8} {
+		if v, err := as.ReadUint(base+0x5000-4, sz); err != nil || v != 0 {
+			t.Fatalf("ReadUint size %d of untouched memory = %#x, %v", sz, v, err)
+		}
+	}
+	wantResident(t, as, 0, "after reading every byte")
+
+	if err := as.WriteU8(base+0x3010, 7); err != nil {
+		t.Fatal(err)
+	}
+	wantResident(t, as, 1, "after one WriteU8")
+	// Out of the page just written into the untouched one above it.
+	if err := as.WriteUint(base+0x4000-4, 8, 0x1122334455667788); err != nil {
+		t.Fatal(err)
+	}
+	wantResident(t, as, 2, "after a page-crossing WriteUint")
+	if v, _ := as.ReadUint(base+0x4000-4, 8); v != 0x1122334455667788 {
+		t.Fatalf("page-crossing write read back %#x", v)
+	}
+	if err := as.WriteBytes(base+0x10_0000-1, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	wantResident(t, as, 4, "after a 2-byte WriteBytes across a page boundary")
+}
+
+// TestPageCrossingWriteFaultsWhole: a store whose second page is unmapped
+// faults on that page's first byte and leaves the first page as it was —
+// unwritten and unmaterialised.
+func TestPageCrossingWriteFaultsWhole(t *testing.T) {
+	as := NewAddressSpace()
+	mustMap(t, as, 0x1000, 0x1000)
+	err := as.WriteUint(0x1ffc, 8, ^uint64(0))
+	wantFault(t, err, Fault{Addr: 0x2000, Size: 1, Write: true})
+	wantResident(t, as, 0, "after a faulting page-crossing write")
+	if v, err := as.ReadUint(0x1ffc, 4); err != nil || v != 0 {
+		t.Fatalf("faulting store left %#x behind (err %v)", v, err)
+	}
+	_, err = as.ReadUint(0x1ffc, 8)
+	wantFault(t, err, Fault{Addr: 0x2000, Size: 1})
+	// First page unmapped, second mapped: the fault names the access.
+	err = as.WriteUint(0xffc, 8, 1)
+	wantFault(t, err, Fault{Addr: 0xffc, Size: 8, Write: true})
+	wantResident(t, as, 0, "after both faults")
+}
+
+// TestZeroPageNeverWritable: reading an untouched page and then writing it
+// must give the page memory of its own — a write that landed in the shared
+// zero page would show up in every other untouched page.
+func TestZeroPageNeverWritable(t *testing.T) {
+	as := NewAddressSpace()
+	mustMap(t, as, 0x10000, 0x4000)
+	if v, err := as.ReadU8(0x10008); err != nil || v != 0 {
+		t.Fatalf("read of untouched page: %d, %v", v, err)
+	}
+	if err := as.WriteU8(0x10008, 0xAA); err != nil { // same page as the read just cached
+		t.Fatal(err)
+	}
+	wantResident(t, as, 1, "after read-then-write of one page")
+	if v, _ := as.ReadU8(0x10008); v != 0xAA {
+		t.Fatalf("write lost: read back %#x", v)
+	}
+	for _, addr := range []uint32{0x11008, 0x12008, 0x13008} {
+		if v, err := as.ReadU8(addr); err != nil || v != 0 {
+			t.Errorf("write leaked into untouched page: [%#x] = %#x, %v", addr, v, err)
+		}
+	}
+	other := NewAddressSpace()
+	mustMap(t, other, 0x10000, 0x1000)
+	if v, _ := other.ReadU8(0x10008); v != 0 {
+		t.Errorf("write leaked into another address space: %#x", v)
+	}
+	if zeroPage != (page{}) {
+		t.Fatal("the shared zero page was written")
+	}
+}
+
+// TestUnmapDropsPages: Unmap releases residency and the one-entry cache,
+// and a fresh mapping of the same range reads zeros again.
+func TestUnmapDropsPages(t *testing.T) {
+	as := NewAddressSpace()
+	mustMap(t, as, 0x40_0000-0x2000, 0x4000) // straddles a leaf boundary
+	mustMap(t, as, 0x80_0000, 0x1000)
+	for _, addr := range []uint32{0x40_0000 - 0x2000, 0x40_0000 - 1, 0x40_0000, 0x40_1fff, 0x80_0000} {
+		if err := as.WriteU8(addr, 0x55); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantResident(t, as, 5, "after five writes")
+	if err := as.WriteU8(0x40_0000, 0x66); err != nil { // leaves this page in the cache
+		t.Fatal(err)
+	}
+	if err := as.Unmap(0x40_0000 - 0x2000); err != nil {
+		t.Fatal(err)
+	}
+	wantResident(t, as, 1, "after Unmap")
+	_, err := as.ReadU8(0x40_0000)
+	wantFault(t, err, Fault{Addr: 0x40_0000, Size: 1})
+	wantFault(t, as.WriteU8(0x40_0000, 1), Fault{Addr: 0x40_0000, Size: 1, Write: true})
+	wantResident(t, as, 1, "after faulting on the unmapped range")
+	mustMap(t, as, 0x40_0000-0x2000, 0x4000)
+	for _, addr := range []uint32{0x40_0000 - 0x2000, 0x40_0000 - 1, 0x40_0000, 0x40_1fff} {
+		if v, err := as.ReadU8(addr); err != nil || v != 0 {
+			t.Errorf("re-mapped [%#x] = %#x, %v; want 0", addr, v, err)
+		}
+	}
+	if v, _ := as.ReadU8(0x80_0000); v != 0x55 {
+		t.Errorf("Unmap disturbed a neighbouring mapping: %#x", v)
+	}
+}
+
+// TestTopOfAddressSpace: a mapping may end exactly at 2^32, and nothing
+// may wrap around it to address 0.
+func TestTopOfAddressSpace(t *testing.T) {
+	as := NewAddressSpace()
+	mustMap(t, as, 0xFFFF_0000, 0x1_0000)
+	if err := as.WriteU8(0xFFFF_FFFF, 0x9C); err != nil {
+		t.Fatalf("write of the last byte: %v", err)
+	}
+	if v, err := as.ReadU8(0xFFFF_FFFF); err != nil || v != 0x9C {
+		t.Fatalf("read of the last byte: %#x, %v", v, err)
+	}
+	m, ok := as.MappingAt(0xFFFF_FFFF)
+	if !ok || m.Base != 0xFFFF_0000 || m.Size != 0x1_0000 {
+		t.Fatalf("MappingAt(0xFFFFFFFF) = %+v, %v", m, ok)
+	}
+	if err := as.Map(Mapping{Path: "over", Base: 0xFFFF_8000, Size: 0x1000}); err == nil {
+		t.Error("mapping overlapping the top 64 KiB accepted")
+	}
+	if err := as.Map(Mapping{Path: "below", Base: 0xFFFE_F000, Size: 0x1000}); err != nil {
+		t.Errorf("mapping adjacent below the top 64 KiB rejected: %v", err)
+	}
+
+	// With page 0 mapped, an access running off the top must still fault
+	// rather than continue at address 0.
+	mustMap(t, as, 0, 0x1000)
+	resident := as.Resident()
+	_, err := as.ReadUint(0xFFFF_FFFC, 8)
+	wantFault(t, err, Fault{Addr: 0, Size: 1})
+	wantFault(t, as.WriteUint(0xFFFF_FFFC, 8, ^uint64(0)), Fault{Addr: 0, Size: 1, Write: true})
+	if v, _ := as.ReadUint(0xFFFF_FFFC, 4); v != 0x9C00_0000 {
+		t.Errorf("faulting store past the top wrote %#x", v)
+	}
+	if v, _ := as.ReadUint(0, 4); v != 0 {
+		t.Errorf("store past the top landed at address 0: %#x", v)
+	}
+	wantFault(t, as.ReadBytes(0xFFFF_FFFE, make([]byte, 4)), Fault{Addr: 0, Size: 2})
+	wantFault(t, as.WriteBytes(0xFFFF_FFFE, []byte{1, 2, 3, 4}), Fault{Addr: 0, Size: 2, Write: true})
+	if as.Resident() != resident {
+		t.Errorf("faulting accesses changed residency: %d -> %d", resident, as.Resident())
+	}
+	if err := as.Unmap(0xFFFF_0000); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := as.MappingAt(0xFFFF_FFFF); ok {
+		t.Error("top mapping survives Unmap")
+	}
+}
+
+// TestWriteMapping: the streamed image of a mapping is what ReadBytes
+// returns, untouched pages included, and streaming materialises nothing.
+func TestWriteMapping(t *testing.T) {
+	as := NewAddressSpace()
+	mustMap(t, as, 0xFFFF_C000, 0x4000) // ends at 2^32
+	if err := as.WriteBytes(0xFFFF_D800, bytes.Repeat([]byte{0xEE}, 0x1000)); err != nil {
+		t.Fatal(err)
+	}
+	m := as.Mappings()[0]
+	var got bytes.Buffer
+	if err := as.WriteMapping(&got, m); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, m.Size)
+	if err := as.ReadBytes(m.Base, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("streamed mapping differs from ReadBytes")
+	}
+	wantResident(t, as, 2, "after streaming")
+	if err := as.WriteMapping(&got, Mapping{Base: 0x1000, Size: 0x1000}); err == nil {
+		t.Error("streaming an unmapped range succeeded")
+	}
+}
+
+// eagerSpace is the trivially eager reference model: every page of a
+// mapping is allocated when it is mapped and found through a hash map.
+type eagerSpace struct {
+	pages map[uint32]*[PageSize]byte
+	maps  map[uint32]uint32 // base -> size
+}
+
+func (e *eagerSpace) mapAt(base, size uint32) bool {
+	end := uint64(base) + uint64(size)
+	if size == 0 || end > 1<<32 {
+		return false
+	}
+	for p := uint64(base); p < end; p += PageSize {
+		if e.pages[uint32(p>>pageShift)] != nil {
+			return false
+		}
+	}
+	for p := uint64(base); p < end; p += PageSize {
+		e.pages[uint32(p>>pageShift)] = new([PageSize]byte)
+	}
+	e.maps[base] = size
+	return true
+}
+
+func (e *eagerSpace) unmap(base uint32) bool {
+	size, ok := e.maps[base]
+	if !ok {
+		return false
+	}
+	for p := uint64(base); p < uint64(base)+uint64(size); p += PageSize {
+		delete(e.pages, uint32(p>>pageShift))
+	}
+	delete(e.maps, base)
+	return true
+}
+
+// firstBad returns the first address in [addr, addr+n) that is not mapped
+// (or lies past the top of the address space), or -1.
+func (e *eagerSpace) firstBad(addr uint32, n int) int64 {
+	for i := 0; i < n; i++ {
+		a := uint64(addr) + uint64(i)
+		if a >= 1<<32 || e.pages[uint32(a>>pageShift)] == nil {
+			return int64(a)
+		}
+	}
+	return -1
+}
+
+func (e *eagerSpace) byteAt(a uint32) *byte { return &e.pages[a>>pageShift][a&(PageSize-1)] }
+
+// TestAgainstEagerModel drives the address space and the reference model
+// with the same random map/unmap/read/write sequence and demands the same
+// bytes and the same faults from both.
+func TestAgainstEagerModel(t *testing.T) {
+	// A small arena with page 0, a leaf boundary and the top of the
+	// address space in it, so wrap-around and table edges get exercised.
+	arenas := []uint32{0, 0x40_0000 - 0x4000, 0xFFFF_8000}
+	const arenaSize = 0x8000
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		as := NewAddressSpace()
+		ref := &eagerSpace{pages: map[uint32]*[PageSize]byte{}, maps: map[uint32]uint32{}}
+		pick := func() uint32 { // an address in or just around an arena
+			return arenas[rng.Intn(len(arenas))] + uint32(rng.Intn(arenaSize+16)) - 8
+		}
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 8:
+				base := arenas[rng.Intn(len(arenas))] + uint32(rng.Intn(arenaSize/PageSize))*PageSize
+				size := uint32(1+rng.Intn(4)) * PageSize
+				err := as.Map(Mapping{Path: "m", Base: base, Size: size})
+				if ok := ref.mapAt(base, size); ok != (err == nil) {
+					t.Fatalf("seed %d step %d: Map(%#x,%#x) err %v, model accepted=%v", seed, step, base, size, err, ok)
+				}
+			case op < 14:
+				base := arenas[rng.Intn(len(arenas))] + uint32(rng.Intn(arenaSize/PageSize))*PageSize
+				err := as.Unmap(base)
+				if ok := ref.unmap(base); ok != (err == nil) {
+					t.Fatalf("seed %d step %d: Unmap(%#x) err %v, model accepted=%v", seed, step, base, err, ok)
+				}
+			case op < 45:
+				addr, size := pick(), []int{1, 2, 4, 8}[rng.Intn(4)]
+				got, err := as.ReadUint(addr, size)
+				checkAccess(t, ref, "ReadUint", addr, size, false, err)
+				if err == nil {
+					var want uint64
+					for i := 0; i < size; i++ {
+						want |= uint64(*ref.byteAt(addr + uint32(i))) << (8 * i)
+					}
+					if got != want {
+						t.Fatalf("seed %d step %d: ReadUint(%#x,%d) = %#x, model %#x", seed, step, addr, size, got, want)
+					}
+				}
+			case op < 80:
+				addr, size, v := pick(), []int{1, 2, 4, 8}[rng.Intn(4)], rng.Uint64()
+				err := as.WriteUint(addr, size, v)
+				checkAccess(t, ref, "WriteUint", addr, size, true, err)
+				if err == nil {
+					for i := 0; i < size; i++ {
+						*ref.byteAt(addr + uint32(i)) = byte(v >> (8 * i))
+					}
+				}
+			case op < 90:
+				addr, buf := pick(), make([]byte, rng.Intn(3*PageSize))
+				err := as.ReadBytes(addr, buf)
+				if bad := ref.firstBad(addr, len(buf)); bad >= 0 {
+					// The fault names the page where the copy stopped.
+					at := uint32(bad)
+					if at != addr {
+						at &^= PageSize - 1
+					}
+					wantFault(t, err, Fault{Addr: at, Size: len(buf) - int(at-addr)})
+				} else if err != nil {
+					t.Fatalf("seed %d step %d: ReadBytes(%#x,%d): %v", seed, step, addr, len(buf), err)
+				} else {
+					for i, b := range buf {
+						if want := *ref.byteAt(addr + uint32(i)); b != want {
+							t.Fatalf("seed %d step %d: ReadBytes(%#x)[%d] = %#x, model %#x", seed, step, addr, i, b, want)
+						}
+					}
+				}
+			default:
+				addr, buf := pick(), make([]byte, rng.Intn(3*PageSize))
+				rng.Read(buf)
+				err := as.WriteBytes(addr, buf)
+				n := len(buf)
+				if bad := ref.firstBad(addr, len(buf)); bad >= 0 {
+					at := uint32(bad)
+					if at != addr {
+						at &^= PageSize - 1
+					}
+					wantFault(t, err, Fault{Addr: at, Size: len(buf) - int(at-addr), Write: true})
+					n = int(at - addr) // the pages before the fault were written
+				} else if err != nil {
+					t.Fatalf("seed %d step %d: WriteBytes(%#x,%d): %v", seed, step, addr, len(buf), err)
+				}
+				for i := 0; i < n; i++ {
+					*ref.byteAt(addr + uint32(i)) = buf[i]
+				}
+			}
+		}
+		// Final sweep: every page of every arena agrees, mapped or not.
+		touched := 0
+		for _, arena := range arenas {
+			for off := uint32(0); off < arenaSize; off += PageSize {
+				var got [PageSize]byte
+				err := as.ReadBytes(arena+off, got[:])
+				want := ref.pages[(arena+off)>>pageShift]
+				if (want == nil) != (err != nil) {
+					t.Fatalf("seed %d: page %#x mapped in model=%v, ReadBytes err %v", seed, arena+off, want != nil, err)
+				}
+				if want != nil && got != *want {
+					t.Fatalf("seed %d: page %#x differs from the model", seed, arena+off)
+				}
+				if want != nil && *want != (page{}) {
+					touched++
+				}
+			}
+		}
+		if as.Resident() < touched || as.Resident() > as.MappedPages() {
+			t.Fatalf("seed %d: Resident() = %d with %d non-zero pages of %d mapped", seed, as.Resident(), touched, as.MappedPages())
+		}
+		if len(as.Mappings()) != len(ref.maps) {
+			t.Fatalf("seed %d: %d mappings, model has %d", seed, len(as.Mappings()), len(ref.maps))
+		}
+	}
+}
+
+// checkAccess checks the error of a ReadUint/WriteUint against the model:
+// an access whose first byte is unmapped faults as a whole; one that runs
+// into an unmapped (or nonexistent) second page faults on that page's
+// first byte, one byte wide.
+func checkAccess(t *testing.T, ref *eagerSpace, what string, addr uint32, size int, write bool, err error) {
+	t.Helper()
+	bad := ref.firstBad(addr, size)
+	switch {
+	case bad < 0:
+		if err != nil {
+			t.Fatalf("%s(%#x,%d): %v, model has it mapped", what, addr, size, err)
+		}
+	case uint32(bad) == addr:
+		wantFault(t, err, Fault{Addr: addr, Size: size, Write: write})
+	default:
+		wantFault(t, err, Fault{Addr: uint32(bad), Size: 1, Write: write})
 	}
 }

@@ -28,6 +28,11 @@ type vmMetrics struct {
 	optTraces  *metrics.CounterVec // outcome=optimized|rejected
 	optRemoved *metrics.Counter
 
+	// Guest memory: pages the mapping table covers, and how many of them
+	// the run wrote and so gave memory of their own (internal/mem).
+	mappedPages   *metrics.Gauge
+	residentPages *metrics.Gauge
+
 	// Asynchronous translation pipeline (zero without WithPipeline).
 	pipeSpec     *metrics.CounterVec // outcome=enqueued|translated|wasted|dropped
 	pipeTicks    *metrics.CounterVec // kind=stall|install|offload|wasted
@@ -51,6 +56,9 @@ func newVMMetrics(r *metrics.Registry) *vmMetrics {
 		syscalls:   r.CounterVec("pcc_vm_syscalls_total", "emulated system calls", "num"),
 		optTraces:  r.CounterVec("pcc_vm_opt_traces_total", "translation-time optimizer outcomes per trace", "outcome"),
 		optRemoved: r.Counter("pcc_vm_opt_insts_removed_total", "instructions eliminated by the translation-time optimizer"),
+
+		mappedPages:   r.Gauge("pcc_vm_mapped_pages", "guest pages covered by a mapping"),
+		residentPages: r.Gauge("pcc_vm_resident_pages", "guest pages written at least once (demand-zero pages holding memory)"),
 
 		pipeSpec:     r.CounterVec("pcc_vm_pipeline_spec_total", "speculative translation jobs by outcome", "outcome"),
 		pipeTicks:    r.CounterVec("pcc_vm_pipeline_ticks_total", "pipeline virtual ticks by kind (offload/wasted are modeled worker time, not run time)", "kind"),
@@ -97,6 +105,8 @@ func (v *VM) syncMetrics() {
 	m.optTraces.With("optimized").Set(s.TracesOptimized)
 	m.optTraces.With("rejected").Set(s.OptRejects)
 	m.optRemoved.Set(s.OptInstsRemoved)
+	m.mappedPages.Set(float64(v.as.MappedPages()))
+	m.residentPages.Set(float64(v.as.Resident()))
 	m.pipeSpec.With("enqueued").Set(s.SpecEnqueued)
 	m.pipeSpec.With("translated").Set(s.SpecTranslated)
 	m.pipeSpec.With("wasted").Set(s.SpecWasted)

@@ -2,8 +2,8 @@
 # formatting, lint (vet + the project's own invariant analyzers), build, and
 # the full test suite under the race detector (the cache server and the
 # concurrent-commit paths are only meaningfully tested with -race). `make ci`
-# mirrors .github/workflows/ci.yml exactly, adding the bench-regression and
-# fuzz smoke gates.
+# mirrors .github/workflows/ci.yml exactly, adding the bench-regression,
+# experiment-gate and fuzz smoke gates.
 
 GO ?= go
 
@@ -16,11 +16,11 @@ MAX_REGRESS = 0.25
 # local activity (`make fuzz FUZZTIME=10m`).
 FUZZTIME = 10s
 
-.PHONY: check ci build vet lint test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke clean
+.PHONY: check ci build vet lint test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline gate-smoke fuzz-smoke clean
 
 check: fmt-check lint build test-race
 
-ci: check flake-gate bench-smoke chaos-smoke migrate-smoke fleet-smoke replay-smoke optimize-smoke fuzz-smoke guestfuzz-smoke
+ci: check flake-gate bench-smoke gate-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -74,49 +74,36 @@ bench-smoke:
 	$(GO) run ./cmd/pcc-bench -json -run $(BENCH_SMOKE) > bench_current.json
 	$(GO) run ./cmd/pcc-benchdiff -baseline bench_baseline.json -current bench_current.json -max-regress $(MAX_REGRESS)
 
-# Crash-consistency sweep + self-healing check (fails on any invariant
-# violation); deterministic, so also the CI chaos job.
-chaos-smoke:
-	$(GO) run ./cmd/pcc-bench -run chaos
+# The gate experiments: each is deterministic and exits non-zero on a
+# violated invariant, so each is also one cell of the CI gate-smoke matrix.
+#   chaos      crash at every filesystem op in commit/accumulate/prune +
+#              self-healing check; fails on any invariant violation
+#   migrate    legacy fixture database (one entry corrupted) -> in-place
+#              migrate -> deep verify -> warm run; fails if corruption is
+#              laundered, verification fails, or a surviving entry stops
+#              warm-serving
+#   fleet      4 in-process shards, Zipfian client waves, shard s0 killed
+#              mid-run; fails on shard imbalance > 1.5x the mean, any
+#              committed entry lost to the kill, or < 50% of translation
+#              work avoided
+#   replay     every GUI app ships a recording + cache snapshot and its first
+#              launch must replay bit-exactly (>= 90% of translation avoided,
+#              tampered recordings rejected with a diagnostic)
+#   optimize   each guestopt pass toggled alone, then all together, over
+#              warm GUI-suite runs; fails if the equivalence checker rejects
+#              an engine rewrite or all-passes saves < 10% of warm dispatch
+#              ticks
+#   guestfuzz  for each known-bug plant (miscompiled translation,
+#              checksum-valid store-blob corruption, truncated recording) a
+#              short fixed-seed campaign must rediscover the bug, minimize it
+#              under the body budget and package a loadable crasher; the
+#              healthy-system control must stay silent. Long exploratory
+#              campaigns: `go run ./cmd/pcc-fuzz -execs 5000 -corpus ...`
+GATES = chaos migrate fleet replay optimize guestfuzz
 
-# Legacy-to-store migration gate: legacy fixture database (one entry
-# corrupted) -> in-place migrate -> deep verify -> warm run. Exits
-# non-zero if corruption is laundered, verification fails, or a surviving
-# entry stops warm-serving.
-migrate-smoke:
-	$(GO) run ./cmd/pcc-bench -run migrate
-
-# Sharded-fleet gate: 4 in-process shards, Zipfian client waves, shard s0
-# killed mid-run. Exits non-zero on shard imbalance > 1.5x the mean, any
-# committed entry lost to the single-shard kill, or < 50% of translation
-# work avoided. Deterministic, so also the CI fleet job.
-fleet-smoke:
-	$(GO) run ./cmd/pcc-bench -run fleet
-
-# Record-and-replay gate: every GUI app ships a recording + cache snapshot
-# and its first launch must replay bit-exactly (>= 90% of translation
-# avoided, tampered recordings rejected with a diagnostic); then the crasher
-# corpus — every self-packaged failure artifact under crashers/ — is rebuilt
-# and re-judged.
-replay-smoke:
-	$(GO) run ./cmd/pcc-bench -run replay
-	$(GO) test -run TestCrasherCorpus .
-
-# Guest-IR optimizer ablation gate: each guestopt pass toggled alone, then
-# all together, over warm GUI-suite runs primed from optimized caches.
-# Exits non-zero if the equivalence checker rejects an engine rewrite or
-# the all-passes arm saves < 10% of warm dispatch ticks. Deterministic.
-optimize-smoke:
-	$(GO) run ./cmd/pcc-bench -run optimize
-
-# Coverage-guided guest-program fuzzing gate: for each known-bug plant
-# (miscompiled translation, checksum-valid store-blob corruption, truncated
-# recording) a short fixed-seed campaign must rediscover the bug, minimize
-# it under the body budget, and package a loadable crasher; a healthy-system
-# control campaign must stay silent. Fully deterministic. Long exploratory
-# campaigns run locally via `go run ./cmd/pcc-fuzz -execs 5000 -corpus ...`.
-guestfuzz-smoke:
-	$(GO) run ./cmd/pcc-bench -run guestfuzz
+gate-smoke:
+	@for g in $(GATES); do \
+		echo "== gate: $$g"; $(GO) run ./cmd/pcc-bench -run $$g || exit 1; done
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
 # decode, wire-protocol frames, cache-file bytes, store pack files) plus the

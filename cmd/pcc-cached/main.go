@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	pcc-cached -dir DB [-listen 127.0.0.1:7433] [-shards 16] [-reloc] [-v]
+//	pcc-cached -dir DB [-listen 127.0.0.1:7433] [-reloc] [-v]
 //	pcc-cached -dir DB -listen unix:/tmp/pcc.sock
 //	pcc-cached -dir DB -metrics-addr 127.0.0.1:9100   # /metrics + /healthz
 //	pcc-cached -dir DB -fleet-config fleet.json -shard-id s0   # one fleet shard
@@ -47,7 +47,6 @@ import (
 func main() {
 	dir := flag.String("dir", "", "cache database directory to serve (required)")
 	listen := flag.String("listen", "127.0.0.1:7433", `listen address: "host:port" or "unix:/path.sock"`)
-	shards := flag.Int("shards", 0, "in-memory index shard count (0 = default)")
 	reloc := flag.Bool("reloc", false, "enable relocatable translations when merging")
 	storeFmt := flag.Bool("store", false, "merge publishes into the content-addressed store format (manifest + shared blobs)")
 	metricsAddr := flag.String("metrics-addr", "", `HTTP address serving /metrics and /healthz (e.g. "127.0.0.1:9100"; empty disables)`)
@@ -117,9 +116,6 @@ func main() {
 	sopts := []cacheserver.Option{cacheserver.WithMetrics(reg)}
 	if len(peers) > 0 {
 		sopts = append(sopts, cacheserver.WithFleetPeers(peers))
-	}
-	if *shards > 0 {
-		sopts = append(sopts, cacheserver.WithShards(*shards))
 	}
 	if *idle > 0 {
 		sopts = append(sopts, cacheserver.WithIdleTimeout(*idle))

@@ -3,9 +3,10 @@
 //
 // Usage:
 //
-//	pcc-fuzz -execs 500                       # fuzz, all oracles
+//	pcc-fuzz -execs 500                       # fuzz, the four default oracles
 //	pcc-fuzz -seed 7 -corpus fuzz-corpus/     # persistent corpus
 //	pcc-fuzz -oracles interp-vs-trans,cold-vs-warm
+//	pcc-fuzz -oracles fleet-warmed,pipelined-vs-warm-disk   # any execution mode / pair
 //	pcc-fuzz -plant miscompile -execs 40      # known-bug rediscovery check
 //	pcc-fuzz -list-plants
 //
@@ -31,7 +32,7 @@ func main() {
 	execs := flag.Int("execs", 200, "mutant-evaluation budget")
 	corpus := flag.String("corpus", "", "persist kept cases + coverage in this directory")
 	out := flag.String("out", "", "package findings here (default: crashers/pending)")
-	oracles := flag.String("oracles", "", "comma-separated oracle subset (default: all)")
+	oracles := flag.String("oracles", "", "comma-separated oracles: the four default names, any execution mode (judged against interpreted), or <modeA>-vs-<modeB> (default: the four)")
 	exact := flag.Bool("exact", false, "instruction-exact coverage feedback (slower, finer)")
 	plant := flag.String("plant", "", "inject this known-bug and require its rediscovery")
 	listPlants := flag.Bool("list-plants", false, "list known-bug plants and exit")

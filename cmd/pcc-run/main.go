@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -270,11 +271,11 @@ func main() {
 			}
 		} else {
 			rep, err = mgr.Prime(v)
-			if err == core.ErrNoCache && *interApp {
+			if errors.Is(err, core.ErrNoCache) && *interApp {
 				rep, err = mgr.PrimeInterApp(v)
 			}
 		}
-		if err != nil && err != core.ErrNoCache {
+		if err != nil && !errors.Is(err, core.ErrNoCache) {
 			fatal(err)
 		}
 		if rep.Found {

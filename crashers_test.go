@@ -2,15 +2,14 @@ package persistcc_test
 
 // TestCrasherCorpus replays every artifact in crashers/: the regression
 // corpus of self-packaged failures (see crashers/README.md). Each JSON file
-// rebuilds its workload — from a generated-workload spec or from literal
-// assembly sources — and must (a) run identically interpreted and
-// translated, (b) match its recorded expectations, and (c) when a .rec
-// sidecar is present, re-execute bit-exactly through the replayer, primed
-// from the bundled cache-DB snapshot so the cache-behavior counters
-// reproduce too.
+// is a saved diffexec case — a generated-workload spec or literal assembly
+// sources, plus optional warm state — and must (a) run identically
+// interpreted and under the translated mode its fields imply, (b) match its
+// recorded expectations, and (c) when a .rec sidecar is present, re-execute
+// bit-exactly through the replayer, primed from the bundled cache-DB
+// snapshot so the cache-behavior counters reproduce too.
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -18,7 +17,7 @@ import (
 	"testing"
 
 	"persistcc/internal/core"
-	"persistcc/internal/isa"
+	"persistcc/internal/diffexec"
 	"persistcc/internal/loader"
 	"persistcc/internal/replay"
 	"persistcc/internal/testutil"
@@ -34,23 +33,20 @@ func TestCrasherCorpus(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("crasher corpus is empty: crashers/*.json matched nothing")
 	}
-	regen := os.Getenv("PCC_REGEN_CRASHERS") != ""
 	for _, path := range paths {
-		path := path
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		t.Run(name, func(t *testing.T) { runCrasher(t, path, regen) })
+		t.Run(name, func(t *testing.T) { runCrasher(t, path, os.Getenv("PCC_REGEN_CRASHERS") != "") })
 	}
 }
 
-// crasherVM builds a fresh VM for the artifact's workload under the given
-// ASLR seed (the warm and diverging runs of a relocation-edge case differ
-// only in seed).
-func crasherVM(t *testing.T, c *replay.Crasher, seed uint64, opts ...vm.Option) *vm.VM {
+// crasherCase adapts a decoded artifact's workload to a diffexec.Case.
+func crasherCase(t *testing.T, c *replay.Crasher) diffexec.Case {
 	t.Helper()
+	own := noOpts
 	if c.SMC {
-		opts = append([]vm.Option{vm.WithSMCDetection()}, opts...)
+		own = func() []vm.Option { return []vm.Option{vm.WithSMCDetection()} }
 	}
-	cfg := loader.Config{Placement: loader.Placement(c.Placement), ASLRSeed: seed}
+	var dc diffexec.Case
 	if len(c.Spec) > 0 {
 		var spec workload.ProgSpec
 		var in workload.Input
@@ -60,262 +56,101 @@ func crasherVM(t *testing.T, c *replay.Crasher, seed uint64, opts ...vm.Option) 
 		if err := json.Unmarshal(c.Units, &in); err != nil {
 			t.Fatalf("crasher units: %v", err)
 		}
-		prog, err := workload.BuildProgram(spec)
-		if err != nil {
-			t.Fatalf("crasher spec build: %v", err)
-		}
-		v, err := prog.NewVM(cfg, in, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+		dc = progCase(t, spec, in, loader.Placement(c.Placement), own)
+	} else {
+		dc = worldCase(t, c.Name, c.Main, c.Libs, loader.Placement(c.Placement), c.Input, own)
 	}
-	w := testutil.BuildWorld(t, c.Name, c.Main, c.Libs)
-	return w.NewVM(t, testutil.RunOpts{Input: c.Input, Cfg: cfg, Options: opts})
+	dc.Name, dc.Seed, dc.WarmSeed, dc.Store = c.Name, c.ASLRSeed, c.WarmASLRSeed, c.Store
+	return dc
 }
 
-// crasherInput returns the input words the artifact's runs consume.
-func crasherInput(t *testing.T, c *replay.Crasher) []uint64 {
-	t.Helper()
-	if len(c.Spec) == 0 {
-		return c.Input
-	}
-	var in workload.Input
-	if err := json.Unmarshal(c.Units, &in); err != nil {
-		t.Fatalf("crasher units: %v", err)
-	}
-	return in.Words()
-}
-
+// runCrasher judges one artifact. With regen (PCC_REGEN_CRASHERS=1, after a
+// deliberate log-format or VM change) the committed .rec and .db sidecars are
+// ignored — they may not exist yet — so recorded-replayed commits a fresh
+// database and records a warm run primed from it; both are then saved next
+// to the JSON with a new Expect block.
 func runCrasher(t *testing.T, path string, regen bool) {
-	var c *replay.Crasher
-	var recData []byte
-	if regen {
-		// Sidecars may not exist yet; read the JSON alone, rebuild them,
-		// then reload the complete artifact.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c = &replay.Crasher{}
-		if err := json.Unmarshal(data, c); err != nil {
-			t.Fatal(err)
-		}
-		if c.Recording != "" || c.Snapshot != "" {
-			regenSidecars(t, path, c)
-		}
-	}
-	var err error
-	c, recData, err = replay.LoadCrasher(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Relocation-edge shape: populate a database from a run placed under
-	// the warm seed; the diverging run below primes from it at another.
-	var mgr *core.Manager
-	if c.WarmASLRSeed != 0 {
-		mgr = newCrasherMgr(t, c)
-		vw := crasherVM(t, c, c.WarmASLRSeed)
-		if _, err := vw.Run(); err != nil {
-			t.Fatalf("warm run: %v", err)
-		}
-		if _, err := mgr.Commit(vw); err != nil {
-			t.Fatalf("warm commit: %v", err)
-		}
-	}
-
-	// Interpreted reference.
-	vN := crasherVM(t, c, c.ASLRSeed)
-	native, err := vN.RunNative()
-	if err != nil {
-		t.Fatalf("interpreted: %v", err)
-	}
-
-	// Translated run (warmed when the case demands it).
-	vT := crasherVM(t, c, c.ASLRSeed)
-	if mgr != nil {
-		rep, err := mgr.Prime(vT)
-		if err != nil {
-			t.Fatalf("prime: %v", err)
-		}
-		if rep.Installed == 0 {
-			t.Fatal("relocation case primed nothing; the regression would be vacuous")
-		}
-	}
-	trans, err := vT.Run()
-	if err != nil {
-		t.Fatalf("translated: %v", err)
-	}
-
-	if trans.ExitCode != native.ExitCode {
-		t.Errorf("exit: translated %d, interpreted %d", trans.ExitCode, native.ExitCode)
-	}
-	if !bytes.Equal(trans.Output, native.Output) {
-		t.Errorf("output: translated %d bytes, interpreted %d bytes", len(trans.Output), len(native.Output))
-	}
-	if trans.Stats.InstsExecuted != native.Stats.InstsExecuted {
-		t.Errorf("insts: translated %d, interpreted %d", trans.Stats.InstsExecuted, native.Stats.InstsExecuted)
-	}
-	for r := uint8(0); r < isa.NumRegs; r++ {
-		if vT.Reg(r) != vN.Reg(r) {
-			t.Errorf("r%d: translated %#x, interpreted %#x", r, vT.Reg(r), vN.Reg(r))
-		}
-	}
-	if c.Expect != nil {
-		if trans.ExitCode != c.Expect.Exit {
-			t.Errorf("exit %d, artifact expects %d", trans.ExitCode, c.Expect.Exit)
-		}
-		if c.Expect.Insts != 0 && trans.Stats.InstsExecuted != c.Expect.Insts {
-			t.Errorf("insts %d, artifact expects %d", trans.Stats.InstsExecuted, c.Expect.Insts)
-		}
-		if c.Expect.Output != "" && string(trans.Output) != c.Expect.Output {
-			t.Errorf("output %q, artifact expects %q", trans.Output, c.Expect.Output)
-		}
-	}
-
-	// Bit-exact re-execution of the bundled recording.
-	if len(recData) > 0 {
-		rp, err := replay.NewReplayer(recData)
-		if err != nil {
-			t.Fatalf("recording: %v", err)
-		}
-		v := crasherVM(t, c, rp.Seed(), vm.WithBoundary(rp), vm.WithPID(rp.PID()))
-		if err := rp.VerifyLayout(v.Process()); err != nil {
-			t.Fatalf("recording layout: %v", err)
-		}
-		if c.Snapshot != "" {
-			smgr := snapshotMgr(t, filepath.Join(filepath.Dir(path), c.Snapshot), c.Store)
-			rep, err := smgr.Prime(v)
-			if err != nil {
-				t.Fatalf("snapshot prime: %v", err)
-			}
-			if rep.Installed == 0 {
-				t.Fatal("snapshot primed nothing; the recorded counters cannot reproduce")
-			}
-		}
-		res, err := v.Run()
-		if err != nil {
-			t.Fatalf("replay run: %v", err)
-		}
-		if err := rp.Finish(v, res); err != nil {
-			t.Errorf("recording did not replay bit-exactly: %v", err)
-		}
-	}
-}
-
-// newCrasherMgr builds the scratch cache manager a case's warm run commits
-// into, honoring the artifact's store-layout flag.
-func newCrasherMgr(t *testing.T, c *replay.Crasher) *core.Manager {
-	t.Helper()
-	if !c.Store {
-		return testutil.NewMgr(t)
-	}
-	mgr, err := core.NewManager(testutil.TempDB(t), core.WithRelocatable(), core.WithStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mgr
-}
-
-// snapshotMgr opens a manager over a scratch copy of a committed snapshot
-// directory — never over the snapshot itself, which must stay pristine in
-// version control (a manager takes a .lock in its directory).
-func snapshotMgr(t *testing.T, snapDir string, store bool) *core.Manager {
-	t.Helper()
-	scratch := testutil.TempDB(t)
-	if err := copyTree(snapDir, scratch); err != nil {
-		t.Fatalf("snapshot copy: %v", err)
-	}
-	var opts []core.ManagerOption
-	if store {
-		opts = append(opts, core.WithStore())
-	}
-	mgr, err := core.NewManager(scratch, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mgr
-}
-
-func copyTree(src, dst string) error {
-	return filepath.Walk(src, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, p)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-}
-
-// regenSidecars rebuilds an artifact's committed .rec and .db sidecars (and
-// its Expect block) from scratch: a cold run commits a fresh database, the
-// snapshot is taken, and a warm run primed from that database is recorded.
-// Run via PCC_REGEN_CRASHERS=1 after a deliberate log-format or VM change.
-func regenSidecars(t *testing.T, path string, c *replay.Crasher) {
-	t.Helper()
 	dir := filepath.Dir(path)
-	mgr := newCrasherMgr(t, c)
-	vc := crasherVM(t, c, c.ASLRSeed)
-	if _, err := vc.Run(); err != nil {
-		t.Fatalf("regen cold run: %v", err)
+	c, rec, err := replay.LoadCrasher(nil, path)
+	if regen {
+		var data []byte
+		if data, err = os.ReadFile(path); err == nil {
+			c, rec = &replay.Crasher{}, nil
+			err = json.Unmarshal(data, c)
+		}
 	}
-	if _, err := mgr.Commit(vc); err != nil {
-		t.Fatalf("regen commit: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &diffexec.Env{Case: crasherCase(t, c), Dir: testutil.TempDB(t), Recorded: rec}
+	defer env.Close()
+	if c.Snapshot != "" && !regen {
+		// A scratch copy, never the committed snapshot itself, which must
+		// stay pristine in version control (a manager takes a .lock in its
+		// directory).
+		scratch := testutil.TempDB(t)
+		if err := copyTree(filepath.Join(dir, c.Snapshot), scratch); err != nil {
+			t.Fatalf("snapshot copy: %v", err)
+		}
+		if env.RecordedDB, err = core.NewManager(scratch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The modes the artifact's fields imply, each judged against the
+	// interpreter: translated cold — or, in the relocation-edge shape, warm
+	// from a database (store-layout when flagged) written under the warm
+	// seed and consumed at another — then the bundled recording's replay.
+	modes := []string{"cold-translated"}
+	if c.WarmASLRSeed != 0 {
+		modes[0] = "warm-disk"
+		if c.Store {
+			modes[0] = "store-warmed"
+		}
+	}
+	if c.Recording != "" {
+		modes = append(modes, "recorded-replayed")
+	}
+	ref, err := env.Run("interpreted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *diffexec.Snapshot
+	for i, m := range modes {
+		if last, err = env.Run(m); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diffexec.Diff(ref, last, diffexec.Arch) {
+			t.Error(d)
+		}
+		if i > 0 || c.Expect == nil || regen {
+			continue
+		}
+		if last.Exit != c.Expect.Exit {
+			t.Errorf("exit %d, artifact expects %d", last.Exit, c.Expect.Exit)
+		}
+		if c.Expect.Insts != 0 && last.Stats.InstsExecuted != c.Expect.Insts {
+			t.Errorf("insts %d, artifact expects %d", last.Stats.InstsExecuted, c.Expect.Insts)
+		}
+		if c.Expect.Output != "" && string(last.Output) != c.Expect.Output {
+			t.Errorf("output %q, artifact expects %q", last.Output, c.Expect.Output)
+		}
+	}
+
+	if !regen || c.Recording == "" {
+		return
 	}
 	if c.Snapshot != "" {
 		snapDir := filepath.Join(dir, c.Snapshot)
 		if err := os.RemoveAll(snapDir); err != nil {
 			t.Fatal(err)
 		}
-		if err := mgr.SnapshotTo(snapDir); err != nil {
+		if err := env.RecordedDB.SnapshotTo(snapDir); err != nil {
 			t.Fatalf("regen snapshot: %v", err)
 		}
 	}
-
-	rec, err := replay.NewRecorder(nil, filepath.Join(dir, c.Recording))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := crasherVM(t, c, c.ASLRSeed, vm.WithBoundary(rec))
-	err = rec.Start(replay.StartInfo{
-		Program:   c.Name,
-		Placement: loader.Placement(c.Placement),
-		Seed:      c.ASLRSeed,
-		Input:     crasherInput(t, c),
-		PID:       1,
-		Proc:      v.Process(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := mgr.Prime(v); err != nil {
-		t.Fatalf("regen prime: %v", err)
-	} else if rep.Installed == 0 {
-		t.Fatal("regen primed nothing")
-	}
-	res, err := v.Run()
-	if err != nil {
-		t.Fatalf("regen warm run: %v", err)
-	}
-	if err := rec.Finish(v, res); err != nil {
-		t.Fatal(err)
-	}
-
-	c.Expect = &replay.Expect{Exit: res.ExitCode, Insts: res.Stats.InstsExecuted}
-	if _, err := replay.WriteCrasher(nil, dir, c, nil); err != nil {
+	c.Expect = &replay.Expect{Exit: last.Exit, Insts: last.Stats.InstsExecuted}
+	if _, err := replay.WriteCrasher(nil, dir, c, env.Recorded); err != nil {
 		t.Fatalf("regen artifact: %v", err)
 	}
-	t.Logf("regenerated %s sidecars (%d events recorded)", c.Name, rec.Events())
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
 	"strings"
@@ -20,13 +19,9 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("cacheserver: server closed")
 
-// defaultShards is the in-memory index shard count; a power of two so the
-// hash distributes evenly.
-const defaultShards = 16
-
 // entry is the in-memory state for one cache file.
 type entry struct {
-	meta core.IndexEntry // guarded by the owning shard's mu
+	meta core.IndexEntry // guarded by Server.idxMu
 
 	// hits counts fetch-type requests this entry served since daemon start
 	// — the frequency half of the fleet's utility ranking (hit frequency ×
@@ -57,18 +52,17 @@ type flight struct {
 	err  error
 }
 
-// shard is one slice of the in-memory index, hash-sharded by cache file
-// name (itself the digest of the key set), so lookups contend only within
-// their own shard.
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
-}
-
 // Server serves one persistent cache database to many client processes.
 type Server struct {
-	mgr          *core.Manager
-	shards       []*shard
+	mgr *core.Manager
+
+	// The in-memory index: one entry per cache file, keyed by file stem —
+	// the format-independent entry identity, so a publish that migrates an
+	// entry between formats stays on one entry. idxMu guards the map and
+	// every entry's meta; the per-entry locks carry the real concurrency.
+	idxMu   sync.RWMutex
+	entries map[string]*entry
+
 	logf         func(format string, args ...any)
 	metrics      *metrics.Registry
 	m            *serverMetrics
@@ -92,15 +86,6 @@ type Server struct {
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithShards overrides the index shard count.
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.shards = make([]*shard, n)
-		}
-	}
-}
 
 // WithLog installs a request log sink.
 func WithLog(f func(format string, args ...any)) Option {
@@ -134,12 +119,11 @@ func WithIdleTimeout(d time.Duration) Option {
 	return func(s *Server) { s.idleTimeout = d }
 }
 
-// New builds a server over an opened database, loading its index into the
-// sharded in-memory form.
+// New builds a server over an opened database, loading its index into
+// memory.
 func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 	s := &Server{
 		mgr:      mgr,
-		shards:   make([]*shard, defaultShards),
 		conns:    make(map[net.Conn]struct{}),
 		logf:     func(string, ...any) {},
 		maxFrame: MaxFrame,
@@ -151,9 +135,6 @@ func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 		s.metrics = metrics.NewRegistry()
 	}
 	s.m = newServerMetrics(s.metrics)
-	for i := range s.shards {
-		s.shards[i] = &shard{entries: make(map[string]*entry)}
-	}
 	if err := s.reloadIndex(); err != nil {
 		return nil, err
 	}
@@ -166,44 +147,30 @@ func (s *Server) reloadIndex() error {
 	if err != nil {
 		return err
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.entries = make(map[string]*entry)
-		sh.mu.Unlock()
-	}
+	fresh := make(map[string]*entry, len(entries))
 	for _, e := range entries {
-		stem := core.FileStem(e.File)
-		sh := s.shardFor(stem)
-		sh.mu.Lock()
-		sh.entries[stem] = &entry{meta: e, inflight: make(map[[32]byte]*flight)}
-		sh.mu.Unlock()
+		fresh[core.FileStem(e.File)] = &entry{meta: e, inflight: make(map[[32]byte]*flight)}
 	}
+	s.idxMu.Lock()
+	s.entries = fresh
+	s.idxMu.Unlock()
 	return nil
-}
-
-// shardFor shards by file stem — the format-independent entry identity —
-// so a publish that migrates an entry between formats stays on one entry.
-func (s *Server) shardFor(stem string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(stem))
-	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
 // entryFor returns the live entry for a cache file stem, creating it when
 // create is set (publish of a first cache for a key set).
 func (s *Server) entryFor(stem string, create bool) *entry {
-	sh := s.shardFor(stem)
-	sh.mu.RLock()
-	e := sh.entries[stem]
-	sh.mu.RUnlock()
+	s.idxMu.RLock()
+	e := s.entries[stem]
+	s.idxMu.RUnlock()
 	if e != nil || !create {
 		return e
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e = sh.entries[stem]; e == nil {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if e = s.entries[stem]; e == nil {
 		e = &entry{inflight: make(map[[32]byte]*flight)}
-		sh.entries[stem] = e
+		s.entries[stem] = e
 	}
 	return e
 }
@@ -450,31 +417,24 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 // still in flight (empty metadata) are invisible.
 func (s *Server) resolve(ks core.KeySet, interApp bool) (*entry, core.IndexEntry, bool) {
 	stem := core.FileStem(ks.CacheFileName())
-	sh := s.shardFor(stem)
-	sh.mu.RLock()
-	if e := sh.entries[stem]; e != nil && e.meta.File != "" {
-		meta := e.meta
-		sh.mu.RUnlock()
-		return e, meta, true
+	s.idxMu.RLock()
+	defer s.idxMu.RUnlock()
+	if e := s.entries[stem]; e != nil && e.meta.File != "" {
+		return e, e.meta, true
 	}
-	sh.mu.RUnlock()
 	if !interApp {
 		return nil, core.IndexEntry{}, false
 	}
 	var best *entry
 	var bestMeta core.IndexEntry
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			m := e.meta
-			if m.File == "" || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
-				continue
-			}
-			if best == nil || m.Traces > bestMeta.Traces || (m.Traces == bestMeta.Traces && m.File < bestMeta.File) {
-				best, bestMeta = e, m
-			}
+	for _, e := range s.entries {
+		m := e.meta
+		if m.File == "" || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
+			continue
 		}
-		sh.mu.RUnlock()
+		if best == nil || m.Traces > bestMeta.Traces || (m.Traces == bestMeta.Traces && m.File < bestMeta.File) {
+			best, bestMeta = e, m
+		}
 	}
 	return best, bestMeta, best != nil
 }
@@ -556,32 +516,21 @@ type bulkCand struct {
 func (s *Server) bulkCandidates(ks core.KeySet, interApp bool) []bulkCand {
 	var out []bulkCand
 	exact := core.FileStem(ks.CacheFileName())
-	sh := s.shardFor(exact)
-	sh.mu.RLock()
-	e := sh.entries[exact]
-	var exactMeta core.IndexEntry
-	if e != nil {
-		exactMeta = e.meta
-	}
-	sh.mu.RUnlock()
-	if e != nil && exactMeta.File != "" {
-		out = append(out, bulkCand{e, exactMeta})
-	}
-	if !interApp {
-		return out
+	s.idxMu.RLock()
+	if e := s.entries[exact]; e != nil && e.meta.File != "" {
+		out = append(out, bulkCand{e, e.meta})
 	}
 	var cands []bulkCand
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
+	if interApp {
+		for _, e := range s.entries {
 			m := e.meta
 			if m.File == "" || core.FileStem(m.File) == exact || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
 				continue
 			}
 			cands = append(cands, bulkCand{e, m})
 		}
-		sh.mu.RUnlock()
 	}
+	s.idxMu.RUnlock()
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].meta.Traces != cands[j].meta.Traces {
 			return cands[i].meta.Traces > cands[j].meta.Traces
@@ -688,10 +637,9 @@ func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*cor
 		AppPath: merged.AppPath, File: file, Traces: len(merged.Traces),
 		CodePool: merged.CodePool, DataPool: merged.DataPool,
 	}
-	sh := s.shardFor(core.FileStem(file))
-	sh.mu.Lock()
+	s.idxMu.Lock()
 	e.meta = meta
-	sh.mu.Unlock()
+	s.idxMu.Unlock()
 	e.dataMu.Lock()
 	e.data = nil // next fetch re-reads the merged file
 	e.dataMu.Unlock()
@@ -725,14 +673,12 @@ func (s *Server) handleStats(payload []byte) ([]byte, error) {
 
 // localStats aggregates this daemon's own in-memory index.
 func (s *Server) localStats() *core.DBStats {
-	var entries []core.IndexEntry
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			entries = append(entries, e.meta)
-		}
-		sh.mu.RUnlock()
+	s.idxMu.RLock()
+	entries := make([]core.IndexEntry, 0, len(s.entries))
+	for _, e := range s.entries {
+		entries = append(entries, e.meta)
 	}
+	s.idxMu.RUnlock()
 	st := core.AggregateStats(entries)
 	if ss, err := s.mgr.StoreStats(); err == nil && ss != nil {
 		st.Store = ss
@@ -791,21 +737,19 @@ func MergeDBStats(dst, src *core.DBStats) {
 // response is deterministic for a given state.
 func (s *Server) handleUtility() ([]byte, error) {
 	var out []UtilityEntry
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for stem, e := range sh.entries {
-			if e.meta.File == "" {
-				continue // first publish still in flight
-			}
-			out = append(out, UtilityEntry{
-				Stem:     stem,
-				Hits:     e.hits.Load(),
-				Traces:   e.meta.Traces,
-				CodePool: e.meta.CodePool,
-			})
+	s.idxMu.RLock()
+	for stem, e := range s.entries {
+		if e.meta.File == "" {
+			continue // first publish still in flight
 		}
-		sh.mu.RUnlock()
+		out = append(out, UtilityEntry{
+			Stem:     stem,
+			Hits:     e.hits.Load(),
+			Traces:   e.meta.Traces,
+			CodePool: e.meta.CodePool,
+		})
 	}
+	s.idxMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Stem < out[j].Stem })
 	return encodeUtilityEntries(out), nil
 }
@@ -827,11 +771,10 @@ func (s *Server) handleEvict(payload []byte) ([]byte, error) {
 		// Serialize against publishes of the same key set so an eviction
 		// cannot tear a concurrent merge.
 		e.mergeMu.Lock()
-		sh := s.shardFor(stem)
-		sh.mu.Lock()
+		s.idxMu.Lock()
 		meta := e.meta
-		delete(sh.entries, stem)
-		sh.mu.Unlock()
+		delete(s.entries, stem)
+		s.idxMu.Unlock()
 		var rerr error
 		if meta.File != "" {
 			rerr = s.mgr.RemoveEntry(meta.File)
@@ -840,9 +783,9 @@ func (s *Server) handleEvict(payload []byte) ([]byte, error) {
 		if rerr != nil {
 			// Disk removal failed: restore the in-memory entry so the index
 			// stays consistent with what is still servable.
-			sh.mu.Lock()
-			sh.entries[stem] = e
-			sh.mu.Unlock()
+			s.idxMu.Lock()
+			s.entries[stem] = e
+			s.idxMu.Unlock()
 			return nil, rerr
 		}
 		rep.Evicted++

@@ -29,7 +29,7 @@ const (
 	fleetKillWave   = 12 // shard s0 dies at this wave barrier
 	fleetKeep       = 10 // GlobalCompact retention for the eviction stage
 
-	// CI gates (satellite: make fleet-smoke).
+	// CI gates (make gate-smoke).
 	fleetMaxImbalance = 1.5 // max shard copies / mean shard copies
 	fleetMinAvoided   = 0.5 // fraction of translation work avoided
 )

@@ -10,7 +10,7 @@ import (
 	"persistcc/internal/stats"
 )
 
-// Migrate is the migration smoke gate (make migrate-smoke): build a legacy
+// Migrate is the migration smoke gate (make gate-smoke): build a legacy
 // fixture database, corrupt one entry, migrate in place, and prove the
 // promised end state — corrupt input quarantined rather than laundered
 // into the new format, every surviving entry deep-verified and warm-

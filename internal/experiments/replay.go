@@ -14,7 +14,7 @@ import (
 
 // replayMinAvoided is the CI gate on replay-shipped first launches: the
 // shipped cache must eliminate at least this fraction of the cold
-// translation work (satellite: make replay-smoke).
+// translation work (make gate-smoke).
 const replayMinAvoided = 0.9
 
 // ReplayWarming is the record-and-replay experiment: a vendor machine runs

@@ -7,8 +7,9 @@
 // and ASLR-seed perturbation, SMC rewrites, signal storms, input variation),
 // schedules its corpus by instr.CodeCov feedback (a mutant survives only if
 // it reaches code no earlier case reached), and judges every surviving case
-// with differential oracles: interpreted vs translated, cold vs
-// warm-from-store, optimizer on vs off, recorded vs replayed. A divergence is
+// with differential oracles — pairs of internal/diffexec execution modes:
+// by default interpreted vs translated, cold vs warm-from-store, optimizer
+// on vs off, recorded vs replayed. A divergence is
 // delta-debugged down to a minimal spec and self-packaged as a
 // replay.Crasher so TestCrasherCorpus replays it forever after.
 package guestfuzz
@@ -18,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 
+	"persistcc/internal/diffexec"
 	"persistcc/internal/loader"
 	"persistcc/internal/vm"
 	"persistcc/internal/workload"
@@ -197,6 +199,25 @@ func (c *Case) VMOpts(extra ...vm.Option) []vm.Option {
 		opts = append(opts, vm.WithSMCDetection())
 	}
 	return append(opts, extra...)
+}
+
+// diffCase adapts the case to the differential harness: the program built
+// once, a fresh VM per execution.
+func (c *Case) diffCase() (diffexec.Case, error) {
+	prog, err := c.Build()
+	if err != nil {
+		return diffexec.Case{}, err
+	}
+	return diffexec.Case{
+		Name:      prog.Name,
+		Placement: loader.Placement(c.Placement),
+		Input:     c.In.Words(),
+		Seed:      c.ASLRSeed,
+		WarmSeed:  c.WarmASLRSeed,
+		NewVM: func(seed uint64, opts ...vm.Option) (*vm.VM, error) {
+			return prog.NewVM(c.LoaderConfig(seed), c.In, c.VMOpts(opts...)...)
+		},
+	}, nil
 }
 
 // Clone deep-copies the case so mutation and minimization candidates never

@@ -70,6 +70,11 @@ func Fuzz(cfg Config) (*Stats, error) {
 	if len(oracles) == 0 {
 		oracles = AllOracles
 	}
+	for _, o := range oracles {
+		if _, _, err := oraclePair(o); err != nil {
+			return nil, err
+		}
+	}
 	crasherDir := cfg.CrasherDir
 	if crasherDir == "" {
 		crasherDir = replay.DefaultDir()

@@ -1,17 +1,12 @@
 package guestfuzz
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 
-	"persistcc/internal/core"
-	"persistcc/internal/guestopt"
-	"persistcc/internal/isa"
-	"persistcc/internal/loader"
-	"persistcc/internal/replay"
-	"persistcc/internal/vm"
+	"persistcc/internal/diffexec"
 )
 
 // Verdict is one oracle's judgment of a case. A nil *Verdict means the case
@@ -30,28 +25,10 @@ func (v *Verdict) String() string {
 	return fmt.Sprintf("%s: %s (%s)", v.Oracle, v.Kind, v.Detail)
 }
 
-// Hooks are deliberate-bug injection points for oracle self-tests and CI
-// plant rediscovery: an oracle that cannot fail is not a test, so each hook
-// corrupts exactly the layer its oracle guards — after the layer's own
-// defenses, modeling the residual bug class those defenses cannot catch.
-type Hooks struct {
-	// TamperTranslated mutates freshly translated traces in the
-	// interp-vs-trans oracle's translated run — a miscompile.
-	TamperTranslated func(t *vm.Trace)
-	// MutateOptimized mutates optimizer output after the equivalence
-	// checker accepted it — a checker-evading optimizer miscompile. (The
-	// pre-checker guestopt.Config.Mutate hook is NOT a bug injection: the
-	// checker rejects it and the run stays correct.)
-	MutateOptimized func(t *vm.Trace)
-	// CorruptDB rewrites a committed store-layout cache database between
-	// commit and warm prime — persisted-state corruption that survives
-	// content addressing (i.e. checksum-valid).
-	CorruptDB func(dir string) error
-	// TamperRec rewrites a recording between capture and replay.
-	TamperRec func(rec []byte) []byte
-}
+// Hooks are the deliberate-bug injection points; the harness owns the seams.
+type Hooks = diffexec.Hooks
 
-// Oracle names.
+// The default oracles: each a pair of diffexec modes, reference and judged.
 const (
 	OracleInterpTrans = "interp-vs-trans"
 	OracleColdWarm    = "cold-vs-warm"
@@ -59,295 +36,69 @@ const (
 	OracleRecReplay   = "rec-vs-replay"
 )
 
-// AllOracles lists every differential oracle in evaluation order.
+// AllOracles lists the default oracle set in evaluation order.
 var AllOracles = []string{OracleInterpTrans, OracleColdWarm, OracleOptPlain, OracleRecReplay}
 
-// RunOracle judges the case with one named oracle. The returned error is an
-// infrastructure failure (the case could not be evaluated); a finding is a
-// non-nil Verdict with a nil error.
+var oracleAliases = map[string][2]string{
+	OracleInterpTrans: {"interpreted", "cold-translated"},
+	// Committed under the warm layout seed and consumed under the cold one
+	// through a second manager, so relocation rebasing is always on the path.
+	OracleColdWarm: {"cold-translated", "store-warmed"},
+	OracleOptPlain: {"cold-translated", "optimized-cold"},
+	// Against a synchronous run of equal warmth: the replayer proves the
+	// run bit-exact against its log, the diff that the log's run was right.
+	OracleRecReplay: {"warm-disk", "recorded-replayed"},
+}
+
+// oraclePair resolves an oracle name to its (reference, judged) modes: an
+// alias, "<modeA>-vs-<modeB>", or a bare mode judged against the interpreter.
+func oraclePair(name string) (ref, got string, err error) {
+	if p, ok := oracleAliases[name]; ok {
+		return p[0], p[1], nil
+	}
+	ref, got, ok := strings.Cut(name, "-vs-")
+	if !ok {
+		ref, got = "interpreted", name
+	}
+	for _, m := range []string{ref, got} {
+		if _, ok := diffexec.Lookup(m); !ok {
+			return "", "", fmt.Errorf("guestfuzz: unknown oracle %q (no execution mode %q)", name, m)
+		}
+	}
+	return ref, got, nil
+}
+
+// RunOracle judges the case with one named oracle: both modes of the pair
+// run and are diffed at the level the pair is held to. A returned error is
+// an infrastructure failure; a finding is a non-nil Verdict with a nil error.
 func RunOracle(name string, c *Case, hooks *Hooks) (*Verdict, error) {
-	if hooks == nil {
-		hooks = &Hooks{}
-	}
-	switch name {
-	case OracleInterpTrans:
-		return oracleInterpTrans(c, hooks)
-	case OracleColdWarm:
-		return oracleColdWarm(c, hooks)
-	case OracleOptPlain:
-		return oracleOptPlain(c, hooks)
-	case OracleRecReplay:
-		return oracleRecReplay(c, hooks)
-	}
-	return nil, fmt.Errorf("guestfuzz: unknown oracle %q", name)
-}
-
-// tamperOpt is a vm.Optimizer that applies a raw trace mutation with no
-// equivalence proof — the shape of bug the oracles exist to catch. When
-// inner is non-nil the mutation runs after the real optimizer (and its
-// checker) accepted the trace.
-type tamperOpt struct {
-	inner vm.Optimizer
-	fn    func(t *vm.Trace)
-}
-
-func (o *tamperOpt) Optimize(t *vm.Trace) vm.OptOutcome {
-	var out vm.OptOutcome
-	if o.inner != nil {
-		out = o.inner.Optimize(t)
-	}
-	if o.fn != nil {
-		o.fn(t)
-	}
-	return out
-}
-
-// oracleInterpTrans compares the always-coherent interpreter against
-// translated execution: exit code, output, dynamic instruction count and
-// every architectural register must agree.
-func oracleInterpTrans(c *Case, hooks *Hooks) (*Verdict, error) {
-	prog, err := c.Build()
+	ref, got, err := oraclePair(name)
 	if err != nil {
 		return nil, err
 	}
-	vN, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts()...)
+	dc, err := c.diffCase()
 	if err != nil {
 		return nil, err
 	}
-	native, err := vN.RunNative()
-	if err != nil {
-		return nil, fmt.Errorf("interpreted run: %w", err)
-	}
-	var opts []vm.Option
-	if hooks.TamperTranslated != nil {
-		opts = append(opts, vm.WithOptimizer(&tamperOpt{fn: hooks.TamperTranslated}))
-	}
-	vT, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts(opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	trans, err := vT.Run()
-	if err != nil {
-		return &Verdict{Oracle: OracleInterpTrans, Kind: "crash",
-			Detail: fmt.Sprintf("translated run errored: %v", err)}, nil
-	}
-	if d := diffRuns(native, trans, vN, vT, true); d != "" {
-		return &Verdict{Oracle: OracleInterpTrans, Kind: "divergence", Detail: d}, nil
-	}
-	return nil, nil
-}
-
-// oracleColdWarm compares a cold translated run against a run primed from a
-// persisted store-layout cache — committed under the warm layout seed and
-// consumed under the cold one, so relocation rebasing is always on the
-// path. The CorruptDB hook runs between commit and prime.
-func oracleColdWarm(c *Case, hooks *Hooks) (*Verdict, error) {
-	prog, err := c.Build()
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "guestfuzz-db-*")
+	dir, err := os.MkdirTemp("", "guestfuzz-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	mgr, err := core.NewManager(dir, core.WithRelocatable(), core.WithStore())
-	if err != nil {
+	env := &diffexec.Env{Case: dc, Dir: dir}
+	defer env.Close()
+	if hooks != nil {
+		env.Hooks = *hooks
+	}
+	diffs, err := env.Judge(ref, got)
+	var f *diffexec.Failure
+	switch {
+	case errors.As(err, &f) && f.Mode == got:
+		return &Verdict{Oracle: name, Kind: f.Kind, Detail: f.Error()}, nil
+	case err != nil:
 		return nil, err
-	}
-	warmSeed := c.WarmASLRSeed
-	if warmSeed == 0 {
-		warmSeed = c.ASLRSeed
-	}
-	vW, err := prog.NewVM(c.LoaderConfig(warmSeed), c.In, c.VMOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := vW.Run(); err != nil {
-		return nil, fmt.Errorf("cache-warming run: %w", err)
-	}
-	if _, err := mgr.Commit(vW); err != nil {
-		return nil, err
-	}
-
-	if hooks.CorruptDB != nil {
-		if err := hooks.CorruptDB(dir); err != nil {
-			return nil, fmt.Errorf("corrupt hook: %w", err)
-		}
-	}
-
-	// Cold reference at the consuming layout.
-	vC, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	cold, err := vC.Run()
-	if err != nil {
-		return nil, fmt.Errorf("cold run: %w", err)
-	}
-
-	// Warm run: a fresh manager over the (possibly corrupted) on-disk
-	// state, so nothing is served from the committing manager's memory.
-	mgr2, err := core.NewManager(dir, core.WithRelocatable(), core.WithStore())
-	if err != nil {
-		return nil, err
-	}
-	vH, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := mgr2.Prime(vH); err != nil {
-		return nil, fmt.Errorf("prime: %w", err)
-	}
-	warm, err := vH.Run()
-	if err != nil {
-		return &Verdict{Oracle: OracleColdWarm, Kind: "crash",
-			Detail: fmt.Sprintf("warm run errored: %v", err)}, nil
-	}
-	if d := diffRuns(cold, warm, vC, vH, true); d != "" {
-		return &Verdict{Oracle: OracleColdWarm, Kind: "divergence", Detail: "warm-from-store " + d}, nil
+	case len(diffs) > 0:
+		return &Verdict{Oracle: name, Kind: "divergence", Detail: strings.Join(diffs, "; ")}, nil
 	}
 	return nil, nil
-}
-
-// oracleOptPlain compares plain translated execution against execution
-// under the full guest-IR optimizer. Dynamic instruction counts and dead
-// registers legitimately differ; architectural results must not.
-func oracleOptPlain(c *Case, hooks *Hooks) (*Verdict, error) {
-	prog, err := c.Build()
-	if err != nil {
-		return nil, err
-	}
-	vP, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := vP.Run()
-	if err != nil {
-		return nil, fmt.Errorf("plain run: %w", err)
-	}
-	var o vm.Optimizer = guestopt.New(guestopt.All())
-	if hooks.MutateOptimized != nil {
-		o = &tamperOpt{inner: o, fn: hooks.MutateOptimized}
-	}
-	vO, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts(vm.WithOptimizer(o))...)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := vO.Run()
-	if err != nil {
-		return &Verdict{Oracle: OracleOptPlain, Kind: "crash",
-			Detail: fmt.Sprintf("optimized run errored: %v", err)}, nil
-	}
-	if plain.ExitCode != opt.ExitCode {
-		return &Verdict{Oracle: OracleOptPlain, Kind: "divergence",
-			Detail: fmt.Sprintf("exit: plain %d, optimized %d", plain.ExitCode, opt.ExitCode)}, nil
-	}
-	if !bytes.Equal(plain.Output, opt.Output) {
-		return &Verdict{Oracle: OracleOptPlain, Kind: "divergence",
-			Detail: fmt.Sprintf("output: plain %d bytes, optimized %d bytes", len(plain.Output), len(opt.Output))}, nil
-	}
-	return nil, nil
-}
-
-// oracleRecReplay records a translated run, optionally tampers with the
-// log, and re-executes it through the replayer: the replay must either
-// reproduce bit-exactly or (for a tampered log) be rejected — a recording
-// that silently replays to a different result is the bug.
-func oracleRecReplay(c *Case, hooks *Hooks) (*Verdict, error) {
-	prog, err := c.Build()
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "guestfuzz-rec-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "run.rec")
-	rec, err := replay.NewRecorder(nil, path)
-	if err != nil {
-		return nil, err
-	}
-	vR, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts(vm.WithBoundary(rec))...)
-	if err != nil {
-		return nil, err
-	}
-	err = rec.Start(replay.StartInfo{
-		Program:   prog.Name,
-		Placement: loader.Placement(c.Placement),
-		Seed:      c.ASLRSeed,
-		Input:     c.In.Words(),
-		PID:       1,
-		Proc:      vR.Process(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := vR.Run()
-	if err != nil {
-		return nil, fmt.Errorf("recorded run: %w", err)
-	}
-	if err := rec.Finish(vR, res); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	tampered := false
-	if hooks.TamperRec != nil {
-		data = hooks.TamperRec(data)
-		tampered = true
-	}
-
-	rp, err := replay.NewReplayer(data)
-	if err != nil {
-		// A log the recorder just wrote must parse; one a hook mangled is
-		// allowed (indeed expected) to be rejected up front.
-		if tampered {
-			return &Verdict{Oracle: OracleRecReplay, Kind: "divergence",
-				Detail: fmt.Sprintf("tampered recording rejected: %v", err)}, nil
-		}
-		return nil, fmt.Errorf("recording does not parse back: %w", err)
-	}
-	vRep, err := prog.NewVM(c.LoaderConfig(rp.Seed()), c.In,
-		c.VMOpts(vm.WithBoundary(rp), vm.WithPID(rp.PID()))...)
-	if err != nil {
-		return nil, err
-	}
-	if err := rp.VerifyLayout(vRep.Process()); err != nil {
-		return &Verdict{Oracle: OracleRecReplay, Kind: "divergence",
-			Detail: fmt.Sprintf("layout: %v", err)}, nil
-	}
-	res2, err := vRep.Run()
-	if err != nil {
-		return &Verdict{Oracle: OracleRecReplay, Kind: "crash",
-			Detail: fmt.Sprintf("replay run errored: %v", err)}, nil
-	}
-	if err := rp.Finish(vRep, res2); err != nil {
-		return &Verdict{Oracle: OracleRecReplay, Kind: "divergence", Detail: err.Error()}, nil
-	}
-	return nil, nil
-}
-
-// diffRuns compares two executions of the same case: exit code, output,
-// dynamic instruction count (when the modes promise it) and all
-// architectural registers.
-func diffRuns(a, b *vm.Result, va, vb *vm.VM, insts bool) string {
-	if a.ExitCode != b.ExitCode {
-		return fmt.Sprintf("exit: %d vs %d", a.ExitCode, b.ExitCode)
-	}
-	if !bytes.Equal(a.Output, b.Output) {
-		return fmt.Sprintf("output: %d bytes vs %d bytes", len(a.Output), len(b.Output))
-	}
-	if insts && a.Stats.InstsExecuted != b.Stats.InstsExecuted {
-		return fmt.Sprintf("insts: %d vs %d", a.Stats.InstsExecuted, b.Stats.InstsExecuted)
-	}
-	for r := uint8(0); r < isa.NumRegs; r++ {
-		if va.Reg(r) != vb.Reg(r) {
-			return fmt.Sprintf("r%d: %#x vs %#x", r, va.Reg(r), vb.Reg(r))
-		}
-	}
-	return ""
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"persistcc/internal/diffexec"
 	"persistcc/internal/guestopt"
 	"persistcc/internal/isa"
 	"persistcc/internal/loader"
@@ -85,10 +86,21 @@ func TestOraclesFireOnInjectedBugs(t *testing.T) {
 			oracle: OracleRecReplay,
 			hooks:  &Hooks{TamperRec: truncateRec},
 		},
+		// A mode only the registry reaches: the same store-blob corruption
+		// applied to every fleet shard's serving database between publish
+		// and the warm prime, judged against the interpreter.
+		{
+			name:   "corrupted fleet shard store",
+			oracle: "fleet-warmed",
+			hooks:  &Hooks{CorruptDB: corruptStoreBlobs},
+		},
 	}
 	c := richCase()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			if v, err := RunOracle(tt.oracle, c, nil); err != nil || v != nil {
+				t.Fatalf("oracle not silent without the bug: verdict %v, err %v", v, err)
+			}
 			v, err := RunOracle(tt.oracle, c, tt.hooks)
 			if err != nil {
 				t.Fatalf("oracle errored instead of judging: %v", err)
@@ -120,31 +132,31 @@ func TestPreCheckerMutationIsRejectedNotDivergent(t *testing.T) {
 			}
 		}
 	}
-	prog, err := c.Build()
+	// The case's translated run under the mutating optimizer, held to the
+	// harness's arch-loose contract against the interpreter.
+	dc, err := c.diffCase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts(vm.WithOptimizer(guestopt.New(cfg)))...)
+	newVM := dc.NewVM
+	dc.NewVM = func(seed uint64, opts ...vm.Option) (*vm.VM, error) {
+		return newVM(seed, append([]vm.Option{vm.WithOptimizer(guestopt.New(cfg))}, opts...)...)
+	}
+	env := &diffexec.Env{Case: dc, Dir: t.TempDir()}
+	defer env.Close()
+	ref, err := env.Run("interpreted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := v.Run()
+	got, err := env.Run("cold-translated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.OptRejects == 0 {
+	if got.Stats.OptRejects == 0 {
 		t.Fatal("mutated rewrites were never rejected; the checker gate is dead")
 	}
-	ref, err := prog.NewVM(c.LoaderConfig(c.ASLRSeed), c.In, c.VMOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nat, err := ref.RunNative()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExitCode != nat.ExitCode {
-		t.Fatalf("checker let a miscompile through: exit %d vs %d", res.ExitCode, nat.ExitCode)
+	for _, d := range diffexec.Diff(ref, got, diffexec.ArchLoose) {
+		t.Errorf("checker let a miscompile through: %s", d)
 	}
 }
 

@@ -1,15 +1,15 @@
 package workload
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"testing"
 
-	"persistcc/internal/isa"
+	"persistcc/internal/diffexec"
 	"persistcc/internal/loader"
 	"persistcc/internal/replay"
+	"persistcc/internal/vm"
 )
 
 // specFromWords derives a bounded, deterministic ProgSpec plus Input from
@@ -42,7 +42,8 @@ func specFromWords(seed, funcsA, funcsB, body, units uint64) (ProgSpec, Input) {
 
 // checkTranslateEquivalence builds the program and runs it twice from
 // identical initial state — once through the interpreter, once through the
-// trace translator — and requires bit-identical final architectural state.
+// trace translator — and requires bit-identical final architectural state
+// (diffexec's arch level: registers, memory, output, insts, syscalls, marks).
 func checkTranslateEquivalence(t *testing.T, spec ProgSpec, in Input) {
 	t.Helper()
 	bundleOnFailure(t, spec, in)
@@ -50,46 +51,17 @@ func checkTranslateEquivalence(t *testing.T, spec ProgSpec, in Input) {
 	if err != nil {
 		t.Fatalf("spec %+v: %v", spec, err)
 	}
-	vN, err := prog.NewVM(loader.Config{}, in)
+	env := &diffexec.Env{Dir: t.TempDir(), Case: diffexec.Case{Name: spec.Name, Input: in.Words(),
+		NewVM: func(seed uint64, opts ...vm.Option) (*vm.VM, error) {
+			return prog.NewVM(loader.Config{ASLRSeed: seed}, in, opts...)
+		}}}
+	defer env.Close()
+	diffs, err := env.Judge("interpreted", "cold-translated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := vN.RunNative()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vT, err := prog.NewVM(loader.Config{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trans, err := vT.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if trans.ExitCode != native.ExitCode {
-		t.Errorf("exit code: translated %d, interpreted %d", trans.ExitCode, native.ExitCode)
-	}
-	if !bytes.Equal(trans.Output, native.Output) {
-		t.Errorf("output: translated %d bytes, interpreted %d bytes", len(trans.Output), len(native.Output))
-	}
-	if trans.Stats.InstsExecuted != native.Stats.InstsExecuted {
-		t.Errorf("insts executed: translated %d, interpreted %d",
-			trans.Stats.InstsExecuted, native.Stats.InstsExecuted)
-	}
-	for r := uint8(0); r < isa.NumRegs; r++ {
-		if vT.Reg(r) != vN.Reg(r) {
-			t.Errorf("r%d: translated %#x, interpreted %#x", r, vT.Reg(r), vN.Reg(r))
-		}
-	}
-	if len(trans.Stats.Marks) != len(native.Stats.Marks) {
-		t.Fatalf("marks: translated %d, interpreted %d", len(trans.Stats.Marks), len(native.Stats.Marks))
-	}
-	for i := range trans.Stats.Marks {
-		if trans.Stats.Marks[i].ID != native.Stats.Marks[i].ID {
-			t.Errorf("mark %d: translated ID %d, interpreted ID %d",
-				i, trans.Stats.Marks[i].ID, native.Stats.Marks[i].ID)
-		}
+	for _, d := range diffs {
+		t.Error(d)
 	}
 }
 

@@ -143,3 +143,24 @@ func TestIndexedStoreFixtureServesUnderIndexFreeStore(t *testing.T) {
 		t.Errorf("%d shipped files are gone, compaction reported %d", gone, rep.PrunedOrphans)
 	}
 }
+
+func copyTree(src, dst string) error {
+	return filepath.Walk(src, func(p string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if info.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+}

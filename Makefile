@@ -106,7 +106,8 @@ gate-smoke:
 		echo "== gate: $$g"; $(GO) run ./cmd/pcc-bench -run $$g || exit 1; done
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
-# decode, wire-protocol frames, cache-file bytes, store pack files) plus the
+# decode, wire-protocol frames, cache-file bytes, store pack files and the
+# blob encodings inside them) plus the
 # differential translate/interpret equivalence property over generated
 # workloads. Seed corpora are checked in under each package's testdata/fuzz/.
 fuzz-smoke:
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzReadCacheFile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
 
 # Refresh the checked-in baseline after an intentional performance change.
 bench-baseline:

@@ -12,6 +12,7 @@ package persistcc_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"persistcc"
@@ -122,10 +123,10 @@ func BenchmarkCodeCacheExec(b *testing.B) { benchVM(b, false, 200_000) }
 
 // gftp is the first application of the GUI suite, the launch the paper's
 // headline figure is about.
-func gftp(b *testing.B) *workload.GUIApp {
+func gftp(tb testing.TB) *workload.GUIApp {
 	gui, err := workload.BuildGUISuite()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return gui.Apps[0]
 }
@@ -143,33 +144,92 @@ func BenchmarkLoaderLoadGUI(b *testing.B) {
 	}
 }
 
-// BenchmarkLaunchWarmGUI is one warm launch end to end through the facade:
-// load, prime from a seeded store database, run the start-up, commit.
-func BenchmarkLaunchWarmGUI(b *testing.B) {
-	app := gftp(b)
-	dir, err := os.MkdirTemp("", "pcc-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
+// warmGFTP seeds a store database with one gftp start-up and returns the
+// options that launch it warm through the facade.
+func warmGFTP(tb testing.TB) (*workload.GUIApp, persistcc.RunOptions) {
+	app := gftp(tb)
 	o := persistcc.RunOptions{
 		Input:   app.Startup.Words(),
 		Loader:  persistcc.LoaderConfig{Placement: persistcc.PlaceHashed},
-		Persist: true, StoreFormat: true, CacheDir: dir,
+		Persist: true, StoreFormat: true, CacheDir: tb.TempDir(),
 	}
-	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err != nil { // seeds the database
-		b.Fatal(err)
+	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err != nil {
+		tb.Fatal(err)
 	}
+	return app, o
+}
+
+// warmLaunch is one warm launch end to end: load, prime from the seeded
+// database, run the start-up, commit.
+func warmLaunch(tb testing.TB, app *workload.GUIApp, o persistcc.RunOptions) {
+	out, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if out.Stats.InstsTranslated != 0 || out.Prime.Installed == 0 || !out.Commit.Skipped {
+		tb.Fatalf("not a warm launch: translated %d instructions, primed %d traces, commit %+v",
+			out.Stats.InstsTranslated, out.Prime.Installed, out.Commit)
+	}
+}
+
+func BenchmarkLaunchWarmGUI(b *testing.B) {
+	app, o := warmGFTP(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o)
+		warmLaunch(b, app, o)
+	}
+}
+
+// BenchmarkPrimeWarmGUI is the prime alone, as a launch pays it: a fresh
+// manager opens the store, reads the manifest, inflates the pack, verifies
+// and decodes every blob and installs the traces. Loading the process the
+// traces go into is not timed.
+func BenchmarkPrimeWarmGUI(b *testing.B) {
+	app, o := warmGFTP(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		v, err := app.Prog.NewVM(loader.Config{Placement: loader.PlaceHashed}, app.Startup)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.Stats.InstsTranslated != 0 {
-			b.Fatalf("warm launch translated %d instructions", out.Stats.InstsTranslated)
+		b.StartTimer()
+		mgr, err := core.NewManager(o.CacheDir, core.WithStore())
+		if err != nil {
+			b.Fatal(err)
 		}
+		if rep, err := mgr.Prime(v); err != nil || rep.Installed == 0 || rep.Invalidated() != 0 {
+			b.Fatalf("prime: %+v, %v", rep, err)
+		}
+	}
+}
+
+// TestWarmLaunchAllocBudget is the hard gate on what a warm launch
+// allocates, beside the loader's (TestLoadAllocBudget): one gftp start-up
+// through persistcc.Run against a seeded store database. Everything in it is
+// deterministic, so the numbers are too: 3 812 allocations and 1.97 MB when
+// this was written, against 17 674 and 3.46 MB when every primed trace was
+// decoded into a Blob, copied into a trace, copied again and given liveness
+// vectors twice.
+func TestWarmLaunchAllocBudget(t *testing.T) {
+	const maxBytes, maxAllocs = 2_600_000, 9000
+	app, o := warmGFTP(t)
+	launch := func() { warmLaunch(t, app, o) }
+	launch() // one-time initialisation (codec pools, lazily built tables) is not the launch's cost
+	if allocs := testing.AllocsPerRun(10, launch); allocs > maxAllocs {
+		t.Errorf("a warm launch makes %.0f allocations, budget %d", allocs, maxAllocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	if perLaunch := (after.TotalAlloc - before.TotalAlloc) / runs; perLaunch > maxBytes {
+		t.Errorf("a warm launch allocates %d bytes, budget %d", perLaunch, maxBytes)
 	}
 }
 

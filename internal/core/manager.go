@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"persistcc/internal/fsx"
@@ -43,6 +44,7 @@ type Manager struct {
 	st          *store.Store
 	stErr       error
 	remoteBlobs store.RemoteBlobs
+	lastRead    atomic.Pointer[readManifest] // see skipFromManifest
 }
 
 // ManagerOption configures a Manager.
@@ -234,13 +236,15 @@ func (m *Manager) LookupInterApp(ks KeySet) (*CacheFile, error) {
 
 // Prime looks up the cache for the VM's own key set and installs every
 // valid translation. Returns (report, ErrNoCache) when nothing is found.
+// The file Lookup read belongs to this call alone, so its traces are
+// installed themselves, not copies of them.
 func (m *Manager) Prime(v *vm.VM) (*PrimeReport, error) {
 	ks := KeysFor(v)
 	cf, err := m.Lookup(ks)
 	if err != nil {
 		return &PrimeReport{}, err
 	}
-	return m.PrimeFrom(v, cf)
+	return m.install(v, cf, true)
 }
 
 // PrimeInterApp primes from another application's cache.
@@ -250,7 +254,7 @@ func (m *Manager) PrimeInterApp(v *vm.VM) (*PrimeReport, error) {
 	if err != nil {
 		return &PrimeReport{}, err
 	}
-	return m.PrimeFrom(v, cf)
+	return m.install(v, cf, true)
 }
 
 // modState classifies a cached module against the current run.
@@ -271,8 +275,17 @@ const (
 // PrimeFrom validates cf against the running VM and installs every usable
 // trace. The VM and tool keys are hard requirements; mapping keys are
 // checked per module, and traces are invalidated individually, exactly as
-// described in §3.2.3 of the paper.
+// described in §3.2.3 of the paper. cf is left untouched — the VM gets
+// copies — so one file can prime any number of VMs.
 func (m *Manager) PrimeFrom(v *vm.VM, cf *CacheFile) (*PrimeReport, error) {
+	return m.install(v, cf, false)
+}
+
+// install is the one prime routine. With owned set the caller gives up cf:
+// its traces are remapped (and rebased) in place and handed to the VM, and
+// the file must not be used afterwards; without it each usable trace is
+// cloned first.
+func (m *Manager) install(v *vm.VM, cf *CacheFile, owned bool) (*PrimeReport, error) {
 	rep := &PrimeReport{Found: true, CacheTraces: len(cf.Traces)}
 	ks := KeysFor(v)
 	if cf.VMKey != ks.VM {
@@ -308,6 +321,7 @@ func (m *Manager) PrimeFrom(v *vm.VM, cf *CacheFile) (*PrimeReport, error) {
 		}
 	}
 
+	v.Cache().Reserve(len(cf.Traces))
 	for _, t := range cf.Traces {
 		worst := states[t.Module].status
 		for _, n := range t.Notes {
@@ -316,13 +330,16 @@ func (m *Manager) PrimeFrom(v *vm.VM, cf *CacheFile) (*PrimeReport, error) {
 			}
 		}
 		switch worst {
-		case modOK:
-			v.InstallPersisted(copyTrace(t, states, false))
+		case modOK, modRebase:
+			if !owned {
+				t = cloneTrace(t)
+			}
+			remapTrace(t, states, worst == modRebase)
+			v.InstallPersisted(t)
 			rep.Installed++
-		case modRebase:
-			v.InstallPersisted(copyTrace(t, states, true))
-			rep.Installed++
-			rep.Rebased++
+			if worst == modRebase {
+				rep.Rebased++
+			}
 		case modMissing:
 			rep.InvalidMissing++
 		case modContent:
@@ -343,47 +360,66 @@ func (m *Manager) PrimeFrom(v *vm.VM, cf *CacheFile) (*PrimeReport, error) {
 	return rep, nil
 }
 
-// copyTrace deep-copies a cached trace, remapping its module index to the
-// current table and (when rebase is set) rewriting its start address and
-// loader-patched immediates for the new bases.
-func copyTrace(t *vm.Trace, states []modState, rebase bool) *vm.Trace {
+// cloneTrace copies a cached trace's persistent state into a trace of its
+// own. What a trace derives from that state — exits, liveness — is left for
+// remapTrace, which knows whether the copy is about to move.
+func cloneTrace(t *vm.Trace) *vm.Trace {
 	nt := &vm.Trace{
 		Start:    t.Start,
-		Module:   int32(states[t.Module].current),
+		Module:   t.Module,
 		ModOff:   t.ModOff,
 		Insts:    append([]isa.Inst(nil), t.Insts...),
 		Ops:      append([]vm.AnalysisOp(nil), t.Ops...),
+		Notes:    append([]vm.RelocNote(nil), t.Notes...),
 		OptLevel: t.OptLevel,
 		OrigLen:  t.OrigLen,
 	}
 	if t.SrcIdx != nil {
 		nt.SrcIdx = append([]uint16(nil), t.SrcIdx...)
 	}
-	nt.Notes = make([]vm.RelocNote, len(t.Notes))
-	for i, n := range t.Notes {
-		nt.Notes[i] = n
-		nt.Notes[i].Target = int32(states[n.Target].current)
-	}
+	return nt
+}
+
+// remapTrace moves t, in place, from the module table of the file it was
+// read from (which states describes) onto the current one and, when rebase
+// is set, to the current bases: start address and loader-patched immediates
+// are rewritten. Exits are derived again only if that changed an address
+// they depend on (or t has none yet, being a fresh clone): a trace decoded
+// a moment ago and installed where it was translated keeps the ones it has.
+//
+//pcc:hotpath
+func remapTrace(t *vm.Trace, states []modState, rebase bool) {
+	own := &states[t.Module]
+	stale := len(t.Exits) == 0
 	if rebase {
-		newStart := states[t.Module].newBase + t.ModOff
+		newStart := own.newBase + t.ModOff
+		stale = stale || newStart != t.Start
 		for _, n := range t.Notes {
 			tgtAbs := states[n.Target].newBase + n.TargetOff
-			in := &nt.Insts[n.InstIdx]
+			in := &t.Insts[n.InstIdx]
+			imm := in.Imm
 			switch n.Type {
 			case obj.RelPC32:
 				// pc-relative displacements evaluate against the guest
 				// address the instruction was fetched from, which for an
 				// optimized trace maps through the source index.
-				pc := newStart + nt.SrcOff(int(n.InstIdx))
-				in.Imm = int32(tgtAbs - pc)
+				pc := newStart + t.SrcOff(int(n.InstIdx))
+				imm = int32(tgtAbs - pc)
 			case obj.RelAbs32:
-				in.Imm = int32(tgtAbs)
+				imm = int32(tgtAbs)
 			}
+			stale = stale || imm != in.Imm
+			in.Imm = imm
 		}
-		nt.Start = newStart
+		t.Start = newStart
 	}
-	nt.RecomputeStatic()
-	return nt
+	t.Module = int32(own.current)
+	for i := range t.Notes {
+		t.Notes[i].Target = int32(states[t.Notes[i].Target].current)
+	}
+	if stale {
+		t.RecomputeStatic()
+	}
 }
 
 // currentModules snapshots the running process's file-backed mappings in
@@ -424,8 +460,10 @@ func BuildCacheFile(v *vm.VM) (*CacheFile, KeySet) {
 		AppPath: records[0].Path,
 		Modules: records,
 	}
-	seen := make(map[traceKey]bool)
-	for _, t := range v.Cache().Traces() {
+	traces := v.Cache().Traces()
+	seen := make(map[traceKey]bool, len(traces))
+	cf.Traces = make([]*vm.Trace, 0, len(traces))
+	for _, t := range traces {
 		if t.Module < 0 {
 			continue // dynamically generated code: never persisted
 		}
@@ -541,6 +579,7 @@ func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, 
 // translated itself rather than reused from a persistent cache.
 func incomingTraces(incoming *CacheFile) (traces []*vm.Trace, seen map[traceKey]bool, fresh int) {
 	seen = make(map[traceKey]bool, len(incoming.Traces))
+	traces = make([]*vm.Trace, 0, len(incoming.Traces))
 	for _, t := range incoming.Traces {
 		k := traceKey{incoming.Modules[t.Module].Path, t.ModOff}
 		if seen[k] {
@@ -693,7 +732,9 @@ func remapPrior(prior *CacheFile, t *vm.Trace, records []ModuleRecord, byPath ma
 			rebase = true
 		}
 	}
-	return copyTrace(t, states, rebase)
+	nt := cloneTrace(t)
+	remapTrace(nt, states, rebase)
+	return nt
 }
 
 func sameModules(a, b []ModuleRecord) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,6 +9,7 @@ import (
 	"strings"
 
 	"persistcc/internal/store"
+	"persistcc/internal/vm"
 )
 
 // This file is the bridge between the manager's CacheFile world and the
@@ -143,10 +145,13 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 	return man, blobs, nil
 }
 
-// MaterializeManifest rebuilds a cache file from a manifest, resolving
-// blobs through the tiered store (L1 map → L2 local store → L3 remote
-// when attached). Blob/manifest inconsistencies surface as errors; blobs
-// simply not resolvable anywhere return errBlobsUnavailable.
+// MaterializeManifest rebuilds a cache file from a manifest. When every blob
+// is in the local store's packs — a warm launch — each is decoded once,
+// straight into the trace (store.LocalTraces); otherwise the blobs resolve
+// through the tiered store (L1 map → L2 local store → L3 remote when
+// attached). Either way the caller owns the file and every trace in it.
+// Blob/manifest inconsistencies surface as errors; blobs simply not
+// resolvable anywhere return errBlobsUnavailable.
 func (m *Manager) MaterializeManifest(man *store.Manifest) (*CacheFile, error) {
 	st, err := m.Store()
 	if err != nil {
@@ -158,32 +163,46 @@ func (m *Manager) MaterializeManifest(man *store.Manifest) (*CacheFile, error) {
 // materializeManifest is MaterializeManifest over an explicit tier stack
 // (recovery uses a local-only one).
 func materializeManifest(man *store.Manifest, tiers *store.Tiered) (*CacheFile, error) {
-	got, err := tiers.GetAll(man.BlobHashes())
-	if err != nil && len(got) == 0 {
-		return nil, fmt.Errorf("%w: %v", errBlobsUnavailable, err)
-	}
 	cf := &CacheFile{
 		AppKey: Key(man.AppKey), VMKey: Key(man.VMKey), ToolKey: Key(man.ToolKey),
 		AppPath: man.AppPath,
 		Modules: recordModules(man.Modules),
 	}
-	for i, tr := range man.Traces {
-		b, ok := got[tr.Blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: trace %d blob %s", errBlobsUnavailable, i, tr.Blob)
-		}
-		if err := man.CheckBlob(tr, b); err != nil {
-			return nil, err
-		}
-		t, err := b.Materialize(tr.Refs)
-		if err != nil {
-			return nil, err
-		}
-		cf.Traces = append(cf.Traces, t)
+	if traces, ok := tiers.Store.LocalTraces(man); ok {
+		cf.Traces = traces
+	} else if err := materializeTiered(cf, man, tiers); err != nil {
+		return nil, err
 	}
 	cf.recomputePools()
 	cf.EncodedBytes = man.EncodedBytes
 	return cf, nil
+}
+
+// materializeTiered fills cf.Traces the long way round: every blob through
+// the tiers as a decoded store.Blob, checked against the manifest and copied
+// into a trace. It is where a local miss, a loose blob, a corrupt pack
+// (quarantined on the way) or a remote fetch is handled.
+func materializeTiered(cf *CacheFile, man *store.Manifest, tiers *store.Tiered) error {
+	got, err := tiers.GetAll(man.BlobHashes())
+	if err != nil && len(got) == 0 {
+		return fmt.Errorf("%w: %v", errBlobsUnavailable, err)
+	}
+	cf.Traces = make([]*vm.Trace, 0, len(man.Traces))
+	for i, tr := range man.Traces {
+		b, ok := got[tr.Blob]
+		if !ok {
+			return fmt.Errorf("%w: trace %d blob %s", errBlobsUnavailable, i, tr.Blob)
+		}
+		if err := man.CheckBlob(tr, b); err != nil {
+			return err
+		}
+		t, err := b.Materialize(tr.Refs)
+		if err != nil {
+			return err
+		}
+		cf.Traces = append(cf.Traces, t)
+	}
+	return nil
 }
 
 // readVerifiedManifest is readVerified for the store format: decode the
@@ -216,7 +235,18 @@ func (m *Manager) readVerifiedManifest(path string) (*CacheFile, error) {
 			return nil, fmt.Errorf("%w: %s: %v", errQuarantined, path, rep.Err())
 		}
 	}
+	m.lastRead.Store(&readManifest{path: path, raw: b, man: man})
 	return cf, nil
+}
+
+// readManifest is the manifest the manager last read and verified: where it
+// was, the bytes it was decoded from, and the decode. A launch primes from
+// its entry and, a run later, commits into the same entry; the commit checks
+// the file still holds these bytes and spares itself the second decode.
+type readManifest struct {
+	path string
+	raw  []byte
+	man  *store.Manifest
 }
 
 // skipFromManifest answers the commit of a run that has nothing to add to
@@ -237,8 +267,13 @@ func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitRepo
 	if err != nil {
 		return nil
 	}
-	man, err := store.DecodeManifest(b)
-	if err != nil {
+	// The caller holds the database lock, so these bytes are the entry as it
+	// stands. Only a byte-identical file is the one decoded earlier; after a
+	// peer's rewrite the remembered decode is stale and is not consulted.
+	var man *store.Manifest
+	if last := m.lastRead.Load(); last != nil && last.path == path && bytes.Equal(last.raw, b) {
+		man = last.man
+	} else if man, err = store.DecodeManifest(b); err != nil {
 		return nil
 	}
 	traces, _, fresh := incomingTraces(incoming)
@@ -249,8 +284,8 @@ func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitRepo
 	if err != nil {
 		return nil
 	}
-	for _, h := range man.BlobHashes() {
-		if !st.Has(h) {
+	for i := range man.Traces {
+		if !st.Has(man.Traces[i].Blob) {
 			return nil
 		}
 	}

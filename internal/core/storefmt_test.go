@@ -531,10 +531,11 @@ func readEveryEntry(t *testing.T, dir, storeDir string) int {
 
 // warmIncoming commits one run of a small program into a fresh store-format
 // database and returns the database directory plus what a second, fully
-// primed run of the same program would commit: every trace reused, none new.
-func warmIncoming(t *testing.T) (dir string, ks core.KeySet, incoming *core.CacheFile) {
+// primed run of the same program would commit: every trace reused, none new
+// — and the program, for tests that launch it again.
+func warmIncoming(t *testing.T) (dir string, ks core.KeySet, incoming *core.CacheFile, w *testutil.World) {
 	t.Helper()
-	w := testutil.BuildWorld(t, "appa", fmt.Sprintf(chaosMainSrc, 1), map[string]string{"libwork.so": chaosLibSrc})
+	w = testutil.BuildWorld(t, "appa", fmt.Sprintf(chaosMainSrc, 1), map[string]string{"libwork.so": chaosLibSrc})
 	dir = t.TempDir()
 	mgr := newStoreMgr(t, dir)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
@@ -550,14 +551,14 @@ func warmIncoming(t *testing.T) (dir string, ks core.KeySet, incoming *core.Cach
 		t.Fatalf("warm run translated %d traces; the commit under test would not be a no-op", res.Stats.TracesTranslated)
 	}
 	incoming, ks = core.BuildCacheFile(v)
-	return dir, ks, incoming
+	return dir, ks, incoming, w
 }
 
 // TestWarmCommitSkipsFromManifest: the commit of a run that found nothing
 // new is answered from the manifest — same report as the full merge, no
 // blob read, inflated or decoded to produce it.
 func TestWarmCommitSkipsFromManifest(t *testing.T) {
-	dir, ks, incoming := warmIncoming(t)
+	dir, ks, incoming, w := warmIncoming(t)
 
 	// What the full path reports: materialize the prior, merge, skip.
 	prior, err := newStoreMgr(t, dir).Lookup(ks)
@@ -599,13 +600,58 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	if err != nil || !bytes.Equal(before, after) {
 		t.Errorf("skipped commit touched the manifest (err %v)", err)
 	}
+
+	// The counter the zero above is read from does count: a prime resolves
+	// every blob of the manifest once, from the tier that had it — the local
+	// packs here, the remote tier for a database that holds only the
+	// manifest (which then writes them through, so nothing is an l2 hit).
+	blobs := float64(len(readManifest(t, dir, ks.ManifestFileName()).BlobHashes()))
+	hits := func(reg *metrics.Registry) (got [3]float64) {
+		snap := reg.Snapshot()
+		for i, tier := range []string{"l1", "l2", "l3"} {
+			got[i], _ = snap.Value("pcc_store_blob_hits_total", tier)
+		}
+		return got
+	}
+	rep, err := mgr.Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
+	if err != nil || float64(rep.Installed) != blobs {
+		t.Fatalf("local prime installed %d of %v traces: %v", rep.Installed, blobs, err)
+	}
+	if got, want := hits(reg), [3]float64{0, blobs, 0}; got != want {
+		t.Errorf("local prime: hits l1/l2/l3 = %v, want %v", got, want)
+	}
+
+	sst, err := mgr.Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := &chaosRemote{blobs: make(map[store.Hash][]byte)}
+	for _, h := range readManifest(t, dir, ks.ManifestFileName()).BlobHashes() {
+		if remote.blobs[h], err = sst.GetRaw(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bare, ks.ManifestFileName()), before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	remoteReg := metrics.NewRegistry()
+	fetching := newStoreMgr(t, bare, core.WithMetrics(remoteReg))
+	fetching.SetRemoteBlobs(remote)
+	rep, err = fetching.Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
+	if err != nil || float64(rep.Installed) != blobs {
+		t.Fatalf("remote-served prime installed %d of %v traces: %v", rep.Installed, blobs, err)
+	}
+	if got, want := hits(remoteReg), [3]float64{0, 0, blobs}; got != want {
+		t.Errorf("remote-served prime: hits l1/l2/l3 = %v, want %v", got, want)
+	}
 }
 
 // TestWarmCommitRewritesWhenBlobsAreGone: a manifest whose blobs are not in
 // the local store is no prior at all — the run's traces are written out in
 // full, which is how a launch primed from the fleet fills a stripped store.
 func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
-	dir, ks, incoming := warmIncoming(t)
+	dir, ks, incoming, _ := warmIncoming(t)
 	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
 	if len(packs) == 0 {
 		t.Fatal("no pack files to strip")
@@ -636,7 +682,7 @@ func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
 // swallow a manifest that does not decode — it still goes to quarantine and
 // the commit still writes a fresh entry.
 func TestWarmCommitQuarantinesBadManifest(t *testing.T) {
-	dir, ks, incoming := warmIncoming(t)
+	dir, ks, incoming, _ := warmIncoming(t)
 	path := filepath.Join(dir, ks.ManifestFileName())
 	if err := os.WriteFile(path, []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)

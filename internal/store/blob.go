@@ -14,7 +14,9 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
@@ -140,11 +142,35 @@ func Sum(encoded []byte) Hash { return sha256.Sum256(encoded) }
 // Hash returns the blob's content address.
 func (b *Blob) Hash() Hash { return Sum(b.Encode()) }
 
-// DecodeBlob parses an encoded blob. Integrity is the caller's concern:
-// the store verifies that the bytes hash to the file's name before
-// decoding, so a trailer would be redundant.
-func DecodeBlob(buf []byte) (*Blob, error) {
-	r := &binenc.Reader{Buf: buf}
+// Encoded sizes of a blob's fixed-width elements.
+const (
+	refLen  = 36 // content[32] | u32 base
+	instLen = isa.InstSize
+	opLen   = 17 // u16 pos | u16 kind | u64 arg | u32 cost | u8 spilled
+	noteLen = 11 // u16 inst | u8 type | u32 target | u32 target offset
+	srcLen  = 2
+)
+
+// blobLayout is an encoded blob cut into its sections. Every section is a
+// slice of the encoding itself, so an element count is never more than the
+// input backs: decoding sizes each slice exactly and a hostile count field
+// reserves nothing.
+type blobLayout struct {
+	refs, insts, ops, notes, src []byte
+
+	modOff   uint32
+	optLevel uint8
+	origLen  uint16
+}
+
+// scanBlob validates an encoding's structure — magic, count limits, no
+// truncation, no trailing bytes, at least one ref and one instruction — and
+// returns its sections. Both decoders (DecodeBlob into the interchange form,
+// decodeTrace into the trace a VM runs) start here, so they accept the same
+// encodings.
+func scanBlob(enc []byte) (blobLayout, error) {
+	var l blobLayout
+	r := binenc.Reader{Buf: enc}
 	magic := r.Raw(4)
 	optimized := false
 	if r.Err == nil {
@@ -153,69 +179,212 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 		case string(blobMagicOpt[:]):
 			optimized = true
 		default:
-			return nil, fmt.Errorf("store: bad blob magic %q", magic)
+			return l, fmt.Errorf("store: bad blob magic %q", magic)
 		}
 	}
-	b := &Blob{}
-	for i, n := 0, r.Count(maxBlobRefs); i < n && r.Err == nil; i++ {
-		var ref Ref
-		copy(ref.Content[:], r.Raw(32))
-		ref.Base = r.U32()
-		b.Refs = append(b.Refs, ref)
-	}
-	b.ModOff = r.U32()
-	for i, n := 0, r.Count(maxBlobInsts); i < n && r.Err == nil; i++ {
-		in, err := isa.DecodeWord(r.U64())
-		if r.Err == nil && err != nil {
-			return nil, fmt.Errorf("store: blob inst %d: %w", i, err)
-		}
-		b.Insts = append(b.Insts, in)
-	}
-	for i, n := 0, r.Count(maxBlobInsts*4); i < n && r.Err == nil; i++ {
-		var op vm.AnalysisOp
-		op.Pos = r.U16()
-		op.Kind = vm.OpKind(r.U16())
-		op.Arg = r.U64()
-		op.Cost = r.U32()
-		op.Spilled = r.Bool()
-		b.Ops = append(b.Ops, op)
-	}
-	for i, n := 0, r.Count(maxBlobInsts); i < n && r.Err == nil; i++ {
-		var note vm.RelocNote
-		note.InstIdx = r.U16()
-		note.Type = obj.RelocType(r.U8())
-		note.Target = int32(r.U32())
-		note.TargetOff = r.U32()
-		b.Notes = append(b.Notes, note)
-	}
+	l.refs = r.Raw(r.Count(maxBlobRefs) * refLen)
+	l.modOff = r.U32()
+	l.insts = r.Raw(r.Count(maxBlobInsts) * instLen)
+	l.ops = r.Raw(r.Count(maxBlobInsts*4) * opLen)
+	l.notes = r.Raw(r.Count(maxBlobInsts) * noteLen)
 	if optimized {
-		b.OptLevel = r.U8()
-		b.OrigLen = r.U16()
-		for i, n := 0, r.Count(maxBlobInsts); i < n && r.Err == nil; i++ {
-			b.SrcIdx = append(b.SrcIdx, r.U16())
-		}
+		l.optLevel = r.U8()
+		l.origLen = r.U16()
+		l.src = r.Raw(r.Count(maxBlobInsts) * srcLen)
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("store: blob decode: %w", err)
+		return l, fmt.Errorf("store: blob decode: %w", err)
 	}
-	if len(b.Refs) == 0 {
-		return nil, fmt.Errorf("store: blob has no module refs")
+	if len(l.refs) == 0 {
+		return l, fmt.Errorf("store: blob has no module refs")
 	}
-	if len(b.Insts) == 0 {
-		return nil, fmt.Errorf("store: blob has no instructions")
+	if len(l.insts) == 0 {
+		return l, fmt.Errorf("store: blob has no instructions")
 	}
-	for i, n := range b.Notes {
-		if n.Target < 0 || int(n.Target) >= len(b.Refs) {
-			return nil, fmt.Errorf("store: blob note %d targets ref %d of %d", i, n.Target, len(b.Refs))
+	if optimized && l.optLevel == 0 {
+		return l, fmt.Errorf("store: optimized blob with level 0")
+	}
+	return l, nil
+}
+
+func (l *blobLayout) numRefs() int { return len(l.refs) / refLen }
+
+// ref decodes the i'th module ref.
+func (l *blobLayout) ref(i int) (ref Ref) {
+	e := l.refs[i*refLen:]
+	copy(ref.Content[:], e)
+	ref.Base = binary.LittleEndian.Uint32(e[32:])
+	return ref
+}
+
+// decodeInsts fills dst, which the caller sized to the section, validating
+// every instruction.
+func (l *blobLayout) decodeInsts(dst []isa.Inst) error {
+	for i := range dst {
+		in, err := isa.Decode(l.insts[i*instLen:])
+		if err != nil {
+			return fmt.Errorf("store: blob inst %d: %w", i, err)
+		}
+		dst[i] = in
+	}
+	return nil
+}
+
+func (l *blobLayout) decodeOps(dst []vm.AnalysisOp) {
+	for i := range dst {
+		e := l.ops[i*opLen:]
+		dst[i] = vm.AnalysisOp{
+			Pos:     binary.LittleEndian.Uint16(e),
+			Kind:    vm.OpKind(binary.LittleEndian.Uint16(e[2:])),
+			Arg:     binary.LittleEndian.Uint64(e[4:]),
+			Cost:    binary.LittleEndian.Uint32(e[12:]),
+			Spilled: e[16] != 0,
 		}
 	}
-	if optimized && b.OptLevel == 0 {
-		return nil, fmt.Errorf("store: optimized blob with level 0")
+}
+
+// decodeNotes fills dst with the notes as encoded — Target a ref slot — and
+// rejects a slot the blob does not have.
+func (l *blobLayout) decodeNotes(dst []vm.RelocNote) error {
+	refs := l.numRefs()
+	for i := range dst {
+		e := l.notes[i*noteLen:]
+		n := vm.RelocNote{
+			InstIdx:   binary.LittleEndian.Uint16(e),
+			Type:      obj.RelocType(e[2]),
+			Target:    int32(binary.LittleEndian.Uint32(e[3:])),
+			TargetOff: binary.LittleEndian.Uint32(e[7:]),
+		}
+		if n.Target < 0 || int(n.Target) >= refs {
+			return fmt.Errorf("store: blob note %d targets ref %d of %d", i, n.Target, refs)
+		}
+		dst[i] = n
 	}
+	return nil
+}
+
+func (l *blobLayout) decodeSrc(dst []uint16) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint16(l.src[i*srcLen:])
+	}
+}
+
+// slab cuts exactly-sized slices out of shared chunks: a prime decodes
+// hundreds of ten-instruction traces, and one allocation per chunk is
+// cheaper than one per trace. The slices do not overlap and cannot grow into
+// each other (capacity is capped at length); a chunk lives as long as any
+// slice cut from it does, which for traces installed together is the life
+// of the code cache.
+type slab[T any] struct{ free []T }
+
+// slabChunk is the element count of one chunk (16 KB of instructions).
+const slabChunk = 2048
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// sized returns a slice for the n elements of one section: nil for none,
+// as a decoder that appended element by element would have left it.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// DecodeBlob parses an encoded blob. Integrity is the caller's concern:
+// the store verifies that the bytes hash to the file's name before
+// decoding, so a trailer would be redundant.
+func DecodeBlob(buf []byte) (*Blob, error) {
+	l, err := scanBlob(buf)
+	if err != nil {
+		return nil, err
+	}
+	b := &Blob{
+		Refs:     make([]Ref, l.numRefs()),
+		ModOff:   l.modOff,
+		Insts:    make([]isa.Inst, len(l.insts)/instLen),
+		Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
+		Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
+		OptLevel: l.optLevel,
+		OrigLen:  l.origLen,
+		SrcIdx:   sized[uint16](len(l.src) / srcLen),
+	}
+	for i := range b.Refs {
+		b.Refs[i] = l.ref(i)
+	}
+	if err := l.decodeInsts(b.Insts); err != nil {
+		return nil, err
+	}
+	l.decodeOps(b.Ops)
+	if err := l.decodeNotes(b.Notes); err != nil {
+		return nil, err
+	}
+	l.decodeSrc(b.SrcIdx)
 	if err := vm.CheckOptMeta(b.OptLevel, b.OrigLen, b.SrcIdx, len(b.Insts)); err != nil {
 		return nil, fmt.Errorf("store: blob: %w", err)
 	}
 	return b, nil
+}
+
+// decodeTrace decodes one hash-verified encoding straight into t, the trace
+// a VM will run — what DecodeBlob, Manifest.CheckBlob and Blob.Materialize
+// do between them, without the interchange form in the middle: the blob's
+// refs must be the modules tr maps them to (content key and base), its level
+// the one the manifest recorded, and notes come out carrying module-table
+// indices. Instructions are cut from insts; nothing aliases enc or man.
+//
+//pcc:hotpath
+func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, tr TraceRef) error {
+	l, err := scanBlob(enc)
+	if err != nil {
+		return err
+	}
+	if len(tr.Refs) != l.numRefs() {
+		return fmt.Errorf("store: blob %s has %d refs, manifest expects %d", tr.Blob, l.numRefs(), len(tr.Refs))
+	}
+	for i, mi := range tr.Refs {
+		mod, e := &man.Modules[mi], l.refs[i*refLen:]
+		if !bytes.Equal(mod.Content[:], e[:32]) || mod.Base != binary.LittleEndian.Uint32(e[32:]) {
+			return fmt.Errorf("store: blob %s ref %d does not match manifest module %d (%s)", tr.Blob, i, mi, mod.Path)
+		}
+	}
+	if l.optLevel != tr.OptLevel {
+		return fmt.Errorf("store: blob %s has optimization level %d, manifest expects %d", tr.Blob, l.optLevel, tr.OptLevel)
+	}
+	*t = vm.Trace{
+		Start:    man.Modules[tr.Refs[0]].Base + l.modOff,
+		Module:   tr.Refs[0],
+		ModOff:   l.modOff,
+		Insts:    insts.take(len(l.insts) / instLen),
+		Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
+		Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
+		OptLevel: l.optLevel,
+		OrigLen:  l.origLen,
+		SrcIdx:   sized[uint16](len(l.src) / srcLen),
+	}
+	if err := l.decodeInsts(t.Insts); err != nil {
+		return err
+	}
+	l.decodeOps(t.Ops)
+	if err := l.decodeNotes(t.Notes); err != nil {
+		return err
+	}
+	for i := range t.Notes {
+		t.Notes[i].Target = tr.Refs[t.Notes[i].Target]
+	}
+	l.decodeSrc(t.SrcIdx)
+	if err := vm.CheckOptMeta(t.OptLevel, t.OrigLen, t.SrcIdx, len(t.Insts)); err != nil {
+		return fmt.Errorf("store: blob: %w", err)
+	}
+	t.RecomputeStatic()
+	return nil
 }
 
 // BlobFromTrace converts a trace to interchange form. refOf maps a process
@@ -283,9 +452,10 @@ func (b *Blob) Materialize(modules []int32) (*vm.Trace, error) {
 	if b.SrcIdx != nil {
 		t.SrcIdx = append([]uint16(nil), b.SrcIdx...)
 	}
-	for _, n := range b.Notes {
+	t.Notes = sized[vm.RelocNote](len(b.Notes))
+	for i, n := range b.Notes {
 		n.Target = modules[n.Target]
-		t.Notes = append(t.Notes, n)
+		t.Notes[i] = n
 	}
 	t.RecomputeStatic()
 	return t, nil

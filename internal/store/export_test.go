@@ -1,0 +1,17 @@
+package store
+
+import (
+	"persistcc/internal/isa"
+	"persistcc/internal/vm"
+)
+
+// DecodeTrace is the launch path's decoder (decodeTrace) for one encoding,
+// for the tests that hold it against DecodeBlob + CheckBlob + Materialize.
+func DecodeTrace(enc []byte, man *Manifest, tr TraceRef) (*vm.Trace, error) {
+	t := new(vm.Trace)
+	var insts slab[isa.Inst]
+	if err := decodeTrace(t, &insts, enc, man, tr); err != nil {
+		return nil, err
+	}
+	return t, nil
+}

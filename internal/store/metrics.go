@@ -8,7 +8,11 @@ import (
 // low-frequency (commit, prime, compaction), so counters are incremented
 // directly at the call sites, like the manager's.
 type storeMetrics struct {
-	hits         *metrics.CounterVec // tier=l1|l2|l3
+	// pcc_store_blob_hits_total{tier=l1|l2|l3}, resolved to its three
+	// counters once: a prime resolves hundreds of blobs, and a family
+	// lookup per blob is a string join and a map probe.
+	hitsL1, hitsL2, hitsL3 *metrics.Counter
+
 	misses       *metrics.Counter
 	written      *metrics.Counter
 	writtenBytes *metrics.Counter
@@ -28,8 +32,11 @@ func newStoreMetrics(r *metrics.Registry) *storeMetrics {
 	if r == nil {
 		r = metrics.NewRegistry()
 	}
+	hits := r.CounterVec("pcc_store_blob_hits_total", "blob lookups resolved, by tier", "tier")
 	return &storeMetrics{
-		hits:         r.CounterVec("pcc_store_blob_hits_total", "blob lookups resolved, by tier", "tier"),
+		hitsL1:       hits.With("l1"),
+		hitsL2:       hits.With("l2"),
+		hitsL3:       hits.With("l3"),
 		misses:       r.Counter("pcc_store_blob_misses_total", "blob lookups that found no local copy"),
 		written:      r.Counter("pcc_store_blobs_written_total", "new blobs written to the content store"),
 		writtenBytes: r.Counter("pcc_store_blob_written_bytes_total", "bytes written for new blobs"),

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"persistcc/internal/fsx"
+	"persistcc/internal/isa"
 	"persistcc/internal/metrics"
+	"persistcc/internal/vm"
 )
 
 // quarantineDir receives store files whose bytes fail a content check,
@@ -435,7 +437,7 @@ func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
 	b, ok := s.l1[h]
 	s.l1mu.RUnlock()
 	if ok {
-		s.met.hits.With("l1").Inc()
+		s.met.hitsL1.Inc()
 		return b, nil
 	}
 	enc, loc, err := s.readRaw(h, relisted)
@@ -448,7 +450,7 @@ func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
 	s.cache(h, b)
-	s.met.hits.With("l2").Inc()
+	s.met.hitsL2.Inc()
 	return b, nil
 }
 
@@ -457,6 +459,63 @@ func (s *Store) cache(h Hash, b *Blob) {
 	s.l1mu.Lock()
 	s.l1[h] = b
 	s.l1mu.Unlock()
+}
+
+// LocalTraces is a warm launch's read path: every trace man references,
+// decoded straight out of this store's packs into the traces a VM will run.
+// Each encoding is verified against its content address and against the
+// manifest's view of it (decodeTrace) exactly as Get, Manifest.CheckBlob and
+// Blob.Materialize would between them, but no Blob is built, nothing enters
+// L1 and the tier counter is bumped once. It answers all or nothing: ok is
+// false when any blob is not in a pack this store has indexed, or fails any
+// check — the caller then resolves the manifest through Tiered.GetAll, which
+// lists the directory again, reads loose blobs, quarantines a bad pack and
+// asks the remote tier, none of which a healthy warm launch needs.
+//
+//pcc:hotpath
+func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
+	// One entry per pack the manifest reaches into: its inflated stream, and
+	// which members were counted already (a hash referenced twice is one
+	// lookup, as it is in GetAll).
+	type openPack struct {
+		raw  []byte
+		seen []bool
+	}
+	open := make(map[*pack]*openPack)
+
+	traces = make([]*vm.Trace, len(man.Traces))
+	structs := make([]vm.Trace, len(man.Traces)) // one allocation; traces[i] = &structs[i]
+	var insts slab[isa.Inst]
+	hits := uint64(0)
+	for i, tr := range man.Traces {
+		m, found := s.packed(tr.Blob)
+		if !found {
+			return nil, false
+		}
+		cur := open[m.p]
+		if cur == nil {
+			raw, err := s.packStream(m.p)
+			if err != nil {
+				return nil, false
+			}
+			cur = &openPack{raw: raw, seen: make([]bool, len(m.p.ix.hashes))}
+			open[m.p] = cur
+		}
+		enc := cur.raw[m.p.ix.offs[m.i]:m.p.ix.offs[m.i+1]]
+		if Sum(enc) != tr.Blob {
+			return nil, false
+		}
+		if decodeTrace(&structs[i], &insts, enc, man, tr) != nil {
+			return nil, false
+		}
+		traces[i] = &structs[i]
+		if !cur.seen[m.i] {
+			cur.seen[m.i] = true
+			hits++
+		}
+	}
+	s.met.hitsL2.Add(hits)
+	return traces, true
 }
 
 // GetRaw returns the verified encoded bytes of a blob — the server's

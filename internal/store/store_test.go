@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"persistcc/internal/fsx"
 	"persistcc/internal/isa"
+	"persistcc/internal/metrics"
 	"persistcc/internal/obj"
 	"persistcc/internal/store"
 	"persistcc/internal/vm"
@@ -645,6 +647,116 @@ func TestTieredWriteThrough(t *testing.T) {
 	if s.Has(junk.Hash()) {
 		t.Error("corrupt remote bytes reached the local store")
 	}
+}
+
+// manifestOver builds the manifest an application holding blobs would have
+// written: one module per distinct content key, one trace per blob.
+func manifestOver(blobs ...*store.Blob) *store.Manifest {
+	man := &store.Manifest{}
+	slot := make(map[[32]byte]int32)
+	for _, b := range blobs {
+		ref := b.Refs[0]
+		if _, ok := slot[ref.Content]; !ok {
+			slot[ref.Content] = int32(len(man.Modules))
+			man.Modules = append(man.Modules, store.Module{Path: fmt.Sprint("m", len(man.Modules)), Base: ref.Base, Content: ref.Content})
+		}
+		man.Traces = append(man.Traces, store.TraceRef{Blob: b.Hash(), Refs: []int32{slot[ref.Content]}, OptLevel: b.OptLevel})
+	}
+	return man
+}
+
+// TestLocalTraces: the launch read path answers a manifest whose blobs are
+// all packed locally with the traces the Blob path builds — counting one l2
+// hit per distinct blob, caching nothing — and answers nothing at all, and
+// touches nothing, when any blob needs more than that.
+func TestLocalTraces(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	s, err := store.Open(dir, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := mkBlob(40, 3), mkBlob(41, 7), optBlob(42)
+	if _, _, err := s.PutAll([]*store.Blob{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.PutAll([]*store.Blob{c}); err != nil { // a second pack
+		t.Fatal(err)
+	}
+	hits := func(tier string) float64 {
+		n, _ := reg.Snapshot().Value("pcc_store_blob_hits_total", tier)
+		return n
+	}
+
+	man := manifestOver(a, c, b, a) // packs interleaved, one blob twice
+	got, ok := s.LocalTraces(man)
+	if !ok || len(got) != 4 {
+		t.Fatalf("LocalTraces over a fully packed manifest: %d traces, ok=%t", len(got), ok)
+	}
+	if hits("l2") != 3 || hits("l1") != 0 {
+		t.Errorf("hits l1=%v l2=%v, want 0 and 3 (a blob referenced twice is one lookup)", hits("l1"), hits("l2"))
+	}
+	for i, tr := range man.Traces {
+		want, err := viaBlob(mustRaw(t, s, tr.Blob), man, tr)
+		if err != nil || !reflect.DeepEqual(*got[i], *want) {
+			t.Errorf("trace %d differs from the Blob path (err %v)\n got %+v\nwant %+v", i, err, *got[i], want)
+		}
+	}
+	if got[0] == got[3] || &got[0].Insts[0] == &got[3].Insts[0] {
+		t.Error("two references to one blob share a trace")
+	}
+	// Nothing was decoded into L1: the next Get is an l2 hit, not an l1 hit.
+	if _, err := s.Get(a.Hash()); err != nil || hits("l1") != 0 || hits("l2") != 4 {
+		t.Errorf("Get after LocalTraces: err %v, l1=%v l2=%v, want an l2 hit", err, hits("l1"), hits("l2"))
+	}
+
+	// A manifest that disagrees with a blob, a blob only a loose file holds
+	// and a blob nobody holds are all somebody else's problem.
+	bent := manifestOver(a, b)
+	bent.Modules[1].Base += 0x1000
+	loose := mkBlob(43, 2)
+	writeLoose(t, dir, "gen0000", loose)
+	before := hits("l2")
+	for name, m := range map[string]*store.Manifest{
+		"mismatched module": bent,
+		"loose blob":        manifestOver(a, loose),
+		"absent blob":       manifestOver(a, mkBlob(44, 2)),
+	} {
+		if got, ok := s.LocalTraces(m); ok || got != nil {
+			t.Errorf("%s: LocalTraces answered (%d traces)", name, len(got))
+		}
+	}
+	if hits("l2") != before {
+		t.Errorf("refused manifests counted %v hits", hits("l2")-before)
+	}
+
+	// A damaged pack is refused without being judged: quarantine is the
+	// tiered path's call, made with the same bytes.
+	path := storeFiles(t, dir, ".pck")[0]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-8] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, dir)
+	if _, ok := s.LocalTraces(manifestOver(a, b, c)); ok {
+		t.Fatal("LocalTraces answered from a damaged pack")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("LocalTraces removed the damaged pack: %v", err)
+	}
+}
+
+func mustRaw(t *testing.T, s *store.Store, h store.Hash) []byte {
+	t.Helper()
+	enc, err := s.GetRaw(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
 }
 
 // TestDecodePackRejectsDamage: no proper prefix of a pack file decodes, and

@@ -60,9 +60,9 @@ func (t *Tiered) GetAll(hashes []Hash) (map[Hash]*Blob, error) {
 		}
 		t.Store.cache(h, b)
 		out[h] = b
-		t.Store.met.hits.With("l3").Inc()
 		good, encs = append(good, h), append(encs, enc)
 	}
+	t.Store.met.hitsL3.Add(uint64(len(good)))
 	// Write-through is one batch, so one pack. The blobs above are verified
 	// and serve this run from L1 whether or not the disk takes them: a
 	// failed write only means the next run fetches again.

@@ -75,7 +75,7 @@ func (v *VM) optimizeTrace(t *Trace) {
 		v.stats.TracesOptimized++
 		v.stats.OptInstsRemoved += uint64(out.Removed)
 		// The rewrite changed Insts (and SrcIdx/OrigLen): re-derive exits
-		// and liveness for the optimized sequence.
+		// for the optimized sequence.
 		t.RecomputeStatic()
 	}
 }

@@ -105,12 +105,14 @@ func (tc *TraceContext) ModOff() uint32 { return tc.trace.ModOff }
 // ScratchRegs returns the number of dead architectural registers available
 // immediately before instruction idx — registers the injected analysis code
 // may use without spilling. It is derived from the trace's liveness
-// analysis (the paper's "register liveness analysis and register bindings").
+// analysis (the paper's "register liveness analysis and register bindings"),
+// which runs when the first tool asks.
 func (tc *TraceContext) ScratchRegs(idx int) int {
-	if idx < 0 || idx >= len(tc.trace.LiveIn) {
+	liveIn, _ := tc.trace.Liveness()
+	if idx < 0 || idx >= len(liveIn) {
 		return 0
 	}
-	return isa.NumRegs - 1 - tc.trace.LiveIn[idx].Count() // r0 excluded
+	return isa.NumRegs - 1 - liveIn[idx].Count() // r0 excluded
 }
 
 // InsertBefore schedules an analysis op immediately before instruction idx

@@ -67,8 +67,8 @@ type RelocNote struct {
 }
 
 // Trace is a translated code-cache unit: a linear instruction sequence with
-// side exits, injected analysis ops, per-instruction liveness, and the
-// metadata that makes it persistable.
+// side exits, injected analysis ops, per-instruction liveness (on demand,
+// see Liveness), and the metadata that makes it persistable.
 type Trace struct {
 	Start  uint32 // guest address of the head; entry only at the head
 	Module int32  // index into the process module table; -1 if not file-backed
@@ -77,8 +77,8 @@ type Trace struct {
 	Insts   []isa.Inst
 	Exits   []Exit
 	Ops     []AnalysisOp  // sorted by Pos
-	LiveIn  []isa.RegMask // live registers immediately before each instruction
-	LiveOut []isa.RegMask // live registers immediately after each instruction
+	LiveIn  []isa.RegMask // live registers immediately before each instruction; nil until Liveness runs
+	LiveOut []isa.RegMask // live registers immediately after each instruction; likewise
 	Notes   []RelocNote
 
 	// Translation-time optimization (internal/guestopt). OptLevel 0 is an
@@ -176,12 +176,31 @@ func CheckOptMeta(level uint8, origLen uint16, srcIdx []uint16, insts int) error
 	return nil
 }
 
-// RecomputeStatic derives the trace's static metadata — exits and liveness
-// vectors — from Insts and Start. It is called after translation and again
-// by the persistence layer when a trace is rebased under the relocatable-
-// translation extension (rebasing changes Start and pc-relative immediates,
-// and therefore every static exit target).
+// RecomputeStatic derives the trace's static exits from Insts and Start. It
+// is called after translation, after the optimizer rewrote the instructions,
+// when the persistence layer decodes a trace, and when it rebases one under
+// the relocatable-translation extension (rebasing changes Start and
+// pc-relative immediates, and therefore every static exit target). Liveness
+// derived from an earlier instruction sequence is dropped; Liveness computes
+// it again when somebody asks.
 func (t *Trace) RecomputeStatic() {
+	t.LiveIn, t.LiveOut = nil, nil
+	n := 0
+	for _, in := range t.Insts {
+		if in.IsCondBranch() {
+			n++
+		}
+		if in.IsTerminator() { // each of the four terminators is one exit
+			n++
+		}
+	}
+	fall := !t.Insts[len(t.Insts)-1].IsTerminator()
+	if fall {
+		n++
+	}
+	if cap(t.Exits) < n {
+		t.Exits = make([]Exit, 0, n)
+	}
 	t.Exits = t.Exits[:0]
 	for i, in := range t.Insts {
 		pc := t.PC(i)
@@ -202,8 +221,7 @@ func (t *Trace) RecomputeStatic() {
 			}
 		}
 	}
-	last := t.Insts[len(t.Insts)-1]
-	if !last.IsTerminator() {
+	if fall {
 		// Fall through past the original fetched region: an optimized trace
 		// resumes where the unoptimized one would have.
 		t.Exits = append(t.Exits, Exit{
@@ -211,12 +229,18 @@ func (t *Trace) RecomputeStatic() {
 			Target: t.Start + uint32(t.OrigInsts())*isa.InstSize,
 		})
 	}
-	t.computeLiveness()
 }
 
-// computeLiveness runs the backward dataflow pass. Live-out at the trace
-// end is conservatively all-registers (successor traces are unknown).
-func (t *Trace) computeLiveness() {
+// Liveness returns the per-instruction live-register vectors, running the
+// backward dataflow pass the first time it is asked after the instructions
+// last changed. Only instrumentation reads them (TraceContext.ScratchRegs),
+// so a trace nobody instruments — a persisted one, or a translation without
+// a tool — never pays for the pass. Live-out at the trace end is
+// conservatively all-registers (successor traces are unknown).
+func (t *Trace) Liveness() (liveIn, liveOut []isa.RegMask) {
+	if t.LiveIn != nil {
+		return t.LiveIn, t.LiveOut
+	}
 	n := len(t.Insts)
 	t.LiveIn = make([]isa.RegMask, n)
 	t.LiveOut = make([]isa.RegMask, n)
@@ -232,6 +256,7 @@ func (t *Trace) computeLiveness() {
 		}
 		t.LiveIn[i] = live
 	}
+	return t.LiveIn, t.LiveOut
 }
 
 // CodeCache is the software code cache plus translation map: translated
@@ -253,6 +278,16 @@ type CodeCache struct {
 // NewCodeCache returns a cache with the given total byte budget.
 func NewCodeCache(limit uint64) *CodeCache {
 	return &CodeCache{limit: limit, byAddr: make(map[uint32]*Trace), codePages: make(map[uint32]int)}
+}
+
+// Reserve sizes an empty cache's translation map for n more traces, so a
+// prime that knows how many it is about to install does not grow the map
+// and the trace list a doubling at a time.
+func (c *CodeCache) Reserve(n int) {
+	if len(c.all) == 0 {
+		c.byAddr = make(map[uint32]*Trace, n)
+		c.all = make([]*Trace, 0, n)
+	}
 }
 
 // PageHasCode reports whether any cached trace was fetched from the guest
@@ -393,7 +428,7 @@ func (v *VM) translate(pc uint32) (*Trace, error) {
 }
 
 // prepareTrace derives everything a decoded trace needs before install:
-// static exits and liveness, relocation notes, and tool instrumentation.
+// static exits, relocation notes, and tool instrumentation.
 // Shared by synchronous translation and pipeline adoption; instrumentation
 // must run here — on the dispatch thread, in dispatch order — because tools
 // may be stateful.

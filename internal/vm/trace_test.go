@@ -15,7 +15,7 @@ func TestLiveness(t *testing.T) {
 		{Op: isa.OpMovI, Rd: 12, Imm: 1},
 		{Op: isa.OpHalt},
 	}}
-	tr.computeLiveness()
+	tr.Liveness()
 	// Before inst 0: t1, t2 are used before def; t0 is redefined at 0 but
 	// also at 3... after the branch everything is live again (side exit),
 	// so t0 IS live-in at 3's predecessor region. Check the key facts:
@@ -49,7 +49,7 @@ func TestLivenessScratchInStraightLine(t *testing.T) {
 		{Op: isa.OpAdd, Rd: 14, Rs1: 12, Rs2: 13},
 		{Op: isa.OpHalt},
 	}}
-	tr.computeLiveness()
+	tr.Liveness()
 	if tr.LiveIn[0].Has(12) || tr.LiveIn[0].Has(13) {
 		t.Error("t0/t1 live at entry despite being defined first")
 	}

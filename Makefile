@@ -1,9 +1,9 @@
 # Development entry points. `make check` is the gate every change must pass:
-# formatting, lint (vet + the project's own invariant analyzers), build, and
-# the full test suite under the race detector (the cache server and the
-# concurrent-commit paths are only meaningfully tested with -race). `make ci`
-# mirrors .github/workflows/ci.yml exactly, adding the bench-regression,
-# experiment-gate and fuzz smoke gates.
+# formatting, lint (vet + the must-inline list + the project's own invariant
+# analyzers), build, and the full test suite under the race detector (the
+# cache server and the concurrent-commit paths are only meaningfully tested
+# with -race). `make ci` mirrors .github/workflows/ci.yml exactly, adding the
+# bench-regression, experiment-gate and fuzz smoke gates.
 
 GO ?= go
 
@@ -16,7 +16,7 @@ MAX_REGRESS = 0.25
 # local activity (`make fuzz FUZZTIME=10m`).
 FUZZTIME = 10s
 
-.PHONY: check ci build vet lint test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline gate-smoke fuzz-smoke clean
+.PHONY: check ci build vet lint inline-check test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline gate-smoke fuzz-smoke clean
 
 check: fmt-check lint build test-race
 
@@ -31,8 +31,21 @@ vet:
 # vet plus the repo's own analyzers (cmd/pcc-lint): fsx.FS seam bypasses in
 # internal/core, blocking calls under Manager/Server locks, metric naming,
 # and //pcc:hotpath allocation discipline.
-lint: vet
+lint: vet inline-check
 	$(GO) run ./cmd/pcc-lint ./...
+
+# The trace executor (execTrace) is fast because these calls vanish into it:
+# a guest load or store reaches its page, and an instruction its pc, without
+# a call. The compiler decides that by a size budget, so a few more lines in
+# one of them silently takes the speed-up away; this fails instead.
+MUST_INLINE = '(*AddressSpace).private' '(*AddressSpace).Load64' '(*AddressSpace).Store64' \
+	'(*Trace).PC' '(*Trace).SrcOff' '(*CodeCache).Lookup'
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/mem ./internal/vm 2>&1 | sed 's/^[^ ]* //'); fail=0; \
+	for f in $(MUST_INLINE); do \
+		echo "$$out" | grep -qxF "can inline $$f" || { echo "inline-check: $$f is not inlinable"; fail=1; }; \
+	done; exit $$fail
 
 test:
 	$(GO) test ./...

@@ -121,6 +121,51 @@ func benchVM(b *testing.B, native bool, iters uint64) {
 func BenchmarkInterpreter(b *testing.B)   { benchVM(b, true, 200_000) }
 func BenchmarkCodeCacheExec(b *testing.B) { benchVM(b, false, 200_000) }
 
+// BenchmarkSpecSteadyExec is the steady state the paper's improvement
+// figures are normalised against, as bench/'s spec-steady workload runs it:
+// warm launches of the ten SPEC models other than 176.gcc on their first
+// Reference input, through the facade, against databases seeded beforehand.
+// Nothing is translated, so ns/inst is the cost of executing one cached
+// guest instruction (plus a launch's fixed costs spread over ~3.6 M of
+// them); it is the in-tree target for profiling execTrace.
+func BenchmarkSpecSteadyExec(b *testing.B) {
+	type launch struct {
+		bench *workload.SpecBenchmark
+		opts  persistcc.RunOptions
+	}
+	var launches []launch
+	for _, name := range workload.SpecNames() {
+		if name == "176.gcc" {
+			continue // its warm run is prime-bound, not execution-bound
+		}
+		sb, err := workload.BuildSpecBenchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := persistcc.RunOptions{Input: sb.Ref[0].Words(), Persist: true, StoreFormat: true, CacheDir: b.TempDir()}
+		if _, err := persistcc.Run(sb.Prog.Exe, sb.Prog.Libs, o); err != nil {
+			b.Fatal(err)
+		}
+		launches = append(launches, launch{sb, o})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		for _, l := range launches {
+			out, err := persistcc.Run(l.bench.Prog.Exe, l.bench.Prog.Libs, l.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Stats.InstsTranslated != 0 {
+				b.Fatalf("%s: warm launch translated %d instructions", l.bench.Name, out.Stats.InstsTranslated)
+			}
+			insts += out.Stats.InstsExecuted
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+}
+
 // gftp is the first application of the GUI suite, the launch the paper's
 // headline figure is about.
 func gftp(tb testing.TB) *workload.GUIApp {

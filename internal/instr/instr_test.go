@@ -3,11 +3,13 @@ package instr_test
 import (
 	"testing"
 
+	"persistcc/internal/guestopt"
 	"persistcc/internal/instr"
 	"persistcc/internal/isa"
 	"persistcc/internal/loader"
 	"persistcc/internal/testprog"
 	"persistcc/internal/vm"
+	"persistcc/internal/workload"
 )
 
 const loopSrc = `
@@ -179,5 +181,113 @@ func TestCustomTool(t *testing.T) {
 	res := run(t, tool)
 	if uint64(tool.hits) != res.Stats.TraceExecs {
 		t.Errorf("custom hits %d != trace execs %d", tool.hits, res.Stats.TraceExecs)
+	}
+}
+
+// pcProbe records what PCOf answers for every instruction of every trace
+// it is shown, keyed by trace start.
+type pcProbe struct{ pcs map[uint32][]uint32 }
+
+func (*pcProbe) Name() string       { return "pc-probe" }
+func (*pcProbe) Version() string    { return "1" }
+func (*pcProbe) ConfigHash() uint64 { return 0 }
+
+func (p *pcProbe) Instrument(tc *vm.TraceContext) {
+	pcs := make([]uint32, len(tc.Insts()))
+	for i := range pcs {
+		pcs[i] = tc.PCOf(i)
+	}
+	p.pcs[tc.Start()] = pcs
+}
+
+// TestPCOfFollowsSourceMap: tools see a trace after the optimizer rewrote
+// it, so instruction i of what they see is not the i-th fetched instruction
+// once something before it was elided. PCOf must answer with the fetch
+// address (Start + SrcIdx[i]*8); it used to answer Start + i*8, so bbcount
+// -perinst keyed its counters by addresses of other instructions.
+func TestPCOfFollowsSourceMap(t *testing.T) {
+	gcc, err := workload.BuildSpecBenchmark("176.gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gccRun := func(opts ...vm.Option) (*vm.VM, *vm.Result) {
+		t.Helper()
+		v, err := gcc.Prog.NewVM(loader.Config{}, gcc.Train[0], opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, res
+	}
+	optimizer := func() vm.Option { return vm.WithOptimizer(guestopt.New(guestopt.All())) }
+
+	// What the tool was told at instrumentation time, against the source
+	// map of the trace that was installed.
+	probe := &pcProbe{pcs: make(map[uint32][]uint32)}
+	v, _ := gccRun(vm.WithTool(probe), optimizer())
+	// surviving[pc] is false once any trace elided the instruction at pc.
+	surviving := make(map[uint32]bool)
+	shifted := 0
+	for _, tr := range v.Cache().Traces() {
+		told := probe.pcs[tr.Start]
+		if len(told) != len(tr.Insts) {
+			t.Fatalf("trace %#x: tool saw %d instructions, %d installed", tr.Start, len(told), len(tr.Insts))
+		}
+		for i := 0; i < tr.OrigInsts(); i++ {
+			pc := tr.Start + uint32(i)*isa.InstSize
+			if _, seen := surviving[pc]; !seen {
+				surviving[pc] = true
+			}
+		}
+		kept := make(map[uint32]bool, len(tr.Insts))
+		for i := range tr.Insts {
+			src := i
+			if tr.SrcIdx != nil {
+				src = int(tr.SrcIdx[i])
+			}
+			if src != i {
+				shifted++
+			}
+			want := tr.Start + uint32(src)*isa.InstSize
+			if told[i] != want {
+				t.Fatalf("trace %#x inst %d: PCOf = %#x, fetched from %#x", tr.Start, i, told[i], want)
+			}
+			kept[want] = true
+		}
+		for i := 0; i < tr.OrigInsts(); i++ {
+			if pc := tr.Start + uint32(i)*isa.InstSize; !kept[pc] {
+				surviving[pc] = false
+			}
+		}
+	}
+	if shifted == 0 {
+		t.Fatal("no instruction follows an elision; the optimized case is untested")
+	}
+
+	// End to end: an instruction no trace elided executes exactly as often
+	// optimized as not, so bbcount -perinst must report the same count at
+	// its address in both runs.
+	_, plain := gccRun(vm.WithTool(&instr.BBCount{PerInstruction: true}))
+	_, opt := gccRun(vm.WithTool(&instr.BBCount{PerInstruction: true}), optimizer())
+	checked := 0
+	for pc, ok := range surviving {
+		if !ok {
+			continue
+		}
+		checked++
+		if got, want := opt.Stats.Counters[uint64(pc)], plain.Stats.Counters[uint64(pc)]; got != want {
+			t.Errorf("pc %#x: executed %d times under -optimize, %d times without", pc, got, want)
+		}
+	}
+	for key := range opt.Stats.Counters {
+		if _, covered := surviving[uint32(key)]; !covered {
+			t.Errorf("counter keyed %#x: no trace fetched an instruction there", key)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no surviving instruction compared")
 	}
 }

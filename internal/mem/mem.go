@@ -15,6 +15,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -219,7 +220,7 @@ func (as *AddressSpace) writable(addr uint32) *page {
 // untouched and materialize are the slow halves of readable and writable,
 // for a page without memory of its own; kept out of line so that the
 // callers every guest load and store goes through stay small leaf
-// functions (merged, BenchmarkCodeCacheExec reads 1–2 % slower).
+// functions.
 func (as *AddressSpace) untouched(addr uint32) *page {
 	if as.mappingIndex(addr) < 0 {
 		return nil
@@ -276,12 +277,11 @@ func (as *AddressSpace) ReadUint(addr uint32, size int) (uint64, error) {
 		case 1:
 			return uint64(p[off]), nil
 		case 2:
-			return uint64(p[off]) | uint64(p[off+1])<<8, nil
+			return uint64(binary.LittleEndian.Uint16(p[off:])), nil
 		case 4:
-			return uint64(p[off]) | uint64(p[off+1])<<8 | uint64(p[off+2])<<16 | uint64(p[off+3])<<24, nil
+			return uint64(binary.LittleEndian.Uint32(p[off:])), nil
 		case 8:
-			return uint64(p[off]) | uint64(p[off+1])<<8 | uint64(p[off+2])<<16 | uint64(p[off+3])<<24 |
-				uint64(p[off+4])<<32 | uint64(p[off+5])<<40 | uint64(p[off+6])<<48 | uint64(p[off+7])<<56, nil
+			return binary.LittleEndian.Uint64(p[off:]), nil
 		default:
 			return 0, fmt.Errorf("mem: bad access size %d", size)
 		}
@@ -327,14 +327,39 @@ func (as *AddressSpace) WriteUint(addr uint32, size int, v uint64) error {
 		return &Fault{Addr: addr, Size: size, Write: true}
 	}
 	switch size {
-	case 1, 2, 4, 8:
-		for i := 0; i < size; i++ {
-			p[off+uint32(i)] = byte(v >> (8 * i))
-		}
-		return nil
+	case 1:
+		p[off] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(p[off:], uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(p[off:], uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(p[off:], v)
 	default:
 		return fmt.Errorf("mem: bad access size %d", size)
 	}
+	return nil
+}
+
+// Load64 is the fast half of ReadUint(addr, 8), small enough to be inlined
+// into the trace executor: a doubleword inside one page that has memory of
+// its own is read in place. Anything else (never-written page, page
+// crossing, unmapped) reports ok false and is ReadUint's to serve or fault.
+func (as *AddressSpace) Load64(addr uint32) (v uint64, ok bool) {
+	if p := as.private(addr); p != nil && addr&(PageSize-1) <= PageSize-8 {
+		return binary.LittleEndian.Uint64(p[addr&(PageSize-1):]), true
+	}
+	return 0, false
+}
+
+// Store64 is the fast half of WriteUint(addr, 8, v), as Load64 is of
+// ReadUint; when it reports false nothing was written.
+func (as *AddressSpace) Store64(addr uint32, v uint64) bool {
+	if p := as.private(addr); p != nil && addr&(PageSize-1) <= PageSize-8 {
+		binary.LittleEndian.PutUint64(p[addr&(PageSize-1):], v)
+		return true
+	}
+	return false
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.

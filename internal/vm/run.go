@@ -18,16 +18,15 @@ const (
 )
 
 // exec executes one instruction at pc against the architectural state.
-// Jump targets are returned, not applied.
+// Jump targets are returned, not applied. It is the interpreter's alone
+// (RunNative): cached execution carries its own copy of these semantics in
+// execTrace, so the reference the differential tests compare against shares
+// no execution code with what it is the oracle for.
 //
 //pcc:hotpath
 func (v *VM) exec(in isa.Inst, pc uint32) (ctl, uint32, error) {
 	if v.execLog != nil && v.execLogged < v.execLogLimit {
-		v.execLogged++
-		fmt.Fprintf(v.execLog, "%08x  %s\n", pc, in)
-		if v.execLogged == v.execLogLimit {
-			fmt.Fprintf(v.execLog, "... (execution log limit reached)\n")
-		}
+		v.logExec(pc, in)
 	}
 	r := &v.regs
 	s1 := r[in.Rs1]
@@ -155,14 +154,10 @@ func (v *VM) exec(in isa.Inst, pc uint32) (ctl, uint32, error) {
 		if err := v.as.WriteUint(addr, size, s2); err != nil {
 			return 0, 0, fmt.Errorf("vm: at pc %#x: %w", pc, err)
 		}
-		if v.nativeMode {
-			// Keep the interpreter's decode cache coherent with guest
-			// stores (self-modifying or generated code).
-			delete(v.nativeDecoded, addr>>12)
-			delete(v.nativeDecoded, (addr+uint32(size)-1)>>12)
-		} else if v.smcDetect {
-			v.checkSMC(addr, size)
-		}
+		// Keep the interpreter's decode cache coherent with guest stores
+		// (self-modifying or generated code).
+		delete(v.nativeDecoded, addr>>12)
+		delete(v.nativeDecoded, (addr+uint32(size)-1)>>12)
 		return ctlNext, 0, nil
 	case isa.OpJal:
 		if in.Rd != isa.RegZero {
@@ -212,6 +207,16 @@ func (v *VM) exec(in isa.Inst, pc uint32) (ctl, uint32, error) {
 		r[in.Rd] = d
 	}
 	return ctlNext, 0, nil
+}
+
+// logExec writes one exec-log line; the caller has checked the log is
+// attached and under its limit.
+func (v *VM) logExec(pc uint32, in isa.Inst) {
+	v.execLogged++
+	fmt.Fprintf(v.execLog, "%08x  %s\n", pc, in)
+	if v.execLogged == v.execLogLimit {
+		fmt.Fprintf(v.execLog, "... (execution log limit reached)\n")
+	}
 }
 
 func divS(a, b int64) uint64 {
@@ -268,7 +273,11 @@ func (v *VM) doSyscall(pc uint32) error {
 		if n > 1<<20 {
 			n = 1 << 20
 		}
-		buf := make([]byte, n)
+		// The guest's bytes are read straight into the output buffer's
+		// spare capacity, and kept only if they were read whole and bound
+		// for stdout or stderr.
+		v.out.Grow(int(n))
+		buf := v.out.AvailableBuffer()[:n]
 		if err := v.as.ReadBytes(uint32(a2), buf); err != nil {
 			return fmt.Errorf("vm: write syscall at %#x: %w", pc, err)
 		}
@@ -414,77 +423,287 @@ func (v *VM) Run() (*Result, error) {
 
 // execTrace runs one trace to an exit. It returns the next trace when the
 // exit is linked (control stays in the code cache) and nil when control
-// must return to the VM (v.pc holds the resume address). Accumulated
-// execution ticks are flushed through addExecTicks on every exit path
-// (rather than a defer) to keep the per-dispatch frame cost flat.
+// must return to the VM (v.pc holds the resume address).
+//
+// This loop is the whole execution engine for cached code: the opcode
+// switch is inline, so an instruction costs a table jump rather than a call.
+// What the guest cannot observe mid-trace is not maintained mid-trace: the
+// guest pc is computed only by the instructions that read one, and the
+// executed-instruction count and execution ticks are settled once, at the
+// exit, from the exit's index (retire). Analysis ops and the exec log are
+// each behind one test per instruction whose operand was hoisted at entry.
 //
 //pcc:hotpath
 func (v *VM) execTrace(t *Trace) (*Trace, error) {
 	t.execs++
 	v.stats.TraceExecs++
-	n := len(t.Insts)
-	opIdx := 0
-	execTicks := uint64(0)
-	if v.stats.InstsExecuted >= v.maxInsts {
+	base := v.stats.InstsExecuted
+	if base >= v.maxInsts {
 		return nil, fmt.Errorf("vm: instruction budget (%d) exceeded at pc %#x", v.maxInsts, t.Start)
 	}
-	for i := 0; i < n; i++ {
-		for opIdx < len(t.Ops) && int(t.Ops[opIdx].Pos) == i {
-			v.execOp(t, t.Ops[opIdx], i)
-			opIdx++
+	var (
+		r       = &v.regs
+		as      = v.as
+		insts   = t.Insts
+		opIdx   = 0
+		nextOp  = -1 // position of the next analysis op; -1 when none remain
+		logging = v.execLog != nil && v.execLogged < v.execLogLimit
+	)
+	if len(t.Ops) > 0 {
+		nextOp = int(t.Ops[0].Pos)
+	}
+	for i, in := range insts {
+		if i == nextOp {
+			v.stats.InstsExecuted = base + uint64(i) // an op handler may read Stats
+			opIdx, nextOp = v.execOps(t, opIdx, i)
 		}
-		pc := t.PC(i)
-		c, target, err := v.exec(t.Insts[i], pc)
-		if err != nil {
-			v.addExecTicks(execTicks)
-			return nil, err
+		if logging {
+			v.logExec(t.PC(i), in)
+			logging = v.execLogged < v.execLogLimit
 		}
-		v.stats.InstsExecuted++
-		execTicks += v.cost.CacheExec
-		switch c {
-		case ctlNext:
-			// continue within the trace
-		case ctlJump:
-			v.addExecTicks(execTicks)
-			if t.Insts[i].Op == isa.OpJalr {
-				return v.indirectTransfer(target)
-			}
-			// Conditional branch taken, or direct jal: link slot i.
-			return v.directTransfer(t, i, target)
-		case ctlSys:
-			if err := v.doSyscall(pc); err != nil {
-				v.addExecTicks(execTicks)
+		s1 := r[in.Rs1%isa.NumRegs]
+		s2 := r[in.Rs2%isa.NumRegs]
+		imm := int64(in.Imm)
+		var d uint64
+		switch in.Op {
+		case isa.OpNop:
+			continue
+		case isa.OpHalt:
+			v.halted = true
+			v.retire(base, i+1)
+			return nil, nil
+		case isa.OpSys:
+			// Control returns to the VM after emulation (as in Pin); the
+			// resume address re-enters via the dispatcher. The emulation
+			// unit sees this instruction counted but not yet charged.
+			pc := t.PC(i)
+			v.stats.InstsExecuted = base + uint64(i+1)
+			err := v.doSyscall(pc)
+			v.retire(base, i+1)
+			if err != nil {
 				return nil, err
 			}
-			if v.halted {
-				v.addExecTicks(execTicks)
-				return nil, nil
+			if !v.halted {
+				v.pc = pc + isa.InstSize
 			}
-			// Control returns to the VM after emulation (as in Pin);
-			// the resume address re-enters via the dispatcher.
-			v.pc = pc + isa.InstSize
-			v.addExecTicks(execTicks)
 			return nil, nil
-		case ctlHalt:
-			v.halted = true
-			v.addExecTicks(execTicks)
-			return nil, nil
+		case isa.OpMovI:
+			d = uint64(imm)
+		case isa.OpMovHI:
+			d = uint64(uint32(in.Imm))<<32 | s1&0xFFFFFFFF
+		case isa.OpLdPC:
+			d = uint64(t.PC(i) + uint32(in.Imm))
+		case isa.OpAdd:
+			d = s1 + s2
+		case isa.OpSub:
+			d = s1 - s2
+		case isa.OpMul:
+			d = s1 * s2
+		case isa.OpDiv:
+			// x/0 == 0; MinInt64 / -1 wraps to MinInt64 in Go as in VR64.
+			if s2 != 0 {
+				d = uint64(int64(s1) / int64(s2))
+			}
+		case isa.OpDivU:
+			if s2 != 0 {
+				d = s1 / s2
+			}
+		case isa.OpRem:
+			d = s1 // x%0 == x
+			if s2 != 0 {
+				d = uint64(int64(s1) % int64(s2))
+			}
+		case isa.OpRemU:
+			d = s1
+			if s2 != 0 {
+				d = s1 % s2
+			}
+		case isa.OpAnd:
+			d = s1 & s2
+		case isa.OpOr:
+			d = s1 | s2
+		case isa.OpXor:
+			d = s1 ^ s2
+		case isa.OpSll:
+			d = s1 << (s2 & 63)
+		case isa.OpSrl:
+			d = s1 >> (s2 & 63)
+		case isa.OpSra:
+			d = uint64(int64(s1) >> (s2 & 63))
+		case isa.OpSlt:
+			if int64(s1) < int64(s2) {
+				d = 1
+			}
+		case isa.OpSltU:
+			if s1 < s2 {
+				d = 1
+			}
+		case isa.OpAddI:
+			d = s1 + uint64(imm)
+		case isa.OpMulI:
+			d = s1 * uint64(imm)
+		case isa.OpAndI:
+			d = s1 & uint64(imm)
+		case isa.OpOrI:
+			d = s1 | uint64(imm)
+		case isa.OpXorI:
+			d = s1 ^ uint64(imm)
+		case isa.OpSllI:
+			d = s1 << (uint64(imm) & 63)
+		case isa.OpSrlI:
+			d = s1 >> (uint64(imm) & 63)
+		case isa.OpSraI:
+			d = uint64(int64(s1) >> (uint64(imm) & 63))
+		case isa.OpSltI:
+			if int64(s1) < imm {
+				d = 1
+			}
+		case isa.OpSltUI:
+			if s1 < uint64(imm) {
+				d = 1
+			}
+		case isa.OpLd:
+			addr := uint32(s1 + uint64(imm))
+			val, ok := as.Load64(addr)
+			if !ok {
+				var err error
+				if val, err = as.ReadUint(addr, 8); err != nil {
+					return v.fault(t, base, i, err)
+				}
+			}
+			d = val
+		case isa.OpLb, isa.OpLbU:
+			val, err := as.ReadUint(uint32(s1+uint64(imm)), 1)
+			if err != nil {
+				return v.fault(t, base, i, err)
+			}
+			d = val
+			if in.Op == isa.OpLb {
+				d = uint64(int64(int8(val)))
+			}
+		case isa.OpLh, isa.OpLhU:
+			val, err := as.ReadUint(uint32(s1+uint64(imm)), 2)
+			if err != nil {
+				return v.fault(t, base, i, err)
+			}
+			d = val
+			if in.Op == isa.OpLh {
+				d = uint64(int64(int16(val)))
+			}
+		case isa.OpLw, isa.OpLwU:
+			val, err := as.ReadUint(uint32(s1+uint64(imm)), 4)
+			if err != nil {
+				return v.fault(t, base, i, err)
+			}
+			d = val
+			if in.Op == isa.OpLw {
+				d = uint64(int64(int32(val)))
+			}
+		case isa.OpSd:
+			addr := uint32(s1 + uint64(imm))
+			if !as.Store64(addr, s2) {
+				if err := as.WriteUint(addr, 8, s2); err != nil {
+					return v.fault(t, base, i, err)
+				}
+			}
+			if v.smcDetect {
+				v.checkSMC(addr, 8)
+			}
+			continue
+		case isa.OpSb, isa.OpSh, isa.OpSw:
+			addr := uint32(s1 + uint64(imm))
+			size := 1
+			switch in.Op {
+			case isa.OpSh:
+				size = 2
+			case isa.OpSw:
+				size = 4
+			}
+			if err := as.WriteUint(addr, size, s2); err != nil {
+				return v.fault(t, base, i, err)
+			}
+			if v.smcDetect {
+				v.checkSMC(addr, size)
+			}
+			continue
+		case isa.OpJal, isa.OpJalr:
+			pc := t.PC(i)
+			if in.Rd != isa.RegZero {
+				r[in.Rd%isa.NumRegs] = uint64(pc + isa.InstSize)
+			}
+			v.retire(base, i+1)
+			if in.Op == isa.OpJalr {
+				return v.indirectTransfer(uint32(s1 + uint64(imm)))
+			}
+			return v.directTransfer(t, i, pc+uint32(in.Imm))
+		case isa.OpBeq:
+			if s1 == s2 {
+				return v.branch(t, base, i)
+			}
+			continue
+		case isa.OpBne:
+			if s1 != s2 {
+				return v.branch(t, base, i)
+			}
+			continue
+		case isa.OpBlt:
+			if int64(s1) < int64(s2) {
+				return v.branch(t, base, i)
+			}
+			continue
+		case isa.OpBge:
+			if int64(s1) >= int64(s2) {
+				return v.branch(t, base, i)
+			}
+			continue
+		case isa.OpBltU:
+			if s1 < s2 {
+				return v.branch(t, base, i)
+			}
+			continue
+		case isa.OpBgeU:
+			if s1 >= s2 {
+				return v.branch(t, base, i)
+			}
+			continue
+		default:
+			v.retire(base, i)
+			return nil, fmt.Errorf("vm: unimplemented opcode %s at %#x", in.Op, t.PC(i))
+		}
+		if in.Rd != isa.RegZero {
+			r[in.Rd%isa.NumRegs] = d
 		}
 	}
 	// Fall-through exit (trace-length limit): trailing ops, then slot n.
-	for opIdx < len(t.Ops) && int(t.Ops[opIdx].Pos) == n {
-		v.execOp(t, t.Ops[opIdx], n-1)
-		opIdx++
+	n := len(insts)
+	if n == nextOp {
+		v.stats.InstsExecuted = base + uint64(n)
+		v.execOps(t, opIdx, n)
 	}
-	v.addExecTicks(execTicks)
+	v.retire(base, n)
 	return v.directTransfer(t, n, t.Start+uint32(t.OrigInsts())*isa.InstSize)
 }
 
-// addExecTicks folds one trace execution's accumulated cache-execution
-// ticks into the virtual clock and the run statistics.
-func (v *VM) addExecTicks(ticks uint64) {
+// retire settles the account of a trace execution that entered with base
+// instructions executed and ran count more: the instruction counter, and
+// count × CacheExec on the virtual clock.
+func (v *VM) retire(base uint64, count int) {
+	v.stats.InstsExecuted = base + uint64(count)
+	ticks := uint64(count) * v.cost.CacheExec
 	v.clock += ticks
 	v.stats.ExecTicks += ticks
+}
+
+// branch leaves t through the taken side of the conditional branch at i.
+func (v *VM) branch(t *Trace, base uint64, i int) (*Trace, error) {
+	v.retire(base, i+1)
+	return v.directTransfer(t, i, t.PC(i)+uint32(t.Insts[i].Imm))
+}
+
+// fault abandons t at instruction i, whose memory access failed.
+func (v *VM) fault(t *Trace, base uint64, i int, err error) (*Trace, error) {
+	v.retire(base, i)
+	return nil, fmt.Errorf("vm: at pc %#x: %w", t.PC(i), err)
 }
 
 // directTransfer follows (or establishes) the link for exit slot `slot`
@@ -525,7 +744,7 @@ func (v *VM) directTransfer(t *Trace, slot int, target uint32) (*Trace, error) {
 func (v *VM) indirectTransfer(target uint32) (*Trace, error) {
 	v.clock += v.cost.IndirectLookup
 	v.stats.IndirectTicks += v.cost.IndirectLookup
-	if next, ok := v.cache.Lookup(target); ok {
+	if next, ok := v.cache.lookupIndirect(target); ok {
 		v.stats.IndirectHits++
 		return next, nil
 	}
@@ -551,6 +770,24 @@ func (v *VM) translateOrAdopt(pc uint32) (*Trace, error) {
 		return v.translate(pc)
 	}
 	return v.pipe.resolveMiss(v, pc)
+}
+
+// execOps runs the analysis ops scheduled at position pos, starting at
+// t.Ops[opIdx]; it returns the index and position of the first op after them
+// (position -1 when none remain). Ops at len(Insts) annotate the last
+// instruction.
+func (v *VM) execOps(t *Trace, opIdx, pos int) (int, int) {
+	instIdx := pos
+	if instIdx == len(t.Insts) {
+		instIdx--
+	}
+	for ; opIdx < len(t.Ops); opIdx++ {
+		if p := int(t.Ops[opIdx].Pos); p != pos {
+			return opIdx, p
+		}
+		v.execOp(t, t.Ops[opIdx], instIdx)
+	}
+	return opIdx, -1
 }
 
 func (v *VM) execOp(t *Trace, op AnalysisOp, instIdx int) {

@@ -90,8 +90,10 @@ func (tc *TraceContext) Insts() []isa.Inst { return tc.trace.Insts }
 // Start returns the guest address of the trace head.
 func (tc *TraceContext) Start() uint32 { return tc.trace.Start }
 
-// PCOf returns the guest address of instruction idx.
-func (tc *TraceContext) PCOf(idx int) uint32 { return tc.trace.Start + uint32(idx)*isa.InstSize }
+// PCOf returns the guest address instruction idx was fetched from; in an
+// optimized trace that is not Start + idx*8 once an instruction before it
+// was elided.
+func (tc *TraceContext) PCOf(idx int) uint32 { return tc.trace.PC(idx) }
 
 // Module returns the index of the file-backed module the trace was fetched
 // from, or -1 for dynamically generated code.

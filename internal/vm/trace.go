@@ -273,7 +273,20 @@ type CodeCache struct {
 	// codePages counts, per guest page, how many traces were fetched from
 	// it — the write-monitor index for self-modifying-code detection.
 	codePages map[uint32]int
+	// indirect is a direct-mapped window onto byAddr for indirect branches
+	// (returns, mostly), so a repeated jalr target costs a compare rather
+	// than a hash. A slot only ever holds the trace byAddr maps its own
+	// Start to: lookupIndirect fills it, Insert overwrites it when it
+	// replaces that trace, Flush clears the table.
+	indirect [indirectSlots]*Trace
 }
+
+// indirectSlots × 8 bytes = 2 KB per cache. On the SPEC models 256 slots
+// hit as often as 512 (≥ 99.7 % of indirect branches, 97.5 % on 176.gcc);
+// 128 start to conflict (253.perlbmk 95 %).
+const indirectSlots = 256
+
+func indirectSlot(addr uint32) uint32 { return addr / isa.InstSize % indirectSlots }
 
 // NewCodeCache returns a cache with the given total byte budget.
 func NewCodeCache(limit uint64) *CodeCache {
@@ -316,6 +329,21 @@ func (c *CodeCache) Lookup(addr uint32) (*Trace, bool) {
 	return t, ok
 }
 
+// lookupIndirect is Lookup through the indirect-branch table.
+//
+//pcc:hotpath
+func (c *CodeCache) lookupIndirect(addr uint32) (*Trace, bool) {
+	slot := &c.indirect[indirectSlot(addr)]
+	if t := *slot; t != nil && t.Start == addr {
+		return t, true
+	}
+	t, ok := c.byAddr[addr]
+	if ok {
+		*slot = t
+	}
+	return t, ok
+}
+
 // WouldOverflow reports whether adding the trace would exceed either pool.
 func (c *CodeCache) WouldOverflow(t *Trace) bool {
 	half := c.limit / 2
@@ -339,6 +367,7 @@ func (c *CodeCache) Insert(t *Trace) {
 				break
 			}
 		}
+		c.indirect[indirectSlot(t.Start)] = t
 	}
 	t.links = make([]*Trace, len(t.Insts)+1)
 	c.byAddr[t.Start] = t
@@ -356,6 +385,7 @@ func (c *CodeCache) Flush() {
 		t.links = make([]*Trace, len(t.Insts)+1)
 	}
 	c.byAddr = make(map[uint32]*Trace)
+	c.indirect = [indirectSlots]*Trace{}
 	c.all = nil
 	c.codePages = make(map[uint32]int)
 	c.codeBytes, c.dataBytes = 0, 0

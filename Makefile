@@ -60,8 +60,13 @@ test-race:
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer — run twenty
 # times over: a lost race there is an intermittent failure, not a steady one.
+# The optimizer's goldens and its one-Optimizer-many-traces test ride along:
+# an Optimizer works in one scratch it owns, so reaching it from a second
+# goroutine is a data race on that scratch, and a trace reading what the
+# previous one left there is the single-threaded cousin of one.
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/
+	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
 	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer' ./internal/core/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
@@ -122,7 +127,10 @@ gate-smoke:
 # decode, wire-protocol frames, cache-file bytes, store pack files and the
 # blob encodings inside them) plus the
 # differential translate/interpret equivalence property over generated
-# workloads. Seed corpora are checked in under each package's testdata/fuzz/.
+# workloads, and the optimizer's prover (a reused Optimizer's verdict on a
+# mutated rewrite must be a fresh one's, and an accepted mutant must run like
+# the interpreter). Seed corpora are checked in under each package's
+# testdata/fuzz/, or added by the target itself.
 fuzz-smoke:
 	$(GO) test ./internal/isa/ -fuzz FuzzDecodeInstr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cacheserver/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
@@ -130,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/guestopt/ -run '^$$' -fuzz FuzzCheckEquivalent -fuzztime $(FUZZTIME)
 
 # Refresh the checked-in baseline after an intentional performance change.
 bench-baseline:

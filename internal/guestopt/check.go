@@ -25,6 +25,7 @@ package guestopt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"persistcc/internal/isa"
 )
@@ -40,55 +41,88 @@ const (
 	kLoad                      // memory value: op (width/sign), a (address), val (store generation)
 )
 
-// expr is a node in the interned symbolic-value DAG. Two values are equal
-// iff their *expr pointers are equal.
+// expr is a node in the interned symbolic-value DAG, named by its index in
+// the interner's arena. Two values are equal iff their ids are equal.
 type expr struct {
-	id   int
 	kind exprKind
 	op   isa.Op
-	a, b *expr
+	seen uint8  // kLoad: the sides (sideOrig | sideOpt) that performed this load
+	a, b uint32 // child ids; 0 where the kind has none
 	val  uint64
 }
 
-type exprKey struct {
-	kind exprKind
-	op   isa.Op
-	a, b int
-	val  uint64
-}
+const (
+	sideOrig uint8 = 1 << iota
+	sideOpt
+)
 
+// The first nSeeded ids mean the same thing in every trace and are never
+// hashed: id 0 is the constant 0 (what r0 reads), id r the value register r
+// held at trace entry. A symbolic register file therefore starts as 0..31.
+const nSeeded = isa.NumRegs
+
+// interner owns the arena and the open-addressed id table that makes
+// structurally equal nodes one node. Both outlive the trace: reset clears
+// them, growth is the only allocation.
 type interner struct {
-	byKey map[exprKey]*expr
-	next  int
+	exprs []expr
+	table []uint32 // slot: expr id, 0 = empty (seeded ids are never stored)
+	mask  uint32
 }
 
-func newInterner() *interner { return &interner{byKey: make(map[exprKey]*expr)} }
-
-func (it *interner) intern(kind exprKind, op isa.Op, a, b *expr, val uint64) *expr {
-	aid, bid := -1, -1
-	if a != nil {
-		aid = a.id
+// reset empties the arena for a check over n instructions, both sides
+// counted. An instruction interns at most three nodes (its immediate, a
+// negated or masked constant, its result), so 8n slots stay under half full.
+func (it *interner) reset(n int) {
+	size := 64
+	for size < 8*n {
+		size <<= 1
 	}
-	if b != nil {
-		bid = b.id
+	if len(it.table) < size {
+		it.table = make([]uint32, size)
 	}
-	key := exprKey{kind: kind, op: op, a: aid, b: bid, val: val}
-	if e, ok := it.byKey[key]; ok {
-		return e
+	clear(it.table[:size])
+	it.mask = uint32(size - 1)
+	if it.exprs == nil {
+		it.exprs = make([]expr, nSeeded, 256)
+		it.exprs[0] = expr{kind: kConst}
+		for r := 1; r < nSeeded; r++ {
+			it.exprs[r] = expr{kind: kInit, val: uint64(r)}
+		}
 	}
-	e := &expr{id: it.next, kind: kind, op: op, a: a, b: b, val: val}
-	it.next++
-	it.byKey[key] = e
-	return e
+	it.exprs = it.exprs[:nSeeded]
 }
 
-func (it *interner) konst(v uint64) *expr   { return it.intern(kConst, 0, nil, nil, v) }
-func (it *interner) initReg(r uint8) *expr  { return it.intern(kInit, 0, nil, nil, uint64(r)) }
-func (it *interner) addrVal(d uint32) *expr { return it.intern(kAddr, 0, nil, nil, uint64(d)) }
-func (it *interner) pinVal(s uint16) *expr  { return it.intern(kPin, 0, nil, nil, uint64(s)) }
-func (it *interner) loadVal(op isa.Op, addr *expr, gen int) *expr {
-	return it.intern(kLoad, op, addr, nil, uint64(gen))
+// intern returns the id of the node with these fields, new or not.
+//
+//pcc:hotpath
+func (it *interner) intern(kind exprKind, op isa.Op, a, b uint32, val uint64) uint32 {
+	h := (uint64(kind)<<40 ^ uint64(op)<<32 ^ uint64(a)<<16 ^ uint64(b) ^ val*0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+	for i := uint32(h>>32) & it.mask; ; i = (i + 1) & it.mask {
+		id := it.table[i]
+		if id == 0 {
+			id = uint32(len(it.exprs))
+			it.exprs = append(it.exprs, expr{kind: kind, op: op, a: a, b: b, val: val})
+			it.table[i] = id
+			return id
+		}
+		if e := &it.exprs[id]; e.kind == kind && e.op == op && e.a == a && e.b == b && e.val == val {
+			return id
+		}
+	}
 }
+
+func (it *interner) konst(v uint64) uint32 {
+	if v == 0 {
+		return 0
+	}
+	return it.intern(kConst, 0, 0, 0, v)
+}
+func (it *interner) imm(in isa.Inst) uint32  { return it.konst(uint64(int64(in.Imm))) }
+func (it *interner) addrVal(d uint32) uint32 { return it.intern(kAddr, 0, 0, 0, uint64(d)) }
+func (it *interner) pinVal(s int) uint32     { return it.intern(kPin, 0, 0, 0, uint64(s)) }
+func (it *interner) isConst(id uint32) bool  { return it.exprs[id].kind == kConst }
+func (it *interner) isOne(id uint32) bool    { return it.isConst(id) && it.exprs[id].val == 1 }
 
 // mkOp builds the canonical expression for a register-register ALU
 // operation. Canonicalization mirrors — by independent derivation from the
@@ -97,80 +131,79 @@ func (it *interner) loadVal(op isa.Op, addr *expr, gen int) *expr {
 // masking, commutative ordering and the algebraic identities. Identical
 // values therefore reach identical nodes regardless of which encoding
 // computed them.
-func (it *interner) mkOp(op isa.Op, a, b *expr) *expr {
-	if a.kind == kConst && b.kind == kConst {
-		return it.konst(evalSym(op, a.val, b.val))
+func (it *interner) mkOp(op isa.Op, a, b uint32) uint32 {
+	if it.isConst(a) && it.isConst(b) {
+		return it.konst(evalSym(op, it.exprs[a].val, it.exprs[b].val))
 	}
-	if op == isa.OpSub && b.kind == kConst {
-		return it.mkOp(isa.OpAdd, a, it.konst(-b.val))
+	if op == isa.OpSub && it.isConst(b) {
+		return it.mkOp(isa.OpAdd, a, it.konst(-it.exprs[b].val))
 	}
-	if (op == isa.OpSll || op == isa.OpSrl || op == isa.OpSra) && b.kind == kConst {
-		b = it.konst(b.val & 63)
+	if (op == isa.OpSll || op == isa.OpSrl || op == isa.OpSra) && it.isConst(b) {
+		b = it.konst(it.exprs[b].val & 63)
 	}
 	switch op {
 	case isa.OpAdd, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor:
-		if a.id > b.id {
+		if a > b {
 			a, b = b, a
 		}
 	}
-	czero := func(e *expr) bool { return e.kind == kConst && e.val == 0 }
-	cone := func(e *expr) bool { return e.kind == kConst && e.val == 1 }
+	// The constant 0 is id 0, so "is zero" is a comparison of ids.
 	switch op {
 	case isa.OpAdd:
-		if czero(a) {
+		if a == 0 {
 			return b
 		}
-		if czero(b) {
+		if b == 0 {
 			return a
 		}
 	case isa.OpSub:
 		if a == b {
-			return it.konst(0)
+			return 0
 		}
-		if czero(b) {
+		if b == 0 {
 			return a
 		}
 	case isa.OpXor:
 		if a == b {
-			return it.konst(0)
+			return 0
 		}
-		if czero(a) {
+		if a == 0 {
 			return b
 		}
-		if czero(b) {
+		if b == 0 {
 			return a
 		}
 	case isa.OpOr:
-		if a == b || czero(b) {
+		if a == b || b == 0 {
 			return a
 		}
-		if czero(a) {
+		if a == 0 {
 			return b
 		}
 	case isa.OpAnd:
 		if a == b {
 			return a
 		}
-		if czero(a) || czero(b) {
-			return it.konst(0)
+		if a == 0 || b == 0 {
+			return 0
 		}
 	case isa.OpMul:
-		if czero(a) || czero(b) {
-			return it.konst(0)
+		if a == 0 || b == 0 {
+			return 0
 		}
-		if cone(a) {
+		if it.isOne(a) {
 			return b
 		}
-		if cone(b) {
+		if it.isOne(b) {
 			return a
 		}
 	case isa.OpSll, isa.OpSrl, isa.OpSra:
-		if czero(b) {
+		if b == 0 {
 			return a
 		}
 	case isa.OpSlt, isa.OpSltU:
 		if a == b {
-			return it.konst(0)
+			return 0
 		}
 	}
 	return it.intern(kOp, op, a, b, 0)
@@ -255,9 +288,9 @@ func safeDivU(a, b uint64) uint64 {
 type symEvent struct {
 	kind uint8 // evStore | evBranch | evExit
 	op   isa.Op
-	a, b *expr  // store: address, value; branch: operands; jalr exit: a = target
+	a, b uint32 // store: address, value; branch: operands; jalr exit: a = target
 	off  uint32 // target offset from trace start (branch taken-target, jal target, syscall resume, fall-through)
-	snap [isa.NumRegs]*expr
+	snap [isa.NumRegs]uint32
 }
 
 const (
@@ -266,98 +299,89 @@ const (
 	evExit
 )
 
-type loadSig struct {
-	op   isa.Op
-	addr int // interned address expression id
-	gen  int // store generation at the load
-}
-
-type symResult struct {
-	events []symEvent
-	loads  map[loadSig]bool
-}
-
-// runSym symbolically executes one instruction sequence. src maps each
-// instruction to its original fetch index (identity for the original
-// sequence); origLen is the original instruction count, fixing the
-// fall-through resume offset for both sides.
-func runSym(it *interner, insts []isa.Inst, src []uint16, pinned map[uint16]bool, origLen int) *symResult {
-	var regs [isa.NumRegs]*expr
-	regs[0] = it.konst(0)
-	for r := uint8(1); r < isa.NumRegs; r++ {
-		regs[r] = it.initReg(r)
+// runSym symbolically executes one instruction sequence as side, appending
+// its events to ev. src maps each instruction to its original fetch index
+// (nil = identity, the original sequence); origLen is the original
+// instruction count, fixing the fall-through resume offset for both sides.
+// Every load marks its kLoad node with side: the marks are the fault set.
+//
+//pcc:hotpath
+func (it *interner) runSym(ev []symEvent, side uint8, insts []isa.Inst, src []uint16, pinned bitset, origLen int) []symEvent {
+	var regs [isa.NumRegs]uint32
+	for r := range regs {
+		regs[r] = uint32(r)
 	}
-	setRd := func(r uint8, e *expr) {
-		if r != isa.RegZero {
-			regs[r] = e
-		}
-	}
-	res := &symResult{loads: make(map[loadSig]bool)}
-	gen := 0
+	gen := uint64(0)
 	for k, in := range insts {
-		off := uint32(src[k]) * isa.InstSize
-		immExpr := func() *expr { return it.konst(uint64(int64(in.Imm))) }
+		s := k
+		if src != nil {
+			s = int(src[k])
+		}
+		off := uint32(s) * isa.InstSize
 		switch isa.Classify(in.Op) {
 		case isa.ClassALU:
-			if in.Op == isa.OpNop {
-				continue
-			}
-			var e *expr
 			switch {
-			case pinned[src[k]]:
+			case in.Op == isa.OpNop:
+				continue
+			case pinned.has(s):
 				// Loader-patched result: opaque, identified by source position.
-				e = it.pinVal(src[k])
+				regs[in.Rd] = it.pinVal(s)
 			case in.Op == isa.OpMovI:
-				e = it.konst(uint64(int64(in.Imm)))
+				regs[in.Rd] = it.imm(in)
 			case in.Op == isa.OpMovHI:
-				e = it.mkOp(isa.OpMovHI, regs[in.Rs1], it.konst(uint64(uint32(in.Imm))))
+				regs[in.Rd] = it.mkOp(isa.OpMovHI, regs[in.Rs1], it.konst(uint64(uint32(in.Imm))))
 			case in.Op == isa.OpLdPC:
-				e = it.addrVal(off + uint32(in.Imm))
+				regs[in.Rd] = it.addrVal(off + uint32(in.Imm))
 			case isRegImmALU(in.Op):
-				e = it.mkOp(regForm(in.Op), regs[in.Rs1], immExpr())
+				regs[in.Rd] = it.mkOp(regForm(in.Op), regs[in.Rs1], it.imm(in))
 			default:
-				e = it.mkOp(in.Op, regs[in.Rs1], regs[in.Rs2])
+				regs[in.Rd] = it.mkOp(in.Op, regs[in.Rs1], regs[in.Rs2])
 			}
-			setRd(in.Rd, e)
 		case isa.ClassLoad:
-			addr := it.mkOp(isa.OpAdd, regs[in.Rs1], immExpr())
-			res.loads[loadSig{op: in.Op, addr: addr.id, gen: gen}] = true
-			setRd(in.Rd, it.loadVal(in.Op, addr, gen))
+			addr := it.mkOp(isa.OpAdd, regs[in.Rs1], it.imm(in))
+			ld := it.intern(kLoad, in.Op, addr, 0, gen)
+			it.exprs[ld].seen |= side
+			regs[in.Rd] = ld
 		case isa.ClassStore:
-			addr := it.mkOp(isa.OpAdd, regs[in.Rs1], immExpr())
-			res.events = append(res.events, symEvent{kind: evStore, op: in.Op, a: addr, b: regs[in.Rs2]})
+			addr := it.mkOp(isa.OpAdd, regs[in.Rs1], it.imm(in))
+			ev = append(ev, symEvent{kind: evStore, op: in.Op, a: addr, b: regs[in.Rs2]})
 			gen++
 		case isa.ClassBranch:
-			res.events = append(res.events, symEvent{
+			ev = append(ev, symEvent{
 				kind: evBranch, op: in.Op, a: regs[in.Rs1], b: regs[in.Rs2],
 				off: off + uint32(in.Imm), snap: regs,
 			})
 		case isa.ClassJump:
-			if in.Op == isa.OpJal {
-				setRd(in.Rd, it.addrVal(off+isa.InstSize))
-				res.events = append(res.events, symEvent{kind: evExit, op: in.Op, off: off + uint32(in.Imm), snap: regs})
-			} else {
-				target := it.mkOp(isa.OpAdd, regs[in.Rs1], immExpr()) // read before the link write
-				setRd(in.Rd, it.addrVal(off+isa.InstSize))
-				res.events = append(res.events, symEvent{kind: evExit, op: in.Op, a: target, snap: regs})
+			e := symEvent{kind: evExit, op: in.Op, off: off + uint32(in.Imm)}
+			if in.Op == isa.OpJalr {
+				e.a, e.off = it.mkOp(isa.OpAdd, regs[in.Rs1], it.imm(in)), 0 // read before the link write
 			}
+			regs[in.Rd] = it.addrVal(off + isa.InstSize)
+			regs[0] = 0
+			e.snap = regs
+			ev = append(ev, e)
 		case isa.ClassSys:
-			res.events = append(res.events, symEvent{kind: evExit, op: in.Op, off: off + isa.InstSize, snap: regs})
+			ev = append(ev, symEvent{kind: evExit, op: in.Op, off: off + isa.InstSize, snap: regs})
 		case isa.ClassHalt:
-			res.events = append(res.events, symEvent{kind: evExit, op: in.Op, snap: regs})
+			ev = append(ev, symEvent{kind: evExit, op: in.Op, snap: regs})
 		}
+		regs[0] = 0 // whatever the instruction wrote there
 	}
 	if last := insts[len(insts)-1]; !last.IsTerminator() {
-		res.events = append(res.events, symEvent{
+		ev = append(ev, symEvent{
 			kind: evExit, op: isa.OpNop, off: uint32(origLen) * isa.InstSize, snap: regs,
 		})
 	}
-	return res
+	return ev
 }
 
 // checkEquivalent proves the optimized sequence equivalent to the original
-// for all initial states, or explains why it cannot.
-func checkEquivalent(orig, opt []isa.Inst, srcIdx []uint16, pinned map[uint16]bool) error {
+// for all initial states, or explains why it cannot. pinned is read, never
+// written: the engine's view of which instructions are loader-patched is
+// the one input the two sides share.
+//
+//pcc:hotpath
+func (sc *scratch) checkEquivalent(orig, opt []isa.Inst, srcIdx []uint16) error {
 	n, m := len(orig), len(opt)
 	if m == 0 || m > n {
 		return fmt.Errorf("guestopt: bad length %d (orig %d)", m, n)
@@ -377,51 +401,51 @@ func checkEquivalent(orig, opt []isa.Inst, srcIdx []uint16, pinned map[uint16]bo
 			return fmt.Errorf("guestopt: terminator %s at %d before sequence end", in.Op, k)
 		}
 	}
-	if orig[n-1].IsTerminator() && (srcIdx[m-1] != uint16(n-1) || opt[m-1] != orig[n-1]) {
+	if orig[n-1].IsTerminator() && (int(srcIdx[m-1]) != n-1 || opt[m-1] != orig[n-1]) {
 		return fmt.Errorf("guestopt: terminator not preserved")
 	}
-	pos := make(map[uint16]int, m)
-	for k, s := range srcIdx {
-		pos[s] = k
-	}
-	for s := range pinned {
-		k, ok := pos[s]
-		if !ok || opt[k] != orig[s] {
-			return fmt.Errorf("guestopt: loader-patched instruction %d not kept verbatim", s)
+	// Every pinned source index must survive verbatim. Both the set bits and
+	// srcIdx ascend, so one cursor walks the source map.
+	k := 0
+	for wi, word := range sc.pinned {
+		for ; word != 0; word &= word - 1 {
+			s := wi<<6 + bits.TrailingZeros64(word)
+			for k < m && int(srcIdx[k]) < s {
+				k++
+			}
+			if k == m || int(srcIdx[k]) != s || opt[k] != orig[s] {
+				return fmt.Errorf("guestopt: loader-patched instruction %d not kept verbatim", s)
+			}
 		}
 	}
 
-	it := newInterner()
-	identity := make([]uint16, n)
-	for i := range identity {
-		identity[i] = uint16(i)
-	}
-	a := runSym(it, orig, identity, pinned, n)
-	b := runSym(it, opt, srcIdx, pinned, n)
+	it := &sc.it
+	it.reset(n + m)
+	sc.evA = it.runSym(sc.evA[:0], sideOrig, orig, nil, sc.pinned, n)
+	sc.evB = it.runSym(sc.evB[:0], sideOpt, opt, srcIdx, sc.pinned, n)
 
-	if len(a.events) != len(b.events) {
-		return fmt.Errorf("guestopt: event count %d != %d", len(b.events), len(a.events))
+	if len(sc.evA) != len(sc.evB) {
+		return fmt.Errorf("guestopt: event count %d != %d", len(sc.evB), len(sc.evA))
 	}
-	for i := range a.events {
-		x, y := &a.events[i], &b.events[i]
+	for i := range sc.evA {
+		x, y := &sc.evA[i], &sc.evB[i]
 		if x.kind != y.kind || x.op != y.op || x.a != y.a || x.b != y.b || x.off != y.off {
 			return fmt.Errorf("guestopt: event %d diverges (%s)", i, x.op)
 		}
-		if x.kind != evStore {
-			for r := uint8(1); r < isa.NumRegs; r++ {
+		if x.kind != evStore && x.snap != y.snap {
+			for r := 1; r < isa.NumRegs; r++ {
 				if x.snap[r] != y.snap[r] {
 					return fmt.Errorf("guestopt: r%d differs at exit event %d", r, i)
 				}
 			}
 		}
 	}
-	for sig := range a.loads {
-		if !b.loads[sig] {
+	for i := nSeeded; i < len(it.exprs); i++ {
+		switch e := &it.exprs[i]; {
+		case e.kind != kLoad || e.seen == sideOrig|sideOpt:
+		case e.seen == sideOrig:
 			return fmt.Errorf("guestopt: load dropped (fault set shrank)")
-		}
-	}
-	for sig := range b.loads {
-		if !a.loads[sig] {
+		default:
 			return fmt.Errorf("guestopt: load introduced (fault set grew)")
 		}
 	}

@@ -27,27 +27,41 @@ type Report struct {
 
 // Explain runs the passes and the checker over one decoded sequence.
 // pinned marks source indices of loader-patched instructions (may be nil).
+// The report owns its slices: one Optimizer can explain a whole module.
 func (o *Optimizer) Explain(insts []isa.Inst, pinned map[uint16]bool) *Report {
 	rep := &Report{Orig: insts, Insts: insts}
-	if len(insts) == 0 || !o.cfg.Enabled() {
+	if len(insts) == 0 || len(insts) > maxInsts || !o.cfg.Enabled() {
 		return rep
 	}
-	res := o.rewrite(insts, pinned)
+	o.sc.pinFrom(len(insts), pinned)
+	res := o.rewrite(insts)
+	rep.Notes = make([]PassNote, len(res.work))
 	for i := range res.work {
 		w := &res.work[i]
-		n := PassNote{Src: int(w.src), Orig: insts[i], New: w.in}
+		n := PassNote{Src: i, Orig: insts[i], New: w.in}
 		if !w.alive {
-			n.Pass, n.Removed = w.gone, true
+			n.Pass, n.Removed = w.gone.String(), true
 		} else if w.in != insts[i] {
-			n.Pass = w.pass
+			n.Pass = w.pass.String()
 		}
-		rep.Notes = append(rep.Notes, n)
+		rep.Notes[i] = n
 	}
 	if !res.changed {
 		return rep
 	}
 	rep.Changed = true
-	rep.Insts, rep.SrcIdx = res.insts, res.srcIdx
-	rep.Err = checkEquivalent(insts, res.insts, res.srcIdx, pinned)
+	rep.Insts = append([]isa.Inst(nil), res.insts...)
+	rep.SrcIdx = append([]uint16(nil), res.srcIdx...)
+	rep.Err = o.sc.checkEquivalent(insts, rep.Insts, rep.SrcIdx)
 	return rep
+}
+
+// pinFrom is the map-to-bitset conversion at the package boundary.
+func (sc *scratch) pinFrom(n int, pinned map[uint16]bool) {
+	sc.resetPinned(n)
+	for s, on := range pinned {
+		if on {
+			sc.pin(int(s))
+		}
+	}
 }

@@ -6,5 +6,6 @@ import "persistcc/internal/isa"
 // tests: the verdict on an arbitrary (orig, opt, srcIdx) triple, not only on
 // one the engine produced.
 func (o *Optimizer) CheckEquivalent(orig, opt []isa.Inst, srcIdx []uint16, pinned map[uint16]bool) error {
-	return checkEquivalent(orig, opt, srcIdx, pinned)
+	o.sc.pinFrom(len(orig), pinned)
+	return o.sc.checkEquivalent(orig, opt, srcIdx)
 }

@@ -45,6 +45,7 @@ package guestopt
 
 import (
 	"fmt"
+	"math"
 
 	"persistcc/internal/isa"
 	"persistcc/internal/metrics"
@@ -75,11 +76,52 @@ func All() Config {
 // Enabled reports whether any pass may rewrite anything.
 func (c Config) Enabled() bool { return c.ConstFold || c.DeadCode || c.DeadFlag || c.LoadElim }
 
-// Optimizer implements vm.Optimizer. One Optimizer may serve many traces;
-// it is stateless between traces apart from metrics.
+// Optimizer implements vm.Optimizer. One Optimizer serves many traces, one
+// at a time: it owns the scratch both the engine and the checker work in,
+// so it belongs to one VM (every construction site makes one per VM) and
+// must not be shared between goroutines.
 type Optimizer struct {
 	cfg Config
 	m   *Metrics
+	sc  scratch
+}
+
+// scratch is an Optimizer's working memory: every buffer the engine and the
+// checker need for one trace, reset — never reallocated — for the next.
+// The two sides share these buffers' storage and the pinned set's contents;
+// they share no code and no derived fact.
+type scratch struct {
+	pinned bitset // source indices of note-bearing instructions
+
+	w      []workInst // engine
+	fs     fstate
+	insts  []isa.Inst
+	srcIdx []uint16
+
+	it       interner // checker
+	evA, evB []symEvent
+}
+
+// bitset is a set of source indices, sized from the trace length.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return i>>6 < len(b) && b[i>>6]>>(i&63)&1 != 0 }
+
+// resetPinned empties the pinned set for a trace of n instructions.
+func (sc *scratch) resetPinned(n int) {
+	sc.pinned = sc.pinned[:0]
+	for i := 0; i < (n+63)>>6; i++ {
+		sc.pinned = append(sc.pinned, 0)
+	}
+}
+
+// pin marks source index i. An index beyond the trace grows the set; no
+// source map can cover it, so the checker rejects any rewrite of the trace.
+func (sc *scratch) pin(i int) {
+	for i>>6 >= len(sc.pinned) {
+		sc.pinned = append(sc.pinned, 0)
+	}
+	sc.pinned[i>>6] |= 1 << (i & 63)
 }
 
 // New returns an optimizer for the given pass configuration.
@@ -97,70 +139,73 @@ func (o *Optimizer) Signature() string {
 // registry sees optimizer outcomes alongside the VM's own counters.
 func (o *Optimizer) BindMetrics(reg *metrics.Registry) { o.m = NewMetrics(reg) }
 
+// maxInsts is the longest trace the optimizer takes on: SrcIdx entries and
+// OrigLen are uint16. A longer one (vm.WithMaxTrace allows it) is declined
+// like any trace with nothing to improve.
+const maxInsts = math.MaxUint16
+
 // Optimize rewrites a freshly decoded trace in place when every rewrite
 // can be proven equivalent, and reports the outcome. Traces that arrive
 // already optimized (primed from a persistent cache) pass through
 // untouched: the VM never re-optimizes persisted code. The early-return
 // prefix runs on every translation and every persisted-trace install, so
-// the frame follows the hotpath discipline.
+// the frame follows the hotpath discipline. A trace left unchanged
+// allocates nothing; an optimized one allocates its exact-size Insts and
+// SrcIdx and nothing else.
 //
 //pcc:hotpath
 func (o *Optimizer) Optimize(t *vm.Trace) vm.OptOutcome {
 	if t.OptLevel != 0 || len(t.Insts) == 0 || !o.cfg.Enabled() {
 		return vm.OptOutcome{}
 	}
-	pinned := pinnedSet(t)
-	res := o.rewrite(t.Insts, pinned)
+	if len(t.Insts) > maxInsts {
+		o.m.observe(outUnchanged, nil)
+		return vm.OptOutcome{}
+	}
+	o.sc.resetPinned(len(t.Insts))
+	for _, n := range t.Notes {
+		o.sc.pin(int(n.InstIdx))
+	}
+	res := o.rewrite(t.Insts)
 	if !res.changed {
-		o.m.observe("unchanged", nil)
+		o.m.observe(outUnchanged, nil)
 		return vm.OptOutcome{}
 	}
 	if o.cfg.Mutate != nil {
 		o.cfg.Mutate(res.insts)
 	}
-	if err := checkEquivalent(t.Insts, res.insts, res.srcIdx, pinned); err != nil {
-		o.m.observe("rejected", nil)
+	if err := o.sc.checkEquivalent(t.Insts, res.insts, res.srcIdx); err != nil {
+		o.m.observe(outRejected, nil)
 		return vm.OptOutcome{Rejected: true}
 	}
 	orig := len(t.Insts)
 	t.OrigLen = uint16(orig)
-	t.SrcIdx = res.srcIdx
-	t.Insts = res.insts
+	t.Insts = make([]isa.Inst, len(res.insts))
+	copy(t.Insts, res.insts)
+	t.SrcIdx = make([]uint16, len(res.srcIdx))
+	copy(t.SrcIdx, res.srcIdx)
 	t.OptLevel = 1
 	remapNotes(t)
-	o.m.observe("optimized", res.removedBy)
+	o.m.observe(outOptimized, &res.removedBy)
 	return vm.OptOutcome{Level: 1, Removed: orig - len(res.insts)}
-}
-
-// pinnedSet collects the source indices of note-bearing instructions.
-//
-//pcc:hotpath
-func pinnedSet(t *vm.Trace) map[uint16]bool {
-	if len(t.Notes) == 0 {
-		return nil
-	}
-	p := make(map[uint16]bool, len(t.Notes))
-	for _, n := range t.Notes {
-		p[n.InstIdx] = true
-	}
-	return p
 }
 
 // remapNotes rewrites relocation-note instruction indices from original to
 // optimized positions. Pinned instructions are never removed, so every
-// note's target survives the rewrite. Indexes the position map directly —
-// never iterates it — per the hotpath discipline.
+// note's target survives the rewrite. SrcIdx ascends and notes normally do
+// too, so one cursor serves them all; a note out of order restarts it.
 //
 //pcc:hotpath
 func remapNotes(t *vm.Trace) {
-	if len(t.Notes) == 0 {
-		return
-	}
-	pos := make(map[uint16]uint16, len(t.SrcIdx))
-	for k, s := range t.SrcIdx {
-		pos[s] = uint16(k)
-	}
+	k := 0
 	for i := range t.Notes {
-		t.Notes[i].InstIdx = pos[t.Notes[i].InstIdx]
+		s := t.Notes[i].InstIdx
+		if t.SrcIdx[k] > s {
+			k = 0
+		}
+		for k < len(t.SrcIdx)-1 && t.SrcIdx[k] < s {
+			k++
+		}
+		t.Notes[i].InstIdx = uint16(k)
 	}
 }

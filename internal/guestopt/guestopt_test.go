@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"persistcc/internal/isa"
@@ -484,8 +485,10 @@ func TestNoteRemapping(t *testing.T) {
 // well-formed sequences is accepted by the checker and observably
 // equivalent under concrete execution.
 
-func randSeq(rng *rand.Rand) []isa.Inst {
-	n := 4 + rng.Intn(24)
+func randSeq(rng *rand.Rand) []isa.Inst { return randSeqN(rng, 4+rng.Intn(24)) }
+
+// randSeqN generates a well-formed sequence with an n-instruction body.
+func randSeqN(rng *rand.Rand, n int) []isa.Inst {
 	regs := []uint8{0, t0, t1, t2, t3, isa.RegA0, isa.RegA1, sp}
 	alu := []isa.Op{
 		isa.OpMovI, isa.OpMovHI, isa.OpLdPC, isa.OpAdd, isa.OpSub, isa.OpMul,
@@ -519,22 +522,132 @@ func randSeq(rng *rand.Rand) []isa.Inst {
 	return seq
 }
 
+// randTrace draws from the shapes that stress an Optimizer's reused scratch
+// differently: ordinary traces, ones far longer than the default limit (the
+// arena, the id table and the work list grow), one- to three-instruction
+// ones right after (every buffer and bitset is now oversized), heavily
+// pinned ones, and ones where every instruction is dead.
+func randTrace(rng *rand.Rand) ([]isa.Inst, map[uint16]bool) {
+	var pinned map[uint16]bool
+	switch rng.Intn(8) {
+	case 0:
+		return randSeqN(rng, 100+rng.Intn(400)), nil
+	case 1:
+		return randSeqN(rng, 1+rng.Intn(3)), nil
+	case 2:
+		seq := randSeq(rng)
+		pinned = map[uint16]bool{}
+		for i := range seq {
+			if rng.Intn(3) == 0 {
+				pinned[uint16(i)] = true
+			}
+		}
+		return seq, pinned
+	case 3:
+		seq := make([]isa.Inst, 1+rng.Intn(40))
+		for i := range seq {
+			if rng.Intn(2) == 0 {
+				seq[i] = ins(isa.OpAddI, 0, t0, 0, int32(i)) // writes r0
+			} // else nop
+		}
+		return seq, nil
+	}
+	seq := randSeq(rng)
+	if rng.Intn(4) == 0 {
+		pinned = map[uint16]bool{uint16(rng.Intn(len(seq))): true}
+	}
+	return seq, pinned
+}
+
+func sameReport(a, b *Report) bool {
+	return a.Changed == b.Changed && (a.Err == nil) == (b.Err == nil) &&
+		slices.Equal(a.Insts, b.Insts) && slices.Equal(a.SrcIdx, b.SrcIdx) && slices.Equal(a.Notes, b.Notes)
+}
+
+// TestDifferentialRandomSequences drives ONE Optimizer over every sequence,
+// as a VM (Optimize) and pcc-objdump (Explain) do, and then asks a fresh
+// Optimizer about each sequence alone: any difference is scratch state
+// leaking from one trace into the next — a stale intern slot, an available
+// load surviving a reset, a bitset sized for the previous trace.
 func TestDifferentialRandomSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
+	shared := New(All())
 	changed := 0
-	for trial := 0; trial < 400; trial++ {
-		seq := randSeq(rng)
-		var pinned map[uint16]bool
-		if rng.Intn(4) == 0 {
-			pinned = map[uint16]bool{uint16(rng.Intn(len(seq))): true}
-		}
-		if rep := diffCheck(t, New(All()), seq, pinned, int64(trial)); rep.Changed {
+	for trial := 0; trial < 600; trial++ {
+		seq, pinned := randTrace(rng)
+		rep := diffCheck(t, shared, seq, pinned, int64(trial))
+		if rep.Changed {
 			changed++
 		}
+		if fresh := New(All()).Explain(seq, pinned); !sameReport(rep, fresh) {
+			t.Fatalf("trial %d: the shared optimizer and a fresh one disagree\nseq: %v\nshared: %v %v\nfresh:  %v %v",
+				trial, seq, rep.Insts, rep.Err, fresh.Insts, fresh.Err)
+		}
+		// The same through Optimize, which owns different result slices.
+		tr := &vm.Trace{Start: 0x40_0000, Module: -1, Insts: append([]isa.Inst(nil), seq...)}
+		for s := range pinned {
+			tr.Notes = append(tr.Notes, vm.RelocNote{InstIdx: s})
+		}
+		out := shared.Optimize(tr)
+		if out.Rejected || (out.Level > 0) != rep.Changed || !slices.Equal(tr.Insts, rep.Insts) || !slices.Equal(tr.SrcIdx, rep.SrcIdx) {
+			t.Fatalf("trial %d: Optimize %+v %v disagrees with Explain %v", trial, out, tr.Insts, rep.Insts)
+		}
+		for _, n := range tr.Notes {
+			if out.Level > 0 && !pinned[tr.SrcIdx[n.InstIdx]] {
+				t.Fatalf("trial %d: note remapped to %d, source %d is not pinned", trial, n.InstIdx, tr.SrcIdx[n.InstIdx])
+			}
+		}
 	}
-	if changed < 100 {
-		t.Fatalf("optimizer changed only %d/400 random sequences — passes are not firing", changed)
+	if changed < 150 {
+		t.Fatalf("optimizer changed only %d/600 random sequences — passes are not firing", changed)
 	}
+}
+
+// TestTraceLengthLimit: SrcIdx entries and OrigLen are uint16, so 65 535
+// instructions is the longest trace the optimizer takes on. One more is
+// declined as unchanged — not wrapped, rewritten and then counted as a
+// prover rejection.
+func TestTraceLengthLimit(t *testing.T) {
+	build := func(n int) *vm.Trace {
+		insts := make([]isa.Inst, n)
+		for i := range insts[:n-1] {
+			insts[i] = ins(isa.OpMovI, t0, 0, 0, int32(i)) // all but the last are dead
+		}
+		insts[n-1] = ins(isa.OpHalt, 0, 0, 0, 0)
+		return &vm.Trace{Start: 0x40_0000, Module: -1, Insts: insts}
+	}
+	reg := metrics.NewRegistry()
+	o := New(All())
+	o.BindMetrics(reg)
+
+	tr := build(math.MaxUint16)
+	if out := o.Optimize(tr); out.Level != 1 || out.Removed != math.MaxUint16-2 {
+		t.Fatalf("65535-instruction trace: %+v", out)
+	}
+	if tr.OrigLen != math.MaxUint16 || len(tr.Insts) != 2 || tr.SrcIdx[0] != math.MaxUint16-2 || tr.SrcIdx[1] != math.MaxUint16-1 {
+		t.Fatalf("65535-instruction trace: OrigLen %d, %d instructions, source map %v", tr.OrigLen, len(tr.Insts), tr.SrcIdx)
+	}
+
+	tr = build(math.MaxUint16 + 1)
+	if out := o.Optimize(tr); out != (vm.OptOutcome{}) || tr.OptLevel != 0 || len(tr.Insts) != math.MaxUint16+1 {
+		t.Fatalf("65536-instruction trace not declined: %+v", out)
+	}
+	if rep := o.Explain(tr.Insts, nil); rep.Changed || rep.Err != nil {
+		t.Fatalf("Explain took on a 65536-instruction sequence: changed %v, err %v", rep.Changed, rep.Err)
+	}
+	snap := reg.Snapshot()
+	if got, _ := snap.Value("pcc_guestopt_reject_total"); got != 0 {
+		t.Fatalf("pcc_guestopt_reject_total = %v after an over-long trace, want 0", got)
+	}
+	if got, _ := snap.Value("pcc_guestopt_traces_total", "unchanged"); got != 1 {
+		t.Fatalf("pcc_guestopt_traces_total{outcome=unchanged} = %v, want 1", got)
+	}
+
+	// The next ordinary trace finds the scratch the long ones grew in order.
+	diffCheck(t, o, []isa.Inst{
+		ins(isa.OpMovI, t0, 0, 0, 5), ins(isa.OpMovI, t0, 0, 0, 6),
+		ins(isa.OpSd, 0, sp, t0, 0), ins(isa.OpHalt, 0, 0, 0, 0),
+	}, nil, 9)
 }
 
 // ---------------------------------------------------------------------------

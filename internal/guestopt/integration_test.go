@@ -12,6 +12,7 @@ import (
 	"persistcc/internal/testprog"
 	"persistcc/internal/testutil"
 	"persistcc/internal/vm"
+	"persistcc/internal/workload"
 )
 
 // TestVMEquivalenceWithOptimizer is the whole-program property: random
@@ -252,5 +253,34 @@ func TestRejectionFallsBackToUnoptimized(t *testing.T) {
 	base := w.Run(t, testutil.NewMgr(t), testutil.RunOpts{Input: []uint64{7, 9}})
 	if base.ExitCode != res.ExitCode || !bytes.Equal(base.Output, res.Output) {
 		t.Fatal("rejected rewrites leaked into execution")
+	}
+}
+
+// TestLongTracesThroughVM runs gcc under the longest limit the trace-length
+// ablation sweeps (64 instructions, twice the default): the optimizer sizes
+// its working memory from each trace, so longer ones are optimized and
+// proven like any other and the program behaves as it does unoptimized.
+func TestLongTracesThroughVM(t *testing.T) {
+	gcc, err := workload.BuildSpecBenchmark("176.gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...vm.Option) *vm.Result {
+		v, err := gcc.Prog.NewVM(loader.Config{}, gcc.Train[0], append([]vm.Option{vm.WithMaxTrace(64)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base, opt := run(), run(vm.WithOptimizer(guestopt.New(guestopt.All())))
+	if opt.Stats.OptRejects != 0 || opt.Stats.TracesOptimized == 0 {
+		t.Fatalf("%d traces optimized, %d rejected", opt.Stats.TracesOptimized, opt.Stats.OptRejects)
+	}
+	if base.ExitCode != opt.ExitCode || !bytes.Equal(base.Output, opt.Output) {
+		t.Fatal("optimizing 64-instruction traces changed program behavior")
 	}
 }

@@ -6,34 +6,55 @@ import (
 	"persistcc/internal/isa"
 )
 
-// workInst is one original instruction flowing through the passes.
+// passID names the pass responsible for a rewrite or a removal.
+type passID uint8
+
+const (
+	passNone passID = iota // verbatim
+	passConstFold
+	passLoadElim
+	passDeadCode
+	passDeadFlag
+	nPasses
+)
+
+var passNames = [nPasses]string{"", "constfold", "loadelim", "deadcode", "deadflag"}
+
+func (p passID) String() string { return passNames[p] }
+
+// workInst is one original instruction flowing through the passes; its
+// index in the work list is its index in the original fetched sequence.
 type workInst struct {
 	in     isa.Inst
-	src    uint16 // index in the original fetched sequence
-	pinned bool   // carries a relocation note: never rewritten or removed
+	pinned bool // carries a relocation note: never rewritten or removed
 	alive  bool
-	pass   string // last pass that rewrote it ("" = verbatim)
-	gone   string // pass that removed it
+	pass   passID // last pass that rewrote it
+	gone   passID // pass that removed it
 }
 
 // rewriteResult is the engine's output: the optimized sequence, its
-// source-index map, and per-pass attribution for metrics and objdump.
+// source-index map, and per-pass attribution for metrics and objdump. The
+// slices are the scratch's: valid until the Optimizer's next trace.
 type rewriteResult struct {
 	insts     []isa.Inst
 	srcIdx    []uint16
 	changed   bool
-	removedBy map[string]int
+	removedBy [nPasses]int
 	work      []workInst // full per-source record (Explain / objdump -opt)
 }
 
 // rewrite runs the passes to a fixpoint over one trace's instructions.
 // The forward dataflow analysis always runs; each Config toggle gates only
 // the rewrites its pass makes.
-func (o *Optimizer) rewrite(insts []isa.Inst, pinned map[uint16]bool) *rewriteResult {
-	w := make([]workInst, len(insts))
+//
+//pcc:hotpath
+func (o *Optimizer) rewrite(insts []isa.Inst) rewriteResult {
+	sc := &o.sc
+	w := sc.w[:0]
 	for i := range insts {
-		w[i] = workInst{in: insts[i], src: uint16(i), pinned: pinned[uint16(i)], alive: true}
+		w = append(w, workInst{in: insts[i], pinned: sc.pinned.has(i), alive: true})
 	}
+	sc.w = w
 	// Each iteration is monotone (instructions only get simpler or die);
 	// a handful of rounds reaches the fixpoint on 32-instruction traces.
 	for iter := 0; iter < 4; iter++ {
@@ -53,9 +74,9 @@ func (o *Optimizer) rewrite(insts []isa.Inst, pinned map[uint16]bool) *rewriteRe
 		// Every instruction was dead (a trace of nops / r0 writes). Keep the
 		// first so the trace has a body; its effect is nil by construction.
 		w[0].alive = true
-		w[0].gone = ""
+		w[0].gone = passNone
 	}
-	res := &rewriteResult{removedBy: map[string]int{}, work: w}
+	res := rewriteResult{work: w, insts: sc.insts[:0], srcIdx: sc.srcIdx[:0]}
 	for i := range w {
 		if !w[i].alive {
 			res.removedBy[w[i].gone]++
@@ -64,41 +85,48 @@ func (o *Optimizer) rewrite(insts []isa.Inst, pinned map[uint16]bool) *rewriteRe
 		}
 		if w[i].in != insts[i] {
 			res.changed = true
-			if w[i].pass == "" {
-				w[i].pass = "constfold"
+			if w[i].pass == passNone {
+				w[i].pass = passConstFold
 			}
 		}
 		res.insts = append(res.insts, w[i].in)
-		res.srcIdx = append(res.srcIdx, w[i].src)
+		res.srcIdx = append(res.srcIdx, uint16(i))
 	}
+	sc.insts, sc.srcIdx = res.insts, res.srcIdx
 	return res
 }
 
 // fstate is the forward-pass lattice: per-register known constants, copy
-// equalities, and the available-load table.
+// equalities, and the available-load table. The zero value (with avail
+// emptied) is the state at trace entry.
 type fstate struct {
-	cv    [32]uint64 // known constant value
-	ck    [32]bool   // cv valid
-	cp    [32]uint8  // register this one is a copy of (copyNone = not a copy)
-	avail map[loadKey]uint8
-	gen   int // store generation: bumped on every store, keying avail
+	cv [32]uint64 // known constant value
+	ck [32]bool   // cv valid
+	cp [32]uint8  // register this one is a copy of (copyNone = not a copy)
+	// avail holds the loads of the current store generation whose result is
+	// still in a register: at most one per load in the trace, scanned
+	// linearly, emptied by every store.
+	avail []availLoad
 }
 
-const copyNone = 0xFF
+// copyNone is r0: a copy of r0 is a constant, never recorded as a copy.
+const copyNone = isa.RegZero
 
-type loadKey struct {
+type availLoad struct {
 	op   isa.Op
 	base uint8
+	hold uint8 // register holding the loaded value
 	imm  int32
-	gen  int
 }
 
-func newFstate() *fstate {
-	s := &fstate{avail: make(map[loadKey]uint8)}
-	for i := range s.cp {
-		s.cp[i] = copyNone
+// find returns the index in avail of the load (op, base, imm), or -1.
+func (s *fstate) find(op isa.Op, base uint8, imm int32) int {
+	for i := range s.avail {
+		if e := &s.avail[i]; e.op == op && e.base == base && e.imm == imm {
+			return i
+		}
 	}
-	return s
+	return -1
 }
 
 // resolve returns the canonical register currently holding r's value.
@@ -129,11 +157,14 @@ func (s *fstate) kill(r uint8) {
 			s.cp[x] = copyNone
 		}
 	}
-	for k, hold := range s.avail {
-		if k.base == r || hold == r {
-			delete(s.avail, k)
+	n := 0
+	for _, e := range s.avail {
+		if e.base != r && e.hold != r {
+			s.avail[n] = e
+			n++
 		}
 	}
+	s.avail = s.avail[:n]
 }
 
 func (s *fstate) killDefs(in isa.Inst) {
@@ -149,8 +180,11 @@ func (s *fstate) killDefs(in isa.Inst) {
 // copies, materializing known values, converting to immediate forms,
 // applying algebraic identities and collapsing redundant loads. It reports
 // whether anything changed.
+//
+//pcc:hotpath
 func (o *Optimizer) forwardPass(w []workInst) bool {
-	s := newFstate()
+	s := &o.sc.fs
+	*s = fstate{avail: s.avail[:0]}
 	changed := false
 	for i := range w {
 		if !w[i].alive {
@@ -162,7 +196,7 @@ func (o *Optimizer) forwardPass(w []workInst) bool {
 			// stay opaque: a rebase rewrites their immediates, so nothing
 			// derived from them may be baked into other instructions.
 			if isa.Classify(in.Op) == isa.ClassStore {
-				s.gen++
+				s.avail = s.avail[:0]
 			}
 			s.killDefs(in)
 			continue
@@ -177,14 +211,14 @@ func (o *Optimizer) forwardPass(w []workInst) bool {
 			if o.cfg.ConstFold {
 				nin.Rs1, nin.Rs2 = s.resolve(nin.Rs1), s.resolve(nin.Rs2)
 			}
-			changed = w[i].update(nin, "constfold") || changed
-			s.gen++
+			changed = w[i].update(nin, passConstFold) || changed
+			s.avail = s.avail[:0]
 		case isa.ClassBranch:
 			nin := in
 			if o.cfg.ConstFold {
 				nin.Rs1, nin.Rs2 = s.resolve(nin.Rs1), s.resolve(nin.Rs2)
 			}
-			changed = w[i].update(nin, "constfold") || changed
+			changed = w[i].update(nin, passConstFold) || changed
 			// The lattice survives the (fall-through) branch: register state
 			// is unchanged on this path.
 		case isa.ClassJump:
@@ -192,7 +226,7 @@ func (o *Optimizer) forwardPass(w []workInst) bool {
 			if in.Op == isa.OpJalr && o.cfg.ConstFold {
 				nin.Rs1 = s.resolve(nin.Rs1)
 			}
-			changed = w[i].update(nin, "constfold") || changed
+			changed = w[i].update(nin, passConstFold) || changed
 			s.killDefs(nin)
 		default: // sys, halt: trace terminators
 			s.killDefs(in)
@@ -202,7 +236,7 @@ func (o *Optimizer) forwardPass(w []workInst) bool {
 }
 
 // update installs a rewritten instruction, recording the pass label.
-func (wi *workInst) update(nin isa.Inst, pass string) bool {
+func (wi *workInst) update(nin isa.Inst, pass passID) bool {
 	if nin == wi.in {
 		return false
 	}
@@ -243,10 +277,10 @@ func (o *Optimizer) aluStep(s *fstate, wi *workInst) bool {
 	if in.Op == isa.OpAddI && in.Imm == 0 && s.resolve(in.Rs1) == in.Rd && in.Rd != isa.RegZero {
 		if o.cfg.ConstFold && !wi.pinned {
 			wi.alive = false
-			wi.gone = "constfold"
+			wi.gone = passConstFold
 			return true
 		}
-		return wi.update(in, "constfold")
+		return wi.update(in, passConstFold)
 	}
 	v, isConst := s.eval(in)
 	copySrc := uint8(copyNone)
@@ -258,11 +292,11 @@ func (o *Optimizer) aluStep(s *fstate, wi *workInst) bool {
 		switch {
 		case isConst:
 			s.cv[in.Rd], s.ck[in.Rd] = v, true
-		case copySrc != copyNone && copySrc != isa.RegZero:
+		case copySrc != copyNone:
 			s.cp[in.Rd] = copySrc
 		}
 	}
-	return wi.update(in, "constfold")
+	return wi.update(in, passConstFold)
 }
 
 // loadStep handles one load: propagate the base register, collapse a
@@ -272,27 +306,31 @@ func (o *Optimizer) aluStep(s *fstate, wi *workInst) bool {
 func (o *Optimizer) loadStep(s *fstate, wi *workInst) bool {
 	in := wi.in
 	base := s.resolve(in.Rs1)
-	key := loadKey{op: in.Op, base: base, imm: in.Imm, gen: s.gen}
-	if hold, ok := s.avail[key]; ok && o.cfg.LoadElim {
+	if at := s.find(in.Op, base, in.Imm); at >= 0 && o.cfg.LoadElim {
+		hold := s.avail[at].hold
 		if hold == in.Rd {
 			// rd already holds this value: the reload is a no-op.
 			wi.alive = false
-			wi.gone = "loadelim"
+			wi.gone = passLoadElim
 			return true
 		}
 		nin := isa.Inst{Op: isa.OpAddI, Rd: in.Rd, Rs1: hold}
 		s.kill(in.Rd)
 		s.cp[in.Rd] = hold
-		return wi.update(nin, "loadelim")
+		return wi.update(nin, passLoadElim)
 	}
 	if o.cfg.ConstFold {
 		in.Rs1 = base
 	}
 	s.kill(in.Rd)
 	if in.Rd != isa.RegZero && in.Rd != base {
-		s.avail[key] = in.Rd
+		if at := s.find(in.Op, base, in.Imm); at >= 0 {
+			s.avail[at].hold = in.Rd
+		} else {
+			s.avail = append(s.avail, availLoad{op: in.Op, base: base, hold: in.Rd, imm: in.Imm})
+		}
 	}
-	return wi.update(in, "constfold")
+	return wi.update(in, passConstFold)
 }
 
 // eval computes the instruction's result when all source operands are
@@ -441,6 +479,8 @@ func (s *fstate) identity(in isa.Inst) isa.Inst {
 // compiler's: all registers are live at every side exit and at the trace
 // end. Loads are never dead-code-eliminated — removing one would remove a
 // potential fault the original sequence had.
+//
+//pcc:hotpath
 func (o *Optimizer) dcePass(w []workInst) bool {
 	changed := false
 	live := isa.RegMask(0xFFFFFFFE)
@@ -450,9 +490,9 @@ func (o *Optimizer) dcePass(w []workInst) bool {
 		}
 		in := w[i].in
 		if !w[i].pinned && isa.Classify(in.Op) == isa.ClassALU && in.Defs()&live == 0 {
-			pass, enabled := "deadcode", o.cfg.DeadCode
+			pass, enabled := passDeadCode, o.cfg.DeadCode
 			if isCompare(in.Op) {
-				pass, enabled = "deadflag", o.cfg.DeadFlag
+				pass, enabled = passDeadFlag, o.cfg.DeadFlag
 			}
 			if enabled {
 				w[i].alive = false

@@ -55,7 +55,8 @@ test-race:
 
 # Focused race pass over the packages with real concurrency: the VM's
 # async translation pipeline, the manager's concurrent commit/prune paths,
-# and the cache server. Much faster than test-race, so it runs as its own
+# and the cache server with its fleet client (whose hedged reads race a
+# replica against the primary). Much faster than test-race, so it runs as its own
 # CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer — run twenty
@@ -65,7 +66,7 @@ test-race:
 # goroutine is a data race on that scratch, and a trace reading what the
 # previous one left there is the single-threaded cousin of one.
 race-smoke:
-	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/
+	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
 	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer' ./internal/core/
 

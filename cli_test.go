@@ -458,7 +458,7 @@ func TestCLIDaemonMetricsHTTP(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`pcc_server_requests_total{op="publish",status="ok"}`,
-		`pcc_server_requests_total{op="fetch",status="ok"}`,
+		`pcc_server_requests_total{op="fetchmanifests",status="ok"}`,
 		"# TYPE pcc_server_request_seconds histogram",
 		"pcc_core_db_traces",
 	} {

@@ -264,11 +264,7 @@ func main() {
 		}
 		var rep *core.PrimeReport
 		if fb != nil && *prefetch {
-			if *storeFmt {
-				rep, err = fb.PrimeStoreBulk(v, *interApp)
-			} else {
-				rep, err = fb.PrimeBulk(v, *interApp)
-			}
+			rep, err = fb.PrimeStoreBulk(v, *interApp)
 		} else {
 			rep, err = mgr.Prime(v)
 			if errors.Is(err, core.ErrNoCache) && *interApp {

@@ -112,6 +112,23 @@ func newClient(addr string) *cacheserver.Client {
 	return cacheserver.NewClient(addr, cacheserver.WithRetry(1, time.Millisecond), cacheserver.WithDialTimeout(time.Second))
 }
 
+// fetchImage fetches the exact entry for ks from a legacy-format daemon and
+// decodes it, re-verifying the image's integrity trailer.
+func fetchImage(c *cacheserver.Client, ks core.KeySet) (*core.CacheFile, error) {
+	items, err := c.FetchManifests(ks, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(items) != 1 {
+		return nil, fmt.Errorf("exact fetch: %d items, want 1", len(items))
+	}
+	if items[0].Kind != cacheserver.ItemKindLegacy {
+		return nil, fmt.Errorf("exact fetch: item of kind %d, want a legacy image", items[0].Kind)
+	}
+	cf := new(core.CacheFile)
+	return cf, cf.UnmarshalBinary(items[0].Data)
+}
+
 func TestPublishLookupFetchRoundTrip(t *testing.T) {
 	_, addr, _ := startServer(t)
 	w := buildWorld(t, "prog", 0)
@@ -142,7 +159,7 @@ func TestPublishLookupFetchRoundTrip(t *testing.T) {
 		t.Fatalf("lookup info %+v", li)
 	}
 
-	fetched, err := c.Fetch(ks, false)
+	fetched, err := fetchImage(c, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestPublishLookupFetchRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentMixedClients drives ≥8 clients doing mixed
-// LOOKUP/FETCH/PUBLISH against one server; every published trace must be
+// LOOKUP/FETCHMANIFESTS/PUBLISH against one server; every published trace must be
 // observable by a subsequent fetch and no publish may be lost.
 func TestConcurrentMixedClients(t *testing.T) {
 	_, addr, _ := startServer(t)
@@ -231,7 +248,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 					return
 				}
 			}
-			cf, err := c.Fetch(app.ks, false)
+			cf, err := fetchImage(c, app.ks)
 			if err != nil {
 				errc <- fmt.Errorf("client %d fetch: %w", ci, err)
 				return
@@ -253,7 +270,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 	c := newClient(addr)
 	defer c.Close()
 	for i, app := range apps {
-		cf, err := c.Fetch(app.ks, false)
+		cf, err := fetchImage(c, app.ks)
 		if err != nil {
 			t.Fatalf("app %d final fetch: %v", i, err)
 		}
@@ -288,7 +305,7 @@ func TestInterAppLookup(t *testing.T) {
 	if ksb.App == ksa.App {
 		t.Fatal("worlds share an application key; test is vacuous")
 	}
-	if _, err := c.Fetch(ksb, false); !errors.Is(err, core.ErrNoCache) {
+	if _, err := c.FetchManifests(ksb, false); !errors.Is(err, core.ErrNoCache) {
 		t.Fatalf("exact fetch for app b: want ErrNoCache, got %v", err)
 	}
 	li, err := c.Lookup(ksb, true)
@@ -321,7 +338,9 @@ func TestStatsParityWithLocalManager(t *testing.T) {
 	if !reflect.DeepEqual(remote, local) {
 		t.Errorf("stats diverge:\nserver: %+v\nlocal:  %+v", remote, local)
 	}
-	prep, err := c.Prune()
+	// Pruning is a local maintenance operation (pcc-cachectl -dir DB prune);
+	// a database the daemon wrote is clean.
+	prep, err := mgr.Prune()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,30 +527,47 @@ func TestDaemonKilledMidRun(t *testing.T) {
 	}
 }
 
-// TestFetchBulkRoundTrip covers the bulk-FETCH op the pipeline's prefetch
-// uses: the exact entry must come first, inter-application candidates
-// follow, and an empty result is ErrNoCache — on both sides of the wire.
-func TestFetchBulkRoundTrip(t *testing.T) {
+// TestFetchManifestsOrder covers the read path's ordering contract against
+// a legacy-format daemon: the exact entry must come first, inter-application
+// candidates follow, and an empty result is ErrNoCache — on both sides of
+// the wire.
+func TestFetchManifestsOrder(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := newClient(addr)
 	defer c.Close()
+	// fetch decodes every item the daemon sends for a key request.
+	fetch := func(ks core.KeySet, interApp bool) ([]*core.CacheFile, error) {
+		items, err := c.FetchManifests(ks, interApp)
+		if err != nil {
+			return nil, err
+		}
+		var files []*core.CacheFile
+		for _, it := range items {
+			cf := new(core.CacheFile)
+			if it.Kind != cacheserver.ItemKindLegacy || cf.UnmarshalBinary(it.Data) != nil {
+				t.Fatalf("legacy daemon sent an item of kind %d that is not an image", it.Kind)
+			}
+			files = append(files, cf)
+		}
+		return files, nil
+	}
 
 	wa := buildWorld(t, "appa", 1)
 	va, _ := wa.ranVM(t, 50)
 	cfa, ksa := core.BuildCacheFile(va)
-	if _, err := c.FetchBulk(ksa, true); !errors.Is(err, core.ErrNoCache) {
-		t.Fatalf("bulk fetch on empty server: want ErrNoCache, got %v", err)
+	if _, err := fetch(ksa, true); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("fetch on empty server: want ErrNoCache, got %v", err)
 	}
 	if _, err := c.Publish(cfa); err != nil {
 		t.Fatal(err)
 	}
 
-	files, err := c.FetchBulk(ksa, false)
+	files, err := fetch(ksa, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 1 || len(files[0].Traces) != len(cfa.Traces) {
-		t.Fatalf("exact-only bulk fetch: got %d files, first has %d traces, want 1 file with %d",
+		t.Fatalf("exact-only fetch: got %d files, first has %d traces, want 1 file with %d",
 			len(files), len(files[0].Traces), len(cfa.Traces))
 	}
 
@@ -546,12 +582,12 @@ func TestFetchBulkRoundTrip(t *testing.T) {
 	}
 
 	// App A with inter-app enabled: its own entry first, B's behind it.
-	files, err = c.FetchBulk(ksa, true)
+	files, err = fetch(ksa, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 2 {
-		t.Fatalf("bulk fetch with inter-app: got %d files, want 2", len(files))
+		t.Fatalf("fetch with inter-app: got %d files, want 2", len(files))
 	}
 	if len(files[0].Traces) != len(cfa.Traces) {
 		t.Errorf("exact entry not first: %d traces, want %d", len(files[0].Traces), len(cfa.Traces))
@@ -565,28 +601,28 @@ func TestFetchBulkRoundTrip(t *testing.T) {
 	wc := buildWorld(t, "appc", 3)
 	vc := wc.freshVM(t, 50)
 	ksc := core.KeysFor(vc)
-	if _, err := c.FetchBulk(ksc, false); !errors.Is(err, core.ErrNoCache) {
-		t.Fatalf("exact-only bulk fetch for unknown app: want ErrNoCache, got %v", err)
+	if _, err := fetch(ksc, false); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("exact-only fetch for unknown app: want ErrNoCache, got %v", err)
 	}
-	files, err = c.FetchBulk(ksc, true)
+	files, err = fetch(ksc, true)
 	if err != nil {
-		t.Fatalf("inter-app bulk fetch for unknown app: %v", err)
+		t.Fatalf("inter-app fetch for unknown app: %v", err)
 	}
 	if len(files) == 0 {
 		t.Fatal("no inter-app candidates despite shared library")
 	}
 
-	// The bulk payload primes a fresh run end to end.
+	// The fetched image primes a fresh run end to end.
 	local, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2 := wa.freshVM(t, 50)
-	bulk, err := c.FetchBulk(core.KeysFor(v2), false)
+	files, err = fetch(core.KeysFor(v2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.PrimeFrom(v2, bulk[0]); err != nil {
+	if _, err := local.PrimeFrom(v2, files[0]); err != nil {
 		t.Fatal(err)
 	}
 	res, err := v2.Run()
@@ -594,6 +630,85 @@ func TestFetchBulkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.TracesTranslated != 0 {
-		t.Errorf("bulk-primed run still translated %d traces", res.Stats.TracesTranslated)
+		t.Errorf("primed run still translated %d traces", res.Stats.TracesTranslated)
+	}
+}
+
+// TestInterAppPrimeScopes pins what each prime moves and credits: a
+// non-bulk inter-application prime (ScopeBest) receives only the best
+// candidate and bumps only its utility hit count, so global eviction ranks
+// entries as it did when that prime was a single-entry FETCH; a bulk prime
+// (ScopeInterApp) receives and credits every candidate.
+func TestInterAppPrimeScopes(t *testing.T) {
+	_, addr, _ := startServer(t)
+	c := newClient(addr)
+	defer c.Close()
+	traces := map[string]int{}
+	for i, name := range []string{"appa", "appb"} {
+		v, _ := buildWorld(t, name, i+1).ranVM(t, uint64(50+10*i))
+		cf, ks := core.BuildCacheFile(v)
+		if _, err := c.Publish(cf); err != nil {
+			t.Fatal(err)
+		}
+		traces[core.FileStem(ks.CacheFileName())] = len(cf.Traces)
+	}
+	best := ""
+	for stem, n := range traces {
+		if best == "" || n > traces[best] || (n == traces[best] && stem < best) {
+			best = stem
+		}
+	}
+	hits := func() map[string]uint64 {
+		t.Helper()
+		entries, err := c.UtilitySummary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]uint64{}
+		for _, e := range entries {
+			out[e.Stem] = e.Hits
+		}
+		return out
+	}
+
+	wc := buildWorld(t, "appc", 3)
+	ksc := core.KeysFor(wc.freshVM(t, 50))
+	all, err := c.FetchEntries(ksc, cacheserver.ScopeInterApp)
+	if err != nil || len(all) != 2 {
+		t.Fatalf("ScopeInterApp for an unknown app: %d items, %v; want both candidates", len(all), err)
+	}
+	one, err := c.FetchEntries(ksc, cacheserver.ScopeBest)
+	if err != nil || len(one) != 1 || !reflect.DeepEqual(one[0], all[0]) {
+		t.Fatalf("ScopeBest: %d items, %v; want ScopeInterApp's first alone", len(one), err)
+	}
+
+	f := newFallback(t, addr)
+	before := hits()
+	v := wc.freshVM(t, 50)
+	if _, err := f.PrimeInterApp(v); err != nil {
+		t.Fatalf("non-bulk inter-app prime: %v", err)
+	}
+	if v.Stats().RemoteHits == 0 {
+		t.Fatal("non-bulk inter-app prime installed nothing remotely; the test exercised nothing")
+	}
+	after := hits()
+	for stem := range traces {
+		want := uint64(0)
+		if stem == best {
+			want = 1
+		}
+		if got := after[stem] - before[stem]; got != want {
+			t.Errorf("non-bulk inter-app prime credited %s with %d hits, want %d", stem, got, want)
+		}
+	}
+
+	if _, err := f.PrimeStoreBulk(wc.freshVM(t, 50), true); err != nil {
+		t.Fatalf("bulk inter-app prime: %v", err)
+	}
+	bulk := hits()
+	for stem := range traces {
+		if got := bulk[stem] - after[stem]; got != 1 {
+			t.Errorf("bulk inter-app prime credited %s with %d hits, want 1", stem, got)
+		}
 	}
 }

@@ -274,61 +274,27 @@ func (c *Client) roundTripLocked(op uint8, payload []byte) (uint8, []byte, error
 // Lookup asks whether the server holds a cache for the key set, without
 // transferring it.
 func (c *Client) Lookup(ks core.KeySet, interApp bool) (*LookupInfo, error) {
-	resp, err := c.do(OpLookup, encodeKeyRequest(ks, interApp))
+	resp, err := c.do(OpLookup, encodeKeyRequest(ks, scopeOf(interApp)))
 	if err != nil {
 		return nil, err
 	}
 	return decodeLookupInfo(resp)
 }
 
-// Fetch retrieves and decodes the cache file for the key set. The decode
-// re-verifies the file's integrity trailer, so a corrupt or truncated frame
-// surfaces as an error here rather than as bad translations.
-func (c *Client) Fetch(ks core.KeySet, interApp bool) (*core.CacheFile, error) {
-	resp, err := c.do(OpFetch, encodeKeyRequest(ks, interApp))
-	if err != nil {
-		return nil, err
-	}
-	cf := new(core.CacheFile)
-	if err := cf.UnmarshalBinary(resp); err != nil {
-		return nil, err
-	}
-	return cf, nil
-}
-
-// FetchBulk retrieves every cache file the server holds for the key
-// request — the exact match plus, in inter-application mode, same-class
-// candidates — in one round trip. Each image is decoded (re-verifying its
-// integrity trailer) independently.
-func (c *Client) FetchBulk(ks core.KeySet, interApp bool) ([]*core.CacheFile, error) {
-	resp, err := c.do(OpFetchBulk, encodeKeyRequest(ks, interApp))
-	if err != nil {
-		return nil, err
-	}
-	blobs, err := decodeBulkFiles(resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*core.CacheFile, 0, len(blobs))
-	for _, b := range blobs {
-		cf := new(core.CacheFile)
-		if err := cf.UnmarshalBinary(b); err != nil {
-			return nil, err
-		}
-		out = append(out, cf)
-	}
-	if len(out) == 0 {
-		return nil, core.ErrNoCache
-	}
-	return out, nil
-}
-
-// FetchManifests retrieves every matching entry in its compact form: raw
-// manifests for store-format entries, legacy images otherwise. The
-// store-aware warm path resolves the manifests' blobs separately, hitting
-// the machine-local store before the wire.
+// FetchManifests is FetchEntries with ScopeExact, or with interApp
+// ScopeInterApp.
 func (c *Client) FetchManifests(ks core.KeySet, interApp bool) ([]ManifestItem, error) {
-	resp, err := c.do(OpFetchManifests, encodeKeyRequest(ks, interApp))
+	return c.FetchEntries(ks, scopeOf(interApp))
+}
+
+// FetchEntries retrieves, in one round trip, the entries the server holds
+// for the key set within scope — the exact match first, then the
+// same-class candidates, best first — each in its compact form: raw
+// manifests for store-format entries, legacy images otherwise. A
+// manifest's blobs resolve separately, from the machine-local store before
+// the wire (FetchBlobs).
+func (c *Client) FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, error) {
+	resp, err := c.do(OpFetchManifests, encodeKeyRequest(ks, scope))
 	if err != nil {
 		return nil, err
 	}
@@ -362,8 +328,8 @@ func (c *Client) FetchBlobs(hashes []store.Hash) (map[store.Hash][]byte, error) 
 		if err != nil {
 			return out, err
 		}
-		for h, b := range items {
-			out[h] = b
+		for _, it := range items {
+			out[it.Hash] = it.Data
 		}
 	}
 	return out, nil
@@ -404,15 +370,6 @@ func (c *Client) StatsLocal() (*core.DBStats, error) {
 		return nil, err
 	}
 	return decodeDBStats(resp)
-}
-
-// Prune asks the server to reconcile its index with the directory.
-func (c *Client) Prune() (*core.PruneReport, error) {
-	resp, err := c.do(OpPrune, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodePruneReport(resp)
 }
 
 // UtilitySummary fetches the daemon's per-entry usage summaries — the raw
@@ -466,9 +423,7 @@ var (
 // can (retries, replicas); Fallback handles the final tier, the local
 // database.
 type Transport interface {
-	Fetch(ks core.KeySet, interApp bool) (*core.CacheFile, error)
-	FetchBulk(ks core.KeySet, interApp bool) ([]*core.CacheFile, error)
-	FetchManifests(ks core.KeySet, interApp bool) ([]ManifestItem, error)
+	FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, error)
 	Publish(cf *core.CacheFile) (*core.CommitReport, error)
 	Addr() string
 	Metrics() *metrics.Registry
@@ -506,159 +461,86 @@ func NewFallback(client Transport, local *core.Manager) *Fallback {
 // Local returns the fallback database manager.
 func (f *Fallback) Local() *core.Manager { return f.local }
 
-// prime fetches from the server and installs via the local manager's
-// validation path, falling back per the policy above.
-func (f *Fallback) prime(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
-	ks := core.KeysFor(v)
-	cf, err := f.client.Fetch(ks, interApp)
-	switch {
-	case err == nil:
-		rep, err := f.local.PrimeFrom(v, cf)
-		if err != nil {
-			// The served file failed key validation; the local database
-			// is still authoritative for this run.
-			v.RecordRemote(1, 0, 1)
-			f.fallbacks.With("prime").Inc()
-			return f.localPrime(v, interApp)
-		}
-		v.RecordRemote(1, uint64(rep.Installed), 0)
-		v.EventLog().Record(tracelog.Event{
-			Kind: tracelog.KindFetch, Tick: v.Clock(), Traces: rep.Installed,
-			Detail: f.client.Addr(),
-		})
-		return rep, nil
-	case errors.Is(err, core.ErrNoCache):
+// prime is the one remote warm path. One FETCHMANIFESTS round trip brings
+// back the entries the key request covers, exact entry first: with all set
+// every one of them (the bulk prime), otherwise only the first — the exact
+// entry, or the best inter-application candidate (ScopeBest). A
+// store-format entry arrives as its manifest and materializes against the
+// machine-local store, whose L3 tier (the transport) fetches only the blobs
+// the machine is missing and writes them through; a legacy entry arrives as
+// its image. Entries install through the local validation path. A miss, a
+// failed transport or nothing installable degrades to the local database.
+func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error) {
+	scope := ScopeExact
+	if interApp && all {
+		scope = ScopeInterApp
+	} else if interApp {
+		scope = ScopeBest
+	}
+	items, err := f.client.FetchEntries(core.KeysFor(v), scope)
+	if errors.Is(err, core.ErrNoCache) {
 		// Server is healthy but cold for this key set; a local cache from
 		// a previous degraded run may still exist.
 		v.RecordRemote(1, 0, 0)
-		return f.localPrime(v, interApp)
-	default:
+		return f.localPrime(v, interApp, all)
+	}
+	if !all && len(items) > 1 {
+		items = items[:1] // an older daemon reads ScopeBest as ScopeInterApp
+	}
+	agg := &core.PrimeReport{}
+	for _, it := range items {
+		cf, err := f.materialize(it)
+		if err != nil {
+			continue // corrupt on the wire, or blobs unresolvable: try the rest
+		}
+		rep, err := f.local.PrimeFrom(v, cf)
+		if err != nil {
+			continue // failed key validation; try the rest
+		}
+		agg.Found = true
+		agg.CacheTraces += rep.CacheTraces
+		agg.Installed += rep.Installed
+		agg.Rebased += rep.Rebased
+		agg.InvalidMissing += rep.InvalidMissing
+		agg.InvalidContent += rep.InvalidContent
+		agg.InvalidBase += rep.InvalidBase
+	}
+	if !agg.Found {
+		// The transport failed, or nothing it served passed validation; the
+		// local database is still authoritative for this run.
 		v.RecordRemote(1, 0, 1)
 		f.fallbacks.With("prime").Inc()
-		return f.localPrime(v, interApp)
+		return f.localPrime(v, interApp, all)
 	}
+	v.RecordRemote(1, uint64(agg.Installed), 0)
+	v.EventLog().Record(tracelog.Event{
+		Kind: tracelog.KindFetch, Tick: v.Clock(), Traces: agg.Installed,
+		Detail: f.client.Addr(),
+	})
+	return agg, nil
 }
 
-// PrimeBulk is the prefetch-mode warm path: one bulk round trip brings
-// back every matching cache file (the exact entry plus inter-application
-// candidates when interApp is set) and all of them are installed through
-// the local validation path, so the pipeline's bulk installer sees the
-// whole index-matching trace set at load time. Degrades exactly like
-// Prime: a server miss or failure falls back to the local database.
-func (f *Fallback) PrimeBulk(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
-	ks := core.KeysFor(v)
-	cfs, err := f.client.FetchBulk(ks, interApp)
-	switch {
-	case err == nil:
-		agg := &core.PrimeReport{}
-		okAny := false
-		for _, cf := range cfs {
-			rep, err := f.local.PrimeFrom(v, cf)
-			if err != nil {
-				continue // this candidate failed key validation; try the rest
-			}
-			okAny = true
-			agg.Found = true
-			agg.CacheTraces += rep.CacheTraces
-			agg.Installed += rep.Installed
-			agg.Rebased += rep.Rebased
-			agg.InvalidMissing += rep.InvalidMissing
-			agg.InvalidContent += rep.InvalidContent
-			agg.InvalidBase += rep.InvalidBase
+// materialize turns one FETCHMANIFESTS item into a cache file.
+func (f *Fallback) materialize(it ManifestItem) (*core.CacheFile, error) {
+	if it.Kind == ItemKindManifest {
+		man, err := store.DecodeManifest(it.Data)
+		if err != nil {
+			return nil, err
 		}
-		if !okAny {
-			v.RecordRemote(1, 0, 1)
-			f.fallbacks.With("prime").Inc()
-			return f.localPrimeAll(v, interApp)
-		}
-		v.RecordRemote(1, uint64(agg.Installed), 0)
-		v.EventLog().Record(tracelog.Event{
-			Kind: tracelog.KindFetch, Tick: v.Clock(), Traces: agg.Installed,
-			Detail: "bulk " + f.client.Addr(),
-		})
-		return agg, nil
-	case errors.Is(err, core.ErrNoCache):
-		v.RecordRemote(1, 0, 0)
-		return f.localPrimeAll(v, interApp)
-	default:
-		v.RecordRemote(1, 0, 1)
-		f.fallbacks.With("prime").Inc()
-		return f.localPrimeAll(v, interApp)
+		return f.local.MaterializeManifest(man)
 	}
+	cf := new(core.CacheFile)
+	return cf, cf.UnmarshalBinary(it.Data)
 }
 
-// PrimeStoreBulk is PrimeBulk for store-aware runs: entries arrive as
-// compact manifests (or legacy images from an unmigrated server), and only
-// blobs the machine-local store is missing cross the wire — the
-// deduplicated transfer path. Degrades exactly like PrimeBulk.
-func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
-	ks := core.KeysFor(v)
-	items, err := f.client.FetchManifests(ks, interApp)
-	switch {
-	case err == nil:
-		agg := &core.PrimeReport{}
-		okAny := false
-		for _, it := range items {
-			var cf *core.CacheFile
-			if it.Kind == ItemKindManifest {
-				man, derr := store.DecodeManifest(it.Data)
-				if derr != nil {
-					continue // corrupt on the wire; try the rest
-				}
-				if cf, derr = f.local.MaterializeManifest(man); derr != nil {
-					continue // blobs unresolvable or inconsistent; re-translate
-				}
-			} else {
-				cf = new(core.CacheFile)
-				if cf.UnmarshalBinary(it.Data) != nil {
-					continue
-				}
-			}
-			rep, perr := f.local.PrimeFrom(v, cf)
-			if perr != nil {
-				continue // failed key validation; try the rest
-			}
-			okAny = true
-			agg.Found = true
-			agg.CacheTraces += rep.CacheTraces
-			agg.Installed += rep.Installed
-			agg.Rebased += rep.Rebased
-			agg.InvalidMissing += rep.InvalidMissing
-			agg.InvalidContent += rep.InvalidContent
-			agg.InvalidBase += rep.InvalidBase
-		}
-		if !okAny {
-			v.RecordRemote(1, 0, 1)
-			f.fallbacks.With("prime").Inc()
-			return f.localPrimeAll(v, interApp)
-		}
-		v.RecordRemote(1, uint64(agg.Installed), 0)
-		v.EventLog().Record(tracelog.Event{
-			Kind: tracelog.KindFetch, Tick: v.Clock(), Traces: agg.Installed,
-			Detail: "store " + f.client.Addr(),
-		})
-		return agg, nil
-	case errors.Is(err, core.ErrNoCache):
-		v.RecordRemote(1, 0, 0)
-		return f.localPrimeAll(v, interApp)
-	default:
-		v.RecordRemote(1, 0, 1)
-		f.fallbacks.With("prime").Inc()
-		return f.localPrimeAll(v, interApp)
-	}
-}
-
-func (f *Fallback) localPrime(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
-	if interApp {
+// localPrime is the degraded prime. Prime and PrimeInterApp ask the local
+// database for the one entry they name; a bulk prime takes the exact local
+// entry first, then the inter-application candidate — the same order the
+// facade uses when no server is configured.
+func (f *Fallback) localPrime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error) {
+	if interApp && !all {
 		return f.local.PrimeInterApp(v)
 	}
-	return f.local.Prime(v)
-}
-
-// localPrimeAll is the degraded PrimeBulk: the exact local entry first,
-// then the inter-application candidate — the same order the facade uses
-// when no server is configured.
-func (f *Fallback) localPrimeAll(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
 	rep, err := f.local.Prime(v)
 	if errors.Is(err, core.ErrNoCache) && interApp {
 		return f.local.PrimeInterApp(v)
@@ -667,10 +549,18 @@ func (f *Fallback) localPrimeAll(v *vm.VM, interApp bool) (*core.PrimeReport, er
 }
 
 // Prime implements Manager.
-func (f *Fallback) Prime(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v, false) }
+func (f *Fallback) Prime(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v, false, false) }
 
 // PrimeInterApp implements Manager.
-func (f *Fallback) PrimeInterApp(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v, true) }
+func (f *Fallback) PrimeInterApp(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v, true, false) }
+
+// PrimeStoreBulk is the prefetch-mode warm path: every entry the key
+// request covers (the exact entry plus, with interApp, every
+// inter-application candidate) is installed, so the pipeline's bulk
+// installer sees the whole index-matching trace set at load time.
+func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
+	return f.prime(v, interApp, true)
+}
 
 // Commit publishes the run's traces to the server, or accumulates into the
 // local database when the server cannot take them.

@@ -3,6 +3,8 @@ package cacheserver
 import (
 	"io"
 	"time"
+
+	"persistcc/internal/core"
 )
 
 // Frame-layer hooks for the black-box protocol tests' fake servers.
@@ -22,12 +24,11 @@ func WithDispatchDelay(d time.Duration) Option {
 	}
 }
 
-// Manifest-item kinds, aliased for the black-box tests that predate the
-// kinds being exported.
-const (
-	ItemKindLegacyForTest   = ItemKindLegacy
-	ItemKindManifestForTest = ItemKindManifest
-)
+// EncodeKeyRequestForTest builds a LOOKUP/FETCHMANIFESTS payload for the
+// tests that speak raw frames.
+func EncodeKeyRequestForTest(ks core.KeySet, scope Scope) []byte {
+	return encodeKeyRequest(ks, scope)
+}
 
 // BreakerOpenForTest reports the client's breaker state.
 func (c *Client) BreakerOpenForTest() bool {

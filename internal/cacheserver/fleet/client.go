@@ -243,65 +243,25 @@ func (c *Client) route(op, key string) []int {
 	return owners
 }
 
-// Fetch retrieves the cache file for the key set from its owners.
-func (c *Client) Fetch(ks core.KeySet, interApp bool) (*core.CacheFile, error) {
-	owners := c.route("fetch", StemFor(ks))
-	return readOwners(c, "fetch", owners, func(si int) (*core.CacheFile, error) {
-		return c.clients[si].Fetch(ks, interApp)
-	})
-}
-
-// FetchBulk retrieves every matching cache file. The exact entry comes
-// from the key's owners; in inter-application mode every shard is also
-// consulted (same-class candidates hash anywhere on the ring) and the
-// responses merge with content-level dedup, exact entry first.
-func (c *Client) FetchBulk(ks core.KeySet, interApp bool) ([]*core.CacheFile, error) {
-	owners := c.route("fetchbulk", StemFor(ks))
-	exact, exactErr := readOwners(c, "fetchbulk", owners, func(si int) ([]*core.CacheFile, error) {
-		return c.clients[si].FetchBulk(ks, false)
-	})
-	var out []*core.CacheFile
-	seen := make(map[[32]byte]bool)
-	add := func(cfs []*core.CacheFile) {
-		for _, cf := range cfs {
-			id := cf.AppKey
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, cf)
-		}
-	}
-	if exactErr == nil {
-		add(exact)
-	} else if !errors.Is(exactErr, core.ErrNoCache) && !interApp {
-		return nil, exactErr
-	}
-	if interApp {
-		for si := range c.clients {
-			cfs, err := c.clients[si].FetchBulk(ks, true)
-			if err != nil {
-				continue // dead or cold shard: candidates are best-effort
-			}
-			add(cfs)
-		}
-	}
-	if len(out) == 0 {
-		if exactErr != nil && !errors.Is(exactErr, core.ErrNoCache) {
-			return nil, exactErr
-		}
-		return nil, core.ErrNoCache
-	}
-	return out, nil
-}
-
-// FetchManifests is FetchBulk in compact form for store-aware clients,
-// with the same exact-first scatter-gather in inter-application mode.
-func (c *Client) FetchManifests(ks core.KeySet, interApp bool) ([]cacheserver.ManifestItem, error) {
+// FetchEntries retrieves the entries the key request's scope covers. The
+// key's owners answer ScopeExact and ScopeBest (readOwners: primary first,
+// replicas on failure or miss), so ScopeBest brings one entry — the exact
+// one, or else the primary owner's best candidate — as one daemon would
+// answer. For ScopeInterApp the exact entry comes from the owners the same
+// way, then the shards are scattered to — the key's owners in ring order,
+// then the rest, since same-class candidates hash anywhere on the ring —
+// and the responses merge with content-level dedup, exact entry first.
+func (c *Client) FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]cacheserver.ManifestItem, error) {
 	owners := c.route("fetchmanifests", StemFor(ks))
-	exact, exactErr := readOwners(c, "fetchmanifests", owners, func(si int) ([]cacheserver.ManifestItem, error) {
-		return c.clients[si].FetchManifests(ks, false)
-	})
+	read := func(scope cacheserver.Scope) ([]cacheserver.ManifestItem, error) {
+		return readOwners(c, "fetchmanifests", owners, func(si int) ([]cacheserver.ManifestItem, error) {
+			return c.clients[si].FetchEntries(ks, scope)
+		})
+	}
+	if scope != cacheserver.ScopeInterApp {
+		return read(scope)
+	}
+	exact, exactErr := read(cacheserver.ScopeExact)
 	var out []cacheserver.ManifestItem
 	seen := make(map[string]bool)
 	add := func(items []cacheserver.ManifestItem) {
@@ -316,17 +276,13 @@ func (c *Client) FetchManifests(ks core.KeySet, interApp bool) ([]cacheserver.Ma
 	}
 	if exactErr == nil {
 		add(exact)
-	} else if !errors.Is(exactErr, core.ErrNoCache) && !interApp {
-		return nil, exactErr
 	}
-	if interApp {
-		for si := range c.clients {
-			items, err := c.clients[si].FetchManifests(ks, true)
-			if err != nil {
-				continue
-			}
-			add(items)
+	for _, si := range c.ring.owners(StemFor(ks), len(c.clients)) {
+		items, err := c.clients[si].FetchEntries(ks, cacheserver.ScopeInterApp)
+		if err != nil {
+			continue // dead or cold shard: candidates are best-effort
 		}
+		add(items)
 	}
 	if len(out) == 0 {
 		if exactErr != nil && !errors.Is(exactErr, core.ErrNoCache) {

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -92,13 +93,13 @@ type shard struct {
 	mgr  *core.Manager
 }
 
-func startShard(t testing.TB) *shard {
+func startShard(t testing.TB, mopts []core.ManagerOption, sopts ...cacheserver.Option) *shard {
 	t.Helper()
-	mgr, err := core.NewManager(t.TempDir())
+	mgr, err := core.NewManager(t.TempDir(), mopts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := cacheserver.New(mgr)
+	srv, err := cacheserver.New(mgr, sopts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,31 @@ func startShard(t testing.TB) *shard {
 	return &shard{srv: srv, addr: ln.Addr().String(), mgr: mgr}
 }
 
+// reader is the read surface a one-shard fleet and a direct client share.
+type reader interface {
+	FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]cacheserver.ManifestItem, error)
+}
+
+// fetchImage reads the exact entry for ks from legacy-format shards and
+// decodes it, re-verifying the image's integrity trailer.
+func fetchImage(r reader, ks core.KeySet) (*core.CacheFile, error) {
+	items, err := r.FetchEntries(ks, cacheserver.ScopeExact)
+	if err != nil {
+		return nil, err
+	}
+	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindLegacy {
+		return nil, fmt.Errorf("exact read: %d items, want one legacy image", len(items))
+	}
+	cf := new(core.CacheFile)
+	return cf, cf.UnmarshalBinary(items[0].Data)
+}
+
 func startFleet(t testing.TB, n int, opts ...fleet.Option) (*fleet.Client, []*shard) {
 	t.Helper()
 	cfg := &fleet.Config{}
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = startShard(t)
+		shards[i] = startShard(t, nil)
 		cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
 	}
 	opts = append([]fleet.Option{fleet.WithShardOptions(
@@ -248,7 +268,7 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	// First read finds the primary dead (opening its breaker) and fans out
 	// to the replica; the second takes the breaker fast-path. Both succeed.
 	for i := 0; i < 2; i++ {
-		got, err := fl.Fetch(ks, false)
+		got, err := fetchImage(fl, ks)
 		if err != nil {
 			t.Fatalf("fetch %d with dead primary: %v", i, err)
 		}
@@ -257,8 +277,8 @@ func TestBreakerOpenFanOut(t *testing.T) {
 		}
 	}
 	snap := fl.Metrics().Snapshot()
-	if v, ok := snap.Value("pcc_fleet_redirects_total", "fetch"); !ok || v < 2 {
-		t.Errorf("redirects_total{fetch} = %v, want >= 2", v)
+	if v, ok := snap.Value("pcc_fleet_redirects_total", "fetchmanifests"); !ok || v < 2 {
+		t.Errorf("redirects_total{fetchmanifests} = %v, want >= 2", v)
 	}
 
 	// Writes during the outage land on the surviving owner only.
@@ -267,7 +287,7 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	if _, err := fl.Publish(cf2); err != nil {
 		t.Fatalf("publish with one shard dead: %v", err)
 	}
-	if _, err := fl.Fetch(ks2, false); err != nil {
+	if _, err := fetchImage(fl, ks2); err != nil {
 		t.Fatalf("read-back of degraded write: %v", err)
 	}
 
@@ -297,12 +317,37 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	}
 }
 
+// TestHedgedReads races every read against the replica (a hedge delay far
+// below one loopback round trip): whichever owner answers first, the read
+// returns the exact entry — and under -race, the two goroutines and their
+// shared result channels are checked.
+func TestHedgedReads(t *testing.T) {
+	fl, _ := startFleet(t, 2, fleet.WithHedge(time.Nanosecond))
+	w := buildWorld(t, "hedged", 9)
+	cf, ks := w.cacheFile(t)
+	if _, err := fl.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		got, err := fetchImage(fl, ks)
+		if err != nil {
+			t.Fatalf("hedged read %d: %v", i, err)
+		}
+		if len(got.Traces) != len(cf.Traces) {
+			t.Fatalf("hedged read %d: %d traces, want %d", i, len(got.Traces), len(cf.Traces))
+		}
+	}
+	if v, _ := fl.Metrics().Snapshot().Value("pcc_fleet_hedges_total"); v == 0 {
+		t.Error("no read was hedged; the test exercised nothing")
+	}
+}
+
 // TestSingleShardParity pins the degenerate fleet to the single-daemon
 // path: a one-shard fleet and a direct client against identically seeded
 // daemons must agree on every read surface and on aggregate stats.
 func TestSingleShardParity(t *testing.T) {
 	fl, _ := startFleet(t, 1)
-	direct := startShard(t)
+	direct := startShard(t, nil)
 	dc := cacheserver.NewClient(direct.addr,
 		cacheserver.WithRetry(0, 0), cacheserver.WithDialTimeout(time.Second))
 	defer dc.Close()
@@ -321,11 +366,11 @@ func TestSingleShardParity(t *testing.T) {
 		t.Errorf("publish reports differ: fleet %+v, direct %+v", frep, drep)
 	}
 
-	fcf, err := fl.Fetch(ks, false)
+	fcf, err := fetchImage(fl, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcf, err := dc.Fetch(ks, false)
+	dcf, err := fetchImage(dc, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,28 +378,18 @@ func TestSingleShardParity(t *testing.T) {
 		t.Error("fetched cache files differ between one-shard fleet and direct client")
 	}
 
-	fbulk, err := fl.FetchBulk(ks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbulk, err := dc.FetchBulk(ks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fbulk, dbulk) {
-		t.Error("bulk fetches differ between one-shard fleet and direct client")
-	}
-
-	fman, err := fl.FetchManifests(ks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dman, err := dc.FetchManifests(ks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fman, dman) {
-		t.Error("manifest fetches differ between one-shard fleet and direct client")
+	for _, scope := range []cacheserver.Scope{cacheserver.ScopeExact, cacheserver.ScopeInterApp, cacheserver.ScopeBest} {
+		fman, err := fl.FetchEntries(ks, scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dman, err := dc.FetchEntries(ks, scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fman, dman) {
+			t.Errorf("manifest fetches (scope %d) differ between one-shard fleet and direct client", scope)
+		}
 	}
 
 	fst, err := fl.Stats()
@@ -372,11 +407,58 @@ func TestSingleShardParity(t *testing.T) {
 	// A miss is a miss, not an error, on both paths.
 	w2 := buildWorld(t, "parity-miss", 4)
 	_, ksMiss := w2.cacheFile(t)
-	if _, err := fl.Fetch(ksMiss, false); !errors.Is(err, core.ErrNoCache) {
+	if _, err := fl.FetchEntries(ksMiss, cacheserver.ScopeExact); !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("fleet miss: want ErrNoCache, got %v", err)
 	}
-	if _, err := dc.Fetch(ksMiss, false); !errors.Is(err, core.ErrNoCache) {
+	if _, err := dc.FetchEntries(ksMiss, cacheserver.ScopeExact); !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("direct miss: want ErrNoCache, got %v", err)
+	}
+}
+
+// TestFleetScopeBest pins the non-bulk inter-application read to one
+// answer: the key's owners are asked in ring order and the first that
+// answers ends the walk, so one shard sends, and credits a utility hit to,
+// one entry. The bulk scatter reaches every shard and credits every
+// candidate each one holds.
+func TestFleetScopeBest(t *testing.T) {
+	fl, shards := startFleet(t, 2) // R=2: every shard holds every entry
+	for i := 0; i < 2; i++ {
+		cf, _ := buildWorld(t, fmt.Sprintf("best%d", i), 30+i).cacheFile(t)
+		if _, err := fl.Publish(cf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := func() (total uint64) {
+		t.Helper()
+		for _, s := range shards {
+			c := cacheserver.NewClient(s.addr)
+			entries, err := c.UtilitySummary()
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				total += e.Hits
+			}
+		}
+		return total
+	}
+	ks := core.KeysFor(buildWorld(t, "best-new", 40).freshVM(t))
+
+	before := hits()
+	items, err := fl.FetchEntries(ks, cacheserver.ScopeBest)
+	if err != nil || len(items) != 1 {
+		t.Fatalf("ScopeBest over the fleet: %d items, %v; want one", len(items), err)
+	}
+	if got := hits() - before; got != 1 {
+		t.Errorf("ScopeBest credited %d hits fleet-wide, want 1", got)
+	}
+	all, err := fl.FetchEntries(ks, cacheserver.ScopeInterApp)
+	if err != nil || len(all) != 2 || !reflect.DeepEqual(all[0], items[0]) {
+		t.Fatalf("ScopeInterApp over the fleet: %d items, %v; want both, ScopeBest's first", len(all), err)
+	}
+	if got := hits() - before - 1; got != 4 {
+		t.Errorf("ScopeInterApp credited %d hits fleet-wide, want 4 (2 candidates × 2 shards)", got)
 	}
 }
 
@@ -398,7 +480,7 @@ func TestGlobalCompactEvicts(t *testing.T) {
 		}
 		keys = append(keys, ks)
 		for h := 0; h < a.hits; h++ {
-			if _, err := fl.Fetch(ks, false); err != nil {
+			if _, err := fl.FetchEntries(ks, cacheserver.ScopeExact); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -418,11 +500,11 @@ func TestGlobalCompactEvicts(t *testing.T) {
 	if rep.FloorUtility == 0 {
 		t.Error("admission floor is zero; kept entries should have nonzero utility")
 	}
-	if _, err := fl.Fetch(keys[2], false); !errors.Is(err, core.ErrNoCache) {
+	if _, err := fl.FetchEntries(keys[2], cacheserver.ScopeExact); !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("evicted entry still served: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := fl.Fetch(keys[i], false); err != nil {
+		if _, err := fl.FetchEntries(keys[i], cacheserver.ScopeExact); err != nil {
 			t.Errorf("kept entry %d lost by compaction: %v", i, err)
 		}
 	}
@@ -465,5 +547,67 @@ func TestFleetStatsAggregation(t *testing.T) {
 	// 4 entries, 2-way replication on 3 shards: 8 copies fleet-wide.
 	if files != 8 {
 		t.Errorf("fleet holds %d copies, want 8 (4 entries x 2 replicas)", files)
+	}
+}
+
+// TestFleetStatsDedupRatio: a fleet's store dedup ratio is the one core
+// defines per database, 1 − physical/logical, combined over shards as the
+// LogicalBytes-weighted mean — from a daemon's aggregate STATS fan-out and
+// from the fleet client alike.
+func TestFleetStatsDedupRatio(t *testing.T) {
+	store := []core.ManagerOption{core.WithStore()}
+	peer := startShard(t, store)
+	front := startShard(t, store, cacheserver.WithFleetPeers([]*cacheserver.Client{cacheserver.NewClient(peer.addr)}))
+	cfg := &fleet.Config{Replicas: 1, Shards: []fleet.Shard{{ID: "front", Addr: front.addr}, {ID: "peer", Addr: peer.addr}}}
+	fl, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	for i := 0; i < 6; i++ {
+		cf, _ := buildWorld(t, fmt.Sprintf("dedup%d", i), 40+i).cacheFile(t)
+		if _, err := fl.Publish(cf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logical uint64
+	var weighted float64
+	for _, v := range fl.StatsByShard() {
+		if v.Err != nil || v.Stats.Store == nil || v.Stats.Store.LogicalBytes == 0 {
+			t.Fatalf("shard %s holds no store entries (%v); the mean is vacuous", v.ID, v.Err)
+		}
+		ss := v.Stats.Store
+		logical += ss.LogicalBytes
+		weighted += ss.DedupRatio * float64(ss.LogicalBytes)
+		// Merging one shard into an empty total is that shard.
+		one := &core.DBStats{}
+		cacheserver.MergeDBStats(one, v.Stats)
+		if one.Store.DedupRatio != ss.DedupRatio {
+			t.Errorf("shard %s merged alone: ratio %v, want its own %v", v.ID, one.Store.DedupRatio, ss.DedupRatio)
+		}
+	}
+	want := weighted / float64(logical)
+	if want <= 0 || want >= 1 {
+		t.Fatalf("weighted dedup ratio %v outside (0, 1): the shards share nothing, or the test is wrong", want)
+	}
+
+	fst, err := fl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := cacheserver.NewClient(front.addr)
+	defer dc.Close()
+	dst, err := dc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*core.DBStats{"fleet client": fst, "daemon fan-out": dst} {
+		if got := st.Store.DedupRatio; math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: dedup ratio %v, want the weighted mean %v", name, got, want)
+		}
+		if st.Store.LogicalBytes != logical {
+			t.Errorf("%s: logical bytes %d, want %d", name, st.Store.LogicalBytes, logical)
+		}
 	}
 }

@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"persistcc/internal/core"
+	"persistcc/internal/store"
 )
 
 // FuzzDecodeFrame checks the wire protocol's receive path end to end: the
 // frame reader must be total on arbitrary byte streams, every frame it
 // accepts must re-encode to the identical bytes it consumed, and every
 // payload decoder must reject (never panic on) arbitrary payloads. The
-// server feeds readFrame bytes from untrusted clients, so this boundary
-// has to hold under any input.
+// server feeds readFrame bytes from untrusted clients, and the client feeds
+// the read-path decoders bytes from a daemon it does not control, so this
+// boundary has to hold under any input.
 func FuzzDecodeFrame(f *testing.F) {
 	frame := func(tag uint8, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -21,12 +23,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(frame(OpLookup, encodeKeyRequest(core.KeySet{}, true)))
+	var h1, h2 store.Hash
+	h1[0], h2[31] = 0xAB, 0xCD
+	f.Add(frame(OpLookup, encodeKeyRequest(core.KeySet{}, ScopeInterApp)))
+	f.Add(frame(OpFetchManifests, encodeKeyRequest(core.KeySet{App: [32]byte{1}}, ScopeBest)))
 	f.Add(frame(OpStats, nil))
 	f.Add(frame(StatusOK, encodeLookupInfo(&LookupInfo{File: "a.pcc", AppPath: "/bin/a", Traces: 3})))
 	f.Add(frame(StatusOK, encodeCommitReport(&core.CommitReport{Traces: 2, File: "a.pcc"})))
 	f.Add(frame(StatusOK, encodeDBStats(&core.DBStats{Files: 1, Classes: []core.KeyClassCount{{VM: "v", Tool: "t", Entries: 1}}})))
-	f.Add(frame(StatusOK, encodePruneReport(&core.PruneReport{DroppedEntries: 1})))
+	f.Add(frame(StatusOK, encodeManifestItems([]ManifestItem{
+		{Kind: ItemKindManifest, Data: []byte("manifest")}, {Kind: ItemKindLegacy, Data: []byte("image")}})))
+	f.Add(frame(OpFetchBlobs, encodeBlobRequest([]store.Hash{h1, h2})))
+	f.Add(frame(StatusOK, encodeBlobItems([]blobItem{{Hash: h1, Data: []byte("blob")}, {Hash: h2}})))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1}) // hostile length field
 	f.Add([]byte{0, 0, 0, 0, 0})             // zero length
 
@@ -44,11 +52,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("frame round trip changed bytes: % x != % x", buf.Bytes(), data[:buf.Len()])
 		}
 		// Every payload decoder must be total on whatever tag the frame
-		// claims: a hostile client controls both. Rejection is fine; only
-		// a panic is a bug. Decoders that accept must round-trip.
-		_, _, _ = decodeKeyRequest(payload)
+		// claims: a hostile peer controls both. Rejection is fine; only a
+		// panic is a bug. Decoders that accept must round-trip.
 		_, _ = decodeDBStats(payload)
-		_, _ = decodePruneReport(payload)
 		if li, err := decodeLookupInfo(payload); err == nil {
 			if li2, err := decodeLookupInfo(encodeLookupInfo(li)); err != nil || *li2 != *li {
 				t.Fatalf("LookupInfo round trip: %+v vs %+v (%v)", li, li2, err)
@@ -57,6 +63,28 @@ func FuzzDecodeFrame(f *testing.F) {
 		if rep, err := decodeCommitReport(payload); err == nil {
 			if rep2, err := decodeCommitReport(encodeCommitReport(rep)); err != nil || *rep2 != *rep {
 				t.Fatalf("CommitReport round trip: %+v vs %+v (%v)", rep, rep2, err)
+			}
+		}
+		// The read path's codecs are canonical: an accepted payload
+		// re-encodes to exactly the bytes it was decoded from.
+		if ks, scope, err := decodeKeyRequest(payload); err == nil {
+			if got := encodeKeyRequest(ks, scope); !bytes.Equal(got, payload) {
+				t.Fatalf("key request re-encodes to % x, decoded from % x", got, payload)
+			}
+		}
+		if items, err := decodeManifestItems(payload); err == nil {
+			if got := encodeManifestItems(items); !bytes.Equal(got, payload) {
+				t.Fatalf("manifest items re-encode to % x, decoded from % x", got, payload)
+			}
+		}
+		if hashes, err := decodeBlobRequest(payload); err == nil {
+			if got := encodeBlobRequest(hashes); !bytes.Equal(got, payload) {
+				t.Fatalf("blob request re-encodes to % x, decoded from % x", got, payload)
+			}
+		}
+		if items, err := decodeBlobItems(payload); err == nil {
+			if got := encodeBlobItems(items); !bytes.Equal(got, payload) {
+				t.Fatalf("blob items re-encode to % x, decoded from % x", got, payload)
 			}
 		}
 	})

@@ -46,6 +46,53 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredOpsRejected: the op codes of the retired whole-image FETCH (2),
+// PRUNE (5) and bulk FETCH (7), like a code never assigned, get a
+// StatusError frame counted as op="unknown", and the connection stays
+// usable: the next request on it is served.
+func TestRetiredOpsRejected(t *testing.T) {
+	srv, addr, _ := startServer(t)
+	w := buildWorld(t, "retired", 22)
+	v, _ := w.ranVM(t, 40)
+	cf, ks := core.BuildCacheFile(v)
+	c := newClient(addr)
+	defer c.Close()
+	if _, err := c.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	req := cacheserver.EncodeKeyRequestForTest(ks, cacheserver.ScopeExact)
+	ops := []uint8{2, 5, 7, 200}
+	for _, op := range ops {
+		if err := cacheserver.WriteFrameForTest(conn, op, req); err != nil {
+			t.Fatal(err)
+		}
+		status, payload, err := cacheserver.ReadFrameForTest(conn)
+		if err != nil {
+			t.Fatalf("op %d: no response frame: %v", op, err)
+		}
+		if status != cacheserver.StatusError || !strings.Contains(string(payload), "unknown op") {
+			t.Errorf("op %d: status %d payload %q, want StatusError naming an unknown op", op, status, payload)
+		}
+	}
+	if err := cacheserver.WriteFrameForTest(conn, cacheserver.OpLookup, req); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, err := cacheserver.ReadFrameForTest(conn); err != nil || status != cacheserver.StatusOK {
+		t.Fatalf("LOOKUP after the rejected ops: status %d, %v", status, err)
+	}
+	snap := srv.Metrics().Snapshot()
+	if v, _ := snap.Value("pcc_server_requests_total", "unknown", "error"); v != float64(len(ops)) {
+		t.Errorf(`requests_total{op="unknown",status="error"} = %v, want %d`, v, len(ops))
+	}
+}
+
 // TestClientRefusesOversizedPayload: the client's own frame bound stops an
 // outsized publish before it touches the wire, without blaming the daemon
 // (no retries, breaker stays closed).

@@ -57,18 +57,12 @@ func opName(op uint8) string {
 	switch op {
 	case OpLookup:
 		return "lookup"
-	case OpFetch:
-		return "fetch"
 	case OpPublish:
 		return "publish"
 	case OpStats:
 		return "stats"
-	case OpPrune:
-		return "prune"
 	case OpMetrics:
 		return "metrics"
-	case OpFetchBulk:
-		return "fetchbulk"
 	case OpFetchManifests:
 		return "fetchmanifests"
 	case OpFetchBlobs:

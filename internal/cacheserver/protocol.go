@@ -13,9 +13,12 @@
 // with the length covering the op byte plus the payload, little-endian, and
 // bounded by MaxFrame. Requests carry one of the Op* codes; responses carry
 // a Status* code, with StatusError followed by a length-prefixed message.
-// Payloads reuse internal/binenc, and FETCH/PUBLISH move whole serialized
-// core.CacheFile images, so the cache file's own integrity trailer also
-// protects the wire transfer end to end.
+// Payloads reuse internal/binenc. There is one read path: FETCHMANIFESTS
+// moves an entry as its manifest (store format) or its serialized
+// core.CacheFile image (legacy format), and FETCHBLOBS moves only the
+// content-addressed blobs the client's machine is missing, each re-hashed on
+// arrival. PUBLISH moves a whole image. Images carry their own integrity
+// trailer, so every transfer is verified end to end.
 package cacheserver
 
 import (
@@ -29,21 +32,20 @@ import (
 	"persistcc/internal/store"
 )
 
-// Op codes (client → server).
+// Op codes (client → server). Codes 2, 5 and 7 belonged to retired ops
+// (whole-image FETCH, PRUNE, bulk FETCH); the daemon answers them, like any
+// unassigned code, with StatusError.
 const (
-	OpLookup    = 1 // key set + mode → cache metadata, no payload transfer
-	OpFetch     = 2 // key set + mode → serialized CacheFile
-	OpPublish   = 3 // serialized CacheFile → server-side merge, CommitReport
-	OpStats     = 4 // → per-database totals (core.DBStats)
-	OpPrune     = 5 // → reconcile index and files (core.PruneReport)
-	OpMetrics   = 6 // → the daemon's metrics registry snapshot (JSON)
-	OpFetchBulk = 7 // key set + mode → every index-matching serialized CacheFile
+	OpLookup  = 1 // key set + scope → cache metadata, no payload transfer
+	OpPublish = 3 // serialized CacheFile → server-side merge, CommitReport
+	OpStats   = 4 // → per-database totals (core.DBStats)
+	OpMetrics = 6 // → the daemon's metrics registry snapshot (JSON)
 
-	// Manifest-aware ops for store-format databases: FETCHMANIFESTS moves
-	// the (small) per-app manifests, FETCHBLOBS moves only the shared
-	// blobs the client's local store is missing — so each deduplicated
-	// blob crosses the wire once per machine, not once per application.
-	OpFetchManifests = 8 // key set + mode → per-entry manifest (or legacy image)
+	// The read path: FETCHMANIFESTS moves the (small) per-app manifests,
+	// FETCHBLOBS moves only the shared blobs the client's local store is
+	// missing — so each deduplicated blob crosses the wire once per
+	// machine, not once per application.
+	OpFetchManifests = 8 // key set + scope → per-entry manifest (or legacy image)
 	OpFetchBlobs     = 9 // blob hashes → encoded blobs for those the server holds
 
 	// Fleet-management ops: a fleet coordinator (pcc-cachectl or the fleet
@@ -56,8 +58,9 @@ const (
 	OpCompact = 12 // → reclaim unreferenced store blobs (store.CompactReport)
 )
 
-// maxBulkFiles bounds how many cache files one bulk fetch may return (the
-// exact match plus inter-application candidates); both ends enforce it.
+// maxBulkFiles bounds how many entries one FETCHMANIFESTS response may
+// carry (the exact match plus inter-application candidates); both ends
+// enforce it.
 const maxBulkFiles = 64
 
 // Status codes (server → client).
@@ -117,56 +120,47 @@ func readFrame(r io.Reader, max int) (uint8, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-// encodeKeyRequest builds the LOOKUP/FETCH payload: the three keys plus the
-// inter-application mode flag.
-func encodeKeyRequest(ks core.KeySet, interApp bool) []byte {
+// Scope is a key request's mode byte: which of the entries a key set covers
+// a FETCHMANIFESTS response carries. LOOKUP describes the first of them.
+type Scope uint8
+
+const (
+	ScopeExact    Scope = 0 // the exact entry only
+	ScopeInterApp Scope = 1 // the exact entry, then every same-class candidate, best first (a bulk prime)
+	ScopeBest     Scope = 2 // ScopeInterApp's first entry alone (a non-bulk inter-application prime)
+)
+
+// scopeOf maps the boolean inter-application mode of Lookup and
+// FetchManifests onto its scope.
+func scopeOf(interApp bool) Scope {
+	if interApp {
+		return ScopeInterApp
+	}
+	return ScopeExact
+}
+
+// encodeKeyRequest builds the LOOKUP/FETCHMANIFESTS payload: the three keys
+// plus the scope byte.
+func encodeKeyRequest(ks core.KeySet, scope Scope) []byte {
 	w := &binenc.Writer{}
 	w.Raw(ks.App[:])
 	w.Raw(ks.VM[:])
 	w.Raw(ks.Tool[:])
-	w.Bool(interApp)
+	w.U8(uint8(scope))
 	return w.Buf
 }
 
-func decodeKeyRequest(b []byte) (core.KeySet, bool, error) {
+func decodeKeyRequest(b []byte) (core.KeySet, Scope, error) {
 	r := &binenc.Reader{Buf: b}
 	var ks core.KeySet
 	copy(ks.App[:], r.Raw(32))
 	copy(ks.VM[:], r.Raw(32))
 	copy(ks.Tool[:], r.Raw(32))
-	interApp := r.Bool()
-	return ks, interApp, r.Done()
-}
-
-// encodeBulkFiles builds the FETCHBULK response: a count followed by each
-// serialized cache file, length-prefixed. Every image keeps its own
-// integrity trailer, so the transfer stays verified end to end per file.
-func encodeBulkFiles(files [][]byte) []byte {
-	w := &binenc.Writer{}
-	w.U32(uint32(len(files)))
-	for _, b := range files {
-		w.U32(uint32(len(b)))
-		w.Raw(b)
+	scope := Scope(r.U8())
+	if r.Err == nil && scope > ScopeBest {
+		return ks, 0, fmt.Errorf("cacheserver: unknown key request scope %d", scope)
 	}
-	return w.Buf
-}
-
-func decodeBulkFiles(b []byte) ([][]byte, error) {
-	r := &binenc.Reader{Buf: b}
-	n := r.Count(maxBulkFiles)
-	files := make([][]byte, 0, n)
-	for i := 0; i < n && r.Err == nil; i++ {
-		ln := int(r.U32())
-		if r.Err == nil && (ln < 0 || ln > MaxFrame) {
-			return nil, fmt.Errorf("cacheserver: bulk file length %d out of range", ln)
-		}
-		raw := r.Raw(ln)
-		if r.Err != nil {
-			break
-		}
-		files = append(files, append([]byte(nil), raw...))
-	}
-	return files, r.Done()
+	return ks, scope, r.Done()
 }
 
 // Manifest-item kinds in FETCHMANIFESTS responses: a store-format entry
@@ -213,7 +207,7 @@ func decodeManifestItems(b []byte) ([]ManifestItem, error) {
 		if r.Err != nil {
 			break
 		}
-		items = append(items, ManifestItem{Kind: kind, Data: append([]byte(nil), raw...)})
+		items = append(items, ManifestItem{Kind: kind, Data: raw}) // aliases b, which the caller owns
 	}
 	return items, r.Done()
 }
@@ -261,13 +255,13 @@ func encodeBlobItems(items []blobItem) []byte {
 	return w.Buf
 }
 
-func decodeBlobItems(b []byte) (map[store.Hash][]byte, error) {
+func decodeBlobItems(b []byte) ([]blobItem, error) {
 	r := &binenc.Reader{Buf: b}
 	n := r.Count(maxBlobFetch)
-	out := make(map[store.Hash][]byte, n)
+	items := make([]blobItem, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
-		var h store.Hash
-		copy(h[:], r.Raw(32))
+		var it blobItem
+		copy(it.Hash[:], r.Raw(32))
 		ln := int(r.U32())
 		if r.Err == nil && (ln < 0 || ln > MaxFrame) {
 			return nil, fmt.Errorf("cacheserver: blob length %d out of range", ln)
@@ -276,9 +270,10 @@ func decodeBlobItems(b []byte) (map[store.Hash][]byte, error) {
 		if r.Err != nil {
 			break
 		}
-		out[h] = append([]byte(nil), raw...)
+		it.Data = append([]byte(nil), raw...)
+		items = append(items, it)
 	}
-	return out, r.Done()
+	return items, r.Done()
 }
 
 // LookupInfo is the metadata LOOKUP returns without transferring traces.
@@ -426,7 +421,7 @@ func decodeStatsScope(b []byte) (local bool, err error) {
 // translation work the entry saves, the paper's cold-code economics).
 type UtilityEntry struct {
 	Stem     string // format-independent entry identity (file name minus extension)
-	Hits     uint64 // fetch-type requests this entry served since daemon start
+	Hits     uint64 // FETCHMANIFESTS responses that carried this entry since daemon start
 	Traces   int    // translated traces the entry holds
 	CodePool uint64 // translated code bytes (reporting only)
 }
@@ -523,20 +518,5 @@ func decodeCompactReport(b []byte) (*store.CompactReport, error) {
 	rep := &store.CompactReport{}
 	rep.PrunedOrphans = int(r.U32())
 	rep.ReclaimedBytes = r.U64()
-	return rep, r.Done()
-}
-
-func encodePruneReport(rep *core.PruneReport) []byte {
-	w := &binenc.Writer{}
-	w.U32(uint32(rep.DroppedEntries))
-	w.U32(uint32(rep.RemovedFiles))
-	return w.Buf
-}
-
-func decodePruneReport(b []byte) (*core.PruneReport, error) {
-	r := &binenc.Reader{Buf: b}
-	rep := &core.PruneReport{}
-	rep.DroppedEntries = int(r.U32())
-	rep.RemovedFiles = int(r.U32())
 	return rep, r.Done()
 }

@@ -23,9 +23,10 @@ var ErrServerClosed = errors.New("cacheserver: server closed")
 type entry struct {
 	meta core.IndexEntry // guarded by Server.idxMu
 
-	// hits counts fetch-type requests this entry served since daemon start
-	// — the frequency half of the fleet's utility ranking (hit frequency ×
-	// translation cost). Atomic so the read paths never take a write lock.
+	// hits counts FETCHMANIFESTS responses that carried this entry since
+	// daemon start — the frequency half of the fleet's utility ranking (hit
+	// frequency × translation cost). Atomic so the read path never takes a
+	// write lock.
 	hits atomic.Uint64
 
 	// mergeMu serializes accumulation per cache file: publishes for the
@@ -38,12 +39,6 @@ type entry struct {
 	// wait and share its report.
 	flMu     sync.Mutex
 	inflight map[[32]byte]*flight
-
-	// Cached serialized file bytes for FETCH; invalidated on publish.
-	// dataMu is held across the disk read so a fetch racing a publish can
-	// never re-install bytes the publish just invalidated.
-	dataMu sync.Mutex
-	data   []byte
 }
 
 type flight struct {
@@ -366,20 +361,14 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 	var err error
 	switch op {
 	case OpLookup:
-		resp, err = s.handleLookup(payload, false)
-	case OpFetch:
-		resp, err = s.handleLookup(payload, true)
+		resp, err = s.handleLookup(payload)
 	case OpPublish:
 		resp, err = s.handlePublish(payload)
 	case OpStats:
 		resp, err = s.handleStats(payload)
-	case OpPrune:
-		resp, err = s.handlePrune()
 	case OpMetrics:
 		s.mgr.Stats() // refresh the database gauges before snapshotting
 		resp = s.metrics.Snapshot().JSON()
-	case OpFetchBulk:
-		resp, err = s.handleFetchBulk(payload)
 	case OpFetchManifests:
 		resp, err = s.handleFetchManifests(payload)
 	case OpFetchBlobs:
@@ -409,125 +398,51 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 	return StatusOK, resp
 }
 
-// resolve finds the entry for a key request and a consistent copy of its
-// metadata: exact file-name lookup, or the inter-application scan that
-// ignores the application key and picks the candidate with the most traces
-// ("allowing the function to return a cache corresponding to any
-// application instrumented identically"). Entries whose first publish is
-// still in flight (empty metadata) are invisible.
-func (s *Server) resolve(ks core.KeySet, interApp bool) (*entry, core.IndexEntry, bool) {
-	stem := core.FileStem(ks.CacheFileName())
-	s.idxMu.RLock()
-	defer s.idxMu.RUnlock()
-	if e := s.entries[stem]; e != nil && e.meta.File != "" {
-		return e, e.meta, true
-	}
-	if !interApp {
-		return nil, core.IndexEntry{}, false
-	}
-	var best *entry
-	var bestMeta core.IndexEntry
-	for _, e := range s.entries {
-		m := e.meta
-		if m.File == "" || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
-			continue
-		}
-		if best == nil || m.Traces > bestMeta.Traces || (m.Traces == bestMeta.Traces && m.File < bestMeta.File) {
-			best, bestMeta = e, m
-		}
-	}
-	return best, bestMeta, best != nil
-}
-
-func (s *Server) handleLookup(payload []byte, fetch bool) ([]byte, error) {
-	ks, interApp, err := decodeKeyRequest(payload)
+// handleLookup answers LOOKUP with the metadata of the entry FETCHMANIFESTS
+// would send first, without reading it.
+func (s *Server) handleLookup(payload []byte) ([]byte, error) {
+	ks, scope, err := decodeKeyRequest(payload)
 	if err != nil {
 		return nil, err
 	}
-	e, meta, ok := s.resolve(ks, interApp)
-	if !ok {
+	cands := s.candidates(ks, scope != ScopeExact)
+	if len(cands) == 0 {
 		return nil, core.ErrNoCache
 	}
-	if !fetch {
-		return encodeLookupInfo(&LookupInfo{
-			File: meta.File, AppPath: meta.AppPath, Traces: meta.Traces,
-			CodePool: meta.CodePool, DataPool: meta.DataPool,
-		}), nil
-	}
-	b, err := s.fileBytes(e, meta.File)
-	if err == nil {
-		e.hits.Add(1)
-	}
-	return b, err
+	meta := cands[0].meta
+	return encodeLookupInfo(&LookupInfo{
+		File: meta.File, AppPath: meta.AppPath, Traces: meta.Traces,
+		CodePool: meta.CodePool, DataPool: meta.DataPool,
+	}), nil
 }
 
-// handleFetchBulk serves every cache file matching the key request in one
-// round trip: the exact entry first, then — in inter-application mode —
-// every other entry of the same VM/Tool class, ordered best-first the same
-// way resolve breaks ties (most traces, then file name). The client's
-// prefetch path installs them all at load time, replacing one FETCH round
-// trip per candidate with a single bulk transfer. Unreadable files are
-// skipped; the response is capped by maxBulkFiles and the frame bound.
-func (s *Server) handleFetchBulk(payload []byte) ([]byte, error) {
-	ks, interApp, err := decodeKeyRequest(payload)
-	if err != nil {
-		return nil, err
-	}
-	var files [][]byte
-	total := 0
-	add := func(e *entry, file string) bool {
-		b, err := s.fileBytes(e, file)
-		if err != nil {
-			return true // unreadable or pruned since indexed: skip
-		}
-		// Leave room for the count/length framing and the status byte.
-		if total+len(b)+8*(len(files)+2) > s.maxFrame {
-			return false
-		}
-		files = append(files, b)
-		total += len(b)
-		e.hits.Add(1)
-		return true
-	}
-
-	for _, c := range s.bulkCandidates(ks, interApp) {
-		if len(files) >= maxBulkFiles {
-			break
-		}
-		if !add(c.e, c.meta.File) {
-			break
-		}
-	}
-	if len(files) == 0 {
-		return nil, core.ErrNoCache
-	}
-	return encodeBulkFiles(files), nil
-}
-
-type bulkCand struct {
+type candidate struct {
 	e    *entry
 	meta core.IndexEntry
 }
 
-// bulkCandidates enumerates the entries a bulk request covers: the exact
-// entry first, then — in inter-application mode — every other entry of the
-// same VM/Tool class, ordered best-first the same way resolve breaks ties
-// (most traces, then file name).
-func (s *Server) bulkCandidates(ks core.KeySet, interApp bool) []bulkCand {
-	var out []bulkCand
+// candidates enumerates the entries a key request covers, each with a
+// consistent copy of its metadata: the exact entry first, then — in
+// inter-application mode — every other entry of the same VM/Tool class
+// ("allowing the function to return a cache corresponding to any
+// application instrumented identically"), best first: most traces, then
+// file name. Entries whose first publish is still in flight (empty
+// metadata) are invisible.
+func (s *Server) candidates(ks core.KeySet, interApp bool) []candidate {
+	var out []candidate
 	exact := core.FileStem(ks.CacheFileName())
 	s.idxMu.RLock()
 	if e := s.entries[exact]; e != nil && e.meta.File != "" {
-		out = append(out, bulkCand{e, e.meta})
+		out = append(out, candidate{e, e.meta})
 	}
-	var cands []bulkCand
+	var cands []candidate
 	if interApp {
 		for _, e := range s.entries {
 			m := e.meta
 			if m.File == "" || core.FileStem(m.File) == exact || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
 				continue
 			}
-			cands = append(cands, bulkCand{e, m})
+			cands = append(cands, candidate{e, m})
 		}
 	}
 	s.idxMu.RUnlock()
@@ -538,24 +453,6 @@ func (s *Server) bulkCandidates(ks core.KeySet, interApp bool) []bulkCand {
 		return cands[i].meta.File < cands[j].meta.File
 	})
 	return append(out, cands...)
-}
-
-// fileBytes returns the entry's serialized legacy CacheFile image, from
-// the per-entry byte cache when warm. Store-format entries are
-// materialized and re-encoded by the manager, so legacy clients keep
-// working against a migrated database.
-func (s *Server) fileBytes(e *entry, file string) ([]byte, error) {
-	e.dataMu.Lock()
-	defer e.dataMu.Unlock()
-	if e.data != nil {
-		return e.data, nil
-	}
-	b, err := s.mgr.FileImage(file)
-	if err != nil {
-		return nil, err
-	}
-	e.data = b
-	return b, nil
 }
 
 // handlePublish merges a client's serialized cache file into the database.
@@ -640,9 +537,6 @@ func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*cor
 	s.idxMu.Lock()
 	e.meta = meta
 	s.idxMu.Unlock()
-	e.dataMu.Lock()
-	e.data = nil // next fetch re-reads the merged file
-	e.dataMu.Unlock()
 	s.logf("cacheserver: published %s: %d traces (%d new, %d dropped)", file, rep.Traces, rep.NewTraces, rep.Dropped)
 	return rep, nil
 }
@@ -687,9 +581,11 @@ func (s *Server) localStats() *core.DBStats {
 }
 
 // MergeDBStats folds src into dst: totals and key classes sum; store-side
-// counts sum with the dedup ratio recomputed from the summed byte totals.
-// Shared by the daemon's fleet-aggregated STATS and the fleet client's
-// fan-out Stats, so both views of a fleet agree.
+// counts sum, and the dedup ratio (1 − physical/logical per shard) becomes
+// the LogicalBytes-weighted mean of the two, which is exact: each side's
+// physical bytes are (1 − ratio)·logical. Shared by the daemon's
+// fleet-aggregated STATS and the fleet client's fan-out Stats, so both
+// views of a fleet agree.
 func MergeDBStats(dst, src *core.DBStats) {
 	dst.Files += src.Files
 	dst.Traces += src.Traces
@@ -723,10 +619,12 @@ func MergeDBStats(dst, src *core.DBStats) {
 		dst.Store.Manifests += src.Store.Manifests
 		dst.Store.Blobs += src.Store.Blobs
 		dst.Store.BlobBytes += src.Store.BlobBytes
-		dst.Store.LogicalBytes += src.Store.LogicalBytes
-		if dst.Store.BlobBytes > 0 {
-			dst.Store.DedupRatio = float64(dst.Store.LogicalBytes) / float64(dst.Store.BlobBytes)
+		if logical := dst.Store.LogicalBytes + src.Store.LogicalBytes; logical > 0 {
+			// A running mean: src's weight is exactly 1 into an empty dst.
+			weight := float64(src.Store.LogicalBytes) / float64(logical)
+			dst.Store.DedupRatio += (src.Store.DedupRatio - dst.Store.DedupRatio) * weight
 		}
+		dst.Store.LogicalBytes += src.Store.LogicalBytes
 		if src.Store.Generations > dst.Store.Generations {
 			dst.Store.Generations = src.Store.Generations
 		}
@@ -806,48 +704,42 @@ func (s *Server) handleCompact() ([]byte, error) {
 	return encodeCompactReport(rep), nil
 }
 
-// handleFetchManifests is FETCHBULK for store-aware clients: each entry
-// travels as its compact manifest when store-format (the client resolves
-// blobs separately, hitting its local store first) or as a legacy image
-// otherwise. The response is capped by maxBulkFiles and the frame bound.
+// handleFetchManifests serves the entries a key request's scope covers
+// (see candidates) in one round trip, exact entry first — with ScopeBest
+// only the first of them: a store-format entry travels as its compact
+// manifest (the client resolves its blobs separately, hitting its local
+// store first), a legacy one as its image, both read verbatim from disk.
+// Only the entries sent count as hits. Entries gone since indexed are
+// skipped; the response is capped by maxBulkFiles and the frame bound.
 func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
-	ks, interApp, err := decodeKeyRequest(payload)
+	ks, scope, err := decodeKeyRequest(payload)
 	if err != nil {
 		return nil, err
 	}
+	limit := maxBulkFiles
+	if scope == ScopeBest {
+		limit = 1
+	}
 	var items []ManifestItem
 	total := 0
-	add := func(e *entry, file string) bool {
-		var it ManifestItem
-		if strings.HasSuffix(file, ".pcm") {
-			b, err := s.mgr.ManifestBytes(file)
-			if err != nil {
-				return true // pruned since indexed: skip
-			}
-			it = ManifestItem{Kind: ItemKindManifest, Data: b}
-		} else {
-			b, err := s.fileBytes(e, file)
-			if err != nil {
-				return true
-			}
-			it = ManifestItem{Kind: ItemKindLegacy, Data: b}
+	for _, c := range s.candidates(ks, scope != ScopeExact) {
+		if len(items) >= limit {
+			break
+		}
+		it := ManifestItem{Kind: ItemKindLegacy}
+		if strings.HasSuffix(c.meta.File, ".pcm") {
+			it.Kind = ItemKindManifest
+		}
+		if it.Data, err = s.mgr.FileImage(c.meta.File); err != nil {
+			continue
 		}
 		// Leave room for the count/kind/length framing and the status byte.
 		if total+len(it.Data)+9*(len(items)+2) > s.maxFrame {
-			return false
+			break
 		}
 		items = append(items, it)
 		total += len(it.Data)
-		e.hits.Add(1)
-		return true
-	}
-	for _, c := range s.bulkCandidates(ks, interApp) {
-		if len(items) >= maxBulkFiles {
-			break
-		}
-		if !add(c.e, c.meta.File) {
-			break
-		}
+		c.e.hits.Add(1)
 	}
 	if len(items) == 0 {
 		return nil, core.ErrNoCache
@@ -884,15 +776,4 @@ func (s *Server) handleFetchBlobs(payload []byte) ([]byte, error) {
 		}
 	}
 	return encodeBlobItems(items), nil
-}
-
-func (s *Server) handlePrune() ([]byte, error) {
-	rep, err := s.mgr.Prune()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.reloadIndex(); err != nil {
-		return nil, err
-	}
-	return encodePruneReport(rep), nil
 }

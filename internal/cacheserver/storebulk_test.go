@@ -71,8 +71,8 @@ func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
 	if len(items) != 1 {
 		t.Fatalf("got %d manifest items, want 1", len(items))
 	}
-	if items[0].Kind != cacheserver.ItemKindManifestForTest {
-		t.Fatalf("item kind = %d, want manifest (%d)", items[0].Kind, cacheserver.ItemKindManifestForTest)
+	if items[0].Kind != cacheserver.ItemKindManifest {
+		t.Fatalf("item kind = %d, want manifest (%d)", items[0].Kind, cacheserver.ItemKindManifest)
 	}
 	man, err := store.DecodeManifest(items[0].Data)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestFetchManifestsFromLegacyServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchManifests: %v", err)
 	}
-	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindLegacyForTest {
+	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindLegacy {
 		t.Fatalf("want 1 legacy item, got %d items (kind %v)", len(items), items[0].Kind)
 	}
 	var got core.CacheFile
@@ -155,9 +155,11 @@ func TestFetchManifestsFromLegacyServer(t *testing.T) {
 }
 
 func TestLegacyClientAgainstStoreServer(t *testing.T) {
-	// Old clients speak FETCHBULK; a store-format server materializes the
-	// manifest back into a legacy image on the fly.
-	_, addr, _ := startStoreServer(t)
+	// A legacy-format client's plain Prime against a store-format daemon
+	// takes the one read path: the manifest crosses the wire, the client
+	// materializes it, and only the blobs it is missing follow — written
+	// through to <CacheDir>/store, which the prime creates.
+	srv, addr, _ := startStoreServer(t)
 	w := buildWorld(t, "oldclient", 2)
 	v, res := w.ranVM(t, 50)
 	cf, ks := core.BuildCacheFile(v)
@@ -166,24 +168,24 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 	if _, err := c.Publish(cf); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	files, err := c.FetchBulk(ks, false)
+	items, err := c.FetchManifests(ks, false)
+	if err != nil || len(items) != 1 || items[0].Kind != cacheserver.ItemKindManifest {
+		t.Fatalf("FetchManifests against store server: %d items, %v", len(items), err)
+	}
+	man, err := store.DecodeManifest(items[0].Data)
 	if err != nil {
-		t.Fatalf("FetchBulk against store server: %v", err)
+		t.Fatal(err)
 	}
-	if len(files) != 1 || len(files[0].Traces) != len(cf.Traces) {
-		t.Fatalf("FetchBulk: got %d files / %d traces, want 1 / %d",
-			len(files), len(files[0].Traces), len(cf.Traces))
-	}
+	before := srv.Metrics().Snapshot()
 
-	// And the full legacy fallback path still warms a run.
 	f := newFallback(t, addr)
 	warm := w.freshVM(t, 50)
-	prep, err := f.PrimeBulk(warm, false)
+	prep, err := f.Prime(warm)
 	if err != nil {
-		t.Fatalf("PrimeBulk: %v", err)
+		t.Fatalf("Prime: %v", err)
 	}
-	if !prep.Found || prep.Installed == 0 {
-		t.Fatalf("legacy bulk prime installed nothing: %+v", prep)
+	if !prep.Found || prep.Installed != len(cf.Traces) {
+		t.Fatalf("legacy client's prime installed %+v, want all %d traces", prep, len(cf.Traces))
 	}
 	wres, err := warm.Run()
 	if err != nil {
@@ -191,6 +193,32 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wres.Output, res.Output) {
 		t.Errorf("warmed output %v, want %v", wres.Output, res.Output)
+	}
+
+	st, err := f.Local().StoreIfPresent()
+	if err != nil || st == nil {
+		t.Fatalf("no local store after priming from manifests: %v", err)
+	}
+	for _, h := range man.BlobHashes() {
+		if !st.Has(h) {
+			t.Errorf("blob %s not written through to the local store", h)
+		}
+	}
+
+	// The daemon saw manifest and blob reads, and nothing else.
+	reads := map[string]float64{}
+	for _, fam := range srv.Metrics().Snapshot().Sub(before).Families {
+		if fam.Name != "pcc_server_requests_total" {
+			continue
+		}
+		for _, s := range fam.Series {
+			if s.Value > 0 {
+				reads[s.Labels[0]] += s.Value
+			}
+		}
+	}
+	if len(reads) != 2 || reads["fetchmanifests"] == 0 || reads["fetchblobs"] == 0 {
+		t.Errorf("daemon requests during the prime: %v, want only fetchmanifests and fetchblobs", reads)
 	}
 }
 

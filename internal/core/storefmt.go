@@ -562,42 +562,25 @@ func (m *Manager) storeStats() (*StoreDBStats, error) {
 	return out, nil
 }
 
-// FileImage returns the legacy-format serialized image for a database
-// entry in either format — the cache server's compatibility serving path:
-// legacy files are returned verbatim, manifests are materialized and
-// re-encoded. Missing or quarantined entries surface as ErrNoCache.
+// FileImage returns a database entry's file verbatim — a legacy entry's
+// serialized image or a store-format entry's manifest — or ErrNoCache when
+// it is missing: the cache server's serving path. Nothing is materialized
+// or re-encoded; the client verifies what it receives.
 func (m *Manager) FileImage(file string) ([]byte, error) {
-	path := filepath.Join(m.dir, file)
-	if !strings.HasSuffix(file, ".pcm") {
-		b, err := m.fs.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, ErrNoCache
-		}
-		return b, err
-	}
-	cf, err := m.readVerified(path)
-	switch {
-	case err == nil:
-		return cf.MarshalBinary()
-	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errQuarantined):
-		return nil, ErrNoCache
-	default:
-		return nil, err
-	}
-}
-
-// ManifestBytes returns the raw encoded manifest for a store-format
-// entry, or ErrNoCache when the entry is legacy or missing — the serving
-// path for the manifest-aware fetch ops.
-func (m *Manager) ManifestBytes(file string) ([]byte, error) {
-	if !strings.HasSuffix(file, ".pcm") {
-		return nil, ErrNoCache
-	}
 	b, err := m.fs.ReadFile(filepath.Join(m.dir, file))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCache
 	}
 	return b, err
+}
+
+// ManifestBytes returns the raw encoded manifest for a store-format
+// entry, or ErrNoCache when the entry is legacy or missing.
+func (m *Manager) ManifestBytes(file string) ([]byte, error) {
+	if !strings.HasSuffix(file, ".pcm") {
+		return nil, ErrNoCache
+	}
+	return m.FileImage(file)
 }
 
 // ReadPriorKeys loads the database entry for ks for accumulation,

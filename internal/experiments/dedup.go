@@ -69,9 +69,9 @@ func dedupServer(mgr *core.Manager) (*cacheserver.Client, func(), error) {
 // Dedup commits the five GUI startups into a legacy database and a
 // store-format database and compares what lands on disk, then replays the
 // fleet-distribution scenario — one machine warming all five apps from a
-// cache server — and compares what crosses the wire (legacy FETCHBULK
-// ships whole entries; the store path ships manifests plus only the blobs
-// the machine has not seen).
+// cache server — and compares what crosses the wire (a legacy database
+// ships whole entries; a store one ships manifests plus only the blobs the
+// machine has not seen).
 func Dedup() (*Report, error) {
 	gui, err := guiSuite()
 	if err != nil {
@@ -162,8 +162,9 @@ func Dedup() (*Report, error) {
 	return rep, nil
 }
 
-// legacyWireBytes replays five warmups over FETCHBULK and sums the payload
-// bytes: every app's full entry crosses the wire.
+// legacyWireBytes replays five warmups over FETCHMANIFESTS against the
+// legacy database and sums the payload bytes: every app's full entry
+// crosses the wire as its image.
 func legacyWireBytes(mgr *core.Manager, gui *workload.GUISuite) (uint64, error) {
 	client, shutdown, err := dedupServer(mgr)
 	if err != nil {
@@ -176,16 +177,12 @@ func legacyWireBytes(mgr *core.Manager, gui *workload.GUISuite) (uint64, error) 
 		if err != nil {
 			return 0, err
 		}
-		files, err := client.FetchBulk(ks, false)
+		items, err := client.FetchManifests(ks, false)
 		if err != nil {
 			return 0, err
 		}
-		for _, cf := range files {
-			b, err := cf.MarshalBinary()
-			if err != nil {
-				return 0, err
-			}
-			total += uint64(len(b))
+		for _, it := range items {
+			total += uint64(len(it.Data))
 		}
 	}
 	return total, nil

@@ -14,6 +14,7 @@ import (
 	"persistcc/internal/loader"
 	"persistcc/internal/replay"
 	"persistcc/internal/stats"
+	"persistcc/internal/store"
 	"persistcc/internal/workload"
 )
 
@@ -330,13 +331,24 @@ func Fleet() (*Report, error) {
 
 	// Gate 2: zero lost writes under the single-shard kill. Every
 	// application that any client committed must still be fetchable from
-	// the fleet — including the ones whose primary owner is the dead s0.
+	// the fleet — including the ones whose primary owner is the dead s0 —
+	// as exactly one entry that decodes: an image re-verifies its
+	// integrity trailer, so a truncated or corrupt replica counts as lost.
 	lost := 0
 	for i := range progs {
 		if !committed[i] {
 			continue
 		}
-		if _, err := fl.Fetch(keys[i], false); err != nil {
+		items, err := fl.FetchEntries(keys[i], cacheserver.ScopeExact)
+		if err == nil && len(items) != 1 {
+			err = fmt.Errorf("%d entries for one key", len(items))
+		}
+		if err == nil && items[0].Kind == cacheserver.ItemKindManifest {
+			_, err = store.DecodeManifest(items[0].Data)
+		} else if err == nil {
+			err = new(core.CacheFile).UnmarshalBinary(items[0].Data)
+		}
+		if err != nil {
 			lost++
 		}
 	}
@@ -353,15 +365,11 @@ func Fleet() (*Report, error) {
 	// Read fan-out: how many reads a replica served after the primary
 	// owner failed or missed.
 	snap := fl.Metrics().Snapshot()
-	var redirects, reads float64
-	for _, op := range []string{"fetch", "fetchbulk", "fetchmanifests"} {
-		if v, ok := snap.Value("pcc_fleet_redirects_total", op); ok {
-			redirects += v
-		}
-		for _, s := range shards {
-			if v, ok := snap.Value("pcc_fleet_requests_total", op, s.id); ok {
-				reads += v
-			}
+	redirects, _ := snap.Value("pcc_fleet_redirects_total", "fetchmanifests")
+	var reads float64
+	for _, s := range shards {
+		if v, ok := snap.Value("pcc_fleet_requests_total", "fetchmanifests", s.id); ok {
+			reads += v
 		}
 	}
 

@@ -168,9 +168,9 @@ type RunOptions struct {
 	FleetConfig *FleetConfig
 	// StoreFormat commits the database in the content-addressed store
 	// format (per-app manifests over shared deduplicated blobs). Reading
-	// supports both formats regardless. With Prefetch and a CacheServer,
-	// the warm path fetches compact manifests and only the blobs the
-	// machine-local store is missing.
+	// supports both formats regardless, and a remote prime of a
+	// store-format entry fetches its compact manifest and only the blobs
+	// the machine-local store is missing, whatever this option says.
 	StoreFormat bool
 	// StoreDir points several databases at one shared blob store
 	// (default: <CacheDir>/store) for machine-wide deduplication.
@@ -373,13 +373,8 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		var rep *PrimeReport
 		if fb != nil && o.Prefetch {
 			// One bulk round trip: the exact entry plus (with InterApp)
-			// every inter-application candidate, installed together. Store
-			// mode moves manifests plus only the locally-missing blobs.
-			if o.StoreFormat {
-				rep, err = fb.PrimeStoreBulk(v, o.InterApp)
-			} else {
-				rep, err = fb.PrimeBulk(v, o.InterApp)
-			}
+			// every inter-application candidate, installed together.
+			rep, err = fb.PrimeStoreBulk(v, o.InterApp)
 		} else {
 			rep, err = mgr.Prime(v)
 			if errors.Is(err, core.ErrNoCache) && o.InterApp {

@@ -59,8 +59,10 @@ test-race:
 # replica against the primary). Much faster than test-race, so it runs as its own
 # CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
-# manager crashing at every pack operation beside a live peer — run twenty
-# times over: a lost race there is an intermittent failure, not a steady one.
+# manager crashing at every pack operation beside a live peer, and readers of
+# one store's pack and loose-file index while a peer publishes and the store
+# compacts — run twenty times over: a lost race there is an intermittent
+# failure, not a steady one.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -68,7 +70,7 @@ test-race:
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers' ./internal/core/ ./internal/store/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
 # failure has to show up here, not on somebody's unrelated push.
@@ -126,7 +128,8 @@ gate-smoke:
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
 # decode, wire-protocol frames, cache-file bytes, store pack files and the
-# blob encodings inside them) plus the
+# blob encodings inside them, and the compressed loose blob files of older
+# stores) plus the
 # differential translate/interpret equivalence property over generated
 # workloads, and the optimizer's prover (a reused Optimizer's verdict on a
 # mutated rewrite must be a fresh one's, and an accepted mutant must run like
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -fuzz FuzzInflateBlob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/guestopt/ -run '^$$' -fuzz FuzzCheckEquivalent -fuzztime $(FUZZTIME)
 
 # Refresh the checked-in baseline after an intentional performance change.

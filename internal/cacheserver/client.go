@@ -437,11 +437,24 @@ var _ Transport = (*Client)(nil)
 // local core.Manager on connect/IO error, corrupt payloads, or server-side
 // failure — a dead daemon never breaks a run. Cache misses also consult the
 // local database, so translations committed while the server was down stay
-// reachable.
+// reachable, and so does every entry a run launched from (see Commit).
 type Fallback struct {
 	client    Transport
 	local     *core.Manager
 	fallbacks *metrics.CounterVec // op=prime|commit
+
+	// primed holds, per VM primed from the transport's exact entry, what
+	// Commit needs of that entry to tell whether the run added to it.
+	// Commit takes the VM's record out.
+	mu     sync.Mutex
+	primed map[*vm.VM]primedEntry
+}
+
+// primedEntry is the exact entry a VM was primed from: its size and module
+// table.
+type primedEntry struct {
+	traces  int
+	modules []core.ModuleRecord
 }
 
 // NewFallback combines a transport and the local fallback manager. The
@@ -455,6 +468,7 @@ func NewFallback(client Transport, local *core.Manager) *Fallback {
 		local:  local,
 		fallbacks: client.Metrics().CounterVec("pcc_client_fallbacks_total",
 			"operations degraded to the local database", "op"),
+		primed: make(map[*vm.VM]primedEntry),
 	}
 }
 
@@ -477,7 +491,8 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	} else if interApp {
 		scope = ScopeBest
 	}
-	items, err := f.client.FetchEntries(core.KeysFor(v), scope)
+	ks := core.KeysFor(v)
+	items, err := f.client.FetchEntries(ks, scope)
 	if errors.Is(err, core.ErrNoCache) {
 		// Server is healthy but cold for this key set; a local cache from
 		// a previous degraded run may still exist.
@@ -496,6 +511,11 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 		rep, err := f.local.PrimeFrom(v, cf)
 		if err != nil {
 			continue // failed key validation; try the rest
+		}
+		if cf.AppKey == ks.App {
+			f.mu.Lock()
+			f.primed[v] = primedEntry{traces: len(cf.Traces), modules: cf.Modules}
+			f.mu.Unlock()
 		}
 		agg.Found = true
 		agg.CacheTraces += rep.CacheTraces
@@ -563,11 +583,29 @@ func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, e
 }
 
 // Commit publishes the run's traces to the server, or accumulates into the
-// local database when the server cannot take them.
+// local database when the server cannot take them. A run primed from the
+// transport's exact entry that adds nothing to it (core.AddsNothing, the
+// rule a local commit skips by) publishes nothing, since every owner
+// already holds what it would send. It commits into the local database
+// instead, whose store the prime's write-through already filled, so the
+// machine keeps a copy of every entry it launched from and launches warm
+// from it when the server is unreachable. Should the local database refuse
+// that commit, the run publishes after all.
 func (f *Fallback) Commit(v *vm.VM) (*core.CommitReport, error) {
 	cf, ks := core.BuildCacheFile(v)
-	rep, err := f.client.Publish(cf)
-	if err != nil {
+	f.mu.Lock()
+	entry, primed := f.primed[v]
+	delete(f.primed, v)
+	f.mu.Unlock()
+	var rep *core.CommitReport
+	if primed && core.AddsNothing(cf, entry.traces, entry.modules) {
+		rep, _ = f.local.CommitFile(ks, cf) // nil on failure: publish below
+	}
+	if rep != nil {
+		v.EventLog().Record(tracelog.Event{
+			Kind: tracelog.KindCommit, Tick: v.Clock(), Traces: rep.Traces, Detail: rep.File,
+		})
+	} else if pub, err := f.client.Publish(cf); err != nil {
 		v.RecordRemote(0, 0, 1)
 		f.fallbacks.With("commit").Inc()
 		crep, lerr := f.local.CommitFile(ks, cf)
@@ -576,6 +614,7 @@ func (f *Fallback) Commit(v *vm.VM) (*core.CommitReport, error) {
 		}
 		rep = crep
 	} else {
+		rep = pub
 		v.EventLog().Record(tracelog.Event{
 			Kind: tracelog.KindPublish, Tick: v.Clock(), Traces: rep.Traces,
 			Detail: f.client.Addr(),

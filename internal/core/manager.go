@@ -512,7 +512,8 @@ func (m *Manager) Commit(v *vm.VM) (*CommitReport, error) {
 //
 // The in-memory Persisted flag marks traces a run reused rather than
 // translated; files decoded from the wire lose it, so remote publishes
-// conservatively count every trace as new and never skip the merge.
+// conservatively count every trace as new and never skip the merge; the
+// sending side asks AddsNothing first and does not publish such a run.
 func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, *CommitReport, error) {
 	if err := incoming.checkTraceModules(); err != nil {
 		return nil, nil, err
@@ -600,6 +601,17 @@ func incomingTraces(incoming *CacheFile) (traces []*vm.Trace, seen map[traceKey]
 // layout matches the prior cache exactly.
 func addsNothing(distinct, fresh int, modules []ModuleRecord, priorTraces int, priorModules []ModuleRecord) bool {
 	return fresh == 0 && distinct <= priorTraces && sameModules(modules, priorModules)
+}
+
+// AddsNothing is addsNothing for a run's whole cache file: the run has
+// nothing to add to a prior cache of priorTraces traces over priorModules
+// when it translated none of its traces (every one was installed from a
+// persistent cache) and its layout is the prior cache's. It is the one rule
+// every commit skips by: the merge, the manifest-only skip, and a
+// cacheserver.Fallback deciding whether a run primed from the wire publishes.
+func AddsNothing(incoming *CacheFile, priorTraces int, priorModules []ModuleRecord) bool {
+	traces, _, fresh := incomingTraces(incoming)
+	return addsNothing(len(traces), fresh, incoming.Modules, priorTraces, priorModules)
 }
 
 // CommitFile merges incoming into the database entry for ks and atomically

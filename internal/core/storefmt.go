@@ -276,8 +276,7 @@ func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitRepo
 	} else if man, err = store.DecodeManifest(b); err != nil {
 		return nil
 	}
-	traces, _, fresh := incomingTraces(incoming)
-	if !addsNothing(len(traces), fresh, incoming.Modules, len(man.Traces), recordModules(man.Modules)) {
+	if !AddsNothing(incoming, len(man.Traces), recordModules(man.Modules)) {
 		return nil
 	}
 	st, err := m.Store()

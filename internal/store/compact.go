@@ -36,6 +36,7 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 			continue
 		}
 		prune(1, uint64(fi.Size()))
+		s.forgetLoose(p)
 		s.uncache(h)
 	}
 	s.relist()

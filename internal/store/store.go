@@ -29,14 +29,20 @@ const quarantineDir = "quarantine"
 var blobZipMagic = [4]byte{'P', 'C', 'Z', '1'}
 
 // inflateBlob returns the encoding a loose blob file holds; raw payloads
-// pass through untouched.
+// pass through untouched. The file is untrusted: a stream that inflates past
+// packMaxRaw, more than any blob encodes to, is refused once it has produced
+// that much, as inflate bounds a pack body, instead of being read to its end.
 func inflateBlob(data []byte) ([]byte, error) {
 	if len(data) < 4 || string(data[:4]) != string(blobZipMagic[:]) {
 		return data, nil
 	}
 	zr, done := inflater(data[4:])
 	defer done()
-	return io.ReadAll(zr)
+	enc, err := io.ReadAll(io.LimitReader(zr, packMaxRaw+1))
+	if err == nil && len(enc) > packMaxRaw {
+		err = fmt.Errorf("store: loose blob inflates past %d bytes", packMaxRaw)
+	}
+	return enc, err
 }
 
 // ErrBlobMissing reports a hash with no local blob.
@@ -74,7 +80,9 @@ type member struct {
 // a lock or a shared index to keep coherent. Each store indexes the packs
 // it has seen in memory and lists the directory again when it meets a hash
 // it does not know. Loose <sha256>.pcb files, one per blob, are what
-// earlier versions wrote; they stay readable and are never written.
+// earlier versions wrote; they stay readable and are never written. The
+// same listing indexes them by name beside the packs, so a lookup never
+// stats a file: a miss is map lookups plus at most one listing per call.
 type Store struct {
 	dir string
 	fs  fsx.FS
@@ -92,6 +100,7 @@ type Store struct {
 	pmu   sync.RWMutex
 	packs map[string]*pack // by path: the pack files indexed so far
 	index map[Hash]member  // where each packed blob lives
+	loose map[Hash]string  // where each loose blob file lives, as last listed
 	hot   []*pack          // packs holding their inflated stream, oldest first
 
 	l1mu sync.RWMutex
@@ -99,10 +108,10 @@ type Store struct {
 }
 
 // Open opens the store rooted at dir. All I/O goes through fsys — the
-// chaos seam. Open lists the generation directories and reads the index of
-// every pack in them, never a pack body: it writes nothing (the first put
-// creates what it needs) and scrubs nothing, so it is safe while peers are
-// writing.
+// chaos seam. Open lists the generation directories once each, indexing
+// every loose blob file by its name and reading the index of every pack,
+// never a pack body: it writes nothing (the first put creates what it
+// needs) and scrubs nothing, so it is safe while peers are writing.
 func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 	if fsys == nil {
 		fsys = fsx.OS
@@ -122,6 +131,7 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 		gens:  gens,
 		packs: make(map[string]*pack),
 		index: make(map[Hash]member),
+		loose: make(map[Hash]string),
 		l1:    make(map[Hash]*Blob),
 	}
 	s.relist()
@@ -131,32 +141,46 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// relist lists the pack names in every generation and indexes the packs
-// not seen before, reporting whether there were any. A pack whose index
-// cannot be read is skipped, not remembered: its blobs are misses until a
-// later listing reads it or Recover quarantines it.
-func (s *Store) relist() bool {
+// relist lists every generation once and indexes what it has not seen
+// before: loose blob files by their names, packs by reading each new one's
+// index. A pack whose index cannot be read is skipped, not remembered: its
+// blobs are misses until a later listing reads it or Recover quarantines it.
+func (s *Store) relist() {
 	var found []*pack
+	var loose []string
 	for _, g := range s.gens {
-		paths, _ := s.fs.Glob(filepath.Join(g, "*.pck")) // a failed listing finds nothing new
-		for _, path := range paths {
-			s.pmu.RLock()
-			_, known := s.packs[path]
-			s.pmu.RUnlock()
-			if known {
-				continue
-			}
-			if ix, err := s.readPackIndex(path); err == nil {
-				found = append(found, &pack{path: path, ix: ix})
+		names, _ := s.fs.Glob(filepath.Join(g, "*")) // a failed listing finds nothing new
+		for _, path := range names {
+			switch filepath.Ext(path) {
+			case ".pcb":
+				loose = append(loose, path)
+			case ".pck":
+				s.pmu.RLock()
+				_, known := s.packs[path]
+				s.pmu.RUnlock()
+				if known {
+					continue
+				}
+				if ix, err := s.readPackIndex(path); err == nil {
+					found = append(found, &pack{path: path, ix: ix})
+				}
 			}
 		}
 	}
 	s.pmu.Lock()
+	defer s.pmu.Unlock()
 	for _, p := range found {
 		s.addPackLocked(p)
 	}
-	s.pmu.Unlock()
-	return len(found) > 0
+	for _, path := range loose { // newest generation first: its copy wins
+		h, err := hashOf(path)
+		if err != nil {
+			continue
+		}
+		if _, known := s.loose[h]; !known {
+			s.loose[h] = path
+		}
+	}
 }
 
 // readPackIndex reads a pack's header, then exactly its index.
@@ -198,6 +222,19 @@ func (s *Store) forget(p *pack) {
 	}
 }
 
+// forgetLoose drops a loose blob file that is gone from the index.
+func (s *Store) forgetLoose(path string) {
+	h, err := hashOf(path)
+	if err != nil {
+		return
+	}
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if s.loose[h] == path {
+		delete(s.loose, h)
+	}
+}
+
 // blobLoc is where a blob lives: in a pack, or (p == nil) in a loose file.
 type blobLoc struct {
 	member
@@ -212,29 +249,29 @@ func (s *Store) packed(h Hash) (member, bool) {
 	return m, ok
 }
 
-// locate finds h: in the pack index, else as a loose file (one Stat per
-// generation, newest first), else — once per *relisted, which the caller
-// shares across all the hashes of one call — after listing the pack names
-// again, which is how a pack a peer published after Open is found.
-func (s *Store) locate(h Hash, relisted *bool) (blobLoc, bool) {
-	if m, ok := s.packed(h); ok {
+// indexed looks h up in the pack index, then among the loose files.
+func (s *Store) indexed(h Hash) (blobLoc, bool) {
+	s.pmu.RLock()
+	defer s.pmu.RUnlock()
+	if m, ok := s.index[h]; ok {
 		return blobLoc{member: m}, true
 	}
-	name := h.Hex() + ".pcb"
-	for _, g := range s.gens {
-		p := filepath.Join(g, name)
-		if _, err := s.fs.Stat(p); err == nil {
-			return blobLoc{loose: p}, true
-		}
+	path, ok := s.loose[h]
+	return blobLoc{loose: path}, ok
+}
+
+// locate finds h in the index of packs and loose files, else — once per
+// *relisted, which the caller shares across all the hashes of one call —
+// after listing the generations again, which is how a pack or a loose file
+// a peer wrote after Open is found. The index is consulted again after the
+// listing whatever it found: a concurrent call may have indexed h meanwhile.
+func (s *Store) locate(h Hash, relisted *bool) (blobLoc, bool) {
+	if loc, ok := s.indexed(h); ok || *relisted {
+		return loc, ok
 	}
-	if !*relisted {
-		*relisted = true
-		if s.relist() {
-			m, ok := s.packed(h)
-			return blobLoc{member: m}, ok
-		}
-	}
-	return blobLoc{}, false
+	*relisted = true
+	s.relist()
+	return s.indexed(h)
 }
 
 // looseFiles lists every loose blob file, generation by generation.
@@ -412,7 +449,7 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 	return s.get(h, &relisted)
 }
 
-// GetAll resolves a set of hashes like Get, listing the pack names again
+// GetAll resolves a set of hashes like Get, listing the generations again
 // at most once however many of them are unknown, and returns the blobs it
 // found and the hashes it did not.
 func (s *Store) GetAll(hashes []Hash) (map[Hash]*Blob, []Hash) {
@@ -556,10 +593,14 @@ func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
 		case errors.Is(err, ErrBlobCorrupt):
 			s.quarantine(loc)
 			return nil, loc, err
-		case loc.p != nil && errors.Is(err, fs.ErrNotExist):
-			// A peer's compaction removed the pack after we indexed it; the
+		case errors.Is(err, fs.ErrNotExist):
+			// A peer's compaction removed the file after we indexed it; the
 			// blob, if still live, is in a pack we have yet to list.
-			s.forget(loc.p)
+			if loc.p != nil {
+				s.forget(loc.p)
+			} else {
+				s.forgetLoose(loc.loose)
+			}
 		default:
 			s.met.misses.Inc()
 			return nil, loc, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
@@ -610,6 +651,7 @@ func (s *Store) quarantine(loc blobLoc) {
 			s.uncache(h)
 		}
 		s.quarantineFile(loc.loose)
+		s.forgetLoose(loc.loose)
 		return
 	}
 	s.quarantineFile(loc.p.path)
@@ -772,7 +814,7 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 	s.l1 = make(map[Hash]*Blob)
 	s.l1mu.Unlock()
 	s.pmu.Lock()
-	s.packs, s.index, s.hot = make(map[string]*pack), make(map[Hash]member), nil
+	s.packs, s.index, s.loose, s.hot = make(map[string]*pack), make(map[Hash]member), make(map[Hash]string), nil
 	s.pmu.Unlock()
 	s.relist()
 	return rep, nil

@@ -448,7 +448,7 @@ func TestReloadOnMiss(t *testing.T) {
 	}
 	listings := func() (n int) {
 		for _, op := range inj.Ops() {
-			if op.Op == fsx.OpGlob && strings.HasSuffix(op.Path, "*.pck") {
+			if op.Op == fsx.OpGlob && strings.HasSuffix(op.Path, string(filepath.Separator)+"*") {
 				n++
 			}
 		}

@@ -292,7 +292,7 @@ func (c *Client) FetchManifests(ks core.KeySet, interApp bool) ([]ManifestItem, 
 // same-class candidates, best first — each in its compact form: raw
 // manifests for store-format entries, legacy images otherwise. A
 // manifest's blobs resolve separately, from the machine-local store before
-// the wire (FetchBlobs).
+// the wire (FetchPacks).
 func (c *Client) FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, error) {
 	resp, err := c.do(OpFetchManifests, encodeKeyRequest(ks, scope))
 	if err != nil {
@@ -308,34 +308,53 @@ func (c *Client) FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, erro
 	return items, nil
 }
 
-// FetchBlobs retrieves encoded blobs by hash, batching oversized requests;
-// hashes the server does not hold are absent from the result. This makes
-// the client tier L3 of the store's lookup path (store.RemoteBlobs): the
-// local store verifies and persists each fetched blob, so it crosses the
-// network once per machine.
+// FetchPacks retrieves, in one round trip, the daemon's pack files that
+// hold the blobs with the given hashes — the ones this machine is missing
+// of the entry ks names. Packs come whole, byte for byte as the daemon
+// stores them, so they may hold blobs nobody asked for; hashes the daemon
+// does not hold are in none of them. Nothing is verified here:
+// store.AdoptPacks checks every pack before the local store takes it.
+func (c *Client) FetchPacks(ks core.KeySet, hashes []store.Hash) ([][]byte, error) {
+	resp, err := c.do(OpFetchPacks, encodePackRequest(ks, hashes))
+	if err != nil {
+		return nil, err
+	}
+	return decodePackFiles(resp)
+}
+
+// FetchBlobs retrieves encoded blobs by hash through FETCHPACKS; hashes the
+// daemon does not hold are absent from the result. No launch reads blobs
+// this way — a prime adopts the packs whole — but tools and probes that
+// want the encodings themselves do.
 func (c *Client) FetchBlobs(hashes []store.Hash) (map[store.Hash][]byte, error) {
+	packs, err := c.FetchPacks(core.KeySet{}, hashes)
+	if err != nil {
+		return nil, err
+	}
+	return BlobsFromPacks(packs, hashes)
+}
+
+// BlobsFromPacks verifies each pack file whole and returns the encodings
+// of those of hashes the packs hold.
+func BlobsFromPacks(packs [][]byte, hashes []store.Hash) (map[store.Hash][]byte, error) {
+	want := make(map[store.Hash]bool, len(hashes))
+	for _, h := range hashes {
+		want[h] = true
+	}
 	out := make(map[store.Hash][]byte, len(hashes))
-	for start := 0; start < len(hashes); start += maxBlobFetch {
-		end := start + maxBlobFetch
-		if end > len(hashes) {
-			end = len(hashes)
-		}
-		resp, err := c.do(OpFetchBlobs, encodeBlobRequest(hashes[start:end]))
+	for _, data := range packs {
+		p, err := store.DecodePack(data)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
-		items, err := decodeBlobItems(resp)
-		if err != nil {
-			return out, err
-		}
-		for _, it := range items {
-			out[it.Hash] = it.Data
+		for i, h := range p.Hashes {
+			if want[h] {
+				out[h] = p.Encs[i]
+			}
 		}
 	}
 	return out, nil
 }
-
-var _ store.RemoteBlobs = (*Client)(nil)
 
 // Publish sends a serialized cache file for server-side merge.
 func (c *Client) Publish(cf *core.CacheFile) (*core.CommitReport, error) {
@@ -425,9 +444,9 @@ var (
 type Transport interface {
 	FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, error)
 	Publish(cf *core.CacheFile) (*core.CommitReport, error)
+	FetchPacks(ks core.KeySet, hashes []store.Hash) ([][]byte, error)
 	Addr() string
 	Metrics() *metrics.Registry
-	store.RemoteBlobs // FetchBlobs: the local store's L3 tier
 }
 
 var _ Transport = (*Client)(nil)
@@ -457,12 +476,8 @@ type primedEntry struct {
 	modules []core.ModuleRecord
 }
 
-// NewFallback combines a transport and the local fallback manager. The
-// transport is attached as the local store's remote blob tier, so any
-// manifest the local manager materializes can pull missing blobs over the
-// wire (write-through to the machine-local store).
+// NewFallback combines a transport and the local fallback manager.
 func NewFallback(client Transport, local *core.Manager) *Fallback {
-	local.SetRemoteBlobs(client)
 	return &Fallback{
 		client: client,
 		local:  local,
@@ -479,11 +494,12 @@ func (f *Fallback) Local() *core.Manager { return f.local }
 // back the entries the key request covers, exact entry first: with all set
 // every one of them (the bulk prime), otherwise only the first — the exact
 // entry, or the best inter-application candidate (ScopeBest). A
-// store-format entry arrives as its manifest and materializes against the
-// machine-local store, whose L3 tier (the transport) fetches only the blobs
-// the machine is missing and writes them through; a legacy entry arrives as
-// its image. Entries install through the local validation path. A miss, a
-// failed transport or nothing installable degrades to the local database.
+// store-format entry arrives as its manifest; the packs holding the blobs
+// the machine-local store is missing follow through FETCHPACKS, and once
+// the store has adopted them the manifest reads as on a local warm launch.
+// A legacy entry arrives as its image. Entries install through the local
+// validation path. A miss, a failed transport or nothing installable
+// degrades to the local database.
 func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error) {
 	scope := ScopeExact
 	if interApp && all {
@@ -540,14 +556,19 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	return agg, nil
 }
 
-// materialize turns one FETCHMANIFESTS item into a cache file.
+// materialize turns one FETCHMANIFESTS item into a cache file, asking the
+// transport for the packs a manifest's missing blobs are in from the
+// entry's owners.
 func (f *Fallback) materialize(it ManifestItem) (*core.CacheFile, error) {
 	if it.Kind == ItemKindManifest {
 		man, err := store.DecodeManifest(it.Data)
 		if err != nil {
 			return nil, err
 		}
-		return f.local.MaterializeManifest(man)
+		ks := core.KeySet{App: man.AppKey, VM: man.VMKey, Tool: man.ToolKey}
+		return f.local.MaterializeFrom(man, func(missing []store.Hash) ([][]byte, error) {
+			return f.client.FetchPacks(ks, missing)
+		})
 	}
 	cf := new(core.CacheFile)
 	return cf, cf.UnmarshalBinary(it.Data)
@@ -587,7 +608,7 @@ func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, e
 // transport's exact entry that adds nothing to it (core.AddsNothing, the
 // rule a local commit skips by) publishes nothing, since every owner
 // already holds what it would send. It commits into the local database
-// instead, whose store the prime's write-through already filled, so the
+// instead, whose store the prime's adopted packs already filled, so the
 // machine keeps a copy of every entry it launched from and launches warm
 // from it when the server is unreachable. Should the local database refuse
 // that commit, the run publishes after all.

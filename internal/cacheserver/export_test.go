@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"persistcc/internal/binenc"
 	"persistcc/internal/core"
 )
 
@@ -35,4 +36,17 @@ func (c *Client) BreakerOpenForTest() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.breakerOpen
+}
+
+// EncodePackFilesForTest builds a FETCHPACKS response for the fake daemons
+// that send packs a store would never write.
+func EncodePackFilesForTest(packs [][]byte) []byte {
+	return encodePackFiles(packs)
+}
+
+// EncodeErrorForTest builds a StatusError payload.
+func EncodeErrorForTest(msg string) []byte {
+	w := &binenc.Writer{}
+	w.Str(msg)
+	return w.Buf
 }

@@ -293,54 +293,80 @@ func (c *Client) FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]caches
 	return out, nil
 }
 
-// FetchBlobs resolves content hashes across the fleet: each hash is asked
-// of its primary owner first, and hashes that owner is missing (or cannot
-// answer) retry on the next replica. Hashes nobody holds are absent from
-// the result — the caller re-translates, never fails.
+// FetchPacks asks the owners of the entry ks names — the shards Publish
+// wrote its blobs to — for the packs holding hashes: the primary first,
+// then each replica for the hashes no pack received so far lists. It fails
+// only when no owner answers; hashes nobody holds are in no pack, and the
+// caller re-translates their traces.
+func (c *Client) FetchPacks(ks core.KeySet, hashes []store.Hash) ([][]byte, error) {
+	return c.walkPacks("fetchpacks", c.route("fetchpacks", StemFor(ks)), ks, hashes)
+}
+
+// FetchBlobs resolves bare content hashes across the fleet through
+// FETCHPACKS. No entry names them, so every shard may be asked: in ring
+// order from the first hash, each for what the ones before it missed.
+// Hashes nobody holds are absent from the result. No launch reads blobs
+// this way; tools and probes do.
 func (c *Client) FetchBlobs(hashes []store.Hash) (map[store.Hash][]byte, error) {
-	out := make(map[store.Hash][]byte, len(hashes))
+	if len(hashes) == 0 {
+		return map[store.Hash][]byte{}, nil
+	}
+	order := c.ring.owners(blobKey(hashes[0]), len(c.clients))
+	c.m.requests.With("fetchblobs", c.cfg.Shards[order[0]].ID).Inc()
+	packs, err := c.walkPacks("fetchblobs", order, core.KeySet{}, hashes)
+	if err != nil {
+		return nil, err
+	}
+	return cacheserver.BlobsFromPacks(packs, hashes)
+}
+
+// walkPacks asks the shards in order for the packs holding hashes, each
+// only for the hashes no pack received so far lists. A pack whose index
+// does not parse is dropped, so its hashes go to the next shard. It fails
+// only when no shard answers.
+func (c *Client) walkPacks(op string, order []int, ks core.KeySet, hashes []store.Hash) ([][]byte, error) {
+	var packs [][]byte
+	var lastErr error
+	answered := false
 	remaining := hashes
-	for rank := 0; rank < c.replicas && len(remaining) > 0; rank++ {
-		byShard := make(map[int][]store.Hash)
-		for _, h := range remaining {
-			owners := c.ring.owners(blobKey(h), c.replicas)
-			if rank >= len(owners) {
+	for rank, si := range order {
+		if len(remaining) == 0 {
+			break
+		}
+		got, err := c.clients[si].FetchPacks(ks, remaining)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		answered = true
+		listed := make(map[store.Hash]bool)
+		for _, p := range got {
+			hs, err := store.PackHashes(p)
+			if err != nil {
 				continue
 			}
-			byShard[owners[rank]] = append(byShard[owners[rank]], h)
+			for _, h := range hs {
+				listed[h] = true
+			}
+			packs = append(packs, p)
 		}
 		var miss []store.Hash
-		for si := range c.clients {
-			hs := byShard[si]
-			if len(hs) == 0 {
-				continue
+		for _, h := range remaining {
+			if !listed[h] {
+				miss = append(miss, h)
 			}
-			if rank == 0 {
-				c.m.requests.With("fetchblobs", c.cfg.Shards[si].ID).Inc()
-			}
-			got, err := c.clients[si].FetchBlobs(hs)
-			served := 0
-			for h, b := range got {
-				out[h] = b
-				served++
-			}
-			if rank > 0 && served > 0 {
-				c.m.redirects.With("fetchblobs").Inc()
-			}
-			if err != nil || served < len(hs) {
-				for _, h := range hs {
-					if _, ok := out[h]; !ok {
-						miss = append(miss, h)
-					}
-				}
-			}
+		}
+		if rank > 0 && len(miss) < len(remaining) {
+			c.m.redirects.With(op).Inc()
 		}
 		remaining = miss
 	}
-	return out, nil
+	if !answered {
+		return nil, lastErr
+	}
+	return packs, nil
 }
 
-var _ store.RemoteBlobs = (*Client)(nil)
 var _ cacheserver.Transport = (*Client)(nil)
 
 // Publish writes the cache file to every owner in its replica set. The

@@ -13,6 +13,7 @@ import (
 	"persistcc/internal/core"
 	"persistcc/internal/loader"
 	"persistcc/internal/obj"
+	"persistcc/internal/store"
 	"persistcc/internal/testprog"
 	"persistcc/internal/vm"
 )
@@ -609,5 +610,97 @@ func TestFleetStatsDedupRatio(t *testing.T) {
 		if st.Store.LogicalBytes != logical {
 			t.Errorf("%s: logical bytes %d, want %d", name, st.Store.LogicalBytes, logical)
 		}
+	}
+}
+
+// TestStoreFleetPrimesEveryApp: on store-format fleets with more shards
+// than replicas, one fresh machine primes each of six apps whole — nothing
+// translated, nothing degraded — because the blobs a manifest lacks are
+// asked of the entry's owners, the shards Publish stored them on. With an
+// entry's primary owner killed, its replica serves both the manifest and
+// the packs.
+func TestStoreFleetPrimesEveryApp(t *testing.T) {
+	worlds := make([]*world, 6)
+	for i := range worlds {
+		worlds[i] = buildWorld(t, fmt.Sprintf("storefleet%d", i), 60+i)
+	}
+	for _, n := range []int{4, 5, 8} {
+		t.Run(fmt.Sprintf("%d-shards", n), func(t *testing.T) {
+			cfg := &fleet.Config{Replicas: 2}
+			shards := make([]*shard, n)
+			for i := range shards {
+				shards[i] = startShard(t, []core.ManagerOption{core.WithStore()})
+				cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
+			}
+			fl, err := fleet.New(cfg, fleet.WithShardOptions(
+				cacheserver.WithRetry(0, 0), cacheserver.WithDialTimeout(time.Second)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fl.Close()
+			want := make(map[store.Hash]bool)
+			for _, w := range worlds {
+				cf, ks := w.cacheFile(t)
+				if _, err := fl.Publish(cf); err != nil {
+					t.Fatal(err)
+				}
+				items, err := fl.FetchEntries(ks, cacheserver.ScopeExact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				man, err := store.DecodeManifest(items[0].Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range man.BlobHashes() {
+					want[h] = true
+				}
+			}
+			// Bare hashes, no entry to route by: every shard may be asked.
+			var all []store.Hash
+			for h := range want {
+				all = append(all, h)
+			}
+			if got, err := fl.FetchBlobs(all); err != nil || len(got) != len(all) {
+				t.Errorf("FetchBlobs served %d of %d manifest blobs: %v", len(got), len(all), err)
+			}
+			primeAll := func(worlds []*world) {
+				t.Helper()
+				local, err := core.NewManager(t.TempDir(), core.WithStore())
+				if err != nil {
+					t.Fatal(err)
+				}
+				fb := cacheserver.NewFallback(fl, local)
+				for i, w := range worlds {
+					v := w.freshVM(t)
+					if _, err := fb.Prime(v); err != nil {
+						t.Fatalf("app %d: prime: %v", i, err)
+					}
+					res, err := v.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Stats.InstsTranslated != 0 {
+						t.Errorf("app %d: translated %d instructions after a fleet prime", i, res.Stats.InstsTranslated)
+					}
+				}
+				if v, _ := fl.Metrics().Snapshot().Value("pcc_client_fallbacks_total", "prime"); v != 0 {
+					t.Errorf("%v primes fell back to the local database", v)
+				}
+			}
+			primeAll(worlds)
+
+			_, ks := worlds[0].cacheFile(t)
+			primary := fl.Owners(fleet.StemFor(ks))[0]
+			for i, s := range cfg.Shards {
+				if s.ID == primary {
+					shards[i].srv.Close()
+				}
+			}
+			primeAll(worlds[:1])
+			if v, _ := fl.Metrics().Snapshot().Value("pcc_fleet_redirects_total", "fetchpacks"); v < 1 {
+				t.Errorf("redirects_total{fetchpacks} = %v with the primary owner dead, want >= 1", v)
+			}
+		})
 	}
 }

@@ -33,8 +33,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(StatusOK, encodeDBStats(&core.DBStats{Files: 1, Classes: []core.KeyClassCount{{VM: "v", Tool: "t", Entries: 1}}})))
 	f.Add(frame(StatusOK, encodeManifestItems([]ManifestItem{
 		{Kind: ItemKindManifest, Data: []byte("manifest")}, {Kind: ItemKindLegacy, Data: []byte("image")}})))
-	f.Add(frame(OpFetchBlobs, encodeBlobRequest([]store.Hash{h1, h2})))
-	f.Add(frame(StatusOK, encodeBlobItems([]blobItem{{Hash: h1, Data: []byte("blob")}, {Hash: h2}})))
+	f.Add(frame(OpFetchPacks, encodePackRequest(core.KeySet{App: [32]byte{2}}, []store.Hash{h1, h2})))
+	f.Add(frame(StatusOK, encodePackFiles([][]byte{[]byte("PCK1 pack"), {}})))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1}) // hostile length field
 	f.Add([]byte{0, 0, 0, 0, 0})             // zero length
 
@@ -77,14 +77,14 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("manifest items re-encode to % x, decoded from % x", got, payload)
 			}
 		}
-		if hashes, err := decodeBlobRequest(payload); err == nil {
-			if got := encodeBlobRequest(hashes); !bytes.Equal(got, payload) {
-				t.Fatalf("blob request re-encodes to % x, decoded from % x", got, payload)
+		if ks, hashes, err := decodePackRequest(payload); err == nil {
+			if got := encodePackRequest(ks, hashes); !bytes.Equal(got, payload) {
+				t.Fatalf("pack request re-encodes to % x, decoded from % x", got, payload)
 			}
 		}
-		if items, err := decodeBlobItems(payload); err == nil {
-			if got := encodeBlobItems(items); !bytes.Equal(got, payload) {
-				t.Fatalf("blob items re-encode to % x, decoded from % x", got, payload)
+		if packs, err := decodePackFiles(payload); err == nil {
+			if got := encodePackFiles(packs); !bytes.Equal(got, payload) {
+				t.Fatalf("pack files re-encode to % x, decoded from % x", got, payload)
 			}
 		}
 	})

@@ -47,8 +47,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 // TestRetiredOpsRejected: the op codes of the retired whole-image FETCH (2),
-// PRUNE (5) and bulk FETCH (7), like a code never assigned, get a
-// StatusError frame counted as op="unknown", and the connection stays
+// PRUNE (5), bulk FETCH (7) and FETCHBLOBS (9), like a code never assigned,
+// get a StatusError frame counted as op="unknown", and the connection stays
 // usable: the next request on it is served.
 func TestRetiredOpsRejected(t *testing.T) {
 	srv, addr, _ := startServer(t)
@@ -68,7 +68,7 @@ func TestRetiredOpsRejected(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	req := cacheserver.EncodeKeyRequestForTest(ks, cacheserver.ScopeExact)
-	ops := []uint8{2, 5, 7, 200}
+	ops := []uint8{2, 5, 7, 9, 200}
 	for _, op := range ops {
 		if err := cacheserver.WriteFrameForTest(conn, op, req); err != nil {
 			t.Fatal(err)

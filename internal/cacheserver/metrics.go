@@ -65,8 +65,8 @@ func opName(op uint8) string {
 		return "metrics"
 	case OpFetchManifests:
 		return "fetchmanifests"
-	case OpFetchBlobs:
-		return "fetchblobs"
+	case OpFetchPacks:
+		return "fetchpacks"
 	case OpUtility:
 		return "utility"
 	case OpEvict:

@@ -1,0 +1,307 @@
+package cacheserver_test
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"persistcc/internal/cacheserver"
+	"persistcc/internal/core"
+	"persistcc/internal/store"
+)
+
+// Tests for FETCHPACKS from the untrusted side of the wire: packs a daemon
+// sends are verified whole before the client's store takes any of them,
+// a daemon never serves a pack its own disk corrupted, and a daemon that
+// does not speak the op, or holds only loose blobs, still leaves the client
+// a working prime.
+
+// proxyDaemon fronts the daemon at upstream: FETCHPACKS is answered by
+// fetchPacks, every other request is relayed over a connection of its own.
+func proxyDaemon(t *testing.T, upstream string, fetchPacks func(payload []byte) (status uint8, resp []byte)) string {
+	t.Helper()
+	return fakeServer(t, func(conn net.Conn, op uint8, payload []byte) {
+		if op == cacheserver.OpFetchPacks {
+			status, resp := fetchPacks(payload)
+			cacheserver.WriteFrameForTest(conn, status, resp)
+			return
+		}
+		up, err := net.Dial("tcp", upstream)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		if cacheserver.WriteFrameForTest(up, op, payload) != nil {
+			return
+		}
+		if status, resp, err := cacheserver.ReadFrameForTest(up); err == nil {
+			cacheserver.WriteFrameForTest(conn, status, resp)
+		}
+	})
+}
+
+// packFile writes the pack format by hand — header, index, its crc, one
+// flate stream of body — so a test can send packs no store would write.
+func packFile(hashes []store.Hash, lens []uint32, body []byte) []byte {
+	b := []byte("PCK1")
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hashes)))
+	raw := uint32(0)
+	for _, n := range lens {
+		raw += n
+	}
+	b = binary.LittleEndian.AppendUint32(b, raw)
+	for i, h := range hashes {
+		b = append(b, h[:]...)
+		b = binary.LittleEndian.AppendUint32(b, lens[i])
+	}
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	var z bytes.Buffer
+	zw, _ := flate.NewWriter(&z, flate.BestSpeed)
+	zw.Write(body)
+	zw.Close()
+	return append(b, z.Bytes()...)
+}
+
+// publishEntry publishes one run to a store-format daemon and returns the
+// run's cache file and the blob hashes its manifest references.
+func publishEntry(t *testing.T, addr string, w *world) (*core.CacheFile, []store.Hash) {
+	t.Helper()
+	v, _ := w.ranVM(t, 50)
+	cf, ks := core.BuildCacheFile(v)
+	c := newClient(addr)
+	defer c.Close()
+	if _, err := c.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+	items, err := c.FetchManifests(ks, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.DecodeManifest(items[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cf, man.BlobHashes()
+}
+
+// storeEntry is publishEntry plus the encodings of the entry's blobs, as
+// the daemon serves them.
+func storeEntry(t *testing.T, addr string, w *world) (*core.CacheFile, []store.Hash, [][]byte) {
+	t.Helper()
+	cf, hashes := publishEntry(t, addr, w)
+	c := newClient(addr)
+	defer c.Close()
+	blobs, err := c.FetchBlobs(hashes)
+	if err != nil || len(blobs) != len(hashes) {
+		t.Fatalf("FetchBlobs: %d of %d, %v", len(blobs), len(hashes), err)
+	}
+	encs := make([][]byte, len(hashes))
+	for i, h := range hashes {
+		encs[i] = blobs[h]
+	}
+	if len(hashes) < 2 {
+		t.Fatalf("entry references %d blobs, the hostile packs need 2", len(hashes))
+	}
+	return cf, hashes, encs
+}
+
+// localMachine is a fresh machine whose legacy database holds cf: a prime
+// that cannot use what the daemon sends degrades to it and still installs
+// every trace.
+func localMachine(t *testing.T, addr string, cf *core.CacheFile) (*cacheserver.Fallback, *cacheserver.Client) {
+	t.Helper()
+	local, err := core.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.CommitFile(core.KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}, cf); err != nil {
+		t.Fatal(err)
+	}
+	c := newClient(addr)
+	t.Cleanup(func() { c.Close() })
+	return cacheserver.NewFallback(c, local), c
+}
+
+// assertDegraded primes a fresh VM and checks the prime came from the local
+// database, counted as one fallback, with nothing written to the local
+// store's generations.
+func assertDegraded(t *testing.T, f *cacheserver.Fallback, c *cacheserver.Client, w *world, cf *core.CacheFile) {
+	t.Helper()
+	fallbacks := func() float64 {
+		v, _ := c.Metrics().Snapshot().Value("pcc_client_fallbacks_total", "prime")
+		return v
+	}
+	before := fallbacks()
+	rep, err := f.Prime(w.freshVM(t, 50))
+	if err != nil || rep.Installed != len(cf.Traces) {
+		t.Fatalf("degraded prime installed %+v, %v; want all %d traces from the local database", rep, err, len(cf.Traces))
+	}
+	if got := fallbacks() - before; got != 1 {
+		t.Errorf("fallbacks_total{prime} rose by %v, want 1", got)
+	}
+	if files, _ := filepath.Glob(filepath.Join(f.Local().Dir(), "store", "gen*", "*")); len(files) != 0 {
+		t.Errorf("the client wrote into its store: %v", files)
+	}
+}
+
+// TestHostilePacksRefused: whatever a daemon sends in place of a good pack,
+// the client's store takes none of it and the prime degrades to the local
+// database.
+func TestHostilePacksRefused(t *testing.T) {
+	_, upstream, _ := startStoreServer(t)
+	w := buildWorld(t, "hostile", 70)
+	cf, hashes, encs := storeEntry(t, upstream, w)
+	lens := make([]uint32, len(encs))
+	for i, e := range encs {
+		lens[i] = uint32(len(e))
+	}
+	body := bytes.Join(encs, nil)
+	valid := packFile(hashes, lens, body)
+	if _, err := store.DecodePack(valid); err != nil {
+		t.Fatalf("the hand-written pack is not a pack: %v", err)
+	}
+	indexEnd := 12 + 36*len(hashes) + 4
+
+	flipped := append([]byte(nil), body...)
+	flipped[len(encs[0])/2] ^= 0x01
+	badCRC := append([]byte(nil), valid...)
+	badCRC[indexEnd-1] ^= 0xff
+	twice := append([]store.Hash(nil), hashes...)
+	twice[1] = twice[0]
+	for name, pack := range map[string][]byte{
+		"flipped member byte": packFile(hashes, lens, flipped),
+		"bad index crc":       badCRC,
+		"hash listed twice":   packFile(twice, lens, body),
+		"rawLen past limit":   packFile(hashes[:1], []uint32{3 << 20}, body),
+		"truncated stream":    valid[:len(valid)-5],
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := store.DecodePack(pack); err == nil {
+				t.Fatal("the hostile pack decodes")
+			}
+			addr := proxyDaemon(t, upstream, func([]byte) (uint8, []byte) {
+				return cacheserver.StatusOK, cacheserver.EncodePackFilesForTest([][]byte{pack})
+			})
+			f, c := localMachine(t, addr, cf)
+			assertDegraded(t, f, c, w, cf)
+		})
+	}
+}
+
+// TestFetchPacksRefusedDegrades: a daemon that answers FETCHPACKS with
+// StatusError — one that predates the op — leaves a new client a prime from
+// its local database.
+func TestFetchPacksRefusedDegrades(t *testing.T) {
+	_, upstream, _ := startStoreServer(t)
+	w := buildWorld(t, "oldaemon", 71)
+	cf, _ := publishEntry(t, upstream, w)
+	addr := proxyDaemon(t, upstream, func([]byte) (uint8, []byte) {
+		return cacheserver.StatusError, cacheserver.EncodeErrorForTest("unknown op 13")
+	})
+	f, c := localMachine(t, addr, cf)
+	assertDegraded(t, f, c, w, cf)
+}
+
+// TestCorruptDaemonPackQuarantined: a pack the daemon's own disk corrupted
+// is caught the first time it would be served, moved to the daemon's
+// quarantine, and never sent.
+func TestCorruptDaemonPackQuarantined(t *testing.T) {
+	_, addr, mgr := startStoreServer(t)
+	w := buildWorld(t, "rotten", 72)
+	cf, hashes := publishEntry(t, addr, w)
+	packs, _ := filepath.Glob(filepath.Join(mgr.Dir(), "store", "gen*", "*.pck"))
+	if len(packs) != 1 {
+		t.Fatalf("daemon holds %d packs, want 1", len(packs))
+	}
+	data, err := os.ReadFile(packs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-3] ^= 0x5a // the stream's tail: the index still reads
+	if err := os.WriteFile(packs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, c := localMachine(t, addr, cf)
+	assertDegraded(t, f, c, w, cf)
+	if _, err := os.Stat(packs[0]); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the corrupt pack is still addressable: %v", err)
+	}
+	if q, _ := filepath.Glob(filepath.Join(mgr.Dir(), "store", "quarantine", "*.pck")); len(q) != 1 {
+		t.Errorf("daemon quarantine holds %d packs, want 1", len(q))
+	}
+	got, err := c.FetchPacks(core.KeySet{}, hashes)
+	if err != nil || len(got) != 0 {
+		t.Errorf("after quarantine the daemon served %d packs (%v), want none", len(got), err)
+	}
+}
+
+// TestLooseBlobServedAsPack: a daemon whose store holds its blobs as the
+// loose .pcb files of an earlier version sends each inside a one-member
+// pack, and a fresh client primes warm from them.
+func TestLooseBlobServedAsPack(t *testing.T) {
+	srv, addr, mgr := startStoreServer(t)
+	w := buildWorld(t, "loose", 73)
+	cf, hashes, encs := storeEntry(t, addr, w)
+	srv.Close()
+	gen := filepath.Join(mgr.Dir(), "store", "gen0000")
+	packs, _ := filepath.Glob(filepath.Join(gen, "*.pck"))
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range hashes {
+		if err := os.WriteFile(filepath.Join(gen, h.Hex()+".pcb"), encs[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := core.NewManager(mgr.Dir(), core.WithStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := cacheserver.New(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := cacheserver.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv2.Serve(ln)
+	t.Cleanup(func() { srv2.Close() })
+	addr = ln.Addr().String()
+
+	c := newClient(addr)
+	defer c.Close()
+	got, err := c.FetchPacks(core.KeySet{}, hashes)
+	if err != nil || len(got) != len(hashes) {
+		t.Fatalf("loose store served %d packs (%v), want one per blob (%d)", len(got), err, len(hashes))
+	}
+	for i, data := range got {
+		p, err := store.DecodePack(data)
+		if err != nil || !reflect.DeepEqual(p.Hashes, hashes[i:i+1]) {
+			t.Fatalf("pack %d: %v, holds %v; want blob %s alone", i, err, p, hashes[i])
+		}
+	}
+
+	f := newStoreFallback(t, addr)
+	warm := w.freshVM(t, 50)
+	rep, err := f.Prime(warm)
+	if err != nil || rep.Installed != len(cf.Traces) {
+		t.Fatalf("prime from loose blobs installed %+v, %v; want all %d traces", rep, err, len(cf.Traces))
+	}
+	res, err := warm.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TracesTranslated != 0 {
+		t.Errorf("warm run translated %d traces", res.Stats.TracesTranslated)
+	}
+}

@@ -15,10 +15,11 @@
 // a Status* code, with StatusError followed by a length-prefixed message.
 // Payloads reuse internal/binenc. There is one read path: FETCHMANIFESTS
 // moves an entry as its manifest (store format) or its serialized
-// core.CacheFile image (legacy format), and FETCHBLOBS moves only the
-// content-addressed blobs the client's machine is missing, each re-hashed on
-// arrival. PUBLISH moves a whole image. Images carry their own integrity
-// trailer, so every transfer is verified end to end.
+// core.CacheFile image (legacy format), and FETCHPACKS moves the daemon's
+// pack files, byte for byte, that hold the content-addressed blobs the
+// client's machine is missing; the client verifies every pack whole before
+// its store adopts it. PUBLISH moves a whole image. Images carry their own
+// integrity trailer, so every transfer is verified end to end.
 package cacheserver
 
 import (
@@ -32,9 +33,10 @@ import (
 	"persistcc/internal/store"
 )
 
-// Op codes (client → server). Codes 2, 5 and 7 belonged to retired ops
-// (whole-image FETCH, PRUNE, bulk FETCH); the daemon answers them, like any
-// unassigned code, with StatusError.
+// Op codes (client → server). Codes 2, 5, 7 and 9 belonged to retired ops
+// (whole-image FETCH, PRUNE, bulk FETCH, and FETCHBLOBS, which moved blobs
+// one by one); the daemon answers them, like any unassigned code, with
+// StatusError.
 const (
 	OpLookup  = 1 // key set + scope → cache metadata, no payload transfer
 	OpPublish = 3 // serialized CacheFile → server-side merge, CommitReport
@@ -42,11 +44,12 @@ const (
 	OpMetrics = 6 // → the daemon's metrics registry snapshot (JSON)
 
 	// The read path: FETCHMANIFESTS moves the (small) per-app manifests,
-	// FETCHBLOBS moves only the shared blobs the client's local store is
-	// missing — so each deduplicated blob crosses the wire once per
-	// machine, not once per application.
-	OpFetchManifests = 8 // key set + scope → per-entry manifest (or legacy image)
-	OpFetchBlobs     = 9 // blob hashes → encoded blobs for those the server holds
+	// FETCHPACKS moves the packs holding the shared blobs the client's
+	// local store is missing — so each deduplicated blob crosses the wire
+	// about once per machine, not once per application, in the store's own
+	// compressed unit.
+	OpFetchManifests = 8  // key set + scope → per-entry manifest (or legacy image)
+	OpFetchPacks     = 13 // entry key set + missing blob hashes → the pack files holding them
 
 	// Fleet-management ops: a fleet coordinator (pcc-cachectl or the fleet
 	// client library) gathers per-shard UTILITY summaries, ranks entries
@@ -212,12 +215,13 @@ func decodeManifestItems(b []byte) ([]ManifestItem, error) {
 	return items, r.Done()
 }
 
-// maxBlobFetch bounds how many hashes one FETCHBLOBS request may carry;
-// both ends enforce it. Large prefetches simply batch.
-const maxBlobFetch = 4096
-
-func encodeBlobRequest(hashes []store.Hash) []byte {
-	w := &binenc.Writer{}
+// encodePackRequest builds the FETCHPACKS payload: the key set of the entry
+// whose blobs are wanted (a fleet routes by it), then the hashes.
+func encodePackRequest(ks core.KeySet, hashes []store.Hash) []byte {
+	w := &binenc.Writer{Buf: make([]byte, 0, 100+32*len(hashes))}
+	w.Raw(ks.App[:])
+	w.Raw(ks.VM[:])
+	w.Raw(ks.Tool[:])
 	w.U32(uint32(len(hashes)))
 	for _, h := range hashes {
 		w.Raw(h[:])
@@ -225,55 +229,51 @@ func encodeBlobRequest(hashes []store.Hash) []byte {
 	return w.Buf
 }
 
-func decodeBlobRequest(b []byte) ([]store.Hash, error) {
+func decodePackRequest(b []byte) (core.KeySet, []store.Hash, error) {
 	r := &binenc.Reader{Buf: b}
-	n := r.Count(maxBlobFetch)
-	hashes := make([]store.Hash, 0, n)
-	for i := 0; i < n && r.Err == nil; i++ {
-		var h store.Hash
-		copy(h[:], r.Raw(32))
-		hashes = append(hashes, h)
+	var ks core.KeySet
+	copy(ks.App[:], r.Raw(32))
+	copy(ks.VM[:], r.Raw(32))
+	copy(ks.Tool[:], r.Raw(32))
+	n := r.Count((len(b) - r.Off - 4) / 32) // no more hashes than bytes to back them
+	hashes := make([]store.Hash, n)
+	for i := range hashes {
+		copy(hashes[i][:], r.Raw(32))
 	}
-	return hashes, r.Done()
+	return ks, hashes, r.Done()
 }
 
-// blobItem is one resolved blob in a FETCHBLOBS response; hashes the
-// server does not hold are simply absent (the client re-translates).
-type blobItem struct {
-	Hash store.Hash
-	Data []byte
-}
-
-func encodeBlobItems(items []blobItem) []byte {
-	w := &binenc.Writer{}
-	w.U32(uint32(len(items)))
-	for _, it := range items {
-		w.Raw(it.Hash[:])
-		w.U32(uint32(len(it.Data)))
-		w.Raw(it.Data)
+// encodePackFiles builds the FETCHPACKS response: whole pack files, each
+// length-prefixed.
+func encodePackFiles(packs [][]byte) []byte {
+	size := 4
+	for _, p := range packs {
+		size += 4 + len(p)
+	}
+	w := &binenc.Writer{Buf: make([]byte, 0, size)}
+	w.U32(uint32(len(packs)))
+	for _, p := range packs {
+		w.U32(uint32(len(p)))
+		w.Raw(p)
 	}
 	return w.Buf
 }
 
-func decodeBlobItems(b []byte) ([]blobItem, error) {
+// decodePackFiles splits a FETCHPACKS response into its pack files, which
+// alias b. Their contents are not checked here: store.AdoptPacks verifies
+// every pack whole before anything is written.
+func decodePackFiles(b []byte) ([][]byte, error) {
 	r := &binenc.Reader{Buf: b}
-	n := r.Count(maxBlobFetch)
-	items := make([]blobItem, 0, n)
+	n := r.Count((len(b) - 4) / 4) // every pack costs at least its length field
+	packs := make([][]byte, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
-		var it blobItem
-		copy(it.Hash[:], r.Raw(32))
-		ln := int(r.U32())
-		if r.Err == nil && (ln < 0 || ln > MaxFrame) {
-			return nil, fmt.Errorf("cacheserver: blob length %d out of range", ln)
-		}
-		raw := r.Raw(ln)
+		p := r.Raw(int(r.U32()))
 		if r.Err != nil {
 			break
 		}
-		it.Data = append([]byte(nil), raw...)
-		items = append(items, it)
+		packs = append(packs, p)
 	}
-	return items, r.Done()
+	return packs, r.Done()
 }
 
 // LookupInfo is the metadata LOOKUP returns without transferring traces.

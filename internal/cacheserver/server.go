@@ -371,8 +371,8 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 		resp = s.metrics.Snapshot().JSON()
 	case OpFetchManifests:
 		resp, err = s.handleFetchManifests(payload)
-	case OpFetchBlobs:
-		resp, err = s.handleFetchBlobs(payload)
+	case OpFetchPacks:
+		resp, err = s.handleFetchPacks(payload)
 	case OpUtility:
 		resp, err = s.handleUtility()
 	case OpEvict:
@@ -747,11 +747,14 @@ func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
 	return encodeManifestItems(items), nil
 }
 
-// handleFetchBlobs serves encoded blobs from the daemon's content store.
-// Hashes it does not hold are simply absent from the response; a database
-// with no store side answers with an empty set.
-func (s *Server) handleFetchBlobs(payload []byte) ([]byte, error) {
-	hashes, err := decodeBlobRequest(payload)
+// handleFetchPacks serves the pack files that hold the requested blobs,
+// byte for byte from the daemon's content store (store.PackFiles, which
+// verifies each pack whole the first time it serves it). The daemon serves
+// by hash; the key set only routes a fleet's request to the entry's owners.
+// Hashes it does not hold are in no pack; a database with no store side
+// answers with none.
+func (s *Server) handleFetchPacks(payload []byte) ([]byte, error) {
+	_, hashes, err := decodePackRequest(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -759,21 +762,11 @@ func (s *Server) handleFetchBlobs(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var items []blobItem
-	total := 0
+	var packs [][]byte
 	if st != nil {
-		for _, h := range hashes {
-			b, err := st.GetRaw(h)
-			if err != nil {
-				continue
-			}
-			// Leave room for the count/hash/length framing and the status byte.
-			if total+len(b)+40*(len(items)+2) > s.maxFrame {
-				break
-			}
-			items = append(items, blobItem{Hash: h, Data: b})
-			total += len(b)
-		}
+		// Leave room for the count, one length per pack (at most one pack
+		// per hash) and the status byte.
+		packs = st.PackFiles(hashes, s.maxFrame-4*(len(hashes)+2))
 	}
-	return encodeBlobItems(items), nil
+	return encodePackFiles(packs), nil
 }

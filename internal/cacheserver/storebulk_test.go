@@ -12,10 +12,11 @@ import (
 	"persistcc/internal/store"
 )
 
-// Tests for the store-aware wire ops (FETCHMANIFESTS / FETCHBLOBS) and the
+// Tests for the store-aware wire ops (FETCHMANIFESTS / FETCHPACKS) and the
 // PrimeStoreBulk warm path that rides on them: manifests cross the wire in
-// compact form, blobs cross once per machine, and every combination of
-// legacy/store client and server still produces a working prime.
+// compact form, blobs cross once per machine inside the daemon's packs, and
+// every combination of legacy/store client and server still produces a
+// working prime.
 
 // startStoreServer is startServer over a store-format database: published
 // entries land as manifests plus content-addressed blobs.
@@ -39,8 +40,8 @@ func startStoreServer(t testing.TB, opts ...cacheserver.Option) (*cacheserver.Se
 }
 
 // newStoreFallback builds a Fallback whose local manager is store-format,
-// so primes resolve manifests against the machine-local blob store with
-// the client attached as the remote tier.
+// so primes resolve manifests against the machine-local blob store, which
+// adopts the packs the client fetches.
 func newStoreFallback(t testing.TB, addr string) *cacheserver.Fallback {
 	t.Helper()
 	local, err := core.NewManager(t.TempDir(), core.WithStore())
@@ -118,7 +119,7 @@ func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
 
 func TestFetchManifestsFromLegacyServer(t *testing.T) {
 	// An unmigrated server answers FETCHMANIFESTS with legacy images and
-	// FETCHBLOBS with nothing — store-aware clients degrade cleanly.
+	// FETCHPACKS with nothing — store-aware clients degrade cleanly.
 	_, addr, _ := startServer(t)
 	w := buildWorld(t, "legacysrv", 1)
 	v, _ := w.ranVM(t, 50)
@@ -157,8 +158,8 @@ func TestFetchManifestsFromLegacyServer(t *testing.T) {
 func TestLegacyClientAgainstStoreServer(t *testing.T) {
 	// A legacy-format client's plain Prime against a store-format daemon
 	// takes the one read path: the manifest crosses the wire, the client
-	// materializes it, and only the blobs it is missing follow — written
-	// through to <CacheDir>/store, which the prime creates.
+	// materializes it, and only the packs holding the blobs it is missing
+	// follow — adopted into <CacheDir>/store, which the prime creates.
 	srv, addr, _ := startStoreServer(t)
 	w := buildWorld(t, "oldclient", 2)
 	v, res := w.ranVM(t, 50)
@@ -217,8 +218,8 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 			}
 		}
 	}
-	if len(reads) != 2 || reads["fetchmanifests"] == 0 || reads["fetchblobs"] == 0 {
-		t.Errorf("daemon requests during the prime: %v, want only fetchmanifests and fetchblobs", reads)
+	if len(reads) != 2 || reads["fetchmanifests"] == 0 || reads["fetchpacks"] == 0 {
+		t.Errorf("daemon requests during the prime: %v, want only fetchmanifests and fetchpacks", reads)
 	}
 }
 

@@ -43,7 +43,6 @@ type Manager struct {
 	stOnce      sync.Once
 	st          *store.Store
 	stErr       error
-	remoteBlobs store.RemoteBlobs
 	lastRead    atomic.Pointer[readManifest] // see skipFromManifest
 }
 

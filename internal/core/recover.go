@@ -200,7 +200,7 @@ func (m *Manager) recoverIndexLocked() (*indexFile, *RecoverReport, error) {
 					man, err = store.DecodeManifest(b)
 				}
 				if err == nil && st != nil {
-					cf, err = materializeManifest(man, &store.Tiered{Store: st})
+					cf, err = materializeManifest(man, st)
 				}
 				if err != nil || st == nil {
 					m.quarantine(f, "manifest")

@@ -19,8 +19,8 @@ import (
 // crash-at-every-filesystem-op discipline as chaos_test.go, but the
 // injected sequence covers the manifest+blob surface — store-format
 // commits (one pack of new blobs + manifest write), accumulation, in-place
-// migration of a legacy entry, write-through of blobs fetched from a remote
-// tier, eviction of an entry, and compaction (pack removal and the rewrite
+// migration of a legacy entry, adoption of the packs a remote serves for
+// the blobs a manifest is missing, eviction of an entry, and compaction (pack removal and the rewrite
 // of a pack that mixes live and dead blobs). Invariants:
 //
 //  1. the baseline entry committed before the crash stays warm-servable,
@@ -33,21 +33,15 @@ import (
 //     quarantine, and keeps the baseline.
 
 // chaosRemote is the fleet side of the sequence: the manifest of an
-// application this database never ran, and an in-memory remote tier that
-// holds its blobs.
+// application this database never ran, and another machine's store that
+// serves the packs holding its blobs, as a daemon answers FETCHPACKS.
 type chaosRemote struct {
-	man   *store.Manifest
-	blobs map[store.Hash][]byte
+	man *store.Manifest
+	st  *store.Store
 }
 
-func (r *chaosRemote) FetchBlobs(hashes []store.Hash) (map[store.Hash][]byte, error) {
-	out := make(map[store.Hash][]byte, len(hashes))
-	for _, h := range hashes {
-		if enc, ok := r.blobs[h]; ok {
-			out[h] = enc
-		}
-	}
-	return out, nil
+func (r *chaosRemote) packs(missing []store.Hash) ([][]byte, error) {
+	return r.st.PackFiles(missing, 1<<30), nil
 }
 
 func buildChaosRemote(t *testing.T) *chaosRemote {
@@ -58,23 +52,29 @@ func buildChaosRemote(t *testing.T) *chaosRemote {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &chaosRemote{man: man, blobs: make(map[store.Hash][]byte, len(blobs))}
-	for i, b := range blobs {
-		enc := b.Encode()
-		man.Traces[i].Blob = store.Sum(enc)
-		r.blobs[man.Traces[i].Blob] = enc
+	st, err := store.Open(t.TempDir(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return r
+	_, hashes, err := st.PutAll(blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Traces {
+		man.Traces[i].Blob = hashes[i]
+	}
+	return &chaosRemote{man: man, st: st}
 }
 
 // storeChaosSequence is the injected workload: two store-format commits
 // (fresh + accumulating), migration of the legacy baseline, a manifest
-// materialized from the remote tier (its library blobs are already local,
-// its own are fetched and written through as one pack), eviction of the
-// in-flight entry, and a compaction pass that removes the packs holding only
-// that entry's or only written-through blobs and rewrites the pack that
-// also holds the library blob the baseline references — the full
-// pack-write/migrate/write-through/compact crash surface. between, when
+// materialized from the remote (its library blobs are already local; its
+// own are missing, and the remote's one pack that holds them — library
+// blobs too — is adopted whole), eviction of the in-flight entry, and a
+// compaction pass that removes the packs holding only that entry's or only
+// adopted blobs and rewrites the packs that also hold the library blob the
+// baseline references — the full pack-write/migrate/adopt/compact crash
+// surface. between, when
 // non-nil, runs before each step: a live peer's turn.
 func storeChaosSequence(mgr *core.Manager, env *chaosEnv, remote *chaosRemote, between func()) error {
 	steps := []func() error{
@@ -82,8 +82,7 @@ func storeChaosSequence(mgr *core.Manager, env *chaosEnv, remote *chaosRemote, b
 		func() error { _, err := mgr.CommitFile(env.ksB, env.cfB2); return err },
 		func() error { _, err := mgr.MigrateToStore(); return err },
 		func() error {
-			mgr.SetRemoteBlobs(remote)
-			_, err := mgr.MaterializeManifest(remote.man)
+			_, err := mgr.MaterializeFrom(remote.man, remote.packs)
 			return err
 		},
 		func() error { return mgr.RemoveEntry(env.ksB.ManifestFileName()) },
@@ -126,11 +125,10 @@ func assertStoreCrashInvariants(t *testing.T, dir string, env *chaosEnv, remote 
 	} else if !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("in-flight lookup: want hit or ErrNoCache, got %v", err)
 	}
-	// Whatever the write-through left behind, the remote application
-	// still materializes whole: each blob comes valid from the local store
-	// or again from the remote.
-	mgr.SetRemoteBlobs(remote)
-	if cf, err := mgr.MaterializeManifest(remote.man); err != nil {
+	// Whatever the adoption left behind, the remote application still
+	// materializes whole: each blob comes valid from the local store or
+	// again from the remote.
+	if cf, err := mgr.MaterializeFrom(remote.man, remote.packs); err != nil {
 		t.Errorf("remote manifest after crash: %v", err)
 	} else if len(cf.Traces) != len(remote.man.Traces) {
 		t.Errorf("remote manifest materialized %d of %d traces", len(cf.Traces), len(remote.man.Traces))

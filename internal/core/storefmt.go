@@ -74,15 +74,8 @@ func (m *Manager) storeIfPresent() (*store.Store, error) {
 	return nil, nil
 }
 
-// SetRemoteBlobs attaches a remote blob source (tier L3 — in practice the
-// cache-server client) consulted when a manifest references blobs the
-// local store does not hold. Fetched blobs are verified and written
-// through to the local store, so each moves over the network once per
-// machine.
-func (m *Manager) SetRemoteBlobs(r store.RemoteBlobs) { m.remoteBlobs = r }
-
 // errBlobsUnavailable marks a manifest whose blobs could not all be
-// resolved right now (local miss with no or failing remote). Unlike
+// resolved right now (a local miss the remote could not fill). Unlike
 // corruption this is not quarantine-worthy at lookup time — the remote
 // may simply be down — so the lookup degrades to a miss. RecoverIndex,
 // which judges with only local state, does quarantine such manifests.
@@ -145,32 +138,59 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 	return man, blobs, nil
 }
 
-// MaterializeManifest rebuilds a cache file from a manifest. When every blob
-// is in the local store's packs — a warm launch — each is decoded once,
-// straight into the trace (store.LocalTraces); otherwise the blobs resolve
-// through the tiered store (L1 map → L2 local store → L3 remote when
-// attached). Either way the caller owns the file and every trace in it.
-// Blob/manifest inconsistencies surface as errors; blobs simply not
-// resolvable anywhere return errBlobsUnavailable.
+// MaterializeManifest rebuilds a cache file from a manifest and the local
+// store. When every blob is in the store's packs — a warm launch — each is
+// decoded once, straight into the trace (store.LocalTraces); otherwise the
+// blobs resolve one by one through the store's L1 map and its files. Either
+// way the caller owns the file and every trace in it. Blob/manifest
+// inconsistencies surface as errors; blobs the store does not hold return
+// errBlobsUnavailable.
 func (m *Manager) MaterializeManifest(man *store.Manifest) (*CacheFile, error) {
 	st, err := m.Store()
 	if err != nil {
 		return nil, err
 	}
-	return materializeManifest(man, &store.Tiered{Store: st, Remote: m.remoteBlobs})
+	return materializeManifest(man, st)
 }
 
-// materializeManifest is MaterializeManifest over an explicit tier stack
-// (recovery uses a local-only one).
-func materializeManifest(man *store.Manifest, tiers *store.Tiered) (*CacheFile, error) {
+// PackSource fetches from another machine the pack files that hold the
+// blobs with the given hashes — in practice a cache-server transport's
+// FETCHPACKS.
+type PackSource func(missing []store.Hash) ([][]byte, error)
+
+// MaterializeFrom is MaterializeManifest for a manifest another machine
+// served: the blobs the local store lacks arrive from src as whole pack
+// files, which the store verifies and adopts (store.AdoptPacks), and the
+// manifest is then read exactly as a local warm launch reads it. Packs that
+// fail verification are refused whole, and the blobs they held stay
+// missing.
+func (m *Manager) MaterializeFrom(man *store.Manifest, src PackSource) (*CacheFile, error) {
+	st, err := m.Store()
+	if err != nil {
+		return nil, err
+	}
+	if missing := st.Missing(man.BlobHashes()); len(missing) > 0 {
+		packs, err := src(missing)
+		if err == nil {
+			err = st.AdoptPacks(packs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errBlobsUnavailable, err)
+		}
+	}
+	return materializeManifest(man, st)
+}
+
+// materializeManifest is MaterializeManifest over an explicit store.
+func materializeManifest(man *store.Manifest, st *store.Store) (*CacheFile, error) {
 	cf := &CacheFile{
 		AppKey: Key(man.AppKey), VMKey: Key(man.VMKey), ToolKey: Key(man.ToolKey),
 		AppPath: man.AppPath,
 		Modules: recordModules(man.Modules),
 	}
-	if traces, ok := tiers.Store.LocalTraces(man); ok {
+	if traces, ok := st.LocalTraces(man); ok {
 		cf.Traces = traces
-	} else if err := materializeTiered(cf, man, tiers); err != nil {
+	} else if err := materializeBlobs(cf, man, st); err != nil {
 		return nil, err
 	}
 	cf.recomputePools()
@@ -178,15 +198,12 @@ func materializeManifest(man *store.Manifest, tiers *store.Tiered) (*CacheFile, 
 	return cf, nil
 }
 
-// materializeTiered fills cf.Traces the long way round: every blob through
-// the tiers as a decoded store.Blob, checked against the manifest and copied
-// into a trace. It is where a local miss, a loose blob, a corrupt pack
-// (quarantined on the way) or a remote fetch is handled.
-func materializeTiered(cf *CacheFile, man *store.Manifest, tiers *store.Tiered) error {
-	got, err := tiers.GetAll(man.BlobHashes())
-	if err != nil && len(got) == 0 {
-		return fmt.Errorf("%w: %v", errBlobsUnavailable, err)
-	}
+// materializeBlobs fills cf.Traces the long way round: every blob through
+// the store as a decoded store.Blob, checked against the manifest and
+// copied into a trace. It is where a local miss, a loose blob or a corrupt
+// pack (quarantined on the way) is handled.
+func materializeBlobs(cf *CacheFile, man *store.Manifest, st *store.Store) error {
+	got, _ := st.GetAll(man.BlobHashes())
 	cf.Traces = make([]*vm.Trace, 0, len(man.Traces))
 	for i, tr := range man.Traces {
 		b, ok := got[tr.Blob]

@@ -603,8 +603,9 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 
 	// The counter the zero above is read from does count: a prime resolves
 	// every blob of the manifest once, from the tier that had it — the local
-	// packs here, the remote tier for a database that holds only the
-	// manifest (which then writes them through, so nothing is an l2 hit).
+	// packs here, and for a database that holds only the manifest the packs
+	// it adopts from the remote (read once they are written through, but
+	// counted as what they are: l3, not l2).
 	blobs := float64(len(readManifest(t, dir, ks.ManifestFileName()).BlobHashes()))
 	hits := func(reg *metrics.Registry) (got [3]float64) {
 		snap := reg.Snapshot()
@@ -625,20 +626,14 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := &chaosRemote{blobs: make(map[store.Hash][]byte)}
-	for _, h := range readManifest(t, dir, ks.ManifestFileName()).BlobHashes() {
-		if remote.blobs[h], err = sst.GetRaw(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bare := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bare, ks.ManifestFileName()), before, 0o644); err != nil {
+	remote := &chaosRemote{man: readManifest(t, dir, ks.ManifestFileName()), st: sst}
+	remoteReg := metrics.NewRegistry()
+	fetching := newStoreMgr(t, t.TempDir(), core.WithMetrics(remoteReg))
+	cf, err := fetching.MaterializeFrom(remote.man, remote.packs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	remoteReg := metrics.NewRegistry()
-	fetching := newStoreMgr(t, bare, core.WithMetrics(remoteReg))
-	fetching.SetRemoteBlobs(remote)
-	rep, err = fetching.Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
+	rep, err = fetching.PrimeFrom(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}), cf)
 	if err != nil || float64(rep.Installed) != blobs {
 		t.Fatalf("remote-served prime installed %d of %v traces: %v", rep.Installed, blobs, err)
 	}

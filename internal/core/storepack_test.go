@@ -11,7 +11,6 @@ import (
 	"persistcc/internal/fsx"
 	"persistcc/internal/loader"
 	"persistcc/internal/metrics"
-	"persistcc/internal/store"
 	"persistcc/internal/vm"
 	"persistcc/internal/workload"
 )
@@ -127,20 +126,14 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := &chaosRemote{man: man, blobs: make(map[store.Hash][]byte)}
-	for _, h := range man.BlobHashes() {
-		if remote.blobs[h], err = sst.GetRaw(h); err != nil {
-			t.Fatal(err)
-		}
-	}
+	remote := &chaosRemote{man: man, st: sst}
 
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	inj := fsx.NewInject(nil)
 	inj.TruncateAt(fsx.OpWrite, ".pck.", 1, 0.5, syscall.ENOSPC)
 	mgr := newStoreMgr(t, dir, core.WithFS(inj), core.WithMetrics(reg))
-	mgr.SetRemoteBlobs(remote)
-	cf, err := mgr.MaterializeManifest(man)
+	cf, err := mgr.MaterializeFrom(man, remote.packs)
 	if err != nil {
 		t.Fatalf("materialize with a failing write-through: %v", err)
 	}
@@ -159,7 +152,6 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	}
 	// This run keeps serving them from memory; the next process has nothing
 	// local and fetches again — and this time the disk takes the pack.
-	mgr.SetRemoteBlobs(nil)
 	if _, err := mgr.MaterializeManifest(man); err != nil {
 		t.Errorf("second materialize in the same run, no remote: %v", err)
 	}
@@ -167,8 +159,7 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	if _, err := next.MaterializeManifest(man); err == nil {
 		t.Error("a fresh manager resolved blobs that were never written")
 	}
-	next.SetRemoteBlobs(remote)
-	if _, err := next.MaterializeManifest(man); err != nil {
+	if _, err := next.MaterializeFrom(man, remote.packs); err != nil {
 		t.Fatalf("refetch on the next launch: %v", err)
 	}
 	if packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen0000", "*.pck")); len(packs) != 1 {

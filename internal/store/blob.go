@@ -6,9 +6,9 @@
 // Per-application manifests (manifest.go) reference blobs by hash instead
 // of embedding trace bodies, blobs reach the disk a commit at a time as
 // immutable packs (pack.go, store.go) that compaction (compact.go) removes
-// or rewrites once manifests stop referencing their blobs, and the tiered
-// lookup (tiered.go) resolves a hash through an in-process L1 map, the
-// local content store L2, and optionally a cache-server fleet L3.
+// or rewrites once manifests stop referencing their blobs. A hash resolves
+// through an in-process L1 map and the local content store L2; packs
+// received whole from a cache-server fleet (L3) join L2 as they arrive.
 //
 //pcc:fsxseam
 package store

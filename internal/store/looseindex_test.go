@@ -44,10 +44,10 @@ func lookups(ops []fsx.Record) (n int) {
 }
 
 // TestStoreLookupOpsIndependentOfBlobCount: putting N new blobs into an
-// empty store, and resolving N missing hashes through the remote tier
-// (which writes them through), look at the filesystem the same number of
-// times for every N — the misses are map lookups plus one listing per call,
-// not a stat per hash per generation.
+// empty store, and finding N hashes missing and adopting the remote packs
+// that hold them (which writes them through), look at the filesystem the
+// same number of times for every N — the misses are map lookups plus one
+// listing per call, not a stat per hash per generation.
 func TestStoreLookupOpsIndependentOfBlobCount(t *testing.T) {
 	open := func() (*store.Store, *fsx.InjectFS) {
 		inj := fsx.NewInject(nil)
@@ -67,21 +67,21 @@ func TestStoreLookupOpsIndependentOfBlobCount(t *testing.T) {
 		}
 		puts = append(puts, lookups(inj.Ops()))
 
-		remote := &fakeRemote{blobs: make(map[store.Hash][]byte)}
+		remote := newFakeRemote(t, blobs...)
 		hashes := make([]store.Hash, n)
 		for i, b := range blobs {
 			hashes[i] = b.Hash()
-			remote.blobs[hashes[i]] = b.Encode()
 		}
 		s, inj = open()
-		if got, err := (&store.Tiered{Store: s, Remote: remote}).GetAll(hashes); err != nil || len(got) != n {
-			t.Fatalf("GetAll of %d remote blobs: %d resolved, %v", n, len(got), err)
+		err := s.AdoptPacks(remote.packs(s.Missing(hashes)))
+		if got, _ := s.GetAll(hashes); err != nil || len(got) != n {
+			t.Fatalf("adopting the packs of %d remote blobs: %d resolved, %v", n, len(got), err)
 		}
 		fetches = append(fetches, lookups(inj.Ops()))
 	}
 	for i := range puts {
 		if puts[i] != puts[0] || fetches[i] != fetches[0] {
-			t.Fatalf("filesystem lookups for 1, 100, 1000 blobs: PutAll %v, Tiered.GetAll %v; want the same for every count", puts, fetches)
+			t.Fatalf("filesystem lookups for 1, 100, 1000 blobs: PutAll %v, AdoptPacks %v; want the same for every count", puts, fetches)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 type storeMetrics struct {
 	// pcc_store_blob_hits_total{tier=l1|l2|l3}, resolved to its three
 	// counters once: a prime resolves hundreds of blobs, and a family
-	// lookup per blob is a string join and a map probe.
+	// lookup per blob is a string join and a map probe. l3 counts blobs
+	// read from packs this process received from another machine.
 	hitsL1, hitsL2, hitsL3 *metrics.Counter
 
 	misses       *metrics.Counter

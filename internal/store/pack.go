@@ -188,6 +188,29 @@ type Pack struct {
 // index entry. Pack files are untrusted on-disk input: any inconsistency is
 // an error, and no length field is believed beyond what data can back.
 func DecodePack(data []byte) (*Pack, error) {
+	_, ix, raw, err := decodePack(data)
+	if err != nil {
+		return nil, err
+	}
+	p := &Pack{Hashes: ix.hashes, Encs: make([][]byte, len(ix.hashes))}
+	for i := range ix.hashes {
+		p.Encs[i] = raw[ix.offs[i]:ix.offs[i+1]]
+	}
+	return p, nil
+}
+
+// PackHashes returns the hashes a pack file's index lists, checked against
+// the index crc; the body is not read, so the members are not verified.
+func PackHashes(data []byte) ([]Hash, error) {
+	ix, err := readIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	return ix.hashes, nil
+}
+
+// readIndex parses the header and index at the start of a whole pack file.
+func readIndex(data []byte) (*packIndex, error) {
 	count, err := packCount(data)
 	if err != nil {
 		return nil, err
@@ -195,20 +218,27 @@ func DecodePack(data []byte) (*Pack, error) {
 	if count > len(data)/packEntryLen || indexLen(count) > len(data) {
 		return nil, fmt.Errorf("store: pack claims %d members in %d bytes", count, len(data))
 	}
-	ix, err := parsePackIndex(data[:indexLen(count)])
+	return parsePackIndex(data[:indexLen(count)])
+}
+
+// decodePack verifies a whole pack file — the index against its crc, the
+// stream inflating to exactly the indexed length, every member against its
+// hash — and returns the id the file is stored under (derived from the
+// bytes, as encodePack derives it), its index and its inflated stream.
+func decodePack(data []byte) (Hash, *packIndex, []byte, error) {
+	ix, err := readIndex(data)
 	if err != nil {
-		return nil, err
+		return Hash{}, nil, nil, err
 	}
-	raw, err := inflate(data[indexLen(count):], ix.rawLen())
+	end := indexLen(len(ix.hashes))
+	raw, err := inflate(data[end:], ix.rawLen())
 	if err != nil {
-		return nil, fmt.Errorf("store: pack body: %w", err)
+		return Hash{}, nil, nil, fmt.Errorf("store: pack body: %w", err)
 	}
-	p := &Pack{Hashes: ix.hashes, Encs: make([][]byte, count)}
 	for i, h := range ix.hashes {
-		p.Encs[i] = raw[ix.offs[i]:ix.offs[i+1]]
-		if Sum(p.Encs[i]) != h {
-			return nil, fmt.Errorf("store: pack member %d fails content check for %s", i, h)
+		if Sum(raw[ix.offs[i]:ix.offs[i+1]]) != h {
+			return Hash{}, nil, nil, fmt.Errorf("store: pack member %d fails content check for %s", i, h)
 		}
 	}
-	return p, nil
+	return Sum(data[:end-4]), ix, raw, nil
 }

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"persistcc/internal/store"
@@ -14,7 +15,10 @@ import (
 // shared store directory is written by every process on the machine. The
 // checked-in corpus (testdata/fuzz/FuzzDecodePack) holds a valid pack and
 // its mutations: truncated body, an index that runs past the stream, a
-// hash listed twice, a bad index checksum, zero entries.
+// hash listed twice, a bad index checksum, zero entries. What a daemon
+// sends is the same untrusted input, so AdoptPacks must take exactly what
+// DecodePack accepts, and PackHashes — which a fleet client reads to route
+// misses — must list an accepted pack's members.
 func FuzzDecodePack(f *testing.F) {
 	dir := f.TempDir()
 	if _, _, err := openStoreF(f, dir).PutAll([]*store.Blob{mkBlob(1, 4), mkBlob(2, 9)}); err != nil {
@@ -32,11 +36,18 @@ func FuzzDecodePack(f *testing.F) {
 		f.Fatalf("the store's own pack does not decode: %v", err)
 	}
 	f.Add(seed)
+	adopter := openStoreF(f, f.TempDir())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := store.DecodePack(data)
+		if adoptErr := adopter.AdoptPacks([][]byte{data}); (adoptErr == nil) != (err == nil) {
+			t.Fatalf("DecodePack says %v, AdoptPacks says %v", err, adoptErr)
+		}
 		if err != nil {
 			return
+		}
+		if hashes, err := store.PackHashes(data); err != nil || !reflect.DeepEqual(hashes, p.Hashes) {
+			t.Fatalf("PackHashes of an accepted pack: %v, %v; want %v", hashes, err, p.Hashes)
 		}
 		if len(p.Hashes) == 0 || len(p.Hashes) != len(p.Encs) {
 			t.Fatalf("accepted a pack of %d hashes and %d members", len(p.Hashes), len(p.Encs))

@@ -63,6 +63,13 @@ type pack struct {
 	path string
 	ix   *packIndex
 	raw  []byte // the inflated stream while the pack is hot; guarded by Store.pmu
+
+	// remote marks a pack this process received from another machine
+	// (AdoptPacks): blobs read from it count as l3 hits.
+	remote bool
+	// served marks a pack PackFiles verified whole and may send again
+	// unverified.
+	served atomic.Bool
 }
 
 // member addresses one blob inside a pack.
@@ -83,6 +90,10 @@ type member struct {
 // earlier versions wrote; they stay readable and are never written. The
 // same listing indexes them by name beside the packs, so a lookup never
 // stats a file: a miss is map lookups plus at most one listing per call.
+// Packs move between machines whole: a daemon serves the files that hold
+// the blobs a client asks for (PackFiles), and the client verifies each and
+// publishes it under the same name (AdoptPacks), so blobs that come over
+// the wire (tier L3) are read like any other pack.
 type Store struct {
 	dir string
 	fs  fsx.FS
@@ -392,16 +403,7 @@ func (s *Store) writePack(hashes []Hash, encs [][]byte) (uint64, error) {
 	s.pmu.RUnlock()
 	written := uint64(0)
 	if p == nil {
-		if err := s.fs.MkdirAll(s.gens[0], 0o755); err != nil {
-			return 0, err
-		}
-		tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
-		err := s.fs.WriteFile(tmp, data, 0o644)
-		if err == nil {
-			err = s.fs.Rename(tmp, path)
-		}
-		if err != nil {
-			s.fs.Remove(tmp)
+		if err := s.publish(path, data); err != nil {
 			return 0, err
 		}
 		p, written = &pack{path: path, ix: ix}, uint64(len(data))
@@ -410,6 +412,161 @@ func (s *Store) writePack(hashes []Hash, encs [][]byte) (uint64, error) {
 	s.addPackLocked(p)
 	s.pmu.Unlock()
 	return written, nil
+}
+
+// publish makes data the file at path: written and synced under a temp
+// name no other writer can share, then renamed into place.
+func (s *Store) publish(path string, data []byte) error {
+	if err := s.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
+	err := s.fs.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = s.fs.Rename(tmp, path)
+	}
+	if err != nil {
+		s.fs.Remove(tmp)
+	}
+	return err
+}
+
+// Missing returns, each once, the hashes among hashes this store holds in
+// no pack and no loose file — what a machine must fetch before it can prime
+// from a manifest. It lists the generations at most once.
+func (s *Store) Missing(hashes []Hash) []Hash {
+	var out []Hash
+	seen := make(map[Hash]bool, len(hashes))
+	relisted := false
+	for _, h := range hashes {
+		if seen[h] {
+			continue
+		}
+		seen[h] = true
+		if _, ok := s.locate(h, &relisted); !ok {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// AdoptPacks takes pack files received from another machine into the
+// store. The files are untrusted: every one is verified whole first
+// (decodePack: index crc, stream length, every member re-hashed), and if
+// any fails none is taken and the error says which. Each is then published
+// byte for byte under the name its own bytes derive — so the same pack has
+// the same name on every machine and adopting it twice writes it once —
+// indexed, and kept hot with the stream verification inflated, so the
+// prime that follows reads it without inflating again. Nothing is deflated.
+// A pack the disk refuses still serves this process: its members go to L1,
+// as verified as they would be on disk, and the next process fetches again.
+func (s *Store) AdoptPacks(files [][]byte) error {
+	type received struct {
+		id  Hash
+		ix  *packIndex
+		raw []byte
+	}
+	in := make([]received, len(files))
+	for i, data := range files {
+		id, ix, raw, err := decodePack(data)
+		if err != nil {
+			return fmt.Errorf("store: received pack %d of %d: %w", i+1, len(files), err)
+		}
+		in[i] = received{id, ix, raw}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, r := range in {
+		path := filepath.Join(s.gens[0], r.id.Hex()+".pck")
+		s.pmu.RLock()
+		p := s.packs[path]
+		s.pmu.RUnlock()
+		if p == nil {
+			if err := s.publish(path, files[i]); err != nil {
+				for j, h := range r.ix.hashes {
+					if b, err := DecodeBlob(r.raw[r.ix.offs[j]:r.ix.offs[j+1]]); err == nil {
+						s.cache(h, b)
+					}
+				}
+				continue
+			}
+			p = &pack{path: path, ix: r.ix, remote: true}
+			s.met.written.Add(uint64(len(r.ix.hashes)))
+			s.met.writtenBytes.Add(uint64(len(files[i])))
+		}
+		s.pmu.Lock()
+		s.addPackLocked(p)
+		s.heatLocked(p, r.raw)
+		s.pmu.Unlock()
+	}
+	return nil
+}
+
+// PackFiles returns the files that hold the blobs with the given hashes, at
+// most maxBytes of them in all: each pack holding one, byte for byte as it
+// lies on disk and each once, and a loose blob as a one-member pack built
+// for the occasion. Hashes the store does not hold are in none of them, and
+// a pack may hold blobs nobody asked for. A pack is verified whole the
+// first time it is served; one that fails is quarantined, as a failed read
+// would have it, and is never served.
+func (s *Store) PackFiles(hashes []Hash, maxBytes int) [][]byte {
+	var out [][]byte
+	total := 0
+	sent := make(map[*pack]bool)
+	relisted := false
+	for _, h := range hashes {
+		data, p, ok := s.packFile(h, &relisted, sent)
+		if !ok {
+			continue
+		}
+		if total+len(data) > maxBytes {
+			break
+		}
+		sent[p] = true
+		out = append(out, data)
+		total += len(data)
+	}
+	return out
+}
+
+// packFile returns the file PackFiles serves h in and the pack it is (nil
+// for a loose blob), or false when h is nowhere servable or its pack is in
+// sent already.
+func (s *Store) packFile(h Hash, relisted *bool, sent map[*pack]bool) ([]byte, *pack, bool) {
+	for {
+		loc, ok := s.locate(h, relisted)
+		switch {
+		case !ok:
+			return nil, nil, false
+		case loc.p == nil:
+			enc, _, err := s.readRaw(h, relisted)
+			if err != nil {
+				return nil, nil, false
+			}
+			_, _, data := encodePack([]Hash{h}, [][]byte{enc})
+			return data, nil, true
+		case sent[loc.p]:
+			return nil, nil, false
+		}
+		data, err := s.fs.ReadFile(loc.p.path)
+		if err == nil && !loc.p.served.Load() {
+			if _, _, _, err = decodePack(data); err != nil {
+				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
+			}
+		}
+		switch {
+		case err == nil:
+			loc.p.served.Store(true)
+			return data, loc.p, true
+		case errors.Is(err, ErrBlobCorrupt):
+			s.quarantine(loc)
+			return nil, nil, false
+		case errors.Is(err, fs.ErrNotExist):
+			s.forget(loc.p) // compacted away since indexed: look again
+		default:
+			return nil, nil, false
+		}
+	}
 }
 
 // Has reports whether the blob is resident locally (L1 or L2).
@@ -439,11 +596,10 @@ func (s *Store) SizeOf(h Hash) (uint64, bool) {
 	return uint64(len(enc)), err == nil
 }
 
-// Get resolves a hash through L1 (in-process decoded map) then L2 (local
-// disk). A blob that fails the content-address or decode check has its
+// Get resolves a hash through L1 (in-process decoded map) then the local
+// disk. A blob that fails the content-address or decode check has its
 // file — the whole pack, for a packed blob — quarantined and is reported
-// as ErrBlobCorrupt; an absent blob returns ErrBlobMissing. Remote tiers
-// are layered on by Tiered.
+// as ErrBlobCorrupt; an absent blob returns ErrBlobMissing.
 func (s *Store) Get(h Hash) (*Blob, error) {
 	relisted := false
 	return s.get(h, &relisted)
@@ -487,7 +643,11 @@ func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
 	s.cache(h, b)
-	s.met.hitsL2.Inc()
+	if loc.p != nil && loc.p.remote {
+		s.met.hitsL3.Inc()
+	} else {
+		s.met.hitsL2.Inc()
+	}
 	return b, nil
 }
 
@@ -503,11 +663,12 @@ func (s *Store) cache(h Hash, b *Blob) {
 // Each encoding is verified against its content address and against the
 // manifest's view of it (decodeTrace) exactly as Get, Manifest.CheckBlob and
 // Blob.Materialize would between them, but no Blob is built, nothing enters
-// L1 and the tier counter is bumped once. It answers all or nothing: ok is
-// false when any blob is not in a pack this store has indexed, or fails any
-// check — the caller then resolves the manifest through Tiered.GetAll, which
-// lists the directory again, reads loose blobs, quarantines a bad pack and
-// asks the remote tier, none of which a healthy warm launch needs.
+// L1 and the tier counters are bumped once. It answers all or nothing: ok
+// is false when any blob is not in a pack this store has indexed, or fails
+// any check — the caller then resolves the manifest through GetAll, which
+// lists the directory again, reads loose blobs and quarantines a bad pack,
+// none of which a healthy warm launch needs. A launch primed from another
+// machine reads here too, once AdoptPacks has taken the packs it received.
 //
 //pcc:hotpath
 func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
@@ -523,7 +684,7 @@ func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
 	traces = make([]*vm.Trace, len(man.Traces))
 	structs := make([]vm.Trace, len(man.Traces)) // one allocation; traces[i] = &structs[i]
 	var insts slab[isa.Inst]
-	hits := uint64(0)
+	var local, remote uint64
 	for i, tr := range man.Traces {
 		m, found := s.packed(tr.Blob)
 		if !found {
@@ -548,20 +709,16 @@ func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
 		traces[i] = &structs[i]
 		if !cur.seen[m.i] {
 			cur.seen[m.i] = true
-			hits++
+			if m.p.remote {
+				remote++
+			} else {
+				local++
+			}
 		}
 	}
-	s.met.hitsL2.Add(hits)
+	s.met.hitsL2.Add(local)
+	s.met.hitsL3.Add(remote)
 	return traces, true
-}
-
-// GetRaw returns the verified encoded bytes of a blob — the server's
-// serving path, where decoding would be wasted work. The bytes may alias a
-// pack's cached stream: callers must not modify them.
-func (s *Store) GetRaw(h Hash) ([]byte, error) {
-	relisted := false
-	enc, _, err := s.readRaw(h, &relisted)
-	return enc, err
 }
 
 // readRaw loads and hash-verifies blob bytes from disk.
@@ -631,14 +788,21 @@ func (s *Store) packStream(p *pack) ([]byte, error) {
 	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if p.raw == nil {
-		p.raw = raw
-		if s.hot = append(s.hot, p); len(s.hot) > maxHotPacks {
-			s.hot[0].raw = nil
-			s.hot = s.hot[1:]
-		}
-	}
+	s.heatLocked(p, raw)
 	return p.raw, nil
+}
+
+// heatLocked keeps raw as p's inflated stream unless p is hot already,
+// cooling the pack that has been hot longest beyond maxHotPacks.
+func (s *Store) heatLocked(p *pack, raw []byte) {
+	if p.raw != nil {
+		return
+	}
+	p.raw = raw
+	if s.hot = append(s.hot, p); len(s.hot) > maxHotPacks {
+		s.hot[0].raw = nil
+		s.hot = s.hot[1:]
+	}
 }
 
 // quarantine moves the file behind loc out of the addressable space — for a

@@ -591,61 +591,129 @@ func TestOlderGenerationsStayReadable(t *testing.T) {
 	}
 }
 
-// fakeRemote is an in-memory L3 that counts round trips.
+// fakeRemote is another machine's store serving whole pack files, as a
+// daemon answers FETCHPACKS, and counting round trips.
 type fakeRemote struct {
-	blobs map[store.Hash][]byte
+	s     *store.Store
 	calls int
 }
 
-func (f *fakeRemote) FetchBlobs(hashes []store.Hash) (map[store.Hash][]byte, error) {
-	f.calls++
-	out := make(map[store.Hash][]byte)
-	for _, h := range hashes {
-		if b, ok := f.blobs[h]; ok {
-			out[h] = b
-		}
+func newFakeRemote(t *testing.T, blobs ...*store.Blob) *fakeRemote {
+	t.Helper()
+	s := openStore(t, t.TempDir())
+	if _, _, err := s.PutAll(blobs); err != nil {
+		t.Fatal(err)
 	}
-	return out, nil
+	return &fakeRemote{s: s}
 }
 
-func TestTieredWriteThrough(t *testing.T) {
-	s := openStore(t, t.TempDir())
+func (f *fakeRemote) packs(hashes []store.Hash) [][]byte {
+	f.calls++
+	return f.s.PackFiles(hashes, 1<<30)
+}
+
+// TestAdoptedPacksWriteThrough: the blobs a store is missing arrive as the
+// remote's pack files in one batched trip and are written through whole,
+// so the next lookup is local; a pack that fails verification is refused
+// and nothing of it reaches the store.
+func TestAdoptedPacksWriteThrough(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
 	local, remote := mkBlob(10, 3), mkBlob(11, 3)
 	if _, _, err := s.PutAll([]*store.Blob{local}); err != nil {
 		t.Fatal(err)
 	}
-	fr := &fakeRemote{blobs: map[store.Hash][]byte{remote.Hash(): remote.Encode()}}
-	tiers := &store.Tiered{Store: s, Remote: fr}
+	fr := newFakeRemote(t, remote)
+	fetch := func(hashes ...store.Hash) {
+		t.Helper()
+		if missing := s.Missing(hashes); len(missing) > 0 {
+			if err := s.AdoptPacks(fr.packs(missing)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	absent := mkBlob(12, 3).Hash()
-	got, err := tiers.GetAll([]store.Hash{local.Hash(), remote.Hash(), absent})
-	if err != nil {
-		t.Fatal(err)
+	all := []store.Hash{local.Hash(), remote.Hash(), absent}
+	if missing := s.Missing(all); len(missing) != 2 {
+		t.Fatalf("missing %d of the 3 hashes, want the 2 not stored locally", len(missing))
 	}
+	fetch(all...)
+	got, _ := s.GetAll(all)
 	if len(got) != 2 {
 		t.Fatalf("resolved %d of 2 resolvable hashes", len(got))
 	}
 	if fr.calls != 1 {
 		t.Fatalf("remote called %d times, want 1 batched trip", fr.calls)
 	}
-	// The fetched blob was written through to L2: the next lookup is local.
-	if !s.Has(remote.Hash()) {
+	// The fetched blob was written through to L2: the next lookup is local,
+	// in this process and the next.
+	if !s.Has(remote.Hash()) || !openStore(t, dir).Has(remote.Hash()) {
 		t.Fatal("remote blob not written through to the local store")
 	}
-	if _, err := tiers.Get(remote.Hash()); err != nil {
+	fetch(remote.Hash())
+	if _, err := s.Get(remote.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if fr.calls != 1 {
 		t.Fatalf("write-through did not stick: %d remote trips", fr.calls)
 	}
-	// A remote serving corrupt bytes is skipped, not installed.
+	// A remote serving corrupt bytes is refused, not installed.
 	junk := mkBlob(13, 3)
-	fr.blobs[junk.Hash()] = []byte("not a blob")
-	if got, _ := tiers.GetAll([]store.Hash{junk.Hash()}); len(got) != 0 {
-		t.Error("corrupt remote bytes were installed")
+	packs := newFakeRemote(t, junk).packs([]store.Hash{junk.Hash()})
+	torn := packs[0][:len(packs[0])-1]
+	before := storeFiles(t, dir, ".pck")
+	if err := s.AdoptPacks([][]byte{torn}); err == nil {
+		t.Error("corrupt remote bytes were adopted")
 	}
 	if s.Has(junk.Hash()) {
 		t.Error("corrupt remote bytes reached the local store")
+	}
+	if after := storeFiles(t, dir, ".pck"); len(after) != len(before) {
+		t.Errorf("a refused pack left a file: %d packs, want %d", len(after), len(before))
+	}
+}
+
+// TestAdoptedPackPrimesWithoutRereading: a prime right after AdoptPacks
+// reads the adopted pack from the stream verification inflated — no file
+// read — and counts its blobs as l3 hits; once the pack is on disk a later
+// process reads it as any local pack (l2).
+func TestAdoptedPackPrimesWithoutRereading(t *testing.T) {
+	dir := t.TempDir()
+	a, b := mkBlob(50, 3), mkBlob(51, 5)
+	inj := fsx.NewInject(nil)
+	reg := metrics.NewRegistry()
+	s, err := store.Open(dir, inj, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := manifestOver(a, b)
+	if err := s.AdoptPacks(newFakeRemote(t, a, b).packs(s.Missing(man.BlobHashes()))); err != nil {
+		t.Fatal(err)
+	}
+	inj.StartRecording()
+	if _, ok := s.LocalTraces(man); !ok {
+		t.Fatal("LocalTraces refused the adopted pack")
+	}
+	for _, op := range inj.Ops() {
+		if op.Op == fsx.OpRead {
+			t.Errorf("the prime read %s: the adopted stream was not kept", op.Path)
+		}
+	}
+	hits := func(reg *metrics.Registry, tier string) float64 {
+		n, _ := reg.Snapshot().Value("pcc_store_blob_hits_total", tier)
+		return n
+	}
+	if hits(reg, "l3") != 2 || hits(reg, "l2") != 0 {
+		t.Errorf("hits l2=%v l3=%v, want 0 and 2", hits(reg, "l2"), hits(reg, "l3"))
+	}
+	next := metrics.NewRegistry()
+	s2, err := store.Open(dir, nil, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.LocalTraces(man); !ok || hits(next, "l2") != 2 || hits(next, "l3") != 0 {
+		t.Errorf("reopened store: ok=%t, hits l2=%v l3=%v, want 2 and 0", ok, hits(next, "l2"), hits(next, "l3"))
 	}
 }
 
@@ -696,8 +764,9 @@ func TestLocalTraces(t *testing.T) {
 	if hits("l2") != 3 || hits("l1") != 0 {
 		t.Errorf("hits l1=%v l2=%v, want 0 and 3 (a blob referenced twice is one lookup)", hits("l1"), hits("l2"))
 	}
+	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode()}
 	for i, tr := range man.Traces {
-		want, err := viaBlob(mustRaw(t, s, tr.Blob), man, tr)
+		want, err := viaBlob(enc[tr.Blob], man, tr)
 		if err != nil || !reflect.DeepEqual(*got[i], *want) {
 			t.Errorf("trace %d differs from the Blob path (err %v)\n got %+v\nwant %+v", i, err, *got[i], want)
 		}
@@ -748,15 +817,6 @@ func TestLocalTraces(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("LocalTraces removed the damaged pack: %v", err)
 	}
-}
-
-func mustRaw(t *testing.T, s *store.Store, h store.Hash) []byte {
-	t.Helper()
-	enc, err := s.GetRaw(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
 }
 
 // TestDecodePackRejectsDamage: no proper prefix of a pack file decodes, and

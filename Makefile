@@ -54,7 +54,7 @@ test-race:
 	$(GO) test -race ./...
 
 # Focused race pass over the packages with real concurrency: the VM's
-# async translation pipeline, the manager's concurrent commit/prune paths,
+# async translation pipeline, the manager's concurrent commit/remove paths,
 # and the cache server with its fleet client (whose hedged reads race a
 # replica against the primary). Much faster than test-race, so it runs as its own
 # CI job on every push. The shared-store tests — goroutines, then real
@@ -97,7 +97,7 @@ bench-smoke:
 
 # The gate experiments: each is deterministic and exits non-zero on a
 # violated invariant, so each is also one cell of the CI gate-smoke matrix.
-#   chaos      crash at every filesystem op in commit/accumulate/prune +
+#   chaos      crash at every filesystem op in commit/accumulate/remove +
 #              self-healing check; fails on any invariant violation
 #   migrate    legacy fixture database (one entry corrupted) -> in-place
 #              migrate -> deep verify -> warm run; fails if corruption is
@@ -127,7 +127,8 @@ gate-smoke:
 		echo "== gate: $$g"; $(GO) run ./cmd/pcc-bench -run $$g || exit 1; done
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
-# decode, wire-protocol frames, cache-file bytes, store pack files and the
+# decode, wire-protocol frames, cache-file bytes and the entry headers the
+# database is listed from, store pack files and the
 # blob encodings inside them, and the compressed loose blob files of older
 # stores) plus the
 # differential translate/interpret equivalence property over generated
@@ -139,6 +140,7 @@ fuzz-smoke:
 	$(GO) test ./internal/isa/ -fuzz FuzzDecodeInstr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cacheserver/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzReadCacheFile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEntryHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)

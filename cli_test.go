@@ -8,6 +8,7 @@ package persistcc_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -327,9 +328,10 @@ _start:
 		t.Fatalf("second app cold run exit %d, want 9\n%s", code, se)
 	}
 
-	// Corrupt the first app's cache file in place, the index entirely, and
-	// strand a fake crashed writer's temp file. The list output maps cache
-	// file names (content hashes) back to applications.
+	// Corrupt the first app's cache file in place, leave an older version's
+	// index beside it, and strand a fake crashed writer's temp file. The
+	// list output maps cache file names (content hashes) back to
+	// applications.
 	listing, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", db, "list")
 	if code != 0 {
 		t.Fatalf("list failed: %s", se)
@@ -359,13 +361,16 @@ _start:
 	}
 	for _, want := range []string{
 		"scanned: 2 cache files",
-		"quarantined: 1 corrupt cache files + the corrupt index",
-		"rebuilt: 1 index entries",
+		"quarantined: 1 corrupt cache files",
+		"verified: 1 cache files",
 		"removed: 1 temp files",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("repair output missing %q:\n%s", want, out)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(db, "index.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("repair left the old index in place: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(db, "quarantine")); err != nil {
 		t.Error("repair left no quarantine directory")

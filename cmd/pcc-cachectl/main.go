@@ -8,8 +8,7 @@
 //	pcc-cachectl -dir DB stats           # per-database totals and key classes
 //	pcc-cachectl -dir DB verify          # integrity-check every cache file
 //	pcc-cachectl -dir DB verify -deep    # + static CFG/relocation verification
-//	pcc-cachectl -dir DB prune           # drop entries whose files are gone
-//	pcc-cachectl -dir DB repair          # quarantine corrupt files, rebuild index
+//	pcc-cachectl -dir DB repair          # quarantine corrupt files, clear debris
 //	pcc-cachectl -dir DB migrate         # convert legacy files to manifest+blob format
 //	pcc-cachectl -dir DB compact         # reclaim store blobs no manifest references
 //	pcc-cachectl -server ADDR stats      # same totals, from a cache daemon
@@ -56,7 +55,7 @@ func main() {
 	keep := flag.Int("keep", 0, "with -fleet compact: entries to retain fleet-wide, ranked by utility (0 = report only)")
 	flag.Parse()
 	if flag.NArg() < 1 || (*dir == "" && *server == "" && *fleetCfg == "" && flag.Arg(0) != "metrics") {
-		fmt.Fprintln(os.Stderr, "usage: pcc-cachectl {-dir DB | -server ADDR | -fleet CONF} {list|show FILE|stats|metrics|verify [-deep]|prune|repair|migrate|compact}")
+		fmt.Fprintln(os.Stderr, "usage: pcc-cachectl {-dir DB | -server ADDR | -fleet CONF} {list|show FILE|stats|metrics|verify [-deep]|repair|migrate|compact}")
 		os.Exit(2)
 	}
 	if *fleetCfg != "" {
@@ -172,18 +171,21 @@ func main() {
 		}
 	case "verify":
 		deep := flag.NArg() > 1 && flag.Arg(1) == "-deep"
-		entries, err := mgr.Entries()
+		// Every cache file on disk, not the listing: a file whose header
+		// does not read is left out of that, and is exactly what to report.
+		files, err := filepath.Glob(filepath.Join(*dir, "*.pc[cm]"))
 		if err != nil {
 			fatal(err)
 		}
 		bad := 0
-		for _, e := range entries {
+		for _, path := range files {
+			file := filepath.Base(path)
 			var cf *core.CacheFile
-			if strings.HasSuffix(e.File, ".pcm") {
+			if strings.HasSuffix(file, ".pcm") {
 				// Store-format entry: decode the manifest and materialize it
 				// from the blob store (each blob is content-verified on read).
 				var man *store.Manifest
-				b, err := os.ReadFile(filepath.Join(*dir, e.File))
+				b, err := os.ReadFile(filepath.Join(*dir, file))
 				if err == nil {
 					man, err = store.DecodeManifest(b)
 				}
@@ -191,14 +193,14 @@ func main() {
 					cf, err = mgr.MaterializeManifest(man)
 				}
 				if err != nil {
-					fmt.Printf("BAD  %s: %v\n", e.File, err)
+					fmt.Printf("BAD  %s: %v\n", file, err)
 					bad++
 					continue
 				}
 			} else {
-				cf, err = core.ReadCacheFile(filepath.Join(*dir, e.File))
+				cf, err = core.ReadCacheFile(filepath.Join(*dir, file))
 				if err != nil {
-					fmt.Printf("BAD  %s: %v\n", e.File, err)
+					fmt.Printf("BAD  %s: %v\n", file, err)
 					bad++
 					continue
 				}
@@ -206,7 +208,7 @@ func main() {
 			if deep {
 				if rep := cf.VerifyDeep(); !rep.OK() {
 					fmt.Printf("BAD  %s: deep verification failed (%d finding(s) across %d trace(s))\n",
-						e.File, len(rep.Findings), rep.Traces)
+						file, len(rep.Findings), rep.Traces)
 					for _, f := range rep.Findings {
 						fmt.Printf("     %s\n", f)
 					}
@@ -214,18 +216,11 @@ func main() {
 					continue
 				}
 			}
-			fmt.Printf("OK   %s\n", e.File)
+			fmt.Printf("OK   %s\n", file)
 		}
 		if bad > 0 {
 			os.Exit(1)
 		}
-	case "prune":
-		rep, err := mgr.Prune()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("pruned: %d stale index entries dropped, %d orphan cache files removed\n",
-			rep.DroppedEntries, rep.RemovedFiles)
 	case "repair":
 		// Repair is meant to run when no healthy writer exists (e.g. after a
 		// crash); don't wait out a crash victim's stale lock.
@@ -238,12 +233,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("scanned: %d cache files\n", rep.FilesScanned)
-		fmt.Printf("quarantined: %d corrupt cache files", rep.FilesQuarantined)
-		if rep.IndexQuarantined {
-			fmt.Printf(" + the corrupt index")
-		}
-		fmt.Printf(" (moved to %s)\n", filepath.Join(*dir, core.QuarantineDir))
-		fmt.Printf("rebuilt: %d index entries from verified files\n", rep.EntriesRebuilt)
+		fmt.Printf("quarantined: %d corrupt cache files (moved to %s)\n",
+			rep.FilesQuarantined, filepath.Join(*dir, core.QuarantineDir))
+		fmt.Printf("verified: %d cache files\n", rep.EntriesVerified)
 		fmt.Printf("removed: %d temp files from interrupted writes\n", rep.TmpFilesRemoved)
 		fmt.Printf("reclaimed: %s from the live database\n", stats.Bytes(rep.BytesReclaimed))
 	case "migrate":

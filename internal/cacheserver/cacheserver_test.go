@@ -338,14 +338,13 @@ func TestStatsParityWithLocalManager(t *testing.T) {
 	if !reflect.DeepEqual(remote, local) {
 		t.Errorf("stats diverge:\nserver: %+v\nlocal:  %+v", remote, local)
 	}
-	// Pruning is a local maintenance operation (pcc-cachectl -dir DB prune);
-	// a database the daemon wrote is clean.
-	prep, err := mgr.Prune()
+	// A database the daemon wrote is clean: repair finds nothing to do.
+	rrep, err := mgr.RecoverIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.DroppedEntries != 0 || prep.RemovedFiles != 0 {
-		t.Errorf("prune on a clean database: %+v", prep)
+	if rrep.FilesQuarantined != 0 || rrep.TmpFilesRemoved != 0 || rrep.EntriesVerified != remote.Files {
+		t.Errorf("repair of the daemon's database: %+v", rrep)
 	}
 }
 

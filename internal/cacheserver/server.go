@@ -114,8 +114,8 @@ func WithIdleTimeout(d time.Duration) Option {
 	return func(s *Server) { s.idleTimeout = d }
 }
 
-// New builds a server over an opened database, loading its index into
-// memory.
+// New builds a server over an opened database, loading its entry list
+// into memory.
 func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 	s := &Server{
 		mgr:      mgr,
@@ -130,26 +130,15 @@ func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 		s.metrics = metrics.NewRegistry()
 	}
 	s.m = newServerMetrics(s.metrics)
-	if err := s.reloadIndex(); err != nil {
+	entries, err := mgr.Entries()
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// reloadIndex replaces the in-memory index with the on-disk one.
-func (s *Server) reloadIndex() error {
-	entries, err := s.mgr.Entries()
-	if err != nil {
-		return err
-	}
-	fresh := make(map[string]*entry, len(entries))
+	s.entries = make(map[string]*entry, len(entries))
 	for _, e := range entries {
-		fresh[core.FileStem(e.File)] = &entry{meta: e, inflight: make(map[[32]byte]*flight)}
+		s.entries[core.FileStem(e.File)] = &entry{meta: e, inflight: make(map[[32]byte]*flight)}
 	}
-	s.idxMu.Lock()
-	s.entries = fresh
-	s.idxMu.Unlock()
-	return nil
+	return s, nil
 }
 
 // entryFor returns the live entry for a cache file stem, creating it when
@@ -494,7 +483,7 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 
 // merge performs the per-file accumulation: read prior (either format),
 // merge, write atomically in the manager's configured format, refresh the
-// on-disk index and the in-memory entry.
+// in-memory entry.
 func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*core.CommitReport, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
@@ -525,15 +514,8 @@ func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*cor
 		return nil, err
 	}
 	rep.File = file
-	if err := s.mgr.UpdateIndex(ks, merged, file); err != nil {
-		return nil, err
-	}
 
-	meta := core.IndexEntry{
-		App: ks.App.Hex(), VM: ks.VM.Hex(), Tool: ks.Tool.Hex(),
-		AppPath: merged.AppPath, File: file, Traces: len(merged.Traces),
-		CodePool: merged.CodePool, DataPool: merged.DataPool,
-	}
+	meta := core.NewIndexEntry(merged, file)
 	s.idxMu.Lock()
 	e.meta = meta
 	s.idxMu.Unlock()

@@ -10,7 +10,7 @@ import (
 
 // seedCacheFileBytes marshals a small well-formed cache file (one module,
 // one trace with a branch and a relocation note) for the fuzz corpus.
-func seedCacheFileBytes(f *testing.F) []byte {
+func seedCacheFileBytes(f testing.TB) []byte {
 	tr := &vm.Trace{
 		Start:  0x1000,
 		Module: 0,

@@ -17,10 +17,10 @@ import (
 )
 
 // Crash-consistency chaos harness: enumerate every filesystem operation the
-// commit/merge/index-update/prune sequence performs, simulate a process
+// commit/merge/remove sequence performs, simulate a process
 // crash at each one, reopen the database, and check the invariants:
 //
-//  1. the database opens and every index entry points at a verifiable file;
+//  1. the database opens and every listed entry is a verifiable file;
 //  2. a crashed writer loses at most its own in-flight entry — the
 //     baseline entry committed before the crash always stays warm-servable;
 //  3. a recovery pass (RecoverIndex) always succeeds afterwards and keeps
@@ -105,8 +105,8 @@ func buildChaosEnv(t *testing.T) *chaosEnv {
 }
 
 // chaosSequence is the injected workload: a fresh commit, an accumulating
-// commit of the same key set, and a prune — the full commit/merge/index
-// write surface.
+// commit of the same key set, and the removal of that entry — the full
+// commit/merge/remove write surface.
 func chaosSequence(mgr *core.Manager, env *chaosEnv) error {
 	if _, err := mgr.CommitFile(env.ksB, env.cfB1); err != nil {
 		return err
@@ -114,10 +114,7 @@ func chaosSequence(mgr *core.Manager, env *chaosEnv) error {
 	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
 		return err
 	}
-	if _, err := mgr.Prune(); err != nil {
-		return err
-	}
-	return nil
+	return mgr.RemoveEntry(env.ksB.CacheFileName())
 }
 
 // freshDB seeds a new database directory with the baseline entry.
@@ -144,11 +141,11 @@ func assertCrashInvariants(t *testing.T, dir string, env *chaosEnv) {
 	}
 	entries, err := mgr.Entries()
 	if err != nil {
-		t.Fatalf("reopened index unreadable: %v", err)
+		t.Fatalf("reopened database unlistable: %v", err)
 	}
 	for _, e := range entries {
 		if _, err := core.ReadCacheFile(filepath.Join(dir, e.File)); err != nil {
-			t.Errorf("index entry %s points at unverifiable file: %v", e.File, err)
+			t.Errorf("listed entry %s is an unverifiable file: %v", e.File, err)
 		}
 	}
 	// Baseline entry always survives: warm hits still served.

@@ -220,7 +220,7 @@ func TestRecoverIndexQuarantinesSemanticCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FilesQuarantined != 1 || rep.EntriesRebuilt != 0 {
+	if rep.FilesQuarantined != 1 || rep.EntriesVerified != 0 {
 		t.Fatalf("recovery kept the corrupt file: %+v", rep)
 	}
 	entries, err := mgr.Entries()
@@ -228,6 +228,6 @@ func TestRecoverIndexQuarantinesSemanticCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Fatalf("rebuilt index still references the corrupt file: %v", entries)
+		t.Fatalf("the listing still holds the corrupt file: %v", entries)
 	}
 }

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"encoding/binary"
+	"errors"
+	"path/filepath"
+	"slices"
+
+	"persistcc/internal/binenc"
+	"persistcc/internal/store"
+)
+
+// The database directory is its own index: every cache file, legacy .pcc or
+// store .pcm, carries its key set, application path, trace count and pool
+// sizes in its header, so listing the directory and reading those headers
+// is the whole catalogue.
+
+// IndexEntry describes one cache file in the database.
+type IndexEntry struct {
+	App      string `json:"app"`
+	VM       string `json:"vm"`
+	Tool     string `json:"tool"`
+	AppPath  string `json:"app_path"`
+	File     string `json:"file"`
+	Traces   int    `json:"traces"`
+	CodePool uint64 `json:"code_pool"`
+	DataPool uint64 `json:"data_pool"`
+}
+
+// NewIndexEntry describes cf stored as file: what Entries reads back from
+// that file's header.
+func NewIndexEntry(cf *CacheFile, file string) IndexEntry {
+	return IndexEntry{
+		App: cf.AppKey.Hex(), VM: cf.VMKey.Hex(), Tool: cf.ToolKey.Hex(),
+		AppPath: cf.AppPath, File: file, Traces: len(cf.Traces),
+		CodePool: cf.CodePool, DataPool: cf.DataPool,
+	}
+}
+
+// Entries lists the database, one entry per cache file stem, each read from
+// its file's header. A stem present in both formats (a commit that crashed
+// between writing one and retiring the other) is listed once, as the file
+// Lookup reads. A file whose header does not read is left out: it cannot be
+// served, and Lookup or RecoverIndex quarantines it.
+func (m *Manager) Entries() ([]IndexEntry, error) {
+	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pc[cm]"))
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(files)
+	entries := make([]IndexEntry, 0, len(files))
+	for _, f := range files {
+		if _, pair := slices.BinarySearch(files, altCachePath(f)); pair && (filepath.Ext(f) == ".pcm") != m.storeFormat {
+			continue // lookupPath picks the other one
+		}
+		fi, err := m.fs.Stat(f)
+		if err != nil {
+			continue
+		}
+		e, err := readEntryHeader(func(off int64, n int) ([]byte, error) {
+			return m.fs.ReadFileRange(f, off, n)
+		}, fi.Size())
+		if err == nil {
+			e.File = filepath.Base(f)
+			entries = append(entries, e)
+		}
+	}
+	return entries, nil
+}
+
+const (
+	// moduleFixedLen is a module record after its path: base, size, mtime,
+	// digest, mapping key and content key.
+	moduleFixedLen = 4 + 4 + 8 + 3*32
+	// entryPrefixMax bounds an entry's prefix: magic, version, three keys,
+	// the application path, a full module table and the trace count.
+	entryPrefixMax = 4 + 4 + 3*32 + 4 + maxPathLen + 4 + maxModules*(4+maxPathLen+moduleFixedLen) + 4
+	// entryTailLen is the end both formats share: the code and data pool
+	// sizes, then the SHA-256 trailer.
+	entryTailLen = 8 + 8 + 32
+)
+
+var errEntryHeader = errors.New("core: malformed cache file header")
+
+// readEntryHeader reads the listing fields of an encoded entry of either
+// format without decoding its trace table: the prefix up to the trace count,
+// read in doubling chunks from 4 KiB (which holds a typical module table),
+// and the pool sizes before the trailer. readAt reads n bytes at off, short
+// at the end of the file; size is the file's length. The trailer is not
+// checked: the entry is verified when it is read to be served.
+func readEntryHeader(readAt func(off int64, n int) ([]byte, error), size int64) (IndexEntry, error) {
+	limit := min(size-entryTailLen, entryPrefixMax)
+	if limit <= 0 {
+		return IndexEntry{}, errEntryHeader
+	}
+	for n := min(4096, limit); ; n = min(2*n, limit) {
+		prefix, err := readAt(0, int(n))
+		if err != nil {
+			return IndexEntry{}, err
+		}
+		e, err := parseEntryPrefix(prefix)
+		if err != nil {
+			if int64(len(prefix)) < n || n == limit {
+				return IndexEntry{}, errEntryHeader
+			}
+			continue
+		}
+		tail, err := readAt(size-entryTailLen, 16)
+		if err != nil {
+			return IndexEntry{}, err
+		}
+		if len(tail) != 16 {
+			return IndexEntry{}, errEntryHeader
+		}
+		e.CodePool, e.DataPool = binary.LittleEndian.Uint64(tail), binary.LittleEndian.Uint64(tail[8:])
+		return e, nil
+	}
+}
+
+// parseEntryPrefix decodes the listing fields of an entry's prefix, legacy
+// or manifest: both lay out magic, version, three keys, the application
+// path, the module table and then the trace count.
+func parseEntryPrefix(b []byte) (IndexEntry, error) {
+	r := &binenc.Reader{Buf: b}
+	var maxVersion uint32
+	switch string(r.Raw(4)) {
+	case string(cacheMagic[:]):
+		maxVersion = cacheFormatVersion
+	case string(store.ManifestMagic[:]):
+		maxVersion = store.ManifestVersion
+	}
+	if version := r.U32(); r.Err == nil && (version < 1 || version > maxVersion) {
+		return IndexEntry{}, errEntryHeader
+	}
+	var app, vmKey, tool Key
+	copy(app[:], r.Raw(32))
+	copy(vmKey[:], r.Raw(32))
+	copy(tool[:], r.Raw(32))
+	e := IndexEntry{App: app.Hex(), VM: vmKey.Hex(), Tool: tool.Hex(), AppPath: r.Str(maxPathLen)}
+	for i, n := 0, r.Count(maxModules); i < n && r.Err == nil; i++ {
+		r.Raw(r.Count(maxPathLen) + moduleFixedLen)
+	}
+	e.Traces = r.Count(maxTraces)
+	return e, r.Err
+}

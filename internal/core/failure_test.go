@@ -54,42 +54,43 @@ func TestCommitToUnwritableDir(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexSelfHeals: a corrupt index is quarantined and rebuilt
-// from the surviving verifiable cache files — no entry backed by a good
-// file is lost, and both reads and commits keep working.
-func TestCorruptIndexSelfHeals(t *testing.T) {
+// TestLeftoverIndexIgnoredThenRemoved: an index file an older version left
+// beside the entries, even a corrupt one, is never read or rewritten — the
+// entries list, prime and commit from the files themselves — and repair
+// deletes it, counting its bytes as reclaimed.
+func TestLeftoverIndexIgnoredThenRemoved(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
 	mgr := testutil.NewMgr(t)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
-	if err := os.WriteFile(filepath.Join(mgr.Dir(), "index.json"), []byte("{nope"), 0o644); err != nil {
+	leftover := filepath.Join(mgr.Dir(), "index.json")
+	if err := os.WriteFile(leftover, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := mgr.Entries()
-	if err != nil {
-		t.Fatalf("corrupt index did not self-heal: %v", err)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("entries beside a corrupt leftover index: %v, %v; want 1", entries, err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("rebuilt index has %d entries, want 1", len(entries))
-	}
-	// The corrupt index was preserved as evidence, and the metric recorded.
-	if _, err := os.Stat(filepath.Join(mgr.Dir(), core.QuarantineDir, "index.json")); err != nil {
-		t.Errorf("corrupt index not quarantined: %v", err)
-	}
-	if v, ok := mgr.Metrics().Snapshot().Value("pcc_core_quarantine_total", "index"); !ok || v < 1 {
-		t.Errorf("pcc_core_quarantine_total{index} = %v (ok=%t), want >= 1", v, ok)
-	}
-	// Exact-key lookup bypasses the index and must still work.
-	v := preparedVM(t, w)
 	if _, err := mgr.Prime(vmFresh(t, w)); err != nil {
-		t.Errorf("exact lookup should survive a corrupt index: %v", err)
+		t.Errorf("exact lookup beside a corrupt leftover index: %v", err)
 	}
-	// A commit over the healed index keeps every rebuilt entry.
-	if _, err := mgr.Commit(v); err != nil {
-		t.Errorf("commit after self-heal: %v", err)
+	if _, err := mgr.Commit(preparedVM(t, w)); err != nil {
+		t.Errorf("commit beside a corrupt leftover index: %v", err)
 	}
-	after, err := mgr.Entries()
-	if err != nil || len(after) != 1 {
-		t.Errorf("entries after heal+commit: %v, %v", after, err)
+	if b, err := os.ReadFile(leftover); err != nil || string(b) != "{nope" {
+		t.Errorf("leftover index was touched: %q, %v", b, err)
+	}
+	rep, err := mgr.RecoverIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BytesReclaimed != uint64(len("{nope")) || rep.FilesQuarantined != 0 || rep.EntriesVerified != 1 {
+		t.Errorf("repair report %+v; want the leftover's 5 bytes reclaimed and the entry verified", rep)
+	}
+	if _, err := os.Stat(leftover); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("repair left the old index in place: %v", err)
+	}
+	if after, err := mgr.Entries(); err != nil || len(after) != 1 {
+		t.Errorf("entries after repair: %v, %v", after, err)
 	}
 }
 
@@ -127,7 +128,8 @@ func TestCorruptCacheFileQuarantined(t *testing.T) {
 }
 
 // TestRecoverIndexRebuild: RecoverIndex quarantines what does not verify,
-// clears temp debris, and rebuilds exactly the verifiable entries.
+// clears temp debris and a leftover index, and keeps exactly the verifiable
+// entries.
 func TestRecoverIndexRebuild(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
 	mgr := testutil.NewMgr(t)
@@ -136,37 +138,34 @@ func TestRecoverIndexRebuild(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %v %v", entries, err)
 	}
-	// Wreckage: a corrupt orphan cache file, a crashed writer's tmp, and a
-	// corrupt index.
-	if err := os.WriteFile(filepath.Join(mgr.Dir(), "deadbeef.pcc"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(mgr.Dir(), "crashed.pcc.tmp"), []byte("half a write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(mgr.Dir(), "index.json"), []byte("][,"), 0o644); err != nil {
-		t.Fatal(err)
+	// Wreckage: a corrupt orphan cache file, a crashed writer's tmp, and an
+	// older version's index.
+	wreckage := map[string]string{"deadbeef.pcc": "junk", "crashed.pcc.tmp": "half a write", "index.json": "]["}
+	for name, body := range wreckage {
+		if err := os.WriteFile(filepath.Join(mgr.Dir(), name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err := mgr.RecoverIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.IndexQuarantined || rep.FilesScanned != 2 || rep.FilesQuarantined != 1 ||
-		rep.EntriesRebuilt != 1 || rep.TmpFilesRemoved != 1 || rep.BytesReclaimed == 0 {
+	if rep.FilesScanned != 2 || rep.FilesQuarantined != 1 || rep.EntriesVerified != 1 ||
+		rep.TmpFilesRemoved != 1 || rep.BytesReclaimed != uint64(len("junk")+len("half a write")+len("][")) {
 		t.Errorf("recover report %+v", rep)
 	}
 	after, err := mgr.Entries()
 	if err != nil || len(after) != 1 || after[0].File != entries[0].File {
-		t.Errorf("rebuilt entries %v, %v; want just %s", after, err, entries[0].File)
+		t.Errorf("entries after recovery %v, %v; want just %s", after, err, entries[0].File)
 	}
-	// Warm hits still served from the rebuilt index.
+	// Warm hits still served.
 	warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true})
 	if warm.Stats.TracesTranslated != 0 {
 		t.Errorf("post-recovery warm run translated %d traces", warm.Stats.TracesTranslated)
 	}
 	// Recovery on the now-healthy database is a verify-only no-op.
 	rep2, err := mgr.RecoverIndex()
-	if err != nil || rep2.FilesQuarantined != 0 || rep2.EntriesRebuilt != 1 || rep2.IndexQuarantined {
+	if err != nil || rep2.FilesQuarantined != 0 || rep2.EntriesVerified != 1 || rep2.BytesReclaimed != 0 {
 		t.Errorf("second recovery not clean: %+v %v", rep2, err)
 	}
 }
@@ -311,7 +310,10 @@ func TestConcurrentPhasesSharedDatabase(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
+// TestEntriesFollowDirectory: the listing is the directory. A removed file
+// leaves it, a file that is not a cache file never enters it, and repair
+// quarantines the latter.
+func TestEntriesFollowDirectory(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
 	mgr := testutil.NewMgr(t)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
@@ -319,31 +321,21 @@ func TestPrune(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %v %v", entries, err)
 	}
-	// Orphan file (crashed writer) plus a stale index entry (deleted file).
 	if err := os.WriteFile(filepath.Join(mgr.Dir(), "deadbeef.pcc"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(mgr.Dir(), entries[0].File)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mgr.Prune()
-	if err != nil {
-		t.Fatal(err)
+	if after, err := mgr.Entries(); err != nil || len(after) != 0 {
+		t.Errorf("entries over a removed file and junk: %v, %v; want none", after, err)
 	}
-	if rep.DroppedEntries != 1 || rep.RemovedFiles != 1 {
-		t.Errorf("prune report %+v, want 1/1", rep)
+	rep, err := mgr.RecoverIndex()
+	if err != nil || rep.FilesScanned != 1 || rep.FilesQuarantined != 1 {
+		t.Errorf("repair report %+v, %v; want the junk quarantined", rep, err)
 	}
-	after, err := mgr.Entries()
-	if err != nil || len(after) != 0 {
-		t.Errorf("index not emptied: %v %v", after, err)
-	}
-	if _, err := os.Stat(filepath.Join(mgr.Dir(), "deadbeef.pcc")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("orphan file not removed")
-	}
-	// Idempotent.
-	rep2, err := mgr.Prune()
-	if err != nil || rep2.DroppedEntries != 0 || rep2.RemovedFiles != 0 {
-		t.Errorf("second prune not a no-op: %+v %v", rep2, err)
+	if _, err := os.Stat(filepath.Join(mgr.Dir(), core.QuarantineDir, "deadbeef.pcc")); err != nil {
+		t.Errorf("junk not quarantined: %v", err)
 	}
 }
 
@@ -359,7 +351,7 @@ func mgrWithFS(t *testing.T, inj *fsx.InjectFS) *core.Manager {
 
 // TestPartialWriteCacheFile: an ENOSPC-shaped short write on the cache
 // file's temp leaves the database exactly as it was — the prior cache file
-// and the index both stay readable and warm-serving.
+// stays listed, readable and warm-serving.
 func TestPartialWriteCacheFile(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
 	inj := fsx.NewInject(fsx.OS)
@@ -379,10 +371,10 @@ func TestPartialWriteCacheFile(t *testing.T) {
 		t.Fatalf("commit over full disk: want ENOSPC, got %v", err)
 	}
 
-	// Old index readable, old file verifiable, warm path intact.
+	// Old entry listed, old file verifiable, warm path intact.
 	after, err := mgr.Entries()
 	if err != nil || len(after) != 1 {
-		t.Fatalf("index unreadable after short write: %v %v", after, err)
+		t.Fatalf("entries after short write: %v %v", after, err)
 	}
 	if _, err := core.ReadCacheFile(filepath.Join(mgr.Dir(), after[0].File)); err != nil {
 		t.Errorf("prior cache file no longer verifies: %v", err)
@@ -395,36 +387,6 @@ func TestPartialWriteCacheFile(t *testing.T) {
 	rep, err := mgr.RecoverIndex()
 	if err != nil || rep.TmpFilesRemoved != 1 {
 		t.Errorf("recovery did not reclaim the torn temp: %+v %v", rep, err)
-	}
-}
-
-// TestPartialWriteIndexTmp: a short write on index.json.tmp must never
-// touch the live index — the rename that would publish it never runs.
-func TestPartialWriteIndexTmp(t *testing.T) {
-	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	inj := fsx.NewInject(fsx.OS)
-	mgr := mgrWithFS(t, inj)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
-
-	inj.TruncateAt(fsx.OpWrite, "index.json.tmp", 1, 0.5, nil)
-	v := preparedVM(t, w)
-	if _, err := mgr.Commit(v); !errors.Is(err, fsx.ErrInjected) {
-		t.Fatalf("commit with torn index write: want ErrInjected, got %v", err)
-	}
-	// The live index is the old, complete one.
-	entries, err := mgr.Entries()
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("index damaged by torn tmp write: %v %v", entries, err)
-	}
-	// The entry still points at a verifiable file (the cache file itself
-	// was renamed before the index update — newer file, older count, both
-	// valid), and the warm path still serves.
-	if _, err := core.ReadCacheFile(filepath.Join(mgr.Dir(), entries[0].File)); err != nil {
-		t.Errorf("index entry points at unverifiable file: %v", err)
-	}
-	warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true})
-	if warm.Stats.TracesTranslated != 0 {
-		t.Errorf("warm run after torn index write translated %d traces", warm.Stats.TracesTranslated)
 	}
 }
 
@@ -442,7 +404,7 @@ func TestHardWriteErrorSurfaces(t *testing.T) {
 	}
 	entries, err := mgr.Entries()
 	if err != nil || len(entries) != 0 {
-		t.Errorf("failed first commit left index entries: %v %v", entries, err)
+		t.Errorf("failed first commit left entries: %v %v", entries, err)
 	}
 }
 

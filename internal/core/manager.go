@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -23,8 +22,8 @@ import (
 
 // Manager is the persistent cache manager: it performs "the fundamental
 // tasks of generating persistent caches, verifying possible reuse, and
-// storing them in the database". The database is a directory of cache files
-// plus a JSON index.
+// storing them in the database". The database is a directory of cache files,
+// each named by its key set and describing itself in its header.
 type Manager struct {
 	dir         string
 	relocatable bool
@@ -152,12 +151,9 @@ func (m *Manager) cachePath(ks KeySet) string {
 // databases and legacy-mode managers read migrated ones.
 func (m *Manager) lookupPath(ks KeySet) string {
 	path := m.cachePath(ks)
-	if _, err := m.fs.Stat(path); err == nil {
-		return path
-	}
-	if alt := altCachePath(path); alt != path {
-		if _, err := m.fs.Stat(alt); err == nil {
-			return alt
+	if _, err := m.fs.Stat(path); err != nil {
+		if _, err := m.fs.Stat(altCachePath(path)); err == nil {
+			return altCachePath(path)
 		}
 	}
 	return path
@@ -168,25 +164,26 @@ func (m *Manager) lookupPath(ks KeySet) string {
 // run re-translates instead of failing — corrupt state degrades to cold-run
 // behaviour, never to a broken run.
 func (m *Manager) Lookup(ks KeySet) (*CacheFile, error) {
-	return m.lookupAt(m.lookupPath(ks))
+	return m.lookupAt(m.lookupPath(ks), "exact")
 }
 
-// lookupAt is Lookup for an entry path already resolved by lookupPath.
-func (m *Manager) lookupAt(path string) (*CacheFile, error) {
+// lookupAt reads the entry at path for a lookup of the given mode (exact
+// or interapp), mapping a missing or quarantined file to ErrNoCache.
+func (m *Manager) lookupAt(path, mode string) (*CacheFile, error) {
 	cf, err := m.readVerified(path)
 	switch {
 	case err == nil:
-		m.m.lookups.With("exact", "hit").Inc()
+		m.m.lookups.With(mode, "hit").Inc()
 		m.m.fileBytes.With("read").Add(cf.EncodedBytes)
 		return cf, nil
 	case errors.Is(err, fs.ErrNotExist):
-		m.m.lookups.With("exact", "miss").Inc()
+		m.m.lookups.With(mode, "miss").Inc()
 		return nil, ErrNoCache
 	case errors.Is(err, errQuarantined):
-		m.m.lookups.With("exact", "quarantined").Inc()
+		m.m.lookups.With(mode, "quarantined").Inc()
 		return nil, ErrNoCache
 	default:
-		m.m.lookups.With("exact", "error").Inc()
+		m.m.lookups.With(mode, "error").Inc()
 		return nil, err
 	}
 }
@@ -197,13 +194,13 @@ func (m *Manager) lookupAt(path string) (*CacheFile, error) {
 // a cache corresponding to any application instrumented identically").
 // Among candidates it picks the one with the most traces, deterministically.
 func (m *Manager) LookupInterApp(ks KeySet) (*CacheFile, error) {
-	idx, err := m.readIndexHealing()
+	entries, err := m.Entries()
 	if err != nil {
 		return nil, err
 	}
 	var best *IndexEntry
-	for i := range idx.Entries {
-		e := &idx.Entries[i]
+	for i := range entries {
+		e := &entries[i]
 		if e.VM != ks.VM.Hex() || e.Tool != ks.Tool.Hex() || e.App == ks.App.Hex() {
 			continue
 		}
@@ -215,22 +212,9 @@ func (m *Manager) LookupInterApp(ks KeySet) (*CacheFile, error) {
 		m.m.lookups.With("interapp", "miss").Inc()
 		return nil, ErrNoCache
 	}
-	cf, err := m.readVerified(filepath.Join(m.dir, best.File))
-	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errQuarantined):
-		// The best candidate is gone or was just quarantined; degrade to a
-		// miss and let the run translate (the next RecoverIndex or Prune
-		// drops the stale entry).
-		m.m.lookups.With("interapp", "quarantined").Inc()
-		return nil, ErrNoCache
-	default:
-		m.m.lookups.With("interapp", "error").Inc()
-		return nil, err
-	}
-	m.m.lookups.With("interapp", "hit").Inc()
-	m.m.fileBytes.With("read").Add(cf.EncodedBytes)
-	return cf, nil
+	// A candidate that is gone, or quarantined on the way (which takes it
+	// out of the listing), degrades to a miss: the run translates.
+	return m.lookupAt(filepath.Join(m.dir, best.File), "interapp")
 }
 
 // Prime looks up the cache for the VM's own key set and installs every
@@ -635,7 +619,7 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 		m.m.commits.With("skipped").Inc()
 		return rep, nil
 	}
-	prior, err := m.lookupAt(priorPath)
+	prior, err := m.lookupAt(priorPath, "exact")
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrNoCache):
@@ -653,44 +637,32 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 		m.m.commits.With("skipped").Inc()
 		return rep, nil
 	}
-	if m.storeFormat {
-		written, _, err := m.writeStoreFormat(merged, path)
-		if err != nil {
-			return nil, err
-		}
-		m.m.fileBytes.With("written").Add(written)
-	} else {
-		if err := merged.WriteFileFS(m.fs, path); err != nil {
-			return nil, err
-		}
-		m.m.fileBytes.With("written").Add(merged.EncodedBytes)
-	}
-	m.m.commits.With("written").Inc()
-	// The entry now lives in this manager's format; retire a stale copy in
-	// the other one so lookups cannot resurrect the pre-merge state.
-	if alt := altCachePath(path); alt != path {
-		if _, err := m.fs.Stat(alt); err == nil {
-			m.fs.Remove(alt)
-		}
-	}
-	if err := m.updateIndexLocked(ks, merged, rep.File); err != nil {
+	written, err := m.writeEntry(merged, path)
+	if err != nil {
 		return nil, err
 	}
+	m.m.fileBytes.With("written").Add(written)
+	m.m.commits.With("written").Inc()
 	return rep, nil
 }
 
-// UpdateIndex inserts or refreshes the index entry for file under the
-// database locks — for writers (the cache server) that produced the cache
-// file through MergeCacheFiles themselves.
-func (m *Manager) UpdateIndex(ks KeySet, cf *CacheFile, file string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	unlock, err := m.lockDB()
-	if err != nil {
-		return err
+// writeEntry writes cf at path in the manager's configured format and
+// returns the bytes written. The entry then lives in this format, so a
+// stale copy in the other one is retired: lookups must not resurrect the
+// pre-merge state.
+func (m *Manager) writeEntry(cf *CacheFile, path string) (written uint64, err error) {
+	if m.storeFormat {
+		written, _, err = m.writeStoreFormat(cf, path)
+	} else if err = cf.WriteFileFS(m.fs, path); err == nil {
+		written = cf.EncodedBytes
 	}
-	defer unlock()
-	return m.updateIndexLocked(ks, cf, file)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := m.fs.Stat(altCachePath(path)); err == nil {
+		m.fs.Remove(altCachePath(path))
+	}
+	return written, nil
 }
 
 // traceStillValid checks whether a prior trace's own and referenced
@@ -770,87 +742,7 @@ func sortTraces(cf *CacheFile) {
 	})
 }
 
-// IndexEntry describes one cache file in the database index.
-type IndexEntry struct {
-	App      string `json:"app"`
-	VM       string `json:"vm"`
-	Tool     string `json:"tool"`
-	AppPath  string `json:"app_path"`
-	File     string `json:"file"`
-	Traces   int    `json:"traces"`
-	CodePool uint64 `json:"code_pool"`
-	DataPool uint64 `json:"data_pool"`
-}
-
-type indexFile struct {
-	Entries []IndexEntry `json:"entries"`
-}
-
-func (m *Manager) indexPath() string { return filepath.Join(m.dir, "index.json") }
-
-// errCorruptIndex marks an index that exists but does not parse — the
-// self-healing paths quarantine and rebuild it instead of failing the run.
-var errCorruptIndex = errors.New("core: corrupt index")
-
-func (m *Manager) readIndex() (*indexFile, error) {
-	b, err := m.fs.ReadFile(m.indexPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return &indexFile{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var idx indexFile
-	if err := json.Unmarshal(b, &idx); err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorruptIndex, err)
-	}
-	return &idx, nil
-}
-
-// writeIndexLocked atomically replaces the on-disk index. The caller must
-// hold the database lock.
-func (m *Manager) writeIndexLocked(idx *indexFile) error {
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].File < idx.Entries[j].File })
-	b, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := m.indexPath() + ".tmp"
-	if err := m.fs.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return m.fs.Rename(tmp, m.indexPath())
-}
-
-// updateIndexLocked inserts or replaces the entry for file. The caller
-// must hold the database lock.
-func (m *Manager) updateIndexLocked(ks KeySet, cf *CacheFile, file string) error {
-	idx, err := m.readIndexOrRecoverLocked()
-	if err != nil {
-		return err
-	}
-	entry := IndexEntry{
-		App: ks.App.Hex(), VM: ks.VM.Hex(), Tool: ks.Tool.Hex(),
-		AppPath: cf.AppPath, File: file, Traces: len(cf.Traces),
-		CodePool: cf.CodePool, DataPool: cf.DataPool,
-	}
-	// Match by stem, not exact name: a commit that switched the entry's
-	// format (.pcc ↔ .pcm) replaces the old-format row.
-	replaced := false
-	for i := range idx.Entries {
-		if fileStem(idx.Entries[i].File) == fileStem(file) {
-			idx.Entries[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		idx.Entries = append(idx.Entries, entry)
-	}
-	return m.writeIndexLocked(idx)
-}
-
-// SnapshotTo copies the database — cache files, index, and the in-tree
+// SnapshotTo copies the database — cache files and the in-tree
 // blob store — into dstDir through the manager's filesystem seam: the
 // "freeze the cache state" half of a self-packaged failure artifact, whose
 // replay must see exactly the warmth the failing run saw. The advisory
@@ -898,16 +790,7 @@ func (m *Manager) snapshotTree(src, dst string) error {
 	return nil
 }
 
-// Entries lists the database index, healing a corrupt one first.
-func (m *Manager) Entries() ([]IndexEntry, error) {
-	idx, err := m.readIndexHealing()
-	if err != nil {
-		return nil, err
-	}
-	return idx.Entries, nil
-}
-
-// KeyClassCount groups index entries by their (VM, tool) key pair — the
+// KeyClassCount groups database entries by their (VM, tool) key pair — the
 // "instrumented identically" equivalence class that inter-application
 // lookup searches within.
 type KeyClassCount struct {
@@ -932,7 +815,7 @@ type DBStats struct {
 	Store *StoreDBStats `json:"store,omitempty"`
 }
 
-// Stats aggregates the database index into per-database totals, mirroring
+// Stats aggregates the database entries into per-database totals, mirroring
 // them into the registry's db gauges.
 func (m *Manager) Stats() (*DBStats, error) {
 	entries, err := m.Entries()
@@ -940,7 +823,7 @@ func (m *Manager) Stats() (*DBStats, error) {
 		return nil, err
 	}
 	st := AggregateStats(entries)
-	if ss, err := m.storeStats(); err == nil && ss != nil {
+	if ss, err := m.StoreStats(); err == nil && ss != nil {
 		st.Store = ss
 	}
 	m.m.dbFiles.Set(float64(st.Files))
@@ -950,7 +833,7 @@ func (m *Manager) Stats() (*DBStats, error) {
 	return st, nil
 }
 
-// AggregateStats folds index entries into per-database totals; the cache
+// AggregateStats folds database entries into per-database totals; the cache
 // server uses it over its in-memory index so STATS matches Manager.Stats.
 func AggregateStats(entries []IndexEntry) *DBStats {
 	st := &DBStats{}
@@ -982,66 +865,10 @@ func AggregateStats(entries []IndexEntry) *DBStats {
 	return st
 }
 
-// PruneReport summarizes database maintenance.
-type PruneReport struct {
-	DroppedEntries int // index entries whose cache file was gone
-	RemovedFiles   int // cache files not referenced by the index
-}
-
-// Prune reconciles the index with the directory contents: index entries
-// whose cache file has disappeared are dropped, and .pcc files the index
-// does not reference (e.g. left by a writer that crashed between the file
-// rename and the index update) are deleted.
-func (m *Manager) Prune() (*PruneReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	unlock, err := m.lockDB()
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-
-	idx, err := m.readIndexOrRecoverLocked()
-	if err != nil {
-		return nil, err
-	}
-	rep := &PruneReport{}
-	kept := idx.Entries[:0]
-	referenced := make(map[string]bool)
-	for _, e := range idx.Entries {
-		if _, err := m.fs.Stat(filepath.Join(m.dir, e.File)); err == nil {
-			kept = append(kept, e)
-			referenced[e.File] = true
-		} else {
-			rep.DroppedEntries++
-		}
-	}
-	idx.Entries = kept
-
-	for _, pat := range []string{"*.pcc", "*.pcm"} {
-		files, err := m.fs.Glob(filepath.Join(m.dir, pat))
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range files {
-			if !referenced[filepath.Base(f)] {
-				if err := m.fs.Remove(f); err == nil {
-					rep.RemovedFiles++
-				}
-			}
-		}
-	}
-
-	if err := m.writeIndexLocked(idx); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// RemoveEntry deletes one cache entry — its index row and its on-disk file
-// (either format, matched by stem) — as directed by the fleet's global
-// utility-based eviction. Blobs a removed manifest referenced stay in the
-// store until the next CompactStore run reclaims the unreferenced ones.
+// RemoveEntry deletes one cache entry — its file in either format, matched
+// by stem — as directed by the fleet's global utility-based eviction. Blobs
+// a removed manifest referenced stay in the store until the next
+// CompactStore run reclaims the unreferenced ones.
 func (m *Manager) RemoveEntry(file string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1051,23 +878,13 @@ func (m *Manager) RemoveEntry(file string) error {
 	}
 	defer unlock()
 
-	idx, err := m.readIndexOrRecoverLocked()
-	if err != nil {
-		return err
-	}
-	stem := fileStem(file)
-	kept := idx.Entries[:0]
-	for _, e := range idx.Entries {
-		if fileStem(e.File) != stem {
-			kept = append(kept, e)
-			continue
-		}
-		if err := m.fs.Remove(filepath.Join(m.dir, e.File)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	stem := filepath.Join(m.dir, FileStem(file))
+	for _, ext := range []string{".pcc", ".pcm"} {
+		if err := m.fs.Remove(stem + ext); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 	}
-	idx.Entries = kept
-	return m.writeIndexLocked(idx)
+	return nil
 }
 
 // lockTimeout is the default for how long a writer waits for the database

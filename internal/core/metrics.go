@@ -16,7 +16,7 @@ type coreMetrics struct {
 	mergeDropped  *metrics.Counter
 	fileBytes     *metrics.CounterVec // dir=read|written
 
-	quarantines      *metrics.CounterVec // kind=cachefile|index|verify
+	quarantines      *metrics.CounterVec // kind=cachefile|manifest|verify
 	verifyRejects    *metrics.CounterVec // check=module|modref|bounds|instr|branch|reloc|dup
 	recoveries       *metrics.Counter
 	recoveredEntries *metrics.Counter
@@ -41,11 +41,11 @@ func newCoreMetrics(r *metrics.Registry) *coreMetrics {
 		verifyRejects: r.CounterVec("pcc_core_verify_reject_total",
 			"cache files rejected by the deep trace verifier, by failed check", "check"),
 		recoveries: r.Counter("pcc_core_index_recoveries_total",
-			"index rebuilds from surviving verifiable cache files"),
+			"repair passes over the database"),
 		recoveredEntries: r.Counter("pcc_core_recovered_entries_total",
-			"index entries recreated by recovery passes"),
-		dbFiles:    r.Gauge("pcc_core_db_files", "cache files in the database index"),
-		dbTraces:   r.Gauge("pcc_core_db_traces", "traces across the database index"),
+			"cache files that verified in repair passes"),
+		dbFiles:    r.Gauge("pcc_core_db_files", "cache files in the database"),
+		dbTraces:   r.Gauge("pcc_core_db_traces", "traces across the database"),
 		dbCodePool: r.Gauge("pcc_core_db_code_pool_bytes", "modeled code-pool bytes across the database"),
 		dbDataPool: r.Gauge("pcc_core_db_data_pool_bytes", "modeled data-pool bytes across the database"),
 	}

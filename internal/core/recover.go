@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -68,56 +67,25 @@ func (m *Manager) quarantine(path, kind string) {
 	m.m.quarantines.With(kind).Inc()
 }
 
-// readIndexHealing reads the index like readIndex, but a corrupt index is
-// quarantined and rebuilt from the surviving verifiable cache files instead
-// of failing the caller. Must be called WITHOUT the manager mutex or the
-// database lock held; the healing path takes both.
-func (m *Manager) readIndexHealing() (*indexFile, error) {
-	idx, err := m.readIndex()
-	if !errors.Is(err, errCorruptIndex) {
-		return idx, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	unlock, lerr := m.lockDB()
-	if lerr != nil {
-		return nil, err // surface the corruption, not the lock failure
-	}
-	defer unlock()
-	return m.readIndexOrRecoverLocked()
-}
-
-// readIndexOrRecoverLocked reads the index under the database lock,
-// rebuilding it when corrupt. Another process may have healed it between
-// our corrupt read and taking the lock, so it re-reads first.
-func (m *Manager) readIndexOrRecoverLocked() (*indexFile, error) {
-	idx, err := m.readIndex()
-	if err == nil {
-		return idx, nil
-	}
-	if !errors.Is(err, errCorruptIndex) {
-		return nil, err
-	}
-	idx, _, err = m.recoverIndexLocked()
-	return idx, err
-}
+// oldIndexFile is where versions before the directory became the index
+// kept a copy of every entry's header. Nothing reads it; repair deletes it.
+const oldIndexFile = "index.json"
 
 // RecoverReport summarizes one database repair pass.
 type RecoverReport struct {
-	IndexQuarantined bool   `json:"index_quarantined"` // index.json was corrupt and moved aside
 	FilesScanned     int    `json:"files_scanned"`     // cache files examined
 	FilesQuarantined int    `json:"files_quarantined"` // cache files that failed verification
-	EntriesRebuilt   int    `json:"entries_rebuilt"`   // index entries recreated from verified files
+	EntriesVerified  int    `json:"entries_verified"`  // cache files that verified and stay live
 	TmpFilesRemoved  int    `json:"tmp_files_removed"` // crashed writers' temp debris deleted
 	BytesReclaimed   uint64 `json:"bytes_reclaimed"`   // bytes moved out of the live database
 }
 
-// RecoverIndex rebuilds the database index from first principles: corrupt
-// cache files are quarantined, temp debris from crashed writers is removed,
-// and the index is rewritten to reference exactly the files that verify.
-// This is the recovery path the self-healing flows and `pcc-cachectl repair`
-// share; it is safe to run at any time, including on a healthy database
-// (where it is a verify-everything no-op).
+// RecoverIndex repairs the database from first principles: corrupt cache
+// files are quarantined, temp debris from crashed writers is removed, the
+// blob store is scrubbed, and every surviving entry passes the deep
+// verifier. This is the recovery path `pcc-cachectl repair` runs; it is safe
+// to run at any time, including on a healthy database (where it is a
+// verify-everything no-op).
 func (m *Manager) RecoverIndex() (*RecoverReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -126,34 +94,26 @@ func (m *Manager) RecoverIndex() (*RecoverReport, error) {
 		return nil, err
 	}
 	defer unlock()
-	_, rep, err := m.recoverIndexLocked()
-	return rep, err
+	return m.recoverLocked()
 }
 
-// recoverIndexLocked does the rebuild. The caller must hold both the
-// manager mutex and the database lock.
-func (m *Manager) recoverIndexLocked() (*indexFile, *RecoverReport, error) {
+// recoverLocked does the repair. The caller must hold both the manager
+// mutex and the database lock.
+func (m *Manager) recoverLocked() (*RecoverReport, error) {
 	rep := &RecoverReport{}
 
-	// A corrupt index is evidence, not garbage: quarantine it.
-	if b, err := m.fs.ReadFile(m.indexPath()); err == nil {
-		var probe indexFile
-		if json.Unmarshal(b, &probe) != nil {
-			m.quarantine(m.indexPath(), "index")
-			rep.IndexQuarantined = true
-			rep.BytesReclaimed += uint64(len(b))
+	// Temp files are always debris: a completed write renames them away. So
+	// is the index file older versions kept beside the entries, whose own
+	// headers are the index now.
+	tmps, _ := m.fs.Glob(filepath.Join(m.dir, "*.tmp"))
+	for _, f := range append(tmps, filepath.Join(m.dir, oldIndexFile)) {
+		size := m.fileSize(f)
+		if m.fs.Remove(f) != nil {
+			continue
 		}
-	}
-
-	// Temp files are always debris: a completed write renames them away.
-	if tmps, err := m.fs.Glob(filepath.Join(m.dir, "*.tmp")); err == nil {
-		for _, f := range tmps {
-			if fi, err := m.fs.Stat(f); err == nil {
-				rep.BytesReclaimed += uint64(fi.Size())
-			}
-			if m.fs.Remove(f) == nil {
-				rep.TmpFilesRemoved++
-			}
+		rep.BytesReclaimed += size
+		if strings.HasSuffix(f, ".tmp") {
+			rep.TmpFilesRemoved++
 		}
 	}
 
@@ -162,86 +122,83 @@ func (m *Manager) recoverIndexLocked() (*indexFile, *RecoverReport, error) {
 	// content-verified; its quarantined blobs count like quarantined files.
 	// The store is shared without a lock, so a temp there is debris only
 	// once it is older than a crashed writer's lock would be.
-	st, err := m.storeIfPresent()
+	st, err := m.StoreIfPresent()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if st != nil {
 		srep, err := st.Recover(m.lockWait)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rep.FilesQuarantined += srep.Quarantined
 		rep.TmpFilesRemoved += srep.TmpRemoved
 	}
 
-	// Rebuild the index from every cache file — either format — that
-	// still verifies.
-	idx := &indexFile{}
-	for _, pat := range []string{"*.pcc", "*.pcm"} {
-		files, err := m.fs.Glob(filepath.Join(m.dir, pat))
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, f := range files {
-			rep.FilesScanned++
-			var size uint64
-			if fi, err := m.fs.Stat(f); err == nil {
-				size = uint64(fi.Size())
-			}
-			var cf *CacheFile
-			if strings.HasSuffix(f, ".pcm") {
-				// Recovery judges with local state only: a manifest whose
-				// blobs are not all resolvable *here* is not trustworthy
-				// and leaves the index like any corrupt file.
-				b, err := m.fs.ReadFile(f)
-				var man *store.Manifest
-				if err == nil {
-					man, err = store.DecodeManifest(b)
-				}
-				if err == nil && st != nil {
-					cf, err = materializeManifest(man, st)
-				}
-				if err != nil || st == nil {
-					m.quarantine(f, "manifest")
-					rep.FilesQuarantined++
-					rep.BytesReclaimed += size
-					continue
-				}
-			} else {
-				b, err := m.fs.ReadFile(f)
-				cf = new(CacheFile)
-				if err != nil || cf.UnmarshalBinary(b) != nil {
-					m.quarantine(f, "cachefile")
-					rep.FilesQuarantined++
-					rep.BytesReclaimed += size
-					continue
-				}
-			}
-			// Recovery exists because the database is suspect, so every
-			// surviving file also has to pass the deep trace verifier before
-			// it re-enters the index.
-			if vrep := cf.VerifyDeep(); !vrep.OK() {
-				m.countVerifyRejects(vrep)
-				m.quarantine(f, "verify")
-				rep.FilesQuarantined++
-				rep.BytesReclaimed += size
-				continue
-			}
-			idx.Entries = append(idx.Entries, IndexEntry{
-				App: cf.AppKey.Hex(), VM: cf.VMKey.Hex(), Tool: cf.ToolKey.Hex(),
-				AppPath: cf.AppPath, File: filepath.Base(f), Traces: len(cf.Traces),
-				CodePool: cf.CodePool, DataPool: cf.DataPool,
-			})
-			rep.EntriesRebuilt++
-		}
+	// Verify every cache file, either format. Recovery exists because the
+	// database is suspect, so a surviving file also has to pass the deep
+	// trace verifier to stay live.
+	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pc[cm]"))
+	if err != nil {
+		return nil, err
 	}
-	if err := m.writeIndexLocked(idx); err != nil {
-		return nil, nil, err
+	for _, f := range files {
+		rep.FilesScanned++
+		size := m.fileSize(f)
+		if m.loadOrQuarantine(f, st) == nil {
+			rep.FilesQuarantined++
+			rep.BytesReclaimed += size
+			continue
+		}
+		rep.EntriesVerified++
 	}
 	m.m.recoveries.Inc()
-	m.m.recoveredEntries.Add(uint64(rep.EntriesRebuilt))
-	return idx, rep, nil
+	m.m.recoveredEntries.Add(uint64(rep.EntriesVerified))
+	return rep, nil
+}
+
+// loadOrQuarantine reads, decodes and deep-verifies the cache file at path,
+// either format, judging with local state only: st is the local store, nil
+// when there is none, and a manifest whose blobs it does not all hold is
+// not trustworthy. A file that fails is quarantined and nil returned. Repair
+// and migration judge every file this way.
+func (m *Manager) loadOrQuarantine(path string, st *store.Store) *CacheFile {
+	b, err := m.fs.ReadFile(path)
+	kind := "cachefile"
+	cf := new(CacheFile)
+	if strings.HasSuffix(path, ".pcm") {
+		kind = "manifest"
+		var man *store.Manifest
+		if err == nil {
+			man, err = store.DecodeManifest(b)
+		}
+		if err == nil && st == nil {
+			err = errBlobsUnavailable
+		}
+		if err == nil {
+			cf, err = materializeManifest(man, st)
+		}
+	} else if err == nil {
+		err = cf.UnmarshalBinary(b)
+	}
+	if err != nil {
+		m.quarantine(path, kind)
+		return nil
+	}
+	if vrep := cf.VerifyDeep(); !vrep.OK() {
+		m.countVerifyRejects(vrep)
+		m.quarantine(path, "verify")
+		return nil
+	}
+	return cf
+}
+
+// fileSize is the size of path, or 0 when it cannot be had.
+func (m *Manager) fileSize(path string) uint64 {
+	if fi, err := m.fs.Stat(path); err == nil {
+		return uint64(fi.Size())
+	}
+	return 0
 }
 
 // ReadPrior loads the database cache file named file for accumulation: the

@@ -58,10 +58,11 @@ func (m *Manager) Store() (*store.Store, error) {
 	return m.st, m.stErr
 }
 
-// storeIfPresent returns the blob store only if it is already open, the
-// manager commits in store format, or a store directory exists on disk —
-// so maintenance over a legacy database does not create one.
-func (m *Manager) storeIfPresent() (*store.Store, error) {
+// StoreIfPresent returns the blob store only if it is already open, the
+// manager commits in store format, or a store directory exists on disk,
+// and nil otherwise — so maintenance over a legacy database does not
+// create one.
+func (m *Manager) StoreIfPresent() (*store.Store, error) {
 	if m.storeFormat || m.storeDir != "" {
 		return m.Store()
 	}
@@ -361,37 +362,14 @@ func FileStem(file string) string {
 	return strings.TrimSuffix(strings.TrimSuffix(file, ".pcc"), ".pcm")
 }
 
-func fileStem(file string) string { return FileStem(file) }
-
-// StoreIfPresent returns the blob store when this database has one (the
-// manager commits in store format, a store dir is configured, or one
-// exists on disk) and nil otherwise — without creating a store directory
-// in a purely legacy database.
-func (m *Manager) StoreIfPresent() (*store.Store, error) { return m.storeIfPresent() }
-
-// StoreStats exposes the dedup summary (nil for purely legacy databases);
-// the cache server attaches it to its STATS response.
-func (m *Manager) StoreStats() (*StoreDBStats, error) { return m.storeStats() }
-
 // WriteMerged writes cf as the database entry for ks in the manager's
 // configured format, retiring a stale other-format copy, and returns the
-// file name written. It does not touch the index; callers owning their
-// own locking (the cache server) update it separately.
+// file name written — for callers owning their own locking (the cache
+// server).
 func (m *Manager) WriteMerged(ks KeySet, cf *CacheFile) (string, error) {
 	path := m.cachePath(ks)
-	if m.storeFormat {
-		if _, _, err := m.writeStoreFormat(cf, path); err != nil {
-			return "", err
-		}
-	} else {
-		if err := cf.WriteFileFS(m.fs, path); err != nil {
-			return "", err
-		}
-	}
-	if alt := altCachePath(path); alt != path {
-		if _, err := m.fs.Stat(alt); err == nil {
-			m.fs.Remove(alt)
-		}
+	if _, err := m.writeEntry(cf, path); err != nil {
+		return "", err
 	}
 	return filepath.Base(path), nil
 }
@@ -410,8 +388,8 @@ type MigrateReport struct {
 // MigrateToStore converts every legacy cache file in the database to the
 // manifest+blob format in place. Files that fail decoding or the deep
 // trace verifier are quarantined — migration refuses to launder corrupt
-// state into the new format. The index is rebuilt afterwards, so the
-// database ends exactly as a recovery pass would leave it.
+// state into the new format. A recovery pass runs afterwards, so the
+// database ends exactly as one would leave it.
 func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -428,22 +406,11 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	}
 	for _, f := range files {
 		rep.Scanned++
-		var size uint64
-		if fi, err := m.fs.Stat(f); err == nil {
-			size = uint64(fi.Size())
-		}
-		b, err := m.fs.ReadFile(f)
-		cf := new(CacheFile)
-		if err != nil || cf.UnmarshalBinary(b) != nil {
-			m.quarantine(f, "cachefile")
-			rep.Quarantined++
-			continue
-		}
+		size := m.fileSize(f)
 		// The deep verifier gates migration unconditionally: a semantically
 		// broken file must not survive the format change.
-		if vrep := cf.VerifyDeep(); !vrep.OK() {
-			m.countVerifyRejects(vrep)
-			m.quarantine(f, "verify")
+		cf := m.loadOrQuarantine(f, nil)
+		if cf == nil {
 			rep.Quarantined++
 			continue
 		}
@@ -461,9 +428,9 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 		rep.BlobsAdded += putRep.Added
 		rep.BlobsShared += putRep.Deduped
 	}
-	// Rebuild the index from what survived; this also deep-verifies the
-	// migrated entries end to end through the manifest path.
-	if _, _, err := m.recoverIndexLocked(); err != nil {
+	// Recover what survived; this also deep-verifies the migrated entries
+	// end to end through the manifest path.
+	if _, err := m.recoverLocked(); err != nil {
 		return rep, err
 	}
 	return rep, nil
@@ -480,7 +447,7 @@ func (m *Manager) CompactStore() (*store.CompactReport, error) {
 	}
 	defer unlock()
 
-	st, err := m.storeIfPresent()
+	st, err := m.StoreIfPresent()
 	if err != nil {
 		return nil, err
 	}
@@ -494,9 +461,14 @@ func (m *Manager) CompactStore() (*store.CompactReport, error) {
 	}
 	live := make(map[store.Hash]bool)
 	for _, f := range manifests {
+		// A manifest that cannot be read now is not evidence its blobs are
+		// dead: only one that is gone leaves the live set.
 		b, err := m.fs.ReadFile(f)
-		if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		man, err := store.DecodeManifest(b)
 		if err != nil {
@@ -524,10 +496,10 @@ type StoreDBStats struct {
 	LooseBlobs   int     `json:"loose_blobs"` // likewise: one-file-per-blob leftovers of earlier versions
 }
 
-// storeStats computes the dedup summary, or nil when the database has no
-// store side.
-func (m *Manager) storeStats() (*StoreDBStats, error) {
-	st, err := m.storeIfPresent()
+// StoreStats computes the dedup summary, or nil when the database has no
+// store side; the cache server attaches it to its STATS response.
+func (m *Manager) StoreStats() (*StoreDBStats, error) {
+	st, err := m.StoreIfPresent()
 	if err != nil || st == nil {
 		return nil, err
 	}
@@ -597,21 +569,6 @@ func (m *Manager) ManifestBytes(file string) ([]byte, error) {
 		return nil, ErrNoCache
 	}
 	return m.FileImage(file)
-}
-
-// ReadPriorKeys loads the database entry for ks for accumulation,
-// whichever format it is in; corrupt priors are quarantined and treated
-// as absent, exactly like ReadPrior.
-func (m *Manager) ReadPriorKeys(ks KeySet) (*CacheFile, error) {
-	cf, err := m.Lookup(ks)
-	switch {
-	case err == nil:
-		return cf, nil
-	case errors.Is(err, ErrNoCache):
-		return nil, nil
-	default:
-		return nil, err
-	}
 }
 
 // CacheFileNameFor returns the database file name a commit for ks will

@@ -187,6 +187,66 @@ func TestStoreLegacyInterop(t *testing.T) {
 	}
 }
 
+// TestOneStemInTwoFormats: a crash between CommitFile's rename and its
+// removal of the other format's file leaves one entry as both x.pcc and
+// x.pcm. Each manager lists it once, as the file its Lookup reads, so Stats
+// counts it once, and its inter-application lookup reads that file too.
+func TestOneStemInTwoFormats(t *testing.T) {
+	env := buildChaosEnv(t)
+	dir := t.TempDir()
+	legacy, err := core.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legacy.CommitFile(env.ksB, env.cfB1); err != nil {
+		t.Fatal(err)
+	}
+	pcc := filepath.Join(dir, env.ksB.CacheFileName())
+	image, err := os.ReadFile(pcc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := newStoreMgr(t, dir)
+	if _, err := stored.CommitFile(env.ksB, env.cfB2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pcc, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if env.ksA.VM != env.ksB.VM || env.ksA.Tool != env.ksB.Tool {
+		t.Fatal("applications differ in VM or tool key; the inter-application lookup would be vacuous")
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mgr    *core.Manager
+		file   string
+		traces int
+	}{
+		{"legacy", legacy, env.ksB.CacheFileName(), len(env.cfB1.Traces)},
+		{"store", stored, env.ksB.ManifestFileName(), len(env.cfB2.Traces)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exact, err := tc.mgr.Lookup(env.ksB)
+			if err != nil || len(exact.Traces) != tc.traces {
+				t.Fatalf("lookup: %v; want %d traces from %s", err, tc.traces, tc.file)
+			}
+			entries, err := tc.mgr.Entries()
+			if err != nil || len(entries) != 1 || entries[0].File != tc.file || entries[0].Traces != tc.traces {
+				t.Fatalf("entries %+v, %v; want %s alone, %d traces", entries, err, tc.file, tc.traces)
+			}
+			st, err := tc.mgr.Stats()
+			if err != nil || st.Files != 1 || st.Traces != tc.traces {
+				t.Fatalf("stats %+v, %v; want 1 file of %d traces", st, err, tc.traces)
+			}
+			inter, err := tc.mgr.LookupInterApp(env.ksA)
+			if err != nil || len(inter.Traces) != tc.traces {
+				t.Fatalf("inter-application lookup: %v; want the %d traces of %s", err, tc.traces, tc.file)
+			}
+		})
+	}
+}
+
 // TestMigrateToStore: in-place migration converts every healthy legacy
 // file, quarantines corrupt ones instead of laundering them into the new
 // format, and leaves a database recovery considers fully healthy.
@@ -507,9 +567,9 @@ func storeProc(t *testing.T, role, root string, workers int) {
 }
 
 // readEveryEntry opens the database at dir over the shared store and reads
-// each entry its index lists, returning how many there are. An entry that
-// is listed must read back whole (with more traces than listed when an
-// accumulating commit has replaced the manifest but not yet the index).
+// each entry it lists, returning how many there are. An entry that is
+// listed must read back whole (with more traces than listed when an
+// accumulating commit replaced the manifest after the listing read it).
 func readEveryEntry(t *testing.T, dir, storeDir string) int {
 	t.Helper()
 	mgr, err := core.NewManager(dir, core.WithStore(), core.WithStoreDir(storeDir))

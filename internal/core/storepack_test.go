@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -67,8 +68,8 @@ func flushes(ops []fsx.Record) (writes, syncs, packWrites, packSyncs int) {
 }
 
 // TestCommitFlushCountIndependentOfTraceCount is the regression guard for
-// the store's write unit: a commit fsyncs one pack, one manifest and one
-// index however many new traces it carries, and a commit that adds nothing
+// the store's write unit: a commit fsyncs one pack and one manifest
+// however many new traces it carries, and a commit that adds nothing
 // new touches no blob file at all.
 func TestCommitFlushCountIndependentOfTraceCount(t *testing.T) {
 	type counts struct{ writes, syncs, packWrites, packSyncs int }
@@ -100,8 +101,8 @@ func TestCommitFlushCountIndependentOfTraceCount(t *testing.T) {
 			t.Errorf("a commit that dedups every blob wrote %d and synced %d pack files", w, s)
 		}
 	}
-	if want := (counts{writes: 3, syncs: 3, packWrites: 1, packSyncs: 1}); got[0] != want || got[1] != want {
-		t.Errorf("flushes per commit: %+v, want %+v (pack, manifest, index) at both sizes", got, want)
+	if want := (counts{writes: 2, syncs: 2, packWrites: 1, packSyncs: 1}); got[0] != want || got[1] != want {
+		t.Errorf("flushes per commit: %+v, want %+v (pack, manifest) at both sizes", got, want)
 	}
 }
 
@@ -164,5 +165,37 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	}
 	if packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen0000", "*.pck")); len(packs) != 1 {
 		t.Errorf("refetch left %d packs, want 1", len(packs))
+	}
+}
+
+// TestCompactStoreAbortsOnManifestReadError: a manifest compaction cannot
+// read is no evidence that its blobs are dead. One transient read error
+// must fail the compaction and cost the entry nothing: the next launch
+// translates no trace.
+func TestCompactStoreAbortsOnManifestReadError(t *testing.T) {
+	newVM := flushWorkload(t, 5)
+	inj := fsx.NewInject(nil)
+	mgr := newStoreMgr(t, t.TempDir(), core.WithFS(inj))
+	v := newVM()
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	inj.FailAt(fsx.OpRead, ".pcm", 1, syscall.EIO)
+	if rep, err := mgr.CompactStore(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("compaction over an unreadable manifest: %+v, %v; want the read error", rep, err)
+	}
+	warm := newVM()
+	if _, err := mgr.Prime(warm); err != nil {
+		t.Fatal(err)
+	}
+	res, err := warm.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TracesTranslated != 0 {
+		t.Fatalf("the launch after a failed compaction translated %d traces, want 0", res.Stats.TracesTranslated)
 	}
 }

@@ -39,11 +39,11 @@ func chaosInvariants(dir string, ksBase core.KeySet, wantTraces int) error {
 	}
 	entries, err := mgr.Entries()
 	if err != nil {
-		return fmt.Errorf("index unreadable: %w", err)
+		return fmt.Errorf("entries unlistable: %w", err)
 	}
 	for _, e := range entries {
 		if _, err := core.ReadCacheFile(filepath.Join(dir, e.File)); err != nil {
-			return fmt.Errorf("index entry %s unverifiable: %w", e.File, err)
+			return fmt.Errorf("listed entry %s unverifiable: %w", e.File, err)
 		}
 	}
 	cf, err := mgr.Lookup(ksBase)
@@ -63,13 +63,13 @@ func chaosInvariants(dir string, ksBase core.KeySet, wantTraces int) error {
 }
 
 // Chaos is the crash-consistency experiment: it enumerates every filesystem
-// operation in the database's commit/merge/prune sequence, simulates a
+// operation in the database's commit/merge/remove sequence, simulates a
 // process crash at each one, and verifies the invariants the cache database
-// promises — the index stays readable, every indexed file verifies, entries
+// promises — the entries stay listable, every listed file verifies, entries
 // committed before the crash stay warm-servable, and a recovery pass always
 // completes. A final stage corrupts a live cache file in place and shows the
 // self-healing path: the file is quarantined, the lookup degrades to a cold
-// miss, and repair rebuilds the index. The workload is deterministic (fixed
+// miss, and repair verifies what is left. The workload is deterministic (fixed
 // synthetic programs, no wall-clock or randomness in the fault schedule), so
 // every count below is exact across runs — CI runs this as its chaos smoke.
 func Chaos() (*Report, error) {
@@ -111,7 +111,7 @@ func Chaos() (*Report, error) {
 		// Errors are expected mid-crash; the invariant check is what counts.
 		mgr.CommitFile(ksHot, cf1)
 		mgr.CommitFile(ksHot, cf2)
-		mgr.Prune()
+		mgr.RemoveEntry(ksHot.CacheFileName())
 	}
 	newDB := func() (string, func(), error) {
 		dir, err := os.MkdirTemp("", "pcc-chaos-*")
@@ -232,19 +232,19 @@ func Chaos() (*Report, error) {
 		return nil, fmt.Errorf("chaos: repair lost the healthy entry: %w", err)
 	}
 
-	tb := stats.NewTable("crash injection over the commit/merge/prune sequence",
+	tb := stats.NewTable("crash injection over the commit/merge/remove sequence",
 		"stage", "points", "survived", "notes")
 	tb.AddRow("crash sweep", fmt.Sprintf("%d", len(ops)), fmt.Sprintf("%d", survived),
-		"index readable, entries verified, baseline warm, recovery clean at every point")
+		"entries listable and verified, baseline warm, recovery clean at every point")
 	tb.AddRow("self-heal", "1", "1",
-		fmt.Sprintf("corrupt cache file quarantined (%d), repair rebuilt %d entries",
-			quarantined, repairRep.EntriesRebuilt))
+		fmt.Sprintf("corrupt cache file quarantined (%d), repair verified %d entries",
+			quarantined, repairRep.EntriesVerified))
 
 	rep := &Report{ID: "chaos", Title: "Crash-consistency chaos sweep and self-healing", Body: tb.Render()}
 	rep.AddMetric("injection_points", float64(len(ops)))
 	rep.AddMetric("crashes_survived", float64(survived))
 	rep.AddMetric("quarantined_files", float64(quarantined))
-	rep.AddMetric("repair_entries_rebuilt", float64(repairRep.EntriesRebuilt))
+	rep.AddMetric("repair_entries_verified", float64(repairRep.EntriesVerified))
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"all %d crash points left the database openable and verifiable; at most the in-flight entry was lost",
 		len(ops)))

@@ -31,7 +31,7 @@ const dedupMinSaved = 0.30
 // diskBytes sums cache payload bytes under a database directory — legacy
 // images, manifests, packs (their indexes included: a pack's name does not
 // carry its blobs' hashes, so the index is payload) and the loose blobs of
-// earlier store versions; bookkeeping (index.json, locks) excluded.
+// earlier store versions; the lock file and temps excluded.
 func diskBytes(dir string) (uint64, error) {
 	var total uint64
 	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {

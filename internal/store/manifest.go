@@ -7,13 +7,13 @@ import (
 	"persistcc/internal/binenc"
 )
 
-// manifestMagic identifies encoded manifests.
-var manifestMagic = [4]byte{'P', 'C', 'M', '1'}
+// ManifestMagic identifies encoded manifests.
+var ManifestMagic = [4]byte{'P', 'C', 'M', '1'}
 
-// manifestVersion is bumped on incompatible encoding changes. Version 2
+// ManifestVersion is bumped on incompatible encoding changes. Version 2
 // added the per-trace optimization level; version-1 manifests (all traces
 // unoptimized) are still decoded.
-const manifestVersion = 2
+const ManifestVersion = 2
 
 const (
 	maxManifestModules = 4096
@@ -81,8 +81,8 @@ func (m *Manifest) BlobHashes() []Hash {
 // same corruption net the legacy format uses.
 func (m *Manifest) Encode() []byte {
 	w := &binenc.Writer{}
-	w.Raw(manifestMagic[:])
-	w.U32(manifestVersion)
+	w.Raw(ManifestMagic[:])
+	w.U32(ManifestVersion)
 	w.Raw(m.AppKey[:])
 	w.Raw(m.VMKey[:])
 	w.Raw(m.ToolKey[:])
@@ -129,11 +129,11 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	}
 	r := &binenc.Reader{Buf: payload}
 	magic := r.Raw(4)
-	if r.Err == nil && string(magic) != string(manifestMagic[:]) {
+	if r.Err == nil && string(magic) != string(ManifestMagic[:]) {
 		return nil, fmt.Errorf("store: bad manifest magic %q", magic)
 	}
 	version := r.U32()
-	if r.Err == nil && (version < 1 || version > manifestVersion) {
+	if r.Err == nil && (version < 1 || version > ManifestVersion) {
 		return nil, fmt.Errorf("store: unsupported manifest version %d", version)
 	}
 	m := &Manifest{}

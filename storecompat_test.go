@@ -13,13 +13,16 @@ package persistcc_test
 // its keys. After a deliberate change to either, rebuild it with the
 // current code (commit compatVM("compat-a", 11) and ("compat-b", 12), then
 // RemoveEntry the latter) and rename the resulting store/gen0000 to
-// store/gen0001; the stale index file can be carried over unchanged, since
-// nothing reads it.
+// store/gen0001. The database index file the writing version kept beside
+// its entries, index.json, is read by nothing but the test below, which
+// holds the header-built listing to its rows: carry it over unchanged.
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"persistcc/internal/core"
@@ -163,4 +166,78 @@ func copyTree(src, dst string) error {
 		}
 		return os.WriteFile(target, data, 0o644)
 	})
+}
+
+// The pcc-cachectl list and stats output on the fixture, as printed by the
+// last version that read the entries from its index file.
+const (
+	fixtureList = `file                                  application  traces  code pool  data pool  app key   tool key
+---------------------------------------------------------------------------------------------------
+ea8a03fcafc80c6e33df15f22515c8b1.pcm  compat-a     12      1000B      2.1KiB     36d99473  b29acc95
+`
+	fixtureStats = `cache files: 1
+traces: 12
+code pool: 1000B
+data pool: 2.1KiB
+store: 1 manifests over 24 shared blobs (2.6KiB physical)
+packs: 0, loose blobs remaining: 24
+dedup: 1.4KiB logical → 0.0% saved by content addressing
+key classes
+VM key    tool key  entries  traces
+-----------------------------------
+5f1f6b5f  b29acc95  1        12    
+`
+)
+
+// TestIndexedStoreFixtureListsFromHeaders: the entries read from the cache
+// files' own headers are the rows of the index file the fixture's writer
+// kept, field for field; pcc-cachectl prints what it printed from that
+// index; and repair deletes the index file, counting its bytes.
+func TestIndexedStoreFixtureListsFromHeaders(t *testing.T) {
+	const fixture = "testdata/indexed-store.db"
+	raw, err := os.ReadFile(filepath.Join(fixture, "index.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx struct {
+		Entries []core.IndexEntry `json:"entries"`
+	}
+	if err := json.Unmarshal(raw, &idx); err != nil {
+		t.Fatal(err)
+	}
+	dir := testutil.TempDB(t)
+	if err := copyTree(fixture, dir); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := core.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := mgr.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(entries, idx.Entries) {
+		t.Fatalf("entries from headers:\n%+v\nindex file rows:\n%+v", entries, idx.Entries)
+	}
+
+	bin := testutil.BuildTools(t)
+	for cmd, want := range map[string]string{"list": fixtureList, "stats": fixtureStats} {
+		out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", dir, cmd)
+		if code != 0 || out != want {
+			t.Errorf("pcc-cachectl %s (exit %d, %s):\n%s\nwant:\n%s", cmd, code, se, out, want)
+		}
+	}
+
+	rep, err := mgr.RecoverIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BytesReclaimed != uint64(len(raw)) || rep.FilesQuarantined != 0 || rep.EntriesVerified != 1 {
+		t.Errorf("repair: %+v; want the index file's %d bytes reclaimed and the entry verified", rep, len(raw))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
+		t.Errorf("repair left the index file: %v", err)
+	}
+	warmRun(t, dir, "compat-a", 11)
 }

@@ -23,10 +23,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"persistcc/internal/core"
 	"persistcc/internal/loader"
+	"persistcc/internal/store"
 	"persistcc/internal/testutil"
 	"persistcc/internal/vm"
 	"persistcc/internal/workload"
@@ -34,15 +36,22 @@ import (
 
 var compatInput = workload.Input{Units: []workload.Unit{{Entry: 0, Iters: 2}, {Entry: 0, Iters: 1}}}
 
-func compatVM(t *testing.T, name string, seed uint64) *vm.VM {
+// compatVM builds generated application name. Each shared service becomes
+// one more entry, which the input calls once after compatInput's units.
+func compatVM(t *testing.T, name string, seed uint64, shared ...workload.ServiceSpec) *vm.VM {
 	t.Helper()
 	prog, err := workload.BuildProgram(workload.ProgSpec{
 		Name: name, Seed: seed, Regions: []workload.RegionSpec{{Funcs: 2, Module: 0}}, BodyInsts: 6,
+		SharedSvcs: shared,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := prog.NewVM(loader.Config{}, compatInput)
+	in := compatInput
+	for i := range shared {
+		in.Units = append(slices.Clip(in.Units), workload.Unit{Entry: 1 + i, Iters: 1})
+	}
+	v, err := prog.NewVM(loader.Config{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +60,13 @@ func compatVM(t *testing.T, name string, seed uint64) *vm.VM {
 
 // warmRun primes a fresh VM from a fresh manager over dir and requires the
 // run to translate nothing.
-func warmRun(t *testing.T, dir, name string, seed uint64) {
+func warmRun(t *testing.T, dir, name string, seed uint64, shared ...workload.ServiceSpec) {
 	t.Helper()
 	mgr, err := core.NewManager(dir, core.WithStore(), core.WithRelocatable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := compatVM(t, name, seed)
+	v := compatVM(t, name, seed, shared...)
 	rep, err := mgr.Prime(v)
 	if err != nil {
 		t.Fatalf("%s: prime: %v", name, err)
@@ -240,4 +249,88 @@ func TestIndexedStoreFixtureListsFromHeaders(t *testing.T) {
 		t.Errorf("repair left the index file: %v", err)
 	}
 	warmRun(t, dir, "compat-a", 11)
+}
+
+// testdata/packed-store.db is a cache database in the pack layout, written
+// by the last commit that deflated packs at flate.BestCompression. Into an
+// empty database opened with core.WithStore() and core.WithRelocatable(),
+// that version committed compatVM("compat-p", 21, compatLib) and then
+// compatVM("compat-q", 22, compatLib): two packs in store/gen0000, the
+// second holding only q's private traces, because both applications run the
+// same shared library at the same placement. Its point is the old stream,
+// so it is never rebuilt by a later writer.
+var compatLib = workload.ServiceSpec{LibName: "libcompat", LibSeed: 7, LibServices: 2, FuncsPerSvc: 3, LibBody: 6}
+
+// TestPackedStoreFixtureReadsUnderCurrentWriter: packs deflated at another
+// level than the current writer's serve, take commits beside them, survive
+// compaction, and name the same as the current writer's pack of the same
+// members — a pack's name hashes its index, never its stream.
+func TestPackedStoreFixtureReadsUnderCurrentWriter(t *testing.T) {
+	const fixture = "testdata/packed-store.db"
+	dir := testutil.TempDB(t)
+	if err := copyTree(fixture, dir); err != nil {
+		t.Fatal(err)
+	}
+	gen0 := filepath.Join(dir, "store", "gen0000")
+	shipped, _ := filepath.Glob(filepath.Join(fixture, "store", "gen0000", "*.pck"))
+	if len(shipped) != 2 {
+		t.Fatalf("fixture holds %d packs, want 2", len(shipped))
+	}
+
+	warmRun(t, dir, "compat-p", 21, compatLib)
+	warmRun(t, dir, "compat-q", 22, compatLib)
+
+	mgr, err := core.NewManager(dir, core.WithStore(), core.WithRelocatable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr := compatVM(t, "compat-r", 23, compatLib)
+	if _, err := vr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Commit(vr); err != nil {
+		t.Fatal(err)
+	}
+	if packs, _ := filepath.Glob(filepath.Join(gen0, "*.pck")); len(packs) != 3 {
+		t.Fatalf("commit of a third application left %d packs, want the 2 shipped and 1 new", len(packs))
+	}
+
+	if _, err := mgr.CompactStore(); err != nil {
+		t.Fatal(err)
+	}
+	warmRun(t, dir, "compat-p", 21, compatLib)
+	warmRun(t, dir, "compat-q", 22, compatLib)
+	warmRun(t, dir, "compat-r", 23, compatLib)
+
+	for _, path := range shipped {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(gen0, filepath.Base(path))); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("%s was rewritten or removed: %v", filepath.Base(path), err)
+		}
+		p, err := store.DecodePack(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs := make([]*store.Blob, len(p.Encs))
+		for i, enc := range p.Encs {
+			if blobs[i], err = store.DecodeBlob(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := t.TempDir()
+		s, err := store.Open(fresh, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.PutAll(blobs); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := filepath.Glob(filepath.Join(fresh, "gen0000", "*.pck"))
+		if len(again) != 1 || filepath.Base(again[0]) != filepath.Base(path) {
+			t.Errorf("re-encoding %s made %v; want one pack of the same name", filepath.Base(path), again)
+		}
+	}
 }

@@ -16,7 +16,7 @@ MAX_REGRESS = 0.25
 # local activity (`make fuzz FUZZTIME=10m`).
 FUZZTIME = 10s
 
-.PHONY: check ci build vet lint inline-check test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline gate-smoke fuzz-smoke clean
+.PHONY: check ci build vet lint inline-check test test-race race-smoke flake-gate fmt-check bench bench-host bench-smoke bench-baseline gate-smoke fuzz-smoke hotpath-layout clean
 
 check: fmt-check lint build test-race
 
@@ -146,6 +146,22 @@ fuzz-smoke:
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzInflateBlob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/guestopt/ -run '^$$' -fuzz FuzzCheckEquivalent -fuzztime $(FUZZTIME)
+
+# Report-only, not a gate: where the dispatch loops start (address mod 64)
+# and how long they are in the binaries the host benchmark and pcc-run
+# build. spec-steady's launch_ms swings ~15 % with execTrace's alignment
+# alone (ROADMAP.md), so a perf change names the layout of both sides of its
+# pairs.
+HOTPATH_SYMS = persistcc/internal/vm\.\(\*VM\)\.(execTrace|exec|RunNative)$$
+
+hotpath-layout:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/bench" ./bench && $(GO) build -o "$$d/pcc-run" ./cmd/pcc-run || exit 1; \
+	for b in bench pcc-run; do \
+		$(GO) tool nm -size "$$d/$$b" | grep -E " $(HOTPATH_SYMS)" | while read addr size kind name; do \
+			printf '%-8s %-24s mod 64 = %2d  size = %5d\n' "$$b" "$${name#persistcc/internal/vm.}" $$((0x$$addr % 64)) "$$size"; \
+		done; \
+	done
 
 # Refresh the checked-in baseline after an intentional performance change.
 bench-baseline:

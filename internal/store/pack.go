@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"persistcc/internal/binenc"
 )
@@ -23,10 +22,11 @@ import (
 // Member i occupies [sum(len[:i]), +len[i]) of the inflated stream, so the
 // index cannot describe overlapping or out-of-range members. The file is
 // named by the SHA-256 of its header and index: the same blobs in the same
-// order make the same name whoever writes them. The crc guards the index,
-// which Open trusts without reading the body; the body needs no checksum of
-// its own because every member is re-hashed against its index entry when it
-// is read.
+// order make the same name whoever writes them, though the stream depends
+// on the writer's deflate level and no reader compares it. The crc guards
+// the index, which Open trusts without reading the body; the body needs no
+// checksum of its own because every member is re-hashed against its index
+// entry when it is read.
 var packMagic = [4]byte{'P', 'C', 'K', '1'}
 
 const (
@@ -110,23 +110,57 @@ func parsePackIndex(prefix []byte) (*packIndex, error) {
 	return ix, nil
 }
 
-// The codecs are reused process-wide: a BestCompression writer is ~750 KB
-// of tables and a reader ~40 KB, either far more than the stream a typical
-// commit or prime pushes through it.
+// The codecs are reused process-wide. Measured with runtime.MemStats, a
+// BestSpeed writer is 1.20 MB of tables (a BestCompression one 0.81 MB) and
+// a reader ~40 KB, either far more than the stream a typical commit or prime
+// pushes through it. Packs are deflated at BestSpeed because the commit
+// pays for it on the launch: BestCompression made the cold GUI launch 3–4×
+// slower for a database under 5 % smaller. Idle codecs wait on
+// bounded free lists rather than in a sync.Pool, which empties at every GC:
+// a launch allocates ~3 MB, so a GC falls every few launches and each would
+// cost the next commit a new writer. Four is enough for the commits and
+// primes one process runs at once (a daemon's publishes, an in-process
+// fleet's shards) and keeps at most ~5 MB of tables alive. A codec handed
+// back to a full list is dropped; an empty list allocates one.
+const maxIdleCodecs = 4
+
 var (
-	deflaters = sync.Pool{New: func() any {
-		zw, _ := flate.NewWriter(nil, flate.BestCompression) // the level is valid
-		return zw
-	}}
-	inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+	deflaters = make(chan *flate.Writer, maxIdleCodecs)
+	inflaters = make(chan io.ReadCloser, maxIdleCodecs)
 )
 
-// inflater returns a pooled flate reader positioned at the start of stream,
-// and the function that returns it to the pool.
+// release hands a codec back to its free list, or drops it if the list is
+// full.
+func release[T any](free chan T, c T) {
+	select {
+	case free <- c:
+	default:
+	}
+}
+
+// deflater returns a free-listed flate writer at BestSpeed writing to w.
+func deflater(w io.Writer) *flate.Writer {
+	select {
+	case zw := <-deflaters:
+		zw.Reset(w)
+		return zw
+	default:
+		zw, _ := flate.NewWriter(w, flate.BestSpeed) // the level is valid
+		return zw
+	}
+}
+
+// inflater returns a free-listed flate reader positioned at the start of
+// stream, and the function that hands it back.
 func inflater(stream []byte) (io.Reader, func()) {
-	zr := inflaters.Get().(io.ReadCloser)
-	zr.(flate.Resetter).Reset(bytes.NewReader(stream), nil) // flate's Reset does not fail
-	return zr, func() { inflaters.Put(zr) }
+	var zr io.ReadCloser
+	select {
+	case zr = <-inflaters:
+		zr.(flate.Resetter).Reset(bytes.NewReader(stream), nil) // flate's Reset does not fail
+	default:
+		zr = flate.NewReader(bytes.NewReader(stream))
+	}
+	return zr, func() { release(inflaters, zr) }
 }
 
 // inflate decompresses one flate stream into exactly want bytes.
@@ -168,9 +202,8 @@ func encodePack(hashes []Hash, encs [][]byte) (Hash, *packIndex, []byte) {
 	w.U32(crc32.ChecksumIEEE(w.Buf))
 
 	buf := bytes.NewBuffer(w.Buf)
-	zw := deflaters.Get().(*flate.Writer)
-	defer deflaters.Put(zw)
-	zw.Reset(buf)
+	zw := deflater(buf)
+	defer release(deflaters, zw)
 	for _, enc := range encs {
 		zw.Write(enc) // a bytes.Buffer does not fail
 	}

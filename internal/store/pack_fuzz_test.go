@@ -15,7 +15,9 @@ import (
 // shared store directory is written by every process on the machine. The
 // checked-in corpus (testdata/fuzz/FuzzDecodePack) holds a valid pack and
 // its mutations: truncated body, an index that runs past the stream, a
-// hash listed twice, a bad index checksum, zero entries. What a daemon
+// hash listed twice, a bad index checksum, zero entries. Its valid pack was
+// deflated at flate.BestCompression, and the seed generated below at the
+// writer's current level, so streams of both levels are fuzzed. What a daemon
 // sends is the same untrusted input, so AdoptPacks must take exactly what
 // DecodePack accepts, and PackHashes — which a fleet client reads to route
 // misses — must list an accepted pack's members.

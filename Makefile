@@ -149,9 +149,9 @@ fuzz-smoke:
 
 # Report-only, not a gate: where the dispatch loops start (address mod 64)
 # and how long they are in the binaries the host benchmark and pcc-run
-# build. spec-steady's launch_ms swings ~15 % with execTrace's alignment
-# alone (ROADMAP.md), so a perf change names the layout of both sides of its
-# pairs.
+# build. spec-steady's launch_ms has swung by up to ~15 % with execTrace's
+# alignment alone (ROADMAP.md), so a perf change names the layout of both
+# sides of its pairs.
 HOTPATH_SYMS = persistcc/internal/vm\.\(\*VM\)\.(execTrace|exec|RunNative)$$
 
 hotpath-layout:

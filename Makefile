@@ -20,7 +20,7 @@ FUZZTIME = 10s
 
 check: fmt-check lint build test-race
 
-ci: check flake-gate bench-smoke gate-smoke fuzz-smoke
+ci: check race-smoke flake-gate bench-smoke gate-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...

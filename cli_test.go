@@ -495,13 +495,11 @@ func TestCLIDaemonMetricsHTTP(t *testing.T) {
 	}
 }
 
-// startFleetShard boots one pcc-cached process as a fleet shard and waits
-// for its startup line; the listen address comes from the shard's entry in
-// the membership config, so nothing needs to be parsed back out.
-func startFleetShard(t *testing.T, bin, dir, cfgPath, shardID string) {
+// startDaemon boots one pcc-cached process listening on addr and waits
+// for its startup line.
+func startDaemon(t *testing.T, bin, dir, addr string, flags ...string) {
 	t.Helper()
-	daemon := exec.Command(filepath.Join(bin, "pcc-cached"),
-		"-dir", dir, "-fleet-config", cfgPath, "-shard-id", shardID)
+	daemon := exec.Command(filepath.Join(bin, "pcc-cached"), append([]string{"-dir", dir, "-listen", addr}, flags...)...)
 	stderr, err := daemon.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -513,33 +511,33 @@ func startFleetShard(t *testing.T, bin, dir, cfgPath, shardID string) {
 		daemon.Process.Kill()
 		daemon.Wait()
 	})
-	ready := make(chan string, 1)
+	ready := make(chan bool, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			if strings.HasPrefix(sc.Text(), "pcc-cached: serving") {
-				ready <- sc.Text()
+				ready <- true
 				return
 			}
 		}
-		ready <- ""
+		ready <- false
 	}()
 	select {
-	case line := <-ready:
-		if !strings.Contains(line, "as fleet shard "+shardID) {
-			t.Fatalf("shard %s startup line %q, want fleet-mode banner", shardID, line)
+	case ok := <-ready:
+		if !ok {
+			t.Fatalf("pcc-cached on %s exited before serving", addr)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("timed out waiting for fleet shard %s to start", shardID)
+		t.Fatalf("timed out waiting for pcc-cached on %s to start", addr)
 	}
 }
 
-// TestCLIFleetStats drives a real two-daemon fleet from the shell: both
-// shards share one membership file, a client publishes through the routing
-// layer (replicas=2, so the entry lands on both), and then stats asked of
-// a single shard aggregate across the whole fleet — both over the wire
-// (`-server <shard0> stats` fans out daemon-side, satellite fix) and via
-// the client-side `-fleet CONF stats` path.
+// TestCLIFleetStats drives a real two-daemon fleet from the shell: each
+// daemon is started with its own -listen address and knows nothing of the
+// other, a client publishes through the routing layer (replicas=2, so the
+// entry lands on both), and then stats asked of a single shard report that
+// shard alone, while the client-side `-fleet CONF stats` path adds up the
+// fleet.
 func TestCLIFleetStats(t *testing.T) {
 	bin := testutil.BuildTools(t)
 	work := t.TempDir()
@@ -552,8 +550,8 @@ func TestCLIFleetStats(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	startFleetShard(t, bin, filepath.Join(work, "sdb0"), cfgPath, "s0")
-	startFleetShard(t, bin, filepath.Join(work, "sdb1"), cfgPath, "s1")
+	startDaemon(t, bin, filepath.Join(work, "sdb0"), s0)
+	startDaemon(t, bin, filepath.Join(work, "sdb1"), s1)
 
 	// Two clients with separate local tiers: the first publishes through
 	// the ring to both replicas, the second warm-starts off the fleet.
@@ -565,15 +563,14 @@ func TestCLIFleetStats(t *testing.T) {
 		}
 	}
 
-	// Asking one shard for stats must report fleet-wide totals: with
-	// replicas=2 the single cache file exists on both shards, so the
-	// aggregate is 2 files, not the shard-local 1.
+	// One shard reports its own totals: with replicas=2 the single cache
+	// file exists on both shards, and s0 holds one of the two copies.
 	out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-server", s0, "stats")
 	if code != 0 {
 		t.Fatalf("cachectl -server stats failed: %s", se)
 	}
-	if !strings.Contains(out, "cache files: 2") {
-		t.Errorf("-server %s stats not aggregated across shards:\n%s", s0, out)
+	if !strings.Contains(out, "cache files: 1") {
+		t.Errorf("-server %s stats, want that shard's one cache file:\n%s", s0, out)
 	}
 
 	// The client-side fleet path: per-shard balance table plus totals.
@@ -595,6 +592,57 @@ func TestCLIFleetStats(t *testing.T) {
 	}
 	if !strings.Contains(out, "entries: 1 fleet-wide") || !strings.Contains(out, "evicted: 0 shard copies") {
 		t.Errorf("-fleet compact report:\n%s", out)
+	}
+}
+
+// TestCLICacheServerIsFleetOfOne: `pcc-run -cache-server ADDR` reaches the
+// daemon as a one-shard fleet, and `pcc-cachectl -server ADDR` takes the
+// fleet path for stats and compact — including its exit 1 when the
+// daemon's compaction fails.
+func TestCLICacheServerIsFleetOfOne(t *testing.T) {
+	bin := testutil.BuildTools(t)
+	work := t.TempDir()
+	exe := buildTinyExe(t, bin, work)
+	addr := "unix:" + filepath.Join(work, "d.sock")
+	sdb := filepath.Join(work, "sdb")
+	startDaemon(t, bin, sdb, addr, "-store")
+
+	m := filepath.Join(work, "m.json")
+	if _, se, code := testutil.RunTool(t, bin, "pcc-run", "-cache-server", addr,
+		"-persist", filepath.Join(work, "ldb"), "-metrics-out", m, exe); code != 35 {
+		t.Fatalf("pcc-run -cache-server exit %d, want 35\n%s", code, se)
+	}
+	snap := readSnapshot(t, m)
+	if v, ok := snap.Value("pcc_fleet_shards"); !ok || v != 1 {
+		t.Errorf("pcc_fleet_shards = %v (present %v), want 1", v, ok)
+	}
+	if v, _ := snap.Value("pcc_fleet_requests_total", "publish", addr); v != 1 {
+		t.Errorf(`pcc_fleet_requests_total{op="publish",shard=%q} = %v, want 1`, addr, v)
+	}
+
+	out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-server", addr, "stats")
+	if code != 0 {
+		t.Fatalf("cachectl -server stats failed: %s", se)
+	}
+	for _, want := range []string{addr, "ok", "cache files: 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-server stats missing %q:\n%s", want, out)
+		}
+	}
+	out, se, code = testutil.RunTool(t, bin, "pcc-cachectl", "-server", addr, "compact")
+	if code != 0 {
+		t.Fatalf("cachectl -server compact failed: %s", se)
+	}
+	if !strings.Contains(out, "entries: 1 fleet-wide") || !strings.Contains(out, "reclaimed:") {
+		t.Errorf("-server compact report:\n%s", out)
+	}
+
+	// A manifest the daemon cannot read aborts its compaction.
+	if err := os.Mkdir(filepath.Join(sdb, "unreadable.pcm"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-server", addr, "compact"); code != 1 || !strings.Contains(se, addr) {
+		t.Errorf("cachectl -server compact over a failing daemon: exit %d, want 1 naming %s\n%s", code, addr, se)
 	}
 }
 

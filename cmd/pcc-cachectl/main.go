@@ -12,6 +12,7 @@
 //	pcc-cachectl -dir DB migrate         # convert legacy files to manifest+blob format
 //	pcc-cachectl -dir DB compact         # reclaim store blobs no manifest references
 //	pcc-cachectl -server ADDR stats      # same totals, from a cache daemon
+//	pcc-cachectl -server ADDR compact    # compact a daemon's store
 //	pcc-cachectl -server ADDR metrics    # the daemon's metrics registry
 //	pcc-cachectl metrics FILE            # render a pcc-run -metrics-out file
 //	pcc-cachectl -fleet CONF stats       # fleet-wide totals + per-shard balance
@@ -21,14 +22,15 @@
 // daemon over the wire protocol's METRICS op, or read from a JSON snapshot
 // file written by pcc-run -metrics-out — in the Prometheus text format.
 //
-// -fleet takes a membership config (the same file the daemons run with).
-// Fleet stats fans out to every shard and prints the per-shard balance next
-// to the aggregate; fleet compact runs ShareJIT-style global cache
-// management — entries ranked fleet-wide by hit frequency × translation
-// cost, the top -keep retained, the rest evicted from every shard that
-// holds them, and each shard's store compacted to reclaim the freed blobs.
-// Note that `stats -server ADDR` against a fleet-configured daemon already
-// aggregates across shards (the daemon fans out to its peers).
+// -fleet takes a membership config (the file pcc-run -fleet-config
+// reads); -server ADDR is a fleet of one, so its stats and compact take
+// the same path. Fleet stats asks every shard for its own totals and
+// prints the per-shard balance next to the aggregate; fleet compact runs
+// ShareJIT-style global cache management — entries ranked fleet-wide by
+// hit frequency × translation cost, the top -keep retained, the rest
+// evicted from every shard that holds them, and each shard's store
+// compacted to reclaim the freed blobs. A shard whose evict or compact
+// failed is named, and the command exits 1.
 package main
 
 import (
@@ -58,16 +60,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pcc-cachectl {-dir DB | -server ADDR | -fleet CONF} {list|show FILE|stats|metrics|verify [-deep]|repair|migrate|compact}")
 		os.Exit(2)
 	}
-	if *fleetCfg != "" {
-		if cmd := flag.Arg(0); cmd != "stats" && cmd != "compact" {
+	cmd := flag.Arg(0)
+	if *fleetCfg != "" || (*server != "" && (cmd == "stats" || cmd == "compact")) {
+		if cmd != "stats" && cmd != "compact" {
 			fatal(fmt.Errorf("%s needs -dir or -server (only stats and compact work fleet-wide)", cmd))
 		}
-		fl, err := fleet.New(mustLoadFleet(*fleetCfg))
+		cfg := fleet.Single(*server)
+		if *fleetCfg != "" {
+			cfg = mustLoadFleet(*fleetCfg)
+		}
+		fl, err := fleet.New(cfg)
 		if err != nil {
 			fatal(err)
 		}
 		defer fl.Close()
-		if flag.Arg(0) == "stats" {
+		if cmd == "stats" {
 			fleetStats(fl)
 		} else {
 			// Accept -keep after the subcommand too (flag parsing stops
@@ -91,10 +98,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else if cmd := flag.Arg(0); cmd != "stats" && cmd != "metrics" {
-		fatal(fmt.Errorf("%s needs -dir (only stats and metrics work over -server)", cmd))
+	} else if cmd != "metrics" {
+		fatal(fmt.Errorf("%s needs -dir (only stats, compact and metrics work over -server)", cmd))
 	}
-	switch flag.Arg(0) {
+	switch cmd {
 	case "list":
 		entries, err := mgr.Entries()
 		if err != nil {
@@ -134,15 +141,7 @@ func main() {
 			fmt.Printf("  %-24s %d traces\n", cf.Modules[mi].Path, n)
 		}
 	case "stats":
-		var st *core.DBStats
-		var err error
-		if *server != "" {
-			c := cacheserver.NewClient(*server)
-			defer c.Close()
-			st, err = c.Stats()
-		} else {
-			st, err = mgr.Stats()
-		}
+		st, err := mgr.Stats()
 		if err != nil {
 			fatal(err)
 		}
@@ -270,7 +269,7 @@ func main() {
 		fmt.Printf("pruned: %d orphan blobs\n", rep.PrunedOrphans)
 		fmt.Printf("reclaimed: %s\n", stats.Bytes(rep.ReclaimedBytes))
 	default:
-		fatal(fmt.Errorf("unknown subcommand %q", flag.Arg(0)))
+		fatal(fmt.Errorf("unknown subcommand %q", cmd))
 	}
 }
 
@@ -337,6 +336,9 @@ func fleetCompact(fl *fleet.Client, keep int) {
 		fmt.Printf("admission floor: utility %d (hits × traces) to enter the cache\n", rep.FloorUtility)
 	}
 	fmt.Printf("reclaimed: %s (%d orphan blobs pruned)\n", stats.Bytes(rep.Reclaimed), rep.PrunedOrphans)
+	if len(rep.Failed) > 0 {
+		fatal(fmt.Errorf("evict or compact failed on shard(s) %s", strings.Join(rep.Failed, ", ")))
+	}
 }
 
 func fatal(err error) {

@@ -9,18 +9,18 @@
 //	pcc-cached -dir DB [-listen 127.0.0.1:7433] [-reloc] [-v]
 //	pcc-cached -dir DB -listen unix:/tmp/pcc.sock
 //	pcc-cached -dir DB -metrics-addr 127.0.0.1:9100   # /metrics + /healthz
-//	pcc-cached -dir DB -fleet-config fleet.json -shard-id s0   # one fleet shard
 //
 // Clients point pcc-run (or the persistcc façade) at the same address with
-// -cache-server; they fall back to their local database if this daemon is
-// unreachable, so it can be restarted at any time.
+// -cache-server, a fleet of one; they fall back to their local database if
+// this daemon is unreachable, so it can be restarted at any time.
 //
-// With -fleet-config/-shard-id the daemon serves one shard of a fleet
-// (internal/cacheserver/fleet): it listens on its shard's configured
-// address (unless -listen overrides it) and answers aggregate STATS
-// requests by fanning out to its peer shards, so inspecting any one daemon
-// reports fleet-wide totals. Key routing itself lives in the client — the
-// daemon's database holds exactly what the consistent-hash ring assigns it.
+// A fleet (internal/cacheserver/fleet) is several daemons, each started
+// with its own -listen address, and a membership file that only the
+// clients read (pcc-run -fleet-config, pcc-cachectl -fleet). All fleet
+// logic lives in the client: key routing, replication and fleet-wide
+// STATS. A daemon never connects to another one; its database holds
+// exactly what the consistent-hash ring assigns it, and STATS reports
+// that database alone.
 //
 // With -metrics-addr, an HTTP listener additionally exposes the daemon's
 // metrics registry in the Prometheus text format at /metrics and a JSON
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"persistcc/internal/cacheserver"
-	"persistcc/internal/cacheserver/fleet"
 	"persistcc/internal/core"
 	"persistcc/internal/metrics"
 )
@@ -52,51 +51,12 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", `HTTP address serving /metrics and /healthz (e.g. "127.0.0.1:9100"; empty disables)`)
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle this long (0 = never)")
 	grace := flag.Duration("grace", 5*time.Second, "graceful-shutdown drain window for in-flight requests")
-	fleetConfig := flag.String("fleet-config", "", "fleet membership JSON; this daemon serves the shard named by -shard-id")
-	shardID := flag.String("shard-id", "", "this daemon's shard id within -fleet-config")
 	verbose := flag.Bool("v", false, "log every publish")
 	flag.Parse()
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "usage: pcc-cached -dir DB [-listen ADDR]")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if (*fleetConfig == "") != (*shardID == "") {
-		fatal(fmt.Errorf("-fleet-config and -shard-id must be used together"))
-	}
-
-	// Fleet mode: resolve this daemon's shard and build clients for its
-	// peers (aggregate-STATS fan-out). The shard's configured address is
-	// the default listen address; an explicit -listen (e.g. to bind a
-	// wildcard interface behind NAT) overrides it.
-	var peers []*cacheserver.Client
-	if *fleetConfig != "" {
-		cfg, err := fleet.LoadConfig(*fleetConfig)
-		if err != nil {
-			fatal(err)
-		}
-		self := cfg.ShardIndex(*shardID)
-		if self < 0 {
-			fatal(fmt.Errorf("shard id %q not in %s", *shardID, *fleetConfig))
-		}
-		listenSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "listen" {
-				listenSet = true
-			}
-		})
-		if !listenSet {
-			*listen = cfg.Shards[self].Addr
-		}
-		for i, s := range cfg.Shards {
-			if i == self {
-				continue
-			}
-			peers = append(peers, cacheserver.NewClient(s.Addr,
-				cacheserver.WithDialTimeout(time.Second),
-				cacheserver.WithIOTimeout(5*time.Second),
-				cacheserver.WithRetry(0, 0)))
-		}
 	}
 
 	// One registry spans the manager and the server, so /metrics exports
@@ -114,9 +74,6 @@ func main() {
 		fatal(err)
 	}
 	sopts := []cacheserver.Option{cacheserver.WithMetrics(reg)}
-	if len(peers) > 0 {
-		sopts = append(sopts, cacheserver.WithFleetPeers(peers))
-	}
 	if *idle > 0 {
 		sopts = append(sopts, cacheserver.WithIdleTimeout(*idle))
 	}
@@ -133,11 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shardID != "" {
-		fmt.Fprintf(os.Stderr, "pcc-cached: serving %s on %s as fleet shard %s (%d peers)\n", *dir, ln.Addr(), *shardID, len(peers))
-	} else {
-		fmt.Fprintf(os.Stderr, "pcc-cached: serving %s on %s\n", *dir, ln.Addr())
-	}
+	fmt.Fprintf(os.Stderr, "pcc-cached: serving %s on %s\n", *dir, ln.Addr())
 
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)

@@ -39,7 +39,7 @@ func main() {
 	native := flag.Bool("native", false, "interpret the original program (no translation)")
 	toolName := flag.String("tool", "", "instrumentation tool: bbcount, bbcount-inst, memtrace, opcodemix, codecov, codecov-inst")
 	persistDir := flag.String("persist", "", "persistent cache database directory (enables persistence)")
-	cacheServer := flag.String("cache-server", "", `shared cache daemon address ("host:port" or "unix:/path.sock"); -persist becomes the local fallback database`)
+	cacheServer := flag.String("cache-server", "", `shared cache daemon address ("host:port" or "unix:/path.sock"), a fleet of one; -persist becomes the local fallback database`)
 	fleetConfig := flag.String("fleet-config", "", "sharded cache-server fleet membership JSON; keys route to shards by consistent hash (mutually exclusive with -cache-server)")
 	interApp := flag.Bool("interapp", false, "fall back to another application's cache")
 	reloc := flag.Bool("reloc", false, "enable relocatable translations")
@@ -242,21 +242,18 @@ func main() {
 		}
 		mgr = local
 		var fb *cacheserver.Fallback
-		switch {
-		case *fleetConfig != "":
-			cfg, err := fleet.LoadConfig(*fleetConfig)
-			if err != nil {
-				fatal(err)
+		if *cacheServer != "" || *fleetConfig != "" {
+			cfg := fleet.Single(*cacheServer)
+			if *fleetConfig != "" {
+				if cfg, err = fleet.LoadConfig(*fleetConfig); err != nil {
+					fatal(err)
+				}
 			}
 			fc, err := fleet.New(cfg, fleet.WithMetrics(reg))
 			if err != nil {
 				fatal(err)
 			}
 			fb = cacheserver.NewFallback(fc, local)
-			mgr = fb
-		case *cacheServer != "":
-			client := cacheserver.NewClient(*cacheServer, cacheserver.WithClientMetrics(reg))
-			fb = cacheserver.NewFallback(client, local)
 			mgr = fb
 		}
 		if pipe != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -369,22 +370,10 @@ func (c *Client) Publish(cf *core.CacheFile) (*core.CommitReport, error) {
 	return decodeCommitReport(resp)
 }
 
-// Stats fetches the server's per-database totals. Against a
-// fleet-configured daemon this is the fleet-wide aggregate (the daemon fans
-// out to its reachable peers); StatsLocal inspects one shard.
+// Stats fetches the daemon's per-database totals: its own database only,
+// whatever fleet it serves in.
 func (c *Client) Stats() (*core.DBStats, error) {
 	resp, err := c.do(OpStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDBStats(resp)
-}
-
-// StatsLocal fetches only the addressed daemon's own totals, even when it
-// is part of a fleet. The shards use it on each other while answering an
-// aggregate Stats, so the fan-out never recurses.
-func (c *Client) StatsLocal() (*core.DBStats, error) {
-	resp, err := c.do(OpStats, encodeStatsScope(true))
 	if err != nil {
 		return nil, err
 	}
@@ -437,8 +426,9 @@ var (
 )
 
 // Transport is the wire surface Fallback needs from whatever carries its
-// requests: one daemon (*Client) or a consistent-hash-routed fleet of them
-// (fleet.Client). Implementations must degrade internally as far as they
+// requests. A run's transport is a fleet.Client, over one daemon
+// (fleet.Single) or many; this is an interface only because package fleet
+// imports this one. Implementations must degrade internally as far as they
 // can (retries, replicas); Fallback handles the final tier, the local
 // database.
 type Transport interface {
@@ -451,9 +441,9 @@ type Transport interface {
 
 var _ Transport = (*Client)(nil)
 
-// Fallback fronts a shared cache server (or fleet of them) with a local
-// database: every operation tries the transport first and degrades to the
-// local core.Manager on connect/IO error, corrupt payloads, or server-side
+// Fallback fronts the shared cache daemons with a local database: every
+// operation tries the transport first and degrades to the local
+// core.Manager on connect/IO error, corrupt payloads, or server-side
 // failure — a dead daemon never breaks a run. Cache misses also consult the
 // local database, so translations committed while the server was down stay
 // reachable, and so does every entry a run launched from (see Commit).
@@ -490,10 +480,11 @@ func NewFallback(client Transport, local *core.Manager) *Fallback {
 // Local returns the fallback database manager.
 func (f *Fallback) Local() *core.Manager { return f.local }
 
-// prime is the one remote warm path. One FETCHMANIFESTS round trip brings
-// back the entries the key request covers, exact entry first: with all set
-// every one of them (the bulk prime), otherwise only the first — the exact
-// entry, or the best inter-application candidate (ScopeBest). A
+// prime is the one remote warm path. One FETCHMANIFESTS request per shard
+// asked brings back the entries the key request covers: with all set every
+// one of them (the bulk prime), otherwise only the first — the exact
+// entry, or the best inter-application candidate (ScopeBest). The exact
+// entry installs first, wherever it came in the answer. A
 // store-format entry arrives as its manifest; the packs holding the blobs
 // the machine-local store is missing follow through FETCHPACKS, and once
 // the store has adopted them the manifest reads as on a local warm launch.
@@ -518,17 +509,30 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	if !all && len(items) > 1 {
 		items = items[:1] // an older daemon reads ScopeBest as ScopeInterApp
 	}
-	agg := &core.PrimeReport{}
+	// The run's own entry installs first, wherever the transport put it (a
+	// fleet's primary that missed the publish answers without it), and is
+	// the one Commit measures the run against.
+	cfs := make([]*core.CacheFile, 0, len(items))
+	exact := 0
 	for _, it := range items {
 		cf, err := f.materialize(it)
 		if err != nil {
 			continue // corrupt on the wire, or blobs unresolvable: try the rest
 		}
+		if cf.AppKey == ks.App {
+			cfs = slices.Insert(cfs, exact, cf)
+			exact++
+		} else {
+			cfs = append(cfs, cf)
+		}
+	}
+	agg := &core.PrimeReport{}
+	for _, cf := range cfs {
 		rep, err := f.local.PrimeFrom(v, cf)
 		if err != nil {
 			continue // failed key validation; try the rest
 		}
-		if cf.AppKey == ks.App {
+		if cf.AppKey == ks.App && !agg.Found {
 			f.mu.Lock()
 			f.primed[v] = primedEntry{traces: len(cf.Traces), modules: cf.Modules}
 			f.mu.Unlock()

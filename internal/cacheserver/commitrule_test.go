@@ -14,8 +14,9 @@ import (
 // Tests for the commit rule of a remote-primed run: a run that adds nothing
 // to the entry it launched from publishes nothing and keeps a local copy of
 // it; every other run publishes, and degrades, exactly as before. Each test
-// runs against one store-format daemon and against a two-shard fleet of them
-// (R=2, so every shard owns every entry).
+// runs against one store-format daemon, reached as a run reaches it (a
+// fleet of one), and against a two-shard fleet of them (R=2, so every shard
+// owns every entry).
 
 // remote is the serving side of one test: its daemons and the transport a
 // machine reaches them through.
@@ -32,12 +33,6 @@ func newRemote(t *testing.T, shards int) *remote {
 		srv, addr, _ := startStoreServer(t)
 		r.servers = append(r.servers, srv)
 		cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: addr})
-	}
-	if shards == 1 {
-		c := newClient(cfg.Shards[0].Addr)
-		t.Cleanup(func() { c.Close() })
-		r.transport = c
-		return r
 	}
 	fl, err := fleet.New(cfg, fleet.WithShardOptions(
 		cacheserver.WithRetry(0, 0), cacheserver.WithDialTimeout(time.Second)))

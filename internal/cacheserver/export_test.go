@@ -50,3 +50,8 @@ func EncodeErrorForTest(msg string) []byte {
 	w.Str(msg)
 	return w.Buf
 }
+
+// DecodeDBStatsForTest decodes a STATS response.
+func DecodeDBStatsForTest(b []byte) (*core.DBStats, error) {
+	return decodeDBStats(b)
+}

@@ -21,8 +21,9 @@ import (
 // (its circuit breaker fast-fails), unreachable, or cold for the key.
 //
 // Client implements cacheserver.Transport, so cacheserver.NewFallback
-// fronts a whole fleet exactly like one daemon: only when every owner of a
-// key fails does an operation degrade to the run's local database.
+// fronts it: only when every owner of a key fails does an operation
+// degrade to the run's local database. Over Single it is the client of
+// one daemon.
 // Safe for concurrent use.
 type Client struct {
 	cfg       *Config
@@ -247,24 +248,32 @@ func (c *Client) route(op, key string) []int {
 // key's owners answer ScopeExact and ScopeBest (readOwners: primary first,
 // replicas on failure or miss), so ScopeBest brings one entry — the exact
 // one, or else the primary owner's best candidate — as one daemon would
-// answer. For ScopeInterApp the exact entry comes from the owners the same
-// way, then the shards are scattered to — the key's owners in ring order,
-// then the rest, since same-class candidates hash anywhere on the ring —
-// and the responses merge with content-level dedup, exact entry first.
+// answer. ScopeInterApp is one scatter: every shard is asked once, the
+// key's owners first in ring order, then the rest, since same-class
+// candidates hash anywhere on the ring; the responses merge with
+// content-level dedup, so a one-shard fleet sends what one daemon
+// receives. The exact entry comes first when the primary holds it;
+// Fallback installs it first either way.
 func (c *Client) FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]cacheserver.ManifestItem, error) {
-	owners := c.route("fetchmanifests", StemFor(ks))
-	read := func(scope cacheserver.Scope) ([]cacheserver.ManifestItem, error) {
+	stem := StemFor(ks)
+	owners := c.route("fetchmanifests", stem)
+	if scope != cacheserver.ScopeInterApp {
 		return readOwners(c, "fetchmanifests", owners, func(si int) ([]cacheserver.ManifestItem, error) {
 			return c.clients[si].FetchEntries(ks, scope)
 		})
 	}
-	if scope != cacheserver.ScopeInterApp {
-		return read(scope)
-	}
-	exact, exactErr := read(cacheserver.ScopeExact)
 	var out []cacheserver.ManifestItem
 	seen := make(map[string]bool)
-	add := func(items []cacheserver.ManifestItem) {
+	miss := false
+	var lastErr error
+	for _, si := range c.ring.owners(stem, len(c.clients)) {
+		items, err := c.clients[si].FetchEntries(ks, cacheserver.ScopeInterApp)
+		if err != nil {
+			// A dead or cold shard: candidates are best-effort.
+			miss = miss || errors.Is(err, core.ErrNoCache)
+			lastErr = err
+			continue
+		}
 		for _, it := range items {
 			id := string(it.Kind) + string(it.Data)
 			if seen[id] {
@@ -274,21 +283,11 @@ func (c *Client) FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]caches
 			out = append(out, it)
 		}
 	}
-	if exactErr == nil {
-		add(exact)
-	}
-	for _, si := range c.ring.owners(StemFor(ks), len(c.clients)) {
-		items, err := c.clients[si].FetchEntries(ks, cacheserver.ScopeInterApp)
-		if err != nil {
-			continue // dead or cold shard: candidates are best-effort
-		}
-		add(items)
-	}
 	if len(out) == 0 {
-		if exactErr != nil && !errors.Is(exactErr, core.ErrNoCache) {
-			return nil, exactErr
+		if miss || lastErr == nil {
+			return nil, core.ErrNoCache
 		}
-		return nil, core.ErrNoCache
+		return nil, lastErr
 	}
 	return out, nil
 }
@@ -405,12 +404,11 @@ type ShardView struct {
 	Err   error
 }
 
-// StatsByShard fetches each shard's own totals (local scope, so a
-// fleet-configured daemon does not re-aggregate).
+// StatsByShard fetches each shard's own totals.
 func (c *Client) StatsByShard() []ShardView {
 	out := make([]ShardView, len(c.cfg.Shards))
 	for i, s := range c.cfg.Shards {
-		st, err := c.clients[i].StatsLocal()
+		st, err := c.clients[i].Stats()
 		out[i] = ShardView{ID: s.ID, Stats: st, Err: err}
 	}
 	return out
@@ -431,7 +429,7 @@ func (c *Client) Stats() (*core.DBStats, error) {
 			agg = v.Stats
 			continue
 		}
-		cacheserver.MergeDBStats(agg, v.Stats)
+		mergeDBStats(agg, v.Stats)
 	}
 	if agg == nil {
 		return nil, fmt.Errorf("fleet: no shard reachable: %w", lastErr)
@@ -439,15 +437,65 @@ func (c *Client) Stats() (*core.DBStats, error) {
 	return agg, nil
 }
 
+// mergeDBStats folds src into dst: totals and key classes sum; store-side
+// counts sum, and the dedup ratio (1 − physical/logical per shard) becomes
+// the LogicalBytes-weighted mean of the two, which is exact: each side's
+// physical bytes are (1 − ratio)·logical.
+func mergeDBStats(dst, src *core.DBStats) {
+	dst.Files += src.Files
+	dst.Traces += src.Traces
+	dst.CodePool += src.CodePool
+	dst.DataPool += src.DataPool
+	for _, c := range src.Classes {
+		merged := false
+		for i := range dst.Classes {
+			if dst.Classes[i].VM == c.VM && dst.Classes[i].Tool == c.Tool {
+				dst.Classes[i].Entries += c.Entries
+				dst.Classes[i].Traces += c.Traces
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			dst.Classes = append(dst.Classes, c)
+		}
+	}
+	sort.Slice(dst.Classes, func(i, j int) bool {
+		a, b := dst.Classes[i], dst.Classes[j]
+		if a.VM != b.VM {
+			return a.VM < b.VM
+		}
+		return a.Tool < b.Tool
+	})
+	if src.Store != nil {
+		if dst.Store == nil {
+			dst.Store = &core.StoreDBStats{}
+		}
+		dst.Store.Manifests += src.Store.Manifests
+		dst.Store.Blobs += src.Store.Blobs
+		dst.Store.BlobBytes += src.Store.BlobBytes
+		if logical := dst.Store.LogicalBytes + src.Store.LogicalBytes; logical > 0 {
+			// A running mean: src's weight is exactly 1 into an empty dst.
+			weight := float64(src.Store.LogicalBytes) / float64(logical)
+			dst.Store.DedupRatio += (src.Store.DedupRatio - dst.Store.DedupRatio) * weight
+		}
+		dst.Store.LogicalBytes += src.Store.LogicalBytes
+		if src.Store.Generations > dst.Store.Generations {
+			dst.Store.Generations = src.Store.Generations
+		}
+	}
+}
+
 // CompactReport summarizes one fleet-wide utility compaction round.
 type CompactReport struct {
-	Entries       int    // distinct entries (stems) across the fleet
-	Kept          int    // entries retained
-	Evicted       int    // per-shard evictions performed (a stem on R shards counts R)
-	EvictedTraces int    // translated traces those evictions dropped
-	FloorUtility  uint64 // the admission floor: minimum utility among kept entries
-	Reclaimed     uint64 // bytes reclaimed by the per-shard store compactions
-	PrunedOrphans int    // orphaned blobs deleted by those compactions
+	Entries       int      // distinct entries (stems) across the fleet
+	Kept          int      // entries retained
+	Evicted       int      // per-shard evictions performed (a stem on R shards counts R)
+	EvictedTraces int      // translated traces those evictions dropped
+	FloorUtility  uint64   // the admission floor: minimum utility among kept entries
+	Reclaimed     uint64   // bytes reclaimed by the per-shard store compactions
+	PrunedOrphans int      // orphaned blobs deleted by those compactions
+	Failed        []string // IDs of the shards whose evict or compact failed
 }
 
 // GlobalCompact is the fleet's ShareJIT-style global cache management: it
@@ -457,7 +505,8 @@ type CompactReport struct {
 // shard that holds them, and runs store compaction per shard
 // to reclaim the freed blobs. The minimum utility among survivors is
 // reported as the admission floor. keep ≤ 0 evicts nothing (report and
-// compact only).
+// compact only). A shard whose evict or compact fails does not stop the
+// round; the report names it in Failed.
 func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 	type stemAgg struct {
 		stem    string
@@ -516,24 +565,30 @@ func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 		}
 	}
 	for si := range c.clients {
-		if len(evict) > 0 {
-			er, err := c.clients[si].Evict(evict)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			rep.Evicted += er.Evicted
-			rep.EvictedTraces += er.Traces
-			c.m.evictions.Add(uint64(er.Evicted))
+		if err := c.maintain(si, evict, rep); err != nil {
+			rep.Failed = append(rep.Failed, c.cfg.Shards[si].ID)
 		}
-		cr, err := c.clients[si].CompactStore()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rep.Reclaimed += cr.ReclaimedBytes
-		rep.PrunedOrphans += cr.PrunedOrphans
 	}
-	_ = lastErr // per-shard maintenance failures degrade the round, not the report
 	return rep, nil
+}
+
+// maintain evicts the given stems from one shard and compacts its store,
+// adding what it did to rep.
+func (c *Client) maintain(si int, evict []string, rep *CompactReport) error {
+	if len(evict) > 0 {
+		er, err := c.clients[si].Evict(evict)
+		if err != nil {
+			return err
+		}
+		rep.Evicted += er.Evicted
+		rep.EvictedTraces += er.Traces
+		c.m.evictions.Add(uint64(er.Evicted))
+	}
+	cr, err := c.clients[si].CompactStore()
+	if err != nil {
+		return err
+	}
+	rep.Reclaimed += cr.ReclaimedBytes
+	rep.PrunedOrphans += cr.PrunedOrphans
+	return nil
 }

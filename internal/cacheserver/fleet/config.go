@@ -1,17 +1,20 @@
-// Package fleet promotes the cache server from "a daemon" to a horizontally
-// scaled fleet of them: static membership configuration, consistent-hash
-// routing of trace and blob keys across N shards (with virtual nodes so the
-// key space rebalances smoothly), R-way replication with read fan-out and
-// optional hedged requests, and utility-based global cache management in
+// Package fleet is how a run reaches shared cache daemons, one or many: static
+// membership configuration, consistent-hash routing of trace and blob keys
+// across N shards (with virtual nodes so the key space rebalances
+// smoothly), R-way replication with read fan-out and optional hedged
+// requests, fleet-wide STATS, and utility-based global cache management in
 // the ShareJIT style — per-shard usage summaries ranked fleet-wide by hit
 // frequency × translation cost, with the losers evicted everywhere.
 //
+// A single daemon is a fleet of one (Single). Every piece of fleet logic
+// lives in the routing client: the daemons never talk to each other, and
+// each answers for its own database only.
+//
 // The routing client implements cacheserver.Transport, so a run fronts the
-// whole fleet through the same Fallback it uses for one daemon: a dead
-// shard degrades to its replicas through each shard client's circuit
-// breaker, and only when every owner of a key is gone does the request
-// degrade to the run's local database tier. A fleet failure is never a
-// user-visible failure.
+// fleet through cacheserver.Fallback: a dead shard degrades to its replicas
+// through each shard client's circuit breaker, and only when every owner
+// of a key is gone does the request degrade to the run's local database
+// tier. A fleet failure is never a user-visible failure.
 package fleet
 
 import (
@@ -34,9 +37,9 @@ type Shard struct {
 	Addr string `json:"addr"`
 }
 
-// Config is the fleet's static membership, shared verbatim by every daemon
-// (-fleet-config) and every client. Routing is a pure function of this
-// file, so all parties agree on key placement without coordination.
+// Config is the fleet's static membership, shared verbatim by every client.
+// Routing is a pure function of this file, so all clients agree on key
+// placement without coordination; the daemons never read it.
 type Config struct {
 	Shards []Shard `json:"shards"`
 
@@ -64,6 +67,12 @@ func ParseConfig(b []byte) (*Config, error) {
 		return nil, err
 	}
 	return cfg, nil
+}
+
+// Single is the membership of a fleet of one: the daemon at addr, which is
+// also its shard ID.
+func Single(addr string) *Config {
+	return &Config{Shards: []Shard{{ID: addr, Addr: addr}}}
 }
 
 // LoadConfig reads and validates a membership config file.
@@ -129,14 +138,4 @@ func (c *Config) effectiveVirtualNodes() int {
 		return DefaultVirtualNodes
 	}
 	return c.VirtualNodes
-}
-
-// ShardIndex returns the position of the shard with the given ID, or -1.
-func (c *Config) ShardIndex(id string) int {
-	for i, s := range c.Shards {
-		if s.ID == id {
-			return i
-		}
-	}
-	return -1
 }

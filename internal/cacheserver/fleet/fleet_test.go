@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -12,6 +14,8 @@ import (
 	"persistcc/internal/cacheserver/fleet"
 	"persistcc/internal/core"
 	"persistcc/internal/loader"
+	"persistcc/internal/metrics"
+	tracelog "persistcc/internal/metrics/trace"
 	"persistcc/internal/obj"
 	"persistcc/internal/store"
 	"persistcc/internal/testprog"
@@ -64,13 +68,13 @@ func buildWorld(t testing.TB, name string, seed int) *world {
 	return &world{exe: exe, libs: libs}
 }
 
-func (w *world) freshVM(t testing.TB) *vm.VM {
+func (w *world) freshVM(t testing.TB, opts ...vm.Option) *vm.VM {
 	t.Helper()
 	p, err := testprog.Load(w.exe, w.libs, loader.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vm.New(p, vm.WithInput([]uint64{25}))
+	return vm.New(p, append([]vm.Option{vm.WithInput([]uint64{25})}, opts...)...)
 }
 
 // cacheFile cold-runs the world and snapshots its traces.
@@ -164,11 +168,9 @@ func TestConfigParseValidateDefaults(t *testing.T) {
 	if got := cfg.EffectiveReplicas(); got != fleet.DefaultReplicas {
 		t.Errorf("default replicas = %d, want %d", got, fleet.DefaultReplicas)
 	}
-	if i := cfg.ShardIndex("b"); i != 1 {
-		t.Errorf("ShardIndex(b) = %d, want 1", i)
-	}
-	if i := cfg.ShardIndex("nope"); i != -1 {
-		t.Errorf("ShardIndex(nope) = %d, want -1", i)
+	if single := fleet.Single("127.0.0.1:9"); single.Validate() != nil || len(single.Shards) != 1 ||
+		single.Shards[0] != (fleet.Shard{ID: "127.0.0.1:9", Addr: "127.0.0.1:9"}) {
+		t.Errorf("Single = %+v, want one shard whose ID is its address", single)
 	}
 
 	// Replicas clamp to the shard count; a single-shard fleet always has 1.
@@ -345,11 +347,15 @@ func TestHedgedReads(t *testing.T) {
 
 // TestSingleShardParity pins the degenerate fleet to the single-daemon
 // path: a one-shard fleet and a direct client against identically seeded
-// daemons must agree on every read surface and on aggregate stats.
+// daemons, each holding two same-class apps, must agree on every read
+// surface and on aggregate stats — and, on every scope, send the daemon
+// the same number of FETCHMANIFESTS requests and credit it the same
+// utility hits.
 func TestSingleShardParity(t *testing.T) {
-	fl, _ := startFleet(t, 1)
+	fl, shards := startFleet(t, 1)
 	direct := startShard(t, nil)
-	dc := cacheserver.NewClient(direct.addr,
+	dreg := metrics.NewRegistry()
+	dc := cacheserver.NewClient(direct.addr, cacheserver.WithClientMetrics(dreg),
 		cacheserver.WithRetry(0, 0), cacheserver.WithDialTimeout(time.Second))
 	defer dc.Close()
 
@@ -366,6 +372,14 @@ func TestSingleShardParity(t *testing.T) {
 	if !reflect.DeepEqual(frep, drep) {
 		t.Errorf("publish reports differ: fleet %+v, direct %+v", frep, drep)
 	}
+	other, _ := buildWorld(t, "parity-other", 5).cacheFile(t)
+	for _, p := range []interface {
+		Publish(*core.CacheFile) (*core.CommitReport, error)
+	}{fl, dc} {
+		if _, err := p.Publish(other); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	fcf, err := fetchImage(fl, ks)
 	if err != nil {
@@ -379,17 +393,46 @@ func TestSingleShardParity(t *testing.T) {
 		t.Error("fetched cache files differ between one-shard fleet and direct client")
 	}
 
+	// requests reads the fetchmanifests requests a client registry counted;
+	// hits sums the utility hits a daemon credited.
+	requests := func(reg *metrics.Registry) float64 {
+		v, _ := reg.Snapshot().Value("pcc_client_requests_total", "fetchmanifests")
+		return v
+	}
+	hits := func(addr string) (total uint64) {
+		t.Helper()
+		c := cacheserver.NewClient(addr)
+		defer c.Close()
+		entries, err := c.UtilitySummary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			total += e.Hits
+		}
+		return total
+	}
 	for _, scope := range []cacheserver.Scope{cacheserver.ScopeExact, cacheserver.ScopeInterApp, cacheserver.ScopeBest} {
+		freq, fhits := requests(fl.Metrics()), hits(shards[0].addr)
 		fman, err := fl.FetchEntries(ks, scope)
 		if err != nil {
 			t.Fatal(err)
 		}
+		freq, fhits = requests(fl.Metrics())-freq, hits(shards[0].addr)-fhits
+		dreq, dhits := requests(dreg), hits(direct.addr)
 		dman, err := dc.FetchEntries(ks, scope)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dreq, dhits = requests(dreg)-dreq, hits(direct.addr)-dhits
 		if !reflect.DeepEqual(fman, dman) {
 			t.Errorf("manifest fetches (scope %d) differ between one-shard fleet and direct client", scope)
+		}
+		if freq != dreq || freq != 1 {
+			t.Errorf("scope %d: fleet sent %v FETCHMANIFESTS, direct client %v; want 1 each", scope, freq, dreq)
+		}
+		if fhits != dhits || fhits != uint64(len(dman)) {
+			t.Errorf("scope %d: fleet credited %d utility hits, direct client %d; want %d each", scope, fhits, dhits, len(dman))
 		}
 	}
 
@@ -414,6 +457,63 @@ func TestSingleShardParity(t *testing.T) {
 	if _, err := dc.FetchEntries(ksMiss, cacheserver.ScopeExact); !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("direct miss: want ErrNoCache, got %v", err)
 	}
+}
+
+// TestBulkPrimeInstallsExactFirst: on a two-shard, R=2 fleet where the
+// run's own entry was published while its primary owner was down, the
+// primary answers the inter-application scatter without that entry, so it
+// arrives after another app's. The bulk prime still installs it first.
+func TestBulkPrimeInstallsExactFirst(t *testing.T) {
+	fl, shards := startFleet(t, 2)
+	w := buildWorld(t, "exactfirst", 50)
+	cf, ks := w.cacheFile(t)
+	other, _ := buildWorld(t, "exactfirst-other", 51).cacheFile(t)
+	if _, err := fl.Publish(other); err != nil {
+		t.Fatal(err)
+	}
+	owners := fl.Owners(fleet.StemFor(ks))
+	replica := shards[0]
+	if owners[1] == "s1" {
+		replica = shards[1]
+	}
+	rc := cacheserver.NewClient(replica.addr)
+	defer rc.Close()
+	if _, err := rc.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+
+	items, err := fl.FetchEntries(ks, cacheserver.ScopeInterApp)
+	if err != nil || len(items) != 2 {
+		t.Fatalf("inter-app scatter: %d items, %v; want 2", len(items), err)
+	}
+	first := new(core.CacheFile)
+	if err := first.UnmarshalBinary(items[0].Data); err != nil || first.AppKey == ks.App {
+		t.Fatalf("the scatter put the exact entry first (%v); the test exercises nothing", err)
+	}
+
+	local, err := core.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := tracelog.NewLog(0)
+	v := w.freshVM(t, vm.WithEventLog(log))
+	rep, err := cacheserver.NewFallback(fl, local).PrimeStoreBulk(v, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Installed < len(cf.Traces) {
+		t.Fatalf("bulk prime installed %d traces, want at least the exact entry's %d", rep.Installed, len(cf.Traces))
+	}
+	for _, e := range log.Events() {
+		if e.Kind != tracelog.KindPrime {
+			continue
+		}
+		if e.Traces != len(cf.Traces) {
+			t.Errorf("first prime installed %d traces (%s), want the exact entry's %d", e.Traces, e.Detail, len(cf.Traces))
+		}
+		return
+	}
+	t.Fatal("no prime event recorded")
 }
 
 // TestFleetScopeBest pins the non-bulk inter-application read to one
@@ -520,6 +620,58 @@ func TestGlobalCompactEvicts(t *testing.T) {
 	}
 }
 
+// TestGlobalCompactNamesFailedShards: a shard whose evict or compact
+// fails does not stop the round, and the report names it — whether the
+// shard is down before the round or fails after answering UtilitySummary
+// (its store compaction aborts on a manifest it cannot read).
+func TestGlobalCompactNamesFailedShards(t *testing.T) {
+	t.Run("down", func(t *testing.T) {
+		fl, shards := startFleet(t, 2)
+		cf, _ := buildWorld(t, "compactdown", 70).cacheFile(t)
+		if _, err := fl.Publish(cf); err != nil {
+			t.Fatal(err)
+		}
+		shards[1].srv.Close()
+		rep, err := fl.GlobalCompact(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Failed, []string{"s1"}) {
+			t.Errorf("failed shards %q, want [s1]", rep.Failed)
+		}
+	})
+	t.Run("compact-aborts", func(t *testing.T) {
+		cfg := &fleet.Config{}
+		shards := make([]*shard, 2)
+		for i := range shards {
+			shards[i] = startShard(t, []core.ManagerOption{core.WithStore()})
+			cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
+		}
+		fl, err := fleet.New(cfg, fleet.WithShardOptions(cacheserver.WithRetry(0, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fl.Close()
+		cf, _ := buildWorld(t, "compactabort", 71).cacheFile(t)
+		if _, err := fl.Publish(cf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(shards[0].mgr.Dir(), "unreadable.pcm"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fl.GlobalCompact(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Entries != 1 {
+			t.Errorf("%d entries fleet-wide, want 1: UtilitySummary should reach both shards", rep.Entries)
+		}
+		if !reflect.DeepEqual(rep.Failed, []string{"s0"}) {
+			t.Errorf("failed shards %q, want [s0]", rep.Failed)
+		}
+	})
+}
+
 // TestFleetStatsAggregation checks the merged view against per-shard truth.
 func TestFleetStatsAggregation(t *testing.T) {
 	fl, _ := startFleet(t, 3)
@@ -553,12 +705,11 @@ func TestFleetStatsAggregation(t *testing.T) {
 
 // TestFleetStatsDedupRatio: a fleet's store dedup ratio is the one core
 // defines per database, 1 − physical/logical, combined over shards as the
-// LogicalBytes-weighted mean — from a daemon's aggregate STATS fan-out and
-// from the fleet client alike.
+// LogicalBytes-weighted mean.
 func TestFleetStatsDedupRatio(t *testing.T) {
 	store := []core.ManagerOption{core.WithStore()}
+	front := startShard(t, store)
 	peer := startShard(t, store)
-	front := startShard(t, store, cacheserver.WithFleetPeers([]*cacheserver.Client{cacheserver.NewClient(peer.addr)}))
 	cfg := &fleet.Config{Replicas: 1, Shards: []fleet.Shard{{ID: "front", Addr: front.addr}, {ID: "peer", Addr: peer.addr}}}
 	fl, err := fleet.New(cfg)
 	if err != nil {
@@ -583,7 +734,7 @@ func TestFleetStatsDedupRatio(t *testing.T) {
 		weighted += ss.DedupRatio * float64(ss.LogicalBytes)
 		// Merging one shard into an empty total is that shard.
 		one := &core.DBStats{}
-		cacheserver.MergeDBStats(one, v.Stats)
+		fleet.MergeDBStatsForTest(one, v.Stats)
 		if one.Store.DedupRatio != ss.DedupRatio {
 			t.Errorf("shard %s merged alone: ratio %v, want its own %v", v.ID, one.Store.DedupRatio, ss.DedupRatio)
 		}
@@ -593,23 +744,15 @@ func TestFleetStatsDedupRatio(t *testing.T) {
 		t.Fatalf("weighted dedup ratio %v outside (0, 1): the shards share nothing, or the test is wrong", want)
 	}
 
-	fst, err := fl.Stats()
+	st, err := fl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc := cacheserver.NewClient(front.addr)
-	defer dc.Close()
-	dst, err := dc.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if got := st.Store.DedupRatio; math.Abs(got-want) > 1e-12 {
+		t.Errorf("dedup ratio %v, want the weighted mean %v", got, want)
 	}
-	for name, st := range map[string]*core.DBStats{"fleet client": fst, "daemon fan-out": dst} {
-		if got := st.Store.DedupRatio; math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s: dedup ratio %v, want the weighted mean %v", name, got, want)
-		}
-		if st.Store.LogicalBytes != logical {
-			t.Errorf("%s: logical bytes %d, want %d", name, st.Store.LogicalBytes, logical)
-		}
+	if st.Store.LogicalBytes != logical {
+		t.Errorf("logical bytes %d, want %d", st.Store.LogicalBytes, logical)
 	}
 }
 

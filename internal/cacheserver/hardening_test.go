@@ -93,6 +93,48 @@ func TestRetiredOpsRejected(t *testing.T) {
 	}
 }
 
+// TestStatsIgnoresPayload: a daemon answers STATS for its own database
+// whatever the payload. Clients from before fleet STATS moved into the
+// routing client send a one-byte scope ({1} for "this daemon only"); they
+// get the same totals as an empty request.
+func TestStatsIgnoresPayload(t *testing.T) {
+	_, addr, _ := startServer(t)
+	w := buildWorld(t, "statsscope", 23)
+	v, _ := w.ranVM(t, 40)
+	cf, _ := core.BuildCacheFile(v)
+	c := newClient(addr)
+	defer c.Close()
+	if _, err := c.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var want []byte
+	for _, payload := range [][]byte{nil, {1}, {0}, {0xff, 0xff}} {
+		if err := cacheserver.WriteFrameForTest(conn, cacheserver.OpStats, payload); err != nil {
+			t.Fatal(err)
+		}
+		status, resp, err := cacheserver.ReadFrameForTest(conn)
+		if err != nil || status != cacheserver.StatusOK {
+			t.Fatalf("STATS %v: status %d, %v", payload, status, err)
+		}
+		if want == nil {
+			st, err := cacheserver.DecodeDBStatsForTest(resp)
+			if err != nil || st.Files != 1 {
+				t.Fatalf("STATS: %+v, %v; want this daemon's one cache file", st, err)
+			}
+			want = resp
+		} else if string(resp) != string(want) {
+			t.Errorf("STATS %v answered differently from an empty request", payload)
+		}
+	}
+}
+
 // TestClientRefusesOversizedPayload: the client's own frame bound stops an
 // outsized publish before it touches the wire, without blaming the daemon
 // (no retries, breaker stays closed).

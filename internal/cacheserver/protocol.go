@@ -386,36 +386,6 @@ func decodeDBStats(b []byte) (*core.DBStats, error) {
 	return st, r.Done()
 }
 
-// Stats scopes. A bare STATS request (empty payload) keeps its historical
-// meaning — "the totals a client of this address should see" — which on a
-// fleet-configured daemon is the aggregate across every reachable shard. The
-// explicit local scope is what shards send each other while aggregating, so
-// the fan-out never recurses, and what tooling uses to inspect one shard.
-const (
-	statsScopeAggregate = 0 // empty payload: aggregate across fleet peers
-	statsScopeLocal     = 1 // this daemon's own database only
-)
-
-func encodeStatsScope(local bool) []byte {
-	if !local {
-		return nil
-	}
-	return []byte{statsScopeLocal}
-}
-
-func decodeStatsScope(b []byte) (local bool, err error) {
-	switch {
-	case len(b) == 0:
-		return false, nil
-	case len(b) == 1 && b[0] == statsScopeLocal:
-		return true, nil
-	case len(b) == 1 && b[0] == statsScopeAggregate:
-		return false, nil
-	default:
-		return false, fmt.Errorf("cacheserver: bad stats scope payload (%d bytes)", len(b))
-	}
-}
-
 // UtilityEntry is one cache entry's usage summary, the unit of the fleet's
 // global eviction policy: utility = Hits × Traces (hit frequency × the
 // translation work the entry saves, the paper's cold-code economics).

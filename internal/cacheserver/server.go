@@ -65,12 +65,6 @@ type Server struct {
 	idleTimeout  time.Duration // per-connection read/write deadline; 0 = none
 	dispatchHook func()        // test seam: runs inside each dispatch
 
-	// peers are clients for the other shards of this daemon's fleet (nil
-	// when standalone). Used only to answer aggregate STATS: the daemon
-	// fans out local-scoped requests and sums, so `pcc-cachectl stats
-	// -server <any shard>` reports the whole fleet.
-	peers []*Client
-
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
@@ -96,14 +90,6 @@ func WithMaxFrame(n int) Option {
 			s.maxFrame = n
 		}
 	}
-}
-
-// WithFleetPeers gives the daemon clients for the other shards of its
-// fleet. Aggregate STATS requests (the default scope) fan out to them with
-// local scope and sum, so inspecting any one shard reports fleet-wide
-// totals; unreachable peers are skipped rather than failing the request.
-func WithFleetPeers(peers []*Client) Option {
-	return func(s *Server) { s.peers = peers }
 }
 
 // WithIdleTimeout bounds how long one connection may sit between requests
@@ -354,7 +340,7 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 	case OpPublish:
 		resp, err = s.handlePublish(payload)
 	case OpStats:
-		resp, err = s.handleStats(payload)
+		resp = s.handleStats()
 	case OpMetrics:
 		s.mgr.Stats() // refresh the database gauges before snapshotting
 		resp = s.metrics.Snapshot().JSON()
@@ -523,32 +509,10 @@ func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*cor
 	return rep, nil
 }
 
-// handleStats answers STATS. Local scope (or a standalone daemon) reports
-// this database; the default aggregate scope on a fleet-configured daemon
-// also fans out local-scoped requests to every peer shard and sums, so
-// addressing any one shard reports the whole fleet. Peers that are down are
-// skipped: degraded totals beat a failed inspection.
-func (s *Server) handleStats(payload []byte) ([]byte, error) {
-	local, err := decodeStatsScope(payload)
-	if err != nil {
-		return nil, err
-	}
-	st := s.localStats()
-	if !local {
-		for _, p := range s.peers {
-			ps, err := p.StatsLocal()
-			if err != nil {
-				s.logf("cacheserver: fleet stats: peer %s unreachable: %v", p.Addr(), err)
-				continue
-			}
-			MergeDBStats(st, ps)
-		}
-	}
-	return encodeDBStats(st), nil
-}
-
-// localStats aggregates this daemon's own in-memory index.
-func (s *Server) localStats() *core.DBStats {
+// handleStats answers STATS with this database's totals. A daemon answers
+// for itself only — adding up a fleet is its client's job — so it ignores
+// the payload, which older clients fill with a scope byte.
+func (s *Server) handleStats() []byte {
 	s.idxMu.RLock()
 	entries := make([]core.IndexEntry, 0, len(s.entries))
 	for _, e := range s.entries {
@@ -559,58 +523,7 @@ func (s *Server) localStats() *core.DBStats {
 	if ss, err := s.mgr.StoreStats(); err == nil && ss != nil {
 		st.Store = ss
 	}
-	return st
-}
-
-// MergeDBStats folds src into dst: totals and key classes sum; store-side
-// counts sum, and the dedup ratio (1 − physical/logical per shard) becomes
-// the LogicalBytes-weighted mean of the two, which is exact: each side's
-// physical bytes are (1 − ratio)·logical. Shared by the daemon's
-// fleet-aggregated STATS and the fleet client's fan-out Stats, so both
-// views of a fleet agree.
-func MergeDBStats(dst, src *core.DBStats) {
-	dst.Files += src.Files
-	dst.Traces += src.Traces
-	dst.CodePool += src.CodePool
-	dst.DataPool += src.DataPool
-	for _, c := range src.Classes {
-		merged := false
-		for i := range dst.Classes {
-			if dst.Classes[i].VM == c.VM && dst.Classes[i].Tool == c.Tool {
-				dst.Classes[i].Entries += c.Entries
-				dst.Classes[i].Traces += c.Traces
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			dst.Classes = append(dst.Classes, c)
-		}
-	}
-	sort.Slice(dst.Classes, func(i, j int) bool {
-		a, b := dst.Classes[i], dst.Classes[j]
-		if a.VM != b.VM {
-			return a.VM < b.VM
-		}
-		return a.Tool < b.Tool
-	})
-	if src.Store != nil {
-		if dst.Store == nil {
-			dst.Store = &core.StoreDBStats{}
-		}
-		dst.Store.Manifests += src.Store.Manifests
-		dst.Store.Blobs += src.Store.Blobs
-		dst.Store.BlobBytes += src.Store.BlobBytes
-		if logical := dst.Store.LogicalBytes + src.Store.LogicalBytes; logical > 0 {
-			// A running mean: src's weight is exactly 1 into an empty dst.
-			weight := float64(src.Store.LogicalBytes) / float64(logical)
-			dst.Store.DedupRatio += (src.Store.DedupRatio - dst.Store.DedupRatio) * weight
-		}
-		dst.Store.LogicalBytes += src.Store.LogicalBytes
-		if src.Store.Generations > dst.Store.Generations {
-			dst.Store.Generations = src.Store.Generations
-		}
-	}
+	return encodeDBStats(st)
 }
 
 // handleUtility reports every entry's usage summary, sorted by stem so the

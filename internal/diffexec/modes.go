@@ -50,16 +50,19 @@ var Modes = []Mode{
 	// manager. The store round trip (and, when the layouts differ, the
 	// relocation rebase) must be invisible.
 	{"store-warmed", Cache, false, warmFrom(db{name: "store", store: true})},
-	// Server-warmed — the cache arrives over the wire from one daemon and
-	// installs through the fallback's validation path.
+	// Server-warmed — the cache arrives over the wire from one daemon, a
+	// fleet of one, and installs through the fallback's validation path.
 	{"server-warmed", Cache, false, func(e *Env, mode string) (*Snapshot, error) {
 		addr, err := e.daemon("server")
 		if err != nil {
 			return nil, err
 		}
-		client := cacheserver.NewClient(addr)
-		e.stop = append(e.stop, func() { client.Close() })
-		return e.remote(mode, client)
+		fl, err := fleet.New(fleet.Single(addr))
+		if err != nil {
+			return nil, err
+		}
+		e.stop = append(e.stop, func() { fl.Close() })
+		return e.remote(mode, fl)
 	}},
 	// Fleet-warmed — the cache arrives through two store-layout shards
 	// (what pcc-cached -store serves) behind consistent-hash routing and

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"persistcc/internal/cacheserver"
+	"persistcc/internal/cacheserver/fleet"
 	"persistcc/internal/core"
 	"persistcc/internal/stats"
 )
@@ -63,9 +64,12 @@ func Multiproc() (*Report, error) {
 		}
 		var mgr cacheserver.Manager = local
 		if addr != "" {
-			client := cacheserver.NewClient(addr)
-			defer client.Close()
-			mgr = cacheserver.NewFallback(client, local)
+			fl, err := fleet.New(fleet.Single(addr))
+			if err != nil {
+				return nil, err
+			}
+			defer fl.Close()
+			mgr = cacheserver.NewFallback(fl, local)
 		}
 		v, err := app.Prog.NewVM(guiCfg(), app.Startup)
 		if err != nil {

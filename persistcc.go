@@ -67,8 +67,8 @@ type (
 	DivergenceError = replay.DivergenceError
 )
 
-// LoadFleetConfig reads a fleet membership file (the same JSON the
-// pcc-cached daemons run with) for RunOptions.FleetConfig.
+// LoadFleetConfig reads a fleet membership file (the same JSON pcc-run
+// -fleet-config reads) for RunOptions.FleetConfig.
 func LoadFleetConfig(path string) (*FleetConfig, error) {
 	return fleet.LoadConfig(path)
 }
@@ -155,16 +155,12 @@ type RunOptions struct {
 	Relocatable bool
 	// CacheDir is the cache database directory (required with Persist).
 	CacheDir string
-	// CacheServer points the run at a shared cache daemon ("host:port" or
-	// "unix:/path.sock"). CacheDir remains the local fallback database: if
-	// the daemon is unreachable the run degrades to purely local caching.
-	CacheServer string
-	// FleetConfig points the run at a sharded cache-server fleet instead
-	// of a single daemon: keys route to shards by consistent hash with
-	// replication, and reads fan out to replicas when a shard is down or
-	// misses. Mutually exclusive with CacheServer; CacheDir remains the
-	// local fallback, so even a fully dead fleet degrades to local
-	// caching, never a user-visible failure.
+	// FleetConfig points the run at shared cache daemons: keys route to
+	// shards by consistent hash with replication, and reads fan out to
+	// replicas when a shard is down or misses. One daemon is a
+	// one-shard FleetConfig. CacheDir remains the local fallback, so even a
+	// fully dead fleet degrades to local caching, never a user-visible
+	// failure.
 	FleetConfig *FleetConfig
 	// StoreFormat commits the database in the content-addressed store
 	// format (per-app manifests over shared deduplicated blobs). Reading
@@ -322,11 +318,8 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 
 	out := &RunOutcome{}
 	var mgr cacheserver.Manager
-	if (o.CacheServer != "" || o.FleetConfig != nil) && !o.Persist {
-		return nil, errors.New("persistcc: CacheServer/FleetConfig requires Persist")
-	}
-	if o.CacheServer != "" && o.FleetConfig != nil {
-		return nil, errors.New("persistcc: CacheServer and FleetConfig are mutually exclusive")
+	if o.FleetConfig != nil && !o.Persist {
+		return nil, errors.New("persistcc: FleetConfig requires Persist")
 	}
 	if o.Persist {
 		if o.CacheDir == "" {
@@ -348,19 +341,13 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		}
 		mgr = local
 		var fb *cacheserver.Fallback
-		switch {
-		case o.FleetConfig != nil:
+		if o.FleetConfig != nil {
 			fc, err := fleet.New(o.FleetConfig)
 			if err != nil {
 				return nil, err
 			}
 			defer fc.Close()
 			fb = cacheserver.NewFallback(fc, local)
-			mgr = fb
-		case o.CacheServer != "":
-			client := cacheserver.NewClient(o.CacheServer)
-			defer client.Close()
-			fb = cacheserver.NewFallback(client, local)
 			mgr = fb
 		}
 		if pipe != nil {

@@ -577,8 +577,8 @@ func BenchmarkOptimizedWarmup(b *testing.B) {
 
 func BenchmarkStoreWarmup(b *testing.B) {
 	// BenchmarkPersistPrime over the content-addressed store format: the
-	// warm path resolves the manifest and materializes every trace from
-	// shared blobs (L1 decoded map after the first iteration).
+	// warm path resolves the manifest and decodes every trace straight out
+	// of the shared packs (store.LocalTraces).
 	gcc, err := workload.BuildSpecBenchmark("176.gcc")
 	if err != nil {
 		b.Fatal(err)

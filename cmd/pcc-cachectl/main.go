@@ -29,8 +29,8 @@
 // ShareJIT-style global cache management — entries ranked fleet-wide by
 // hit frequency × translation cost, the top -keep retained, the rest
 // evicted from every shard that holds them, and each shard's store
-// compacted to reclaim the freed blobs. A shard whose evict or compact
-// failed is named, and the command exits 1.
+// compacted to reclaim the freed blobs. A shard whose summary, evict or
+// compact failed is named, and the command exits 1.
 package main
 
 import (
@@ -337,7 +337,7 @@ func fleetCompact(fl *fleet.Client, keep int) {
 	}
 	fmt.Printf("reclaimed: %s (%d orphan blobs pruned)\n", stats.Bytes(rep.Reclaimed), rep.PrunedOrphans)
 	if len(rep.Failed) > 0 {
-		fatal(fmt.Errorf("evict or compact failed on shard(s) %s", strings.Join(rep.Failed, ", ")))
+		fatal(fmt.Errorf("summary, evict or compact failed on shard(s) %s", strings.Join(rep.Failed, ", ")))
 	}
 }
 

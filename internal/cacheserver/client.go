@@ -3,7 +3,9 @@ package cacheserver
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -23,6 +25,21 @@ import (
 // local database) until a background probe finds the daemon again.
 var ErrBreakerOpen = errors.New("cacheserver: circuit breaker open, daemon unreachable")
 
+// Round-trip deadlines, so that a daemon which accepts but never answers —
+// stopped, or wedged — is a transport error, not a hung run: a base for the
+// daemon's work plus the frame's bytes at ioMinRate, set when the request
+// goes out and again for the response's bytes when its header arrives. A
+// round trip that hits one is not retried. On a 2-core machine over
+// loopback, launch-path ops took at most 151 ms under `go test -race` and
+// 19 ms for a 415 KB PUBLISH. COMPACT grows with the daemon's database
+// (about 5 ms per MB) and EVICT with its stems; a launch sends neither, so
+// they get maintenanceBase, about 100 GB of database at that rate.
+const (
+	ioBase          = 5 * time.Second
+	maintenanceBase = 10 * time.Minute
+	ioMinRate       = 1 << 20 // bytes per second: MaxFrame in 256 s
+)
+
 // Client talks the cache-server protocol over one connection, redialing
 // transparently. Safe for concurrent use; requests are serialized on the
 // connection.
@@ -31,8 +48,10 @@ type Client struct {
 	dialTimeout time.Duration
 	retries     int           // additional attempts after the first
 	backoff     time.Duration // doubled per retry
-	ioTimeout   time.Duration // per-request connection deadline; 0 = none
 	maxFrame    int
+
+	baseDeadline        time.Duration // a round trip's, before its frame bytes
+	maintenanceDeadline time.Duration // the same, for COMPACT and EVICT
 
 	breakAfter    int           // consecutive failed requests before opening
 	probeInterval time.Duration // cadence of background re-probes while open
@@ -62,13 +81,6 @@ func WithRetry(retries int, backoff time.Duration) ClientOption {
 	return func(c *Client) { c.retries, c.backoff = retries, backoff }
 }
 
-// WithIOTimeout bounds each request round trip on the wire; a wedged daemon
-// surfaces as a transport error (feeding the breaker) instead of hanging
-// the run. Zero means no deadline.
-func WithIOTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.ioTimeout = d }
-}
-
 // WithClientMaxFrame overrides the per-frame size bound (default MaxFrame)
 // the client will send or accept.
 func WithClientMaxFrame(n int) ClientOption {
@@ -95,13 +107,15 @@ func (c *Client) Addr() string { return c.addr }
 // The connection is dialed lazily on the first request.
 func NewClient(addr string, opts ...ClientOption) *Client {
 	c := &Client{
-		addr:          addr,
-		dialTimeout:   2 * time.Second,
-		retries:       2,
-		backoff:       10 * time.Millisecond,
-		maxFrame:      MaxFrame,
-		breakAfter:    3,
-		probeInterval: 250 * time.Millisecond,
+		addr:                addr,
+		dialTimeout:         2 * time.Second,
+		retries:             2,
+		backoff:             10 * time.Millisecond,
+		maxFrame:            MaxFrame,
+		breakAfter:          3,
+		probeInterval:       250 * time.Millisecond,
+		baseDeadline:        ioBase,
+		maintenanceDeadline: maintenanceBase,
 	}
 	for _, o := range opts {
 		o(c)
@@ -197,6 +211,9 @@ func (c *Client) do(op uint8, payload []byte) ([]byte, error) {
 				return nil, err
 			}
 			lastErr = err
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				break // a daemon this slow is wedged: asking again only waits again
+			}
 			continue
 		}
 		c.consecFails = 0
@@ -262,14 +279,29 @@ func (c *Client) probe(stop chan struct{}) {
 }
 
 func (c *Client) roundTripLocked(op uint8, payload []byte) (uint8, []byte, error) {
-	if c.ioTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.conn.SetDeadline(time.Time{})
+	base := c.baseDeadline
+	if op == OpCompact || op == OpEvict {
+		base = c.maintenanceDeadline
 	}
+	c.conn.SetDeadline(time.Now().Add(base + wireTime(len(payload))))
 	if err := writeFrame(c.conn, op, payload, c.maxFrame); err != nil {
 		return 0, nil, err
 	}
-	return readFrame(c.conn, c.maxFrame)
+	status, n, err := readFrameHeader(c.conn, c.maxFrame)
+	if err != nil {
+		return 0, nil, err
+	}
+	c.conn.SetDeadline(time.Now().Add(c.baseDeadline + wireTime(n)))
+	resp := make([]byte, n)
+	if _, err := io.ReadFull(c.conn, resp); err != nil {
+		return 0, nil, err
+	}
+	return status, resp, nil
+}
+
+// wireTime is how long n frame bytes may take at ioMinRate.
+func wireTime(n int) time.Duration {
+	return time.Duration(n) * time.Second / ioMinRate
 }
 
 // Lookup asks whether the server holds a cache for the key set, without

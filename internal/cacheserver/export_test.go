@@ -31,6 +31,15 @@ func EncodeKeyRequestForTest(ks core.KeySet, scope Scope) []byte {
 	return encodeKeyRequest(ks, scope)
 }
 
+// WithIOTimeoutForTest makes d the client's round-trip deadline base and
+// shortens the maintenance ops' base by the same factor, so a test of a
+// daemon that never answers fails fast instead of waiting it out.
+func WithIOTimeoutForTest(d time.Duration) ClientOption {
+	return func(c *Client) {
+		c.baseDeadline, c.maintenanceDeadline = d, d*(maintenanceBase/ioBase)
+	}
+}
+
 // BreakerOpenForTest reports the client's breaker state.
 func (c *Client) BreakerOpenForTest() bool {
 	c.mu.Lock()

@@ -495,7 +495,7 @@ type CompactReport struct {
 	FloorUtility  uint64   // the admission floor: minimum utility among kept entries
 	Reclaimed     uint64   // bytes reclaimed by the per-shard store compactions
 	PrunedOrphans int      // orphaned blobs deleted by those compactions
-	Failed        []string // IDs of the shards whose evict or compact failed
+	Failed        []string // IDs of the shards whose summary, evict or compact failed
 }
 
 // GlobalCompact is the fleet's ShareJIT-style global cache management: it
@@ -505,8 +505,8 @@ type CompactReport struct {
 // shard that holds them, and runs store compaction per shard
 // to reclaim the freed blobs. The minimum utility among survivors is
 // reported as the admission floor. keep ≤ 0 evicts nothing (report and
-// compact only). A shard whose evict or compact fails does not stop the
-// round; the report names it in Failed.
+// compact only). A shard whose summary, evict or compact fails does not
+// stop the round; the report names it in Failed.
 func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 	type stemAgg struct {
 		stem    string
@@ -515,6 +515,7 @@ func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 		utility uint64
 	}
 	agg := make(map[string]*stemAgg)
+	reached := make([]bool, len(c.clients))
 	reachable := 0
 	var lastErr error
 	for si := range c.clients {
@@ -523,6 +524,7 @@ func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 			lastErr = err
 			continue
 		}
+		reached[si] = true
 		reachable++
 		for _, e := range entries {
 			a := agg[e.Stem]
@@ -565,7 +567,9 @@ func (c *Client) GlobalCompact(keep int) (*CompactReport, error) {
 		}
 	}
 	for si := range c.clients {
-		if err := c.maintain(si, evict, rep); err != nil {
+		// A shard that missed the summary is not asked to evict or
+		// compact: were it stopped, each would wait out its deadline.
+		if !reached[si] || c.maintain(si, evict, rep) != nil {
 			rep.Failed = append(rep.Failed, c.cfg.Shards[si].ID)
 		}
 	}

@@ -620,8 +620,8 @@ func TestGlobalCompactEvicts(t *testing.T) {
 	}
 }
 
-// TestGlobalCompactNamesFailedShards: a shard whose evict or compact
-// fails does not stop the round, and the report names it — whether the
+// TestGlobalCompactNamesFailedShards: a shard whose summary, evict or
+// compact fails does not stop the round, and the report names it — whether the
 // shard is down before the round or fails after answering UtilitySummary
 // (its store compaction aborts on a manifest it cannot read).
 func TestGlobalCompactNamesFailedShards(t *testing.T) {

@@ -1,13 +1,17 @@
 package cacheserver_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"persistcc/internal/cacheserver"
+	"persistcc/internal/cacheserver/fleet"
 	"persistcc/internal/core"
 )
 
@@ -295,6 +299,172 @@ func TestBreakerFallbackNoRetryStorm(t *testing.T) {
 	if v, ok := snap.Value("pcc_client_breaker_fastfails_total"); !ok || v < 4 {
 		t.Errorf("fast-fails %v, want ≥ 4 (two runs of two ops)", v)
 	}
+}
+
+// TestStoppedDaemonDegradesWithinDeadline: a stopped daemon keeps its
+// listening socket, so the kernel still completes connections and queues
+// requests nothing will answer — here, a listener that never accepts. A run
+// reaching it as a fleet of one must degrade to its local database once the
+// round-trip deadline passes, without asking again. The test waits on a
+// timer and never closes a client whose request is stuck, so a client that
+// hangs fails it rather than hanging it.
+func TestStoppedDaemonDegradesWithinDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fl, err := fleet.New(fleet.Single(ln.Addr().String()),
+		fleet.WithShardOptions(cacheserver.WithIOTimeoutForTest(100*time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := buildWorld(t, "prog", 23)
+	ran, _ := w.ranVM(t, 40)
+	if _, err := local.Commit(ran); err != nil {
+		t.Fatal(err)
+	}
+	f := cacheserver.NewFallback(fl, local)
+
+	type primed struct {
+		rep *core.PrimeReport
+		err error
+	}
+	done := make(chan primed, 1)
+	v := w.freshVM(t, 40)
+	go func() {
+		rep, err := f.Prime(v)
+		done <- primed{rep, err}
+	}()
+	select {
+	case p := <-done:
+		if p.err != nil || !p.rep.Found || p.rep.Installed == 0 {
+			t.Fatalf("prime against a stopped daemon did not degrade to the local entry: %+v, %v", p.rep, p.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("prime against a stopped daemon still blocked after 5 s")
+	}
+	snap := fl.Metrics().Snapshot()
+	if n, _ := snap.Value("pcc_client_retries_total"); n != 0 {
+		t.Errorf("%v retries of a round trip that hit its deadline", n)
+	}
+	if n, _ := snap.Value("pcc_client_fallbacks_total", "prime"); n != 1 {
+		t.Errorf("fallbacks{prime} = %v, want 1", n)
+	}
+	fl.Close()
+}
+
+// TestSlowResponseGetsItsBytesTime: a daemon that streams a large answer
+// slowly but steadily is healthy. Once the response header arrives, the
+// deadline covers its bytes at the minimum rate, so a 1 MiB answer that
+// takes several times the deadline base to arrive is not cut off.
+func TestSlowResponseGetsItsBytesTime(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	payload := cacheserver.EncodePackFilesForTest([][]byte{make([]byte, 1<<20)})
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)+1))
+	frame = append(append(frame, cacheserver.StatusOK), payload...)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := cacheserver.ReadFrameForTest(conn); err != nil {
+			return
+		}
+		for len(frame) > 0 { // 16 chunks, 400 ms in all
+			n := min(len(frame), 64<<10)
+			if _, err := conn.Write(frame[:n]); err != nil {
+				return
+			}
+			frame = frame[n:]
+			time.Sleep(25 * time.Millisecond)
+		}
+	}()
+	c := cacheserver.NewClient(ln.Addr().String(), cacheserver.WithRetry(0, 0),
+		cacheserver.WithIOTimeoutForTest(100*time.Millisecond))
+	defer c.Close()
+	packs, err := c.FetchPacks(core.KeySet{}, nil)
+	if err != nil {
+		t.Fatalf("a steadily streamed 1 MiB response hit the deadline: %v", err)
+	}
+	if len(packs) != 1 || len(packs[0]) != 1<<20 {
+		t.Fatalf("got %d packs", len(packs))
+	}
+}
+
+// TestMaintenanceOpsGetTheirOwnDeadline: COMPACT's time grows with the
+// daemon's database, so it is held to the maintenance base, not to the
+// launch-path base that cuts off a STATS just as slow.
+func TestMaintenanceOpsGetTheirOwnDeadline(t *testing.T) {
+	mgr, err := core.NewManager(t.TempDir(), core.WithStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cacheserver.New(mgr, cacheserver.WithDispatchDelay(300*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := cacheserver.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c := cacheserver.NewClient(ln.Addr().String(), cacheserver.WithRetry(0, 0),
+		cacheserver.WithIOTimeoutForTest(100*time.Millisecond))
+	defer c.Close()
+	if _, err := c.Stats(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("STATS 300 ms late: %v, want a deadline error", err)
+	}
+	if _, err := c.CompactStore(); err != nil {
+		t.Fatalf("COMPACT 300 ms late: %v", err)
+	}
+}
+
+// TestGlobalCompactSkipsStoppedShard: a shard that does not answer the
+// utility summary is named in Failed without being asked to evict or
+// compact, so a stopped shard costs the round one launch-path deadline,
+// not the maintenance one.
+func TestGlobalCompactSkipsStoppedShard(t *testing.T) {
+	_, addr, _ := startStoreServer(t)
+	stopped, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopped.Close()
+	fl, err := fleet.New(&fleet.Config{Shards: []fleet.Shard{
+		{ID: "live", Addr: addr}, {ID: "stopped", Addr: stopped.Addr().String()},
+	}}, fleet.WithShardOptions(cacheserver.WithIOTimeoutForTest(100*time.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type compacted struct {
+		rep *fleet.CompactReport
+		err error
+	}
+	done := make(chan compacted, 1)
+	go func() {
+		rep, err := fl.GlobalCompact(0)
+		done <- compacted{rep, err}
+	}()
+	select {
+	case c := <-done:
+		if c.err != nil || !slices.Equal(c.rep.Failed, []string{"stopped"}) {
+			t.Fatalf("GlobalCompact = %+v, %v; want Failed [stopped]", c.rep, c.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("GlobalCompact with a stopped shard still blocked after 5 s")
+	}
+	fl.Close()
 }
 
 // TestGracefulDrain holds a request in flight, calls Shutdown, and checks

@@ -105,22 +105,32 @@ func writeFrame(w io.Writer, tag uint8, payload []byte, max int) error {
 // readFrame reads one frame, returning its tag byte and payload. The length
 // field is validated against max before any payload allocation.
 func readFrame(r io.Reader, max int) (uint8, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	tag, n, err := readFrameHeader(r, max)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	if n < 1 {
-		return 0, nil, fmt.Errorf("cacheserver: bad frame length %d", n)
-	}
-	if int64(n) > int64(max) {
-		return 0, nil, fmt.Errorf("%w: declared %d bytes", errFrameTooLarge, n)
-	}
-	payload := make([]byte, n-1)
+	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return tag, payload, nil
+}
+
+// readFrameHeader reads a frame's length and tag, returning the tag and the
+// length of the payload that follows, validated against max.
+func readFrameHeader(r io.Reader, max int) (uint8, int, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	n := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
+	if n < 1 {
+		return 0, 0, fmt.Errorf("cacheserver: bad frame length %d", n)
+	}
+	if int64(n) > int64(max) {
+		return 0, 0, fmt.Errorf("%w: declared %d bytes", errFrameTooLarge, n)
+	}
+	return hdr[4], int(n - 1), nil
 }
 
 // Scope is a key request's mode byte: which of the entries a key set covers

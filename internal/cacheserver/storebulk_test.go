@@ -200,10 +200,8 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 	if err != nil || st == nil {
 		t.Fatalf("no local store after priming from manifests: %v", err)
 	}
-	for _, h := range man.BlobHashes() {
-		if !st.Has(h) {
-			t.Errorf("blob %s not written through to the local store", h)
-		}
+	if missing := st.Missing(man); len(missing) != 0 {
+		t.Errorf("%d blobs not written through to the local store", len(missing))
 	}
 
 	// The daemon saw manifest and blob reads, and nothing else.

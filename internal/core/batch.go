@@ -2,9 +2,9 @@ package core
 
 import "persistcc/internal/vm"
 
-// BatchCommitter returns the commit hook for vm.PipelineCommit: each call
-// persists one batch of freshly translated traces through the normal
-// accumulate/merge path, so a crash mid-run loses at most one flush
+// BatchCommitter returns the commit hook for (*vm.Pipeline).SetCommit:
+// each call persists one batch of freshly translated traces through the
+// normal accumulate/merge path, so a crash mid-run loses at most one flush
 // interval of translations instead of the whole run's.
 //
 // The run's key set and module table are snapshotted once, on the VM

@@ -221,7 +221,7 @@ func TestStoreChaosWithLivePeer(t *testing.T) {
 	defer restore()
 	env := buildChaosEnv(t)
 	remote := buildChaosRemote(t)
-	_, seedBlobs, err := core.ToStoreFormat(env.cfA)
+	seedMan, seedBlobs, err := core.ToStoreFormat(env.cfA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +244,11 @@ func TestStoreChaosWithLivePeer(t *testing.T) {
 		}
 
 		var mu sync.Mutex
-		var published []store.Hash
+		var published []store.TraceRef
 		stop := make(chan struct{})
 		var reader sync.WaitGroup
 		reader.Add(1)
-		go func() { // keeps early's index, pack cache and L1 under concurrent use
+		go func() { // keeps early's index and pack cache under concurrent use
 			defer reader.Done()
 			for {
 				select {
@@ -257,9 +257,9 @@ func TestStoreChaosWithLivePeer(t *testing.T) {
 				default:
 				}
 				mu.Lock()
-				hashes := append([]store.Hash(nil), published...)
+				traces := append([]store.TraceRef(nil), published...)
 				mu.Unlock()
-				early.GetAll(hashes)
+				early.LocalTraces(&store.Manifest{Modules: seedMan.Modules, Traces: traces})
 			}
 		}()
 		tmps := func() []string {
@@ -283,8 +283,10 @@ func TestStoreChaosWithLivePeer(t *testing.T) {
 			if _, err := early.Get(hashes[0]); err != nil {
 				t.Errorf("store opened before the publish does not resolve it: %v", err)
 			}
+			tr := seedMan.Traces[0]
+			tr.Blob = hashes[0]
 			mu.Lock()
-			published = append(published, hashes[0])
+			published = append(published, tr)
 			mu.Unlock()
 		}
 

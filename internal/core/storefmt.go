@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"persistcc/internal/store"
-	"persistcc/internal/vm"
 )
 
 // This file is the bridge between the manager's CacheFile world and the
@@ -140,12 +139,12 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 }
 
 // MaterializeManifest rebuilds a cache file from a manifest and the local
-// store. When every blob is in the store's packs — a warm launch — each is
-// decoded once, straight into the trace (store.LocalTraces); otherwise the
-// blobs resolve one by one through the store's L1 map and its files. Either
-// way the caller owns the file and every trace in it. Blob/manifest
-// inconsistencies surface as errors; blobs the store does not hold return
-// errBlobsUnavailable.
+// store: each blob is read from disk, wherever it lies, and decoded once,
+// straight into the trace (store.LocalTraces). The caller owns the file and
+// every trace in it. A blob the store does not hold, or whose file fails a
+// check (the store quarantines that file), returns errBlobsUnavailable; a
+// blob that is not the one the manifest was written against is any other
+// error.
 func (m *Manager) MaterializeManifest(man *store.Manifest) (*CacheFile, error) {
 	st, err := m.Store()
 	if err != nil {
@@ -170,7 +169,7 @@ func (m *Manager) MaterializeFrom(man *store.Manifest, src PackSource) (*CacheFi
 	if err != nil {
 		return nil, err
 	}
-	if missing := st.Missing(man.BlobHashes()); len(missing) > 0 {
+	if missing := st.Missing(man); len(missing) > 0 {
 		packs, err := src(missing)
 		if err == nil {
 			err = st.AdoptPacks(packs)
@@ -189,38 +188,17 @@ func materializeManifest(man *store.Manifest, st *store.Store) (*CacheFile, erro
 		AppPath: man.AppPath,
 		Modules: recordModules(man.Modules),
 	}
-	if traces, ok := st.LocalTraces(man); ok {
-		cf.Traces = traces
-	} else if err := materializeBlobs(cf, man, st); err != nil {
+	traces, err := st.LocalTraces(man)
+	if errors.Is(err, store.ErrBlobMissing) || errors.Is(err, store.ErrBlobCorrupt) {
+		return nil, fmt.Errorf("%w: %v", errBlobsUnavailable, err)
+	}
+	if err != nil {
 		return nil, err
 	}
+	cf.Traces = traces
 	cf.recomputePools()
 	cf.EncodedBytes = man.EncodedBytes
 	return cf, nil
-}
-
-// materializeBlobs fills cf.Traces the long way round: every blob through
-// the store as a decoded store.Blob, checked against the manifest and
-// copied into a trace. It is where a local miss, a loose blob or a corrupt
-// pack (quarantined on the way) is handled.
-func materializeBlobs(cf *CacheFile, man *store.Manifest, st *store.Store) error {
-	got, _ := st.GetAll(man.BlobHashes())
-	cf.Traces = make([]*vm.Trace, 0, len(man.Traces))
-	for i, tr := range man.Traces {
-		b, ok := got[tr.Blob]
-		if !ok {
-			return fmt.Errorf("%w: trace %d blob %s", errBlobsUnavailable, i, tr.Blob)
-		}
-		if err := man.CheckBlob(tr, b); err != nil {
-			return err
-		}
-		t, err := b.Materialize(tr.Refs)
-		if err != nil {
-			return err
-		}
-		cf.Traces = append(cf.Traces, t)
-	}
-	return nil
 }
 
 // readVerifiedManifest is readVerified for the store format: decode the
@@ -298,13 +276,8 @@ func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitRepo
 		return nil
 	}
 	st, err := m.Store()
-	if err != nil {
+	if err != nil || len(st.Missing(man)) > 0 {
 		return nil
-	}
-	for i := range man.Traces {
-		if !st.Has(man.Traces[i].Blob) {
-			return nil
-		}
 	}
 	m.m.lookups.With("exact", "hit").Inc()
 	m.m.fileBytes.With("read").Add(man.EncodedBytes)

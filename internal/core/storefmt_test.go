@@ -635,7 +635,7 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	want.File = ks.ManifestFileName()
 
 	reg := metrics.NewRegistry()
-	mgr := newStoreMgr(t, dir, core.WithMetrics(reg)) // fresh L1: any blob use would hit the disk
+	mgr := newStoreMgr(t, dir, core.WithMetrics(reg))
 	before, err := os.ReadFile(filepath.Join(dir, ks.ManifestFileName()))
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +648,7 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 		t.Errorf("skipped commit report\n got %+v\nwant %+v", got, want)
 	}
 	snap := reg.Snapshot()
-	for _, tier := range []string{"l1", "l2", "l3"} {
+	for _, tier := range []string{"l2", "l3"} {
 		if n, _ := snap.Value("pcc_store_blob_hits_total", tier); n != 0 {
 			t.Errorf("skipped commit resolved %v blobs from %s; it must decide from the manifest alone", n, tier)
 		}
@@ -667,9 +667,9 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	// it adopts from the remote (read once they are written through, but
 	// counted as what they are: l3, not l2).
 	blobs := float64(len(readManifest(t, dir, ks.ManifestFileName()).BlobHashes()))
-	hits := func(reg *metrics.Registry) (got [3]float64) {
+	hits := func(reg *metrics.Registry) (got [2]float64) {
 		snap := reg.Snapshot()
-		for i, tier := range []string{"l1", "l2", "l3"} {
+		for i, tier := range []string{"l2", "l3"} {
 			got[i], _ = snap.Value("pcc_store_blob_hits_total", tier)
 		}
 		return got
@@ -678,8 +678,8 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	if err != nil || float64(rep.Installed) != blobs {
 		t.Fatalf("local prime installed %d of %v traces: %v", rep.Installed, blobs, err)
 	}
-	if got, want := hits(reg), [3]float64{0, blobs, 0}; got != want {
-		t.Errorf("local prime: hits l1/l2/l3 = %v, want %v", got, want)
+	if got, want := hits(reg), [2]float64{blobs, 0}; got != want {
+		t.Errorf("local prime: hits l2/l3 = %v, want %v", got, want)
 	}
 
 	sst, err := mgr.Store()
@@ -697,8 +697,8 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	if err != nil || float64(rep.Installed) != blobs {
 		t.Fatalf("remote-served prime installed %d of %v traces: %v", rep.Installed, blobs, err)
 	}
-	if got, want := hits(remoteReg), [3]float64{0, 0, blobs}; got != want {
-		t.Errorf("remote-served prime: hits l1/l2/l3 = %v, want %v", got, want)
+	if got, want := hits(remoteReg), [2]float64{0, blobs}; got != want {
+		t.Errorf("remote-served prime: hits l2/l3 = %v, want %v", got, want)
 	}
 }
 

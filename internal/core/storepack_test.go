@@ -1,8 +1,13 @@
 package core_test
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -106,14 +111,10 @@ func TestCommitFlushCountIndependentOfTraceCount(t *testing.T) {
 	}
 }
 
-// TestFailedWriteThroughStillServesVerifiedRemoteHits: the local disk
-// refusing the write-through pack must not turn blobs the remote tier
-// served, and that passed the hash and decode checks, into misses — the
-// launch primes every trace, quarantines nothing, and the next launch
-// fetches again.
-func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
-	// The remote side: another machine's committed entry and its blobs.
-	newVM := flushWorkload(t, 20)
+// servedEntry is another machine's committed entry for the application
+// newVM builds, and its store serving the packs that hold the entry's blobs.
+func servedEntry(t *testing.T, newVM func() *vm.VM) *chaosRemote {
+	t.Helper()
 	ran := newVM()
 	if _, err := ran.Run(); err != nil {
 		t.Fatal(err)
@@ -122,25 +123,46 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	if _, err := served.Commit(ran); err != nil {
 		t.Fatal(err)
 	}
-	man := readManifest(t, served.Dir(), core.KeysFor(ran).ManifestFileName())
 	sst, err := served.Store()
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := &chaosRemote{man: man, st: sst}
+	return &chaosRemote{man: readManifest(t, served.Dir(), core.KeysFor(ran).ManifestFileName()), st: sst}
+}
+
+// launchWarm primes a fresh VM from mgr's database alone, runs it, and
+// requires that it translated nothing.
+func launchWarm(t *testing.T, mgr *core.Manager, newVM func() *vm.VM) {
+	t.Helper()
+	v := newVM()
+	if _, err := mgr.Prime(v); err != nil {
+		t.Fatalf("warm prime: %v", err)
+	}
+	res, err := v.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TracesTranslated != 0 {
+		t.Errorf("the launch after the commit translated %d traces, want 0", res.Stats.TracesTranslated)
+	}
+}
+
+// TestFailedWriteThroughDegradesToTranslating: a blob is held only
+// once it is on disk, so the local disk refusing the adopted pack makes the
+// remote entry unavailable, like any blob that cannot be had: materializing
+// it fails and quarantines nothing, the launch degrades and translates, its
+// commit writes the entry, and the next launch primes warm with no remote.
+func TestFailedWriteThroughDegradesToTranslating(t *testing.T) {
+	newVM := flushWorkload(t, 20)
+	remote := servedEntry(t, newVM)
 
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	inj := fsx.NewInject(nil)
 	inj.TruncateAt(fsx.OpWrite, ".pck.", 1, 0.5, syscall.ENOSPC)
 	mgr := newStoreMgr(t, dir, core.WithFS(inj), core.WithMetrics(reg))
-	cf, err := mgr.MaterializeFrom(man, remote.packs)
-	if err != nil {
-		t.Fatalf("materialize with a failing write-through: %v", err)
-	}
-	rep, err := mgr.PrimeFrom(newVM(), cf)
-	if err != nil || rep.Installed != len(man.Traces) {
-		t.Fatalf("prime installed %d of %d remote traces: %v", rep.Installed, len(man.Traces), err)
+	if _, err := mgr.MaterializeFrom(remote.man, remote.packs); err == nil {
+		t.Fatal("materialized an entry whose packs the disk refused")
 	}
 	if inj.Injected() != 1 {
 		t.Fatalf("the pack write was never attempted (%d faults fired)", inj.Injected())
@@ -151,20 +173,155 @@ func TestFailedWriteThroughStillServesVerifiedRemoteHits(t *testing.T) {
 	if n, _ := reg.Snapshot().Value("pcc_store_blob_quarantine_total"); n != 0 {
 		t.Errorf("%v store files quarantined", n)
 	}
-	// This run keeps serving them from memory; the next process has nothing
-	// local and fetches again — and this time the disk takes the pack.
-	if _, err := mgr.MaterializeManifest(man); err != nil {
-		t.Errorf("second materialize in the same run, no remote: %v", err)
+	if _, err := mgr.MaterializeManifest(remote.man); err == nil {
+		t.Error("materialized blobs that were never written")
 	}
-	next := newStoreMgr(t, dir)
-	if _, err := next.MaterializeManifest(man); err == nil {
-		t.Error("a fresh manager resolved blobs that were never written")
+
+	v := newVM()
+	if _, err := mgr.Prime(v); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("degraded prime: %v, want ErrNoCache", err)
 	}
-	if _, err := next.MaterializeFrom(man, remote.packs); err != nil {
-		t.Fatalf("refetch on the next launch: %v", err)
+	if res, err := v.Run(); err != nil || res.Stats.TracesTranslated == 0 {
+		t.Fatalf("degraded launch: %v, translated %d", err, res.Stats.TracesTranslated)
 	}
-	if packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen0000", "*.pck")); len(packs) != 1 {
-		t.Errorf("refetch left %d packs, want 1", len(packs))
+	if _, err := mgr.Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	launchWarm(t, newStoreMgr(t, dir), newVM)
+}
+
+// TestRefusedAdoptionLeavesNothingHeld: a database whose manifest outlived
+// its blobs (the local store was stripped) launches from the remote, and
+// the disk refuses the adopted pack once. The commit must not take the
+// entry as held — no blob of it is on disk — so it writes the entry whole,
+// and a fresh manager primes it with nothing to translate.
+func TestRefusedAdoptionLeavesNothingHeld(t *testing.T) {
+	newVM := flushWorkload(t, 20)
+	remote := servedEntry(t, newVM)
+
+	dir := t.TempDir()
+	ran := newVM()
+	if _, err := ran.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newStoreMgr(t, dir).Commit(ran); err != nil {
+		t.Fatal(err)
+	}
+	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inj := fsx.NewInject(nil)
+	inj.FailAt(fsx.OpWrite, ".pck.", 1, syscall.ENOSPC)
+	mgr := newStoreMgr(t, dir, core.WithFS(inj))
+	// The remote launch as cacheserver.Fallback runs it: the served entry
+	// if it materializes, else the local database.
+	v := newVM()
+	if cf, err := mgr.MaterializeFrom(remote.man, remote.packs); err == nil {
+		if _, err := mgr.PrimeFrom(v, cf); err != nil {
+			t.Fatal(err)
+		}
+	} else if _, err := mgr.Prime(v); err != nil && !errors.Is(err, core.ErrNoCache) {
+		t.Fatal(err)
+	}
+	if inj.Injected() != 1 {
+		t.Fatalf("the adopted pack write was never attempted (%d faults fired)", inj.Injected())
+	}
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mgr.Commit(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped {
+		t.Errorf("the commit was skipped as if the entry's blobs were held: %+v", rep)
+	}
+	launchWarm(t, newStoreMgr(t, dir), newVM)
+}
+
+// committedEntry commits one run of the application newVM builds into a
+// fresh store-format database and returns the database and its key set.
+func committedEntry(t *testing.T, newVM func() *vm.VM) (string, core.KeySet) {
+	t.Helper()
+	v := newVM()
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := newStoreMgr(t, dir).Commit(v); err != nil {
+		t.Fatal(err)
+	}
+	return dir, core.KeysFor(v)
+}
+
+// TestMismatchedBlobQuarantinesManifest: a blob that decodes but is not
+// the one the manifest was written against — here every module the
+// manifest records has moved — blames the manifest. It goes to quarantine;
+// the pack, which other entries may share, stays where it is.
+func TestMismatchedBlobQuarantinesManifest(t *testing.T) {
+	dir, ks := committedEntry(t, flushWorkload(t, 5))
+	man := readManifest(t, dir, ks.ManifestFileName())
+	for i := range man.Modules {
+		man.Modules[i].Base += 0x1000
+	}
+	if err := os.WriteFile(filepath.Join(dir, ks.ManifestFileName()), man.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen*", "*.pck"))
+	if _, err := newStoreMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("lookup of a mismatched manifest: %v, want ErrNoCache", err)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, core.QuarantineDir, "*.pcm*")); len(q) != 1 {
+		t.Errorf("quarantine holds %d manifests, want 1", len(q))
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "store", "gen*", "*.pck")); len(packs) == 0 || len(after) != len(packs) {
+		t.Errorf("packs before %d, after %d: the blobs' file was blamed for the manifest", len(packs), len(after))
+	}
+}
+
+// TestPackMemberFailingItsHashIsAMiss: a pack whose stream inflates whole
+// but holds a member that no longer hashes to its index entry is the
+// file's fault. The pack goes to quarantine and the entry is a miss; the
+// manifest stays, for the next commit to fill again.
+func TestPackMemberFailingItsHashIsAMiss(t *testing.T) {
+	dir, ks := committedEntry(t, flushWorkload(t, 5))
+	packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen*", "*.pck"))
+	if len(packs) != 1 {
+		t.Fatalf("%d packs, want 1", len(packs))
+	}
+	data, err := os.ReadFile(packs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := 12 + int(binary.LittleEndian.Uint32(data[4:]))*36 + 4 // header, index, crc
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(data[body:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	var z bytes.Buffer
+	zw, _ := flate.NewWriter(&z, flate.BestSpeed) // the level is valid
+	zw.Write(raw)
+	zw.Close()
+	if err := os.WriteFile(packs[0], append(data[:body:body], z.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := newStoreMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("lookup over a damaged member: %v, want ErrNoCache", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store", "quarantine", filepath.Base(packs[0]))); err != nil {
+		t.Errorf("pack not quarantined: %v", err)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, core.QuarantineDir, "*")); len(q) != 0 {
+		t.Errorf("the manifest was blamed for its pack: %v", q)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ks.ManifestFileName())); err != nil {
+		t.Errorf("manifest gone: %v", err)
 	}
 }
 

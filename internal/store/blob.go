@@ -7,8 +7,9 @@
 // of embedding trace bodies, blobs reach the disk a commit at a time as
 // immutable packs (pack.go, store.go) that compaction (compact.go) removes
 // or rewrites once manifests stop referencing their blobs. A hash resolves
-// through an in-process L1 map and the local content store L2; packs
-// received whole from a cache-server fleet (L3) join L2 as they arrive.
+// in the local content store (L2) alone; packs received whole from a
+// cache-server fleet (L3) join it as they arrive, and nothing decoded is
+// kept: a launch reads its manifest's blobs from disk (Store.LocalTraces).
 //
 //pcc:fsxseam
 package store
@@ -335,16 +336,38 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 
 // decodeTrace decodes one hash-verified encoding straight into t, the trace
 // a VM will run — what DecodeBlob, Manifest.CheckBlob and Blob.Materialize
-// do between them, without the interchange form in the middle: the blob's
-// refs must be the modules tr maps them to (content key and base), its level
-// the one the manifest recorded, and notes come out carrying module-table
+// do between them, without the interchange form in the middle, and in that
+// order: bytes that do not decode are ErrBlobCorrupt (the file is bad); a
+// blob that decodes but is not the one tr describes — refs other than the
+// modules tr maps them to (content key and base), or another level — is a
+// plain error (the manifest is bad). Notes come out carrying module-table
 // indices. Instructions are cut from insts; nothing aliases enc or man.
 //
 //pcc:hotpath
 func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, tr TraceRef) error {
 	l, err := scanBlob(enc)
+	if err == nil {
+		*t = vm.Trace{
+			ModOff:   l.modOff,
+			Insts:    insts.take(len(l.insts) / instLen),
+			Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
+			Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
+			OptLevel: l.optLevel,
+			OrigLen:  l.origLen,
+			SrcIdx:   sized[uint16](len(l.src) / srcLen),
+		}
+		err = l.decodeInsts(t.Insts)
+	}
+	if err == nil {
+		l.decodeOps(t.Ops)
+		err = l.decodeNotes(t.Notes)
+	}
+	if err == nil {
+		l.decodeSrc(t.SrcIdx)
+		err = vm.CheckOptMeta(t.OptLevel, t.OrigLen, t.SrcIdx, len(t.Insts))
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %s: %v", ErrBlobCorrupt, tr.Blob, err)
 	}
 	if len(tr.Refs) != l.numRefs() {
 		return fmt.Errorf("store: blob %s has %d refs, manifest expects %d", tr.Blob, l.numRefs(), len(tr.Refs))
@@ -358,30 +381,9 @@ func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, 
 	if l.optLevel != tr.OptLevel {
 		return fmt.Errorf("store: blob %s has optimization level %d, manifest expects %d", tr.Blob, l.optLevel, tr.OptLevel)
 	}
-	*t = vm.Trace{
-		Start:    man.Modules[tr.Refs[0]].Base + l.modOff,
-		Module:   tr.Refs[0],
-		ModOff:   l.modOff,
-		Insts:    insts.take(len(l.insts) / instLen),
-		Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
-		Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
-		OptLevel: l.optLevel,
-		OrigLen:  l.origLen,
-		SrcIdx:   sized[uint16](len(l.src) / srcLen),
-	}
-	if err := l.decodeInsts(t.Insts); err != nil {
-		return err
-	}
-	l.decodeOps(t.Ops)
-	if err := l.decodeNotes(t.Notes); err != nil {
-		return err
-	}
+	t.Start, t.Module = man.Modules[tr.Refs[0]].Base+l.modOff, tr.Refs[0]
 	for i := range t.Notes {
 		t.Notes[i].Target = tr.Refs[t.Notes[i].Target]
-	}
-	l.decodeSrc(t.SrcIdx)
-	if err := vm.CheckOptMeta(t.OptLevel, t.OrigLen, t.SrcIdx, len(t.Insts)); err != nil {
-		return fmt.Errorf("store: blob: %w", err)
 	}
 	t.RecomputeStatic()
 	return nil

@@ -37,7 +37,6 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 		}
 		prune(1, uint64(fi.Size()))
 		s.forgetLoose(p)
-		s.uncache(h)
 	}
 	s.relist()
 	for _, p := range s.sortedPacks() {
@@ -72,7 +71,6 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 		}
 		s.forget(p)
 		prune(len(dead), reclaimed)
-		s.uncache(dead...)
 	}
 	s.met.compactions.Inc()
 	return rep, nil

@@ -43,46 +43,106 @@ func lookups(ops []fsx.Record) (n int) {
 	return n
 }
 
+// opCount counts the recorded operations of one kind.
+func opCount(ops []fsx.Record, kind fsx.Op) (n int) {
+	for _, op := range ops {
+		if op.Op == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStoreLookupOpsIndependentOfBlobCount: putting N new blobs into an
-// empty store, and finding N hashes missing and adopting the remote packs
-// that hold them (which writes them through), look at the filesystem the
-// same number of times for every N — the misses are map lookups plus one
-// listing per call, not a stat per hash per generation.
+// empty store, finding N hashes missing, adopting the remote packs that
+// hold them (which writes them through) and reading the manifest over them,
+// and reading that manifest again from a store opened afterwards, look at
+// the filesystem the same number of times for every N — the misses are map
+// lookups plus one listing per call, not a stat per hash per generation,
+// and a read opens each pack once.
 func TestStoreLookupOpsIndependentOfBlobCount(t *testing.T) {
-	open := func() (*store.Store, *fsx.InjectFS) {
+	open := func(dir string) (*store.Store, *fsx.InjectFS) {
 		inj := fsx.NewInject(nil)
-		s, err := store.Open(t.TempDir(), inj, nil)
+		s, err := store.Open(dir, inj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inj.StartRecording()
 		return s, inj
 	}
-	var puts, fetches []int
+	var puts, fetches, reads []int
 	for _, n := range []int{1, 100, 1000} {
 		blobs := distinctBlobs(n)
-		s, inj := open()
+		s, inj := open(t.TempDir())
 		if rep, _, err := s.PutAll(blobs); err != nil || rep.Added != n {
 			t.Fatalf("PutAll of %d new blobs: %+v, %v", n, rep, err)
 		}
 		puts = append(puts, lookups(inj.Ops()))
 
 		remote := newFakeRemote(t, blobs...)
-		hashes := make([]store.Hash, n)
-		for i, b := range blobs {
-			hashes[i] = b.Hash()
-		}
-		s, inj = open()
-		err := s.AdoptPacks(remote.packs(s.Missing(hashes)))
-		if got, _ := s.GetAll(hashes); err != nil || len(got) != n {
-			t.Fatalf("adopting the packs of %d remote blobs: %d resolved, %v", n, len(got), err)
+		man := manifestOver(blobs...)
+		dir := t.TempDir()
+		s, inj = open(dir)
+		err := s.AdoptPacks(remote.packs(s.Missing(man)))
+		if got, lerr := s.LocalTraces(man); err != nil || lerr != nil || len(got) != n {
+			t.Fatalf("adopting the packs of %d remote blobs: %d read, %v, %v", n, len(got), err, lerr)
 		}
 		fetches = append(fetches, lookups(inj.Ops()))
+
+		s, inj = open(dir)
+		if got, err := s.LocalTraces(man); err != nil || len(got) != n {
+			t.Fatalf("reading %d adopted blobs back: %d read, %v", n, len(got), err)
+		}
+		reads = append(reads, lookups(inj.Ops()))
 	}
 	for i := range puts {
-		if puts[i] != puts[0] || fetches[i] != fetches[0] {
-			t.Fatalf("filesystem lookups for 1, 100, 1000 blobs: PutAll %v, AdoptPacks %v; want the same for every count", puts, fetches)
+		if puts[i] != puts[0] || fetches[i] != fetches[0] || reads[i] != reads[0] {
+			t.Fatalf("filesystem lookups for 1, 100, 1000 blobs: PutAll %v, AdoptPacks %v, LocalTraces %v; want the same for every count", puts, fetches, reads)
 		}
+	}
+}
+
+// TestLocalTracesMixedSourcesOneListing: one manifest whose blobs lie in a
+// pack the store indexed at Open, in a loose file and in a pack a peer
+// published after Open reads in one LocalTraces call that lists the
+// generation once, stats nothing and reads each file once. A blob nobody
+// holds, met after such a listing, costs no second one.
+func TestLocalTracesMixedSourcesOneListing(t *testing.T) {
+	dir := t.TempDir()
+	blobs := distinctBlobs(3)
+	packed, loose, late := blobs[0], blobs[1], blobs[2]
+	if _, _, err := openStore(t, dir).PutAll([]*store.Blob{packed}); err != nil {
+		t.Fatal(err)
+	}
+	inj := fsx.NewInject(nil)
+	s, err := store.Open(dir, inj, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeLoose(t, dir, "gen0000", loose)
+	if _, _, err := openStore(t, dir).PutAll([]*store.Blob{late}); err != nil {
+		t.Fatal(err)
+	}
+	inj.StartRecording()
+	if got, err := s.LocalTraces(manifestOver(packed, loose, late, loose)); err != nil || len(got) != 4 {
+		t.Fatalf("mixed manifest: %d traces, %v", len(got), err)
+	}
+	ops := inj.Ops()
+	listings, stats, reads := opCount(ops, fsx.OpGlob), opCount(ops, fsx.OpStat), opCount(ops, fsx.OpRead)
+	// Two of the reads are the late pack's header and index, read by the
+	// listing that finds it.
+	if listings != 1 || stats != 0 || reads != 5 {
+		t.Errorf("%d listings, %d stats, %d reads; want 1 listing, no stat and 5 reads (3 files + a new pack's index)", listings, stats, reads)
+	}
+
+	later := mkBlob(200, 2)
+	writeLoose(t, dir, "gen0000", later)
+	inj.StartRecording()
+	if _, err := s.LocalTraces(manifestOver(later, mkBlob(201, 2))); !errors.Is(err, store.ErrBlobMissing) {
+		t.Fatalf("manifest with an absent blob: %v, want ErrBlobMissing", err)
+	}
+	if listings := opCount(inj.Ops(), fsx.OpGlob); listings != 1 {
+		t.Errorf("a new loose blob, then an absent one: %d listings, want 1", listings)
 	}
 }
 
@@ -99,27 +159,19 @@ func TestLooseFileWrittenAfterOpenIsFound(t *testing.T) {
 	blobs := distinctBlobs(4)
 	for i, read := range []struct {
 		name  string
-		found func(store.Hash) bool
+		found func(*store.Blob) bool
 	}{
-		{"Get", func(h store.Hash) bool { _, err := s.Get(h); return err == nil }},
-		{"GetAll", func(h store.Hash) bool { got, _ := s.GetAll([]store.Hash{h}); return got[h] != nil }},
-		{"Has", s.Has},
-		{"SizeOf", func(h store.Hash) bool { _, ok := s.SizeOf(h); return ok }},
+		{"Get", func(b *store.Blob) bool { _, err := s.Get(b.Hash()); return err == nil }},
+		{"LocalTraces", func(b *store.Blob) bool { _, err := s.LocalTraces(manifestOver(b)); return err == nil }},
+		{"Missing", func(b *store.Blob) bool { return len(s.Missing(manifestOver(b))) == 0 }},
+		{"SizeOf", func(b *store.Blob) bool { _, ok := s.SizeOf(b.Hash()); return ok }},
 	} {
 		writeLoose(t, dir, "gen0000", blobs[i])
 		inj.StartRecording()
-		if !read.found(blobs[i].Hash()) {
+		if !read.found(blobs[i]) {
 			t.Errorf("%s does not find a loose blob written after Open", read.name)
 		}
-		listings, stats := 0, 0
-		for _, op := range inj.Ops() {
-			switch op.Op {
-			case fsx.OpGlob:
-				listings++
-			case fsx.OpStat:
-				stats++
-			}
-		}
+		listings, stats := opCount(inj.Ops(), fsx.OpGlob), opCount(inj.Ops(), fsx.OpStat)
 		if listings != 1 || stats != 0 {
 			t.Errorf("%s listed the generation %d times and stat'ed %d files, want one listing and no stat", read.name, listings, stats)
 		}
@@ -159,27 +211,28 @@ func TestRemovedLooseFileIsACleanMiss(t *testing.T) {
 	}
 	inj.StartRecording()
 	for _, b := range []*store.Blob{bad, orphan} {
-		missIsClean(t, s, b.Hash())
+		missIsClean(t, s, b)
 	}
 	for _, op := range inj.Ops() {
 		if op.Op == fsx.OpRead {
 			t.Errorf("a lookup of a blob the store removed read %s", op.Path)
 		}
 	}
-	missIsClean(t, s, peerOrphan.Hash())
+	missIsClean(t, s, peerOrphan)
 }
 
-// missIsClean requires every read entry point to report h absent.
-func missIsClean(t *testing.T, s *store.Store, h store.Hash) {
+// missIsClean requires every read entry point to report b absent.
+func missIsClean(t *testing.T, s *store.Store, b *store.Blob) {
 	t.Helper()
+	h := b.Hash()
 	if _, err := s.Get(h); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("Get(%s) = %v, want ErrBlobMissing", h, err)
 	}
-	if got, missing := s.GetAll([]store.Hash{h}); len(got) != 0 || len(missing) != 1 {
-		t.Errorf("GetAll(%s) resolved it", h)
+	if _, err := s.LocalTraces(manifestOver(b)); !errors.Is(err, store.ErrBlobMissing) {
+		t.Errorf("LocalTraces over %s = %v, want ErrBlobMissing", h, err)
 	}
-	if s.Has(h) {
-		t.Errorf("Has(%s) after its file was removed", h)
+	if len(s.Missing(manifestOver(b))) != 1 {
+		t.Errorf("Missing(%s) holds it after its file was removed", h)
 	}
 	if _, ok := s.SizeOf(h); ok {
 		t.Errorf("SizeOf(%s) after its file was removed", h)
@@ -263,11 +316,11 @@ func FuzzInflateBlob(f *testing.F) {
 	})
 }
 
-// TestLooseIndexUnderConcurrentPeers runs readers against one store while a
-// peer store in the same directory publishes a pack and writes a loose file
-// per turn, and the readers' store compacts after each: the race detector
-// guards the index of packs and loose files, and the blobs kept live stay
-// readable throughout and after.
+// TestLooseIndexUnderConcurrentPeers runs readers of the launch path against
+// one store while a peer store in the same directory publishes a pack and
+// writes a loose file per turn, and the readers' store compacts after each:
+// the race detector guards the index of packs and loose files, and the
+// blobs kept live stay readable throughout and after.
 func TestLooseIndexUnderConcurrentPeers(t *testing.T) {
 	dir := t.TempDir()
 	s, peer := openStore(t, dir), openStore(t, dir)
@@ -277,11 +330,10 @@ func TestLooseIndexUnderConcurrentPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := make(map[store.Hash]bool)
-	hashes := make([]store.Hash, len(blobs))
 	for i, b := range blobs {
-		hashes[i] = b.Hash()
-		live[hashes[i]] = i < len(kept)
+		live[b.Hash()] = i < len(kept)
 	}
+	keptMan, allMan := manifestOver(kept...), manifestOver(blobs...)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -297,12 +349,13 @@ func TestLooseIndexUnderConcurrentPeers(t *testing.T) {
 					return
 				default:
 				}
-				if got, _ := s.GetAll(hashes); len(got) < len(kept) {
-					t.Errorf("readers resolved %d blobs, fewer than the %d kept live", len(got), len(kept))
+				if _, err := s.LocalTraces(keptMan); err != nil {
+					t.Errorf("readers lost the blobs kept live: %v", err)
 					return
 				}
-				for _, h := range hashes {
-					s.Has(h)
+				s.Missing(allMan)
+				for _, b := range blobs[len(kept):] { // published, loose or compacted away
+					s.LocalTraces(manifestOver(b))
 				}
 			}
 		}()

@@ -8,11 +8,11 @@ import (
 // low-frequency (commit, prime, compaction), so counters are incremented
 // directly at the call sites, like the manager's.
 type storeMetrics struct {
-	// pcc_store_blob_hits_total{tier=l1|l2|l3}, resolved to its three
-	// counters once: a prime resolves hundreds of blobs, and a family
-	// lookup per blob is a string join and a map probe. l3 counts blobs
-	// read from packs this process received from another machine.
-	hitsL1, hitsL2, hitsL3 *metrics.Counter
+	// pcc_store_blob_hits_total{tier=l2|l3}, resolved to its two counters
+	// once: a prime resolves hundreds of blobs, and a family lookup per blob
+	// is a string join and a map probe. l3 counts blobs read from packs this
+	// process received from another machine.
+	hitsL2, hitsL3 *metrics.Counter
 
 	misses       *metrics.Counter
 	written      *metrics.Counter
@@ -35,7 +35,6 @@ func newStoreMetrics(r *metrics.Registry) *storeMetrics {
 	}
 	hits := r.CounterVec("pcc_store_blob_hits_total", "blob lookups resolved, by tier", "tier")
 	return &storeMetrics{
-		hitsL1:       hits.With("l1"),
 		hitsL2:       hits.With("l2"),
 		hitsL3:       hits.With("l3"),
 		misses:       r.Counter("pcc_store_blob_misses_total", "blob lookups that found no local copy"),

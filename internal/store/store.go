@@ -78,8 +78,7 @@ type member struct {
 	i int
 }
 
-// Store is the local content-addressed blob store (tier L2) plus its
-// in-process decoded-blob map (tier L1). The pack files
+// Store is the local content-addressed blob store (tier L2). The pack files
 // <generation>/<id>.pck are the on-disk state: each holds the new blobs of
 // one commit, is published by renaming a synced, writer-unique temp onto a
 // name derived from its content, and is never rewritten in place — so any
@@ -113,9 +112,6 @@ type Store struct {
 	index map[Hash]member  // where each packed blob lives
 	loose map[Hash]string  // where each loose blob file lives, as last listed
 	hot   []*pack          // packs holding their inflated stream, oldest first
-
-	l1mu sync.RWMutex
-	l1   map[Hash]*Blob
 }
 
 // Open opens the store rooted at dir. All I/O goes through fsys — the
@@ -143,7 +139,6 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 		packs: make(map[string]*pack),
 		index: make(map[Hash]member),
 		loose: make(map[Hash]string),
-		l1:    make(map[Hash]*Blob),
 	}
 	s.relist()
 	return s, nil
@@ -431,21 +426,23 @@ func (s *Store) publish(path string, data []byte) error {
 	return err
 }
 
-// Missing returns, each once, the hashes among hashes this store holds in
-// no pack and no loose file — what a machine must fetch before it can prime
-// from a manifest. It lists the generations at most once.
-func (s *Store) Missing(hashes []Hash) []Hash {
+// Missing returns, each once, the hashes of the blobs man references that
+// this store holds in no pack and no loose file — what a machine must fetch
+// before it can prime from man. It lists the generations at most once.
+func (s *Store) Missing(man *Manifest) []Hash {
 	var out []Hash
-	seen := make(map[Hash]bool, len(hashes))
+	var seen map[Hash]bool // allocated by the first miss: a warm launch has none
 	relisted := false
-	for _, h := range hashes {
-		if seen[h] {
+	for _, tr := range man.Traces {
+		h := tr.Blob
+		if _, ok := s.locate(h, &relisted); ok || seen[h] {
 			continue
 		}
-		seen[h] = true
-		if _, ok := s.locate(h, &relisted); !ok {
-			out = append(out, h)
+		if seen == nil {
+			seen = make(map[Hash]bool)
 		}
+		seen[h] = true
+		out = append(out, h)
 	}
 	return out
 }
@@ -458,8 +455,8 @@ func (s *Store) Missing(hashes []Hash) []Hash {
 // the same name on every machine and adopting it twice writes it once —
 // indexed, and kept hot with the stream verification inflated, so the
 // prime that follows reads it without inflating again. Nothing is deflated.
-// A pack the disk refuses still serves this process: its members go to L1,
-// as verified as they would be on disk, and the next process fetches again.
+// A pack the disk refuses is an error: a blob is held only once it is on
+// disk, so the prime that wanted it degrades and the next one fetches again.
 func (s *Store) AdoptPacks(files [][]byte) error {
 	type received struct {
 		id  Hash
@@ -483,12 +480,7 @@ func (s *Store) AdoptPacks(files [][]byte) error {
 		s.pmu.RUnlock()
 		if p == nil {
 			if err := s.publish(path, files[i]); err != nil {
-				for j, h := range r.ix.hashes {
-					if b, err := DecodeBlob(r.raw[r.ix.offs[j]:r.ix.offs[j+1]]); err == nil {
-						s.cache(h, b)
-					}
-				}
-				continue
+				return fmt.Errorf("store: adopting pack %s: %w", r.id, err)
 			}
 			p = &pack{path: path, ix: r.ix, remote: true}
 			s.met.written.Add(uint64(len(r.ix.hashes)))
@@ -569,18 +561,6 @@ func (s *Store) packFile(h Hash, relisted *bool, sent map[*pack]bool) ([]byte, *
 	}
 }
 
-// Has reports whether the blob is resident locally (L1 or L2).
-func (s *Store) Has(h Hash) bool {
-	s.l1mu.RLock()
-	_, ok := s.l1[h]
-	s.l1mu.RUnlock()
-	if !ok {
-		relisted := false
-		_, ok = s.locate(h, &relisted)
-	}
-	return ok
-}
-
 // SizeOf returns the length of a blob's encoding. Blobs share one
 // compressed stream per pack, so a blob has no physical size of its own.
 func (s *Store) SizeOf(h Hash) (uint64, bool) {
@@ -596,53 +576,22 @@ func (s *Store) SizeOf(h Hash) (uint64, bool) {
 	return uint64(len(enc)), err == nil
 }
 
-// Get resolves a hash through L1 (in-process decoded map) then the local
-// disk. A blob that fails the content-address or decode check has its
-// file — the whole pack, for a packed blob — quarantined and is reported
-// as ErrBlobCorrupt; an absent blob returns ErrBlobMissing.
+// Get reads and decodes one blob from the local disk; each call returns a
+// blob of its own. A blob that fails the content-address or decode check
+// has its file — the whole pack, for a packed blob — quarantined and is
+// reported as ErrBlobCorrupt; an absent blob returns ErrBlobMissing. A
+// launch reads a manifest through LocalTraces, not blob by blob.
 func (s *Store) Get(h Hash) (*Blob, error) {
 	relisted := false
-	return s.get(h, &relisted)
-}
-
-// GetAll resolves a set of hashes like Get, listing the generations again
-// at most once however many of them are unknown, and returns the blobs it
-// found and the hashes it did not.
-func (s *Store) GetAll(hashes []Hash) (map[Hash]*Blob, []Hash) {
-	out := make(map[Hash]*Blob, len(hashes))
-	var missing []Hash
-	relisted := false
-	for _, h := range hashes {
-		if _, ok := out[h]; ok {
-			continue
-		}
-		if b, err := s.get(h, &relisted); err == nil {
-			out[h] = b
-		} else {
-			missing = append(missing, h)
-		}
-	}
-	return out, missing
-}
-
-func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
-	s.l1mu.RLock()
-	b, ok := s.l1[h]
-	s.l1mu.RUnlock()
-	if ok {
-		s.met.hitsL1.Inc()
-		return b, nil
-	}
-	enc, loc, err := s.readRaw(h, relisted)
+	enc, loc, err := s.readRaw(h, &relisted)
 	if err != nil {
 		return nil, err
 	}
-	b, err = DecodeBlob(enc)
+	b, err := DecodeBlob(enc)
 	if err != nil {
 		s.quarantine(loc)
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
-	s.cache(h, b)
 	if loc.p != nil && loc.p.remote {
 		s.met.hitsL3.Inc()
 	} else {
@@ -651,64 +600,69 @@ func (s *Store) get(h Hash, relisted *bool) (*Blob, error) {
 	return b, nil
 }
 
-// cache installs a decoded blob in L1.
-func (s *Store) cache(h Hash, b *Blob) {
-	s.l1mu.Lock()
-	s.l1[h] = b
-	s.l1mu.Unlock()
+// openFile is a file LocalTraces has read: a pack's inflated stream, or a
+// loose blob's encoding standing as a one-member pack, with the members it
+// has counted.
+type openFile struct {
+	loc  blobLoc // the file, for quarantine
+	raw  []byte
+	seen []bool
 }
 
-// LocalTraces is a warm launch's read path: every trace man references,
-// decoded straight out of this store's packs into the traces a VM will run.
-// Each encoding is verified against its content address and against the
-// manifest's view of it (decodeTrace) exactly as Get, Manifest.CheckBlob and
-// Blob.Materialize would between them, but no Blob is built, nothing enters
-// L1 and the tier counters are bumped once. It answers all or nothing: ok
-// is false when any blob is not in a pack this store has indexed, or fails
-// any check — the caller then resolves the manifest through GetAll, which
-// lists the directory again, reads loose blobs and quarantines a bad pack,
-// none of which a healthy warm launch needs. A launch primed from another
-// machine reads here too, once AdoptPacks has taken the packs it received.
+// manifestRead is one LocalTraces call's state: the files it has opened,
+// the loose blobs among them by hash (the pack index does not know them),
+// and whether it has listed the generations again.
+type manifestRead struct {
+	s        *Store
+	open     map[*pack]*openFile
+	loose    map[Hash]member
+	relisted bool
+}
+
+// LocalTraces is the one way a manifest becomes traces: every trace man
+// references, decoded straight out of this store's files into the traces a
+// VM will run, with no Blob built and nothing kept. Each encoding is
+// verified against its content address and against the manifest's view of
+// it (decodeTrace) exactly as Get, Manifest.CheckBlob and Blob.Materialize
+// would between them, and each distinct blob is counted once as a hit of
+// the tier that held it. A warm launch finds every blob in a pack it has
+// indexed; anything else — a pack a peer published since, a loose blob, a
+// file gone or damaged — is openBlob's, so the loop pays nothing for it.
+// The error is ErrBlobMissing when a blob is nowhere, ErrBlobCorrupt when
+// its bytes fail a check (that file is quarantined), and any other error
+// when a blob decodes but is not the one the manifest was written against.
+// A launch primed from another machine reads here too, once AdoptPacks has
+// taken the packs it received.
 //
 //pcc:hotpath
-func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
-	// One entry per pack the manifest reaches into: its inflated stream, and
-	// which members were counted already (a hash referenced twice is one
-	// lookup, as it is in GetAll).
-	type openPack struct {
-		raw  []byte
-		seen []bool
-	}
-	open := make(map[*pack]*openPack)
-
-	traces = make([]*vm.Trace, len(man.Traces))
+func (s *Store) LocalTraces(man *Manifest) ([]*vm.Trace, error) {
+	r := manifestRead{s: s, open: make(map[*pack]*openFile)}
+	traces := make([]*vm.Trace, len(man.Traces))
 	structs := make([]vm.Trace, len(man.Traces)) // one allocation; traces[i] = &structs[i]
 	var insts slab[isa.Inst]
 	var local, remote uint64
 	for i, tr := range man.Traces {
 		m, found := s.packed(tr.Blob)
-		if !found {
-			return nil, false
-		}
-		cur := open[m.p]
-		if cur == nil {
-			raw, err := s.packStream(m.p)
-			if err != nil {
-				return nil, false
+		f := r.open[m.p]
+		if !found || f == nil {
+			var err error
+			if m, f, err = r.openBlob(tr.Blob); err != nil {
+				return nil, err
 			}
-			cur = &openPack{raw: raw, seen: make([]bool, len(m.p.ix.hashes))}
-			open[m.p] = cur
 		}
-		enc := cur.raw[m.p.ix.offs[m.i]:m.p.ix.offs[m.i+1]]
+		enc := f.raw[m.p.ix.offs[m.i]:m.p.ix.offs[m.i+1]]
+		var err error
 		if Sum(enc) != tr.Blob {
-			return nil, false
+			err = fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, tr.Blob)
+		} else {
+			err = decodeTrace(&structs[i], &insts, enc, man, tr)
 		}
-		if decodeTrace(&structs[i], &insts, enc, man, tr) != nil {
-			return nil, false
+		if err != nil {
+			return nil, r.fail(f, err)
 		}
 		traces[i] = &structs[i]
-		if !cur.seen[m.i] {
-			cur.seen[m.i] = true
+		if !f.seen[m.i] {
+			f.seen[m.i] = true
 			if m.p.remote {
 				remote++
 			} else {
@@ -718,41 +672,77 @@ func (s *Store) LocalTraces(man *Manifest) (traces []*vm.Trace, ok bool) {
 	}
 	s.met.hitsL2.Add(local)
 	s.met.hitsL3.Add(remote)
-	return traces, true
+	return traces, nil
 }
 
-// readRaw loads and hash-verifies blob bytes from disk.
-func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
+// openBlob finds h for LocalTraces when no file it has open holds it: in a
+// pack not opened yet, in a pack or loose file the index learns of by
+// listing the generations again (once per call), or in a loose file, read
+// as a one-member pack. find forgets a file gone since it was indexed and
+// quarantines one that fails to read back.
+func (r *manifestRead) openBlob(h Hash) (member, *openFile, error) {
+	if m, ok := r.loose[h]; ok {
+		return m, r.open[m.p], nil
+	}
+	loc, raw, err := r.s.find(h, &r.relisted)
+	if err != nil {
+		return member{}, nil, err
+	}
+	m := loc.member
+	if m.p == nil {
+		m.p = &pack{ix: &packIndex{hashes: []Hash{h}, offs: []uint32{0, uint32(len(raw))}}}
+		if r.loose == nil {
+			r.loose = make(map[Hash]member)
+		}
+		r.loose[h] = m
+	}
+	f := r.open[m.p]
+	if f == nil {
+		f = &openFile{loc: loc, raw: raw, seen: make([]bool, len(m.p.ix.hashes))}
+		r.open[m.p] = f
+	}
+	return m, f, nil
+}
+
+// fail quarantines the file f when err says its bytes are bad — the whole
+// pack, since one bad member means the file cannot be trusted — and returns
+// err.
+func (r *manifestRead) fail(f *openFile, err error) error {
+	if errors.Is(err, ErrBlobCorrupt) {
+		r.s.quarantine(f.loc)
+	}
+	return err
+}
+
+// find locates h and reads the file that holds it: a pack's inflated
+// stream, or a loose blob's encoding. A file gone since it was indexed — a
+// peer's compaction removed it; the blob, if still live, is in a pack not
+// listed yet — is forgotten and h looked up again. A file that fails to
+// read back is quarantined (ErrBlobCorrupt); h nowhere, or a file that
+// cannot be read now, is ErrBlobMissing.
+func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, error) {
 	for {
 		loc, ok := s.locate(h, relisted)
 		if !ok {
 			s.met.misses.Inc()
-			return nil, loc, fmt.Errorf("%w: %s", ErrBlobMissing, h)
+			return loc, nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
 		}
-		var enc []byte
+		var data []byte
 		var err error
 		if loc.p != nil {
-			var raw []byte
-			if raw, err = s.packStream(loc.p); err == nil {
-				enc = raw[loc.p.ix.offs[loc.i]:loc.p.ix.offs[loc.i+1]]
-			}
-		} else if enc, err = s.fs.ReadFile(loc.loose); err == nil {
-			if enc, err = inflateBlob(enc); err != nil {
+			data, err = s.packStream(loc.p)
+		} else if data, err = s.fs.ReadFile(loc.loose); err == nil {
+			if data, err = inflateBlob(data); err != nil {
 				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 			}
 		}
 		switch {
-		case err == nil && Sum(enc) == h:
-			return enc, loc, nil
 		case err == nil:
-			err = fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
-			fallthrough
+			return loc, data, nil
 		case errors.Is(err, ErrBlobCorrupt):
 			s.quarantine(loc)
-			return nil, loc, err
+			return loc, nil, err
 		case errors.Is(err, fs.ErrNotExist):
-			// A peer's compaction removed the file after we indexed it; the
-			// blob, if still live, is in a pack we have yet to list.
 			if loc.p != nil {
 				s.forget(loc.p)
 			} else {
@@ -760,9 +750,25 @@ func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
 			}
 		default:
 			s.met.misses.Inc()
-			return nil, loc, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
+			return loc, nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
 		}
 	}
+}
+
+// readRaw loads and hash-verifies one blob's bytes from disk.
+func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
+	loc, enc, err := s.find(h, relisted)
+	if err != nil {
+		return nil, loc, err
+	}
+	if loc.p != nil {
+		enc = enc[loc.p.ix.offs[loc.i]:loc.p.ix.offs[loc.i+1]]
+	}
+	if Sum(enc) != h {
+		s.quarantine(loc)
+		return nil, loc, fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
+	}
+	return enc, loc, nil
 }
 
 // packStream returns p's inflated stream, reading and inflating the file
@@ -811,25 +817,12 @@ func (s *Store) heatLocked(p *pack, raw []byte) {
 // next commit can rewrite it).
 func (s *Store) quarantine(loc blobLoc) {
 	if loc.p == nil {
-		if h, err := hashOf(loc.loose); err == nil {
-			s.uncache(h)
-		}
 		s.quarantineFile(loc.loose)
 		s.forgetLoose(loc.loose)
 		return
 	}
 	s.quarantineFile(loc.p.path)
 	s.forget(loc.p)
-	s.uncache(loc.p.ix.hashes...)
-}
-
-// uncache drops decoded blobs from L1.
-func (s *Store) uncache(hashes ...Hash) {
-	s.l1mu.Lock()
-	for _, h := range hashes {
-		delete(s.l1, h)
-	}
-	s.l1mu.Unlock()
 }
 
 // quarantineFile moves one store file into the quarantine directory,
@@ -972,11 +965,8 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 			rep.Quarantined++
 		}
 	}
-	// Start over from what survived: nothing decoded or inflated before
-	// the scrub is trusted after it.
-	s.l1mu.Lock()
-	s.l1 = make(map[Hash]*Blob)
-	s.l1mu.Unlock()
+	// Start over from what survived: nothing inflated before the scrub is
+	// trusted after it.
 	s.pmu.Lock()
 	s.packs, s.index, s.loose, s.hot = make(map[string]*pack), make(map[Hash]member), make(map[Hash]string), nil
 	s.pmu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -409,7 +410,7 @@ func TestOpenAndRecoverSpareLiveTemp(t *testing.T) {
 	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
 		t.Fatalf("Open wrote into the store root: %v", names)
 	}
-	if s.Has(b.Hash()) {
+	if len(s.Missing(manifestOver(b))) != 1 {
 		t.Fatal("a temp's content is addressable before its rename")
 	}
 	rep, err := s.Recover(time.Minute)
@@ -438,10 +439,8 @@ func TestReloadOnMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blobs []*store.Blob
-	var hashes []store.Hash
 	for seed := byte(0); seed < 20; seed++ {
 		blobs = append(blobs, mkBlob(seed, 3))
-		hashes = append(hashes, blobs[seed].Hash())
 	}
 	if _, _, err := openStore(t, dir).PutAll(blobs[:10]); err != nil {
 		t.Fatal(err)
@@ -455,12 +454,24 @@ func TestReloadOnMiss(t *testing.T) {
 		return n
 	}
 	inj.StartRecording()
-	got, missing := early.GetAll(hashes)
-	if len(got) != 10 || len(missing) != 10 {
-		t.Fatalf("resolved %d, missed %d; want the peer's 10 and 10 misses", len(got), len(missing))
+	var unwritten []store.Hash
+	for _, b := range blobs[10:] {
+		unwritten = append(unwritten, b.Hash())
+	}
+	if missing := early.Missing(manifestOver(blobs...)); !slices.Equal(missing, unwritten) {
+		t.Fatalf("missed %d hashes; want the 10 the peer did not write", len(missing))
 	}
 	if n := listings(); n != 1 {
-		t.Errorf("GetAll with 20 unknown hashes listed the packs %d times, want 1", n)
+		t.Errorf("Missing with 20 unknown hashes listed the packs %d times, want 1", n)
+	}
+	// The peer's pack, found by that listing, now reads through the one
+	// path without another.
+	inj.StartRecording()
+	if trs, err := early.LocalTraces(manifestOver(blobs[:10]...)); err != nil || len(trs) != 10 {
+		t.Fatalf("LocalTraces over the peer's blobs: %d traces, %v", len(trs), err)
+	}
+	if n := listings(); n != 0 {
+		t.Errorf("reading the indexed peer pack listed the packs %d times, want 0", n)
 	}
 	// A put of known, peer-written and new blobs dedups against the peer's
 	// pack found above, and lists once more for the ones still unknown.
@@ -511,7 +522,7 @@ func TestCompactPrunesOrphans(t *testing.T) {
 		// are gone when it reads from them.)
 		_, errOrphan := st.Get(orphan.Hash())
 		_, errDead := st.Get(dead1.Hash())
-		if !errors.Is(errOrphan, store.ErrBlobMissing) || !errors.Is(errDead, store.ErrBlobMissing) || st.Has(orphan.Hash()) {
+		if !errors.Is(errOrphan, store.ErrBlobMissing) || !errors.Is(errDead, store.ErrBlobMissing) || len(st.Missing(manifestOver(orphan))) != 1 {
 			t.Errorf("pruned blobs still served: %v, %v", errOrphan, errDead)
 		}
 	}
@@ -624,34 +635,35 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := newFakeRemote(t, remote)
-	fetch := func(hashes ...store.Hash) {
+	fetch := func(man *store.Manifest) {
 		t.Helper()
-		if missing := s.Missing(hashes); len(missing) > 0 {
+		if missing := s.Missing(man); len(missing) > 0 {
 			if err := s.AdoptPacks(fr.packs(missing)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	absent := mkBlob(12, 3).Hash()
-	all := []store.Hash{local.Hash(), remote.Hash(), absent}
+	absent := mkBlob(12, 3)
+	all := manifestOver(local, remote, absent)
 	if missing := s.Missing(all); len(missing) != 2 {
 		t.Fatalf("missing %d of the 3 hashes, want the 2 not stored locally", len(missing))
 	}
-	fetch(all...)
-	got, _ := s.GetAll(all)
-	if len(got) != 2 {
-		t.Fatalf("resolved %d of 2 resolvable hashes", len(got))
+	fetch(all)
+	if missing := s.Missing(all); len(missing) != 1 || missing[0] != absent.Hash() {
+		t.Fatalf("after the fetch %d hashes are missing, want only the one nobody holds", len(missing))
 	}
 	if fr.calls != 1 {
 		t.Fatalf("remote called %d times, want 1 batched trip", fr.calls)
 	}
 	// The fetched blob was written through to L2: the next lookup is local,
 	// in this process and the next.
-	if !s.Has(remote.Hash()) || !openStore(t, dir).Has(remote.Hash()) {
-		t.Fatal("remote blob not written through to the local store")
+	for _, st := range []*store.Store{s, openStore(t, dir)} {
+		if _, err := st.LocalTraces(manifestOver(local, remote)); err != nil {
+			t.Fatalf("remote blob not written through to the local store: %v", err)
+		}
 	}
-	fetch(remote.Hash())
+	fetch(manifestOver(remote))
 	if _, err := s.Get(remote.Hash()); err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +678,7 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 	if err := s.AdoptPacks([][]byte{torn}); err == nil {
 		t.Error("corrupt remote bytes were adopted")
 	}
-	if s.Has(junk.Hash()) {
+	if len(s.Missing(manifestOver(junk))) != 1 {
 		t.Error("corrupt remote bytes reached the local store")
 	}
 	if after := storeFiles(t, dir, ".pck"); len(after) != len(before) {
@@ -688,12 +700,12 @@ func TestAdoptedPackPrimesWithoutRereading(t *testing.T) {
 		t.Fatal(err)
 	}
 	man := manifestOver(a, b)
-	if err := s.AdoptPacks(newFakeRemote(t, a, b).packs(s.Missing(man.BlobHashes()))); err != nil {
+	if err := s.AdoptPacks(newFakeRemote(t, a, b).packs(s.Missing(man))); err != nil {
 		t.Fatal(err)
 	}
 	inj.StartRecording()
-	if _, ok := s.LocalTraces(man); !ok {
-		t.Fatal("LocalTraces refused the adopted pack")
+	if _, err := s.LocalTraces(man); err != nil {
+		t.Fatalf("LocalTraces refused the adopted pack: %v", err)
 	}
 	for _, op := range inj.Ops() {
 		if op.Op == fsx.OpRead {
@@ -712,8 +724,8 @@ func TestAdoptedPackPrimesWithoutRereading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.LocalTraces(man); !ok || hits(next, "l2") != 2 || hits(next, "l3") != 0 {
-		t.Errorf("reopened store: ok=%t, hits l2=%v l3=%v, want 2 and 0", ok, hits(next, "l2"), hits(next, "l3"))
+	if _, err := s2.LocalTraces(man); err != nil || hits(next, "l2") != 2 || hits(next, "l3") != 0 {
+		t.Errorf("reopened store: %v, hits l2=%v l3=%v, want 2 and 0", err, hits(next, "l2"), hits(next, "l3"))
 	}
 }
 
@@ -733,10 +745,12 @@ func manifestOver(blobs ...*store.Blob) *store.Manifest {
 	return man
 }
 
-// TestLocalTraces: the launch read path answers a manifest whose blobs are
-// all packed locally with the traces the Blob path builds — counting one l2
-// hit per distinct blob, caching nothing — and answers nothing at all, and
-// touches nothing, when any blob needs more than that.
+// TestLocalTraces: the one read path answers a manifest with the traces
+// the Blob path builds, wherever each blob lies — packed or loose — counting
+// one l2 hit per distinct blob. A blob nobody holds is ErrBlobMissing; one
+// that decodes but is not the blob the manifest describes is an error of
+// its own, and its pack stays; a damaged pack is ErrBlobCorrupt and moves
+// to quarantine. Refused manifests count no hits.
 func TestLocalTraces(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
@@ -751,56 +765,57 @@ func TestLocalTraces(t *testing.T) {
 	if _, _, err := s.PutAll([]*store.Blob{c}); err != nil { // a second pack
 		t.Fatal(err)
 	}
+	loose := mkBlob(43, 2)
+	writeLoose(t, dir, "gen0000", loose)
 	hits := func(tier string) float64 {
 		n, _ := reg.Snapshot().Value("pcc_store_blob_hits_total", tier)
 		return n
 	}
 
-	man := manifestOver(a, c, b, a) // packs interleaved, one blob twice
-	got, ok := s.LocalTraces(man)
-	if !ok || len(got) != 4 {
-		t.Fatalf("LocalTraces over a fully packed manifest: %d traces, ok=%t", len(got), ok)
+	man := manifestOver(a, c, loose, b, a, loose) // packs and a loose file interleaved, two blobs twice
+	got, err := s.LocalTraces(man)
+	if err != nil || len(got) != 6 {
+		t.Fatalf("LocalTraces: %d traces, %v", len(got), err)
 	}
-	if hits("l2") != 3 || hits("l1") != 0 {
-		t.Errorf("hits l1=%v l2=%v, want 0 and 3 (a blob referenced twice is one lookup)", hits("l1"), hits("l2"))
+	if hits("l2") != 4 {
+		t.Errorf("hits l2=%v, want 4 (a blob referenced twice is one lookup)", hits("l2"))
 	}
-	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode()}
+	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode(), loose.Hash(): loose.Encode()}
 	for i, tr := range man.Traces {
 		want, err := viaBlob(enc[tr.Blob], man, tr)
 		if err != nil || !reflect.DeepEqual(*got[i], *want) {
 			t.Errorf("trace %d differs from the Blob path (err %v)\n got %+v\nwant %+v", i, err, *got[i], want)
 		}
 	}
-	if got[0] == got[3] || &got[0].Insts[0] == &got[3].Insts[0] {
+	if got[0] == got[4] || &got[0].Insts[0] == &got[4].Insts[0] {
 		t.Error("two references to one blob share a trace")
 	}
-	// Nothing was decoded into L1: the next Get is an l2 hit, not an l1 hit.
-	if _, err := s.Get(a.Hash()); err != nil || hits("l1") != 0 || hits("l2") != 4 {
-		t.Errorf("Get after LocalTraces: err %v, l1=%v l2=%v, want an l2 hit", err, hits("l1"), hits("l2"))
+	// Nothing is kept decoded: each Get builds a blob of its own.
+	if g1, err1 := s.Get(a.Hash()); err1 != nil {
+		t.Fatal(err1)
+	} else if g2, err2 := s.Get(a.Hash()); err2 != nil || g1 == g2 {
+		t.Errorf("two Gets returned one blob (err %v)", err2)
 	}
 
-	// A manifest that disagrees with a blob, a blob only a loose file holds
-	// and a blob nobody holds are all somebody else's problem.
+	before := hits("l2")
+	if _, err := s.LocalTraces(manifestOver(a, mkBlob(44, 2))); !errors.Is(err, store.ErrBlobMissing) {
+		t.Errorf("absent blob: %v, want ErrBlobMissing", err)
+	}
 	bent := manifestOver(a, b)
 	bent.Modules[1].Base += 0x1000
-	loose := mkBlob(43, 2)
-	writeLoose(t, dir, "gen0000", loose)
-	before := hits("l2")
-	for name, m := range map[string]*store.Manifest{
-		"mismatched module": bent,
-		"loose blob":        manifestOver(a, loose),
-		"absent blob":       manifestOver(a, mkBlob(44, 2)),
-	} {
-		if got, ok := s.LocalTraces(m); ok || got != nil {
-			t.Errorf("%s: LocalTraces answered (%d traces)", name, len(got))
-		}
+	_, err = s.LocalTraces(bent)
+	if err == nil || errors.Is(err, store.ErrBlobMissing) || errors.Is(err, store.ErrBlobCorrupt) {
+		t.Errorf("mismatched module: %v, want an error that blames the manifest", err)
 	}
 	if hits("l2") != before {
 		t.Errorf("refused manifests counted %v hits", hits("l2")-before)
 	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*")); len(q) != 0 {
+		t.Errorf("a miss or a mismatch quarantined %v", q)
+	}
 
-	// A damaged pack is refused without being judged: quarantine is the
-	// tiered path's call, made with the same bytes.
+	// A damaged pack is this path's to judge: it moves to quarantine, and
+	// what it held is a clean miss afterwards.
 	path := storeFiles(t, dir, ".pck")[0]
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -811,11 +826,14 @@ func TestLocalTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = openStore(t, dir)
-	if _, ok := s.LocalTraces(manifestOver(a, b, c)); ok {
-		t.Fatal("LocalTraces answered from a damaged pack")
+	if _, err := s.LocalTraces(manifestOver(a, b, c)); !errors.Is(err, store.ErrBlobCorrupt) {
+		t.Fatalf("damaged pack: %v, want ErrBlobCorrupt", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("LocalTraces removed the damaged pack: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(path))); err != nil {
+		t.Errorf("damaged pack not quarantined: %v", err)
+	}
+	if _, err := s.LocalTraces(manifestOver(a, b, c)); !errors.Is(err, store.ErrBlobMissing) {
+		t.Errorf("after quarantine: %v, want ErrBlobMissing", err)
 	}
 }
 

@@ -65,17 +65,3 @@ func Load(exe *obj.File, libs []*obj.File, cfg loader.Config) (*loader.Process, 
 	}
 	return loader.Load(exe, cfg)
 }
-
-// MustProcess builds and loads in one step, panicking on error (for
-// examples and benchmarks where the source is a constant).
-func MustProcess(name, src string, libSrcs map[string]string, cfg loader.Config) *loader.Process {
-	exe, libs, err := Build(name, src, libSrcs)
-	if err != nil {
-		panic(err)
-	}
-	p, err := Load(exe, libs, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

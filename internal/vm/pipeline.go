@@ -103,12 +103,6 @@ type PipelineOption func(*Pipeline)
 // speculation seeded from the prefetched traces' recorded exits.
 func PipelinePrefetch() PipelineOption { return func(p *Pipeline) { p.prefetch = true } }
 
-// PipelineCommit sets the batched-commit hook: called off the dispatch
-// thread with each flushed batch of newly translated traces.
-func PipelineCommit(fn func([]*Trace) error) PipelineOption {
-	return func(p *Pipeline) { p.commitFn = fn }
-}
-
 // PipelineFlushInterval overrides the batched-commit flush period
 // (virtual ticks).
 func PipelineFlushInterval(ticks uint64) PipelineOption {
@@ -139,12 +133,6 @@ func NewPipeline(workers int, opts ...PipelineOption) *Pipeline {
 	p.jobs = make(chan *specJob, p.maxQueue)
 	return p
 }
-
-// Workers returns the configured decode-worker count.
-func (p *Pipeline) Workers() int { return p.workers }
-
-// PrefetchEnabled reports whether load-time bulk prefetch is on.
-func (p *Pipeline) PrefetchEnabled() bool { return p.prefetch }
 
 // SetCommit installs the batched-commit hook; it must be called before the
 // run starts (persistcc wires it after the manager exists).

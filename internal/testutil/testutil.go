@@ -227,3 +227,21 @@ func moduleRoot(t *testing.T) string {
 	}
 	return filepath.Dir(gomod)
 }
+
+// WriteLegacy writes cf into the database at dir as a legacy `.pcc` entry —
+// its serialized image under the key set's cache file name — and returns
+// the path. Nothing but tests and fixtures makes that format: commits write
+// manifests, and the legacy reader is what these files exercise.
+func WriteLegacy(t testing.TB, dir string, cf *core.CacheFile) string {
+	t.Helper()
+	b, err := cf.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := core.KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}
+	path := filepath.Join(dir, ks.CacheFileName())
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}

@@ -144,7 +144,7 @@ func BenchmarkSpecSteadyExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o := persistcc.RunOptions{Input: sb.Ref[0].Words(), Persist: true, StoreFormat: true, CacheDir: b.TempDir()}
+		o := persistcc.RunOptions{Input: sb.Ref[0].Words(), Persist: true, CacheDir: b.TempDir()}
 		if _, err := persistcc.Run(sb.Prog.Exe, sb.Prog.Libs, o); err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func warmGFTP(tb testing.TB) (*workload.GUIApp, persistcc.RunOptions) {
 	o := persistcc.RunOptions{
 		Input:   app.Startup.Words(),
 		Loader:  persistcc.LoaderConfig{Placement: persistcc.PlaceHashed},
-		Persist: true, StoreFormat: true, CacheDir: tb.TempDir(),
+		Persist: true, CacheDir: tb.TempDir(),
 	}
 	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err != nil {
 		tb.Fatal(err)
@@ -243,7 +243,7 @@ func BenchmarkPrimeWarmGUI(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		mgr, err := core.NewManager(o.CacheDir, core.WithStore())
+		mgr, err := core.NewManager(o.CacheDir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -542,7 +542,7 @@ func BenchmarkOptimizedWarmup(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	mgr, err := core.NewManager(dir, core.WithStore())
+	mgr, err := core.NewManager(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func BenchmarkStoreWarmup(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	mgr, err := core.NewManager(dir, core.WithStore())
+	mgr, err := core.NewManager(dir)
 	if err != nil {
 		b.Fatal(err)
 	}

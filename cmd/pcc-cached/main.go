@@ -47,7 +47,6 @@ func main() {
 	dir := flag.String("dir", "", "cache database directory to serve (required)")
 	listen := flag.String("listen", "127.0.0.1:7433", `listen address: "host:port" or "unix:/path.sock"`)
 	reloc := flag.Bool("reloc", false, "enable relocatable translations when merging")
-	storeFmt := flag.Bool("store", false, "merge publishes into the content-addressed store format (manifest + shared blobs)")
 	metricsAddr := flag.String("metrics-addr", "", `HTTP address serving /metrics and /healthz (e.g. "127.0.0.1:9100"; empty disables)`)
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle this long (0 = never)")
 	grace := flag.Duration("grace", 5*time.Second, "graceful-shutdown drain window for in-flight requests")
@@ -65,9 +64,6 @@ func main() {
 	mopts := []core.ManagerOption{core.WithMetrics(reg)}
 	if *reloc {
 		mopts = append(mopts, core.WithRelocatable())
-	}
-	if *storeFmt {
-		mopts = append(mopts, core.WithStore())
 	}
 	mgr, err := core.NewManager(*dir, mopts...)
 	if err != nil {

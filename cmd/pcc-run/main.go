@@ -43,7 +43,6 @@ func main() {
 	fleetConfig := flag.String("fleet-config", "", "sharded cache-server fleet membership JSON; keys route to shards by consistent hash (mutually exclusive with -cache-server)")
 	interApp := flag.Bool("interapp", false, "fall back to another application's cache")
 	reloc := flag.Bool("reloc", false, "enable relocatable translations")
-	storeFmt := flag.Bool("store", false, "commit in the content-addressed store format (manifest + shared blobs); reads both formats either way")
 	storeDir := flag.String("store-dir", "", "shared blob store directory for machine-wide dedup (default: <persist>/store)")
 	verifyInstall := flag.Bool("verify-install", false, "deep-verify cached traces (CFG + relocations) before installing; failures quarantine the file and re-translate")
 	optimize := flag.Bool("optimize", false, "run the translation-time optimizer (checker-proven const folding, dead-code/dead-flag elimination, load collapsing); with -persist, traces commit pre-optimized")
@@ -229,9 +228,6 @@ func main() {
 		}
 		if *verifyInstall {
 			mopts = append(mopts, core.WithDeepVerify())
-		}
-		if *storeFmt {
-			mopts = append(mopts, core.WithStore())
 		}
 		if *storeDir != "" {
 			mopts = append(mopts, core.WithStoreDir(*storeDir))

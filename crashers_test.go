@@ -99,8 +99,9 @@ func runCrasher(t *testing.T, path string, regen bool) {
 
 	// The modes the artifact's fields imply, each judged against the
 	// interpreter: translated cold — or, in the relocation-edge shape, warm
-	// from a database (store-layout when flagged) written under the warm
-	// seed and consumed at another — then the bundled recording's replay.
+	// from a database (relocatable when flagged store) written under the
+	// warm seed and consumed at another — then the bundled recording's
+	// replay.
 	modes := []string{"cold-translated"}
 	if c.WarmASLRSeed != 0 {
 		modes[0] = "warm-disk"

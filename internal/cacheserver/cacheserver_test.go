@@ -13,7 +13,9 @@ import (
 	"persistcc/internal/core"
 	"persistcc/internal/loader"
 	"persistcc/internal/obj"
+	"persistcc/internal/store"
 	"persistcc/internal/testprog"
+	"persistcc/internal/testutil"
 	"persistcc/internal/vm"
 )
 
@@ -91,7 +93,24 @@ func (w *world) ranVM(t testing.TB, input uint64) (*vm.VM, *vm.Result) {
 // port and returns it with its address and manager.
 func startServer(t testing.TB, opts ...cacheserver.Option) (*cacheserver.Server, string, *core.Manager) {
 	t.Helper()
-	mgr, err := core.NewManager(t.TempDir())
+	return serve(t, t.TempDir(), opts...)
+}
+
+// startLegacyServer is startServer over a database that holds cfs as legacy
+// images: what a daemon still serves, and no commit writes any more.
+func startLegacyServer(t testing.TB, cfs ...*core.CacheFile) (*cacheserver.Server, string, *core.Manager) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, cf := range cfs {
+		testutil.WriteLegacy(t, dir, cf)
+	}
+	return serve(t, dir)
+}
+
+// serve launches a server over the database at dir.
+func serve(t testing.TB, dir string, opts ...cacheserver.Option) (*cacheserver.Server, string, *core.Manager) {
+	t.Helper()
+	mgr, err := core.NewManager(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +131,10 @@ func newClient(addr string) *cacheserver.Client {
 	return cacheserver.NewClient(addr, cacheserver.WithRetry(1, time.Millisecond), cacheserver.WithDialTimeout(time.Second))
 }
 
-// fetchImage fetches the exact entry for ks from a legacy-format daemon and
-// decodes it, re-verifying the image's integrity trailer.
-func fetchImage(c *cacheserver.Client, ks core.KeySet) (*core.CacheFile, error) {
+// fetchEntry fetches the exact entry for ks — its manifest — and reads it
+// into a cache file through a fresh database in dir, adopting the daemon's
+// packs as a remote prime does; every blob is verified on the way.
+func fetchEntry(c *cacheserver.Client, ks core.KeySet, dir string) (*core.CacheFile, error) {
 	items, err := c.FetchManifests(ks, false)
 	if err != nil {
 		return nil, err
@@ -122,11 +142,20 @@ func fetchImage(c *cacheserver.Client, ks core.KeySet) (*core.CacheFile, error) 
 	if len(items) != 1 {
 		return nil, fmt.Errorf("exact fetch: %d items, want 1", len(items))
 	}
-	if items[0].Kind != cacheserver.ItemKindLegacy {
-		return nil, fmt.Errorf("exact fetch: item of kind %d, want a legacy image", items[0].Kind)
+	if items[0].Kind != cacheserver.ItemKindManifest {
+		return nil, fmt.Errorf("exact fetch: item of kind %d, want a manifest", items[0].Kind)
 	}
-	cf := new(core.CacheFile)
-	return cf, cf.UnmarshalBinary(items[0].Data)
+	man, err := store.DecodeManifest(items[0].Data)
+	if err != nil {
+		return nil, err
+	}
+	local, err := core.NewManager(dir)
+	if err != nil {
+		return nil, err
+	}
+	return local.MaterializeFrom(man, func(missing []store.Hash) ([][]byte, error) {
+		return c.FetchPacks(ks, missing)
+	})
 }
 
 func TestPublishLookupFetchRoundTrip(t *testing.T) {
@@ -147,19 +176,19 @@ func TestPublishLookupFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Traces != len(cf.Traces) || rep.File != ks.CacheFileName() {
-		t.Fatalf("publish report %+v, want %d traces in %s", rep, len(cf.Traces), ks.CacheFileName())
+	if rep.Traces != len(cf.Traces) || rep.File != ks.ManifestFileName() {
+		t.Fatalf("publish report %+v, want %d traces in %s", rep, len(cf.Traces), ks.ManifestFileName())
 	}
 
 	li, err := c.Lookup(ks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if li.Traces != len(cf.Traces) || li.File != ks.CacheFileName() {
+	if li.Traces != len(cf.Traces) || li.File != ks.ManifestFileName() {
 		t.Fatalf("lookup info %+v", li)
 	}
 
-	fetched, err := fetchImage(c, ks)
+	fetched, err := fetchEntry(c, ks, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +277,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 					return
 				}
 			}
-			cf, err := fetchImage(c, app.ks)
+			cf, err := fetchEntry(c, app.ks, t.TempDir())
 			if err != nil {
 				errc <- fmt.Errorf("client %d fetch: %w", ci, err)
 				return
@@ -270,7 +299,7 @@ func TestConcurrentMixedClients(t *testing.T) {
 	c := newClient(addr)
 	defer c.Close()
 	for i, app := range apps {
-		cf, err := fetchImage(c, app.ks)
+		cf, err := fetchEntry(c, app.ks, t.TempDir())
 		if err != nil {
 			t.Fatalf("app %d final fetch: %v", i, err)
 		}
@@ -312,8 +341,8 @@ func TestInterAppLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inter-app lookup: %v", err)
 	}
-	if li.File != ksa.CacheFileName() {
-		t.Errorf("inter-app lookup found %s, want %s", li.File, ksa.CacheFileName())
+	if li.File != ksa.ManifestFileName() {
+		t.Errorf("inter-app lookup found %s, want %s", li.File, ksa.ManifestFileName())
 	}
 }
 
@@ -335,6 +364,7 @@ func TestStatsParityWithLocalManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	local.Store.Packs, local.Store.LooseBlobs = 0, 0 // not carried by the wire
 	if !reflect.DeepEqual(remote, local) {
 		t.Errorf("stats diverge:\nserver: %+v\nlocal:  %+v", remote, local)
 	}
@@ -526,27 +556,26 @@ func TestDaemonKilledMidRun(t *testing.T) {
 	}
 }
 
-// TestFetchManifestsOrder covers the read path's ordering contract against
-// a legacy-format daemon: the exact entry must come first, inter-application
-// candidates follow, and an empty result is ErrNoCache — on both sides of
-// the wire.
+// TestFetchManifestsOrder covers the read path's ordering contract: the
+// exact entry must come first, inter-application candidates follow, and an
+// empty result is ErrNoCache — on both sides of the wire.
 func TestFetchManifestsOrder(t *testing.T) {
 	_, addr, _ := startServer(t)
 	c := newClient(addr)
 	defer c.Close()
 	// fetch decodes every item the daemon sends for a key request.
-	fetch := func(ks core.KeySet, interApp bool) ([]*core.CacheFile, error) {
+	fetch := func(ks core.KeySet, interApp bool) ([]*store.Manifest, error) {
 		items, err := c.FetchManifests(ks, interApp)
 		if err != nil {
 			return nil, err
 		}
-		var files []*core.CacheFile
+		var files []*store.Manifest
 		for _, it := range items {
-			cf := new(core.CacheFile)
-			if it.Kind != cacheserver.ItemKindLegacy || cf.UnmarshalBinary(it.Data) != nil {
-				t.Fatalf("legacy daemon sent an item of kind %d that is not an image", it.Kind)
+			man, err := store.DecodeManifest(it.Data)
+			if it.Kind != cacheserver.ItemKindManifest || err != nil {
+				t.Fatalf("daemon sent an item of kind %d that is not a manifest", it.Kind)
 			}
-			files = append(files, cf)
+			files = append(files, man)
 		}
 		return files, nil
 	}
@@ -611,17 +640,17 @@ func TestFetchManifestsOrder(t *testing.T) {
 		t.Fatal("no inter-app candidates despite shared library")
 	}
 
-	// The fetched image primes a fresh run end to end.
+	// The fetched entry primes a fresh run end to end.
 	local, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2 := wa.freshVM(t, 50)
-	files, err = fetch(core.KeysFor(v2), false)
+	fetched, err := fetchEntry(c, core.KeysFor(v2), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.PrimeFrom(v2, files[0]); err != nil {
+	if _, err := local.PrimeFrom(v2, fetched); err != nil {
 		t.Fatal(err)
 	}
 	res, err := v2.Run()

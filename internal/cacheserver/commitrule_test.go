@@ -30,7 +30,7 @@ func newRemote(t *testing.T, shards int) *remote {
 	r := &remote{}
 	cfg := &fleet.Config{Replicas: 2}
 	for i := 0; i < shards; i++ {
-		srv, addr, _ := startStoreServer(t)
+		srv, addr, _ := startServer(t)
 		r.servers = append(r.servers, srv)
 		cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: addr})
 	}
@@ -80,11 +80,11 @@ func (r *remote) kill() {
 	}
 }
 
-// machine is a fresh machine: an empty store-format local database in front
-// of the remote.
+// machine is a fresh machine: an empty local database in front of the
+// remote.
 func (r *remote) machine(t *testing.T) *cacheserver.Fallback {
 	t.Helper()
-	local, err := core.NewManager(t.TempDir(), core.WithStore())
+	local, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

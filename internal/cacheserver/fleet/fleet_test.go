@@ -98,9 +98,9 @@ type shard struct {
 	mgr  *core.Manager
 }
 
-func startShard(t testing.TB, mopts []core.ManagerOption, sopts ...cacheserver.Option) *shard {
+func startShard(t testing.TB, sopts ...cacheserver.Option) *shard {
 	t.Helper()
-	mgr, err := core.NewManager(t.TempDir(), mopts...)
+	mgr, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +122,17 @@ type reader interface {
 	FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]cacheserver.ManifestItem, error)
 }
 
-// fetchImage reads the exact entry for ks from legacy-format shards and
-// decodes it, re-verifying the image's integrity trailer.
-func fetchImage(r reader, ks core.KeySet) (*core.CacheFile, error) {
+// fetchManifest reads the exact entry for ks — its manifest — and decodes
+// it.
+func fetchManifest(r reader, ks core.KeySet) (*store.Manifest, error) {
 	items, err := r.FetchEntries(ks, cacheserver.ScopeExact)
 	if err != nil {
 		return nil, err
 	}
-	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindLegacy {
-		return nil, fmt.Errorf("exact read: %d items, want one legacy image", len(items))
+	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindManifest {
+		return nil, fmt.Errorf("exact read: %d items, want one manifest", len(items))
 	}
-	cf := new(core.CacheFile)
-	return cf, cf.UnmarshalBinary(items[0].Data)
+	return store.DecodeManifest(items[0].Data)
 }
 
 func startFleet(t testing.TB, n int, opts ...fleet.Option) (*fleet.Client, []*shard) {
@@ -141,7 +140,7 @@ func startFleet(t testing.TB, n int, opts ...fleet.Option) (*fleet.Client, []*sh
 	cfg := &fleet.Config{}
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = startShard(t, nil)
+		shards[i] = startShard(t)
 		cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
 	}
 	opts = append([]fleet.Option{fleet.WithShardOptions(
@@ -271,7 +270,7 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	// First read finds the primary dead (opening its breaker) and fans out
 	// to the replica; the second takes the breaker fast-path. Both succeed.
 	for i := 0; i < 2; i++ {
-		got, err := fetchImage(fl, ks)
+		got, err := fetchManifest(fl, ks)
 		if err != nil {
 			t.Fatalf("fetch %d with dead primary: %v", i, err)
 		}
@@ -290,7 +289,7 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	if _, err := fl.Publish(cf2); err != nil {
 		t.Fatalf("publish with one shard dead: %v", err)
 	}
-	if _, err := fetchImage(fl, ks2); err != nil {
+	if _, err := fetchManifest(fl, ks2); err != nil {
 		t.Fatalf("read-back of degraded write: %v", err)
 	}
 
@@ -332,7 +331,7 @@ func TestHedgedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		got, err := fetchImage(fl, ks)
+		got, err := fetchManifest(fl, ks)
 		if err != nil {
 			t.Fatalf("hedged read %d: %v", i, err)
 		}
@@ -353,7 +352,7 @@ func TestHedgedReads(t *testing.T) {
 // utility hits.
 func TestSingleShardParity(t *testing.T) {
 	fl, shards := startFleet(t, 1)
-	direct := startShard(t, nil)
+	direct := startShard(t)
 	dreg := metrics.NewRegistry()
 	dc := cacheserver.NewClient(direct.addr, cacheserver.WithClientMetrics(dreg),
 		cacheserver.WithRetry(0, 0), cacheserver.WithDialTimeout(time.Second))
@@ -381,16 +380,16 @@ func TestSingleShardParity(t *testing.T) {
 		}
 	}
 
-	fcf, err := fetchImage(fl, ks)
+	fcf, err := fetchManifest(fl, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcf, err := fetchImage(dc, ks)
+	dcf, err := fetchManifest(dc, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fcf, dcf) {
-		t.Error("fetched cache files differ between one-shard fleet and direct client")
+		t.Error("fetched manifests differ between one-shard fleet and direct client")
 	}
 
 	// requests reads the fetchmanifests requests a client registry counted;
@@ -486,8 +485,8 @@ func TestBulkPrimeInstallsExactFirst(t *testing.T) {
 	if err != nil || len(items) != 2 {
 		t.Fatalf("inter-app scatter: %d items, %v; want 2", len(items), err)
 	}
-	first := new(core.CacheFile)
-	if err := first.UnmarshalBinary(items[0].Data); err != nil || first.AppKey == ks.App {
+	first, err := store.DecodeManifest(items[0].Data)
+	if err != nil || core.Key(first.AppKey) == ks.App {
 		t.Fatalf("the scatter put the exact entry first (%v); the test exercises nothing", err)
 	}
 
@@ -644,7 +643,7 @@ func TestGlobalCompactNamesFailedShards(t *testing.T) {
 		cfg := &fleet.Config{}
 		shards := make([]*shard, 2)
 		for i := range shards {
-			shards[i] = startShard(t, []core.ManagerOption{core.WithStore()})
+			shards[i] = startShard(t)
 			cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
 		}
 		fl, err := fleet.New(cfg, fleet.WithShardOptions(cacheserver.WithRetry(0, 0)))
@@ -707,9 +706,8 @@ func TestFleetStatsAggregation(t *testing.T) {
 // defines per database, 1 − physical/logical, combined over shards as the
 // LogicalBytes-weighted mean.
 func TestFleetStatsDedupRatio(t *testing.T) {
-	store := []core.ManagerOption{core.WithStore()}
-	front := startShard(t, store)
-	peer := startShard(t, store)
+	front := startShard(t)
+	peer := startShard(t)
 	cfg := &fleet.Config{Replicas: 1, Shards: []fleet.Shard{{ID: "front", Addr: front.addr}, {ID: "peer", Addr: peer.addr}}}
 	fl, err := fleet.New(cfg)
 	if err != nil {
@@ -772,7 +770,7 @@ func TestStoreFleetPrimesEveryApp(t *testing.T) {
 			cfg := &fleet.Config{Replicas: 2}
 			shards := make([]*shard, n)
 			for i := range shards {
-				shards[i] = startShard(t, []core.ManagerOption{core.WithStore()})
+				shards[i] = startShard(t)
 				cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: shards[i].addr})
 			}
 			fl, err := fleet.New(cfg, fleet.WithShardOptions(
@@ -809,7 +807,7 @@ func TestStoreFleetPrimesEveryApp(t *testing.T) {
 			}
 			primeAll := func(worlds []*world) {
 				t.Helper()
-				local, err := core.NewManager(t.TempDir(), core.WithStore())
+				local, err := core.NewManager(t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}

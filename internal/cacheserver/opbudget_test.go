@@ -23,12 +23,12 @@ func TestCommitOpsIndependentOfEntryCount(t *testing.T) {
 	freshVM, _ := buildWorld(t, "fresh", 2).ranVM(t, 10)
 	incoming, ks := core.BuildCacheFile(freshVM)
 
-	// seeded opens a store-format database over a recording filesystem
-	// holding n entries of other applications.
+	// seeded opens a database over a recording filesystem holding n entries
+	// of other applications.
 	seeded := func(n int) (*core.Manager, *fsx.InjectFS, string) {
 		dir := t.TempDir()
 		inj := fsx.NewInject(nil)
-		mgr, err := core.NewManager(dir, core.WithStore(), core.WithFS(inj))
+		mgr, err := core.NewManager(dir, core.WithFS(inj))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
 	"persistcc/internal/store"
+	"persistcc/internal/testutil"
 )
 
 // Tests for FETCHPACKS from the untrusted side of the wire: packs a daemon
@@ -112,18 +113,16 @@ func storeEntry(t *testing.T, addr string, w *world) (*core.CacheFile, []store.H
 	return cf, hashes, encs
 }
 
-// localMachine is a fresh machine whose legacy database holds cf: a prime
-// that cannot use what the daemon sends degrades to it and still installs
-// every trace.
+// localMachine is a fresh machine whose database holds cf as a legacy
+// image, so its store holds no blob: a prime that cannot use what the daemon
+// sends degrades to it and still installs every trace.
 func localMachine(t *testing.T, addr string, cf *core.CacheFile) (*cacheserver.Fallback, *cacheserver.Client) {
 	t.Helper()
 	local, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.CommitFile(core.KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}, cf); err != nil {
-		t.Fatal(err)
-	}
+	testutil.WriteLegacy(t, local.Dir(), cf)
 	c := newClient(addr)
 	t.Cleanup(func() { c.Close() })
 	return cacheserver.NewFallback(c, local), c
@@ -155,7 +154,7 @@ func assertDegraded(t *testing.T, f *cacheserver.Fallback, c *cacheserver.Client
 // the client's store takes none of it and the prime degrades to the local
 // database.
 func TestHostilePacksRefused(t *testing.T) {
-	_, upstream, _ := startStoreServer(t)
+	_, upstream, _ := startServer(t)
 	w := buildWorld(t, "hostile", 70)
 	cf, hashes, encs := storeEntry(t, upstream, w)
 	lens := make([]uint32, len(encs))
@@ -199,7 +198,7 @@ func TestHostilePacksRefused(t *testing.T) {
 // StatusError — one that predates the op — leaves a new client a prime from
 // its local database.
 func TestFetchPacksRefusedDegrades(t *testing.T) {
-	_, upstream, _ := startStoreServer(t)
+	_, upstream, _ := startServer(t)
 	w := buildWorld(t, "oldaemon", 71)
 	cf, _ := publishEntry(t, upstream, w)
 	addr := proxyDaemon(t, upstream, func([]byte) (uint8, []byte) {
@@ -213,7 +212,7 @@ func TestFetchPacksRefusedDegrades(t *testing.T) {
 // is caught the first time it would be served, moved to the daemon's
 // quarantine, and never sent.
 func TestCorruptDaemonPackQuarantined(t *testing.T) {
-	_, addr, mgr := startStoreServer(t)
+	_, addr, mgr := startServer(t)
 	w := buildWorld(t, "rotten", 72)
 	cf, hashes := publishEntry(t, addr, w)
 	packs, _ := filepath.Glob(filepath.Join(mgr.Dir(), "store", "gen*", "*.pck"))
@@ -246,7 +245,7 @@ func TestCorruptDaemonPackQuarantined(t *testing.T) {
 // loose .pcb files of an earlier version sends each inside a one-member
 // pack, and a fresh client primes warm from them.
 func TestLooseBlobServedAsPack(t *testing.T) {
-	srv, addr, mgr := startStoreServer(t)
+	srv, addr, mgr := startServer(t)
 	w := buildWorld(t, "loose", 73)
 	cf, hashes, encs := storeEntry(t, addr, w)
 	srv.Close()
@@ -262,7 +261,7 @@ func TestLooseBlobServedAsPack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reopened, err := core.NewManager(mgr.Dir(), core.WithStore())
+	reopened, err := core.NewManager(mgr.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func TestLooseBlobServedAsPack(t *testing.T) {
 		}
 	}
 
-	f := newStoreFallback(t, addr)
+	f := newFallback(t, addr)
 	warm := w.freshVM(t, 50)
 	rep, err := f.Prime(warm)
 	if err != nil || rep.Installed != len(cf.Traces) {

@@ -15,44 +15,10 @@ import (
 // Tests for the store-aware wire ops (FETCHMANIFESTS / FETCHPACKS) and the
 // PrimeStoreBulk warm path that rides on them: manifests cross the wire in
 // compact form, blobs cross once per machine inside the daemon's packs, and
-// every combination of legacy/store client and server still produces a
-// working prime.
-
-// startStoreServer is startServer over a store-format database: published
-// entries land as manifests plus content-addressed blobs.
-func startStoreServer(t testing.TB, opts ...cacheserver.Option) (*cacheserver.Server, string, *core.Manager) {
-	t.Helper()
-	mgr, err := core.NewManager(t.TempDir(), core.WithStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := cacheserver.New(mgr, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := cacheserver.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String(), mgr
-}
-
-// newStoreFallback builds a Fallback whose local manager is store-format,
-// so primes resolve manifests against the machine-local blob store, which
-// adopts the packs the client fetches.
-func newStoreFallback(t testing.TB, addr string) *cacheserver.Fallback {
-	t.Helper()
-	local, err := core.NewManager(t.TempDir(), core.WithStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cacheserver.NewFallback(newClient(addr), local)
-}
+// a daemon still serving legacy images leaves a client a working prime.
 
 func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
-	_, addr, _ := startStoreServer(t)
+	_, addr, _ := startServer(t)
 	w := buildWorld(t, "storeprog", 0)
 	v, _ := w.ranVM(t, 50)
 	cf, ks := core.BuildCacheFile(v)
@@ -120,15 +86,12 @@ func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
 func TestFetchManifestsFromLegacyServer(t *testing.T) {
 	// An unmigrated server answers FETCHMANIFESTS with legacy images and
 	// FETCHPACKS with nothing — store-aware clients degrade cleanly.
-	_, addr, _ := startServer(t)
 	w := buildWorld(t, "legacysrv", 1)
 	v, _ := w.ranVM(t, 50)
 	cf, ks := core.BuildCacheFile(v)
+	_, addr, _ := startLegacyServer(t, cf)
 	c := newClient(addr)
 	defer c.Close()
-	if _, err := c.Publish(cf); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
 
 	items, err := c.FetchManifests(ks, false)
 	if err != nil {
@@ -155,12 +118,12 @@ func TestFetchManifestsFromLegacyServer(t *testing.T) {
 	}
 }
 
-func TestLegacyClientAgainstStoreServer(t *testing.T) {
-	// A legacy-format client's plain Prime against a store-format daemon
-	// takes the one read path: the manifest crosses the wire, the client
-	// materializes it, and only the packs holding the blobs it is missing
-	// follow — adopted into <CacheDir>/store, which the prime creates.
-	srv, addr, _ := startStoreServer(t)
+func TestPrimeFromStoreServer(t *testing.T) {
+	// A client's plain Prime takes the one read path: the manifest crosses
+	// the wire, the client materializes it, and only the packs holding the
+	// blobs it is missing follow — adopted into <CacheDir>/store, which the
+	// prime creates.
+	srv, addr, _ := startServer(t)
 	w := buildWorld(t, "oldclient", 2)
 	v, res := w.ranVM(t, 50)
 	cf, ks := core.BuildCacheFile(v)
@@ -186,7 +149,7 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 		t.Fatalf("Prime: %v", err)
 	}
 	if !prep.Found || prep.Installed != len(cf.Traces) {
-		t.Fatalf("legacy client's prime installed %+v, want all %d traces", prep, len(cf.Traces))
+		t.Fatalf("prime installed %+v, want all %d traces", prep, len(cf.Traces))
 	}
 	wres, err := warm.Run()
 	if err != nil {
@@ -196,8 +159,8 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 		t.Errorf("warmed output %v, want %v", wres.Output, res.Output)
 	}
 
-	st, err := f.Local().StoreIfPresent()
-	if err != nil || st == nil {
+	st, err := f.Local().Store()
+	if err != nil {
 		t.Fatalf("no local store after priming from manifests: %v", err)
 	}
 	if missing := st.Missing(man); len(missing) != 0 {
@@ -222,7 +185,7 @@ func TestLegacyClientAgainstStoreServer(t *testing.T) {
 }
 
 func TestPrimeStoreBulkWritesThroughLocalStore(t *testing.T) {
-	_, addr, _ := startStoreServer(t)
+	_, addr, _ := startServer(t)
 	w := buildWorld(t, "storewarm", 3)
 	v, res := w.ranVM(t, 50)
 	cf, _ := core.BuildCacheFile(v)
@@ -232,7 +195,7 @@ func TestPrimeStoreBulkWritesThroughLocalStore(t *testing.T) {
 	}
 	c.Close()
 
-	f := newStoreFallback(t, addr)
+	f := newFallback(t, addr)
 	warm := w.freshVM(t, 50)
 	prep, err := f.PrimeStoreBulk(warm, false)
 	if err != nil {
@@ -254,8 +217,8 @@ func TestPrimeStoreBulkWritesThroughLocalStore(t *testing.T) {
 
 	// The fetched blobs were written through to the machine-local store,
 	// so the next run on this machine resolves them without the wire.
-	st, err := f.Local().StoreIfPresent()
-	if err != nil || st == nil {
+	st, err := f.Local().Store()
+	if err != nil {
 		t.Fatalf("local store missing after store prime: %v", err)
 	}
 	if got := st.Stats().Blobs; got == 0 {
@@ -273,7 +236,7 @@ func TestPrimeStoreBulkDegradesToLocal(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	f := newStoreFallback(t, addr)
+	f := newFallback(t, addr)
 	w := buildWorld(t, "storedown", 4)
 	v, res := w.ranVM(t, 50)
 	if _, err := f.Local().Commit(v); err != nil {

@@ -282,25 +282,6 @@ func (cf *CacheFile) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// WriteFile writes the cache atomically (temp file + rename).
-func (cf *CacheFile) WriteFile(path string) error {
-	return cf.WriteFileFS(fsx.OS, path)
-}
-
-// WriteFileFS is WriteFile over an explicit filesystem, the seam the chaos
-// harness injects faults through: durable temp-file write, then rename.
-func (cf *CacheFile) WriteFileFS(fsys fsx.FS, path string) error {
-	b, err := cf.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := fsys.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, path)
-}
-
 // ReadCacheFile reads and verifies a cache file.
 func ReadCacheFile(path string) (*CacheFile, error) {
 	return ReadCacheFileFS(fsx.OS, path)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,6 +25,16 @@ const (
 	libWork = testutil.LibWork
 	mainSrc = testutil.MainSrc
 )
+
+// readEntry reads and verifies the database entry named file, either
+// format, as a lookup reads it; a missing or quarantined entry is an error.
+func readEntry(mgr *core.Manager, file string) (*core.CacheFile, error) {
+	cf, err := mgr.ReadPrior(file)
+	if err == nil && cf == nil {
+		err = fmt.Errorf("%s: missing or quarantined", file)
+	}
+	return cf, err
+}
 
 func TestSameInputPersistence(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
@@ -370,8 +381,11 @@ func TestCorruptCacheFileRejected(t *testing.T) {
 	mgr := testutil.NewMgr(t)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{5}, Commit: true})
 	entries, _ := mgr.Entries()
-	path := filepath.Join(mgr.Dir(), entries[0].File)
-	b, err := os.ReadFile(path)
+	entry, err := readEntry(mgr, entries[0].File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := entry.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +413,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	mgr := testutil.NewMgr(t)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{25}, Tool: &instr.BBCount{}, Commit: true})
 	entries, _ := mgr.Entries()
-	path := filepath.Join(mgr.Dir(), entries[0].File)
-	cf, err := core.ReadCacheFile(path)
+	cf, err := readEntry(mgr, entries[0].File)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +488,7 @@ func TestConcurrentCommits(t *testing.T) {
 		t.Fatalf("want 1 entry after concurrent commits, got %d", len(entries))
 	}
 	// The final cache must be loadable and non-empty.
-	cf, err := core.ReadCacheFile(filepath.Join(dir, entries[0].File))
+	cf, err := readEntry(mgr, entries[0].File)
 	if err != nil || len(cf.Traces) == 0 {
 		t.Fatalf("final cache unusable: %v", err)
 	}

@@ -10,7 +10,23 @@ import (
 	"persistcc/internal/core"
 	"persistcc/internal/isa"
 	"persistcc/internal/testutil"
+	"persistcc/internal/vm"
 )
+
+// seedLegacy runs w cold on input and writes the run's traces into a fresh
+// database as a legacy entry, the format these tests corrupt by hand. It
+// returns the manager, the entry's path and the run's result.
+func seedLegacy(t *testing.T, w *testutil.World, input uint64) (*core.Manager, string, *vm.Result) {
+	t.Helper()
+	v := w.NewVM(t, testutil.RunOpts{Input: []uint64{input}})
+	res, err := v.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, _ := core.BuildCacheFile(v)
+	mgr := testutil.NewMgr(t)
+	return mgr, testutil.WriteLegacy(t, mgr.Dir(), cf), res
+}
 
 // corruptBranch flips one conditional-branch immediate in the cache file so
 // its target lands outside every recorded module, then re-signs the file by
@@ -37,9 +53,7 @@ func corruptBranch(t *testing.T, path string) {
 			pc := tr.Start + uint32(i)*isa.InstSize
 			target := (end + 0x10000) &^ 7 // aligned, beyond every module
 			tr.Insts[i].Imm = int32(target - pc)
-			if err := cf.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
+			testutil.WriteLegacy(t, filepath.Dir(path), cf)
 			return
 		}
 	}
@@ -53,14 +67,7 @@ func corruptBranch(t *testing.T, path string) {
 // pcc_core_verify_reject_total, and falls back to re-translation.
 func TestDeepVerifyRejectsSemanticCorruption(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr := testutil.NewMgr(t)
-	baseline := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{50}, Commit: true})
-
-	files, err := filepath.Glob(filepath.Join(mgr.Dir(), "*.pcc"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want exactly one cache file, got %v (err %v)", files, err)
-	}
-	path := files[0]
+	mgr, path, baseline := seedLegacy(t, w, 50)
 	corruptBranch(t, path)
 
 	// The byte-level layer is blind to the corruption: checksum and caps
@@ -120,24 +127,28 @@ func TestDeepVerifyRejectsSemanticCorruption(t *testing.T) {
 }
 
 // TestDeepVerifyAcceptsHealthyDatabase guards against the verifier being
-// stricter than the translator: everything a real run commits must verify.
+// stricter than the translator: everything a real run commits must verify,
+// and so must the same traces as a legacy image.
 func TestDeepVerifyAcceptsHealthyDatabase(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
 	mgr := testutil.NewMgr(t)
 	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{50}, Commit: true})
 
-	files, err := filepath.Glob(filepath.Join(mgr.Dir(), "*.pcc"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no cache files: %v (err %v)", files, err)
+	// Repair deep-verifies every entry unconditionally.
+	rep, err := mgr.RecoverIndex()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range files {
-		cf, err := core.ReadCacheFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := cf.VerifyDeep(); !rep.OK() {
-			t.Fatalf("healthy cache file failed deep verification: %v", rep.Findings)
-		}
+	if rep.EntriesVerified != 1 || rep.FilesQuarantined != 0 {
+		t.Fatalf("healthy committed entry failed deep verification: %+v", rep)
+	}
+	_, path, _ := seedLegacy(t, w, 50)
+	cf, err := core.ReadCacheFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := cf.VerifyDeep(); !rep.OK() {
+		t.Fatalf("healthy legacy image failed deep verification: %v", rep.Findings)
 	}
 
 	// And a deep-verifying manager still primes from it.
@@ -157,14 +168,8 @@ func TestDeepVerifyAcceptsHealthyDatabase(t *testing.T) {
 // the checksum (re-signed) and the byte-level caps both accept.
 func TestDeepVerifyDanglingReloc(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr := testutil.NewMgr(t)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{50}, Commit: true})
-
-	files, _ := filepath.Glob(filepath.Join(mgr.Dir(), "*.pcc"))
-	if len(files) != 1 {
-		t.Fatalf("want one cache file, got %v", files)
-	}
-	cf, err := core.ReadCacheFile(files[0])
+	_, path, _ := seedLegacy(t, w, 50)
+	cf, err := core.ReadCacheFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +184,9 @@ func TestDeepVerifyDanglingReloc(t *testing.T) {
 	if !corrupted {
 		t.Skip("no relocation notes in the committed cache")
 	}
-	if err := cf.WriteFile(files[0]); err != nil {
-		t.Fatal(err)
-	}
+	testutil.WriteLegacy(t, filepath.Dir(path), cf)
 
-	reread, err := core.ReadCacheFile(files[0])
+	reread, err := core.ReadCacheFile(path)
 	if err != nil {
 		t.Fatalf("checksum layer rejected the dangling relocation: %v", err)
 	}
@@ -207,14 +210,8 @@ func TestDeepVerifyDanglingReloc(t *testing.T) {
 // moves the file to quarantine and rebuilds an index without it.
 func TestRecoverIndexQuarantinesSemanticCorruption(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr := testutil.NewMgr(t)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{50}, Commit: true})
-
-	files, _ := filepath.Glob(filepath.Join(mgr.Dir(), "*.pcc"))
-	if len(files) != 1 {
-		t.Fatalf("want one cache file, got %v", files)
-	}
-	corruptBranch(t, files[0])
+	mgr, path, _ := seedLegacy(t, w, 50)
+	corruptBranch(t, path)
 
 	rep, err := mgr.RecoverIndex()
 	if err != nil {

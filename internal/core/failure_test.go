@@ -94,36 +94,49 @@ func TestLeftoverIndexIgnoredThenRemoved(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheFileQuarantined: a corrupt cache file degrades the lookup
-// to a miss (the run re-translates), moves the file into quarantine/, and
-// bumps the quarantine metric — the acceptance shape for self-healing.
+// TestCorruptCacheFileQuarantined: a corrupt entry — a committed manifest,
+// or a legacy image an earlier version wrote — degrades the lookup to a miss
+// (the run re-translates), moves the file into quarantine/, and bumps the
+// quarantine metric for its kind — the acceptance shape for self-healing.
 func TestCorruptCacheFileQuarantined(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr := testutil.NewMgr(t)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
-	entries, err := mgr.Entries()
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries: %v %v", entries, err)
-	}
-	path := filepath.Join(mgr.Dir(), entries[0].File)
-	if err := os.WriteFile(path, []byte("garbage, definitely not a cache"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The run completes cold instead of failing.
-	res := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true, Commit: true})
-	if res.Stats.TracesTranslated == 0 {
-		t.Error("run against corrupt cache neither failed nor re-translated")
-	}
-	if _, err := os.Stat(filepath.Join(mgr.Dir(), core.QuarantineDir, entries[0].File)); err != nil {
-		t.Errorf("corrupt cache file not quarantined: %v", err)
-	}
-	if v, ok := mgr.Metrics().Snapshot().Value("pcc_core_quarantine_total", "cachefile"); !ok || v < 1 {
-		t.Errorf("pcc_core_quarantine_total{cachefile} = %v (ok=%t), want >= 1", v, ok)
-	}
-	// The re-commit healed the database: warm again, end to end.
-	warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true})
-	if warm.Stats.TracesTranslated != 0 {
-		t.Errorf("post-quarantine warm run translated %d traces", warm.Stats.TracesTranslated)
+	for kind, seed := range map[string]func(*core.Manager){
+		"manifest": func(mgr *core.Manager) {
+			w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
+		},
+		"cachefile": func(mgr *core.Manager) {
+			cf, _ := core.BuildCacheFile(preparedVM(t, w))
+			testutil.WriteLegacy(t, mgr.Dir(), cf)
+		},
+	} {
+		t.Run(kind, func(t *testing.T) {
+			mgr := testutil.NewMgr(t)
+			seed(mgr)
+			entries, err := mgr.Entries()
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("entries: %v %v", entries, err)
+			}
+			path := filepath.Join(mgr.Dir(), entries[0].File)
+			if err := os.WriteFile(path, []byte("garbage, definitely not a cache"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The run completes cold instead of failing.
+			res := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true, Commit: true})
+			if res.Stats.TracesTranslated == 0 {
+				t.Error("run against corrupt cache neither failed nor re-translated")
+			}
+			if _, err := os.Stat(filepath.Join(mgr.Dir(), core.QuarantineDir, entries[0].File)); err != nil {
+				t.Errorf("corrupt cache file not quarantined: %v", err)
+			}
+			if v, ok := mgr.Metrics().Snapshot().Value("pcc_core_quarantine_total", kind); !ok || v < 1 {
+				t.Errorf("pcc_core_quarantine_total{%s} = %v (ok=%t), want >= 1", kind, v, ok)
+			}
+			// The re-commit healed the database: warm again, end to end.
+			warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true})
+			if warm.Stats.TracesTranslated != 0 {
+				t.Errorf("post-quarantine warm run translated %d traces", warm.Stats.TracesTranslated)
+			}
+		})
 	}
 }
 
@@ -140,7 +153,7 @@ func TestRecoverIndexRebuild(t *testing.T) {
 	}
 	// Wreckage: a corrupt orphan cache file, a crashed writer's tmp, and an
 	// older version's index.
-	wreckage := map[string]string{"deadbeef.pcc": "junk", "crashed.pcc.tmp": "half a write", "index.json": "]["}
+	wreckage := map[string]string{"deadbeef.pcc": "junk", "crashed.pcm.tmp": "half a write", "index.json": "]["}
 	for name, body := range wreckage {
 		if err := os.WriteFile(filepath.Join(mgr.Dir(), name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -349,72 +362,87 @@ func mgrWithFS(t *testing.T, inj *fsx.InjectFS) *core.Manager {
 	return mgr
 }
 
-// TestPartialWriteCacheFile: an ENOSPC-shaped short write on the cache
-// file's temp leaves the database exactly as it was — the prior cache file
+// commitWrites are the two files a commit writes, in order, each under a
+// temp name: the pack of the run's new blobs (the store removes its own temp
+// when the write fails) and then the manifest (whose temp is debris for
+// recovery to reclaim).
+var commitWrites = []struct {
+	name, path string
+	torn       int // temps a torn write of it leaves behind
+}{{"pack", ".pck.", 0}, {"manifest", ".pcm.tmp", 1}}
+
+// TestPartialWriteCacheFile: an ENOSPC-shaped short write on either file a
+// commit writes leaves the database exactly as it was — the prior entry
 // stays listed, readable and warm-serving.
 func TestPartialWriteCacheFile(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	inj := fsx.NewInject(fsx.OS)
-	mgr := mgrWithFS(t, inj)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
-	before, err := mgr.Entries()
-	if err != nil || len(before) != 1 {
-		t.Fatalf("entries: %v %v", before, err)
-	}
+	for _, cw := range commitWrites {
+		t.Run(cw.name, func(t *testing.T) {
+			inj := fsx.NewInject(fsx.OS)
+			mgr := mgrWithFS(t, inj)
+			w.Run(t, mgr, testutil.RunOpts{Input: []uint64{0}, Commit: true})
+			before, err := mgr.Entries()
+			if err != nil || len(before) != 1 {
+				t.Fatalf("entries: %v %v", before, err)
+			}
 
-	// Second run discovers the cold function too; its commit's cache-file
-	// write runs out of space halfway.
-	enospc := errors.New("no space left on device")
-	inj.TruncateAt(fsx.OpWrite, ".pcc.tmp", 1, 0.5, enospc)
-	v := preparedVM(t, w)
-	if _, err := mgr.Commit(v); !errors.Is(err, enospc) {
-		t.Fatalf("commit over full disk: want ENOSPC, got %v", err)
-	}
+			// Input 0 never runs the loop body; the second run does, so its
+			// commit writes a pack of the new traces. That write, or the
+			// manifest write after it, runs out of space halfway.
+			enospc := errors.New("no space left on device")
+			inj.TruncateAt(fsx.OpWrite, cw.path, 1, 0.5, enospc)
+			v := preparedVM(t, w)
+			if _, err := mgr.Commit(v); !errors.Is(err, enospc) {
+				t.Fatalf("commit over full disk: want ENOSPC, got %v", err)
+			}
 
-	// Old entry listed, old file verifiable, warm path intact.
-	after, err := mgr.Entries()
-	if err != nil || len(after) != 1 {
-		t.Fatalf("entries after short write: %v %v", after, err)
-	}
-	if _, err := core.ReadCacheFile(filepath.Join(mgr.Dir(), after[0].File)); err != nil {
-		t.Errorf("prior cache file no longer verifies: %v", err)
-	}
-	warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Prime: true})
-	if warm.Stats.TracesTranslated != 0 {
-		t.Errorf("warm run after failed commit translated %d traces", warm.Stats.TracesTranslated)
-	}
-	// The torn temp is debris recovery reclaims.
-	rep, err := mgr.RecoverIndex()
-	if err != nil || rep.TmpFilesRemoved != 1 {
-		t.Errorf("recovery did not reclaim the torn temp: %+v %v", rep, err)
+			// Old entry listed, old file verifiable, warm path intact.
+			after, err := mgr.Entries()
+			if err != nil || len(after) != 1 {
+				t.Fatalf("entries after short write: %v %v", after, err)
+			}
+			if _, err := readEntry(mgr, after[0].File); err != nil {
+				t.Errorf("prior entry no longer verifies: %v", err)
+			}
+			warm := w.Run(t, mgr, testutil.RunOpts{Input: []uint64{0}, Prime: true})
+			if warm.Stats.TracesTranslated != 0 {
+				t.Errorf("warm run after failed commit translated %d traces", warm.Stats.TracesTranslated)
+			}
+			// A torn manifest temp is debris recovery reclaims.
+			rep, err := mgr.RecoverIndex()
+			if err != nil || rep.TmpFilesRemoved != cw.torn || rep.FilesQuarantined != 0 {
+				t.Errorf("recovery: %+v %v; want %d torn temp reclaimed, nothing quarantined", rep, err, cw.torn)
+			}
+		})
 	}
 }
 
-// TestHardWriteErrorSurfaces: a flat write failure (no torn file) surfaces
-// to the committer and leaves no trace of the attempt.
+// TestHardWriteErrorSurfaces: a flat write failure (no torn file) of either
+// file a commit writes surfaces to the committer and leaves no entry.
 func TestHardWriteErrorSurfaces(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	inj := fsx.NewInject(fsx.OS)
-	mgr := mgrWithFS(t, inj)
-	eio := errors.New("input/output error")
-	inj.FailAt(fsx.OpWrite, ".pcc.tmp", 1, eio)
-	v := preparedVM(t, w)
-	if _, err := mgr.Commit(v); !errors.Is(err, eio) {
-		t.Fatalf("want surfaced EIO, got %v", err)
-	}
-	entries, err := mgr.Entries()
-	if err != nil || len(entries) != 0 {
-		t.Errorf("failed first commit left entries: %v %v", entries, err)
+	for _, cw := range commitWrites {
+		t.Run(cw.name, func(t *testing.T) {
+			inj := fsx.NewInject(fsx.OS)
+			mgr := mgrWithFS(t, inj)
+			eio := errors.New("input/output error")
+			inj.FailAt(fsx.OpWrite, cw.path, 1, eio)
+			v := preparedVM(t, w)
+			if _, err := mgr.Commit(v); !errors.Is(err, eio) {
+				t.Fatalf("want surfaced EIO, got %v", err)
+			}
+			entries, err := mgr.Entries()
+			if err != nil || len(entries) != 0 {
+				t.Errorf("failed first commit left entries: %v %v", entries, err)
+			}
+		})
 	}
 }
 
 func TestCacheFormatVersionRejected(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr := testutil.NewMgr(t)
-	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
-	entries, _ := mgr.Entries()
-	path := filepath.Join(mgr.Dir(), entries[0].File)
-	b, err := os.ReadFile(path)
+	cf, _ := core.BuildCacheFile(preparedVM(t, w))
+	b, err := cf.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +452,7 @@ func TestCacheFormatVersionRejected(t *testing.T) {
 	payload[4] = 99
 	sum := sha256.Sum256(payload)
 	bad := append(payload, sum[:]...)
-	var cf core.CacheFile
-	err = cf.UnmarshalBinary(bad)
+	err = new(core.CacheFile).UnmarshalBinary(bad)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version cache accepted: %v", err)
 	}

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -157,7 +156,7 @@ func TestPipelineRaceSharedDatabase(t *testing.T) {
 		t.Fatalf("got %d index entries, want 1", len(entries))
 	}
 	for _, e := range entries {
-		if _, err := core.ReadCacheFile(filepath.Join(mgr.Dir(), e.File)); err != nil {
+		if _, err := readEntry(mgr, e.File); err != nil {
 			t.Errorf("entry %s unverifiable after race: %v", e.File, err)
 		}
 	}
@@ -179,8 +178,8 @@ func TestPipelineRaceSharedDatabase(t *testing.T) {
 }
 
 // TestPipelineChaosCrashMidBatchCommit simulates a process losing its
-// filesystem in the middle of a batched commit: the first cache-file write
-// of the background committer crashes, every later filesystem operation
+// filesystem in the middle of a batched commit: the first manifest write of
+// the background committer crashes, every later filesystem operation
 // fails. Execution must be unaffected (the committer is fire-and-forget),
 // the error must be accounted in Stats.BatchErrors, and the database must
 // reopen with the pre-crash entry intact and recoverable.
@@ -220,7 +219,7 @@ func TestPipelineChaosCrashMidBatchCommit(t *testing.T) {
 	}
 
 	inj := fsx.NewInject(fsx.OS)
-	inj.CrashAt(fsx.OpWrite, ".pcc.tmp", 1)
+	inj.CrashAt(fsx.OpWrite, ".pcm.tmp", 1)
 	mgrI, err := core.NewManager(dir, core.WithFS(inj))
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +260,7 @@ func TestPipelineChaosCrashMidBatchCommit(t *testing.T) {
 		t.Fatalf("index unreadable after crash: %v", err)
 	}
 	for _, e := range entries {
-		if _, err := core.ReadCacheFile(filepath.Join(dir, e.File)); err != nil {
+		if _, err := readEntry(mgr2, e.File); err != nil {
 			t.Errorf("entry %s torn by committer crash: %v", e.File, err)
 		}
 	}

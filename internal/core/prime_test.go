@@ -56,16 +56,16 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name        string
-		format      []core.ManagerOption
+		legacy      bool // the database holds a legacy image, not a commit
 		relocatable bool
 		moved       bool
 	}{
-		{"legacy/same-layout", nil, false, false},
-		{"legacy/moved-relocatable", nil, true, true},
-		{"legacy/moved-invalidated", nil, false, true},
-		{"store/same-layout", []core.ManagerOption{core.WithStore()}, false, false},
-		{"store/moved-relocatable", []core.ManagerOption{core.WithStore()}, true, true},
-		{"store/moved-invalidated", []core.ManagerOption{core.WithStore()}, false, true},
+		{"legacy/same-layout", true, false, false},
+		{"legacy/moved-relocatable", true, true, true},
+		{"legacy/moved-invalidated", true, false, true},
+		{"store/same-layout", false, false, false},
+		{"store/moved-relocatable", false, true, true},
+		{"store/moved-invalidated", false, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := wrote
@@ -73,9 +73,9 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 				cfg = moved
 			}
 			dir := testutil.TempDB(t)
-			mopts := tc.format
+			var mopts []core.ManagerOption
 			if tc.relocatable {
-				mopts = append(mopts[:len(mopts):len(mopts)], core.WithRelocatable())
+				mopts = append(mopts, core.WithRelocatable())
 			}
 			newMgr := func() *core.Manager { // a fresh one per prime, as a launch has
 				mgr, err := core.NewManager(dir, mopts...)
@@ -84,9 +84,17 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 				}
 				return mgr
 			}
-			o := opts(wrote)
-			o.Commit = true
-			w.Run(t, newMgr(), o)
+			if o := opts(wrote); tc.legacy {
+				v := w.NewVM(t, o)
+				if _, err := v.Run(); err != nil {
+					t.Fatal(err)
+				}
+				cf, _ := core.BuildCacheFile(v)
+				testutil.WriteLegacy(t, dir, cf)
+			} else {
+				o.Commit = true
+				w.Run(t, newMgr(), o)
+			}
 
 			consumed := w.NewVM(t, opts(cfg))
 			rep, err := newMgr().Prime(consumed)
@@ -175,12 +183,12 @@ func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 	// Shrink the entry to what input 0 covers, so a peer has something to add.
 	small, _ := core.BuildCacheFile(chaosRan(t, w, 0))
 	os.Remove(path)
-	if _, err := newStoreMgr(t, dir).CommitFile(ks, small); err != nil {
+	if _, err := openMgr(t, dir).CommitFile(ks, small); err != nil {
 		t.Fatal(err)
 	}
 	smallTraces := len(readManifest(t, dir, ks.ManifestFileName()).Traces)
 
-	ours := newStoreMgr(t, dir)
+	ours := openMgr(t, dir)
 	v := launch(ours, 0) // primes from, and remembers, the small manifest
 
 	// Undisturbed, the commit is answered from the remembered decode.
@@ -189,7 +197,7 @@ func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 		t.Fatalf("undisturbed warm commit: %+v, %v; want skipped over %d traces", rep, err, smallTraces)
 	}
 
-	peer := newStoreMgr(t, dir)
+	peer := openMgr(t, dir)
 	prep, err := peer.Commit(launch(peer, 10))
 	if err != nil || prep.Skipped || prep.NewTraces == 0 {
 		t.Fatalf("the peer's run added nothing: %+v, %v", prep, err)
@@ -209,7 +217,7 @@ func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, written) {
 		t.Errorf("the peer's manifest did not survive our commit (err %v)", err)
 	}
-	cf, err := newStoreMgr(t, dir).Lookup(ks)
+	cf, err := openMgr(t, dir).Lookup(ks)
 	if err != nil || len(cf.Traces) != prep.Traces {
 		t.Fatalf("entry after both commits: %v traces, err %v; want %d", cf, err, prep.Traces)
 	}

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -106,7 +105,7 @@ func checkAccumulated(t *testing.T, w *testutil.World, mgr *core.Manager, vms []
 	if len(entries) != 1 {
 		t.Fatalf("got %d index entries, want 1", len(entries))
 	}
-	cf, err := core.ReadCacheFile(filepath.Join(mgr.Dir(), entries[0].File))
+	cf, err := readEntry(mgr, entries[0].File)
 	if err != nil {
 		t.Fatalf("final cache file corrupt: %v", err)
 	}

@@ -117,23 +117,21 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 		}
 	}
 
-	// Heal the blob store first (if this database has one), so manifest
-	// verification below runs against a store whose every blob is
-	// content-verified; its quarantined blobs count like quarantined files.
-	// The store is shared without a lock, so a temp there is debris only
-	// once it is older than a crashed writer's lock would be.
-	st, err := m.StoreIfPresent()
+	// Heal the blob store first, so manifest verification below runs
+	// against a store whose every blob is content-verified; its quarantined
+	// blobs count like quarantined files. The store is shared without a
+	// lock, so a temp there is debris only once it is older than a crashed
+	// writer's lock would be.
+	st, err := m.Store()
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		srep, err := st.Recover(m.lockWait)
-		if err != nil {
-			return nil, err
-		}
-		rep.FilesQuarantined += srep.Quarantined
-		rep.TmpFilesRemoved += srep.TmpRemoved
+	srep, err := st.Recover(m.lockWait)
+	if err != nil {
+		return nil, err
 	}
+	rep.FilesQuarantined += srep.Quarantined
+	rep.TmpFilesRemoved += srep.TmpRemoved
 
 	// Verify every cache file, either format. Recovery exists because the
 	// database is suspect, so a surviving file also has to pass the deep
@@ -145,7 +143,7 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 	for _, f := range files {
 		rep.FilesScanned++
 		size := m.fileSize(f)
-		if m.loadOrQuarantine(f, st) == nil {
+		if m.loadOrQuarantine(f) == nil {
 			rep.FilesQuarantined++
 			rep.BytesReclaimed += size
 			continue
@@ -158,11 +156,11 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 }
 
 // loadOrQuarantine reads, decodes and deep-verifies the cache file at path,
-// either format, judging with local state only: st is the local store, nil
-// when there is none, and a manifest whose blobs it does not all hold is
-// not trustworthy. A file that fails is quarantined and nil returned. Repair
-// and migration judge every file this way.
-func (m *Manager) loadOrQuarantine(path string, st *store.Store) *CacheFile {
+// either format, judging with local state only: a manifest whose blobs the
+// local store does not all hold is not trustworthy. A file that fails is
+// quarantined and nil returned. Repair and migration judge every file this
+// way.
+func (m *Manager) loadOrQuarantine(path string) *CacheFile {
 	b, err := m.fs.ReadFile(path)
 	kind := "cachefile"
 	cf := new(CacheFile)
@@ -172,11 +170,8 @@ func (m *Manager) loadOrQuarantine(path string, st *store.Store) *CacheFile {
 		if err == nil {
 			man, err = store.DecodeManifest(b)
 		}
-		if err == nil && st == nil {
-			err = errBlobsUnavailable
-		}
 		if err == nil {
-			cf, err = materializeManifest(man, st)
+			cf, err = m.MaterializeManifest(man)
 		}
 	} else if err == nil {
 		err = cf.UnmarshalBinary(b)

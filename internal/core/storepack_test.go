@@ -82,7 +82,7 @@ func TestCommitFlushCountIndependentOfTraceCount(t *testing.T) {
 	for _, minTraces := range []int{50, 700} {
 		v := ranWorkload(t, minTraces/2)
 		inj := fsx.NewInject(nil)
-		mgr := newStoreMgr(t, t.TempDir(), core.WithFS(inj))
+		mgr := openMgr(t, t.TempDir(), core.WithFS(inj))
 		inj.StartRecording()
 		rep, err := mgr.Commit(v)
 		if err != nil {
@@ -119,7 +119,7 @@ func servedEntry(t *testing.T, newVM func() *vm.VM) *chaosRemote {
 	if _, err := ran.Run(); err != nil {
 		t.Fatal(err)
 	}
-	served := newStoreMgr(t, t.TempDir())
+	served := openMgr(t, t.TempDir())
 	if _, err := served.Commit(ran); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFailedWriteThroughDegradesToTranslating(t *testing.T) {
 	reg := metrics.NewRegistry()
 	inj := fsx.NewInject(nil)
 	inj.TruncateAt(fsx.OpWrite, ".pck.", 1, 0.5, syscall.ENOSPC)
-	mgr := newStoreMgr(t, dir, core.WithFS(inj), core.WithMetrics(reg))
+	mgr := openMgr(t, dir, core.WithFS(inj), core.WithMetrics(reg))
 	if _, err := mgr.MaterializeFrom(remote.man, remote.packs); err == nil {
 		t.Fatal("materialized an entry whose packs the disk refused")
 	}
@@ -187,7 +187,7 @@ func TestFailedWriteThroughDegradesToTranslating(t *testing.T) {
 	if _, err := mgr.Commit(v); err != nil {
 		t.Fatal(err)
 	}
-	launchWarm(t, newStoreMgr(t, dir), newVM)
+	launchWarm(t, openMgr(t, dir), newVM)
 }
 
 // TestRefusedAdoptionLeavesNothingHeld: a database whose manifest outlived
@@ -204,7 +204,7 @@ func TestRefusedAdoptionLeavesNothingHeld(t *testing.T) {
 	if _, err := ran.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newStoreMgr(t, dir).Commit(ran); err != nil {
+	if _, err := openMgr(t, dir).Commit(ran); err != nil {
 		t.Fatal(err)
 	}
 	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
@@ -216,7 +216,7 @@ func TestRefusedAdoptionLeavesNothingHeld(t *testing.T) {
 
 	inj := fsx.NewInject(nil)
 	inj.FailAt(fsx.OpWrite, ".pck.", 1, syscall.ENOSPC)
-	mgr := newStoreMgr(t, dir, core.WithFS(inj))
+	mgr := openMgr(t, dir, core.WithFS(inj))
 	// The remote launch as cacheserver.Fallback runs it: the served entry
 	// if it materializes, else the local database.
 	v := newVM()
@@ -240,7 +240,7 @@ func TestRefusedAdoptionLeavesNothingHeld(t *testing.T) {
 	if rep.Skipped {
 		t.Errorf("the commit was skipped as if the entry's blobs were held: %+v", rep)
 	}
-	launchWarm(t, newStoreMgr(t, dir), newVM)
+	launchWarm(t, openMgr(t, dir), newVM)
 }
 
 // committedEntry commits one run of the application newVM builds into a
@@ -252,7 +252,7 @@ func committedEntry(t *testing.T, newVM func() *vm.VM) (string, core.KeySet) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := newStoreMgr(t, dir).Commit(v); err != nil {
+	if _, err := openMgr(t, dir).Commit(v); err != nil {
 		t.Fatal(err)
 	}
 	return dir, core.KeysFor(v)
@@ -272,7 +272,7 @@ func TestMismatchedBlobQuarantinesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	packs, _ := filepath.Glob(filepath.Join(dir, "store", "gen*", "*.pck"))
-	if _, err := newStoreMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
+	if _, err := openMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
 		t.Fatalf("lookup of a mismatched manifest: %v, want ErrNoCache", err)
 	}
 	if q, _ := filepath.Glob(filepath.Join(dir, core.QuarantineDir, "*.pcm*")); len(q) != 1 {
@@ -311,7 +311,7 @@ func TestPackMemberFailingItsHashIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := newStoreMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
+	if _, err := openMgr(t, dir).Lookup(ks); !errors.Is(err, core.ErrNoCache) {
 		t.Fatalf("lookup over a damaged member: %v, want ErrNoCache", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store", "quarantine", filepath.Base(packs[0]))); err != nil {
@@ -332,7 +332,7 @@ func TestPackMemberFailingItsHashIsAMiss(t *testing.T) {
 func TestCompactStoreAbortsOnManifestReadError(t *testing.T) {
 	newVM := flushWorkload(t, 5)
 	inj := fsx.NewInject(nil)
-	mgr := newStoreMgr(t, t.TempDir(), core.WithFS(inj))
+	mgr := openMgr(t, t.TempDir(), core.WithFS(inj))
 	v := newVM()
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)

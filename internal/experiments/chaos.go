@@ -30,8 +30,9 @@ func chaosCacheFile(b *workload.SpecBenchmark, input int) (*core.CacheFile, core
 	return cf, ks, nil
 }
 
-// chaosInvariants reopens a post-crash database and checks what the design
-// promises survives any single crash.
+// chaosInvariants reopens a post-crash database and checks, through a
+// manager, what the design promises survives any single crash: every entry
+// it lists reads and verifies as a lookup reads it.
 func chaosInvariants(dir string, ksBase core.KeySet, wantTraces int) error {
 	mgr, err := core.NewManager(dir, core.WithLockTimeout(chaosLockWait))
 	if err != nil {
@@ -42,7 +43,11 @@ func chaosInvariants(dir string, ksBase core.KeySet, wantTraces int) error {
 		return fmt.Errorf("entries unlistable: %w", err)
 	}
 	for _, e := range entries {
-		if _, err := core.ReadCacheFile(filepath.Join(dir, e.File)); err != nil {
+		cf, err := mgr.ReadPrior(e.File)
+		if err == nil && cf == nil {
+			err = errors.New("quarantined")
+		}
+		if err != nil {
 			return fmt.Errorf("listed entry %s unverifiable: %w", e.File, err)
 		}
 	}
@@ -111,7 +116,7 @@ func Chaos() (*Report, error) {
 		// Errors are expected mid-crash; the invariant check is what counts.
 		mgr.CommitFile(ksHot, cf1)
 		mgr.CommitFile(ksHot, cf2)
-		mgr.RemoveEntry(ksHot.CacheFileName())
+		mgr.RemoveEntry(ksHot.ManifestFileName())
 	}
 	newDB := func() (string, func(), error) {
 		dir, err := os.MkdirTemp("", "pcc-chaos-*")
@@ -183,7 +188,7 @@ func Chaos() (*Report, error) {
 		clean()
 	}
 
-	// Self-healing stage: corrupt the hot entry's cache file in a healthy
+	// Self-healing stage: corrupt the hot entry's manifest in a healthy
 	// database, then look it up — the corrupt file must be quarantined and
 	// the lookup degrade to a cold miss, never an error.
 	healDir, healClean, err := newDB()
@@ -198,7 +203,7 @@ func Chaos() (*Report, error) {
 	if _, err := healMgr.CommitFile(ksHot, cf1); err != nil {
 		return nil, err
 	}
-	hotPath := filepath.Join(healDir, ksHot.CacheFileName())
+	hotPath := filepath.Join(healDir, ksHot.ManifestFileName())
 	if err := os.WriteFile(hotPath, []byte("garbage, not a cache file"), 0o644); err != nil {
 		return nil, err
 	}
@@ -218,7 +223,7 @@ func Chaos() (*Report, error) {
 		return nil, fmt.Errorf("chaos: corrupt cache file failed the run: %v", err)
 	}
 	quarantined := 0
-	if v, ok := healMgr.Metrics().Snapshot().Value("pcc_core_quarantine_total", "cachefile"); ok {
+	if v, ok := healMgr.Metrics().Snapshot().Value("pcc_core_quarantine_total", "manifest"); ok {
 		quarantined = int(v)
 	}
 	if quarantined == 0 {

@@ -11,7 +11,8 @@ import (
 )
 
 // Migrate is the migration smoke gate (make gate-smoke): build a legacy
-// fixture database, corrupt one entry, migrate in place, and prove the
+// fixture database (each app's image, as versions before the store wrote
+// it), corrupt one entry, migrate in place, and prove the
 // promised end state — corrupt input quarantined rather than laundered
 // into the new format, every surviving entry deep-verified and warm-
 // servable, recovery a no-op afterwards. Any violation is a non-zero
@@ -29,21 +30,24 @@ func Migrate() (*Report, error) {
 	defer os.RemoveAll(dir)
 
 	// Stage 1: legacy fixture database + per-app cold reference outputs.
-	legacy, err := core.NewManager(dir)
-	if err != nil {
-		return nil, err
-	}
 	type ref struct {
 		ks    core.KeySet
 		ticks uint64
 	}
 	refs := make([]ref, len(apps))
 	for i, app := range apps {
-		out, err := run(runSpec{Prog: app.Prog, In: app.Startup, Cfg: guiCfg(), Mgr: legacy, Commit: true})
+		out, err := run(runSpec{Prog: app.Prog, In: app.Startup, Cfg: guiCfg()})
 		if err != nil {
 			return nil, err
 		}
-		_, ks := core.BuildCacheFile(out.VM)
+		cf, ks := core.BuildCacheFile(out.VM)
+		image, err := cf.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(dir, ks.CacheFileName()), image, 0o644); err != nil {
+			return nil, err
+		}
 		refs[i] = ref{ks: ks, ticks: out.Res.Stats.Ticks}
 	}
 	bytesBefore, err := diskBytes(dir)
@@ -63,8 +67,8 @@ func Migrate() (*Report, error) {
 		return nil, err
 	}
 
-	// Stage 3: migrate in place with a store-format manager.
-	mgr, err := core.NewManager(dir, core.WithStore())
+	// Stage 3: migrate in place.
+	mgr, err := core.NewManager(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +96,7 @@ func Migrate() (*Report, error) {
 
 	// Stage 5: the surviving entries warm-serve through a deep-verifying
 	// manager; the corrupted one is a clean miss.
-	deep, err := core.NewManager(dir, core.WithStore(), core.WithDeepVerify())
+	deep, err := core.NewManager(dir, core.WithDeepVerify())
 	if err != nil {
 		return nil, err
 	}

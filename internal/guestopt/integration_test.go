@@ -129,25 +129,31 @@ func TestOptimizerInstallPath(t *testing.T) {
 }
 
 // TestOptimizedTracesPersistAndReload covers the warm path in both on-disk
-// formats: a cold optimized run commits, a warm run primes pre-optimized
-// traces (no re-optimization), and behavior matches the unoptimized run.
+// formats: a cold optimized run commits (or, for the legacy format, its
+// traces are written as an image), a warm run primes pre-optimized traces
+// (no re-optimization), and behavior matches the unoptimized run.
 func TestOptimizedTracesPersistAndReload(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []core.ManagerOption
-	}{
-		{"legacy", nil},
-		{"store", []core.ManagerOption{core.WithStore()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, format := range []string{"legacy", "store"} {
+		t.Run(format, func(t *testing.T) {
 			w := testutil.BuildWorld(t, "app", redundantSrc, nil)
-			mgr := testutil.NewMgr(t, tc.opts...)
+			mgr := testutil.NewMgr(t)
 			optOpts := func() []vm.Option {
 				return []vm.Option{vm.WithOptimizer(guestopt.New(guestopt.All()))}
 			}
-			cold := w.Run(t, mgr, testutil.RunOpts{
-				Input: []uint64{5, 3}, Commit: true, Options: optOpts(),
-			})
+			o := testutil.RunOpts{Input: []uint64{5, 3}, Options: optOpts()}
+			var cold *vm.Result
+			if format == "legacy" {
+				v := w.NewVM(t, o)
+				var err error
+				if cold, err = v.Run(); err != nil {
+					t.Fatal(err)
+				}
+				cf, _ := core.BuildCacheFile(v)
+				testutil.WriteLegacy(t, mgr.Dir(), cf)
+			} else {
+				o.Commit = true
+				cold = w.Run(t, mgr, o)
+			}
 			if cold.Stats.TracesOptimized == 0 {
 				t.Fatal("cold run optimized nothing")
 			}

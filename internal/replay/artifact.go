@@ -54,9 +54,9 @@ type Crasher struct {
 
 	// Recording names a sidecar .rec log to replay bit-exactly; Snapshot
 	// names a sidecar cache-DB directory to replay it against. Store marks
-	// the snapshot (and any cache manager the replaying test opens for this
-	// case) as using the content-addressed store layout (core.WithStore) —
-	// store-surface regressions are invisible under the legacy layout.
+	// the case's cache databases as the kind the store-warmed mode primes
+	// from: relocatable, and rewritten by a corruption hook when one is set
+	// (diffexec.Case.Store).
 	Recording string `json:"recording,omitempty"`
 	Snapshot  string `json:"snapshot,omitempty"`
 	Store     bool   `json:"store,omitempty"`

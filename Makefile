@@ -59,10 +59,11 @@ test-race:
 # replica against the primary). Much faster than test-race, so it runs as its own
 # CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
-# manager crashing at every pack operation beside a live peer, and readers of
+# manager crashing at every pack operation beside a live peer, readers of
 # one store's pack and loose-file index while a peer publishes and the store
-# compacts — run twenty times over: a lost race there is an intermittent
-# failure, not a steady one.
+# compacts, and a commit into an entry a peer grew after the launch primed
+# from it — run twenty times over: a lost race or a lost update there is an
+# intermittent failure, not a steady one.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -70,7 +71,7 @@ test-race:
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers' ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime' ./internal/core/ ./internal/store/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
 # failure has to show up here, not on somebody's unrelated push.

@@ -534,9 +534,11 @@ func (f *Fallback) Local() *core.Manager { return f.local }
 // one of them (the bulk prime), otherwise only the first — the exact
 // entry, or the best inter-application candidate (ScopeBest). The exact
 // entry installs first, wherever it came in the answer. A
-// store-format entry arrives as its manifest; the packs holding the blobs
-// the machine-local store is missing follow through FETCHPACKS, and once
-// the store has adopted them the manifest reads as on a local warm launch.
+// store-format entry arrives as its manifest, which is judged against the
+// VM before anything else moves; the packs holding the blobs of the traces
+// that install, where the machine-local store lacks them, follow through
+// FETCHPACKS, and once the store has adopted them the manifest reads as on
+// a local warm launch.
 // A legacy entry arrives as its image. Entries install through the local
 // validation path. A miss, a failed transport or nothing installable
 // degrades to the local database.
@@ -561,29 +563,29 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	// The run's own entry installs first, wherever the transport put it (a
 	// fleet's primary that missed the publish answers without it), and is
 	// the one Commit measures the run against.
-	cfs := make([]*core.CacheFile, 0, len(items))
+	entries := make([]servedEntry, 0, len(items))
 	exact := 0
 	for _, it := range items {
-		cf, err := f.materialize(it)
+		e, err := decodeItem(it)
 		if err != nil {
-			continue // corrupt on the wire, or blobs unresolvable: try the rest
+			continue // corrupt on the wire: try the rest
 		}
-		if cf.AppKey == ks.App {
-			cfs = slices.Insert(cfs, exact, cf)
+		if e.app == ks.App {
+			entries = slices.Insert(entries, exact, e)
 			exact++
 		} else {
-			cfs = append(cfs, cf)
+			entries = append(entries, e)
 		}
 	}
 	agg := &core.PrimeReport{}
-	for _, cf := range cfs {
-		rep, err := f.local.PrimeFrom(v, cf)
+	for _, e := range entries {
+		rep, err := f.primeFrom(v, e)
 		if err != nil {
-			continue // failed key validation; try the rest
+			continue // failed key validation, or blobs unresolvable; try the rest
 		}
-		if cf.AppKey == ks.App && !agg.Found {
+		if e.app == ks.App && !agg.Found {
 			f.mu.Lock()
-			f.primed[v] = primedEntry{traces: len(cf.Traces), modules: cf.Modules}
+			f.primed[v] = primedEntry{traces: rep.CacheTraces, modules: e.modules()}
 			f.mu.Unlock()
 		}
 		agg.Found = true
@@ -609,22 +611,49 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	return agg, nil
 }
 
-// materialize turns one FETCHMANIFESTS item into a cache file, asking the
-// transport for the packs a manifest's missing blobs are in from the
-// entry's owners.
-func (f *Fallback) materialize(it ManifestItem) (*core.CacheFile, error) {
+// servedEntry is one FETCHMANIFESTS item, decoded: a store-format entry's
+// manifest, or a legacy entry's cache file.
+type servedEntry struct {
+	app core.Key
+	man *store.Manifest
+	cf  *core.CacheFile
+}
+
+func decodeItem(it ManifestItem) (servedEntry, error) {
 	if it.Kind == ItemKindManifest {
 		man, err := store.DecodeManifest(it.Data)
 		if err != nil {
-			return nil, err
+			return servedEntry{}, err
 		}
-		ks := core.KeySet{App: man.AppKey, VM: man.VMKey, Tool: man.ToolKey}
-		return f.local.MaterializeFrom(man, func(missing []store.Hash) ([][]byte, error) {
-			return f.client.FetchPacks(ks, missing)
-		})
+		return servedEntry{app: man.AppKey, man: man}, nil
 	}
 	cf := new(core.CacheFile)
-	return cf, cf.UnmarshalBinary(it.Data)
+	if err := cf.UnmarshalBinary(it.Data); err != nil {
+		return servedEntry{}, err
+	}
+	return servedEntry{app: cf.AppKey, cf: cf}, nil
+}
+
+// modules is the entry's module table.
+func (e servedEntry) modules() []core.ModuleRecord {
+	if e.man != nil {
+		return core.RecordModules(e.man.Modules)
+	}
+	return e.cf.Modules
+}
+
+// primeFrom installs one served entry through the local validation path. A
+// manifest is judged before any of its blobs is fetched: the packs asked of
+// the entry's owners are those holding the blobs of the traces that install
+// (core.Manager.PrimeFromManifest) and that the machine-local store lacks.
+func (f *Fallback) primeFrom(v *vm.VM, e servedEntry) (*core.PrimeReport, error) {
+	if e.man == nil {
+		return f.local.PrimeFrom(v, e.cf)
+	}
+	ks := core.KeySet{App: e.man.AppKey, VM: e.man.VMKey, Tool: e.man.ToolKey}
+	return f.local.PrimeFromManifest(v, e.man, func(missing []store.Hash) ([][]byte, error) {
+		return f.client.FetchPacks(ks, missing)
+	})
 }
 
 // localPrime is the degraded prime. Prime and PrimeInterApp ask the local

@@ -14,8 +14,10 @@ import (
 
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
+	"persistcc/internal/loader"
 	"persistcc/internal/store"
 	"persistcc/internal/testutil"
+	"persistcc/internal/workload"
 )
 
 // Tests for FETCHPACKS from the untrusted side of the wire: packs a daemon
@@ -302,5 +304,85 @@ func TestLooseBlobServedAsPack(t *testing.T) {
 	}
 	if res.Stats.TracesTranslated != 0 {
 		t.Errorf("warm run translated %d traces", res.Stats.TracesTranslated)
+	}
+}
+
+// countingTransport counts the FETCHPACKS round trips a Fallback makes and
+// the pack files they bring.
+type countingTransport struct {
+	cacheserver.Transport
+	fetches, packs int
+}
+
+func (c *countingTransport) FetchPacks(ks core.KeySet, hashes []store.Hash) ([][]byte, error) {
+	c.fetches++
+	packs, err := c.Transport.FetchPacks(ks, hashes)
+	c.packs += len(packs)
+	return packs, err
+}
+
+// TestInterAppPrimeFetchesOnlyKeptPacks: a remote prime judges a served
+// manifest against the VM before it fetches anything, and asks only for the
+// packs of the traces that install. A GUI app whose inter-application
+// candidate is 176.gcc's entry, none of whose traces can install in it,
+// fetches no pack at all and reports every trace exactly; gcc's own launch
+// fetches its entry's packs.
+func TestInterAppPrimeFetchesOnlyKeptPacks(t *testing.T) {
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc, err := workload.BuildSpecBenchmark("176.gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr, _ := startServer(t)
+	c := newClient(addr)
+	defer c.Close()
+	ran, err := gcc.Prog.NewVM(loader.Config{}, gcc.Ref[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ran.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cf, _ := core.BuildCacheFile(ran)
+	if _, err := c.Publish(cf); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := func() (*cacheserver.Fallback, *countingTransport) {
+		local, err := core.NewManager(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := &countingTransport{Transport: c}
+		return cacheserver.NewFallback(ct, local), ct
+	}
+
+	fb, ct := fresh()
+	app := gui.Apps[0]
+	v, err := app.Prog.NewVM(loader.Config{Placement: loader.PlaceHashed}, app.Startup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fb.PrimeInterApp(v)
+	if err != nil || !rep.Found || rep.Installed != 0 || rep.CacheTraces != len(cf.Traces) || rep.Invalidated() != rep.CacheTraces {
+		t.Fatalf("%s over gcc's entry: %+v, %v; want found, all %d traces invalid", app.Name, rep, err, len(cf.Traces))
+	}
+	if ct.fetches != 0 || ct.packs != 0 {
+		t.Errorf("%s's inter-app prime fetched %d packs in %d round trips; it installs nothing", app.Name, ct.packs, ct.fetches)
+	}
+
+	fb, ct = fresh()
+	own, err := gcc.Prog.NewVM(loader.Config{}, gcc.Ref[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := fb.Prime(own); err != nil || rep.Installed != len(cf.Traces) {
+		t.Fatalf("gcc over its own entry: %+v, %v", rep, err)
+	}
+	if ct.fetches != 1 || ct.packs == 0 {
+		t.Errorf("gcc's prime fetched %d packs in %d round trips, want its entry's in one", ct.packs, ct.fetches)
 	}
 }

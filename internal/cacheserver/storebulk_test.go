@@ -163,7 +163,7 @@ func TestPrimeFromStoreServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no local store after priming from manifests: %v", err)
 	}
-	if missing := st.Missing(man); len(missing) != 0 {
+	if missing := st.Missing(man, nil); len(missing) != 0 {
 		t.Errorf("%d blobs not written through to the local store", len(missing))
 	}
 

@@ -405,7 +405,7 @@ func TestStoreChaosWithLivePeer(t *testing.T) {
 				mu.Lock()
 				traces := append([]store.TraceRef(nil), published...)
 				mu.Unlock()
-				early.LocalTraces(&store.Manifest{Modules: seedMan.Modules, Traces: traces})
+				early.LocalTraces(&store.Manifest{Modules: seedMan.Modules, Traces: traces}, nil)
 			}
 		}()
 		tmps := func() []string {

@@ -163,10 +163,10 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 	}
 }
 
-// TestCommitIgnoresStalePrimedManifest: a manager hands the manifest it
-// primed from to its own commit, but only while the entry still holds those
-// bytes. When a peer accumulates new traces into the entry in between, the
-// commit must judge against what the peer wrote — and lose none of it.
+// TestCommitIgnoresStalePrimedManifest: a commit judges the entry as it
+// stands, not the manifest its launch primed from. When a peer accumulates
+// new traces into the entry in between, the commit must judge against what
+// the peer wrote — and lose none of it.
 func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 	dir, ks, _, w := warmIncoming(t) // the entry covers input 10
 	path := filepath.Join(dir, ks.ManifestFileName())
@@ -189,9 +189,9 @@ func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 	smallTraces := len(readManifest(t, dir, ks.ManifestFileName()).Traces)
 
 	ours := openMgr(t, dir)
-	v := launch(ours, 0) // primes from, and remembers, the small manifest
+	v := launch(ours, 0) // primes from the small manifest
 
-	// Undisturbed, the commit is answered from the remembered decode.
+	// Undisturbed, the commit is answered from the manifest alone.
 	rep, err := ours.Commit(v)
 	if err != nil || !rep.Skipped || rep.Traces != smallTraces {
 		t.Fatalf("undisturbed warm commit: %+v, %v; want skipped over %d traces", rep, err, smallTraces)

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"persistcc/internal/store"
+	"persistcc/internal/vm"
 )
 
 // This file is the bridge between the manager's CacheFile world and the
@@ -77,7 +78,9 @@ func storeModules(records []ModuleRecord) []store.Module {
 	return out
 }
 
-func recordModules(mods []store.Module) []ModuleRecord {
+// RecordModules converts a manifest's module table back to the manager's
+// module records.
+func RecordModules(mods []store.Module) []ModuleRecord {
 	out := make([]ModuleRecord, len(mods))
 	for i, s := range mods {
 		out[i] = ModuleRecord{
@@ -93,6 +96,23 @@ func recordModules(mods []store.Module) []ModuleRecord {
 // hashes in the manifest are left zero; the caller fills them from the
 // store's PutAll (which hashes while writing) to avoid encoding twice.
 func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
+	man, refOf, err := manifestOf(cf)
+	if err != nil {
+		return nil, nil, err
+	}
+	blobs := make([]*store.Blob, len(cf.Traces))
+	for i, t := range cf.Traces {
+		if blobs[i], _, err = store.BlobFromTrace(t, refOf); err != nil {
+			return nil, nil, err
+		}
+	}
+	return man, blobs, nil
+}
+
+// manifestOf is cf's manifest with every trace ref but its blob hash filled
+// in, and the identity (content key, base) of each of cf's modules, which
+// is what a trace's blob records of the modules it refers to.
+func manifestOf(cf *CacheFile) (*store.Manifest, func(int32) (store.Ref, error), error) {
 	if err := cf.checkTraceModules(); err != nil {
 		return nil, nil, err
 	}
@@ -101,6 +121,10 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 		AppPath:  cf.AppPath,
 		Modules:  storeModules(cf.Modules),
 		CodePool: cf.CodePool, DataPool: cf.DataPool,
+		Traces: make([]store.TraceRef, len(cf.Traces)),
+	}
+	for i, t := range cf.Traces {
+		man.Traces[i] = store.TraceRef{Refs: store.TraceRefs(t), OptLevel: t.OptLevel}
 	}
 	refOf := func(mi int32) (store.Ref, error) {
 		if mi < 0 || int(mi) >= len(cf.Modules) {
@@ -109,31 +133,22 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 		rec := cf.Modules[mi]
 		return store.Ref{Content: [32]byte(rec.Content), Base: rec.Base}, nil
 	}
-	blobs := make([]*store.Blob, 0, len(cf.Traces))
-	for _, t := range cf.Traces {
-		b, mods, err := store.BlobFromTrace(t, refOf)
-		if err != nil {
-			return nil, nil, err
-		}
-		blobs = append(blobs, b)
-		man.Traces = append(man.Traces, store.TraceRef{Refs: mods, OptLevel: t.OptLevel})
-	}
-	return man, blobs, nil
+	return man, refOf, nil
 }
 
 // MaterializeManifest rebuilds a cache file from a manifest and the local
 // store: each blob is read from disk, wherever it lies, and decoded once,
-// straight into the trace (store.LocalTraces). The caller owns the file and
-// every trace in it. A blob the store does not hold, or whose file fails a
-// check (the store quarantines that file), returns errBlobsUnavailable; a
-// blob that is not the one the manifest was written against is any other
-// error.
+// straight into the trace (store.LocalTraces), which keeps the address it
+// was read under. The caller owns the file and every trace in it. A blob
+// the store does not hold, or whose file fails a check (the store
+// quarantines that file), returns errBlobsUnavailable; a blob that is not
+// the one the manifest was written against is any other error.
 func (m *Manager) MaterializeManifest(man *store.Manifest) (*CacheFile, error) {
 	st, err := m.Store()
 	if err != nil {
 		return nil, err
 	}
-	return materializeManifest(man, st)
+	return materializeManifest(man, st, nil)
 }
 
 // PackSource fetches from another machine the pack files that hold the
@@ -152,26 +167,38 @@ func (m *Manager) MaterializeFrom(man *store.Manifest, src PackSource) (*CacheFi
 	if err != nil {
 		return nil, err
 	}
-	if missing := st.Missing(man); len(missing) > 0 {
-		packs, err := src(missing)
-		if err == nil {
-			err = st.AdoptPacks(packs)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errBlobsUnavailable, err)
-		}
+	if err := fetchMissing(st, man, nil, src); err != nil {
+		return nil, err
 	}
-	return materializeManifest(man, st)
+	return materializeManifest(man, st, nil)
 }
 
-// materializeManifest is MaterializeManifest over an explicit store.
-func materializeManifest(man *store.Manifest, st *store.Store) (*CacheFile, error) {
+// fetchMissing has src bring the packs that hold the blobs of man's traces
+// keep marks (every one when keep is nil) that st lacks, and st adopt them.
+func fetchMissing(st *store.Store, man *store.Manifest, keep []bool, src PackSource) error {
+	missing := st.Missing(man, keep)
+	if len(missing) == 0 {
+		return nil
+	}
+	packs, err := src(missing)
+	if err == nil {
+		err = st.AdoptPacks(packs)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", errBlobsUnavailable, err)
+	}
+	return nil
+}
+
+// materializeManifest is MaterializeManifest over an explicit store, for the
+// traces keep marks (every one when keep is nil).
+func materializeManifest(man *store.Manifest, st *store.Store, keep []bool) (*CacheFile, error) {
 	cf := &CacheFile{
 		AppKey: Key(man.AppKey), VMKey: Key(man.VMKey), ToolKey: Key(man.ToolKey),
 		AppPath: man.AppPath,
-		Modules: recordModules(man.Modules),
+		Modules: RecordModules(man.Modules),
 	}
-	traces, err := st.LocalTraces(man)
+	traces, err := st.LocalTraces(man, keep)
 	if errors.Is(err, store.ErrBlobMissing) || errors.Is(err, store.ErrBlobCorrupt) {
 		return nil, fmt.Errorf("%w: %v", errBlobsUnavailable, err)
 	}
@@ -185,20 +212,58 @@ func materializeManifest(man *store.Manifest, st *store.Store) (*CacheFile, erro
 }
 
 // readVerifiedManifest is readVerified for the store format: decode the
-// manifest, resolve and check its blobs, materialize, and (when enabled)
-// deep-verify the result. Corrupt manifests are quarantined like corrupt
-// cache files; unresolvable blobs degrade to a miss without quarantine.
+// manifest, then read and verify every trace it references.
 func (m *Manager) readVerifiedManifest(path string) (*CacheFile, error) {
+	man, err := m.decodeManifestAt(path)
+	if err != nil {
+		return nil, err
+	}
+	return m.readVerifiedTraces(path, man, nil)
+}
+
+// decodeManifestAt reads and decodes the manifest at path. Read errors pass
+// through untouched; a manifest that does not decode is quarantined
+// (errQuarantined). A file that still holds the bytes the manager decoded
+// last is not decoded again: a launch primes from its entry and, a run
+// later, commits into the same entry.
+func (m *Manager) decodeManifestAt(path string) (*store.Manifest, error) {
 	b, err := m.fs.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	if last := m.lastDecoded.Load(); last != nil && last.path == path && bytes.Equal(last.raw, b) {
+		return last.man, nil
 	}
 	man, err := store.DecodeManifest(b)
 	if err != nil {
 		m.quarantine(path, "manifest")
 		return nil, fmt.Errorf("%w: %s: %v", errQuarantined, path, err)
 	}
-	cf, err := m.MaterializeManifest(man)
+	m.lastDecoded.Store(&decodedManifest{path: path, raw: b, man: man})
+	return man, nil
+}
+
+// decodedManifest is the manifest the manager decoded last: where it was,
+// the bytes it was decoded from, and the decode, which nothing modifies.
+type decodedManifest struct {
+	path string
+	raw  []byte
+	man  *store.Manifest
+}
+
+// readVerifiedTraces materializes the traces keep marks (every one when
+// keep is nil) of man, the manifest at path, and — when enabled —
+// deep-verifies them. Blobs that cannot all be resolved degrade to a miss
+// (fs.ErrNotExist) without quarantine; a manifest whose blobs are not the
+// ones it was written against, or traces the deep verifier rejects, are
+// quarantined like a corrupt cache file. What keep leaves out is neither
+// read nor judged.
+func (m *Manager) readVerifiedTraces(path string, man *store.Manifest, keep []bool) (*CacheFile, error) {
+	st, err := m.Store()
+	var cf *CacheFile
+	if err == nil {
+		cf, err = materializeManifest(man, st, keep)
+	}
 	switch {
 	case err == nil:
 	case errors.Is(err, errBlobsUnavailable):
@@ -214,60 +279,137 @@ func (m *Manager) readVerifiedManifest(path string) (*CacheFile, error) {
 			return nil, fmt.Errorf("%w: %s: %v", errQuarantined, path, rep.Err())
 		}
 	}
-	m.lastRead.Store(&readManifest{path: path, raw: b, man: man})
 	return cf, nil
 }
 
-// readManifest is the manifest the manager last read and verified: where it
-// was, the bytes it was decoded from, and the decode. A launch primes from
-// its entry and, a run later, commits into the same entry; the commit checks
-// the file still holds these bytes and spares itself the second decode.
-type readManifest struct {
-	path string
-	raw  []byte
-	man  *store.Manifest
-}
-
-// skipFromManifest answers the commit of a run that has nothing to add to
-// a store-format entry from the entry's manifest alone: the module table
-// and the trace count are in it, so the prior cache — which a warm run has
-// just read, verified and decoded once to prime from — is not materialized
-// a second time only for the merge to be skipped. It returns the report
-// MergeCacheFiles would have, or nil when the commit must take the full
-// path: no manifest at path, one that does not decode (Lookup quarantines
-// it), a run that adds something, or a manifest any of whose blobs is not
-// in the local store — that prior counts as absent and is rewritten whole,
-// which is how a run primed from the fleet fills a stripped local store.
-func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitReport {
-	if !strings.HasSuffix(path, ".pcm") || incoming.checkTraceModules() != nil {
-		return nil
-	}
-	b, err := m.fs.ReadFile(path)
+// PrimeFromManifest primes v from a manifest another machine served, the
+// way a launch primes from a local one: what installs is decided from the
+// manifest alone (planPrime), and only the blobs of the traces that do are
+// fetched — src brings the packs holding those the local store lacks, which
+// the store verifies and adopts — and read. A manifest none of whose traces
+// can install in v costs no fetch at all.
+func (m *Manager) PrimeFromManifest(v *vm.VM, man *store.Manifest, src PackSource) (*PrimeReport, error) {
+	rep, states, keep, err := m.planPrime(v, man)
 	if err != nil {
-		return nil
-	}
-	// The caller holds the database lock, so these bytes are the entry as it
-	// stands. Only a byte-identical file is the one decoded earlier; after a
-	// peer's rewrite the remembered decode is stale and is not consulted.
-	var man *store.Manifest
-	if last := m.lastRead.Load(); last != nil && last.path == path && bytes.Equal(last.raw, b) {
-		man = last.man
-	} else if man, err = store.DecodeManifest(b); err != nil {
-		return nil
-	}
-	if !AddsNothing(incoming, len(man.Traces), recordModules(man.Modules)) {
-		return nil
+		return rep, err
 	}
 	st, err := m.Store()
-	if err != nil || len(st.Missing(man)) > 0 {
-		return nil
+	if err == nil {
+		err = fetchMissing(st, man, keep, src)
 	}
-	m.m.lookups.With("exact", "hit").Inc()
-	m.m.fileBytes.With("read").Add(man.EncodedBytes)
-	return &CommitReport{
-		Skipped: true, Accumulate: true,
-		Traces: len(man.Traces), CodePool: man.CodePool, DataPool: man.DataPool,
+	var cf *CacheFile
+	if err == nil {
+		cf, err = materializeManifest(man, st, keep)
 	}
+	if err != nil {
+		return &PrimeReport{}, err
+	}
+	m.installTraces(v, cf.Traces, states, true, rep)
+	return rep, nil
+}
+
+// planPrime is what a prime decides from a manifest before it reads a
+// blob: admit checks the keys and classifies the module table against v's
+// mappings, once, and each trace ref is judged by the modules its Refs
+// name, which are the trace's own and those its relocation notes target.
+// keep marks the traces to read and install (nil: every one), and rep
+// counts the others by reason, as install would have counted them.
+func (m *Manager) planPrime(v *vm.VM, man *store.Manifest) (rep *PrimeReport, states []modState, keep []bool, err error) {
+	rep = &PrimeReport{Found: true, CacheTraces: len(man.Traces)}
+	states, err = m.admit(v, Key(man.VMKey), Key(man.ToolKey), RecordModules(man.Modules))
+	if err != nil {
+		return rep, nil, nil, err
+	}
+	for i, tr := range man.Traces {
+		switch worstRef(states, tr.Refs) {
+		case modOK, modRebase:
+			continue
+		case modMissing:
+			rep.InvalidMissing++
+		case modContent:
+			rep.InvalidContent++
+		case modBaseOnly:
+			rep.InvalidBase++
+		}
+		if keep == nil {
+			keep = make([]bool, len(man.Traces))
+			for j := range keep {
+				keep[j] = true
+			}
+		}
+		keep[i] = false
+	}
+	return rep, states, keep, nil
+}
+
+// mergeManifest is CommitFile's merge into the store-format entry at path,
+// decided on the entry's manifest before any of its blobs is read:
+//   - a prior trace whose blob an incoming trace was read from (same address,
+//     same module path) is in the merge already;
+//   - one whose mappings do not validate against the incoming module table
+//     is dropped unread;
+//   - only the rest, normally none, is read and accumulated as
+//     MergeCacheFiles accumulates a prior trace.
+//
+// An entry that is missing or does not decode is no prior, as for Lookup,
+// and so is one whose blobs the store does not all hold, or whose rest
+// cannot be read.
+func (m *Manager) mergeManifest(incoming *CacheFile, path string) (*CacheFile, *CommitReport, error) {
+	g, err := newMerge(incoming, m.relocatable)
+	if err != nil {
+		return nil, nil, err
+	}
+	man, err := m.decodeManifestAt(path)
+	if err == nil {
+		var st *store.Store
+		if st, err = m.Store(); err == nil && len(st.Missing(man, nil)) > 0 {
+			err = fmt.Errorf("%w: %s: blobs missing", fs.ErrNotExist, path)
+		}
+	}
+	if err != nil {
+		return g.withoutPrior(m.lookupFailed("exact", err))
+	}
+	modules := RecordModules(man.Modules)
+	if g.addsNothing(len(man.Traces), modules) {
+		m.lookupHit("exact", man.EncodedBytes)
+		return nil, skipReport(len(man.Traces), man.CodePool, man.DataPool), nil
+	}
+	states := g.classify(modules)
+	carried := make(map[store.Hash]int32, len(g.cf.Traces))
+	for _, t := range g.cf.Traces {
+		if t.Addr != nil {
+			carried[*t.Addr] = t.Module
+		}
+	}
+	dropped := 0
+	var keep []bool
+	for i, tr := range man.Traces {
+		if mi, ok := carried[tr.Blob]; ok && g.cf.Modules[mi].Path == man.Modules[tr.Refs[0]].Path {
+			continue
+		}
+		if worstRef(states, tr.Refs) > modRebase {
+			dropped++
+			continue
+		}
+		if keep == nil {
+			keep = make([]bool, len(man.Traces))
+		}
+		keep[i] = true
+	}
+	if keep != nil {
+		prior, err := m.readVerifiedTraces(path, man, keep)
+		if err != nil {
+			return g.withoutPrior(m.lookupFailed("exact", err))
+		}
+		for _, t := range prior.Traces {
+			g.add(t, modules, states, true)
+		}
+	}
+	m.lookupHit("exact", man.EncodedBytes)
+	g.rep.Accumulate = true
+	g.rep.Dropped += dropped
+	cf, rep := g.finish()
+	return cf, rep, nil
 }
 
 // writeStoreFormat writes cf at path in manifest+blob form: blobs land in
@@ -276,7 +418,7 @@ func (m *Manager) skipFromManifest(path string, incoming *CacheFile) *CommitRepo
 // only orphan blobs, which compaction collects. Returns the bytes
 // physically written (new blobs + manifest) and the store's put report.
 func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.PutReport, error) {
-	man, blobs, err := ToStoreFormat(cf)
+	man, refOf, err := manifestOf(cf)
 	if err != nil {
 		return 0, store.PutReport{}, err
 	}
@@ -284,7 +426,18 @@ func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.Pu
 	if err != nil {
 		return 0, store.PutReport{}, err
 	}
-	putRep, hashes, err := st.PutAll(blobs)
+	// A trace read from a blob is written by the address it was read under;
+	// only the others are encoded (and one whose blob has gone since).
+	known := make([]store.Hash, len(cf.Traces))
+	for i, t := range cf.Traces {
+		if t.Addr != nil {
+			known[i] = *t.Addr
+		}
+	}
+	putRep, hashes, err := st.Put(known, func(i int) (*store.Blob, error) {
+		b, _, err := store.BlobFromTrace(cf.Traces[i], refOf)
+		return b, err
+	})
 	if err != nil {
 		return 0, putRep, err
 	}

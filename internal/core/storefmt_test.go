@@ -674,8 +674,8 @@ func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
 	}
 }
 
-// TestWarmCommitQuarantinesBadManifest: the manifest-only skip must not
-// swallow a manifest that does not decode — it still goes to quarantine and
+// TestWarmCommitQuarantinesBadManifest: a commit that merges on the prior
+// manifest must not swallow a manifest that does not decode — it still goes to quarantine and
 // the commit still writes a fresh entry.
 func TestWarmCommitQuarantinesBadManifest(t *testing.T) {
 	dir, ks, incoming, _ := warmIncoming(t)

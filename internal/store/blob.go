@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"persistcc/internal/binenc"
 	"persistcc/internal/isa"
@@ -391,8 +392,8 @@ func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, 
 
 // BlobFromTrace converts a trace to interchange form. refOf maps a process
 // module-table index to that module's (content key, base) identity; the
-// returned indices map blob-local ref slots back to module-table indices
-// (slot 0 is t.Module). Traces without a file-backed module cannot be
+// returned indices (TraceRefs) map blob-local ref slots back to
+// module-table indices. Traces without a file-backed module cannot be
 // persisted and are rejected, mirroring the legacy cache-file writer.
 func BlobFromTrace(t *vm.Trace, refOf func(module int32) (Ref, error)) (*Blob, []int32, error) {
 	if t.Module < 0 {
@@ -408,29 +409,34 @@ func BlobFromTrace(t *vm.Trace, refOf func(module int32) (Ref, error)) (*Blob, [
 	if t.SrcIdx != nil {
 		b.SrcIdx = append([]uint16(nil), t.SrcIdx...)
 	}
-	modules := []int32{t.Module}
-	slot := map[int32]int32{t.Module: 0}
-	r0, err := refOf(t.Module)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.Refs = []Ref{r0}
-	for _, n := range t.Notes {
-		s, ok := slot[n.Target]
-		if !ok {
-			ref, err := refOf(n.Target)
-			if err != nil {
-				return nil, nil, err
-			}
-			s = int32(len(b.Refs))
-			slot[n.Target] = s
-			b.Refs = append(b.Refs, ref)
-			modules = append(modules, n.Target)
+	modules := TraceRefs(t)
+	b.Refs = make([]Ref, len(modules))
+	for i, mi := range modules {
+		ref, err := refOf(mi)
+		if err != nil {
+			return nil, nil, err
 		}
-		n.Target = s
+		b.Refs[i] = ref
+	}
+	for _, n := range t.Notes {
+		n.Target = int32(slices.Index(modules, n.Target))
 		b.Notes = append(b.Notes, n)
 	}
 	return b, modules, nil
+}
+
+// TraceRefs returns the module-table indices a trace's blob ref slots stand
+// for: slot 0 is t.Module, then each module a relocation note targets, in
+// the order the notes first name them. It is the Refs of the trace's
+// manifest entry, and needs no encoding.
+func TraceRefs(t *vm.Trace) []int32 {
+	modules := []int32{t.Module}
+	for _, n := range t.Notes {
+		if !slices.Contains(modules, n.Target) {
+			modules = append(modules, n.Target)
+		}
+	}
+	return modules
 }
 
 // Materialize rebuilds a trace from the blob. modules maps blob-local ref

@@ -83,14 +83,14 @@ func TestStoreLookupOpsIndependentOfBlobCount(t *testing.T) {
 		man := manifestOver(blobs...)
 		dir := t.TempDir()
 		s, inj = open(dir)
-		err := s.AdoptPacks(remote.packs(s.Missing(man)))
-		if got, lerr := s.LocalTraces(man); err != nil || lerr != nil || len(got) != n {
+		err := s.AdoptPacks(remote.packs(s.Missing(man, nil)))
+		if got, lerr := s.LocalTraces(man, nil); err != nil || lerr != nil || len(got) != n {
 			t.Fatalf("adopting the packs of %d remote blobs: %d read, %v, %v", n, len(got), err, lerr)
 		}
 		fetches = append(fetches, lookups(inj.Ops()))
 
 		s, inj = open(dir)
-		if got, err := s.LocalTraces(man); err != nil || len(got) != n {
+		if got, err := s.LocalTraces(man, nil); err != nil || len(got) != n {
 			t.Fatalf("reading %d adopted blobs back: %d read, %v", n, len(got), err)
 		}
 		reads = append(reads, lookups(inj.Ops()))
@@ -124,7 +124,7 @@ func TestLocalTracesMixedSourcesOneListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.StartRecording()
-	if got, err := s.LocalTraces(manifestOver(packed, loose, late, loose)); err != nil || len(got) != 4 {
+	if got, err := s.LocalTraces(manifestOver(packed, loose, late, loose), nil); err != nil || len(got) != 4 {
 		t.Fatalf("mixed manifest: %d traces, %v", len(got), err)
 	}
 	ops := inj.Ops()
@@ -138,7 +138,7 @@ func TestLocalTracesMixedSourcesOneListing(t *testing.T) {
 	later := mkBlob(200, 2)
 	writeLoose(t, dir, "gen0000", later)
 	inj.StartRecording()
-	if _, err := s.LocalTraces(manifestOver(later, mkBlob(201, 2))); !errors.Is(err, store.ErrBlobMissing) {
+	if _, err := s.LocalTraces(manifestOver(later, mkBlob(201, 2)), nil); !errors.Is(err, store.ErrBlobMissing) {
 		t.Fatalf("manifest with an absent blob: %v, want ErrBlobMissing", err)
 	}
 	if listings := opCount(inj.Ops(), fsx.OpGlob); listings != 1 {
@@ -162,8 +162,8 @@ func TestLooseFileWrittenAfterOpenIsFound(t *testing.T) {
 		found func(*store.Blob) bool
 	}{
 		{"Get", func(b *store.Blob) bool { _, err := s.Get(b.Hash()); return err == nil }},
-		{"LocalTraces", func(b *store.Blob) bool { _, err := s.LocalTraces(manifestOver(b)); return err == nil }},
-		{"Missing", func(b *store.Blob) bool { return len(s.Missing(manifestOver(b))) == 0 }},
+		{"LocalTraces", func(b *store.Blob) bool { _, err := s.LocalTraces(manifestOver(b), nil); return err == nil }},
+		{"Missing", func(b *store.Blob) bool { return len(s.Missing(manifestOver(b), nil)) == 0 }},
 		{"SizeOf", func(b *store.Blob) bool { _, ok := s.SizeOf(b.Hash()); return ok }},
 	} {
 		writeLoose(t, dir, "gen0000", blobs[i])
@@ -228,10 +228,10 @@ func missIsClean(t *testing.T, s *store.Store, b *store.Blob) {
 	if _, err := s.Get(h); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("Get(%s) = %v, want ErrBlobMissing", h, err)
 	}
-	if _, err := s.LocalTraces(manifestOver(b)); !errors.Is(err, store.ErrBlobMissing) {
+	if _, err := s.LocalTraces(manifestOver(b), nil); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("LocalTraces over %s = %v, want ErrBlobMissing", h, err)
 	}
-	if len(s.Missing(manifestOver(b))) != 1 {
+	if len(s.Missing(manifestOver(b), nil)) != 1 {
 		t.Errorf("Missing(%s) holds it after its file was removed", h)
 	}
 	if _, ok := s.SizeOf(h); ok {
@@ -349,13 +349,13 @@ func TestLooseIndexUnderConcurrentPeers(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := s.LocalTraces(keptMan); err != nil {
+				if _, err := s.LocalTraces(keptMan, nil); err != nil {
 					t.Errorf("readers lost the blobs kept live: %v", err)
 					return
 				}
-				s.Missing(allMan)
+				s.Missing(allMan, nil)
 				for _, b := range blobs[len(kept):] { // published, loose or compacted away
-					s.LocalTraces(manifestOver(b))
+					s.LocalTraces(manifestOver(b), nil)
 				}
 			}
 		}()

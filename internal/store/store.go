@@ -322,20 +322,42 @@ type PutReport struct {
 // PutAll writes a batch of blobs, deduplicating against the existing
 // content, and returns their hashes index-for-index.
 func (s *Store) PutAll(blobs []*Blob) (PutReport, []Hash, error) {
-	hashes := make([]Hash, len(blobs))
-	encs := make([][]byte, len(blobs))
-	for i, b := range blobs {
+	return s.Put(make([]Hash, len(blobs)), func(i int) (*Blob, error) { return blobs[i], nil })
+}
+
+// Put writes a batch of n = len(known) blobs, deduplicating against the
+// existing content, and returns their hashes index-for-index. known[i] is
+// blob i's address when the caller has it — a trace read from a store
+// carries the address it was read under (vm.Trace.Addr) — and zero
+// otherwise. A known address the store holds is a dedup hit and nothing is
+// built for it; blob(i) builds every other blob, a known one only when its
+// blob has gone, and that one is then written under the address its
+// encoding hashes to.
+func (s *Store) Put(known []Hash, blob func(i int) (*Blob, error)) (PutReport, []Hash, error) {
+	hashes := make([]Hash, len(known))
+	encs := make([][]byte, len(known))
+	for i, h := range known {
+		if h != (Hash{}) {
+			hashes[i] = h
+			continue
+		}
+		b, err := blob(i)
+		if err != nil {
+			return PutReport{}, nil, err
+		}
 		encs[i] = b.Encode()
 		hashes[i] = Sum(encs[i])
 	}
-	rep, err := s.putEncoded(hashes, encs)
+	rep, err := s.putEncoded(hashes, encs, blob)
 	return rep, hashes, err
 }
 
 // putEncoded lands the encodings the store does not hold yet — none of them
 // twice — as packs of at most packMaxRaw raw bytes, usually one. encs[i]
-// must hash to hashes[i].
-func (s *Store) putEncoded(hashes []Hash, encs [][]byte) (PutReport, error) {
+// must hash to hashes[i]; a nil encs[i] is a known address, built with blob
+// only when the store does not hold it (hashes[i] then becomes the address
+// of what was built).
+func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob, error)) (PutReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep PutReport
@@ -358,13 +380,24 @@ func (s *Store) putEncoded(hashes []Hash, encs [][]byte) (PutReport, error) {
 		return nil
 	}
 	relisted := false
-	batch := make(map[Hash]bool, len(hashes))
+	batch := make(map[Hash]int, len(hashes)) // encoded length of each blob this batch writes
 	for i, h := range hashes {
-		if _, present := s.locate(h, &relisted); present || batch[h] {
+		size, present := s.held(h, encs[i], batch, &relisted)
+		if !present && encs[i] == nil {
+			b, err := blob(i)
+			if err != nil {
+				return rep, err
+			}
+			encs[i] = b.Encode()
+			h = Sum(encs[i])
+			hashes[i] = h
+			size, present = s.held(h, encs[i], batch, &relisted)
+		}
+		if present {
 			rep.Deduped++
-			rep.DedupBytes += uint64(len(encs[i]))
+			rep.DedupBytes += size
 			s.met.dedupBlobs.Inc()
-			s.met.dedupBytes.Add(uint64(len(encs[i])))
+			s.met.dedupBytes.Add(size)
 			continue
 		}
 		if raw+len(encs[i]) > packMaxRaw {
@@ -372,11 +405,34 @@ func (s *Store) putEncoded(hashes []Hash, encs [][]byte) (PutReport, error) {
 				return rep, err
 			}
 		}
-		batch[h] = true
+		batch[h] = len(encs[i])
 		newHashes, newEncs = append(newHashes, h), append(newEncs, encs[i])
 		raw += len(encs[i])
 	}
 	return rep, flush()
+}
+
+// held reports whether the store or the batch being written holds h, and
+// the length of its encoding: enc's when the caller has it, else the
+// batch's or the store's record of it.
+func (s *Store) held(h Hash, enc []byte, batch map[Hash]int, relisted *bool) (uint64, bool) {
+	size, inBatch := batch[h]
+	loc, inStore := blobLoc{}, false
+	if !inBatch {
+		loc, inStore = s.locate(h, relisted)
+	}
+	switch {
+	case !inBatch && !inStore:
+		return 0, false
+	case enc != nil:
+		return uint64(len(enc)), true
+	case inBatch:
+		return uint64(size), true
+	case loc.p != nil:
+		return uint64(loc.p.ix.offs[loc.i+1] - loc.p.ix.offs[loc.i]), true
+	}
+	enc, _, err := s.readRaw(h, relisted) // a loose blob: its file is its size
+	return uint64(len(enc)), err == nil
 }
 
 // tmpSeq makes temp names unique within the process; the pid makes them
@@ -428,12 +484,17 @@ func (s *Store) publish(path string, data []byte) error {
 
 // Missing returns, each once, the hashes of the blobs man references that
 // this store holds in no pack and no loose file — what a machine must fetch
-// before it can prime from man. It lists the generations at most once.
-func (s *Store) Missing(man *Manifest) []Hash {
+// before it can prime from man. keep, when not nil, narrows that to the
+// traces it marks, as it narrows LocalTraces. It lists the generations at
+// most once.
+func (s *Store) Missing(man *Manifest, keep []bool) []Hash {
 	var out []Hash
 	var seen map[Hash]bool // allocated by the first miss: a warm launch has none
 	relisted := false
-	for _, tr := range man.Traces {
+	for i, tr := range man.Traces {
+		if keep != nil && !keep[i] {
+			continue
+		}
 		h := tr.Blob
 		if _, ok := s.locate(h, &relisted); ok || seen[h] {
 			continue
@@ -619,29 +680,46 @@ type manifestRead struct {
 	relisted bool
 }
 
-// LocalTraces is the one way a manifest becomes traces: every trace man
-// references, decoded straight out of this store's files into the traces a
-// VM will run, with no Blob built and nothing kept. Each encoding is
-// verified against its content address and against the manifest's view of
-// it (decodeTrace) exactly as Get, Manifest.CheckBlob and Blob.Materialize
-// would between them, and each distinct blob is counted once as a hit of
-// the tier that held it. A warm launch finds every blob in a pack it has
-// indexed; anything else — a pack a peer published since, a loose blob, a
-// file gone or damaged — is openBlob's, so the loop pays nothing for it.
-// The error is ErrBlobMissing when a blob is nowhere, ErrBlobCorrupt when
-// its bytes fail a check (that file is quarantined), and any other error
-// when a blob decodes but is not the one the manifest was written against.
-// A launch primed from another machine reads here too, once AdoptPacks has
-// taken the packs it received.
+// LocalTraces is the one way a manifest becomes traces: the traces man
+// references that keep marks (every one when keep is nil), in manifest
+// order, decoded straight out of this store's files into the traces a VM
+// will run, with no Blob built and nothing kept. A trace keep leaves out is
+// not read, and a file none of the kept traces is in is not opened. Each
+// encoding is verified against its content address and against the
+// manifest's view of it (decodeTrace) exactly as Get, Manifest.CheckBlob and
+// Blob.Materialize would between them, and each distinct blob is counted
+// once as a hit of the tier that held it; each trace carries the address it
+// was read under (vm.Trace.Addr). A warm launch finds every blob in a pack
+// it has indexed; anything else — a pack a peer published since, a loose
+// blob, a file gone or damaged — is openBlob's, so the loop pays nothing
+// for it. The error is ErrBlobMissing when a blob is nowhere,
+// ErrBlobCorrupt when its bytes fail a check (that file is quarantined),
+// and any other error when a blob decodes but is not the one the manifest
+// was written against. A launch primed from another machine reads here
+// too, once AdoptPacks has taken the packs it received.
 //
 //pcc:hotpath
-func (s *Store) LocalTraces(man *Manifest) ([]*vm.Trace, error) {
+func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 	r := manifestRead{s: s, open: make(map[*pack]*openFile)}
-	traces := make([]*vm.Trace, len(man.Traces))
-	structs := make([]vm.Trace, len(man.Traces)) // one allocation; traces[i] = &structs[i]
+	n := len(man.Traces)
+	if keep != nil {
+		n = 0
+		for _, k := range keep {
+			if k {
+				n++
+			}
+		}
+	}
+	traces := make([]*vm.Trace, n)
+	structs := make([]vm.Trace, n) // one allocation; traces[j] = &structs[j]
 	var insts slab[isa.Inst]
 	var local, remote uint64
-	for i, tr := range man.Traces {
+	j := 0
+	for i := range man.Traces {
+		if keep != nil && !keep[i] {
+			continue
+		}
+		tr := &man.Traces[i]
 		m, found := s.packed(tr.Blob)
 		f := r.open[m.p]
 		if !found || f == nil {
@@ -655,12 +733,14 @@ func (s *Store) LocalTraces(man *Manifest) ([]*vm.Trace, error) {
 		if Sum(enc) != tr.Blob {
 			err = fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, tr.Blob)
 		} else {
-			err = decodeTrace(&structs[i], &insts, enc, man, tr)
+			err = decodeTrace(&structs[j], &insts, enc, man, *tr)
 		}
 		if err != nil {
 			return nil, r.fail(f, err)
 		}
-		traces[i] = &structs[i]
+		structs[j].Addr = (*[32]byte)(&tr.Blob)
+		traces[j] = &structs[j]
+		j++
 		if !f.seen[m.i] {
 			f.seen[m.i] = true
 			if m.p.remote {

@@ -410,7 +410,7 @@ func TestOpenAndRecoverSpareLiveTemp(t *testing.T) {
 	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
 		t.Fatalf("Open wrote into the store root: %v", names)
 	}
-	if len(s.Missing(manifestOver(b))) != 1 {
+	if len(s.Missing(manifestOver(b), nil)) != 1 {
 		t.Fatal("a temp's content is addressable before its rename")
 	}
 	rep, err := s.Recover(time.Minute)
@@ -458,7 +458,7 @@ func TestReloadOnMiss(t *testing.T) {
 	for _, b := range blobs[10:] {
 		unwritten = append(unwritten, b.Hash())
 	}
-	if missing := early.Missing(manifestOver(blobs...)); !slices.Equal(missing, unwritten) {
+	if missing := early.Missing(manifestOver(blobs...), nil); !slices.Equal(missing, unwritten) {
 		t.Fatalf("missed %d hashes; want the 10 the peer did not write", len(missing))
 	}
 	if n := listings(); n != 1 {
@@ -467,7 +467,7 @@ func TestReloadOnMiss(t *testing.T) {
 	// The peer's pack, found by that listing, now reads through the one
 	// path without another.
 	inj.StartRecording()
-	if trs, err := early.LocalTraces(manifestOver(blobs[:10]...)); err != nil || len(trs) != 10 {
+	if trs, err := early.LocalTraces(manifestOver(blobs[:10]...), nil); err != nil || len(trs) != 10 {
 		t.Fatalf("LocalTraces over the peer's blobs: %d traces, %v", len(trs), err)
 	}
 	if n := listings(); n != 0 {
@@ -522,7 +522,7 @@ func TestCompactPrunesOrphans(t *testing.T) {
 		// are gone when it reads from them.)
 		_, errOrphan := st.Get(orphan.Hash())
 		_, errDead := st.Get(dead1.Hash())
-		if !errors.Is(errOrphan, store.ErrBlobMissing) || !errors.Is(errDead, store.ErrBlobMissing) || len(st.Missing(manifestOver(orphan))) != 1 {
+		if !errors.Is(errOrphan, store.ErrBlobMissing) || !errors.Is(errDead, store.ErrBlobMissing) || len(st.Missing(manifestOver(orphan), nil)) != 1 {
 			t.Errorf("pruned blobs still served: %v, %v", errOrphan, errDead)
 		}
 	}
@@ -637,7 +637,7 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 	fr := newFakeRemote(t, remote)
 	fetch := func(man *store.Manifest) {
 		t.Helper()
-		if missing := s.Missing(man); len(missing) > 0 {
+		if missing := s.Missing(man, nil); len(missing) > 0 {
 			if err := s.AdoptPacks(fr.packs(missing)); err != nil {
 				t.Fatal(err)
 			}
@@ -646,11 +646,11 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 
 	absent := mkBlob(12, 3)
 	all := manifestOver(local, remote, absent)
-	if missing := s.Missing(all); len(missing) != 2 {
+	if missing := s.Missing(all, nil); len(missing) != 2 {
 		t.Fatalf("missing %d of the 3 hashes, want the 2 not stored locally", len(missing))
 	}
 	fetch(all)
-	if missing := s.Missing(all); len(missing) != 1 || missing[0] != absent.Hash() {
+	if missing := s.Missing(all, nil); len(missing) != 1 || missing[0] != absent.Hash() {
 		t.Fatalf("after the fetch %d hashes are missing, want only the one nobody holds", len(missing))
 	}
 	if fr.calls != 1 {
@@ -659,7 +659,7 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 	// The fetched blob was written through to L2: the next lookup is local,
 	// in this process and the next.
 	for _, st := range []*store.Store{s, openStore(t, dir)} {
-		if _, err := st.LocalTraces(manifestOver(local, remote)); err != nil {
+		if _, err := st.LocalTraces(manifestOver(local, remote), nil); err != nil {
 			t.Fatalf("remote blob not written through to the local store: %v", err)
 		}
 	}
@@ -678,7 +678,7 @@ func TestAdoptedPacksWriteThrough(t *testing.T) {
 	if err := s.AdoptPacks([][]byte{torn}); err == nil {
 		t.Error("corrupt remote bytes were adopted")
 	}
-	if len(s.Missing(manifestOver(junk))) != 1 {
+	if len(s.Missing(manifestOver(junk), nil)) != 1 {
 		t.Error("corrupt remote bytes reached the local store")
 	}
 	if after := storeFiles(t, dir, ".pck"); len(after) != len(before) {
@@ -700,11 +700,11 @@ func TestAdoptedPackPrimesWithoutRereading(t *testing.T) {
 		t.Fatal(err)
 	}
 	man := manifestOver(a, b)
-	if err := s.AdoptPacks(newFakeRemote(t, a, b).packs(s.Missing(man))); err != nil {
+	if err := s.AdoptPacks(newFakeRemote(t, a, b).packs(s.Missing(man, nil))); err != nil {
 		t.Fatal(err)
 	}
 	inj.StartRecording()
-	if _, err := s.LocalTraces(man); err != nil {
+	if _, err := s.LocalTraces(man, nil); err != nil {
 		t.Fatalf("LocalTraces refused the adopted pack: %v", err)
 	}
 	for _, op := range inj.Ops() {
@@ -724,7 +724,7 @@ func TestAdoptedPackPrimesWithoutRereading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.LocalTraces(man); err != nil || hits(next, "l2") != 2 || hits(next, "l3") != 0 {
+	if _, err := s2.LocalTraces(man, nil); err != nil || hits(next, "l2") != 2 || hits(next, "l3") != 0 {
 		t.Errorf("reopened store: %v, hits l2=%v l3=%v, want 2 and 0", err, hits(next, "l2"), hits(next, "l3"))
 	}
 }
@@ -773,7 +773,7 @@ func TestLocalTraces(t *testing.T) {
 	}
 
 	man := manifestOver(a, c, loose, b, a, loose) // packs and a loose file interleaved, two blobs twice
-	got, err := s.LocalTraces(man)
+	got, err := s.LocalTraces(man, nil)
 	if err != nil || len(got) != 6 {
 		t.Fatalf("LocalTraces: %d traces, %v", len(got), err)
 	}
@@ -782,9 +782,14 @@ func TestLocalTraces(t *testing.T) {
 	}
 	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode(), loose.Hash(): loose.Encode()}
 	for i, tr := range man.Traces {
+		if got[i].Addr == nil || *got[i].Addr != tr.Blob {
+			t.Errorf("trace %d carries address %x, want the %s it was read under", i, got[i].Addr, tr.Blob)
+		}
 		want, err := viaBlob(enc[tr.Blob], man, tr)
-		if err != nil || !reflect.DeepEqual(*got[i], *want) {
-			t.Errorf("trace %d differs from the Blob path (err %v)\n got %+v\nwant %+v", i, err, *got[i], want)
+		read := *got[i]
+		read.Addr = nil
+		if err != nil || !reflect.DeepEqual(read, *want) {
+			t.Errorf("trace %d differs from the Blob path (err %v)\n got %+v\nwant %+v", i, err, read, want)
 		}
 	}
 	if got[0] == got[4] || &got[0].Insts[0] == &got[4].Insts[0] {
@@ -798,12 +803,12 @@ func TestLocalTraces(t *testing.T) {
 	}
 
 	before := hits("l2")
-	if _, err := s.LocalTraces(manifestOver(a, mkBlob(44, 2))); !errors.Is(err, store.ErrBlobMissing) {
+	if _, err := s.LocalTraces(manifestOver(a, mkBlob(44, 2)), nil); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("absent blob: %v, want ErrBlobMissing", err)
 	}
 	bent := manifestOver(a, b)
 	bent.Modules[1].Base += 0x1000
-	_, err = s.LocalTraces(bent)
+	_, err = s.LocalTraces(bent, nil)
 	if err == nil || errors.Is(err, store.ErrBlobMissing) || errors.Is(err, store.ErrBlobCorrupt) {
 		t.Errorf("mismatched module: %v, want an error that blames the manifest", err)
 	}
@@ -826,14 +831,110 @@ func TestLocalTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = openStore(t, dir)
-	if _, err := s.LocalTraces(manifestOver(a, b, c)); !errors.Is(err, store.ErrBlobCorrupt) {
+	if _, err := s.LocalTraces(manifestOver(a, b, c), nil); !errors.Is(err, store.ErrBlobCorrupt) {
 		t.Fatalf("damaged pack: %v, want ErrBlobCorrupt", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(path))); err != nil {
 		t.Errorf("damaged pack not quarantined: %v", err)
 	}
-	if _, err := s.LocalTraces(manifestOver(a, b, c)); !errors.Is(err, store.ErrBlobMissing) {
+	if _, err := s.LocalTraces(manifestOver(a, b, c), nil); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("after quarantine: %v, want ErrBlobMissing", err)
+	}
+}
+
+// TestLocalTracesReadsOnlyKept: with a keep mask, LocalTraces returns the
+// kept traces in manifest order and reads nothing else — a damaged pack
+// none of whose members is kept is not opened, judged or quarantined, and
+// counts no hit. The first read that keeps one of its members quarantines
+// it.
+func TestLocalTracesReadsOnlyKept(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	s, err := store.Open(dir, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := mkBlob(50, 3), mkBlob(51, 5), mkBlob(52, 4)
+	if _, _, err := s.PutAll([]*store.Blob{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	before := storeFiles(t, dir, ".pck")
+	if _, _, err := s.PutAll([]*store.Blob{c}); err != nil {
+		t.Fatal(err)
+	}
+	var damaged string
+	for _, p := range storeFiles(t, dir, ".pck") {
+		if !slices.Contains(before, p) {
+			damaged = p
+		}
+	}
+	data, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-8] ^= 0xff
+	if err := os.WriteFile(damaged, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = store.Open(dir, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	man := manifestOver(c, a, c, b)
+	got, err := s.LocalTraces(man, []bool{false, true, false, true})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("kept a and b: %d traces, %v", len(got), err)
+	}
+	for i, want := range []store.Hash{a.Hash(), b.Hash()} {
+		if got[i].Addr == nil || *got[i].Addr != want {
+			t.Errorf("kept trace %d carries %x, want %s", i, got[i].Addr, want)
+		}
+	}
+	if n, _ := reg.Snapshot().Value("pcc_store_blob_hits_total", "l2"); n != 2 {
+		t.Errorf("hits l2=%v, want 2: only kept blobs are read", n)
+	}
+	if none, err := s.LocalTraces(man, make([]bool, 4)); err != nil || len(none) != 0 {
+		t.Errorf("nothing kept: %d traces, %v", len(none), err)
+	}
+	if _, err := os.Stat(damaged); err != nil {
+		t.Fatalf("a pack nothing kept was judged: %v", err)
+	}
+	if _, err := s.LocalTraces(man, []bool{false, false, true, false}); !errors.Is(err, store.ErrBlobCorrupt) {
+		t.Fatalf("kept c: %v, want ErrBlobCorrupt", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(damaged))); err != nil {
+		t.Errorf("damaged pack not quarantined once a kept member was in it: %v", err)
+	}
+}
+
+// TestPutByAddress: a blob named by an address the store holds is a dedup
+// hit of the stored encoding's length, and nothing is built for it; one the
+// store does not hold is built and written under the address its encoding
+// hashes to.
+func TestPutByAddress(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	a, b := mkBlob(60, 3), mkBlob(61, 6)
+	if _, _, err := s.PutAll([]*store.Blob{a}); err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	blobs := []*store.Blob{a, b, b}
+	rep, hashes, err := s.Put([]store.Hash{a.Hash(), b.Hash(), {}}, func(i int) (*store.Blob, error) {
+		built++
+		return blobs[i], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != 2 || !slices.Equal(hashes, []store.Hash{a.Hash(), b.Hash(), b.Hash()}) {
+		t.Errorf("built %d blobs, hashes %v: want b built twice (gone, then unknown), a never", built, hashes)
+	}
+	if rep.Added != 1 || rep.Deduped != 2 || rep.DedupBytes != uint64(len(a.Encode())+len(b.Encode())) {
+		t.Errorf("put report %+v: want b added once, a and the second b deduped at their lengths", rep)
+	}
+	if _, err := s.Get(b.Hash()); err != nil {
+		t.Errorf("b after the put: %v", err)
 	}
 }
 

@@ -94,6 +94,13 @@ type Trace struct {
 
 	Persisted bool // installed from a persistent cache (not re-translated)
 
+	// Addr is the content address of the store blob the trace was decoded
+	// from, for as long as re-encoding the trace would give that blob back:
+	// whoever changes the encoded state (a rebase) clears it. Nil for a
+	// trace translated in this process. A commit writes such a trace by
+	// address instead of encoding and hashing it again.
+	Addr *[32]byte
+
 	// Runtime state (never persisted).
 	links []*Trace // per-instruction taken-target links; links[len(Insts)] is the fall-through link
 	execs uint64

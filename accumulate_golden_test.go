@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -97,6 +98,17 @@ func TestAccumulateDatabaseGolden(t *testing.T) {
 				round, s.name, out.ExitCode, out.Output, *out.Prime, *out.Commit, out.Stats)
 		}
 	}
+	files := hashTree(t, h, dir)
+	if got := hex.EncodeToString(h.Sum(nil)); got != accumulateGoldenDigest {
+		t.Errorf("digest %s, want %s (%d files)", got, accumulateGoldenDigest, files)
+	}
+}
+
+// hashTree writes every file under dir into h, in name order, as its
+// slash-separated relative path, its size and its bytes, and returns how
+// many files there were.
+func hashTree(t *testing.T, h io.Writer, dir string) int {
+	t.Helper()
 	var files []string
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
@@ -117,7 +129,5 @@ func TestAccumulateDatabaseGolden(t *testing.T) {
 		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(b))
 		h.Write(b)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != accumulateGoldenDigest {
-		t.Errorf("digest %s, want %s (%d files)", got, accumulateGoldenDigest, len(files))
-	}
+	return len(files)
 }

@@ -72,6 +72,7 @@ race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
 	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime' ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
 # failure has to show up here, not on somebody's unrelated push.

@@ -401,7 +401,8 @@ _start:
 
 // TestCLIDaemonMetricsHTTP boots a real pcc-cached with an HTTP metrics
 // listener, runs two clients against it, and round-trips /metrics, /healthz
-// and the wire-protocol METRICS op.
+// and the wire-protocol METRICS op. The daemon's core families count its
+// publishes: pcc_core_commits_total is the number of publishes it wrote.
 func TestCLIDaemonMetricsHTTP(t *testing.T) {
 	bin := testutil.BuildTools(t)
 	work := t.TempDir()
@@ -474,6 +475,9 @@ func TestCLIDaemonMetricsHTTP(t *testing.T) {
 		`pcc_server_requests_total{op="fetchmanifests",status="ok"}`,
 		"# TYPE pcc_server_request_seconds histogram",
 		"pcc_core_db_traces",
+		// The daemon commits a publish as a local commit does; the second
+		// client, primed warm, publishes nothing.
+		`pcc_core_commits_total{result="written"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)

@@ -29,9 +29,9 @@ type entry struct {
 	// write lock.
 	hits atomic.Uint64
 
-	// mergeMu serializes accumulation per cache file: publishes for the
-	// same key set merge one at a time, while other files merge and every
-	// lookup proceeds in parallel.
+	// mergeMu keeps a publish's commit and index update atomic against an
+	// EVICT of the same stem. Commits themselves are serialized by the
+	// manager's database lock; lookups proceed in parallel.
 	mergeMu sync.Mutex
 
 	// Single-flight dedup of concurrent identical publishes, keyed by the
@@ -54,7 +54,7 @@ type Server struct {
 	// The in-memory index: one entry per cache file, keyed by file stem —
 	// the format-independent entry identity, so a publish that migrates an
 	// entry between formats stays on one entry. idxMu guards the map and
-	// every entry's meta; the per-entry locks carry the real concurrency.
+	// every entry's meta.
 	idxMu   sync.RWMutex
 	entries map[string]*entry
 
@@ -400,34 +400,29 @@ type candidate struct {
 // consistent copy of its metadata: the exact entry first, then — in
 // inter-application mode — every other entry of the same VM/Tool class
 // ("allowing the function to return a cache corresponding to any
-// application instrumented identically"), best first: most traces, then
-// file name. Entries whose first publish is still in flight (empty
-// metadata) are invisible.
+// application instrumented identically") in core.InterAppCandidates' order.
+// Entries whose first publish is still in flight (empty metadata) are
+// invisible.
 func (s *Server) candidates(ks core.KeySet, interApp bool) []candidate {
-	var out []candidate
-	exact := core.FileStem(ks.CacheFileName())
+	var out, all []candidate
+	var metas []core.IndexEntry
 	s.idxMu.RLock()
-	if e := s.entries[exact]; e != nil && e.meta.File != "" {
+	if e := s.entries[core.FileStem(ks.CacheFileName())]; e != nil && e.meta.File != "" {
 		out = append(out, candidate{e, e.meta})
 	}
-	var cands []candidate
 	if interApp {
 		for _, e := range s.entries {
-			m := e.meta
-			if m.File == "" || core.FileStem(m.File) == exact || m.VM != ks.VM.Hex() || m.Tool != ks.Tool.Hex() || m.App == ks.App.Hex() {
-				continue
+			if e.meta.File != "" {
+				all = append(all, candidate{e, e.meta})
+				metas = append(metas, e.meta)
 			}
-			cands = append(cands, candidate{e, m})
 		}
 	}
 	s.idxMu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].meta.Traces != cands[j].meta.Traces {
-			return cands[i].meta.Traces > cands[j].meta.Traces
-		}
-		return cands[i].meta.File < cands[j].meta.File
-	})
-	return append(out, cands...)
+	for _, i := range core.InterAppCandidates(ks, metas) {
+		out = append(out, all[i])
+	}
+	return out
 }
 
 // handlePublish merges a client's serialized cache file into the database.
@@ -467,44 +462,25 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 	return encodeCommitReport(f.rep), nil
 }
 
-// merge performs the per-file accumulation: read prior (either format),
-// merge, write the manifest atomically, refresh the in-memory entry.
+// merge commits a publish into the database the way a local commit does,
+// through the manager under its database lock, and refreshes the entry's
+// metadata from the report. An EVICT of the stem that ran while this publish
+// waited took e out of the index; the entry is on disk again, so e goes back.
 func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*core.CommitReport, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-
-	// A corrupt prior is quarantined by the manager and merged as absent:
-	// a bad file on disk must not wedge every future publish of its key set.
-	// The prior may be a legacy image, from a database written before
-	// every commit wrote manifests; the merge retires it.
-	prior, err := s.mgr.ReadPrior(ks.ManifestFileName())
-	if err != nil {
-		return nil, err
+	rep, err := s.mgr.CommitFile(ks, incoming)
+	if err != nil || rep.Skipped {
+		return rep, err
 	}
-	if prior == nil {
-		if prior, err = s.mgr.ReadPrior(ks.CacheFileName()); err != nil {
-			return nil, err
-		}
-	}
-	merged, rep, err := core.MergeCacheFiles(incoming, prior, s.mgr.Relocatable())
-	if err != nil {
-		return nil, err
-	}
-	rep.File = s.mgr.CacheFileNameFor(ks)
-	if rep.Skipped {
-		return rep, nil
-	}
-	file, err := s.mgr.WriteMerged(ks, merged)
-	if err != nil {
-		return nil, err
-	}
-	rep.File = file
-
-	meta := core.NewIndexEntry(merged, file)
 	s.idxMu.Lock()
-	e.meta = meta
+	e.meta = core.IndexEntry{
+		App: ks.App.Hex(), VM: ks.VM.Hex(), Tool: ks.Tool.Hex(), AppPath: incoming.AppPath,
+		File: rep.File, Traces: rep.Traces, CodePool: rep.CodePool, DataPool: rep.DataPool,
+	}
+	s.entries[core.FileStem(rep.File)] = e
 	s.idxMu.Unlock()
-	s.logf("cacheserver: published %s: %d traces (%d new, %d dropped)", file, rep.Traces, rep.NewTraces, rep.Dropped)
+	s.logf("cacheserver: published %s: %d traces (%d new, %d dropped)", rep.File, rep.Traces, rep.NewTraces, rep.Dropped)
 	return rep, nil
 }
 

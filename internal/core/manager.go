@@ -101,9 +101,6 @@ func (m *Manager) Dir() string { return m.dir }
 // FS returns the filesystem the database runs over.
 func (m *Manager) FS() fsx.FS { return m.fs }
 
-// Relocatable reports whether the relocatable-translation extension is on.
-func (m *Manager) Relocatable() bool { return m.relocatable }
-
 // PrimeReport summarizes one reuse attempt.
 type PrimeReport struct {
 	Found       bool // a cache with matching VM and tool keys was found
@@ -220,23 +217,39 @@ func (m *Manager) interAppPath(ks KeySet) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var best *IndexEntry
-	for i := range entries {
-		e := &entries[i]
-		if e.VM != ks.VM.Hex() || e.Tool != ks.Tool.Hex() || e.App == ks.App.Hex() {
-			continue
-		}
-		if best == nil || e.Traces > best.Traces || (e.Traces == best.Traces && e.File < best.File) {
-			best = e
-		}
-	}
-	if best == nil {
+	cands := InterAppCandidates(ks, entries)
+	if len(cands) == 0 {
 		m.m.lookups.With("interapp", "miss").Inc()
 		return "", ErrNoCache
 	}
 	// A candidate that is gone, or quarantined on the way (which takes it
 	// out of the listing), degrades to a miss: the run translates.
-	return filepath.Join(m.dir, best.File), nil
+	return filepath.Join(m.dir, entries[cands[0]].File), nil
+}
+
+// InterAppCandidates is the one inter-application ranking rule, which the
+// local lookup and a daemon's both apply: the indexes of the entries a
+// lookup for ks may use (same VM and tool keys, another application), best
+// first — most traces, then file name.
+func InterAppCandidates(ks KeySet, entries []IndexEntry) []int {
+	if len(entries) == 0 {
+		return nil
+	}
+	app, vmKey, tool := ks.App.Hex(), ks.VM.Hex(), ks.Tool.Hex()
+	var out []int
+	for i, e := range entries {
+		if e.VM == vmKey && e.Tool == tool && e.App != app {
+			out = append(out, i)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &entries[out[i]], &entries[out[j]]
+		if a.Traces != b.Traces {
+			return a.Traces > b.Traces
+		}
+		return a.File < b.File
+	})
+	return out
 }
 
 // Prime looks up the cache for the VM's own key set and installs every

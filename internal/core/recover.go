@@ -196,10 +196,10 @@ func (m *Manager) fileSize(path string) uint64 {
 	return 0
 }
 
-// ReadPrior loads the database cache file named file for accumulation: the
-// cache server's merge path uses it so corrupt priors are quarantined and
-// treated as absent (the incoming publish then starts a fresh file) instead
-// of failing the publish.
+// ReadPrior loads the database cache file named file, in either format, as
+// a prior: a missing file is nil, and a corrupt one is quarantined and nil
+// too, not an error. The chaos experiment reads every entry a crashed
+// database lists through it.
 func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
 	cf, err := m.readVerified(filepath.Join(m.dir, file))
 	switch {

@@ -471,17 +471,6 @@ func FileStem(file string) string {
 	return strings.TrimSuffix(strings.TrimSuffix(file, ".pcc"), ".pcm")
 }
 
-// WriteMerged writes cf as the database entry for ks, a manifest, retiring
-// a legacy image of it, and returns the file name written — for callers
-// owning their own locking (the cache server).
-func (m *Manager) WriteMerged(ks KeySet, cf *CacheFile) (string, error) {
-	path := m.cachePath(ks)
-	if _, err := m.writeEntry(cf, path); err != nil {
-		return "", err
-	}
-	return filepath.Base(path), nil
-}
-
 // MigrateReport summarizes one in-place format migration.
 type MigrateReport struct {
 	Scanned     int    `json:"scanned"`      // legacy cache files examined

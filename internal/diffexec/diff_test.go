@@ -74,7 +74,7 @@ func TestDiffNamesExactlyTheDifferingField(t *testing.T) {
 func TestPairLevel(t *testing.T) {
 	want := map[string]Level{
 		"interpreted": Arch, "cold-translated": Translated, "cold-pipelined": Translated,
-		"warm-disk": Cache, "store-warmed": Cache, "server-warmed": Cache, "fleet-warmed": Cache,
+		"warm-disk": Cache, "store-warmed": Cache, "fleet-warmed": Cache,
 		"pipelined": Cache, "recorded-replayed": Cache,
 		"optimized-cold": Translated, "optimized-warm": Translated,
 	}

@@ -50,20 +50,6 @@ var Modes = []Mode{
 	// manager. The store round trip (and, when the layouts differ, the
 	// relocation rebase) must be invisible.
 	{"store-warmed", Cache, false, warmFrom(db{name: "store", relocHooked: true})},
-	// Server-warmed — the cache arrives over the wire from one daemon, a
-	// fleet of one, and installs through the fallback's validation path.
-	{"server-warmed", Cache, false, func(e *Env, mode string) (*Snapshot, error) {
-		addr, err := e.daemon("server")
-		if err != nil {
-			return nil, err
-		}
-		fl, err := fleet.New(fleet.Single(addr))
-		if err != nil {
-			return nil, err
-		}
-		e.stop = append(e.stop, func() { fl.Close() })
-		return e.remote(mode, fl)
-	}},
 	// Fleet-warmed — the cache arrives through two shards behind
 	// consistent-hash routing and replication. Routing must be invisible:
 	// identical state and counters to every other warm mode.

@@ -63,7 +63,10 @@ test-race:
 # one store's pack and loose-file index while a peer publishes and the store
 # compacts, and a commit into an entry a peer grew after the launch primed
 # from it — run twenty times over: a lost race or a lost update there is an
-# intermittent failure, not a steady one.
+# intermittent failure, not a steady one. So do the pack reads that inflate
+# beside their decode: two primes of one cold pack at once, every way a
+# stream can fail while its reader (and a second stream) runs, and Run's
+# store opening beside a load that fails.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -71,7 +74,7 @@ test-race:
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime' ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad' . ./internal/core/ ./internal/store/
 	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent

@@ -5,24 +5,75 @@
 // limits, so corrupted length fields cannot balloon memory.
 package binenc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"io"
+)
 
-// Writer appends primitive values to a byte buffer.
+// Writer appends primitive values to a byte buffer. A Writer with a Sink
+// streams what it writes instead of keeping it: Buf never grows past the
+// capacity it starts with, because whatever would overflow it goes to the
+// Sink first, so a long encoding passes through a buffer of fixed size.
+// Flush hands the Sink the rest.
 type Writer struct {
-	Buf []byte
+	Buf  []byte
+	Sink io.Writer
+}
+
+// streamBuf is the buffer a streaming Writer given none works in.
+const streamBuf = 4 << 10
+
+// spill hands what Buf holds to the Sink when n more bytes would not fit
+// in it. It stays out of line so that the writes that call it stay
+// inlinable: encoders call them per field.
+//
+//go:noinline
+func (w *Writer) spill(n int) {
+	if len(w.Buf)+n > cap(w.Buf) {
+		w.Flush()
+	}
+}
+
+// Flush hands what Buf holds to the Sink and empties it.
+func (w *Writer) Flush() {
+	if cap(w.Buf) == 0 {
+		w.Buf = make([]byte, 0, streamBuf)
+	}
+	w.Sink.Write(w.Buf)
+	w.Buf = w.Buf[:0]
 }
 
 // U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.Buf = append(w.Buf, v) }
+func (w *Writer) U8(v uint8) {
+	if w.Sink != nil {
+		w.spill(1)
+	}
+	w.Buf = append(w.Buf, v)
+}
 
 // U16 appends a 16-bit value.
-func (w *Writer) U16(v uint16) { w.Buf = binary.LittleEndian.AppendUint16(w.Buf, v) }
+func (w *Writer) U16(v uint16) {
+	if w.Sink != nil {
+		w.spill(2)
+	}
+	w.Buf = binary.LittleEndian.AppendUint16(w.Buf, v)
+}
 
 // U32 appends a 32-bit value.
-func (w *Writer) U32(v uint32) { w.Buf = binary.LittleEndian.AppendUint32(w.Buf, v) }
+func (w *Writer) U32(v uint32) {
+	if w.Sink != nil {
+		w.spill(4)
+	}
+	w.Buf = binary.LittleEndian.AppendUint32(w.Buf, v)
+}
 
 // U64 appends a 64-bit value.
-func (w *Writer) U64(v uint64) { w.Buf = binary.LittleEndian.AppendUint64(w.Buf, v) }
+func (w *Writer) U64(v uint64) {
+	if w.Sink != nil {
+		w.spill(8)
+	}
+	w.Buf = binary.LittleEndian.AppendUint64(w.Buf, v)
+}
 
 // I64 appends a signed 64-bit value.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -30,7 +81,7 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.U32(uint32(len(b)))
-	w.Buf = append(w.Buf, b...)
+	w.Raw(b)
 }
 
 // Str appends a length-prefixed string.
@@ -46,7 +97,25 @@ func (w *Writer) Bool(b bool) {
 }
 
 // Raw appends bytes without a length prefix.
-func (w *Writer) Raw(b []byte) { w.Buf = append(w.Buf, b...) }
+func (w *Writer) Raw(b []byte) {
+	if w.Sink != nil {
+		w.stream(b)
+		return
+	}
+	w.Buf = append(w.Buf, b...)
+}
+
+// stream is Raw for a streaming writer: b goes through Buf a bufferful at
+// a time.
+func (w *Writer) stream(b []byte) {
+	for len(w.Buf)+len(b) > cap(w.Buf) {
+		n := copy(w.Buf[len(w.Buf):cap(w.Buf)], b)
+		w.Buf = w.Buf[:len(w.Buf)+n]
+		b = b[n:]
+		w.Flush()
+	}
+	w.Buf = append(w.Buf, b...)
+}
 
 // Reader consumes primitive values from a byte buffer, accumulating the
 // first error; all subsequent reads return zero values.

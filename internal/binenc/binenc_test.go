@@ -1,6 +1,7 @@
 package binenc
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,57 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// capCheck is a Sink that records what it is handed and the largest
+// buffer a streaming Writer handed it.
+type capCheck struct {
+	bytes.Buffer
+	w   *Writer
+	max int
+}
+
+func (c *capCheck) Write(b []byte) (int, error) {
+	c.max = max(c.max, cap(c.w.Buf))
+	return c.Buffer.Write(b)
+}
+
+// TestStreamingWriter: a Writer with a Sink hands it exactly the bytes a
+// buffering Writer keeps, whatever the buffer it is given, and never grows
+// that buffer.
+func TestStreamingWriter(t *testing.T) {
+	f := func(s string, raw []byte, n uint16, size uint8) bool {
+		write := func(w *Writer) {
+			for i := 0; i < int(n%300); i++ {
+				w.U8(uint8(i))
+				w.U32(uint32(i))
+				w.I64(int64(i))
+				w.Str(s)
+				w.Bytes(raw)
+				w.Bool(i%2 == 0)
+			}
+		}
+		whole := &Writer{}
+		write(whole)
+		sink := &capCheck{}
+		streamed := &Writer{Buf: make([]byte, 0, 8+int(size)), Sink: sink}
+		sink.w = streamed
+		write(streamed)
+		streamed.Flush()
+		return bytes.Equal(sink.Bytes(), whole.Buf) && sink.max == 8+int(size)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	// A Writer given no buffer works in one of streamBuf bytes.
+	sink := &capCheck{}
+	w := &Writer{Sink: sink}
+	sink.w = w
+	w.Bytes(make([]byte, 3*streamBuf))
+	w.Flush()
+	if sink.Len() != 4+3*streamBuf || cap(w.Buf) != streamBuf {
+		t.Errorf("streamed %d bytes through a %d-byte buffer", sink.Len(), cap(w.Buf))
 	}
 }
 

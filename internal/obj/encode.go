@@ -23,10 +23,24 @@ const (
 
 // MarshalBinary encodes the file in VXO format.
 func (f *File) MarshalBinary() ([]byte, error) {
-	if len(f.Text) > maxSection || len(f.Data) > maxSection {
-		return nil, fmt.Errorf("obj: %s: section too large", f.Name)
+	if err := f.encodable(); err != nil {
+		return nil, err
 	}
 	w := &binenc.Writer{}
+	f.encode(w)
+	return w.Buf, nil
+}
+
+// encodable reports whether the file fits the VXO encoding.
+func (f *File) encodable() error {
+	if len(f.Text) > maxSection || len(f.Data) > maxSection {
+		return fmt.Errorf("obj: %s: section too large", f.Name)
+	}
+	return nil
+}
+
+// encode writes the file's VXO encoding to w.
+func (f *File) encode(w *binenc.Writer) {
 	w.Raw(Magic[:])
 	w.U32(FormatVersion)
 	w.U8(uint8(f.Kind))
@@ -69,7 +83,6 @@ func (f *File) MarshalBinary() ([]byte, error) {
 		w.I64(d.Addend)
 		w.Bool(d.InText)
 	}
-	return w.Buf, nil
 }
 
 // UnmarshalBinary decodes a VXO file and validates it.

@@ -18,6 +18,8 @@ package obj
 import (
 	"crypto/sha256"
 	"fmt"
+
+	"persistcc/internal/binenc"
 )
 
 // PageSize mirrors mem.PageSize; duplicated to keep obj dependency-free.
@@ -199,14 +201,21 @@ func (f *File) ExportAddr(name string) (uint32, bool) {
 // Digest returns a content digest of the file, playing the role of the
 // paper's "program header" component in persistence keys: any change to the
 // binary changes the digest and therefore invalidates cached translations.
+// It is the SHA-256 of MarshalBinary's bytes, streamed into the hash
+// through a fixed-size buffer rather than built.
 func (f *File) Digest() [32]byte {
-	b, err := f.MarshalBinary()
-	if err != nil {
+	if f.encodable() != nil {
 		// MarshalBinary only fails on unrepresentable sizes; treat as
 		// an empty digest rather than panicking in key computation.
 		return [32]byte{}
 	}
-	return sha256.Sum256(b)
+	h := sha256.New()
+	w := &binenc.Writer{Sink: h}
+	f.encode(w)
+	w.Flush()
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 func alignUp(v, a uint32) uint32 {

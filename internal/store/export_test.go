@@ -21,3 +21,29 @@ func DecodeTrace(enc []byte, man *Manifest, tr TraceRef) (*vm.Trace, error) {
 	}
 	return t, nil
 }
+
+// ReadMembers reads the blobs hashes names through LocalTraces' reader —
+// each file opened as LocalTraces opens it, each member verified once its
+// bytes have arrived, then the verdict on every stream — without decoding
+// them as traces.
+func ReadMembers(s *Store, hashes []Hash) error {
+	r := manifestRead{s: s, open: make(map[*pack]*openFile)}
+	for _, h := range hashes {
+		if _, _, _, err := r.read(h); err != nil {
+			return err
+		}
+	}
+	return r.finish()
+}
+
+// HotPacks returns the paths of the packs holding their inflated stream,
+// oldest first.
+func HotPacks(s *Store) []string {
+	s.pmu.RLock()
+	defer s.pmu.RUnlock()
+	var paths []string
+	for _, p := range s.hot {
+		paths = append(paths, p.path)
+	}
+	return paths
+}

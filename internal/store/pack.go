@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -163,24 +164,121 @@ func inflater(stream []byte) (io.Reader, func()) {
 	return zr, func() { release(inflaters, zr) }
 }
 
-// inflate decompresses one flate stream into exactly want bytes.
-func inflate(stream []byte, want int) ([]byte, error) {
+// inflateChunk is how much of a stream inflateStream inflates between two
+// progress reports: small enough that a reader decoding beside it waits
+// for little more than the member it wants, large enough that the reports
+// cost nothing beside the inflating.
+const inflateChunk = 16 << 10
+
+// errStopped ends an inflation its reader abandoned.
+var errStopped = errors.New("store: inflation stopped")
+
+// checkRatio rejects a want the stream could not possibly inflate to,
+// before anything is allocated for it.
+func checkRatio(stream []byte, want int) error {
 	if want > flateMaxRatio*(len(stream)+1) {
-		return nil, fmt.Errorf("store: %d stream bytes cannot inflate to %d", len(stream), want)
+		return fmt.Errorf("store: %d stream bytes cannot inflate to %d", len(stream), want)
 	}
+	return nil
+}
+
+// inflateStream is the one pack-body inflater: it fills raw from stream
+// inflateChunk bytes at a time, sending the length filled so far on
+// progress (when not nil) after each chunk and giving up once stop (when
+// not nil) is closed. The stream must end, cleanly, exactly at len(raw): a
+// torn tail is a torn file even when every byte asked for came out of it.
+func inflateStream(stream, raw []byte, progress chan<- int, stop <-chan struct{}) error {
 	zr, done := inflater(stream)
 	defer done()
-	raw := make([]byte, want)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, err
+	for have := 0; have < len(raw); {
+		select {
+		case <-stop:
+			return errStopped
+		default:
+		}
+		n := min(len(raw)-have, inflateChunk)
+		if _, err := io.ReadFull(zr, raw[have:have+n]); err != nil {
+			return err
+		}
+		have += n
+		if progress != nil {
+			progress <- have
+		}
 	}
-	// The stream must end, cleanly, exactly here: a torn tail is a torn
-	// file even when every byte asked for came out of it.
 	var one [1]byte
 	if n, err := zr.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, fmt.Errorf("store: stream does not end after %d bytes", want)
+		return fmt.Errorf("store: stream does not end after %d bytes", len(raw))
+	}
+	return nil
+}
+
+// inflate decompresses one flate stream into exactly want bytes on the
+// calling goroutine.
+func inflate(stream []byte, want int) ([]byte, error) {
+	if err := checkRatio(stream, want); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, want)
+	if err := inflateStream(stream, raw, nil, nil); err != nil {
+		return nil, err
 	}
 	return raw, nil
+}
+
+// inflation is a pack body inflating into raw on a goroutine of its own,
+// so that its reader verifies and decodes the members that have arrived
+// while the rest inflate. The progress channel has room for every chunk,
+// so the inflater never waits for its reader.
+type inflation struct {
+	raw      []byte
+	have     int           // the prefix of raw the reader has seen arrive
+	progress chan int      // len(raw) filled so far, once per chunk; closed once err is set
+	stop     chan struct{} // closed by a reader that abandons the stream
+	err      error         // the verdict on the whole stream, read after progress is closed
+}
+
+// startInflate starts inflating stream into a new buffer of want bytes.
+func startInflate(stream []byte, want int) (*inflation, error) {
+	if err := checkRatio(stream, want); err != nil {
+		return nil, err
+	}
+	z := &inflation{
+		raw:      make([]byte, want),
+		progress: make(chan int, (want+inflateChunk-1)/inflateChunk),
+		stop:     make(chan struct{}),
+	}
+	go func() {
+		z.err = inflateStream(stream, z.raw, z.progress, z.stop)
+		close(z.progress)
+	}()
+	return z, nil
+}
+
+// await returns once raw[:n] has arrived, or with the error that ended the
+// stream before it did.
+func (z *inflation) await(n int) error {
+	for z.have < n {
+		have, ok := <-z.progress
+		if !ok {
+			return z.err
+		}
+		z.have = have
+	}
+	return nil
+}
+
+// finish waits for the inflater and returns its verdict on the whole
+// stream, the check that it ends exactly at len(raw) included.
+func (z *inflation) finish() error {
+	for range z.progress {
+	}
+	return z.err
+}
+
+// abandon stops the inflater and waits for it to end.
+func (z *inflation) abandon() {
+	close(z.stop)
+	z.finish()
 }
 
 // encodePack builds the pack file holding encs under hashes, and returns it

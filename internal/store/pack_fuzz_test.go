@@ -20,7 +20,10 @@ import (
 // writer's current level, so streams of both levels are fuzzed. What a daemon
 // sends is the same untrusted input, so AdoptPacks must take exactly what
 // DecodePack accepts, and PackHashes — which a fleet client reads to route
-// misses — must list an accepted pack's members.
+// misses — must list an accepted pack's members. A launch reads a pack it
+// has indexed through LocalTraces' reader, which verifies each member as
+// the stream inflating beside it delivers it, so that reader must accept
+// exactly what DecodePack accepts too.
 func FuzzDecodePack(f *testing.F) {
 	dir := f.TempDir()
 	if _, _, err := openStoreF(f, dir).PutAll([]*store.Blob{mkBlob(1, 4), mkBlob(2, 9)}); err != nil {
@@ -44,6 +47,9 @@ func FuzzDecodePack(f *testing.F) {
 		p, err := store.DecodePack(data)
 		if adoptErr := adopter.AdoptPacks([][]byte{data}); (adoptErr == nil) != (err == nil) {
 			t.Fatalf("DecodePack says %v, AdoptPacks says %v", err, adoptErr)
+		}
+		if readErr := readAsIndexed(t, data); (readErr == nil) != (err == nil) {
+			t.Fatalf("DecodePack says %v, LocalTraces' reader says %v", err, readErr)
 		}
 		if err != nil {
 			return
@@ -76,4 +82,26 @@ func openStoreF(f *testing.F, dir string) *store.Store {
 		f.Fatal(err)
 	}
 	return s
+}
+
+// readAsIndexed puts data in a store of its own as a pack file and reads
+// every member its index lists through LocalTraces' reader. A pack whose
+// index does not parse is never indexed, so that reader never reads it.
+func readAsIndexed(t *testing.T, data []byte) error {
+	hashes, err := store.PackHashes(data)
+	if err != nil {
+		return err
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(dir+"/gen0000", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/gen0000/fuzz.pck", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.ReadMembers(s, hashes)
 }

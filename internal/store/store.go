@@ -663,18 +663,39 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 
 // openFile is a file LocalTraces has read: a pack's inflated stream, or a
 // loose blob's encoding standing as a one-member pack, with the members it
-// has counted.
+// has counted. A pack that was not hot inflates into raw beside the read
+// (z) until LocalTraces has its verdict.
 type openFile struct {
 	loc  blobLoc // the file, for quarantine
 	raw  []byte
 	seen []bool
+	z    *inflation // nil once raw is whole and judged
+}
+
+// member returns m's encoding from f once its bytes have arrived and hash
+// to h; a stream that ends before they arrive, or bytes that do not, are
+// ErrBlobCorrupt.
+func (f *openFile) member(m member, h Hash) ([]byte, error) {
+	lo, hi := m.p.ix.offs[m.i], m.p.ix.offs[m.i+1]
+	if f.z != nil && f.z.have < int(hi) {
+		if err := f.z.await(int(hi)); err != nil {
+			return nil, corruptPack(m.p, err)
+		}
+	}
+	enc := f.raw[lo:hi]
+	if Sum(enc) != h {
+		return nil, fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
+	}
+	return enc, nil
 }
 
 // manifestRead is one LocalTraces call's state: the files it has opened,
-// the loose blobs among them by hash (the pack index does not know them),
-// and whether it has listed the generations again.
+// in the order it opened them and by pack, the loose blobs among them by
+// hash (the pack index does not know them), and whether it has listed the
+// generations again.
 type manifestRead struct {
 	s        *Store
+	files    []*openFile
 	open     map[*pack]*openFile
 	loose    map[Hash]member
 	relisted bool
@@ -692,11 +713,15 @@ type manifestRead struct {
 // was read under (vm.Trace.Addr). A warm launch finds every blob in a pack
 // it has indexed; anything else — a pack a peer published since, a loose
 // blob, a file gone or damaged — is openBlob's, so the loop pays nothing
-// for it. The error is ErrBlobMissing when a blob is nowhere,
-// ErrBlobCorrupt when its bytes fail a check (that file is quarantined),
-// and any other error when a blob decodes but is not the one the manifest
-// was written against. A launch primed from another machine reads here
-// too, once AdoptPacks has taken the packs it received.
+// for it. A pack that is not hot inflates on a goroutine of its own while
+// the loop verifies and decodes the members that have arrived; before
+// returning, LocalTraces has every such stream's verdict — whole, and
+// ending exactly at its indexed length — and heats each sound pack, or has
+// stopped every one it started. The error is ErrBlobMissing when a blob is
+// nowhere, ErrBlobCorrupt when its bytes fail a check (that file is
+// quarantined), and any other error when a blob decodes but is not the one
+// the manifest was written against. A launch primed from another machine
+// reads here too, once AdoptPacks has taken the packs it received.
 //
 //pcc:hotpath
 func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
@@ -720,22 +745,11 @@ func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 			continue
 		}
 		tr := &man.Traces[i]
-		m, found := s.packed(tr.Blob)
-		f := r.open[m.p]
-		if !found || f == nil {
-			var err error
-			if m, f, err = r.openBlob(tr.Blob); err != nil {
-				return nil, err
-			}
-		}
-		enc := f.raw[m.p.ix.offs[m.i]:m.p.ix.offs[m.i+1]]
-		var err error
-		if Sum(enc) != tr.Blob {
-			err = fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, tr.Blob)
-		} else {
-			err = decodeTrace(&structs[j], &insts, enc, man, *tr)
-		}
+		m, f, enc, err := r.read(tr.Blob)
 		if err != nil {
+			return nil, err
+		}
+		if err := decodeTrace(&structs[j], &insts, enc, man, *tr); err != nil {
 			return nil, r.fail(f, err)
 		}
 		structs[j].Addr = (*[32]byte)(&tr.Blob)
@@ -750,9 +764,31 @@ func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 			}
 		}
 	}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
 	s.met.hitsL2.Add(local)
 	s.met.hitsL3.Add(remote)
 	return traces, nil
+}
+
+// read returns h's verified encoding and the file it is in, opening the
+// file if this read has not. On an error every stream the read started is
+// stopped, and a file that failed is quarantined.
+func (r *manifestRead) read(h Hash) (member, *openFile, []byte, error) {
+	m, found := r.s.packed(h)
+	f := r.open[m.p]
+	if !found || f == nil {
+		var err error
+		if m, f, err = r.openBlob(h); err != nil {
+			return m, nil, nil, r.abandon(err)
+		}
+	}
+	enc, err := f.member(m, h)
+	if err != nil {
+		return m, f, nil, r.fail(f, err)
+	}
+	return m, f, enc, nil
 }
 
 // openBlob finds h for LocalTraces when no file it has open holds it: in a
@@ -764,7 +800,7 @@ func (r *manifestRead) openBlob(h Hash) (member, *openFile, error) {
 	if m, ok := r.loose[h]; ok {
 		return m, r.open[m.p], nil
 	}
-	loc, raw, err := r.s.find(h, &r.relisted)
+	loc, raw, z, err := r.s.find(h, &r.relisted)
 	if err != nil {
 		return member{}, nil, err
 	}
@@ -778,39 +814,75 @@ func (r *manifestRead) openBlob(h Hash) (member, *openFile, error) {
 	}
 	f := r.open[m.p]
 	if f == nil {
-		f = &openFile{loc: loc, raw: raw, seen: make([]bool, len(m.p.ix.hashes))}
+		f = &openFile{loc: loc, raw: raw, seen: make([]bool, len(m.p.ix.hashes)), z: z}
 		r.open[m.p] = f
+		r.files = append(r.files, f)
+	} else if z != nil {
+		z.abandon() // a pack that another blob's lookup opened as well: keep the first stream
 	}
 	return m, f, nil
 }
 
-// fail quarantines the file f when err says its bytes are bad — the whole
-// pack, since one bad member means the file cannot be trusted — and returns
-// err.
+// finish waits for the verdict on every stream this read is inflating, in
+// the order it opened them, and heats each sound pack. The first that
+// fails is quarantined and the rest are stopped.
+func (r *manifestRead) finish() error {
+	for _, f := range r.files {
+		if f.z == nil {
+			continue
+		}
+		err := r.s.settle(f.loc.p, f.z)
+		f.z = nil
+		if err != nil {
+			return r.fail(f, err)
+		}
+	}
+	return nil
+}
+
+// abandon stops every stream this read is still inflating, waits for each
+// inflater to end, and returns err.
+func (r *manifestRead) abandon(err error) error {
+	for _, f := range r.files {
+		if f.z != nil {
+			f.z.abandon()
+			f.z = nil
+		}
+	}
+	return err
+}
+
+// fail stops this read's streams and quarantines the file f when err says
+// its bytes are bad — the whole pack, since one bad member means the file
+// cannot be trusted — and returns err.
 func (r *manifestRead) fail(f *openFile, err error) error {
+	r.abandon(nil)
 	if errors.Is(err, ErrBlobCorrupt) {
 		r.s.quarantine(f.loc)
 	}
 	return err
 }
 
-// find locates h and reads the file that holds it: a pack's inflated
-// stream, or a loose blob's encoding. A file gone since it was indexed — a
-// peer's compaction removed it; the blob, if still live, is in a pack not
-// listed yet — is forgotten and h looked up again. A file that fails to
-// read back is quarantined (ErrBlobCorrupt); h nowhere, or a file that
-// cannot be read now, is ErrBlobMissing.
-func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, error) {
+// find locates h and reads the file that holds it: a pack's stream, or a
+// loose blob's encoding. A pack that is not hot comes back still inflating
+// into raw (z): the caller has its verdict from settle, or stops it. A
+// file gone since it was indexed — a peer's compaction removed it; the
+// blob, if still live, is in a pack not listed yet — is forgotten and h
+// looked up again. A file that fails to read back is quarantined
+// (ErrBlobCorrupt); h nowhere, or a file that cannot be read now, is
+// ErrBlobMissing.
+func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, *inflation, error) {
 	for {
 		loc, ok := s.locate(h, relisted)
 		if !ok {
 			s.met.misses.Inc()
-			return loc, nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
+			return loc, nil, nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
 		}
 		var data []byte
+		var z *inflation
 		var err error
 		if loc.p != nil {
-			data, err = s.packStream(loc.p)
+			data, z, err = s.packStream(loc.p)
 		} else if data, err = s.fs.ReadFile(loc.loose); err == nil {
 			if data, err = inflateBlob(data); err != nil {
 				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
@@ -818,10 +890,10 @@ func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, error) {
 		}
 		switch {
 		case err == nil:
-			return loc, data, nil
+			return loc, data, z, nil
 		case errors.Is(err, ErrBlobCorrupt):
 			s.quarantine(loc)
-			return loc, nil, err
+			return loc, nil, nil, err
 		case errors.Is(err, fs.ErrNotExist):
 			if loc.p != nil {
 				s.forget(loc.p)
@@ -830,16 +902,23 @@ func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, error) {
 			}
 		default:
 			s.met.misses.Inc()
-			return loc, nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
+			return loc, nil, nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
 		}
 	}
 }
 
-// readRaw loads and hash-verifies one blob's bytes from disk.
+// readRaw loads and hash-verifies one blob's bytes from disk, inflating
+// its pack to the end first when it is not hot.
 func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
-	loc, enc, err := s.find(h, relisted)
+	loc, enc, z, err := s.find(h, relisted)
 	if err != nil {
 		return nil, loc, err
+	}
+	if z != nil {
+		if err := s.settle(loc.p, z); err != nil {
+			s.quarantine(loc)
+			return nil, loc, err
+		}
 	}
 	if loc.p != nil {
 		enc = enc[loc.p.ix.offs[loc.i]:loc.p.ix.offs[loc.i+1]]
@@ -851,31 +930,47 @@ func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
 	return enc, loc, nil
 }
 
-// packStream returns p's inflated stream, reading and inflating the file
-// unless the pack is hot. Only the index is checked here (against its crc);
-// members are verified against their hashes as they are read.
-func (s *Store) packStream(p *pack) ([]byte, error) {
+// packStream returns p's inflated stream when the pack is hot; otherwise
+// it reads the file, checks the index against its crc and starts the body
+// inflating, returning the buffer it inflates into. Members are verified
+// against their hashes as they are read.
+func (s *Store) packStream(p *pack) ([]byte, *inflation, error) {
 	s.pmu.RLock()
 	raw := p.raw
 	s.pmu.RUnlock()
 	if raw != nil {
-		return raw, nil
+		return raw, nil, nil
 	}
 	data, err := s.fs.ReadFile(p.path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	count := len(p.ix.hashes)
 	if !indexIntact(data, count) {
-		return nil, fmt.Errorf("%w: pack %s: index fails its checksum", ErrBlobCorrupt, filepath.Base(p.path))
+		return nil, nil, fmt.Errorf("%w: pack %s: index fails its checksum", ErrBlobCorrupt, filepath.Base(p.path))
 	}
-	if raw, err = inflate(data[indexLen(count):], p.ix.rawLen()); err != nil {
-		return nil, fmt.Errorf("%w: pack %s: %v", ErrBlobCorrupt, filepath.Base(p.path), err)
+	z, err := startInflate(data[indexLen(count):], p.ix.rawLen())
+	if err != nil {
+		return nil, nil, corruptPack(p, err)
+	}
+	return z.raw, z, nil
+}
+
+// corruptPack is the error for a pack whose stream fails to inflate.
+func corruptPack(p *pack, err error) error {
+	return fmt.Errorf("%w: pack %s: %v", ErrBlobCorrupt, filepath.Base(p.path), err)
+}
+
+// settle waits for the verdict on p's stream and heats p with it when it
+// is sound; a stream that is not is ErrBlobCorrupt.
+func (s *Store) settle(p *pack, z *inflation) error {
+	if err := z.finish(); err != nil {
+		return corruptPack(p, err)
 	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	s.heatLocked(p, raw)
-	return p.raw, nil
+	s.heatLocked(p, z.raw)
+	return nil
 }
 
 // heatLocked keeps raw as p's inflated stream unless p is hot already,

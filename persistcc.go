@@ -253,6 +253,38 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 			return nil, 0, fmt.Errorf("persistcc: library %s not found", name)
 		}
 	}
+	if o.FleetConfig != nil && !o.Persist {
+		return nil, errors.New("persistcc: FleetConfig requires Persist")
+	}
+	if o.Prefetch && !o.Persist {
+		return nil, errors.New("persistcc: Prefetch requires Persist")
+	}
+	// The manager comes first so that its store opens while the loader
+	// maps the process: the prime waits for the store (Manager.Store) only
+	// if the load is done before it.
+	var local *core.Manager
+	if o.Persist {
+		if o.CacheDir == "" {
+			return nil, errors.New("persistcc: Persist requires CacheDir")
+		}
+		var mopts []core.ManagerOption
+		if o.Relocatable {
+			mopts = append(mopts, core.WithRelocatable())
+		}
+		if o.StoreDir != "" {
+			mopts = append(mopts, core.WithStoreDir(o.StoreDir))
+		}
+		var err error
+		if local, err = core.NewManager(o.CacheDir, mopts...); err != nil {
+			return nil, err
+		}
+		opened := make(chan struct{})
+		go func() {
+			local.Store() // an error is the prime's to report
+			close(opened)
+		}()
+		defer func() { <-opened }()
+	}
 	proc, err := loader.Load(exe, cfg)
 	if err != nil {
 		return nil, err
@@ -296,9 +328,6 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 	}
 	var pipe *vm.Pipeline
 	if o.PipelineWorkers > 0 || o.Prefetch {
-		if o.Prefetch && !o.Persist {
-			return nil, errors.New("persistcc: Prefetch requires Persist")
-		}
 		workers := o.PipelineWorkers
 		if workers < 1 {
 			workers = 1
@@ -317,24 +346,7 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 
 	out := &RunOutcome{}
 	var mgr cacheserver.Manager
-	if o.FleetConfig != nil && !o.Persist {
-		return nil, errors.New("persistcc: FleetConfig requires Persist")
-	}
-	if o.Persist {
-		if o.CacheDir == "" {
-			return nil, errors.New("persistcc: Persist requires CacheDir")
-		}
-		var mopts []core.ManagerOption
-		if o.Relocatable {
-			mopts = append(mopts, core.WithRelocatable())
-		}
-		if o.StoreDir != "" {
-			mopts = append(mopts, core.WithStoreDir(o.StoreDir))
-		}
-		local, err := core.NewManager(o.CacheDir, mopts...)
-		if err != nil {
-			return nil, err
-		}
+	if local != nil {
 		mgr = local
 		var fb *cacheserver.Fallback
 		if o.FleetConfig != nil {

@@ -1,8 +1,11 @@
 package persistcc_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"persistcc"
 )
@@ -89,6 +92,28 @@ func TestFacadePersistence(t *testing.T) {
 	if second.ExitCode != first.ExitCode {
 		t.Error("results diverged")
 	}
+}
+
+// TestRunStoreOpenRacesFailedLoad: Run opens the store of a seeded
+// database on a goroutine while the loader maps the process; when the load
+// fails, Run returns the load's error, no goroutine of it outlives the call,
+// and the database still serves a warm launch.
+func TestRunStoreOpenRacesFailedLoad(t *testing.T) {
+	app, o := warmGFTP(t)
+	base := runtime.NumGoroutine()
+	broken := o
+	broken.Loader.Resolve = func(name string) (*persistcc.Object, int64, error) {
+		return nil, 0, fmt.Errorf("no library %s here", name)
+	}
+	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, broken); err == nil || !strings.Contains(err.Error(), "no library") {
+		t.Fatalf("Run over a failing load: %v, want the load's error", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+	warmLaunch(t, app, o)
 }
 
 func TestFacadePersistRequiresDir(t *testing.T) {

@@ -17,17 +17,16 @@ import (
 // daemonGoldenDigest pins TestDaemonDatabaseGolden's output. It changes only
 // when what a daemon's database holds after a sequence of publishes, or what
 // the daemon answers about it, changes on purpose.
-const daemonGoldenDigest = "72c70a71d5051009c2abffeaf3e89ad108cfdf93190208979aae7edf11980ec9"
+const daemonGoldenDigest = "75c91080efc6a73dfab0a53d5c9f682145de045cfb986cb5aa6c13319e273847"
 
 // TestDaemonDatabaseGolden publishes cold runs of the GUI apps and of
 // 176.gcc's Reference inputs to one in-process daemon, twice over in two
 // orders, the second round with the GUI apps' libraries moved (so the merge
-// drops what no longer validates). The database starts with one legacy .pcc
-// prior, which the first publish of its key set merges and retires, and one
-// corrupt prior, which that publish quarantines. One SHA-256 is pinned over
-// every publish's commit report, the daemon's answers about every entry
-// (LOOKUP, UTILITY, STATS) and every file the database ends with. It is the
-// byte-level guard for any change to how a daemon merges a publish: such a
+// drops what no longer validates). The database starts with one corrupt
+// prior, which the first publish of its key set quarantines. One SHA-256 is
+// pinned over every publish's commit report, the daemon's answers about
+// every entry (LOOKUP, UTILITY, STATS) and every file the database ends
+// with. It is the byte-level guard for any change to how a daemon merges a publish: such a
 // change may make it cheaper, but must not change what it decides or writes.
 func TestDaemonDatabaseGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -48,16 +47,13 @@ func TestDaemonDatabaseGolden(t *testing.T) {
 		return core.BuildCacheFile(v)
 	}
 
-	// The priors: a legacy image of one GUI app at sequential placement, and
-	// garbage under another GUI app's manifest name.
+	// The prior: garbage under a GUI app's manifest name.
 	var gui []goldenSlot
 	for _, s := range slots {
 		if s.chain == "" {
 			gui = append(gui, s)
 		}
 	}
-	legacy, _ := coldCache(gui[0], loader.Config{})
-	testutil.WriteLegacy(t, dir, legacy)
 	_, corrupt := coldCache(gui[1], gui[1].loader)
 	if err := os.WriteFile(filepath.Join(dir, corrupt.ManifestFileName()), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)

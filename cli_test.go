@@ -129,6 +129,28 @@ msg: .ascii "ok!\n"
 		t.Errorf("cachectl verify failed: %s", se)
 	}
 
+	// Stats names the legacy images a database still holds, which nothing
+	// but migrate reads, until migrate converts them.
+	const unmigrated = "unmigrated legacy files: 2 (run `pcc-cachectl migrate`)"
+	if out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", db, "stats"); code != 0 || strings.Contains(out, "unmigrated") {
+		t.Errorf("cachectl stats of a migrated database (%d): %s%s", code, out, se)
+	}
+	legacyDB := filepath.Join(work, "legacy.db")
+	if err := copyTree(legacyFixture, legacyDB); err != nil {
+		t.Fatal(err)
+	}
+	if out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", legacyDB, "stats"); code != 0 ||
+		!strings.Contains(out, "cache files: 0\n") || !strings.Contains(out, unmigrated) {
+		t.Errorf("cachectl stats of a legacy database (%d): %s%s", code, out, se)
+	}
+	if out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", legacyDB, "migrate"); code != 0 {
+		t.Fatalf("cachectl migrate (%d): %s%s", code, out, se)
+	}
+	if out, se, code := testutil.RunTool(t, bin, "pcc-cachectl", "-dir", legacyDB, "stats"); code != 0 ||
+		!strings.Contains(out, "cache files: 2\n") || strings.Contains(out, "unmigrated") {
+		t.Errorf("cachectl stats after migrate (%d): %s%s", code, out, se)
+	}
+
 	// Rebuilding the binary (new mtime/content) must invalidate the cache
 	// but still run correctly.
 	write("main.s", `

@@ -5,8 +5,8 @@
 //
 //	pcc-cachectl -dir DB list            # list cache entries
 //	pcc-cachectl -dir DB show FILE       # per-module/trace detail
-//	pcc-cachectl -dir DB stats           # per-database totals and key classes
-//	pcc-cachectl -dir DB verify          # integrity-check every cache file
+//	pcc-cachectl -dir DB stats           # per-database totals, key classes, unmigrated files
+//	pcc-cachectl -dir DB verify          # integrity-check every manifest
 //	pcc-cachectl -dir DB verify -deep    # + static CFG/relocation verification
 //	pcc-cachectl -dir DB repair          # quarantine corrupt files, clear debris
 //	pcc-cachectl -dir DB migrate         # convert legacy files to manifest+blob format
@@ -146,6 +146,10 @@ func main() {
 			fatal(err)
 		}
 		printDBStats(st)
+		// A legacy image is invisible to everything but migrate.
+		if legacy, _ := filepath.Glob(filepath.Join(*dir, "*.pcc")); len(legacy) > 0 {
+			fmt.Printf("unmigrated legacy files: %d (run `pcc-cachectl migrate`)\n", len(legacy))
+		}
 	case "metrics":
 		var snap *metrics.Snapshot
 		var err error
@@ -170,9 +174,9 @@ func main() {
 		}
 	case "verify":
 		deep := flag.NArg() > 1 && flag.Arg(1) == "-deep"
-		// Every cache file on disk, not the listing: a file whose header
-		// does not read is left out of that, and is exactly what to report.
-		files, err := filepath.Glob(filepath.Join(*dir, "*.pc[cm]"))
+		// Every manifest on disk, not the listing: a file whose header does
+		// not read is left out of that, and is exactly what to report.
+		files, err := filepath.Glob(filepath.Join(*dir, "*.pcm"))
 		if err != nil {
 			fatal(err)
 		}
@@ -322,15 +326,10 @@ func fleetCompact(fl *fleet.Client, keep int) {
 	}
 }
 
-// readEntry reads one database entry, either format, and changes nothing
-// on disk: a manifest is materialized from the store, each blob verified on
-// read; a legacy file is decoded and checked against its trailer.
+// readEntry reads one database manifest and changes nothing on disk: it is
+// materialized from the store, each blob verified on read.
 func readEntry(mgr *core.Manager, dir, file string) (*core.CacheFile, error) {
-	path := filepath.Join(dir, file)
-	if !strings.HasSuffix(file, ".pcm") {
-		return core.ReadCacheFile(path)
-	}
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func startServer(t testing.TB, opts ...cacheserver.Option) (*cacheserver.Server,
 }
 
 // startLegacyServer is startServer over a database that holds cfs as legacy
-// images: what a daemon still serves, and no commit writes any more.
+// images, unmigrated: what no commit writes, and a daemon does not serve.
 func startLegacyServer(t testing.TB, cfs ...*core.CacheFile) (*cacheserver.Server, string, *core.Manager) {
 	t.Helper()
 	dir := t.TempDir()

@@ -340,8 +340,7 @@ func (c *Client) FetchManifests(ks core.KeySet, interApp bool) ([]ManifestItem, 
 
 // FetchEntries retrieves, in one round trip, the entries the server holds
 // for the key set within scope — the exact match first, then the
-// same-class candidates, best first — each in its compact form: raw
-// manifests for store-format entries, legacy images otherwise. A
+// same-class candidates, best first — each as its raw manifest. A
 // manifest's blobs resolve separately, from the machine-local store before
 // the wire (FetchPacks).
 func (c *Client) FetchEntries(ks core.KeySet, scope Scope) ([]ManifestItem, error) {
@@ -533,15 +532,14 @@ func (f *Fallback) Local() *core.Manager { return f.local }
 // asked brings back the entries the key request covers: with all set every
 // one of them (the bulk prime), otherwise only the first — the exact
 // entry, or the best inter-application candidate (ScopeBest). The exact
-// entry installs first, wherever it came in the answer. A
-// store-format entry arrives as its manifest, which is judged against the
-// VM before anything else moves; the packs holding the blobs of the traces
-// that install, where the machine-local store lacks them, follow through
-// FETCHPACKS, and once the store has adopted them the manifest reads as on
-// a local warm launch.
-// A legacy entry arrives as its image. Entries install through the local
-// validation path. A miss, a failed transport or nothing installable
-// degrades to the local database.
+// entry installs first, wherever it came in the answer. An entry arrives
+// as its manifest, which is judged against the VM before anything else
+// moves; the packs holding the blobs of the traces that install, where the
+// machine-local store lacks them, follow through FETCHPACKS, and once the
+// store has adopted them the manifest reads as on a local warm launch.
+// An item that does not decode as a manifest — a legacy image an older
+// daemon served among them — is skipped. A miss, a failed transport or
+// nothing installable degrades to the local database.
 func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error) {
 	scope := ScopeExact
 	if interApp && all {
@@ -563,29 +561,29 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	// The run's own entry installs first, wherever the transport put it (a
 	// fleet's primary that missed the publish answers without it), and is
 	// the one Commit measures the run against.
-	entries := make([]servedEntry, 0, len(items))
+	entries := make([]*store.Manifest, 0, len(items))
 	exact := 0
 	for _, it := range items {
-		e, err := decodeItem(it)
+		man, err := decodeItem(it)
 		if err != nil {
 			continue // corrupt on the wire: try the rest
 		}
-		if e.app == ks.App {
-			entries = slices.Insert(entries, exact, e)
+		if man.AppKey == ks.App {
+			entries = slices.Insert(entries, exact, man)
 			exact++
 		} else {
-			entries = append(entries, e)
+			entries = append(entries, man)
 		}
 	}
 	agg := &core.PrimeReport{}
-	for _, e := range entries {
-		rep, err := f.primeFrom(v, e)
+	for _, man := range entries {
+		rep, err := f.primeFrom(v, man)
 		if err != nil {
 			continue // failed key validation, or blobs unresolvable; try the rest
 		}
-		if e.app == ks.App && !agg.Found {
+		if man.AppKey == ks.App && !agg.Found {
 			f.mu.Lock()
-			f.primed[v] = primedEntry{traces: rep.CacheTraces, modules: e.modules()}
+			f.primed[v] = primedEntry{traces: rep.CacheTraces, modules: core.RecordModules(man.Modules)}
 			f.mu.Unlock()
 		}
 		agg.Found = true
@@ -611,47 +609,21 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 	return agg, nil
 }
 
-// servedEntry is one FETCHMANIFESTS item, decoded: a store-format entry's
-// manifest, or a legacy entry's cache file.
-type servedEntry struct {
-	app core.Key
-	man *store.Manifest
-	cf  *core.CacheFile
+// decodeItem decodes one FETCHMANIFESTS item, which must be a manifest.
+func decodeItem(it ManifestItem) (*store.Manifest, error) {
+	if it.Kind != ItemKindManifest {
+		return nil, fmt.Errorf("cacheserver: served item of kind %d is not a manifest", it.Kind)
+	}
+	return store.DecodeManifest(it.Data)
 }
 
-func decodeItem(it ManifestItem) (servedEntry, error) {
-	if it.Kind == ItemKindManifest {
-		man, err := store.DecodeManifest(it.Data)
-		if err != nil {
-			return servedEntry{}, err
-		}
-		return servedEntry{app: man.AppKey, man: man}, nil
-	}
-	cf := new(core.CacheFile)
-	if err := cf.UnmarshalBinary(it.Data); err != nil {
-		return servedEntry{}, err
-	}
-	return servedEntry{app: cf.AppKey, cf: cf}, nil
-}
-
-// modules is the entry's module table.
-func (e servedEntry) modules() []core.ModuleRecord {
-	if e.man != nil {
-		return core.RecordModules(e.man.Modules)
-	}
-	return e.cf.Modules
-}
-
-// primeFrom installs one served entry through the local validation path. A
-// manifest is judged before any of its blobs is fetched: the packs asked of
-// the entry's owners are those holding the blobs of the traces that install
+// primeFrom installs one served manifest through the local validation path.
+// It is judged before any of its blobs is fetched: the packs asked of the
+// entry's owners are those holding the blobs of the traces that install
 // (core.Manager.PrimeFromManifest) and that the machine-local store lacks.
-func (f *Fallback) primeFrom(v *vm.VM, e servedEntry) (*core.PrimeReport, error) {
-	if e.man == nil {
-		return f.local.PrimeFrom(v, e.cf)
-	}
-	ks := core.KeySet{App: e.man.AppKey, VM: e.man.VMKey, Tool: e.man.ToolKey}
-	return f.local.PrimeFromManifest(v, e.man, func(missing []store.Hash) ([][]byte, error) {
+func (f *Fallback) primeFrom(v *vm.VM, man *store.Manifest) (*core.PrimeReport, error) {
+	ks := core.KeySet{App: man.AppKey, VM: man.VMKey, Tool: man.ToolKey}
+	return f.local.PrimeFromManifest(v, man, func(missing []store.Hash) ([][]byte, error) {
 		return f.client.FetchPacks(ks, missing)
 	})
 }

@@ -53,6 +53,12 @@ func EncodePackFilesForTest(packs [][]byte) []byte {
 	return encodePackFiles(packs)
 }
 
+// EncodeManifestItemsForTest builds a FETCHMANIFESTS response for the fake
+// daemons that serve items a current daemon never would.
+func EncodeManifestItemsForTest(items []ManifestItem) []byte {
+	return encodeManifestItems(items)
+}
+
 // EncodeErrorForTest builds a StatusError payload.
 func EncodeErrorForTest(msg string) []byte {
 	w := &binenc.Writer{}

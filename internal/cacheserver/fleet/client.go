@@ -119,10 +119,10 @@ func (c *Client) Close() error {
 	return first
 }
 
-// StemFor is the routing key for a key set: the cache file's stem, the
-// same format-independent identity the daemons index by.
+// StemFor is the routing key for a key set: its manifest's stem, the same
+// identity the daemons index by.
 func StemFor(ks core.KeySet) string {
-	return core.FileStem(ks.CacheFileName())
+	return core.FileStem(ks.ManifestFileName())
 }
 
 // blobKey is the routing key for a content hash.

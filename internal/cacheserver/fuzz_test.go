@@ -76,6 +76,13 @@ func FuzzDecodeFrame(f *testing.F) {
 			if got := encodeManifestItems(items); !bytes.Equal(got, payload) {
 				t.Fatalf("manifest items re-encode to % x, decoded from % x", got, payload)
 			}
+			// A prime takes manifests alone: a legacy image, which an older
+			// daemon served, is rejected like a corrupt item.
+			for _, it := range items {
+				if _, err := decodeItem(it); err == nil && it.Kind != ItemKindManifest {
+					t.Fatalf("a served item of kind %d decoded as a manifest", it.Kind)
+				}
+			}
 		}
 		if ks, hashes, err := decodePackRequest(payload); err == nil {
 			if got := encodePackRequest(ks, hashes); !bytes.Equal(got, payload) {

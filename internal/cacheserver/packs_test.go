@@ -16,7 +16,6 @@ import (
 	"persistcc/internal/core"
 	"persistcc/internal/loader"
 	"persistcc/internal/store"
-	"persistcc/internal/testutil"
 	"persistcc/internal/workload"
 )
 
@@ -26,13 +25,13 @@ import (
 // does not speak the op, or holds only loose blobs, still leaves the client
 // a working prime.
 
-// proxyDaemon fronts the daemon at upstream: FETCHPACKS is answered by
-// fetchPacks, every other request is relayed over a connection of its own.
-func proxyDaemon(t *testing.T, upstream string, fetchPacks func(payload []byte) (status uint8, resp []byte)) string {
+// proxyDaemon fronts the daemon at upstream: requests of op are answered
+// by answer, every other request is relayed over a connection of its own.
+func proxyDaemon(t *testing.T, upstream string, op uint8, answer func(payload []byte) (status uint8, resp []byte)) string {
 	t.Helper()
-	return fakeServer(t, func(conn net.Conn, op uint8, payload []byte) {
-		if op == cacheserver.OpFetchPacks {
-			status, resp := fetchPacks(payload)
+	return fakeServer(t, func(conn net.Conn, reqOp uint8, payload []byte) {
+		if reqOp == op {
+			status, resp := answer(payload)
 			cacheserver.WriteFrameForTest(conn, status, resp)
 			return
 		}
@@ -41,7 +40,7 @@ func proxyDaemon(t *testing.T, upstream string, fetchPacks func(payload []byte) 
 			return
 		}
 		defer up.Close()
-		if cacheserver.WriteFrameForTest(up, op, payload) != nil {
+		if cacheserver.WriteFrameForTest(up, reqOp, payload) != nil {
 			return
 		}
 		if status, resp, err := cacheserver.ReadFrameForTest(up); err == nil {
@@ -115,31 +114,41 @@ func storeEntry(t *testing.T, addr string, w *world) (*core.CacheFile, []store.H
 	return cf, hashes, encs
 }
 
-// localMachine is a fresh machine whose database holds cf as a legacy
-// image, so its store holds no blob: a prime that cannot use what the daemon
-// sends degrades to it and still installs every trace.
-func localMachine(t *testing.T, addr string, cf *core.CacheFile) (*cacheserver.Fallback, *cacheserver.Client) {
+// localMachine is a fresh machine whose database holds w's run on input 0,
+// which never enters the loop: its store lacks the blobs of the loop's
+// traces, so a prime on input 50 asks the daemon for the packs holding
+// them, and one that cannot use what the daemon sends degrades to the local
+// entry and installs every trace of it. It returns that entry's cache file.
+func localMachine(t *testing.T, addr string, w *world) (*cacheserver.Fallback, *cacheserver.Client, *core.CacheFile) {
 	t.Helper()
 	local, err := core.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.WriteLegacy(t, local.Dir(), cf)
+	v, _ := w.ranVM(t, 0)
+	cf, ks := core.BuildCacheFile(v)
+	if _, err := local.CommitFile(ks, cf); err != nil {
+		t.Fatal(err)
+	}
 	c := newClient(addr)
 	t.Cleanup(func() { c.Close() })
-	return cacheserver.NewFallback(c, local), c
+	return cacheserver.NewFallback(c, local), c, cf
 }
 
 // assertDegraded primes a fresh VM and checks the prime came from the local
-// database, counted as one fallback, with nothing written to the local
-// store's generations.
+// database, whose entry is cf, counted as one fallback, with nothing
+// written to the local store's generations.
 func assertDegraded(t *testing.T, f *cacheserver.Fallback, c *cacheserver.Client, w *world, cf *core.CacheFile) {
 	t.Helper()
 	fallbacks := func() float64 {
 		v, _ := c.Metrics().Snapshot().Value("pcc_client_fallbacks_total", "prime")
 		return v
 	}
-	before := fallbacks()
+	storeFiles := func() []string {
+		files, _ := filepath.Glob(filepath.Join(f.Local().Dir(), "store", "gen*", "*"))
+		return files
+	}
+	before, filesBefore := fallbacks(), storeFiles()
 	rep, err := f.Prime(w.freshVM(t, 50))
 	if err != nil || rep.Installed != len(cf.Traces) {
 		t.Fatalf("degraded prime installed %+v, %v; want all %d traces from the local database", rep, err, len(cf.Traces))
@@ -147,14 +156,15 @@ func assertDegraded(t *testing.T, f *cacheserver.Fallback, c *cacheserver.Client
 	if got := fallbacks() - before; got != 1 {
 		t.Errorf("fallbacks_total{prime} rose by %v, want 1", got)
 	}
-	if files, _ := filepath.Glob(filepath.Join(f.Local().Dir(), "store", "gen*", "*")); len(files) != 0 {
-		t.Errorf("the client wrote into its store: %v", files)
+	if files := storeFiles(); !reflect.DeepEqual(files, filesBefore) {
+		t.Errorf("the client wrote into its store: %v, was %v", files, filesBefore)
 	}
 }
 
-// TestHostilePacksRefused: whatever a daemon sends in place of a good pack,
-// the client's store takes none of it and the prime degrades to the local
-// database.
+// TestHostilePacksRefused: whatever a daemon sends in place of a good pack
+// — or in place of the manifest, as a daemon older than the one-format
+// database served an unmigrated entry: its legacy image — the client's
+// store takes none of it and the prime degrades to the local database.
 func TestHostilePacksRefused(t *testing.T) {
 	_, upstream, _ := startServer(t)
 	w := buildWorld(t, "hostile", 70)
@@ -176,6 +186,11 @@ func TestHostilePacksRefused(t *testing.T) {
 	badCRC[indexEnd-1] ^= 0xff
 	twice := append([]store.Hash(nil), hashes...)
 	twice[1] = twice[0]
+	type answer struct {
+		op   uint8
+		resp []byte
+	}
+	answers := make(map[string]answer)
 	for name, pack := range map[string][]byte{
 		"flipped member byte": packFile(hashes, lens, flipped),
 		"bad index crc":       badCRC,
@@ -183,15 +198,24 @@ func TestHostilePacksRefused(t *testing.T) {
 		"rawLen past limit":   packFile(hashes[:1], []uint32{3 << 20}, body),
 		"truncated stream":    valid[:len(valid)-5],
 	} {
+		if _, err := store.DecodePack(pack); err == nil {
+			t.Fatalf("%s: the hostile pack decodes", name)
+		}
+		answers[name] = answer{cacheserver.OpFetchPacks, cacheserver.EncodePackFilesForTest([][]byte{pack})}
+	}
+	image, err := cf.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers["legacy item"] = answer{cacheserver.OpFetchManifests, cacheserver.EncodeManifestItemsForTest(
+		[]cacheserver.ManifestItem{{Kind: cacheserver.ItemKindLegacy, Data: image}})}
+	for name, a := range answers {
 		t.Run(name, func(t *testing.T) {
-			if _, err := store.DecodePack(pack); err == nil {
-				t.Fatal("the hostile pack decodes")
-			}
-			addr := proxyDaemon(t, upstream, func([]byte) (uint8, []byte) {
-				return cacheserver.StatusOK, cacheserver.EncodePackFilesForTest([][]byte{pack})
+			addr := proxyDaemon(t, upstream, a.op, func([]byte) (uint8, []byte) {
+				return cacheserver.StatusOK, a.resp
 			})
-			f, c := localMachine(t, addr, cf)
-			assertDegraded(t, f, c, w, cf)
+			f, c, local := localMachine(t, addr, w)
+			assertDegraded(t, f, c, w, local)
 		})
 	}
 }
@@ -202,12 +226,12 @@ func TestHostilePacksRefused(t *testing.T) {
 func TestFetchPacksRefusedDegrades(t *testing.T) {
 	_, upstream, _ := startServer(t)
 	w := buildWorld(t, "oldaemon", 71)
-	cf, _ := publishEntry(t, upstream, w)
-	addr := proxyDaemon(t, upstream, func([]byte) (uint8, []byte) {
+	publishEntry(t, upstream, w)
+	addr := proxyDaemon(t, upstream, cacheserver.OpFetchPacks, func([]byte) (uint8, []byte) {
 		return cacheserver.StatusError, cacheserver.EncodeErrorForTest("unknown op 13")
 	})
-	f, c := localMachine(t, addr, cf)
-	assertDegraded(t, f, c, w, cf)
+	f, c, local := localMachine(t, addr, w)
+	assertDegraded(t, f, c, w, local)
 }
 
 // TestCorruptDaemonPackQuarantined: a pack the daemon's own disk corrupted
@@ -216,7 +240,7 @@ func TestFetchPacksRefusedDegrades(t *testing.T) {
 func TestCorruptDaemonPackQuarantined(t *testing.T) {
 	_, addr, mgr := startServer(t)
 	w := buildWorld(t, "rotten", 72)
-	cf, hashes := publishEntry(t, addr, w)
+	_, hashes := publishEntry(t, addr, w)
 	packs, _ := filepath.Glob(filepath.Join(mgr.Dir(), "store", "gen*", "*.pck"))
 	if len(packs) != 1 {
 		t.Fatalf("daemon holds %d packs, want 1", len(packs))
@@ -229,8 +253,8 @@ func TestCorruptDaemonPackQuarantined(t *testing.T) {
 	if err := os.WriteFile(packs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, c := localMachine(t, addr, cf)
-	assertDegraded(t, f, c, w, cf)
+	f, c, local := localMachine(t, addr, w)
+	assertDegraded(t, f, c, w, local)
 	if _, err := os.Stat(packs[0]); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the corrupt pack is still addressable: %v", err)
 	}

@@ -14,8 +14,7 @@
 // bounded by MaxFrame. Requests carry one of the Op* codes; responses carry
 // a Status* code, with StatusError followed by a length-prefixed message.
 // Payloads reuse internal/binenc. There is one read path: FETCHMANIFESTS
-// moves an entry as its manifest (store format) or its serialized
-// core.CacheFile image (legacy format), and FETCHPACKS moves the daemon's
+// moves an entry as its manifest, and FETCHPACKS moves the daemon's
 // pack files, byte for byte, that hold the content-addressed blobs the
 // client's machine is missing; the client verifies every pack whole before
 // its store adopts it. PUBLISH moves a whole image. Images carry their own
@@ -48,7 +47,7 @@ const (
 	// local store is missing — so each deduplicated blob crosses the wire
 	// about once per machine, not once per application, in the store's own
 	// compressed unit.
-	OpFetchManifests = 8  // key set + scope → per-entry manifest (or legacy image)
+	OpFetchManifests = 8  // key set + scope → per-entry manifest
 	OpFetchPacks     = 13 // entry key set + missing blob hashes → the pack files holding them
 
 	// Fleet-management ops: a fleet coordinator (pcc-cachectl or the fleet
@@ -176,9 +175,10 @@ func decodeKeyRequest(b []byte) (core.KeySet, Scope, error) {
 	return ks, scope, r.Done()
 }
 
-// Manifest-item kinds in FETCHMANIFESTS responses: a store-format entry
-// travels as its raw manifest; a legacy entry travels as its serialized
-// CacheFile image, so mixed-format server databases stay fully servable.
+// Manifest-item kinds in FETCHMANIFESTS responses: an entry travels as its
+// raw manifest. A daemon older than the one-format database also served a
+// legacy entry as its serialized CacheFile image; the frame still parses,
+// and the client rejects the item like any corrupt one.
 const (
 	ItemKindLegacy   = 0
 	ItemKindManifest = 1

@@ -51,10 +51,8 @@ type flight struct {
 type Server struct {
 	mgr *core.Manager
 
-	// The in-memory index: one entry per cache file, keyed by file stem —
-	// the format-independent entry identity, so a publish that migrates an
-	// entry between formats stays on one entry. idxMu guards the map and
-	// every entry's meta.
+	// The in-memory index: one entry per manifest, keyed by file stem (the
+	// key set's lookup hash). idxMu guards the map and every entry's meta.
 	idxMu   sync.RWMutex
 	entries map[string]*entry
 
@@ -407,7 +405,7 @@ func (s *Server) candidates(ks core.KeySet, interApp bool) []candidate {
 	var out, all []candidate
 	var metas []core.IndexEntry
 	s.idxMu.RLock()
-	if e := s.entries[core.FileStem(ks.CacheFileName())]; e != nil && e.meta.File != "" {
+	if e := s.entries[core.FileStem(ks.ManifestFileName())]; e != nil && e.meta.File != "" {
 		out = append(out, candidate{e, e.meta})
 	}
 	if interApp {
@@ -432,7 +430,7 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	ks := core.KeySet{App: incoming.AppKey, VM: incoming.VMKey, Tool: incoming.ToolKey}
-	e := s.entryFor(core.FileStem(ks.CacheFileName()), true)
+	e := s.entryFor(core.FileStem(ks.ManifestFileName()), true)
 
 	// Single-flight: concurrent identical publishes (several processes
 	// exiting the same cold run at once) merge exactly once.
@@ -575,9 +573,9 @@ func (s *Server) handleCompact() ([]byte, error) {
 
 // handleFetchManifests serves the entries a key request's scope covers
 // (see candidates) in one round trip, exact entry first — with ScopeBest
-// only the first of them: a store-format entry travels as its compact
-// manifest (the client resolves its blobs separately, hitting its local
-// store first), a legacy one as its image, both read verbatim from disk.
+// only the first of them: each travels as its compact manifest, read
+// verbatim from disk (the client resolves its blobs separately, hitting its
+// local store first).
 // Only the entries sent count as hits. Entries gone since indexed are
 // skipped; the response is capped by maxBulkFiles and the frame bound.
 func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
@@ -595,11 +593,8 @@ func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
 		if len(items) >= limit {
 			break
 		}
-		it := ManifestItem{Kind: ItemKindLegacy}
-		if strings.HasSuffix(c.meta.File, ".pcm") {
-			it.Kind = ItemKindManifest
-		}
-		if it.Data, err = s.mgr.FileImage(c.meta.File); err != nil {
+		it := ManifestItem{Kind: ItemKindManifest}
+		if it.Data, err = s.mgr.ManifestBytes(c.meta.File); err != nil {
 			continue
 		}
 		// Leave room for the count/kind/length framing and the status byte.

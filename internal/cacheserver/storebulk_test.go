@@ -15,7 +15,7 @@ import (
 // Tests for the store-aware wire ops (FETCHMANIFESTS / FETCHPACKS) and the
 // PrimeStoreBulk warm path that rides on them: manifests cross the wire in
 // compact form, blobs cross once per machine inside the daemon's packs, and
-// a daemon still serving legacy images leaves a client a working prime.
+// a daemon over an unmigrated database serves none of its legacy images.
 
 func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
 	_, addr, _ := startServer(t)
@@ -84,8 +84,10 @@ func TestFetchManifestsAndBlobsRoundTrip(t *testing.T) {
 }
 
 func TestFetchManifestsFromLegacyServer(t *testing.T) {
-	// An unmigrated server answers FETCHMANIFESTS with legacy images and
-	// FETCHPACKS with nothing — store-aware clients degrade cleanly.
+	// A daemon over an unmigrated database indexes none of its legacy
+	// images: LOOKUP and FETCHMANIFESTS miss, STATS counts no entry, and
+	// FETCHPACKS has nothing to send — its clients run cold until the
+	// database is migrated.
 	w := buildWorld(t, "legacysrv", 1)
 	v, _ := w.ranVM(t, 50)
 	cf, ks := core.BuildCacheFile(v)
@@ -93,19 +95,14 @@ func TestFetchManifestsFromLegacyServer(t *testing.T) {
 	c := newClient(addr)
 	defer c.Close()
 
-	items, err := c.FetchManifests(ks, false)
-	if err != nil {
-		t.Fatalf("FetchManifests: %v", err)
+	if items, err := c.FetchManifests(ks, true); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("FetchManifests: %d items, %v; want ErrNoCache", len(items), err)
 	}
-	if len(items) != 1 || items[0].Kind != cacheserver.ItemKindLegacy {
-		t.Fatalf("want 1 legacy item, got %d items (kind %v)", len(items), items[0].Kind)
+	if info, err := c.Lookup(ks, false); !errors.Is(err, core.ErrNoCache) {
+		t.Fatalf("Lookup: %+v, %v; want ErrNoCache", info, err)
 	}
-	var got core.CacheFile
-	if err := got.UnmarshalBinary(items[0].Data); err != nil {
-		t.Fatalf("legacy item is not a cache file: %v", err)
-	}
-	if len(got.Traces) != len(cf.Traces) {
-		t.Errorf("legacy item has %d traces, want %d", len(got.Traces), len(cf.Traces))
+	if st, err := c.Stats(); err != nil || st.Files != 0 {
+		t.Fatalf("Stats: %+v, %v; want no entry", st, err)
 	}
 
 	var h store.Hash

@@ -30,8 +30,9 @@ import (
 //
 //  1. the database opens and every listed entry is a verifiable file;
 //  2. a crashed writer loses at most its own in-flight entry — the
-//     baseline entry written before the crash stays warm-servable, whichever
-//     format it is in when the crash lands;
+//     baseline entry written before the crash, as a legacy image, is
+//     warm-servable once a migration has run, whether or not the crashed
+//     sequence's own migration finished;
 //  3. the in-flight entry is absent or fully valid — a torn manifest or a
 //     missing blob degrades to a miss, never to a broken read — and so is
 //     every written-through blob;
@@ -211,7 +212,17 @@ func assertCrashInvariants(t *testing.T, dir string, env *chaosEnv, remote *chao
 			t.Errorf("listed entry %s is an unverifiable file: %v", e.File, err)
 		}
 	}
-	// Baseline entry always survives, legacy or migrated.
+	// Baseline entry always survives: once a migration has run — over the
+	// legacy image, or over the manifest one the crashed sequence finished
+	// left — it reads back whole. The migration's recovery pass, like the
+	// one below, finds nothing torn to quarantine.
+	mrep, err := mgr.MigrateToStore()
+	if err != nil {
+		t.Fatalf("migration after the crash failed: %v", err)
+	}
+	if n := quarantinedCount(mgr); mrep.Quarantined != 0 || n != 0 {
+		t.Errorf("migration after the crash quarantined %d legacy and %d files in all: a crash published torn content", mrep.Quarantined, n)
+	}
 	cfA, err := mgr.Lookup(env.ksA)
 	if err != nil {
 		t.Fatalf("baseline entry lost: %v", err)
@@ -248,6 +259,18 @@ func assertCrashInvariants(t *testing.T, dir string, env *chaosEnv, remote *chao
 	if _, err := mgr.Lookup(env.ksA); err != nil {
 		t.Errorf("baseline lost by recovery: %v", err)
 	}
+}
+
+// quarantinedCount is how many files mgr has quarantined, of every kind, the
+// blob store's included.
+func quarantinedCount(mgr *core.Manager) int {
+	snap := mgr.Metrics().Snapshot()
+	n, _ := snap.Value("pcc_store_blob_quarantine_total")
+	for _, kind := range []string{"cachefile", "manifest", "verify"} {
+		v, _ := snap.Value("pcc_core_quarantine_total", kind)
+		n += v
+	}
+	return int(n)
 }
 
 func TestChaosCrashAtEveryInjectionPoint(t *testing.T) {

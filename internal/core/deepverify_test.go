@@ -28,17 +28,33 @@ func seedLegacy(t *testing.T, w *testutil.World, input uint64) (*core.Manager, s
 	return mgr, testutil.WriteLegacy(t, mgr.Dir(), cf), res
 }
 
-// corruptBranch flips one conditional-branch immediate in the cache file so
-// its target lands outside every recorded module, then re-signs the file by
-// writing it back through the normal marshaling path. The result is the
-// exact adversary the deep verifier exists for: a file whose integrity
-// trailer is valid but whose code is semantically corrupt.
-func corruptBranch(t *testing.T, path string) {
+// seedCorruptBranch runs w cold on input, flips one conditional-branch
+// immediate among the run's traces so its target lands outside every
+// recorded module, and commits them into a fresh database through the
+// normal write path. The result is the exact adversary the deep verifier
+// exists for: a manifest whose blobs all pass their content checks but
+// whose code is semantically corrupt. It returns the manager, the
+// manifest's path and the cold run's result.
+func seedCorruptBranch(t *testing.T, w *testutil.World, input uint64) (*core.Manager, string, *vm.Result) {
 	t.Helper()
-	cf, err := core.ReadCacheFile(path)
+	v := w.NewVM(t, testutil.RunOpts{Input: []uint64{input}})
+	res, err := v.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cf, ks := core.BuildCacheFile(v)
+	corruptBranch(t, cf)
+	mgr := testutil.NewMgr(t)
+	if _, err := mgr.CommitFile(ks, cf); err != nil {
+		t.Fatal(err)
+	}
+	return mgr, filepath.Join(mgr.Dir(), ks.ManifestFileName()), res
+}
+
+// corruptBranch flips one conditional-branch immediate in cf so its target
+// lands outside every recorded module.
+func corruptBranch(t *testing.T, cf *core.CacheFile) {
+	t.Helper()
 	var end uint32
 	for _, m := range cf.Modules {
 		if m.Base+m.Size > end {
@@ -53,7 +69,6 @@ func corruptBranch(t *testing.T, path string) {
 			pc := tr.Start + uint32(i)*isa.InstSize
 			target := (end + 0x10000) &^ 7 // aligned, beyond every module
 			tr.Insts[i].Imm = int32(target - pc)
-			testutil.WriteLegacy(t, filepath.Dir(path), cf)
 			return
 		}
 	}
@@ -67,13 +82,12 @@ func corruptBranch(t *testing.T, path string) {
 // pcc_core_verify_reject_total, and falls back to re-translation.
 func TestDeepVerifyRejectsSemanticCorruption(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr, path, baseline := seedLegacy(t, w, 50)
-	corruptBranch(t, path)
+	mgr, path, baseline := seedCorruptBranch(t, w, 50)
 
-	// The byte-level layer is blind to the corruption: checksum and caps
-	// all pass.
-	cf, err := core.ReadCacheFile(path)
-	if err != nil {
+	// The byte-level layer is blind to the corruption: hashes and caps all
+	// pass.
+	cf, err := mgr.ReadPrior(filepath.Base(path))
+	if err != nil || cf == nil {
 		t.Fatalf("checksum layer rejected the semantically corrupt file: %v", err)
 	}
 	// The deep verifier is not.
@@ -112,7 +126,7 @@ func TestDeepVerifyRejectsSemanticCorruption(t *testing.T) {
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt file still in the database: %v", err)
 	}
-	qfiles, _ := filepath.Glob(filepath.Join(vmgr.Dir(), core.QuarantineDir, "*.pcc*"))
+	qfiles, _ := filepath.Glob(filepath.Join(vmgr.Dir(), core.QuarantineDir, "*.pcm*"))
 	if len(qfiles) == 0 {
 		t.Fatal("corrupt file was not quarantined")
 	}
@@ -210,8 +224,7 @@ func TestDeepVerifyDanglingReloc(t *testing.T) {
 // moves the file to quarantine and rebuilds an index without it.
 func TestRecoverIndexQuarantinesSemanticCorruption(t *testing.T) {
 	w := testutil.BuildWorld(t, "prog", mainSrc, map[string]string{"libwork.so": libWork})
-	mgr, path, _ := seedLegacy(t, w, 50)
-	corruptBranch(t, path)
+	mgr, _, _ := seedCorruptBranch(t, w, 50)
 
 	rep, err := mgr.RecoverIndex()
 	if err != nil {

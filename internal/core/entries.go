@@ -10,10 +10,9 @@ import (
 	"persistcc/internal/store"
 )
 
-// The database directory is its own index: every cache file, legacy .pcc or
-// store .pcm, carries its key set, application path, trace count and pool
-// sizes in its header, so listing the directory and reading those headers
-// is the whole catalogue.
+// The database directory is its own index: every manifest carries its key
+// set, application path, trace count and pool sizes in its header, so
+// listing the directory and reading those headers is the whole catalogue.
 
 // IndexEntry describes one cache file in the database.
 type IndexEntry struct {
@@ -37,22 +36,17 @@ func NewIndexEntry(cf *CacheFile, file string) IndexEntry {
 	}
 }
 
-// Entries lists the database, one entry per cache file stem, each read from
-// its file's header. A stem present in both formats (a commit that crashed
-// between writing the manifest and retiring the legacy image) is listed
-// once, as the manifest Lookup reads. A file whose header does not read is
-// left out: it cannot be served, and Lookup or RecoverIndex quarantines it.
+// Entries lists the database, one entry per manifest, each read from its
+// file's header. A file whose header does not read is left out: it cannot
+// be served, and Lookup or RecoverIndex quarantines it.
 func (m *Manager) Entries() ([]IndexEntry, error) {
-	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pc[cm]"))
+	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pcm"))
 	if err != nil {
 		return nil, err
 	}
 	slices.Sort(files)
 	entries := make([]IndexEntry, 0, len(files))
 	for _, f := range files {
-		if _, pair := slices.BinarySearch(files, altCachePath(f)); pair && filepath.Ext(f) == ".pcc" {
-			continue // lookupPath reads the manifest
-		}
 		fi, err := m.fs.Stat(f)
 		if err != nil {
 			continue
@@ -75,15 +69,15 @@ const (
 	// entryPrefixMax bounds an entry's prefix: magic, version, three keys,
 	// the application path, a full module table and the trace count.
 	entryPrefixMax = 4 + 4 + 3*32 + 4 + maxPathLen + 4 + maxModules*(4+maxPathLen+moduleFixedLen) + 4
-	// entryTailLen is the end both formats share: the code and data pool
-	// sizes, then the SHA-256 trailer.
+	// entryTailLen is a manifest's end: the code and data pool sizes, then
+	// the SHA-256 trailer.
 	entryTailLen = 8 + 8 + 32
 )
 
 var errEntryHeader = errors.New("core: malformed cache file header")
 
-// readEntryHeader reads the listing fields of an encoded entry of either
-// format without decoding its trace table: the prefix up to the trace count,
+// readEntryHeader reads the listing fields of an encoded manifest without
+// decoding its trace table: the prefix up to the trace count,
 // read in doubling chunks from 4 KiB (which holds a typical module table),
 // and the pool sizes before the trailer. readAt reads n bytes at off, short
 // at the end of the file; size is the file's length. The trailer is not
@@ -117,19 +111,14 @@ func readEntryHeader(readAt func(off int64, n int) ([]byte, error), size int64) 
 	}
 }
 
-// parseEntryPrefix decodes the listing fields of an entry's prefix, legacy
-// or manifest: both lay out magic, version, three keys, the application
-// path, the module table and then the trace count.
+// parseEntryPrefix decodes the listing fields of a manifest's prefix:
+// magic, version, three keys, the application path, the module table and
+// then the trace count.
 func parseEntryPrefix(b []byte) (IndexEntry, error) {
 	r := &binenc.Reader{Buf: b}
-	var maxVersion uint32
-	switch string(r.Raw(4)) {
-	case string(cacheMagic[:]):
-		maxVersion = cacheFormatVersion
-	case string(store.ManifestMagic[:]):
-		maxVersion = store.ManifestVersion
-	}
-	if version := r.U32(); r.Err == nil && (version < 1 || version > maxVersion) {
+	magic := r.Raw(4)
+	if version := r.U32(); r.Err == nil && (string(magic) != string(store.ManifestMagic[:]) ||
+		version < 1 || version > store.ManifestVersion) {
 		return IndexEntry{}, errEntryHeader
 	}
 	var app, vmKey, tool Key

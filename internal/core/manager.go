@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +22,9 @@ import (
 
 // Manager is the persistent cache manager: it performs "the fundamental
 // tasks of generating persistent caches, verifying possible reuse, and
-// storing them in the database". The database is a directory of cache files,
-// each named by its key set and describing itself in its header.
+// storing them in the database". The database is a directory of manifests,
+// each named by its key set and describing itself in its header, over a
+// content-addressed store of trace blobs.
 type Manager struct {
 	dir         string
 	relocatable bool
@@ -142,25 +142,12 @@ func (m *Manager) cachePath(ks KeySet) string {
 	return filepath.Join(m.dir, ks.ManifestFileName())
 }
 
-// lookupPath resolves the on-disk file for a key set across both formats:
-// the manifest when it exists, otherwise a legacy image if there is one —
-// so a database written before commits wrote only manifests still reads.
-func (m *Manager) lookupPath(ks KeySet) string {
-	path := m.cachePath(ks)
-	if _, err := m.fs.Stat(path); err != nil {
-		if _, err := m.fs.Stat(altCachePath(path)); err == nil {
-			return altCachePath(path)
-		}
-	}
-	return path
-}
-
 // Lookup loads the cache for the exact key set, if present and valid. A
 // file that fails verification is quarantined and reported as a miss: the
 // run re-translates instead of failing — corrupt state degrades to cold-run
 // behaviour, never to a broken run.
 func (m *Manager) Lookup(ks KeySet) (*CacheFile, error) {
-	return m.lookupAt(m.lookupPath(ks), "exact")
+	return m.lookupAt(m.cachePath(ks), "exact")
 }
 
 // lookupAt reads the entry at path for a lookup of the given mode (exact
@@ -255,7 +242,7 @@ func InterAppCandidates(ks KeySet, entries []IndexEntry) []int {
 // Prime looks up the cache for the VM's own key set and installs every
 // valid translation. Returns (report, ErrNoCache) when nothing is found.
 func (m *Manager) Prime(v *vm.VM) (*PrimeReport, error) {
-	return m.primeAt(v, m.lookupPath(KeysFor(v)), "exact")
+	return m.primeAt(v, m.cachePath(KeysFor(v)), "exact")
 }
 
 // PrimeInterApp primes from another application's cache.
@@ -267,20 +254,12 @@ func (m *Manager) PrimeInterApp(v *vm.VM) (*PrimeReport, error) {
 	return m.primeAt(v, path, "interapp")
 }
 
-// primeAt primes v from the entry at path for a lookup of the given mode.
-// A manifest is judged before any blob is read (planPrime), so only the
-// traces that install are read and verified — what a launch does not read
-// it does not judge; a legacy image is read and verified whole, as Lookup
-// reads it. What the entry is read into belongs to this call alone, so its
-// traces are installed themselves, not copies of them.
+// primeAt primes v from the manifest at path for a lookup of the given
+// mode. The manifest is judged before any blob is read (planPrime), so only
+// the traces that install are read and verified — what a launch does not
+// read it does not judge. What the entry is read into belongs to this call
+// alone, so its traces are installed themselves, not copies of them.
 func (m *Manager) primeAt(v *vm.VM, path, mode string) (*PrimeReport, error) {
-	if !strings.HasSuffix(path, ".pcm") {
-		cf, err := m.lookupAt(path, mode)
-		if err != nil {
-			return &PrimeReport{}, err
-		}
-		return m.install(v, cf, true)
-	}
 	man, err := m.decodeManifestAt(path)
 	if err != nil {
 		return &PrimeReport{}, m.lookupFailed(mode, err)
@@ -320,20 +299,12 @@ const (
 // trace (see admit). cf is left untouched — the VM gets copies — so one
 // file can prime any number of VMs.
 func (m *Manager) PrimeFrom(v *vm.VM, cf *CacheFile) (*PrimeReport, error) {
-	return m.install(v, cf, false)
-}
-
-// install primes v from a whole cache file. With owned set the caller
-// gives up cf: its traces are remapped (and rebased) in place and handed to
-// the VM, and the file must not be used afterwards; without it each usable
-// trace is cloned first.
-func (m *Manager) install(v *vm.VM, cf *CacheFile, owned bool) (*PrimeReport, error) {
 	rep := &PrimeReport{Found: true, CacheTraces: len(cf.Traces)}
 	states, err := m.admit(v, cf.VMKey, cf.ToolKey, cf.Modules)
 	if err != nil {
 		return rep, err
 	}
-	m.installTraces(v, cf.Traces, states, owned, rep)
+	m.installTraces(v, cf.Traces, states, false, rep)
 	return rep, nil
 }
 
@@ -401,7 +372,9 @@ func worstRef(states []modState, refs []int32) uint8 {
 
 // installTraces charges the load of a cache over len(states) modules and
 // installs every trace states keeps, adding to rep its installs and the
-// reason for each trace it does not install. owned is install's.
+// reason for each trace it does not install. With owned set the caller
+// gives up traces: they are remapped (and rebased) in place and handed to
+// the VM; without it each usable trace is cloned first.
 func (m *Manager) installTraces(v *vm.VM, traces []*vm.Trace, states []modState, owned bool, rep *PrimeReport) {
 	// Charge the fixed load cost plus one key verification per cached
 	// mapping.
@@ -770,14 +743,8 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 	}
 	defer unlock()
 
-	path, priorPath := m.cachePath(ks), m.lookupPath(ks)
-	var merged *CacheFile
-	var rep *CommitReport
-	if strings.HasSuffix(priorPath, ".pcm") {
-		merged, rep, err = m.mergeManifest(incoming, priorPath)
-	} else {
-		merged, rep, err = m.mergeImage(incoming, priorPath)
-	}
+	path := m.cachePath(ks)
+	merged, rep, err := m.mergeManifest(incoming, path)
 	if err != nil {
 		return nil, err
 	}
@@ -787,36 +754,13 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 		m.m.commits.With("skipped").Inc()
 		return rep, nil
 	}
-	written, err := m.writeEntry(merged, path)
+	written, _, err := m.writeStoreFormat(merged, path)
 	if err != nil {
 		return nil, err
 	}
 	m.m.fileBytes.With("written").Add(written)
 	m.m.commits.With("written").Inc()
 	return rep, nil
-}
-
-// mergeImage is CommitFile's merge over a legacy image at path, read whole.
-func (m *Manager) mergeImage(incoming *CacheFile, path string) (*CacheFile, *CommitReport, error) {
-	prior, err := m.lookupAt(path, "exact")
-	if err != nil && !errors.Is(err, ErrNoCache) {
-		return nil, nil, err
-	}
-	return MergeCacheFiles(incoming, prior, m.relocatable)
-}
-
-// writeEntry writes cf as the manifest at path and returns the bytes
-// written. A legacy image of the same entry is retired: lookups must not
-// resurrect the pre-merge state.
-func (m *Manager) writeEntry(cf *CacheFile, path string) (uint64, error) {
-	written, _, err := m.writeStoreFormat(cf, path)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.fs.Stat(altCachePath(path)); err == nil {
-		m.fs.Remove(altCachePath(path))
-	}
-	return written, nil
 }
 
 func sameModules(a, b []ModuleRecord) bool {
@@ -965,10 +909,11 @@ func AggregateStats(entries []IndexEntry) *DBStats {
 	return st
 }
 
-// RemoveEntry deletes one cache entry — its file in either format, matched
-// by stem — as directed by the fleet's global utility-based eviction. Blobs
-// a removed manifest referenced stay in the store until the next
-// CompactStore run reclaims the unreferenced ones.
+// RemoveEntry deletes one cache entry — its manifest and any legacy image
+// of it, matched by stem, so a later MigrateToStore cannot resurrect the
+// entry — as directed by the fleet's global utility-based eviction. Blobs a
+// removed manifest referenced stay in the store until the next CompactStore
+// run reclaims the unreferenced ones.
 func (m *Manager) RemoveEntry(file string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

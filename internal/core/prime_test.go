@@ -56,13 +56,13 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name        string
-		legacy      bool // the database holds a legacy image, not a commit
+		migrated    bool // the entry is a migrated legacy image, not a commit
 		relocatable bool
 		moved       bool
 	}{
-		{"legacy/same-layout", true, false, false},
-		{"legacy/moved-relocatable", true, true, true},
-		{"legacy/moved-invalidated", true, false, true},
+		{"migrated/same-layout", true, false, false},
+		{"migrated/moved-relocatable", true, true, true},
+		{"migrated/moved-invalidated", true, false, true},
 		{"store/same-layout", false, false, false},
 		{"store/moved-relocatable", false, true, true},
 		{"store/moved-invalidated", false, false, true},
@@ -84,13 +84,16 @@ func TestPrimeConsumingMatchesCopying(t *testing.T) {
 				}
 				return mgr
 			}
-			if o := opts(wrote); tc.legacy {
+			if o := opts(wrote); tc.migrated {
 				v := w.NewVM(t, o)
 				if _, err := v.Run(); err != nil {
 					t.Fatal(err)
 				}
 				cf, _ := core.BuildCacheFile(v)
 				testutil.WriteLegacy(t, dir, cf)
+				if _, err := newMgr().MigrateToStore(); err != nil {
+					t.Fatal(err)
+				}
 			} else {
 				o.Commit = true
 				w.Run(t, newMgr(), o)

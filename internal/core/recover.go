@@ -12,39 +12,25 @@ import (
 
 // QuarantineDir is the subdirectory corrupt files are moved into; it lives
 // inside the database so `pcc-cachectl repair` reports stay self-contained,
-// and is never matched by the *.pcc globs that drive lookup and recovery.
+// and is never matched by the *.pcm globs that drive lookup and recovery.
 const QuarantineDir = "quarantine"
 
 // errQuarantined marks a cache file that failed verification and was moved
 // aside: the lookup layer maps it to a miss, so the run re-translates.
 var errQuarantined = errors.New("core: corrupt cache file quarantined")
 
-// readVerified loads and verifies a cache file. IO errors (including
-// fs.ErrNotExist) pass through untouched; a file that exists but fails
-// decoding or its integrity trailer is quarantined and reported as
-// errQuarantined. The distinction matters: a transient read error must not
-// cost a healthy file its place in the database.
+// readVerified loads and verifies the entry at path: it decodes the
+// manifest, then reads and verifies every trace it references. IO errors
+// (including fs.ErrNotExist) pass through untouched; a file that exists but
+// fails decoding, or whose traces do not verify, is quarantined and reported
+// as errQuarantined. The distinction matters: a transient read error must
+// not cost a healthy file its place in the database.
 func (m *Manager) readVerified(path string) (*CacheFile, error) {
-	if strings.HasSuffix(path, ".pcm") {
-		return m.readVerifiedManifest(path)
-	}
-	b, err := m.fs.ReadFile(path)
+	man, err := m.decodeManifestAt(path)
 	if err != nil {
 		return nil, err
 	}
-	cf := new(CacheFile)
-	if err := cf.UnmarshalBinary(b); err != nil {
-		m.quarantine(path, "cachefile")
-		return nil, fmt.Errorf("%w: %s: %v", errQuarantined, path, err)
-	}
-	if m.deepVerify {
-		if rep := cf.VerifyDeep(); !rep.OK() {
-			m.countVerifyRejects(rep)
-			m.quarantine(path, "verify")
-			return nil, fmt.Errorf("%w: %s: %v", errQuarantined, path, rep.Err())
-		}
-	}
-	return cf, nil
+	return m.readVerifiedTraces(path, man, nil)
 }
 
 // quarantine moves a corrupt file into QuarantineDir (never overwriting an
@@ -133,10 +119,10 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 	rep.FilesQuarantined += srep.Quarantined
 	rep.TmpFilesRemoved += srep.TmpRemoved
 
-	// Verify every cache file, either format. Recovery exists because the
-	// database is suspect, so a surviving file also has to pass the deep
-	// trace verifier to stay live.
-	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pc[cm]"))
+	// Verify every manifest. Recovery exists because the database is
+	// suspect, so a surviving entry also has to pass the deep trace verifier
+	// to stay live.
+	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pcm"))
 	if err != nil {
 		return nil, err
 	}
@@ -155,27 +141,27 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 	return rep, nil
 }
 
-// loadOrQuarantine reads, decodes and deep-verifies the cache file at path,
-// either format, judging with local state only: a manifest whose blobs the
-// local store does not all hold is not trustworthy. A file that fails is
-// quarantined and nil returned. Repair and migration judge every file this
-// way.
+// loadOrQuarantine reads, decodes and deep-verifies the manifest at path,
+// judging with local state only: a manifest whose blobs the local store
+// does not all hold is not trustworthy. A file that fails is quarantined
+// and nil returned. Repair judges every entry this way.
 func (m *Manager) loadOrQuarantine(path string) *CacheFile {
 	b, err := m.fs.ReadFile(path)
-	kind := "cachefile"
-	cf := new(CacheFile)
-	if strings.HasSuffix(path, ".pcm") {
-		kind = "manifest"
-		var man *store.Manifest
-		if err == nil {
-			man, err = store.DecodeManifest(b)
-		}
-		if err == nil {
-			cf, err = m.MaterializeManifest(man)
-		}
-	} else if err == nil {
-		err = cf.UnmarshalBinary(b)
+	var man *store.Manifest
+	if err == nil {
+		man, err = store.DecodeManifest(b)
 	}
+	var cf *CacheFile
+	if err == nil {
+		cf, err = m.MaterializeManifest(man)
+	}
+	return m.verifiedOrQuarantine(path, "manifest", cf, err)
+}
+
+// verifiedOrQuarantine is cf, read from path, when err is nil and every
+// trace in cf passes the deep verifier. Otherwise the file is quarantined
+// under kind (or "verify", when the verifier rejected it) and nil returned.
+func (m *Manager) verifiedOrQuarantine(path, kind string, cf *CacheFile, err error) *CacheFile {
 	if err != nil {
 		m.quarantine(path, kind)
 		return nil
@@ -196,9 +182,9 @@ func (m *Manager) fileSize(path string) uint64 {
 	return 0
 }
 
-// ReadPrior loads the database cache file named file, in either format, as
-// a prior: a missing file is nil, and a corrupt one is quarantined and nil
-// too, not an error. The chaos experiment reads every entry a crashed
+// ReadPrior loads the database entry named file, a manifest, as a prior: a
+// missing file is nil, and a corrupt one is quarantined and nil too, not an
+// error. The chaos experiment reads every entry a crashed
 // database lists through it.
 func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
 	cf, err := m.readVerified(filepath.Join(m.dir, file))

@@ -21,9 +21,9 @@ import (
 // The CacheFile remains the in-memory interchange format everywhere
 // (prime, merge, publish); the store format is purely an on-disk/wire
 // representation, converted to and from losslessly. It is the only format
-// any commit writes. Legacy `.pcc` images written by earlier versions are
-// still read: lookup falls back to one when an entry has no manifest, and
-// the commit that rewrites such an entry as a manifest retires its image.
+// the database holds: a legacy `.pcc` image written by earlier versions is
+// invisible to every path but MigrateToStore, which converts it, so until
+// it runs the entry is a miss and its launch runs cold.
 
 // WithStore selects nothing; it stays for callers that still pass it.
 //
@@ -209,16 +209,6 @@ func materializeManifest(man *store.Manifest, st *store.Store, keep []bool) (*Ca
 	cf.recomputePools()
 	cf.EncodedBytes = man.EncodedBytes
 	return cf, nil
-}
-
-// readVerifiedManifest is readVerified for the store format: decode the
-// manifest, then read and verify every trace it references.
-func (m *Manager) readVerifiedManifest(path string) (*CacheFile, error) {
-	man, err := m.decodeManifestAt(path)
-	if err != nil {
-		return nil, err
-	}
-	return m.readVerifiedTraces(path, man, nil)
 }
 
 // decodeManifestAt reads and decodes the manifest at path. Read errors pass
@@ -455,18 +445,9 @@ func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.Pu
 	return putRep.AddedBytes + uint64(len(enc)), putRep, nil
 }
 
-// altCachePath returns the same entry's file name in the other format.
-func altCachePath(path string) string {
-	if strings.HasSuffix(path, ".pcm") {
-		return strings.TrimSuffix(path, ".pcm") + ".pcc"
-	}
-	return strings.TrimSuffix(path, ".pcc") + ".pcm"
-}
-
 // FileStem strips the format extension, leaving the key-set lookup hash —
-// the identity both formats share. The cache server keys its in-memory
-// index by stem so a publish that switches an entry's format still lands
-// on the same entry.
+// the identity an entry's manifest and its legacy image share. The cache
+// server keys its in-memory index by stem.
 func FileStem(file string) string {
 	return strings.TrimSuffix(strings.TrimSuffix(file, ".pcc"), ".pcm")
 }
@@ -483,10 +464,13 @@ type MigrateReport struct {
 }
 
 // MigrateToStore converts every legacy cache file in the database to the
-// manifest+blob format in place. Files that fail decoding or the deep
-// trace verifier are quarantined — migration refuses to launder corrupt
-// state into the new format. A recovery pass runs afterwards, so the
-// database ends exactly as one would leave it.
+// manifest+blob format in place; it is the one reader of a legacy image.
+// Files that fail decoding or the deep trace verifier are quarantined —
+// migration refuses to launder corrupt state into the new format. An entry
+// a launch has committed a manifest for since its image was written keeps
+// that manifest, which is authoritative for the layout, with the image
+// merged into it as the prior (MergeCacheFiles). A recovery pass runs
+// afterwards, so the database ends exactly as one would leave it.
 func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -506,12 +490,19 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 		size := m.fileSize(f)
 		// The deep verifier gates migration unconditionally: a semantically
 		// broken file must not survive the format change.
-		cf := m.loadOrQuarantine(f)
-		if cf == nil {
+		cf, err := ReadCacheFileFS(m.fs, f)
+		if cf = m.verifiedOrQuarantine(f, "cachefile", cf, err); cf == nil {
 			rep.Quarantined++
 			continue
 		}
-		manPath := altCachePath(f)
+		manPath := strings.TrimSuffix(f, ".pcc") + ".pcm"
+		if newer, err := m.readVerified(manPath); err == nil {
+			if cf, _, err = MergeCacheFiles(newer, cf, m.relocatable); err != nil {
+				return rep, err
+			}
+		} else if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errQuarantined) {
+			return rep, err
+		}
 		written, putRep, err := m.writeStoreFormat(cf, manPath)
 		if err != nil {
 			return rep, err
@@ -644,25 +635,15 @@ func (m *Manager) StoreStats() (*StoreDBStats, error) {
 	return out, nil
 }
 
-// FileImage returns a database entry's file verbatim — a legacy entry's
-// serialized image or a store-format entry's manifest — or ErrNoCache when
-// it is missing: the cache server's serving path. Nothing is materialized
-// or re-encoded; the client verifies what it receives.
-func (m *Manager) FileImage(file string) ([]byte, error) {
+// ManifestBytes returns a database entry's manifest verbatim, or ErrNoCache
+// when it is missing: the cache server's serving path. Nothing is
+// materialized or re-encoded; the client verifies what it receives.
+func (m *Manager) ManifestBytes(file string) ([]byte, error) {
 	b, err := m.fs.ReadFile(filepath.Join(m.dir, file))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCache
 	}
 	return b, err
-}
-
-// ManifestBytes returns the raw encoded manifest for a store-format
-// entry, or ErrNoCache when the entry is legacy or missing.
-func (m *Manager) ManifestBytes(file string) ([]byte, error) {
-	if !strings.HasSuffix(file, ".pcm") {
-		return nil, ErrNoCache
-	}
-	return m.FileImage(file)
 }
 
 // CacheFileNameFor returns the database file name a commit for ks writes:

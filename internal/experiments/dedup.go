@@ -23,7 +23,7 @@ import (
 // machine. Dedup measures both against the paper's one-file-per-app layout
 // on the GUI suite: each app's entry as one self-contained image, its
 // CacheFile encoding, which is the legacy .pcc file and what a daemon
-// serving such a database sends for it.
+// serving such a database used to send for it.
 
 // dedupMinSaved is the acceptance bar: the store arm must shrink the
 // database by at least this fraction versus legacy, or the experiment

@@ -332,8 +332,8 @@ func Fleet() (*Report, error) {
 	// Gate 2: zero lost writes under the single-shard kill. Every
 	// application that any client committed must still be fetchable from
 	// the fleet — including the ones whose primary owner is the dead s0 —
-	// as exactly one entry that decodes: an image re-verifies its
-	// integrity trailer, so a truncated or corrupt replica counts as lost.
+	// as exactly one manifest that decodes: it re-verifies its integrity
+	// trailer, so a truncated or corrupt replica counts as lost.
 	lost := 0
 	for i := range progs {
 		if !committed[i] {
@@ -343,10 +343,8 @@ func Fleet() (*Report, error) {
 		if err == nil && len(items) != 1 {
 			err = fmt.Errorf("%d entries for one key", len(items))
 		}
-		if err == nil && items[0].Kind == cacheserver.ItemKindManifest {
+		if err == nil {
 			_, err = store.DecodeManifest(items[0].Data)
-		} else if err == nil {
-			err = new(core.CacheFile).UnmarshalBinary(items[0].Data)
 		}
 		if err != nil {
 			lost++

@@ -128,12 +128,13 @@ func TestOptimizerInstallPath(t *testing.T) {
 	}
 }
 
-// TestOptimizedTracesPersistAndReload covers the warm path in both on-disk
-// formats: a cold optimized run commits (or, for the legacy format, its
-// traces are written as an image), a warm run primes pre-optimized traces
-// (no re-optimization), and behavior matches the unoptimized run.
+// TestOptimizedTracesPersistAndReload covers the warm path from both ways
+// an entry is written: a cold optimized run commits (or its traces are
+// written as a legacy image, which is then migrated), a warm run primes
+// pre-optimized traces (no re-optimization), and behavior matches the
+// unoptimized run.
 func TestOptimizedTracesPersistAndReload(t *testing.T) {
-	for _, format := range []string{"legacy", "store"} {
+	for _, format := range []string{"migrated", "store"} {
 		t.Run(format, func(t *testing.T) {
 			w := testutil.BuildWorld(t, "app", redundantSrc, nil)
 			mgr := testutil.NewMgr(t)
@@ -142,7 +143,7 @@ func TestOptimizedTracesPersistAndReload(t *testing.T) {
 			}
 			o := testutil.RunOpts{Input: []uint64{5, 3}, Options: optOpts()}
 			var cold *vm.Result
-			if format == "legacy" {
+			if format == "migrated" {
 				v := w.NewVM(t, o)
 				var err error
 				if cold, err = v.Run(); err != nil {
@@ -150,6 +151,9 @@ func TestOptimizedTracesPersistAndReload(t *testing.T) {
 				}
 				cf, _ := core.BuildCacheFile(v)
 				testutil.WriteLegacy(t, mgr.Dir(), cf)
+				if _, err := mgr.MigrateToStore(); err != nil {
+					t.Fatal(err)
+				}
 			} else {
 				o.Commit = true
 				cold = w.Run(t, mgr, o)

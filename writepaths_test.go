@@ -81,7 +81,7 @@ func TestNoWritePathCreatesLegacyFile(t *testing.T) {
 
 	noLegacyWrite(t, "cold-commit", dirs, coldCommit(mgr, "compat-n", 33))
 	noLegacyWrite(t, "accumulate", dirs, coldCommit(mgr, "compat-n", 33))
-	noLegacyWrite(t, "accumulate-over-legacy", dirs, coldCommit(mgr, "compat-l", 31))
+	noLegacyWrite(t, "commit-beside-legacy", dirs, coldCommit(mgr, "compat-l", 31))
 	noLegacyWrite(t, "inter-app-commit", dirs, func(t *testing.T) error {
 		v := compatVM(t, "compat-o", 34, compatLib)
 		if _, err := mgr.PrimeInterApp(v); err != nil {
@@ -127,7 +127,7 @@ func TestNoWritePathCreatesLegacyFile(t *testing.T) {
 
 	noLegacyWrite(t, "daemon-publish-merge", dirs, coldCommit(f, "compat-l", 31))
 	noLegacyWrite(t, "fallback-commit-after-fleet-prime", dirs, func(t *testing.T) error {
-		v := compatVM(t, "compat-m", 32, compatLib)
+		v := compatVM(t, "compat-l", 31, compatLib) // the daemon serves the manifest its publish wrote
 		rep, err := f.Prime(v)
 		if err != nil || rep.Installed == 0 {
 			return errors.Join(err, errors.New("fleet prime installed nothing"))

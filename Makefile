@@ -9,7 +9,7 @@ GO ?= go
 
 # The CI smoke set: fast, fully deterministic experiments whose *_ticks
 # metrics are gated against bench_baseline.json by pcc-benchdiff.
-BENCH_SMOKE = fig2b,fig5a,tracelog,pipeline,dedup,fleet,optimize
+BENCH_SMOKE = fig2b,fig5a,tracelog,dedup,fleet,optimize
 MAX_REGRESS = 0.25
 
 # Per-target budget for the CI fuzz smoke; long exploratory runs are a
@@ -53,20 +53,21 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Focused race pass over the packages with real concurrency: the VM's
-# async translation pipeline, the manager's concurrent commit/remove paths,
-# and the cache server with its fleet client (whose hedged reads race a
-# replica against the primary). Much faster than test-race, so it runs as its own
-# CI job on every push. The shared-store tests — goroutines, then real
+# Focused race pass over the packages with real concurrency: the manager's
+# concurrent commit/remove paths, the store, and the cache server with its
+# fleet client (whose hedged reads race a replica against the primary), with
+# the VM's tests riding along. Much faster than test-race, so it runs as its
+# own CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer, readers of
 # one store's pack and loose-file index while a peer publishes and the store
 # compacts, and a commit into an entry a peer grew after the launch primed
 # from it — run twenty times over: a lost race or a lost update there is an
-# intermittent failure, not a steady one. So do the pack reads that inflate
-# beside their decode: two primes of one cold pack at once, every way a
-# stream can fail while its reader (and a second stream) runs, and Run's
-# store opening beside a load that fails.
+# intermittent failure, not a steady one. So do launches committing into one
+# Manager while RecoverIndex loops over its database, and the pack reads
+# that inflate beside their decode: two primes of one cold pack at once,
+# every way a stream can fail while its reader (and a second stream) runs,
+# and Run's store opening beside a load that fails.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -74,7 +75,7 @@ test-race:
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad' . ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
 	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent

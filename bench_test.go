@@ -522,8 +522,6 @@ func BenchmarkSpecInstrumented(b *testing.B) { benchExperiment(b, "spec-instr") 
 
 func BenchmarkShellTools(b *testing.B) { benchExperiment(b, "shelltools") }
 
-func BenchmarkPipelineWarmup(b *testing.B) { benchExperiment(b, "pipeline") }
-
 func BenchmarkDedup(b *testing.B) { benchExperiment(b, "dedup") }
 
 func BenchmarkFleetWarmup(b *testing.B) { benchExperiment(b, "fleet") }

@@ -6,7 +6,7 @@
 //	pcc-fuzz -execs 500                       # fuzz, the four default oracles
 //	pcc-fuzz -seed 7 -corpus fuzz-corpus/     # persistent corpus
 //	pcc-fuzz -oracles interp-vs-trans,cold-vs-warm
-//	pcc-fuzz -oracles fleet-warmed,pipelined-vs-warm-disk   # any execution mode / pair
+//	pcc-fuzz -oracles fleet-warmed,store-warmed-vs-warm-disk   # any execution mode / pair
 //	pcc-fuzz -plant miscompile -execs 40      # known-bug rediscovery check
 //	pcc-fuzz -list-plants
 //

@@ -55,8 +55,7 @@ func main() {
 	trace := flag.Uint64("trace", 0, "log the first N executed instructions to stderr")
 	jsonOut := flag.Bool("json", false, "print machine-readable run statistics to stderr")
 	smc := flag.Bool("smc", false, "detect self-modifying code (flush the cache on writes to translated pages)")
-	pipelineWorkers := flag.Int("pipeline-workers", 0, "asynchronous translation pipeline with N decode workers (0 = synchronous)")
-	prefetch := flag.Bool("prefetch", false, "bulk-install all index-matching persistent traces at startup and speculate their successors (implies the pipeline; needs -persist)")
+	prefetch := flag.Bool("prefetch", false, "prime from the fleet in one bulk round trip: the exact entry plus, with -interapp, every inter-application candidate (needs -cache-server or -fleet-config)")
 	metricsOut := flag.String("metrics-out", "", "write the run's full metrics registry snapshot (JSON) to this file on exit")
 	eventsOut := flag.String("events-out", "", "write the run's translate/install/prime/commit event timeline (NDJSON) to this file on exit")
 	recordTo := flag.String("record", "", "record the run's nondeterministic inputs and final state to this replay log")
@@ -196,27 +195,14 @@ func main() {
 		events = tracelog.NewLog(0)
 		opts = append(opts, vm.WithEventLog(events))
 	}
-	var pipe *vm.Pipeline
-	if *pipelineWorkers > 0 || *prefetch {
-		if *prefetch && *persistDir == "" {
-			fatal(fmt.Errorf("-prefetch needs -persist"))
-		}
-		workers := *pipelineWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		var popts []vm.PipelineOption
-		if *prefetch {
-			popts = append(popts, vm.PipelinePrefetch())
-		}
-		pipe = vm.NewPipeline(workers, popts...)
-		opts = append(opts, vm.WithPipeline(pipe))
-	}
 	v := vm.New(proc, opts...)
 
 	var mgr cacheserver.Manager
 	if (*cacheServer != "" || *fleetConfig != "") && *persistDir == "" {
 		fatal(fmt.Errorf("-cache-server/-fleet-config needs -persist for the local fallback database"))
+	}
+	if *prefetch && *cacheServer == "" && *fleetConfig == "" {
+		fatal(fmt.Errorf("-prefetch needs -cache-server or -fleet-config"))
 	}
 	if *cacheServer != "" && *fleetConfig != "" {
 		fatal(fmt.Errorf("-cache-server and -fleet-config are mutually exclusive"))
@@ -252,11 +238,8 @@ func main() {
 			fb = cacheserver.NewFallback(fc, local)
 			mgr = fb
 		}
-		if pipe != nil {
-			pipe.SetCommit(local.BatchCommitter(v))
-		}
 		var rep *core.PrimeReport
-		if fb != nil && *prefetch {
+		if *prefetch {
 			rep, err = fb.PrimeStoreBulk(v, *interApp)
 		} else {
 			rep, err = mgr.Prime(v)
@@ -313,12 +296,6 @@ func main() {
 		v.ChargePersist(crep.Ticks) // keep the registry's tick view consistent
 		fmt.Fprintf(os.Stderr, "pcc-run: committed %d traces (%d new) to %s\n",
 			crep.Traces, crep.NewTraces, crep.File)
-	}
-	if pipe != nil {
-		st := &res.Stats
-		fmt.Fprintf(os.Stderr, "pcc-run: pipeline: %d speculated (%d adopted, %d wasted, %d dropped), %d prefetched, %d batch commits (%d traces, %d errors)\n",
-			st.SpecEnqueued, st.SpecTranslated, st.SpecWasted, st.SpecDropped,
-			st.PrefetchInstalls, st.BatchCommits, st.BatchTraces, st.BatchErrors)
 	}
 	if cov, ok := tool.(*instr.CodeCov); ok {
 		fmt.Fprintf(os.Stderr, "pcc-run: codecov: %d static instructions covered\n", cov.Count())

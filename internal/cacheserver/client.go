@@ -649,10 +649,9 @@ func (f *Fallback) Prime(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v
 // PrimeInterApp implements Manager.
 func (f *Fallback) PrimeInterApp(v *vm.VM) (*core.PrimeReport, error) { return f.prime(v, true, false) }
 
-// PrimeStoreBulk is the prefetch-mode warm path: every entry the key
-// request covers (the exact entry plus, with interApp, every
-// inter-application candidate) is installed, so the pipeline's bulk
-// installer sees the whole index-matching trace set at load time.
+// PrimeStoreBulk is the prefetch-mode prime: one key request asks for
+// every entry it covers (the exact entry plus, with interApp, every
+// inter-application candidate), and all of them are installed together.
 func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, error) {
 	return f.prime(v, interApp, true)
 }

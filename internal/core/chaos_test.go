@@ -221,7 +221,7 @@ func assertCrashInvariants(t *testing.T, dir string, env *chaosEnv, remote *chao
 		t.Fatalf("migration after the crash failed: %v", err)
 	}
 	if n := quarantinedCount(mgr); mrep.Quarantined != 0 || n != 0 {
-		t.Errorf("migration after the crash quarantined %d legacy and %d files in all: a crash published torn content", mrep.Quarantined, n)
+		t.Errorf("migration after the crash quarantined %d files (%d by the counters): a crash published torn content", mrep.Quarantined, n)
 	}
 	cfA, err := mgr.Lookup(env.ksA)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -142,5 +143,151 @@ func checkAccumulated(t *testing.T, w *testutil.World, mgr *core.Manager, vms []
 	}
 	if _, err := v.Run(); err != nil {
 		t.Fatalf("run on accumulated cache: %v", err)
+	}
+}
+
+// primeRunCommit is one launch against mgr: prime (an empty database is a
+// cold start), run, commit.
+func primeRunCommit(w *testutil.World, mgr *core.Manager, input uint64) (*vm.Result, error) {
+	p, err := testprog.Load(w.Exe, w.Libs, loader.Config{})
+	if err != nil {
+		return nil, err
+	}
+	v := vm.New(p, vm.WithInput([]uint64{input}))
+	if _, err := mgr.Prime(v); err != nil && !errors.Is(err, core.ErrNoCache) {
+		return nil, err
+	}
+	res, err := v.Run()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mgr.Commit(v); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// TestCommitsRaceRecoverIndex launches four VMs that prime from, run and
+// commit into one shared Manager while RecoverIndex loops over the same
+// database and independent Managers over its directory prime fresh VMs.
+// No launch may diverge from its cold reference, and the database must end
+// with one intact, warm-servable entry.
+func TestCommitsRaceRecoverIndex(t *testing.T) {
+	w := testutil.BuildWorld(t, "recoverrace", mainSrc, map[string]string{"libwork.so": libWork})
+	dir := testutil.TempDB(t)
+	mgr, err := core.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Seed one entry, so the launches prime as well as commit, and record
+	// cold reference results for every input the racers will run.
+	inputs := []uint64{40, 41, 47, 53}
+	refs := make(map[uint64]*vm.Result)
+	for _, in := range inputs {
+		p, err := testprog.Load(w.Exe, w.Libs, loader.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := vm.New(p, vm.WithInput([]uint64{in}))
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[in] = res
+		if in == inputs[0] {
+			if _, err := mgr.Commit(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	runErrs := make([]error, len(inputs))
+	results := make([]*vm.Result, len(inputs))
+	for i, in := range inputs {
+		wg.Add(1)
+		go func(i int, in uint64) {
+			defer wg.Done()
+			results[i], runErrs[i] = primeRunCommit(w, mgr, in)
+		}(i, in)
+	}
+	recoverErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := mgr.RecoverIndex(); err != nil {
+				recoverErr <- err
+				return
+			}
+		}
+	}()
+	// Independent managers: the multi-process reader shape.
+	readerErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			m2, err := core.NewManager(dir)
+			if err != nil {
+				readerErr <- err
+				return
+			}
+			p, err := testprog.Load(w.Exe, w.Libs, loader.Config{})
+			if err != nil {
+				readerErr <- err
+				return
+			}
+			v := vm.New(p, vm.WithInput([]uint64{uint64(i)}))
+			if _, err := m2.Prime(v); err != nil && !errors.Is(err, core.ErrNoCache) {
+				readerErr <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case err := <-recoverErr:
+		t.Fatalf("concurrent RecoverIndex: %v", err)
+	case err := <-readerErr:
+		t.Fatalf("concurrent reader manager: %v", err)
+	default:
+	}
+	for i, in := range inputs {
+		if runErrs[i] != nil {
+			t.Fatalf("launch with input %d: %v", in, runErrs[i])
+		}
+		res, ref := results[i], refs[in]
+		if res.ExitCode != ref.ExitCode || res.Stats.InstsExecuted != ref.Stats.InstsExecuted {
+			t.Errorf("input %d diverged under race: exit %d/%d insts %d/%d",
+				in, res.ExitCode, ref.ExitCode, res.Stats.InstsExecuted, ref.Stats.InstsExecuted)
+		}
+	}
+
+	entries, err := mgr.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("got %d index entries, want 1", len(entries))
+	}
+	if _, err := readEntry(mgr, entries[0].File); err != nil {
+		t.Errorf("entry %s unverifiable after race: %v", entries[0].File, err)
+	}
+	p, err := testprog.Load(w.Exe, w.Libs, loader.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vm.New(p, vm.WithInput([]uint64{inputs[0]}))
+	rep, err := mgr.Prime(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Installed == 0 {
+		t.Fatal("database not warm-servable after concurrent launches")
+	}
+	if _, err := v.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

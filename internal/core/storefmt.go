@@ -456,7 +456,7 @@ func FileStem(file string) string {
 type MigrateReport struct {
 	Scanned     int    `json:"scanned"`      // legacy cache files examined
 	Migrated    int    `json:"migrated"`     // converted to manifest+blobs
-	Quarantined int    `json:"quarantined"`  // failed decode or deep verification
+	Quarantined int    `json:"quarantined"`  // images, manifests and packs that failed decode or verification
 	BlobsAdded  int    `json:"blobs_added"`  // new blobs written to the store
 	BlobsShared int    `json:"blobs_shared"` // blob writes elided by dedup
 	BytesBefore uint64 `json:"bytes_before"` // legacy bytes of migrated files
@@ -496,11 +496,15 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 			continue
 		}
 		manPath := strings.TrimSuffix(f, ".pcc") + ".pcm"
-		if newer, err := m.readVerified(manPath); err == nil {
+		newer, err := m.readVerified(manPath)
+		switch {
+		case err == nil:
 			if cf, _, err = MergeCacheFiles(newer, cf, m.relocatable); err != nil {
 				return rep, err
 			}
-		} else if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errQuarantined) {
+		case errors.Is(err, errQuarantined):
+			rep.Quarantined++
+		case !errors.Is(err, fs.ErrNotExist):
 			return rep, err
 		}
 		written, putRep, err := m.writeStoreFormat(cf, manPath)
@@ -518,9 +522,11 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	}
 	// Recover what survived; this also deep-verifies the migrated entries
 	// end to end through the manifest path.
-	if _, err := m.recoverLocked(); err != nil {
+	rrep, err := m.recoverLocked()
+	if err != nil {
 		return rep, err
 	}
+	rep.Quarantined += rrep.FilesQuarantined
 	return rep, nil
 }
 

@@ -73,9 +73,8 @@ func TestDiffNamesExactlyTheDifferingField(t *testing.T) {
 // held to — the equivalence suite's grouping, as data.
 func TestPairLevel(t *testing.T) {
 	want := map[string]Level{
-		"interpreted": Arch, "cold-translated": Translated, "cold-pipelined": Translated,
-		"warm-disk": Cache, "store-warmed": Cache, "fleet-warmed": Cache,
-		"pipelined": Cache, "recorded-replayed": Cache,
+		"interpreted": Arch, "cold-translated": Translated,
+		"warm-disk": Cache, "store-warmed": Cache, "fleet-warmed": Cache, "recorded-replayed": Cache,
 		"optimized-cold": Translated, "optimized-warm": Translated,
 	}
 	if len(Modes) != len(want) {

@@ -38,11 +38,6 @@ var Modes = []Mode{
 		}
 		return e.exec(mode, p)
 	}},
-	// Cold, pipelined — nothing primed, so every miss goes through the
-	// speculative decode/adopt path, and batched commits land in a
-	// throwaway database. This is the mode that catches a speculative
-	// install corrupting execution order.
-	{"cold-pipelined", Translated, false, pipelined(false)},
 	// Warm from disk, synchronous dispatch — the cache-level reference.
 	{"warm-disk", Cache, false, warmFrom(db{name: "disk"})},
 	// Warm from the content-addressed store — the source run's entry is
@@ -69,10 +64,6 @@ var Modes = []Mode{
 		e.stop = append(e.stop, func() { fl.Close() })
 		return e.remote(mode, fl, filepath.Join(e.Dir, "shard0"), filepath.Join(e.Dir, "shard1"))
 	}},
-	// Pipelined — prefetch bulk install, speculative workers, batched
-	// commits, against a database seeded like the one warm-disk primes from
-	// (its own: what it commits must not warm the modes that run after it).
-	{"pipelined", Cache, false, pipelined(true)},
 	// Recorded-replayed — a warm run is recorded through the VM boundary,
 	// then re-executed from its log: every boundary value pinned, final
 	// state verified bit-exactly by the replayer itself, and the replayed
@@ -260,32 +251,6 @@ func warmFrom(d db) func(e *Env, mode string) (*Snapshot, error) {
 			return nil, err
 		}
 		return e.exec(mode, plan{seed: e.Case.Seed, from: mgr, opts: d.vmOpts()})
-	}
-}
-
-// pipelined runs under a four-worker speculative pipeline: a warm one primes
-// from a seeded database with bulk prefetch and batch-commits back into it,
-// a cold one batch-commits into a throwaway database.
-func pipelined(warm bool) func(e *Env, mode string) (*Snapshot, error) {
-	return func(e *Env, mode string) (*Snapshot, error) {
-		p := plan{seed: e.Case.Seed}
-		var popts []vm.PipelineOption
-		var mgr *core.Manager
-		var err error
-		if warm {
-			mgr, err = e.warmDB(db{name: mode})
-			p.from, popts = mgr, []vm.PipelineOption{vm.PipelinePrefetch()}
-		} else {
-			mgr, err = core.NewManager(filepath.Join(e.Dir, mode))
-		}
-		if err != nil {
-			return nil, err
-		}
-		pipe := vm.NewPipeline(4, popts...)
-		defer pipe.Shutdown()
-		p.opts = []vm.Option{vm.WithPipeline(pipe)}
-		p.prep = func(v *vm.VM) error { pipe.SetCommit(mgr.BatchCommitter(v)); return nil }
-		return e.exec(mode, p)
 	}
 }
 

@@ -23,8 +23,7 @@ const (
 	// translation, regardless of cache warmth.
 	Translated
 	// Cache: + the cache-behaviour counters — modes at equal warmth must
-	// match the synchronous warm dispatcher event for event, so a
-	// speculative install that perturbed execution order fails here.
+	// match the warm dispatcher event for event.
 	Cache
 )
 

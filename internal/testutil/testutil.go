@@ -90,7 +90,7 @@ type RunOpts struct {
 	InterApp  bool
 	Commit    bool
 	WantPrime *core.PrimeReport // filled in when prime succeeded
-	Options   []vm.Option       // extra VM options (pipeline, metrics, ...)
+	Options   []vm.Option       // extra VM options (metrics, event log, ...)
 }
 
 // NewVM loads the world and builds a VM from the options.

@@ -32,13 +32,6 @@ type vmMetrics struct {
 	// the run wrote and so gave memory of their own (internal/mem).
 	mappedPages   *metrics.Gauge
 	residentPages *metrics.Gauge
-
-	// Asynchronous translation pipeline (zero without WithPipeline).
-	pipeSpec     *metrics.CounterVec // outcome=enqueued|translated|wasted|dropped
-	pipeTicks    *metrics.CounterVec // kind=stall|install|offload|wasted
-	pipeBatch    *metrics.CounterVec // event=commit|trace|error
-	pipePrefetch *metrics.Counter
-	pipeQueue    *metrics.Gauge
 }
 
 func newVMMetrics(r *metrics.Registry) *vmMetrics {
@@ -59,12 +52,6 @@ func newVMMetrics(r *metrics.Registry) *vmMetrics {
 
 		mappedPages:   r.Gauge("pcc_vm_mapped_pages", "guest pages covered by a mapping"),
 		residentPages: r.Gauge("pcc_vm_resident_pages", "guest pages written at least once (demand-zero pages holding memory)"),
-
-		pipeSpec:     r.CounterVec("pcc_vm_pipeline_spec_total", "speculative translation jobs by outcome", "outcome"),
-		pipeTicks:    r.CounterVec("pcc_vm_pipeline_ticks_total", "pipeline virtual ticks by kind (offload/wasted are modeled worker time, not run time)", "kind"),
-		pipeBatch:    r.CounterVec("pcc_vm_pipeline_batch_total", "batched persistent-cache commits", "event"),
-		pipePrefetch: r.Counter("pcc_vm_pipeline_prefetch_installs_total", "persistent traces bulk-installed at load time"),
-		pipeQueue:    r.Gauge("pcc_vm_pipeline_queue_depth", "peak in-flight speculative jobs"),
 	}
 }
 
@@ -107,19 +94,6 @@ func (v *VM) syncMetrics() {
 	m.optRemoved.Set(s.OptInstsRemoved)
 	m.mappedPages.Set(float64(v.as.MappedPages()))
 	m.residentPages.Set(float64(v.as.Resident()))
-	m.pipeSpec.With("enqueued").Set(s.SpecEnqueued)
-	m.pipeSpec.With("translated").Set(s.SpecTranslated)
-	m.pipeSpec.With("wasted").Set(s.SpecWasted)
-	m.pipeSpec.With("dropped").Set(s.SpecDropped)
-	m.pipeTicks.With("stall").Set(s.SpecStallTicks)
-	m.pipeTicks.With("install").Set(s.SpecInstallTicks)
-	m.pipeTicks.With("offload").Set(s.SpecOffloadTicks)
-	m.pipeTicks.With("wasted").Set(s.SpecWastedTicks)
-	m.pipeBatch.With("commit").Set(s.BatchCommits)
-	m.pipeBatch.With("trace").Set(s.BatchTraces)
-	m.pipeBatch.With("error").Set(s.BatchErrors)
-	m.pipePrefetch.Set(s.PrefetchInstalls)
-	m.pipeQueue.Set(float64(s.PipelineMaxQueue))
 	for num, n := range s.Syscalls {
 		m.syscalls.With(fmt.Sprintf("%d", num)).Set(n)
 	}

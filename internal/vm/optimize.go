@@ -63,9 +63,7 @@ func WithOptimizer(o Optimizer) Option { return func(v *VM) { v.opt = o } }
 func (v *VM) AttachedOptimizer() Optimizer { return v.opt }
 
 // optimizeTrace runs the attached optimizer over a freshly decoded trace
-// and folds the outcome into the run's accounting. Called by prepareTrace
-// on the dispatch thread for both synchronous translation and pipeline
-// adoption, so optimization behavior is identical in every mode.
+// and folds the outcome into the run's accounting. Called by prepareTrace.
 func (v *VM) optimizeTrace(t *Trace) {
 	out := v.opt.Optimize(t)
 	switch {

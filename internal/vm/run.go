@@ -391,9 +391,6 @@ func (v *VM) Run() (*Result, error) {
 	if err := v.start(); err != nil {
 		return nil, err
 	}
-	if v.pipe != nil {
-		v.pipe.begin(v)
-	}
 	var cur *Trace
 	for !v.halted {
 		if cur == nil {
@@ -405,7 +402,7 @@ func (v *VM) Run() (*Result, error) {
 			t, ok := v.cache.Lookup(v.pc)
 			if !ok {
 				var err error
-				t, err = v.translateOrAdopt(v.pc)
+				t, err = v.translate(v.pc)
 				if err != nil {
 					return nil, err
 				}
@@ -723,7 +720,7 @@ func (v *VM) directTransfer(t *Trace, slot int, target uint32) (*Trace, error) {
 	next, ok := v.cache.Lookup(target)
 	if !ok {
 		var err error
-		next, err = v.translateOrAdopt(target)
+		next, err = v.translate(target)
 		if err != nil {
 			return nil, err
 		}
@@ -752,24 +749,7 @@ func (v *VM) indirectTransfer(target uint32) (*Trace, error) {
 	v.clock += v.cost.Dispatch
 	v.stats.DispatchTicks += v.cost.Dispatch
 	v.stats.Dispatches++
-	next, err := v.translateOrAdopt(target)
-	if err != nil {
-		return nil, err
-	}
-	return next, nil
-}
-
-// translateOrAdopt resolves a translation-map miss: through the attached
-// pipeline when one exists (adopting a speculatively decoded trace or
-// translating synchronously, then seeding successor speculation), plain
-// synchronous translation otherwise.
-//
-//pcc:hotpath
-func (v *VM) translateOrAdopt(pc uint32) (*Trace, error) {
-	if v.pipe == nil {
-		return v.translate(pc)
-	}
-	return v.pipe.resolveMiss(v, pc)
+	return v.translate(target)
 }
 
 // execOps runs the analysis ops scheduled at position pos, starting at

@@ -465,10 +465,8 @@ func (v *VM) translate(pc uint32) (*Trace, error) {
 }
 
 // prepareTrace derives everything a decoded trace needs before install:
-// static exits, relocation notes, and tool instrumentation.
-// Shared by synchronous translation and pipeline adoption; instrumentation
-// must run here — on the dispatch thread, in dispatch order — because tools
-// may be stateful.
+// static exits, relocation notes, and tool instrumentation. Instrumentation
+// runs here, in translation order, because tools may be stateful.
 func (v *VM) prepareTrace(t *Trace) {
 	t.RecomputeStatic()
 

@@ -74,29 +74,10 @@ type Stats struct {
 	LinksPatched    uint64
 	Flushes         int
 
-	// Asynchronous-pipeline accounting (zero without WithPipeline). The
-	// Spec* tick fields partition where pipelined translation time went:
-	// stall (dispatch waited for a worker), install (adopting a decoded
-	// trace), offload (decode work moved off the dispatch thread), wasted
-	// (speculative decodes never adopted).
-	SpecEnqueued     uint64 // successor predictions handed to workers
-	SpecTranslated   uint64 // dispatch misses satisfied by adoption
-	SpecWasted       uint64 // speculative decodes discarded
-	SpecDropped      uint64 // predictions dropped at the queue bound
-	SpecStallTicks   uint64
-	SpecInstallTicks uint64
-	SpecOffloadTicks uint64
-	SpecWastedTicks  uint64
 	// Translation-time optimizer accounting (zero without WithOptimizer).
 	TracesOptimized uint64 // traces installed in optimized form
 	OptInstsRemoved uint64 // instructions the optimizer eliminated
 	OptRejects      uint64 // rewrites the equivalence checker refused
-
-	PrefetchInstalls uint64 // persistent traces bulk-installed at load time
-	BatchCommits     uint64 // batched-commit flushes
-	BatchTraces      uint64 // traces across all flushed batches
-	BatchErrors      uint64 // batch commits that failed (retried by the final commit)
-	PipelineMaxQueue int    // peak in-flight speculative jobs
 
 	Syscalls map[uint64]uint64
 	Timeline []TransEvent
@@ -166,8 +147,6 @@ type VM struct {
 	m        *vmMetrics
 	events   *tracelog.Log
 	boundary Boundary
-
-	pipe *Pipeline
 }
 
 // Option configures a VM.
@@ -205,10 +184,6 @@ func WithTimeline() Option { return func(v *VM) { v.recordTimeline = true } }
 // WithCoverage records the static code footprint (module-relative
 // addresses of every translated instruction).
 func WithCoverage() Option { return func(v *VM) { v.coverage = make(map[uint64]struct{}) } }
-
-// WithPipeline attaches an asynchronous translation pipeline. The pipeline
-// belongs to this VM for the duration of the run; see NewPipeline.
-func WithPipeline(p *Pipeline) Option { return func(v *VM) { v.pipe = p } }
 
 // WithPID sets the guest-visible process id.
 func WithPID(pid uint64) Option { return func(v *VM) { v.pid = pid } }
@@ -311,12 +286,6 @@ func (v *VM) recordCoverage(t *Trace) {
 //
 //pcc:hotpath
 func (v *VM) InstallPersisted(t *Trace) {
-	if v.pipe != nil && v.pipe.prefetch {
-		// Bulk prefetch: installs are spread across the pipeline's worker
-		// pool, so a burst costs its makespan instead of its sum.
-		v.pipe.prefetchInstall(v, t)
-		return
-	}
 	t.Persisted = true
 	if v.cache.WouldOverflow(t) {
 		v.cache.Flush()
@@ -357,9 +326,6 @@ func (v *VM) Stats() Stats {
 func (v *VM) Output() []byte { return v.out.Bytes() }
 
 func (v *VM) finish() (*Result, error) {
-	if v.pipe != nil {
-		v.pipe.drain(v)
-	}
 	v.stats.Ticks = v.clock
 	v.stats.Flushes = v.cache.flushes
 	v.syncMetrics()

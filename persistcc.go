@@ -180,16 +180,9 @@ type RunOptions struct {
 	// caches, so warm runs load pre-optimized code.
 	Optimize bool
 
-	// PipelineWorkers enables the asynchronous translation pipeline with
-	// that many background decode workers: translation-map misses adopt
-	// speculatively decoded traces instead of translating synchronously,
-	// and new translations are committed in batches. 0 keeps translation
-	// synchronous (unless Prefetch implies one worker).
-	PipelineWorkers int
-	// Prefetch bulk-installs every index-matching persistent trace at
-	// startup (instead of on first dispatch) and seeds successor
-	// speculation from their recorded exits. Implies the pipeline;
-	// requires Persist.
+	// Prefetch primes from the fleet in one bulk round trip: the exact
+	// entry plus, with InterApp, every inter-application candidate,
+	// installed together (Fallback.PrimeStoreBulk). Requires FleetConfig.
 	Prefetch bool
 
 	// Loader controls placement/ASLR; zero value = defaults.
@@ -256,8 +249,8 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 	if o.FleetConfig != nil && !o.Persist {
 		return nil, errors.New("persistcc: FleetConfig requires Persist")
 	}
-	if o.Prefetch && !o.Persist {
-		return nil, errors.New("persistcc: Prefetch requires Persist")
+	if o.Prefetch && o.FleetConfig == nil {
+		return nil, errors.New("persistcc: Prefetch requires FleetConfig")
 	}
 	// The manager comes first so that its store opens while the loader
 	// maps the process: the prime waits for the store (Manager.Store) only
@@ -326,22 +319,6 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 	if o.Optimize {
 		opts = append(opts, vm.WithOptimizer(guestopt.New(guestopt.All())))
 	}
-	var pipe *vm.Pipeline
-	if o.PipelineWorkers > 0 || o.Prefetch {
-		workers := o.PipelineWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		var popts []vm.PipelineOption
-		if o.Prefetch {
-			popts = append(popts, vm.PipelinePrefetch())
-		}
-		pipe = vm.NewPipeline(workers, popts...)
-		opts = append(opts, vm.WithPipeline(pipe))
-		// The run drains the pipeline itself; Shutdown only reaps the
-		// workers on early-error paths.
-		defer pipe.Shutdown()
-	}
 	v := vm.New(proc, opts...)
 
 	out := &RunOutcome{}
@@ -358,17 +335,8 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 			fb = cacheserver.NewFallback(fc, local)
 			mgr = fb
 		}
-		if pipe != nil {
-			// Batched commits always land in the local database: the
-			// final Commit publishes the full accumulated file to the
-			// server, so batches are the crash-loss bound, not the
-			// sharing path.
-			pipe.SetCommit(local.BatchCommitter(v))
-		}
 		var rep *PrimeReport
-		if fb != nil && o.Prefetch {
-			// One bulk round trip: the exact entry plus (with InterApp)
-			// every inter-application candidate, installed together.
+		if o.Prefetch {
 			rep, err = fb.PrimeStoreBulk(v, o.InterApp)
 		} else {
 			rep, err = mgr.Prime(v)

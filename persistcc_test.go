@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"persistcc"
+	"persistcc/internal/cacheserver"
+	"persistcc/internal/cacheserver/fleet"
+	"persistcc/internal/core"
 )
 
 const facadeProg = `
@@ -120,6 +123,60 @@ func TestFacadePersistRequiresDir(t *testing.T) {
 	exe, libs := build(t)
 	if _, err := persistcc.Run(exe, libs, persistcc.RunOptions{Persist: true}); err == nil {
 		t.Error("Persist without CacheDir accepted")
+	}
+}
+
+// The pinned figures of TestPrefetchFleetLaunch's warm launch: gftp's whole
+// entry installs, each trace charged what InstallPersisted charges.
+const (
+	bulkPrimeInstalled = 772
+	bulkPrimeTicks     = 1_699_816
+)
+
+// TestPrefetchFleetLaunch: a warm gftp launch from a fresh machine with
+// Prefetch, through a fleet of one daemon the cold launch published to,
+// translates nothing, and its prime and ticks are the pinned ones. Prefetch
+// without a fleet is refused.
+func TestPrefetchFleetLaunch(t *testing.T) {
+	app := gftp(t)
+	mgr, err := core.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cacheserver.New(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := cacheserver.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	o := persistcc.RunOptions{
+		Input:       app.Startup.Words(),
+		Loader:      persistcc.LoaderConfig{Placement: persistcc.PlaceHashed},
+		Persist:     true,
+		CacheDir:    t.TempDir(),
+		FleetConfig: fleet.Single(ln.Addr().String()),
+	}
+	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err != nil {
+		t.Fatal(err)
+	}
+	o.CacheDir, o.Prefetch = t.TempDir(), true
+	out, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.TracesTranslated != 0 || out.Prime.Installed != bulkPrimeInstalled || out.Stats.Ticks != bulkPrimeTicks {
+		t.Errorf("prefetch launch: translated %d, installed %d, %d ticks; want 0, %d, %d",
+			out.Stats.TracesTranslated, out.Prime.Installed, out.Stats.Ticks, bulkPrimeInstalled, bulkPrimeTicks)
+	}
+
+	o.FleetConfig = nil
+	if _, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, o); err == nil || !strings.Contains(err.Error(), "Prefetch requires FleetConfig") {
+		t.Errorf("Prefetch without a fleet: %v, want it refused", err)
 	}
 }
 

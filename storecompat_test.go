@@ -611,3 +611,31 @@ func TestLegacyFixtureReadPath(t *testing.T) {
 		}
 	})
 }
+
+// TestMigrateReportsEveryQuarantine: migrate's report counts every file it
+// quarantines, not only images. A corrupt manifest beside a legacy image is
+// quarantined when the image would merge into it, and a torn manifest of
+// another entry by the recovery pass that ends the migration; both images
+// still migrate, and the report agrees with the quarantine directory.
+func TestMigrateReportsEveryQuarantine(t *testing.T) {
+	dir, entries := legacyCopy(t)
+	for _, path := range []string{strings.TrimSuffix(entries[0], ".pcc") + ".pcm", filepath.Join(dir, "torn.pcm")} {
+		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, err := core.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mgr.MigrateToStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Migrated != 2 || rep.Quarantined != 2 {
+		t.Errorf("migrate: %+v; want both images migrated and both manifests quarantined", rep)
+	}
+	if moved, _ := os.ReadDir(filepath.Join(dir, core.QuarantineDir)); len(moved) != rep.Quarantined {
+		t.Errorf("quarantine holds %d files, the report says %d", len(moved), rep.Quarantined)
+	}
+}

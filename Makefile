@@ -61,13 +61,15 @@ test-race:
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer, readers of
 # one store's pack and loose-file index while a peer publishes and the store
-# compacts, and a commit into an entry a peer grew after the launch primed
-# from it — run twenty times over: a lost race or a lost update there is an
-# intermittent failure, not a steady one. So do launches committing into one
-# Manager while RecoverIndex loops over its database, and the pack reads
-# that inflate beside their decode: two primes of one cold pack at once,
-# every way a stream can fail while its reader (and a second stream) runs,
-# and Run's store opening beside a load that fails.
+# compacts, a commit into an entry a peer grew after the launch primed
+# from it, and launches whose commits skip without the lock beside a peer
+# accumulating into their entry — run twenty times over: a lost race or a
+# lost update there is an intermittent failure, not a steady one. So do
+# launches committing into one Manager while RecoverIndex loops over its
+# database, and the pack reads that inflate beside their decode: two primes
+# of one cold pack at once, every way a stream can fail while its reader
+# (and a second stream) runs, and Run's store opening beside a load that
+# fails.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -75,7 +77,7 @@ test-race:
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestLockFreeSkipsRaceAccumulatingPeer|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
 	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent

@@ -658,45 +658,36 @@ func (f *Fallback) PrimeStoreBulk(v *vm.VM, interApp bool) (*core.PrimeReport, e
 
 // Commit publishes the run's traces to the server, or accumulates into the
 // local database when the server cannot take them. A run primed from the
-// transport's exact entry that adds nothing to it (core.AddsNothing, the
-// rule a local commit skips by) publishes nothing, since every owner
+// transport's exact entry that adds nothing to it (core.Delta.AddsNothing,
+// the rule every commit skips by) publishes nothing, since every owner
 // already holds what it would send. It commits into the local database
 // instead, whose store the prime's adopted packs already filled, so the
 // machine keeps a copy of every entry it launched from and launches warm
 // from it when the server is unreachable. Should the local database refuse
 // that commit, the run publishes after all.
 func (f *Fallback) Commit(v *vm.VM) (*core.CommitReport, error) {
-	cf, ks := core.BuildCacheFile(v)
+	d := core.NewDelta(v)
 	f.mu.Lock()
 	entry, primed := f.primed[v]
 	delete(f.primed, v)
 	f.mu.Unlock()
-	var rep *core.CommitReport
-	if primed && core.AddsNothing(cf, entry.traces, entry.modules) {
-		rep, _ = f.local.CommitFile(ks, cf) // nil on failure: publish below
+	if primed && d.AddsNothing(entry.traces, entry.modules) {
+		if rep, err := f.local.CommitFile(d); err == nil {
+			rep.Charge(v, tracelog.KindCommit, rep.File)
+			return rep, nil
+		}
 	}
-	if rep != nil {
-		v.EventLog().Record(tracelog.Event{
-			Kind: tracelog.KindCommit, Tick: v.Clock(), Traces: rep.Traces, Detail: rep.File,
-		})
-	} else if pub, err := f.client.Publish(cf); err != nil {
+	rep, err := f.client.Publish(d.CacheFile())
+	if err != nil {
 		v.RecordRemote(0, 0, 1)
 		f.fallbacks.With("commit").Inc()
-		crep, lerr := f.local.CommitFile(ks, cf)
+		crep, lerr := f.local.CommitFile(d)
 		if lerr != nil {
 			return nil, fmt.Errorf("cacheserver: publish failed (%v) and local fallback failed: %w", err, lerr)
 		}
-		rep = crep
-	} else {
-		rep = pub
-		v.EventLog().Record(tracelog.Event{
-			Kind: tracelog.KindPublish, Tick: v.Clock(), Traces: rep.Traces,
-			Detail: f.client.Addr(),
-		})
+		crep.Charge(v, tracelog.KindCommit, crep.File)
+		return crep, nil
 	}
-	if !rep.Skipped {
-		cost := v.Cost()
-		rep.Ticks = cost.PersistSaveFixed + cost.PersistSaveTrace*uint64(rep.Traces)
-	}
+	rep.Charge(v, tracelog.KindPublish, f.client.Addr())
 	return rep, nil
 }

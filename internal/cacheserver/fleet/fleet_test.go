@@ -299,7 +299,7 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.CommitFile(ks, cf); err != nil {
+	if _, err := local.CommitFile(core.DeltaOf(cf)); err != nil {
 		t.Fatal(err)
 	}
 	fb := cacheserver.NewFallback(fl, local)

@@ -35,7 +35,7 @@ func TestCommitOpsIndependentOfEntryCount(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cf := *seedCF
 			cf.AppKey[0], cf.AppKey[1] = byte(i), byte(i>>8)
-			if _, err := mgr.CommitFile(core.KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}, &cf); err != nil {
+			if _, err := mgr.CommitFile(core.DeltaOf(&cf)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,7 +70,7 @@ func TestCommitOpsIndependentOfEntryCount(t *testing.T) {
 	for _, n := range []int{1, 100} {
 		mgr, inj, dir := seeded(n)
 		inj.StartRecording()
-		if _, err := mgr.CommitFile(ks, incoming); err != nil {
+		if _, err := mgr.CommitFile(core.DeltaOf(incoming)); err != nil {
 			t.Fatal(err)
 		}
 		commits = append(commits, check("commit", n, dir, inj.Ops()))

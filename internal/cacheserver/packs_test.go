@@ -126,8 +126,8 @@ func localMachine(t *testing.T, addr string, w *world) (*cacheserver.Fallback, *
 		t.Fatal(err)
 	}
 	v, _ := w.ranVM(t, 0)
-	cf, ks := core.BuildCacheFile(v)
-	if _, err := local.CommitFile(ks, cf); err != nil {
+	cf, _ := core.BuildCacheFile(v)
+	if _, err := local.CommitFile(core.DeltaOf(cf)); err != nil {
 		t.Fatal(err)
 	}
 	c := newClient(addr)

@@ -429,8 +429,8 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 	if err := incoming.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
-	ks := core.KeySet{App: incoming.AppKey, VM: incoming.VMKey, Tool: incoming.ToolKey}
-	e := s.entryFor(core.FileStem(ks.ManifestFileName()), true)
+	d := core.DeltaOf(incoming)
+	e := s.entryFor(core.FileStem(d.Keys.ManifestFileName()), true)
 
 	// Single-flight: concurrent identical publishes (several processes
 	// exiting the same cold run at once) merge exactly once.
@@ -449,7 +449,7 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 	e.inflight[digest] = f
 	e.flMu.Unlock()
 
-	f.rep, f.err = s.merge(e, ks, incoming)
+	f.rep, f.err = s.merge(e, d)
 	e.flMu.Lock()
 	delete(e.inflight, digest)
 	e.flMu.Unlock()
@@ -464,16 +464,16 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 // through the manager under its database lock, and refreshes the entry's
 // metadata from the report. An EVICT of the stem that ran while this publish
 // waited took e out of the index; the entry is on disk again, so e goes back.
-func (s *Server) merge(e *entry, ks core.KeySet, incoming *core.CacheFile) (*core.CommitReport, error) {
+func (s *Server) merge(e *entry, d *core.Delta) (*core.CommitReport, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-	rep, err := s.mgr.CommitFile(ks, incoming)
+	rep, err := s.mgr.CommitFile(d)
 	if err != nil || rep.Skipped {
 		return rep, err
 	}
 	s.idxMu.Lock()
 	e.meta = core.IndexEntry{
-		App: ks.App.Hex(), VM: ks.VM.Hex(), Tool: ks.Tool.Hex(), AppPath: incoming.AppPath,
+		App: d.Keys.App.Hex(), VM: d.Keys.VM.Hex(), Tool: d.Keys.Tool.Hex(), AppPath: d.AppPath,
 		File: rep.File, Traces: rep.Traces, CodePool: rep.CodePool, DataPool: rep.DataPool,
 	}
 	s.entries[core.FileStem(rep.File)] = e

@@ -62,8 +62,8 @@ type CacheFile struct {
 }
 
 // checkTraceModules verifies every trace's module references stay inside
-// the module table — the invariant CommitFile relies on when merging files
-// that arrived over the wire.
+// the module table — the invariant a merge relies on, which every decoded
+// file holds.
 func (cf *CacheFile) checkTraceModules() error {
 	n := int32(len(cf.Modules))
 	for i, t := range cf.Traces {
@@ -261,9 +261,6 @@ func (cf *CacheFile) UnmarshalBinary(b []byte) error {
 			if len(t.Insts) == 0 {
 				return fmt.Errorf("core: trace %d is empty", i)
 			}
-			if t.Module < 0 || int(t.Module) >= len(cf.Modules) {
-				return fmt.Errorf("core: trace %d references module %d of %d", i, t.Module, len(cf.Modules))
-			}
 			if err := vm.CheckOptMeta(t.OptLevel, t.OrigLen, t.SrcIdx, len(t.Insts)); err != nil {
 				return fmt.Errorf("core: trace %d: %w", i, err)
 			}
@@ -279,7 +276,7 @@ func (cf *CacheFile) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("core: decode: %w", err)
 	}
 	cf.EncodedBytes = uint64(len(b))
-	return nil
+	return cf.checkTraceModules()
 }
 
 // ReadCacheFile reads and verifies a cache file.

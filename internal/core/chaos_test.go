@@ -164,8 +164,8 @@ func buildChaosRemote(t *testing.T) *chaosRemote {
 // non-nil, runs before each step: a live peer's turn.
 func chaosSequence(mgr *core.Manager, env *chaosEnv, remote *chaosRemote, between func()) error {
 	steps := []func() error{
-		func() error { _, err := mgr.CommitFile(env.ksB, env.cfB1); return err },
-		func() error { _, err := mgr.CommitFile(env.ksB, env.cfB2); return err },
+		func() error { _, err := mgr.CommitFile(core.DeltaOf(env.cfB1)); return err },
+		func() error { _, err := mgr.CommitFile(core.DeltaOf(env.cfB2)); return err },
 		func() error { _, err := mgr.MigrateToStore(); return err },
 		func() error {
 			_, err := mgr.MaterializeFrom(remote.man, remote.packs)
@@ -353,7 +353,7 @@ func TestChaosStaleLockAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := mgr.CommitFile(env.ksB, env.cfB1); !errors.Is(err, fsx.ErrCrashed) {
+			if _, err := mgr.CommitFile(core.DeltaOf(env.cfB1)); !errors.Is(err, fsx.ErrCrashed) {
 				t.Fatalf("want simulated crash, got %v", err)
 			}
 			if _, err := os.Stat(filepath.Join(dir, ".lock")); err != nil {
@@ -365,7 +365,7 @@ func TestChaosStaleLockAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := mgr2.CommitFile(env.ksB, env.cfB1); err != nil {
+			if _, err := mgr2.CommitFile(core.DeltaOf(env.cfB1)); err != nil {
 				t.Fatalf("commit after crash did not steal the stale lock: %v", err)
 			}
 			if _, err := os.Stat(filepath.Join(dir, ".lock")); !errors.Is(err, os.ErrNotExist) {

@@ -45,7 +45,7 @@ func seedCorruptBranch(t *testing.T, w *testutil.World, input uint64) (*core.Man
 	cf, ks := core.BuildCacheFile(v)
 	corruptBranch(t, cf)
 	mgr := testutil.NewMgr(t)
-	if _, err := mgr.CommitFile(ks, cf); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(cf)); err != nil {
 		t.Fatal(err)
 	}
 	return mgr, filepath.Join(mgr.Dir(), ks.ManifestFileName()), res

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -496,43 +497,106 @@ func currentModules(v *vm.VM) ([]ModuleRecord, map[string]int) {
 	return records, byPath
 }
 
-// traceKey identifies a trace independently of the module table layout.
-type traceKey struct {
-	path string
-	off  uint32
+// traceKey identifies a trace by its module's index in the run's module
+// table and its offset in that module.
+func traceKey(module int, off uint32) uint64 { return uint64(module)<<32 | uint64(off) }
+
+// Delta is what one run has to commit: its keys, application path and
+// module table, and its file-backed traces, each once (by module and
+// offset). Every commit takes one — local, fleet write-through, a daemon's
+// merge of a publish — and skips by one rule, AddsNothing.
+type Delta struct {
+	Keys    KeySet
+	AppPath string
+	Modules []ModuleRecord
+	Reused  []*vm.Trace // installed from a blob and unchanged: written by Addr
+	Encode  []*vm.Trace // translated, or rebased (which clears Addr): encoded
+	Fresh   int         // traces the run translated itself (!Persisted)
+
+	seen map[uint64]bool // every trace's traceKey
 }
 
-// BuildCacheFile snapshots the VM's file-backed translations into a
-// CacheFile for its key set without touching the database. This is the
-// serialization hook used to publish a run's traces to a shared cache
-// server; Commit uses it for the local path.
-func BuildCacheFile(v *vm.VM) (*CacheFile, KeySet) {
-	ks := KeysFor(v)
+// NewDelta is the delta of v's run, taken without touching the database.
+func NewDelta(v *vm.VM) *Delta {
 	records, _ := currentModules(v)
-	cf := &CacheFile{
-		AppKey:  ks.App,
-		VMKey:   ks.VM,
-		ToolKey: ks.Tool,
-		AppPath: records[0].Path,
-		Modules: records,
-	}
-	traces := v.Cache().Traces()
-	seen := make(map[traceKey]bool, len(traces))
-	cf.Traces = make([]*vm.Trace, 0, len(traces))
+	return newDelta(KeysFor(v), records[0].Path, records, v.Cache().Traces())
+}
+
+// DeltaOf is the delta of a whole cache file (a daemon's decoded publish),
+// each trace classified by its own Persisted and Addr. Its traces must refer
+// inside its module table, as those of every decoded file do.
+func DeltaOf(cf *CacheFile) *Delta {
+	return newDelta(KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}, cf.AppPath, cf.Modules, cf.Traces)
+}
+
+// newDelta dedupes traces in one pass, filling one buffer with the reused
+// ones from the front and the ones to encode from the back.
+func newDelta(ks KeySet, appPath string, modules []ModuleRecord, traces []*vm.Trace) *Delta {
+	d := &Delta{Keys: ks, AppPath: appPath, Modules: modules, seen: make(map[uint64]bool, len(traces))}
+	buf := make([]*vm.Trace, len(traces))
+	reused, encode := 0, len(buf)
 	for _, t := range traces {
 		if t.Module < 0 {
 			continue // dynamically generated code: never persisted
 		}
-		k := traceKey{records[t.Module].Path, t.ModOff}
-		if seen[k] {
+		k := traceKey(int(t.Module), t.ModOff)
+		if d.seen[k] {
 			continue
 		}
-		seen[k] = true
-		cf.Traces = append(cf.Traces, t)
+		d.seen[k] = true
+		if t.Addr != nil {
+			buf[reused] = t
+			reused++
+		} else {
+			encode--
+			buf[encode] = t
+		}
+		if !t.Persisted {
+			d.Fresh++
+		}
 	}
+	d.Reused, d.Encode = buf[:reused:reused], buf[encode:]
+	return d
+}
+
+// Len is how many distinct traces the run holds.
+func (d *Delta) Len() int { return len(d.Reused) + len(d.Encode) }
+
+// AddsNothing reports whether the run has nothing to add to a prior entry
+// of priorTraces traces over priorModules: it translated none of its
+// traces, its module table is the prior's, and it holds no more traces than
+// the prior does. It is the one rule every commit skips by.
+func (d *Delta) AddsNothing(priorTraces int, priorModules []ModuleRecord) bool {
+	return d.Fresh == 0 && d.Len() <= priorTraces &&
+		slices.EqualFunc(d.Modules, priorModules, func(a, b ModuleRecord) bool { return a.Key == b.Key })
+}
+
+// file is the run as a cache file whose traces are in no particular order
+// and whose pools are not summed.
+func (d *Delta) file() *CacheFile {
+	traces := make([]*vm.Trace, 0, d.Len())
+	return &CacheFile{
+		AppKey: d.Keys.App, VMKey: d.Keys.VM, ToolKey: d.Keys.Tool,
+		AppPath: d.AppPath,
+		Modules: d.Modules,
+		Traces:  append(append(traces, d.Reused...), d.Encode...),
+	}
+}
+
+// CacheFile is the run as a whole cache file, the image a publish sends.
+func (d *Delta) CacheFile() *CacheFile {
+	cf := d.file()
 	sortTraces(cf)
 	cf.recomputePools()
-	return cf, ks
+	return cf
+}
+
+// BuildCacheFile snapshots the VM's file-backed translations into a
+// CacheFile for its key set without touching the database: NewDelta's run
+// as a whole image, for callers that want the image itself. No commit does.
+func BuildCacheFile(v *vm.VM) (*CacheFile, KeySet) {
+	d := NewDelta(v)
+	return d.CacheFile(), d.Keys
 }
 
 // Commit writes (or accumulates into) the persistent cache for the VM's key
@@ -542,20 +606,26 @@ func BuildCacheFile(v *vm.VM) (*CacheFile, KeySet) {
 // cache can be increased by repeatedly using it across executions of
 // different inputs, and adding newly discovered translations into it".
 func (m *Manager) Commit(v *vm.VM) (*CommitReport, error) {
-	cf, ks := BuildCacheFile(v)
-	rep, err := m.CommitFile(ks, cf)
+	rep, err := m.CommitFile(NewDelta(v))
 	if err != nil {
 		return nil, err
 	}
+	rep.Charge(v, tracelog.KindCommit, rep.File)
+	return rep, nil
+}
+
+// Charge prices rep, the commit of v's run, in v's cost model — a commit
+// that skipped wrote nothing and costs nothing — and records it in v's
+// event log as kind, naming where it went: the entry's file, or the daemon.
+func (rep *CommitReport) Charge(v *vm.VM, kind, where string) {
 	if !rep.Skipped {
 		cost := v.Cost()
 		rep.Ticks = cost.PersistSaveFixed + cost.PersistSaveTrace*uint64(rep.Traces)
 	}
 	v.EventLog().Record(tracelog.Event{
-		Kind: tracelog.KindCommit, Tick: v.Clock(), Traces: rep.Traces,
-		Detail: fmt.Sprintf("%s new=%d dropped=%d skipped=%t", rep.File, rep.NewTraces, rep.Dropped, rep.Skipped),
+		Kind: kind, Tick: v.Clock(), Traces: rep.Traces,
+		Detail: fmt.Sprintf("%s new=%d dropped=%d skipped=%t", where, rep.NewTraces, rep.Dropped, rep.Skipped),
 	})
-	return rep, nil
 }
 
 // MergeCacheFiles merges incoming (whose module table is authoritative for
@@ -564,103 +634,76 @@ func (m *Manager) Commit(v *vm.VM) (*CommitReport, error) {
 // win, prior traces the incoming run did not rediscover are kept when their
 // mappings still validate against the incoming layout and dropped
 // otherwise. Pure in-memory merge: no locking, no disk. rep.File is left
-// empty for the caller; when rep.Skipped the returned file is prior itself.
-//
-// The in-memory Persisted flag marks traces a run reused rather than
-// translated; files decoded from the wire lose it, so remote publishes
-// conservatively count every trace as new and never skip the merge; the
-// sending side asks AddsNothing first and does not publish such a run.
+// empty for the caller; when rep.Skipped (Delta.AddsNothing) the returned
+// file is prior itself. Migration merges a legacy image into a newer
+// manifest with it; no commit does.
 func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, *CommitReport, error) {
-	g, err := newMerge(incoming, relocatable)
-	if err != nil {
+	if err := incoming.checkTraceModules(); err != nil {
 		return nil, nil, err
 	}
+	d := DeltaOf(incoming)
+	if prior != nil && d.AddsNothing(len(prior.Traces), prior.Modules) {
+		return prior, &CommitReport{
+			Skipped: true, Accumulate: true,
+			Traces: len(prior.Traces), CodePool: prior.CodePool, DataPool: prior.DataPool,
+		}, nil
+	}
+	g := newMerge(d, relocatable)
 	if prior != nil {
 		g.rep.Accumulate = true
-		// When the incoming run discovered nothing new and its layout
-		// matches the prior cache exactly, rewriting the file would buy
-		// nothing: skip the save entirely (reused runs then pay only the
-		// load cost).
-		if g.addsNothing(len(prior.Traces), prior.Modules) {
-			return prior, skipReport(len(prior.Traces), prior.CodePool, prior.DataPool), nil
-		}
 		states := g.classify(prior.Modules)
 		for _, t := range prior.Traces {
-			g.add(t, prior.Modules, states, false)
+			g.add(t, states, false)
 		}
 	}
 	cf, rep := g.finish()
 	return cf, rep, nil
 }
 
-// merge is one accumulation in progress: the incoming run's distinct
-// traces, which are authoritative for the new layout, then the prior traces
-// it did not re-discover, as long as their mappings still validate against
-// that layout.
+// merge is one accumulation in progress: the run's traces, which are
+// authoritative for the new layout, then the prior traces it did not
+// re-discover, as long as their mappings still validate against that
+// layout.
 type merge struct {
+	d           *Delta
 	cf          *CacheFile
 	rep         *CommitReport
-	seen        map[traceKey]bool
-	byPath      map[string]int // the incoming module table by path
+	added       map[uint64]bool // the prior traces taken so far
 	relocatable bool
 }
 
-func newMerge(incoming *CacheFile, relocatable bool) (*merge, error) {
-	if err := incoming.checkTraceModules(); err != nil {
-		return nil, err
-	}
-	g := &merge{
-		cf: &CacheFile{
-			AppKey:  incoming.AppKey,
-			VMKey:   incoming.VMKey,
-			ToolKey: incoming.ToolKey,
-			AppPath: incoming.AppPath,
-			Modules: incoming.Modules,
-		},
-		rep:         &CommitReport{},
-		byPath:      make(map[string]int, len(incoming.Modules)),
-		relocatable: relocatable,
-	}
-	for i := range incoming.Modules {
-		g.byPath[incoming.Modules[i].Path] = i
-	}
-	g.cf.Traces, g.seen, g.rep.NewTraces = incomingTraces(incoming)
-	return g, nil
+func newMerge(d *Delta, relocatable bool) *merge {
+	return &merge{d: d, cf: d.file(), rep: &CommitReport{NewTraces: d.Fresh}, relocatable: relocatable}
 }
 
-// addsNothing reports whether the incoming run has nothing to add to a
-// prior cache of priorTraces traces over priorModules.
-func (g *merge) addsNothing(priorTraces int, priorModules []ModuleRecord) bool {
-	return addsNothing(len(g.cf.Traces), g.rep.NewTraces, g.cf.Modules, priorTraces, priorModules)
-}
-
-// skipReport is the report of a commit that leaves a prior cache of
-// priorTraces traces, with its pools, as it is.
-func skipReport(priorTraces int, codePool, dataPool uint64) *CommitReport {
-	return &CommitReport{Skipped: true, Accumulate: true, Traces: priorTraces, CodePool: codePool, DataPool: dataPool}
-}
-
-// classify judges a prior cache's module table against the incoming one,
-// once per merge.
+// classify judges a prior cache's module table against the run's, once per
+// merge.
 func (g *merge) classify(priorModules []ModuleRecord) []modState {
-	return classify(priorModules, g.cf.Modules, g.byPath, g.relocatable)
+	byPath := make(map[string]int, len(g.cf.Modules))
+	for i := range g.cf.Modules {
+		byPath[g.cf.Modules[i].Path] = i
+	}
+	return classify(priorModules, g.cf.Modules, byPath, g.relocatable)
 }
 
-// add accumulates one trace of a prior cache over priorModules, which
-// states classifies: a trace whose mappings went stale is dropped, one the
-// incoming run re-discovered is left out, and any other is moved onto the
-// incoming table. With owned set, t is the merge's to remap in place.
-func (g *merge) add(t *vm.Trace, priorModules []ModuleRecord, states []modState, owned bool) {
+// add accumulates one trace of a prior cache whose module table states
+// classifies: a trace whose mappings went stale is dropped, one the
+// run re-discovered is left out, and any other is moved onto the run's
+// table. With owned set, t is the merge's to remap in place.
+func (g *merge) add(t *vm.Trace, states []modState, owned bool) {
 	worst := worstOf(states, t)
 	if worst > modRebase {
 		g.rep.Dropped++
 		return
 	}
-	k := traceKey{priorModules[t.Module].Path, t.ModOff}
-	if g.seen[k] {
+	k := traceKey(states[t.Module].current, t.ModOff)
+	if g.d.seen[k] || g.added[k] {
 		return
 	}
-	g.seen[k] = true
+	if g.added == nil {
+		g.added = make(map[uint64]bool)
+	}
+	g.added[k] = true
 	if !owned {
 		t = cloneTrace(t)
 	}
@@ -688,53 +731,22 @@ func (g *merge) withoutPrior(err error) (*CacheFile, *CommitReport, error) {
 	return cf, rep, nil
 }
 
-// incomingTraces returns a run's traces with duplicates (same module path
-// and offset) dropped, the keys kept, and how many of them the run
-// translated itself rather than reused from a persistent cache.
-func incomingTraces(incoming *CacheFile) (traces []*vm.Trace, seen map[traceKey]bool, fresh int) {
-	seen = make(map[traceKey]bool, len(incoming.Traces))
-	traces = make([]*vm.Trace, 0, len(incoming.Traces))
-	for _, t := range incoming.Traces {
-		k := traceKey{incoming.Modules[t.Module].Path, t.ModOff}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		traces = append(traces, t)
-		if !t.Persisted {
-			fresh++
+// CommitFile merges a run's delta into the database entry for its key set
+// and atomically rewrites it. A run that adds nothing to the entry as it
+// stands is judged on one read of the entry's manifest, before and without
+// any lock: a skip writes nothing, so it is ordered before whatever a peer
+// commits after that read. Any other commit is a read-merge-write under
+// the in-process mutex plus the cross-process advisory lock, which reads
+// the manifest again: two writers accumulating concurrently would otherwise
+// each merge against the same prior file and the second rename would
+// silently drop the first one's new traces.
+func (m *Manager) CommitFile(d *Delta) (*CommitReport, error) {
+	path := m.cachePath(d.Keys)
+	if d.Fresh == 0 { // a run that translated something always adds
+		if man, err := m.priorManifest(path); err == nil && d.AddsNothing(len(man.Traces), RecordModules(man.Modules)) {
+			return m.skipped(man, path), nil
 		}
 	}
-	return traces, seen, fresh
-}
-
-// addsNothing reports whether a run (how many distinct traces, how many of
-// them fresh, its module table) has nothing to add to a prior cache of
-// priorTraces traces over priorModules: it discovered nothing new and its
-// layout matches the prior cache exactly.
-func addsNothing(distinct, fresh int, modules []ModuleRecord, priorTraces int, priorModules []ModuleRecord) bool {
-	return fresh == 0 && distinct <= priorTraces && sameModules(modules, priorModules)
-}
-
-// AddsNothing is addsNothing for a run's whole cache file: the run has
-// nothing to add to a prior cache of priorTraces traces over priorModules
-// when it translated none of its traces (every one was installed from a
-// persistent cache) and its layout is the prior cache's. It is the one rule
-// every commit skips by: both merges, and a cacheserver.Fallback deciding
-// whether a run primed from the wire publishes.
-func AddsNothing(incoming *CacheFile, priorTraces int, priorModules []ModuleRecord) bool {
-	traces, _, fresh := incomingTraces(incoming)
-	return addsNothing(len(traces), fresh, incoming.Modules, priorTraces, priorModules)
-}
-
-// CommitFile merges incoming into the database entry for ks and atomically
-// rewrites it — the accumulation half of Commit, decoupled from the VM so a
-// cache server can merge files published over the wire. The whole
-// read-merge-write happens under the in-process mutex plus the
-// cross-process advisory lock: two writers accumulating concurrently would
-// otherwise each merge against the same prior file and the second rename
-// would silently drop the first one's new traces.
-func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	unlock, err := m.lockDB()
@@ -743,17 +755,12 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 	}
 	defer unlock()
 
-	path := m.cachePath(ks)
-	merged, rep, err := m.mergeManifest(incoming, path)
-	if err != nil {
-		return nil, err
+	merged, rep, err := m.mergeManifest(d, path)
+	if err != nil || rep.Skipped {
+		return rep, err
 	}
 	rep.File = filepath.Base(path)
 	m.m.mergeDropped.Add(uint64(rep.Dropped))
-	if rep.Skipped {
-		m.m.commits.With("skipped").Inc()
-		return rep, nil
-	}
 	written, _, err := m.writeStoreFormat(merged, path)
 	if err != nil {
 		return nil, err
@@ -763,16 +770,15 @@ func (m *Manager) CommitFile(ks KeySet, incoming *CacheFile) (*CommitReport, err
 	return rep, nil
 }
 
-func sameModules(a, b []ModuleRecord) bool {
-	if len(a) != len(b) {
-		return false
+// skipped counts and reports a commit that leaves the entry at path, whose
+// manifest is man, as it is.
+func (m *Manager) skipped(man *store.Manifest, path string) *CommitReport {
+	m.lookupHit("exact", man.EncodedBytes)
+	m.m.commits.With("skipped").Inc()
+	return &CommitReport{
+		Skipped: true, Accumulate: true, File: filepath.Base(path),
+		Traces: len(man.Traces), CodePool: man.CodePool, DataPool: man.DataPool,
 	}
-	for i := range a {
-		if a[i].Key != b[i].Key {
-			return false
-		}
-	}
-	return true
 }
 
 func sortTraces(cf *CacheFile) {

@@ -268,7 +268,7 @@ func TestPrimeJudgesOnlyWhatItReads(t *testing.T) {
 		if _, err := v.Run(); err != nil {
 			t.Fatal(err)
 		}
-		cf, ks := core.BuildCacheFile(v)
+		cf, _ := core.BuildCacheFile(v)
 		// Send one branch of appb's own code outside every module: a trace
 		// only appb installs.
 		broken := false
@@ -287,7 +287,7 @@ func TestPrimeJudgesOnlyWhatItReads(t *testing.T) {
 			t.Fatal("no conditional branch in appb's code")
 		}
 		dir := t.TempDir()
-		if _, err := openMgr(t, dir).CommitFile(ks, cf); err != nil {
+		if _, err := openMgr(t, dir).CommitFile(core.DeltaOf(cf)); err != nil {
 			t.Fatal(err)
 		}
 

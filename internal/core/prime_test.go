@@ -186,7 +186,7 @@ func TestCommitIgnoresStalePrimedManifest(t *testing.T) {
 	// Shrink the entry to what input 0 covers, so a peer has something to add.
 	small, _ := core.BuildCacheFile(chaosRan(t, w, 0))
 	os.Remove(path)
-	if _, err := openMgr(t, dir).CommitFile(ks, small); err != nil {
+	if _, err := openMgr(t, dir).CommitFile(core.DeltaOf(small)); err != nil {
 		t.Fatal(err)
 	}
 	smallTraces := len(readManifest(t, dir, ks.ManifestFileName()).Traces)

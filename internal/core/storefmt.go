@@ -18,12 +18,12 @@ import (
 // applications that translate the same shared-library code at the same
 // placement share one on-disk copy.
 //
-// The CacheFile remains the in-memory interchange format everywhere
-// (prime, merge, publish); the store format is purely an on-disk/wire
-// representation, converted to and from losslessly. It is the only format
-// the database holds: a legacy `.pcc` image written by earlier versions is
-// invisible to every path but MigrateToStore, which converts it, so until
-// it runs the entry is a miss and its launch runs cold.
+// A launch reads a manifest straight into traces; a commit judges the run's
+// Delta on the entry's manifest, writes reused traces by address and
+// encodes the rest. A CacheFile is what a merge builds and a publish sends.
+// The store format is the only one the database holds: a legacy `.pcc`
+// image is invisible to every path but MigrateToStore, which converts it,
+// so until it runs the entry is a miss and its launch runs cold.
 
 // WithStore selects nothing; it stays for callers that still pass it.
 //
@@ -332,49 +332,52 @@ func (m *Manager) planPrime(v *vm.VM, man *store.Manifest) (rep *PrimeReport, st
 	return rep, states, keep, nil
 }
 
-// mergeManifest is CommitFile's merge into the store-format entry at path,
-// decided on the entry's manifest before any of its blobs is read:
-//   - a prior trace whose blob an incoming trace was read from (same address,
-//     same module path) is in the merge already;
-//   - one whose mappings do not validate against the incoming module table
-//     is dropped unread;
+// priorManifest reads the manifest of the entry at path for a commit into
+// it. An entry that is missing or does not decode is no prior, as for
+// Lookup, and neither is one whose blobs the store does not all hold.
+func (m *Manager) priorManifest(path string) (*store.Manifest, error) {
+	man, err := m.decodeManifestAt(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := m.Store()
+	if err == nil && len(st.Missing(man, nil)) > 0 {
+		err = fmt.Errorf("%w: %s: blobs missing", fs.ErrNotExist, path)
+	}
+	return man, err
+}
+
+// mergeManifest is CommitFile's merge of d into the store-format entry at
+// path, under the lock, decided on the entry's manifest before any of its
+// blobs is read:
+//   - a prior trace whose blob the run reused (same address, same module
+//     path) is in the merge already;
+//   - one whose mappings do not validate against the run's module table is
+//     dropped unread;
 //   - only the rest, normally none, is read and accumulated as
 //     MergeCacheFiles accumulates a prior trace.
 //
-// An entry that is missing or does not decode is no prior, as for Lookup,
-// and so is one whose blobs the store does not all hold, or whose rest
-// cannot be read.
-func (m *Manager) mergeManifest(incoming *CacheFile, path string) (*CacheFile, *CommitReport, error) {
-	g, err := newMerge(incoming, m.relocatable)
+// A prior that priorManifest refuses, or whose rest cannot be read, is no
+// prior.
+func (m *Manager) mergeManifest(d *Delta, path string) (*CacheFile, *CommitReport, error) {
+	man, err := m.priorManifest(path)
 	if err != nil {
-		return nil, nil, err
-	}
-	man, err := m.decodeManifestAt(path)
-	if err == nil {
-		var st *store.Store
-		if st, err = m.Store(); err == nil && len(st.Missing(man, nil)) > 0 {
-			err = fmt.Errorf("%w: %s: blobs missing", fs.ErrNotExist, path)
-		}
-	}
-	if err != nil {
-		return g.withoutPrior(m.lookupFailed("exact", err))
+		return newMerge(d, m.relocatable).withoutPrior(m.lookupFailed("exact", err))
 	}
 	modules := RecordModules(man.Modules)
-	if g.addsNothing(len(man.Traces), modules) {
-		m.lookupHit("exact", man.EncodedBytes)
-		return nil, skipReport(len(man.Traces), man.CodePool, man.DataPool), nil
+	if d.AddsNothing(len(man.Traces), modules) {
+		return nil, m.skipped(man, path), nil
 	}
+	g := newMerge(d, m.relocatable)
 	states := g.classify(modules)
-	carried := make(map[store.Hash]int32, len(g.cf.Traces))
-	for _, t := range g.cf.Traces {
-		if t.Addr != nil {
-			carried[*t.Addr] = t.Module
-		}
+	reused := make(map[store.Hash]string, len(d.Reused))
+	for _, t := range d.Reused {
+		reused[*t.Addr] = d.Modules[t.Module].Path
 	}
 	dropped := 0
 	var keep []bool
 	for i, tr := range man.Traces {
-		if mi, ok := carried[tr.Blob]; ok && g.cf.Modules[mi].Path == man.Modules[tr.Refs[0]].Path {
+		if p, ok := reused[tr.Blob]; ok && p == man.Modules[tr.Refs[0]].Path {
 			continue
 		}
 		if worstRef(states, tr.Refs) > modRebase {
@@ -392,7 +395,7 @@ func (m *Manager) mergeManifest(incoming *CacheFile, path string) (*CacheFile, *
 			return g.withoutPrior(m.lookupFailed("exact", err))
 		}
 		for _, t := range prior.Traces {
-			g.add(t, modules, states, true)
+			g.add(t, states, true)
 		}
 	}
 	m.lookupHit("exact", man.EncodedBytes)

@@ -40,7 +40,7 @@ func TestStoreFormatBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := openMgr(t, t.TempDir())
-	if _, err := stored.CommitFile(env.ksA, env.cfA); err != nil {
+	if _, err := stored.CommitFile(core.DeltaOf(env.cfA)); err != nil {
 		t.Fatal(err)
 	}
 	cfL, err := legacy.Lookup(env.ksA)
@@ -71,10 +71,10 @@ func TestStoreFormatSharesBlobs(t *testing.T) {
 	env := buildChaosEnv(t)
 	dir := t.TempDir()
 	mgr := openMgr(t, dir)
-	if _, err := mgr.CommitFile(env.ksA, env.cfA); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(env.cfA)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(env.cfB2)); err != nil {
 		t.Fatal(err)
 	}
 	manA := readManifest(t, dir, env.ksA.ManifestFileName())
@@ -138,7 +138,7 @@ func TestStoreLegacyInterop(t *testing.T) {
 	if _, err := mgr.Lookup(env.ksB); !errors.Is(err, core.ErrNoCache) {
 		t.Fatalf("lookup of an unmigrated entry: %v, want ErrNoCache", err)
 	}
-	rep, err := mgr.CommitFile(env.ksB, env.cfB2)
+	rep, err := mgr.CommitFile(core.DeltaOf(env.cfB2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOneStemInTwoFormats(t *testing.T) {
 	image.Traces, committed.Traces = env.cfB2.Traces[:half], env.cfB2.Traces[half:]
 	pcc := testutil.WriteLegacy(t, dir, &image)
 	mgr := openMgr(t, dir)
-	if _, err := mgr.CommitFile(env.ksB, &committed); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(&committed)); err != nil {
 		t.Fatal(err)
 	}
 	if env.ksA.VM != env.ksB.VM || env.ksA.Tool != env.ksB.Tool {
@@ -213,7 +213,7 @@ func TestRemoveEntryRetiresLegacyImage(t *testing.T) {
 	dir := t.TempDir()
 	pcc := testutil.WriteLegacy(t, dir, env.cfB1)
 	mgr := openMgr(t, dir)
-	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(env.cfB2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.RemoveEntry(env.ksB.ManifestFileName()); err != nil {
@@ -313,11 +313,11 @@ func TestConcurrentManagersDedup(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if _, err := mgr.CommitFile(env.ksA, env.cfA); err != nil {
+			if _, err := mgr.CommitFile(core.DeltaOf(env.cfA)); err != nil {
 				errs[i] = fmt.Errorf("commit A: %w", err)
 				return
 			}
-			if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
+			if _, err := mgr.CommitFile(core.DeltaOf(env.cfB2)); err != nil {
 				errs[i] = fmt.Errorf("commit B: %w", err)
 			}
 		}(i)
@@ -369,10 +369,10 @@ func TestCompactStoreReclaimsOnlyOrphans(t *testing.T) {
 	env := buildChaosEnv(t)
 	dir := t.TempDir()
 	mgr := openMgr(t, dir, core.WithLockTimeout(2*time.Second))
-	if _, err := mgr.CommitFile(env.ksA, env.cfA); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(env.cfA)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.CommitFile(env.ksB, env.cfB2); err != nil {
+	if _, err := mgr.CommitFile(core.DeltaOf(env.cfB2)); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := mgr.CompactStore(); err != nil || rep.PrunedOrphans != 0 {
@@ -521,7 +521,7 @@ func storeProc(t *testing.T, role, root string, workers int) {
 			ks core.KeySet
 			cf *core.CacheFile
 		}{{env.ksA, env.cfA}, {env.ksB, env.cfB1}, {env.ksB, env.cfB2}} {
-			if _, err := mgr.CommitFile(c.ks, c.cf); err != nil {
+			if _, err := mgr.CommitFile(core.DeltaOf(c.cf)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -617,7 +617,7 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mgr.CommitFile(ks, incoming)
+	got, err := mgr.CommitFile(core.DeltaOf(incoming))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,10 +680,12 @@ func TestWarmCommitSkipsFromManifest(t *testing.T) {
 }
 
 // TestWarmCommitRewritesWhenBlobsAreGone: a manifest whose blobs are not in
-// the local store is no prior at all — the run's traces are written out in
-// full, which is how a launch primed from the fleet fills a stripped store.
+// the local store is no prior at all — the commit of a warm run that
+// translated nothing is not skipped, and the run's traces are written out
+// in full, which is how a launch primed from the fleet fills a stripped
+// store. The entry then primes whole again.
 func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
-	dir, ks, incoming, _ := warmIncoming(t)
+	dir, ks, incoming, w := warmIncoming(t)
 	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
 	if len(packs) == 0 {
 		t.Fatal("no pack files to strip")
@@ -694,7 +696,7 @@ func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
 		}
 	}
 	mgr := openMgr(t, dir)
-	rep, err := mgr.CommitFile(ks, incoming)
+	rep, err := mgr.CommitFile(core.DeltaOf(incoming))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,6 +710,10 @@ func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
 	if len(cf.Traces) != len(incoming.Traces) {
 		t.Errorf("rewritten entry holds %d traces, want %d", len(cf.Traces), len(incoming.Traces))
 	}
+	prep, err := openMgr(t, dir).Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
+	if err != nil || prep.Installed != len(incoming.Traces) {
+		t.Errorf("prime of the rewritten entry: %+v, %v; want all %d traces", prep, err, len(incoming.Traces))
+	}
 }
 
 // TestWarmCommitQuarantinesBadManifest: a commit that merges on the prior
@@ -719,7 +725,7 @@ func TestWarmCommitQuarantinesBadManifest(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := openMgr(t, dir).CommitFile(ks, incoming)
+	rep, err := openMgr(t, dir).CommitFile(core.DeltaOf(incoming))
 	if err != nil {
 		t.Fatal(err)
 	}

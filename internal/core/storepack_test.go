@@ -98,8 +98,7 @@ func TestCommitFlushCountIndependentOfTraceCount(t *testing.T) {
 
 		// The same traces again: everything dedups, no pack is written.
 		inj.StartRecording()
-		cf, ks := core.BuildCacheFile(v)
-		if _, err := mgr.CommitFile(ks, cf); err != nil {
+		if _, err := mgr.CommitFile(core.NewDelta(v)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, w, s := flushes(inj.Ops()); w != 0 || s != 0 {

@@ -19,15 +19,14 @@ import (
 // steal deadline on the stale .lock a simulated crash leaves behind.
 const chaosLockWait = 100 * time.Millisecond
 
-// chaosCacheFile runs one benchmark input cold and captures its cache file
-// and key set; the crash sweep replays these as pure file operations.
-func chaosCacheFile(b *workload.SpecBenchmark, input int) (*core.CacheFile, core.KeySet, error) {
+// chaosDelta runs one benchmark input cold and captures what it commits;
+// the crash sweep replays these as pure file operations.
+func chaosDelta(b *workload.SpecBenchmark, input int) (*core.Delta, error) {
 	out, err := run(runSpec{Prog: b.Prog, In: b.Train[input], Cfg: loader.Config{}})
 	if err != nil {
-		return nil, core.KeySet{}, err
+		return nil, err
 	}
-	cf, ks := core.BuildCacheFile(out.VM)
-	return cf, ks, nil
+	return core.NewDelta(out.VM), nil
 }
 
 // chaosInvariants reopens a post-crash database and checks, through a
@@ -100,22 +99,23 @@ func Chaos() (*Report, error) {
 		return nil, fmt.Errorf("chaos: need a second benchmark besides %s", gcc.Name)
 	}
 
-	cfBase, ksBase, err := chaosCacheFile(base, 0)
+	dBase, err := chaosDelta(base, 0)
 	if err != nil {
 		return nil, err
 	}
-	cf1, ksHot, err := chaosCacheFile(gcc, 0)
+	d1, err := chaosDelta(gcc, 0)
 	if err != nil {
 		return nil, err
 	}
-	cf2, _, err := chaosCacheFile(gcc, 1)
+	d2, err := chaosDelta(gcc, 1)
 	if err != nil {
 		return nil, err
 	}
+	ksBase, ksHot := dBase.Keys, d1.Keys
 	sequence := func(mgr *core.Manager) {
 		// Errors are expected mid-crash; the invariant check is what counts.
-		mgr.CommitFile(ksHot, cf1)
-		mgr.CommitFile(ksHot, cf2)
+		mgr.CommitFile(d1)
+		mgr.CommitFile(d2)
 		mgr.RemoveEntry(ksHot.ManifestFileName())
 	}
 	newDB := func() (string, func(), error) {
@@ -125,7 +125,7 @@ func Chaos() (*Report, error) {
 		}
 		mgr, err := core.NewManager(dir)
 		if err == nil {
-			_, err = mgr.CommitFile(ksBase, cfBase)
+			_, err = mgr.CommitFile(dBase)
 		}
 		if err != nil {
 			os.RemoveAll(dir)
@@ -171,7 +171,7 @@ func Chaos() (*Report, error) {
 			clean()
 			return nil, fmt.Errorf("chaos: crash point %d/%d never reached", k, len(ops))
 		}
-		if err := chaosInvariants(dir, ksBase, len(cfBase.Traces)); err != nil {
+		if err := chaosInvariants(dir, ksBase, dBase.Len()); err != nil {
 			// Self-package the failure before the evidence is cleaned up:
 			// the post-crash database travels with the report.
 			bundleCrasher(&replay.Crasher{
@@ -200,7 +200,7 @@ func Chaos() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := healMgr.CommitFile(ksHot, cf1); err != nil {
+	if _, err := healMgr.CommitFile(d1); err != nil {
 		return nil, err
 	}
 	hotPath := filepath.Join(healDir, ksHot.ManifestFileName())

@@ -98,13 +98,13 @@ func Dedup() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cf, ks := core.BuildCacheFile(out.VM)
-		image, err := cf.MarshalBinary()
+		d := core.NewDelta(out.VM)
+		image, err := d.CacheFile().MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
 		legacyBytes += uint64(len(image))
-		if _, err := stored.CommitFile(ks, cf); err != nil {
+		if _, err := stored.CommitFile(d); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -166,6 +169,19 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID accepted unknown id")
+	}
+	// EXPERIMENTS.md counts the experiments results.txt renders; a deleted
+	// or added experiment must change that count too.
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`rendered output of all (\d+) experiments`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md no longer says how many experiments there are")
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n != len(Registry) {
+		t.Errorf("EXPERIMENTS.md counts %d experiments, the registry holds %d", n, len(Registry))
 	}
 }
 

@@ -518,13 +518,9 @@ func BenchmarkAssembler(b *testing.B) {
 
 func BenchmarkWarmupCurve(b *testing.B) { benchExperiment(b, "warmup") }
 
-func BenchmarkMultiProcWarmup(b *testing.B) { benchExperiment(b, "multiproc") }
-
 func BenchmarkSpecInstrumented(b *testing.B) { benchExperiment(b, "spec-instr") }
 
 func BenchmarkShellTools(b *testing.B) { benchExperiment(b, "shelltools") }
-
-func BenchmarkDedup(b *testing.B) { benchExperiment(b, "dedup") }
 
 func BenchmarkFleetWarmup(b *testing.B) { benchExperiment(b, "fleet") }
 

@@ -14,9 +14,10 @@
 // reported and ignored, so the baseline does not have to cover every
 // experiment.
 //
-// To refresh the baseline after an intentional performance change:
+// To refresh the baseline after an intentional performance change, rerun
+// the smoke set (BENCH_SMOKE in the Makefile) into it:
 //
-//	go run ./cmd/pcc-bench -json -run fig2b,fig5a,tracelog > bench_baseline.json
+//	make bench-baseline
 package main
 
 import (

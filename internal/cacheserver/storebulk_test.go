@@ -3,13 +3,17 @@ package cacheserver_test
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"net"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
+	"persistcc/internal/loader"
 	"persistcc/internal/store"
+	"persistcc/internal/workload"
 )
 
 // Tests for the store-aware wire ops (FETCHMANIFESTS / FETCHPACKS) and the
@@ -254,5 +258,84 @@ func TestPrimeStoreBulkDegradesToLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wres.Output, res.Output) {
 		t.Errorf("degraded-warm output %v, want %v", wres.Output, res.Output)
+	}
+}
+
+// TestGUIStoreSavesDiskAndWire: the five GUI startups share most of their
+// library code (the paper's Table 4). Committed into one daemon's
+// database, they take at least 30 % less disk than their five images; and
+// one fresh machine priming all five from the daemon receives fewer bytes
+// than those images, because each shared trace is stored once and crosses
+// the wire once.
+func TestGUIStoreSavesDiskAndWire(t *testing.T) {
+	const minDiskSaved = 0.30
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loader.Config{Placement: loader.PlaceHashed}
+	dir := t.TempDir()
+	mgr, err := core.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var imageBytes uint64
+	for _, app := range gui.Apps {
+		v, err := app.Prog.NewVM(cfg, app.Startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		d := core.NewDelta(v)
+		image, err := d.CacheFile().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imageBytes += uint64(len(image))
+		if _, err := mgr.CommitFile(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var diskBytes uint64
+	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		if ext := filepath.Ext(path); ext == ".pcm" || ext == ".pck" {
+			info, err := e.Info()
+			if err != nil {
+				return err
+			}
+			diskBytes += uint64(info.Size())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved := 1 - float64(diskBytes)/float64(imageBytes); saved < minDiskSaved {
+		t.Errorf("the store holds %d bytes against %d in images: %.1f%% saved, want >= %.0f%%",
+			diskBytes, imageBytes, 100*saved, 100*minDiskSaved)
+	}
+
+	srv, addr, _ := serve(t, dir)
+	sent := func() float64 {
+		v, _ := srv.Metrics().Snapshot().Value("pcc_server_frame_bytes_total", "out")
+		return v
+	}
+	f := newFallback(t, addr)
+	for _, app := range gui.Apps {
+		v, err := app.Prog.NewVM(cfg, app.Startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prep, err := f.Prime(v); err != nil || prep.Installed == 0 {
+			t.Fatalf("%s: prime from the daemon: %+v, %v", app.Name, prep, err)
+		}
+	}
+	if wire := sent(); wire >= float64(imageBytes) {
+		t.Errorf("priming the five apps moved %.0f bytes from the daemon, their images %d; want fewer", wire, imageBytes)
 	}
 }

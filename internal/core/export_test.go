@@ -1,6 +1,11 @@
 package core
 
-import "time"
+import (
+	"errors"
+	"io/fs"
+	"path/filepath"
+	"time"
+)
 
 // SetLockTimeout lets tests shorten the advisory-lock steal deadline; it
 // returns a restore function.
@@ -26,4 +31,20 @@ func EntryHeaderForTest(b []byte) (e IndexEntry, largest int, err error) {
 	}
 	e, err = readEntryHeader(readAt, int64(len(b)))
 	return e, largest, err
+}
+
+// ReadPrior loads the database entry named file, a manifest, as a prior: a
+// missing file is nil, and a corrupt one is quarantined and nil too, not an
+// error. The crash sweeps read every entry a crashed database lists through
+// it.
+func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
+	cf, err := m.readVerified(filepath.Join(m.dir, file))
+	switch {
+	case err == nil:
+		return cf, nil
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errQuarantined):
+		return nil, nil
+	default:
+		return nil, err
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"strings"
 
@@ -180,20 +179,4 @@ func (m *Manager) fileSize(path string) uint64 {
 		return uint64(fi.Size())
 	}
 	return 0
-}
-
-// ReadPrior loads the database entry named file, a manifest, as a prior: a
-// missing file is nil, and a corrupt one is quarantined and nil too, not an
-// error. The chaos experiment reads every entry a crashed
-// database lists through it.
-func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
-	cf, err := m.readVerified(filepath.Join(m.dir, file))
-	switch {
-	case err == nil:
-		return cf, nil
-	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errQuarantined):
-		return nil, nil
-	default:
-		return nil, err
-	}
 }

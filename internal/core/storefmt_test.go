@@ -13,9 +13,11 @@ import (
 	"time"
 
 	"persistcc/internal/core"
+	"persistcc/internal/loader"
 	"persistcc/internal/metrics"
 	"persistcc/internal/store"
 	"persistcc/internal/testutil"
+	"persistcc/internal/workload"
 )
 
 // openMgr opens a manager over dir.
@@ -289,6 +291,88 @@ func TestMigrateToStore(t *testing.T) {
 	}
 	if _, err := mgr.Lookup(env.ksA); err != nil {
 		t.Errorf("migrated entry lost by recovery: %v", err)
+	}
+}
+
+// TestMigrateGUIFixture migrates a legacy database of three GUI
+// applications that share their libraries, one image bit-flipped mid-file,
+// in place. The corrupt image is quarantined, not laundered; the other two
+// migrate and leave no legacy file behind; recovery then quarantines
+// nothing. Through a deep-verifying manager the corrupt entry is a miss,
+// and each migrated one primes a launch that beats its cold run's ticks.
+func TestMigrateGUIFixture(t *testing.T) {
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := gui.Apps[:3]
+	cfg := loader.Config{Placement: loader.PlaceHashed}
+	dir := t.TempDir()
+	keys := make([]core.KeySet, len(apps))
+	coldTicks := make([]uint64, len(apps))
+	for i, app := range apps {
+		v, err := app.Prog.NewVM(cfg, app.Startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cf *core.CacheFile
+		cf, keys[i] = core.BuildCacheFile(v)
+		coldTicks[i] = res.Stats.Ticks
+		path := testutil.WriteLegacy(t, dir, cf)
+		if i == 1 {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0x40
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	mgr := openMgr(t, dir)
+	mrep, err := mgr.MigrateToStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mrep.Scanned != 3 || mrep.Migrated != 2 || mrep.Quarantined != 1 {
+		t.Fatalf("scanned/migrated/quarantined = %d/%d/%d, want 3/2/1", mrep.Scanned, mrep.Migrated, mrep.Quarantined)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.pcc")); len(left) != 0 {
+		t.Errorf("legacy files left after migration: %v", left)
+	}
+	if rrep, err := mgr.RecoverIndex(); err != nil || rrep.FilesQuarantined != 0 {
+		t.Fatalf("recovery after migration: %+v, %v; want nothing quarantined", rrep, err)
+	}
+
+	deep := openMgr(t, dir, core.WithDeepVerify())
+	for i, app := range apps {
+		if i == 1 {
+			if _, err := deep.Lookup(keys[i]); !errors.Is(err, core.ErrNoCache) {
+				t.Errorf("%s: corrupt entry: %v, want ErrNoCache", app.Name, err)
+			}
+			continue
+		}
+		v, err := app.Prog.NewVM(cfg, app.Startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := deep.Prime(v)
+		if err != nil || prep.Installed == 0 {
+			t.Fatalf("%s: prime from the migrated database: %+v, %v", app.Name, prep, err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Ticks >= coldTicks[i] {
+			t.Errorf("%s: warm run took %d ticks, cold %d; want fewer", app.Name, res.Stats.Ticks, coldTicks[i])
+		}
 	}
 }
 
@@ -713,6 +797,45 @@ func TestWarmCommitRewritesWhenBlobsAreGone(t *testing.T) {
 	prep, err := openMgr(t, dir).Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
 	if err != nil || prep.Installed != len(incoming.Traces) {
 		t.Errorf("prime of the rewritten entry: %+v, %v; want all %d traces", prep, err, len(incoming.Traces))
+	}
+}
+
+// TestWarmCommitSeesPacksGoneSincePrime: packs deleted between a launch's
+// prime and its commit are gone for the manager that primed from them too.
+// Its commit of the warm run is not skipped, it writes the run's traces out
+// again, and a manager opened afterwards primes the entry whole.
+func TestWarmCommitSeesPacksGoneSincePrime(t *testing.T) {
+	w := testutil.BuildWorld(t, "appa", fmt.Sprintf(chaosMainSrc, 1), map[string]string{"libwork.so": chaosLibSrc})
+	dir := t.TempDir()
+	mgr := openMgr(t, dir)
+	w.Run(t, mgr, testutil.RunOpts{Input: []uint64{10}, Commit: true})
+	v := w.NewVM(t, testutil.RunOpts{Input: []uint64{10}})
+	prep, err := mgr.Prime(v)
+	if err != nil || prep.Installed == 0 {
+		t.Fatalf("prime: %+v, %v", prep, err)
+	}
+	if res, err := v.Run(); err != nil || res.Stats.TracesTranslated != 0 {
+		t.Fatalf("warm run: %v; want nothing translated", err)
+	}
+	packs, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.pck"))
+	if len(packs) == 0 {
+		t.Fatal("no pack files to delete")
+	}
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := mgr.Commit(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped || rep.Traces != prep.Installed {
+		t.Fatalf("commit after the packs were deleted: %+v, want all %d traces written again", rep, prep.Installed)
+	}
+	again, err := openMgr(t, dir).Prime(w.NewVM(t, testutil.RunOpts{Input: []uint64{10}}))
+	if err != nil || again.Installed != prep.Installed {
+		t.Errorf("fresh manager's prime: %+v, %v; want all %d traces", again, err, prep.Installed)
 	}
 }
 

@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"persistcc/internal/core"
 	"persistcc/internal/replay"
 )
+
+// bundleLockWait keeps the snapshot from waiting out the full advisory-lock
+// steal deadline on a stale .lock the failed run may have left behind.
+const bundleLockWait = 100 * time.Millisecond
 
 // bundleCrasher self-packages an experiment failure into the crasher corpus
 // (replay.DefaultDir, normally crashers/pending): the JSON artifact, an
@@ -18,7 +23,7 @@ import (
 func bundleCrasher(c *replay.Crasher, recording []byte, dbDir string) {
 	dir := replay.DefaultDir()
 	if dbDir != "" {
-		if mgr, err := core.NewManager(dbDir, core.WithLockTimeout(chaosLockWait)); err != nil {
+		if mgr, err := core.NewManager(dbDir, core.WithLockTimeout(bundleLockWait)); err != nil {
 			fmt.Fprintf(os.Stderr, "crasher bundle: open %s: %v\n", dbDir, err)
 		} else {
 			snap := c.Name + ".db"

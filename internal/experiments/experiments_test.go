@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -182,6 +184,45 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n != len(Registry) {
 		t.Errorf("EXPERIMENTS.md counts %d experiments, the registry holds %d", n, len(Registry))
+	}
+}
+
+// TestGateListsNameExperiments: every experiment the Makefile's GATES and
+// BENCH_SMOKE, the CI gate-smoke matrix and bench_baseline.json name is
+// registered, so an experiment that is deleted cannot linger in a gate.
+func TestGateListsNameExperiments(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	field := func(src, pattern string) string {
+		m := regexp.MustCompile(pattern).FindStringSubmatch(read(src))
+		if m == nil {
+			t.Fatalf("%s: no line matches %s", src, pattern)
+		}
+		return m[1]
+	}
+	lists := map[string][]string{
+		"Makefile GATES":       strings.Fields(field("Makefile", `(?m)^GATES = (.+)$`)),
+		"Makefile BENCH_SMOKE": strings.Split(field("Makefile", `(?m)^BENCH_SMOKE = (.+)$`), ","),
+		"CI gate-smoke matrix": strings.Split(field(".github/workflows/ci.yml", `(?m)^\s+gate: \[(.+)\]$`), ", "),
+	}
+	for _, line := range strings.Split(strings.TrimSpace(read("bench_baseline.json")), "\n") {
+		var row struct{ ID string }
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("bench_baseline.json: %v", err)
+		}
+		lists["bench_baseline.json"] = append(lists["bench_baseline.json"], row.ID)
+	}
+	for src, ids := range lists {
+		for _, id := range ids {
+			if _, ok := ByID(id); !ok {
+				t.Errorf("%s names %q, which is not a registered experiment", src, id)
+			}
+		}
 	}
 }
 

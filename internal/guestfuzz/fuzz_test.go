@@ -1,7 +1,6 @@
 package guestfuzz
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -10,8 +9,8 @@ import (
 )
 
 // TestFuzzDeterministic: the same (seed, budget) must reproduce the whole
-// campaign — corpus growth, coverage frontier and finding names — or the CI
-// smoke's plant-rediscovery gate is a coin flip.
+// campaign — corpus growth, coverage frontier and finding names — or
+// TestFuzzRediscoversPlants is a coin flip.
 func TestFuzzDeterministic(t *testing.T) {
 	run := func() *Stats {
 		t.Helper()
@@ -61,21 +60,23 @@ func TestFuzzGrowsCoverage(t *testing.T) {
 	}
 }
 
-// TestFuzzRediscoversPlants is the CI smoke contract in miniature: under a
-// fixed seed and a bounded budget, each planted known-bug must be
-// rediscovered, auto-minimized under the body budget, and packaged as a
-// crasher that loads back from disk.
+// TestFuzzRediscoversPlants is the fuzzing contract: under a fixed seed and
+// a bounded budget, each planted known-bug must be rediscovered by the one
+// oracle enabled for it, auto-minimized under the body budget, and
+// packaged as a crasher that loads back from disk. The same budget on the
+// healthy system, every oracle enabled, must find nothing: oracles that
+// fire spuriously would drown real bugs.
 func TestFuzzRediscoversPlants(t *testing.T) {
+	const seed, execs, maxBody = 1, 12, 12
 	for _, p := range Plants() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			dir := t.TempDir()
 			stats, err := Fuzz(Config{
-				Seed:       1,
-				MaxExecs:   12,
+				Seed:       seed,
+				MaxExecs:   execs,
 				Oracles:    []string{p.Oracle},
 				Hooks:      p.Hooks,
-				CrasherDir: dir,
+				CrasherDir: t.TempDir(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -83,26 +84,35 @@ func TestFuzzRediscoversPlants(t *testing.T) {
 			if len(stats.Findings) == 0 {
 				t.Fatalf("plant %s not rediscovered in %d execs", p.Name, stats.Execs)
 			}
-			f := stats.Findings[0]
-			if f.Oracle != p.Oracle {
-				t.Errorf("found by %s, expected %s", f.Oracle, p.Oracle)
+			if f := stats.Findings[0]; f.BodySize > maxBody {
+				t.Errorf("finding minimized to %d body insts, want <= %d", f.BodySize, maxBody)
 			}
-			if f.BodySize > 12 {
-				t.Errorf("finding minimized to %d body insts, want <= 12", f.BodySize)
-			}
-			c, _, err := replay.LoadCrasher(nil, f.Path)
-			if err != nil {
-				t.Fatalf("packaged crasher does not load: %v", err)
-			}
-			var spec json.RawMessage
-			if spec = c.Spec; len(spec) == 0 {
-				t.Error("crasher carries no spec")
-			}
-			if c.Expect == nil {
-				t.Error("crasher carries no interpreted-reference expectation")
+			for _, f := range stats.Findings {
+				if f.Oracle != p.Oracle {
+					t.Errorf("%s found by %s; only %s was enabled", f.Name, f.Oracle, p.Oracle)
+				}
+				c, _, err := replay.LoadCrasher(nil, f.Path)
+				if err != nil {
+					t.Fatalf("packaged crasher %s does not load: %v", f.Path, err)
+				}
+				if len(c.Spec) == 0 {
+					t.Errorf("crasher %s carries no spec", f.Name)
+				}
+				if c.Expect == nil {
+					t.Errorf("crasher %s carries no interpreted-reference expectation", f.Name)
+				}
 			}
 		})
 	}
+	t.Run("control", func(t *testing.T) {
+		stats, err := Fuzz(Config{Seed: seed, MaxExecs: execs, CrasherDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.Findings) != 0 {
+			t.Errorf("%d findings on the healthy system in %d execs, want 0: %+v", len(stats.Findings), stats.Execs, stats.Findings)
+		}
+	})
 }
 
 // TestFuzzCorpusPersists: a second campaign over the same corpus directory

@@ -10,7 +10,7 @@ import (
 	"persistcc/internal/vm"
 )
 
-// A Plant is a known-bug injection the CI smoke must rediscover: hooks that
+// A Plant is a known-bug injection TestFuzzRediscoversPlants must rediscover: hooks that
 // corrupt exactly one layer, the oracle expected to catch it, and a note for
 // the report. Plants calibrate the whole loop end to end — generation must
 // reach the layer, the oracle must fire, the minimizer must preserve the

@@ -65,7 +65,7 @@ type Crasher struct {
 // DefaultDir resolves where auto-bundled crashers land: $PCC_CRASHER_DIR
 // when set, else crashers/pending under the module root (found by walking
 // up from the working directory), keeping artifacts from fuzz workers,
-// chaos sweeps and experiments in one reviewable place.
+// tests and experiments in one reviewable place.
 func DefaultDir() string {
 	// Harness configuration, not guest-visible state: where a bundled
 	// artifact lands can never influence a recorded run.

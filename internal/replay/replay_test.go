@@ -8,10 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"persistcc/internal/core"
 	"persistcc/internal/fsx"
+	"persistcc/internal/loader"
 	"persistcc/internal/replay"
 	"persistcc/internal/testutil"
 	"persistcc/internal/vm"
+	"persistcc/internal/workload"
 )
 
 // recSrc is a guest that leans on every environment-dependent syscall the
@@ -278,5 +281,101 @@ func TestRecorderCrashSafety(t *testing.T) {
 			t.Fatalf("crash %d/%d (%s): replay of a partial log (%d events, truncated=%v) succeeded silently",
 				k, len(ops), ops[k-1], len(lg.Events), lg.Truncated)
 		}
+	}
+}
+
+// TestShippedSnapshotWarmsFirstLaunch: each GUI application runs cold on
+// the vendor's machine and commits, one warm startup is recorded, and the
+// database snapshot ships beside the recording. On a machine that holds
+// only those two, the first launch primes from the snapshot and replays the
+// recording bit-exactly: registers, memory, output and every cache-behavior
+// counter. Across the suite it avoids at least 90 % of the translation the
+// cold runs did.
+func TestShippedSnapshotWarmsFirstLaunch(t *testing.T) {
+	const minAvoided = 0.9
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loader.Config{Placement: loader.PlaceHashed}
+	var cold, firstLaunch uint64
+	for _, app := range gui.Apps {
+		// The vendor's machine: a cold run commits, then a warm startup
+		// is recorded and the database snapshot taken.
+		mgr := testutil.NewMgr(t)
+		v, err := app.Prog.NewVM(cfg, app.Startup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Commit(v); err != nil {
+			t.Fatal(err)
+		}
+		cold += res.Stats.TracesTranslated
+		recPath := filepath.Join(t.TempDir(), app.Name+".rec")
+		rec, err := replay.NewRecorder(nil, recPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = app.Prog.NewVM(cfg, app.Startup, vm.WithBoundary(rec)); err != nil {
+			t.Fatal(err)
+		}
+		err = rec.Start(replay.StartInfo{Program: app.Name, Placement: cfg.Placement,
+			Input: app.Startup.Words(), PID: 1, Proc: v.Process()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Prime(v); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Finish(v, res); err != nil {
+			t.Fatal(err)
+		}
+		shipDB := filepath.Join(t.TempDir(), app.Name+".db")
+		if err := mgr.SnapshotTo(shipDB); err != nil {
+			t.Fatal(err)
+		}
+
+		// The user's machine, first launch: only the shipped artifacts.
+		data, err := os.ReadFile(recPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := replay.NewReplayer(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		user, err := core.NewManager(shipDB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vu, err := app.Prog.NewVM(cfg, app.Startup, vm.WithBoundary(rp), vm.WithPID(rp.PID()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.VerifyLayout(vu.Process()); err != nil {
+			t.Fatalf("%s: shipped layout mismatch: %v", app.Name, err)
+		}
+		if prep, err := user.Prime(vu); err != nil || prep.Installed == 0 {
+			t.Fatalf("%s: prime from the shipped snapshot: %+v, %v; want traces installed", app.Name, prep, err)
+		}
+		resU, err := vu.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Finish(vu, resU); err != nil {
+			t.Fatalf("%s: first launch diverged from the shipped recording: %v", app.Name, err)
+		}
+		firstLaunch += resU.Stats.TracesTranslated
+	}
+	if avoided := 1 - float64(firstLaunch)/float64(cold); avoided < minAvoided {
+		t.Errorf("first launches translated %d traces against %d cold: %.1f%% avoided, want >= %.0f%%",
+			firstLaunch, cold, 100*avoided, 100*minAvoided)
 	}
 }

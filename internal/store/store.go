@@ -486,17 +486,20 @@ func (s *Store) publish(path string, data []byte) error {
 // this store holds in no pack and no loose file — what a machine must fetch
 // before it can prime from man. keep, when not nil, narrows that to the
 // traces it marks, as it narrows LocalTraces. It lists the generations at
-// most once.
+// most once, and stats each distinct pack it resolves a blob to once: a
+// pack a peer deleted since it was indexed is forgotten and its blobs
+// looked up again, as a read would.
 func (s *Store) Missing(man *Manifest, keep []bool) []Hash {
 	var out []Hash
 	var seen map[Hash]bool // allocated by the first miss: a warm launch has none
+	onDisk := make(map[*pack]bool)
 	relisted := false
 	for i, tr := range man.Traces {
 		if keep != nil && !keep[i] {
 			continue
 		}
 		h := tr.Blob
-		if _, ok := s.locate(h, &relisted); ok || seen[h] {
+		if s.present(h, &relisted, onDisk) || seen[h] {
 			continue
 		}
 		if seen == nil {
@@ -506,6 +509,28 @@ func (s *Store) Missing(man *Manifest, keep []bool) []Hash {
 		out = append(out, h)
 	}
 	return out
+}
+
+// present is Missing's lookup of h: found in the index, and, for a packed
+// blob, in a pack whose file is still there. onDisk records the packs
+// stat-ed so far.
+func (s *Store) present(h Hash, relisted *bool, onDisk map[*pack]bool) bool {
+	for {
+		loc, ok := s.locate(h, relisted)
+		if !ok || loc.p == nil {
+			return ok
+		}
+		there, checked := onDisk[loc.p]
+		if !checked {
+			_, err := s.fs.Stat(loc.p.path)
+			there = !errors.Is(err, fs.ErrNotExist)
+			onDisk[loc.p] = there
+		}
+		if there {
+			return true
+		}
+		s.forget(loc.p)
+	}
 }
 
 // AdoptPacks takes pack files received from another machine into the

@@ -60,8 +60,8 @@ test-race:
 # own CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer, readers of
-# one store's pack and loose-file index while a peer publishes and the store
-# compacts, a commit into an entry a peer grew after the launch primed
+# one store's pack index while a peer publishes two packs a turn and the
+# store compacts, a commit into an entry a peer grew after the launch primed
 # from it, and launches whose commits skip without the lock beside a peer
 # accumulating into their entry — run twenty times over: a lost race or a
 # lost update there is an intermittent failure, not a steady one. So do
@@ -74,10 +74,13 @@ test-race:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
 # previous one left there is the single-threaded cousin of one.
+# TestMakefileTestListsNameTests holds every -run name here (and every
+# -fuzz target of fuzz-smoke) to a func the packages on its line declare:
+# go test passes a -run name nothing declares with "no tests to run".
 race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
-	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestLooseIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestLockFreeSkipsRaceAccumulatingPeer|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestPackIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestLockFreeSkipsRaceAccumulatingPeer|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
 	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
@@ -123,9 +126,9 @@ gate-smoke:
 
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
 # decode, wire-protocol frames, cache-file bytes and the entry headers the
-# database is listed from, store pack files and the
-# blob encodings inside them, and the compressed loose blob files of older
-# stores) plus the
+# database is listed from, store pack files and the blob encodings inside
+# them, and the loose blob files of older stores, which only the fold that
+# repair and migrate run reads, packing the sound ones) plus the
 # differential translate/interpret equivalence property over generated
 # workloads, and the optimizer's prover (a reused Optimizer's verdict on a
 # mutated rewrite must be a fresh one's, and an accepted mutant must run like
@@ -139,7 +142,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store/ -fuzz FuzzInflateBlob -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -fuzz FuzzFoldLoose -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/guestopt/ -run '^$$' -fuzz FuzzCheckEquivalent -fuzztime $(FUZZTIME)
 
 # Report-only, not a gate: where the dispatch loops start (address mod 64)

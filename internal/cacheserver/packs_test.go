@@ -21,9 +21,9 @@ import (
 
 // Tests for FETCHPACKS from the untrusted side of the wire: packs a daemon
 // sends are verified whole before the client's store takes any of them,
-// a daemon never serves a pack its own disk corrupted, and a daemon that
-// does not speak the op, or holds only loose blobs, still leaves the client
-// a working prime.
+// a daemon never serves a pack its own disk corrupted, a daemon that does
+// not speak the op still leaves the client a working prime, and one that
+// holds only loose blobs serves them once repair has folded them.
 
 // proxyDaemon fronts the daemon at upstream: requests of op are answered
 // by answer, every other request is relayed over a connection of its own.
@@ -267,10 +267,11 @@ func TestCorruptDaemonPackQuarantined(t *testing.T) {
 	}
 }
 
-// TestLooseBlobServedAsPack: a daemon whose store holds its blobs as the
-// loose .pcb files of an earlier version sends each inside a one-member
-// pack, and a fresh client primes warm from them.
-func TestLooseBlobServedAsPack(t *testing.T) {
+// TestLooseBlobsServedOnceFolded: a daemon whose store holds its blobs as
+// the loose .pcb files of an earlier version serves no pack for them; once
+// repair (RecoverIndex) has folded them, it sends the one pack that holds
+// them all, and a fresh client primes warm from it.
+func TestLooseBlobsServedOnceFolded(t *testing.T) {
 	srv, addr, mgr := startServer(t)
 	w := buildWorld(t, "loose", 73)
 	cf, hashes, encs := storeEntry(t, addr, w)
@@ -305,15 +306,19 @@ func TestLooseBlobServedAsPack(t *testing.T) {
 
 	c := newClient(addr)
 	defer c.Close()
-	got, err := c.FetchPacks(core.KeySet{}, hashes)
-	if err != nil || len(got) != len(hashes) {
-		t.Fatalf("loose store served %d packs (%v), want one per blob (%d)", len(got), err, len(hashes))
+	if got, err := c.FetchPacks(core.KeySet{}, hashes); err != nil || len(got) != 0 {
+		t.Fatalf("unfolded loose store served %d packs (%v), want none", len(got), err)
 	}
-	for i, data := range got {
-		p, err := store.DecodePack(data)
-		if err != nil || !reflect.DeepEqual(p.Hashes, hashes[i:i+1]) {
-			t.Fatalf("pack %d: %v, holds %v; want blob %s alone", i, err, p, hashes[i])
-		}
+	if rep, err := reopened.RecoverIndex(); err != nil || rep.FilesQuarantined != 0 {
+		t.Fatalf("repair: %+v, %v", rep, err)
+	}
+	got, err := c.FetchPacks(core.KeySet{}, hashes)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("folded store served %d packs (%v), want 1", len(got), err)
+	}
+	p, err := store.DecodePack(got[0])
+	if err != nil || len(p.Hashes) != len(hashes) {
+		t.Fatalf("folded pack: %v, holds %d blobs; want all %d", err, len(p.Hashes), len(hashes))
 	}
 
 	f := newFallback(t, addr)

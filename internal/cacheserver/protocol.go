@@ -406,9 +406,6 @@ type UtilityEntry struct {
 	CodePool uint64 // translated code bytes (reporting only)
 }
 
-// Utility is the ranking the fleet's global eviction sorts by.
-func (u UtilityEntry) Utility() uint64 { return u.Hits * uint64(u.Traces) }
-
 // maxUtilityEntries bounds one UTILITY response; both ends enforce it.
 const maxUtilityEntries = 1 << 20
 

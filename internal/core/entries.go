@@ -26,16 +26,6 @@ type IndexEntry struct {
 	DataPool uint64 `json:"data_pool"`
 }
 
-// NewIndexEntry describes cf stored as file: what Entries reads back from
-// that file's header.
-func NewIndexEntry(cf *CacheFile, file string) IndexEntry {
-	return IndexEntry{
-		App: cf.AppKey.Hex(), VM: cf.VMKey.Hex(), Tool: cf.ToolKey.Hex(),
-		AppPath: cf.AppPath, File: file, Traces: len(cf.Traces),
-		CodePool: cf.CodePool, DataPool: cf.DataPool,
-	}
-}
-
 // Entries lists the database, one entry per manifest, each read from its
 // file's header. A file whose header does not read is left out: it cannot
 // be served, and Lookup or RecoverIndex quarantines it.

@@ -102,9 +102,10 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 		}
 	}
 
-	// Heal the blob store first, so manifest verification below runs
-	// against a store whose every blob is content-verified; its quarantined
-	// blobs count like quarantined files. The store is shared without a
+	// Heal the blob store first — fold its loose blob files into packs,
+	// then scrub the packs — so manifest verification below runs against a
+	// store whose every blob is packed and content-verified; its quarantined
+	// files count like quarantined cache files. The store is shared without a
 	// lock, so a temp there is debris only once it is older than a crashed
 	// writer's lock would be.
 	st, err := m.Store()

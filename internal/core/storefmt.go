@@ -472,8 +472,10 @@ type MigrateReport struct {
 // migration refuses to launder corrupt state into the new format. An entry
 // a launch has committed a manifest for since its image was written keeps
 // that manifest, which is authoritative for the layout, with the image
-// merged into it as the prior (MergeCacheFiles). A recovery pass runs
-// afterwards, so the database ends exactly as one would leave it.
+// merged into it as the prior (MergeCacheFiles). The store's loose blob
+// files are folded into packs first (store.FoldLoose), so the images' blobs
+// dedup against them. A recovery pass runs afterwards, so the database ends
+// exactly as one would leave it.
 func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -483,6 +485,13 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	}
 	defer unlock()
 
+	st, err := m.Store()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := st.FoldLoose(); err != nil {
+		return nil, err
+	}
 	rep := &MigrateReport{}
 	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pcc"))
 	if err != nil {
@@ -582,12 +591,12 @@ func (m *Manager) CompactStore() (*store.CompactReport, error) {
 type StoreDBStats struct {
 	Manifests    int     `json:"manifests"`
 	Blobs        int     `json:"blobs"`
-	BlobBytes    uint64  `json:"blob_bytes"`    // physical bytes in the store (packs, indexes included, and loose blobs)
+	BlobBytes    uint64  `json:"blob_bytes"`    // physical bytes in the store (packs, indexes included, and loose files)
 	LogicalBytes uint64  `json:"logical_bytes"` // per-manifest referenced bytes, duplicates counted
 	DedupRatio   float64 `json:"dedup_ratio"`   // 1 - referenced-once/logical
 	Generations  int     `json:"generations"`
 	Packs        int     `json:"packs"`       // not carried by the wire STATS response
-	LooseBlobs   int     `json:"loose_blobs"` // likewise: one-file-per-blob leftovers of earlier versions
+	LooseBlobs   int     `json:"loose_blobs"` // likewise: one-file-per-blob leftovers of earlier versions, not folded yet
 }
 
 // StoreStats computes the dedup summary; the cache server attaches it to

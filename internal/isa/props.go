@@ -54,10 +54,6 @@ func (i Inst) IsCondBranch() bool { return Classify(i.Op) == ClassBranch }
 // whose target is known statically (pc-relative).
 func (i Inst) IsDirectJump() bool { return i.Op == OpJal }
 
-// IsIndirectJump reports whether the instruction transfers control to a
-// register-computed address.
-func (i Inst) IsIndirectJump() bool { return i.Op == OpJalr }
-
 // IsMem reports whether the instruction accesses memory.
 func (i Inst) IsMem() bool {
 	c := Classify(i.Op)

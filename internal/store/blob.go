@@ -301,8 +301,8 @@ func sized[T any](n int) []T {
 }
 
 // DecodeBlob parses an encoded blob. Integrity is the caller's concern:
-// the store verifies that the bytes hash to the file's name before
-// decoding, so a trailer would be redundant.
+// the store verifies that the bytes hash to their address before decoding,
+// so a trailer would be redundant.
 func DecodeBlob(buf []byte) (*Blob, error) {
 	l, err := scanBlob(buf)
 	if err != nil {

@@ -9,7 +9,8 @@ type CompactReport struct {
 // Compact deletes every blob absent from live, the set of hashes some
 // manifest still references. A pack with no live blob is removed; a pack
 // that mixes live and dead blobs is first rewritten as a new pack of its
-// live ones, then removed; a loose blob file is removed. Nothing live is
+// live ones, then removed. Loose blob files are not packs: FoldLoose moves
+// them into packs first, and a later run judges them there. Nothing live is
 // ever absent from disk, so the run is idempotent and a crash part-way
 // leaves at worst a live blob in two packs, which the next run resolves.
 func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
@@ -21,22 +22,6 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 		rep.ReclaimedBytes += bytes
 		s.met.pruned.Add(uint64(blobs))
 		s.met.prunedBytes.Add(bytes)
-	}
-	files, err := s.looseFiles()
-	if err != nil {
-		return rep, err
-	}
-	for _, p := range files {
-		h, err := hashOf(p)
-		if err != nil || live[h] {
-			continue
-		}
-		fi, err := s.fs.Stat(p)
-		if err != nil || s.fs.Remove(p) != nil {
-			continue
-		}
-		prune(1, uint64(fi.Size()))
-		s.forgetLoose(p)
 	}
 	s.relist()
 	for _, p := range s.sortedPacks() {

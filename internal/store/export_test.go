@@ -5,9 +5,6 @@ import (
 	"persistcc/internal/vm"
 )
 
-// InflateBlob is the loose-file reader, for its fuzz target.
-func InflateBlob(data []byte) ([]byte, error) { return inflateBlob(data) }
-
 // PackMaxRaw is the most a pack holds and a loose file may inflate to.
 const PackMaxRaw = packMaxRaw
 

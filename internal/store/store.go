@@ -3,12 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,28 +20,6 @@ import (
 // quarantineDir receives store files whose bytes fail a content check,
 // mirroring the cache database's self-healing idiom.
 const quarantineDir = "quarantine"
-
-// blobZipMagic prefixes the flate-compressed loose blob files earlier
-// versions wrote, one per blob. A valid uncompressed encoding starts with
-// the blob magic, never this one, so the prefix is unambiguous.
-var blobZipMagic = [4]byte{'P', 'C', 'Z', '1'}
-
-// inflateBlob returns the encoding a loose blob file holds; raw payloads
-// pass through untouched. The file is untrusted: a stream that inflates past
-// packMaxRaw, more than any blob encodes to, is refused once it has produced
-// that much, as inflate bounds a pack body, instead of being read to its end.
-func inflateBlob(data []byte) ([]byte, error) {
-	if len(data) < 4 || string(data[:4]) != string(blobZipMagic[:]) {
-		return data, nil
-	}
-	zr, done := inflater(data[4:])
-	defer done()
-	enc, err := io.ReadAll(io.LimitReader(zr, packMaxRaw+1))
-	if err == nil && len(enc) > packMaxRaw {
-		err = fmt.Errorf("store: loose blob inflates past %d bytes", packMaxRaw)
-	}
-	return enc, err
-}
 
 // ErrBlobMissing reports a hash with no local blob.
 var ErrBlobMissing = errors.New("store: blob missing")
@@ -78,6 +54,9 @@ type member struct {
 	i int
 }
 
+// size is the length of the member's encoding.
+func (m member) size() uint64 { return uint64(m.p.ix.offs[m.i+1] - m.p.ix.offs[m.i]) }
+
 // Store is the local content-addressed blob store (tier L2). The pack files
 // <generation>/<id>.pck are the on-disk state: each holds the new blobs of
 // one commit, is published by renaming a synced, writer-unique temp onto a
@@ -85,10 +64,10 @@ type member struct {
 // number of stores, in any number of processes, share one directory without
 // a lock or a shared index to keep coherent. Each store indexes the packs
 // it has seen in memory and lists the directory again when it meets a hash
-// it does not know. Loose <sha256>.pcb files, one per blob, are what
-// earlier versions wrote; they stay readable and are never written. The
-// same listing indexes them by name beside the packs, so a lookup never
-// stats a file: a miss is map lookups plus at most one listing per call.
+// it does not know, so a lookup never stats a file: a miss is map lookups
+// plus at most one listing per call. Packs are the only format read; the
+// loose one-file-per-blob files earlier versions wrote are invisible until
+// FoldLoose (run by Recover) moves them into packs.
 // Packs move between machines whole: a daemon serves the files that hold
 // the blobs a client asks for (PackFiles), and the client verifies each and
 // publishes it under the same name (AdoptPacks), so blobs that come over
@@ -109,16 +88,15 @@ type Store struct {
 
 	pmu   sync.RWMutex
 	packs map[string]*pack // by path: the pack files indexed so far
-	index map[Hash]member  // where each packed blob lives
-	loose map[Hash]string  // where each loose blob file lives, as last listed
+	index map[Hash]member  // where each blob lives
 	hot   []*pack          // packs holding their inflated stream, oldest first
 }
 
 // Open opens the store rooted at dir. All I/O goes through fsys — the
-// chaos seam. Open lists the generation directories once each, indexing
-// every loose blob file by its name and reading the index of every pack,
-// never a pack body: it writes nothing (the first put creates what it
-// needs) and scrubs nothing, so it is safe while peers are writing.
+// chaos seam. Open lists the generation directories once each, reading the
+// index of every pack, never a pack body: it writes nothing (the first put
+// creates what it needs) and scrubs nothing, so it is safe while peers are
+// writing.
 func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 	if fsys == nil {
 		fsys = fsx.OS
@@ -138,7 +116,6 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 		gens:  gens,
 		packs: make(map[string]*pack),
 		index: make(map[Hash]member),
-		loose: make(map[Hash]string),
 	}
 	s.relist()
 	return s, nil
@@ -147,29 +124,23 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// relist lists every generation once and indexes what it has not seen
-// before: loose blob files by their names, packs by reading each new one's
-// index. A pack whose index cannot be read is skipped, not remembered: its
-// blobs are misses until a later listing reads it or Recover quarantines it.
+// relist lists the packs of every generation once and indexes each it has
+// not seen before by reading its index. A pack whose index cannot be read
+// is skipped, not remembered: its blobs are misses until a later listing
+// reads it or Recover quarantines it.
 func (s *Store) relist() {
 	var found []*pack
-	var loose []string
 	for _, g := range s.gens {
-		names, _ := s.fs.Glob(filepath.Join(g, "*")) // a failed listing finds nothing new
+		names, _ := s.fs.Glob(filepath.Join(g, "*.pck")) // a failed listing finds nothing new
 		for _, path := range names {
-			switch filepath.Ext(path) {
-			case ".pcb":
-				loose = append(loose, path)
-			case ".pck":
-				s.pmu.RLock()
-				_, known := s.packs[path]
-				s.pmu.RUnlock()
-				if known {
-					continue
-				}
-				if ix, err := s.readPackIndex(path); err == nil {
-					found = append(found, &pack{path: path, ix: ix})
-				}
+			s.pmu.RLock()
+			_, known := s.packs[path]
+			s.pmu.RUnlock()
+			if known {
+				continue
+			}
+			if ix, err := s.readPackIndex(path); err == nil {
+				found = append(found, &pack{path: path, ix: ix})
 			}
 		}
 	}
@@ -177,15 +148,6 @@ func (s *Store) relist() {
 	defer s.pmu.Unlock()
 	for _, p := range found {
 		s.addPackLocked(p)
-	}
-	for _, path := range loose { // newest generation first: its copy wins
-		h, err := hashOf(path)
-		if err != nil {
-			continue
-		}
-		if _, known := s.loose[h]; !known {
-			s.loose[h] = path
-		}
 	}
 }
 
@@ -228,25 +190,6 @@ func (s *Store) forget(p *pack) {
 	}
 }
 
-// forgetLoose drops a loose blob file that is gone from the index.
-func (s *Store) forgetLoose(path string) {
-	h, err := hashOf(path)
-	if err != nil {
-		return
-	}
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	if s.loose[h] == path {
-		delete(s.loose, h)
-	}
-}
-
-// blobLoc is where a blob lives: in a pack, or (p == nil) in a loose file.
-type blobLoc struct {
-	member
-	loose string
-}
-
 // packed looks h up in the pack index.
 func (s *Store) packed(h Hash) (member, bool) {
 	s.pmu.RLock()
@@ -255,43 +198,18 @@ func (s *Store) packed(h Hash) (member, bool) {
 	return m, ok
 }
 
-// indexed looks h up in the pack index, then among the loose files.
-func (s *Store) indexed(h Hash) (blobLoc, bool) {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	if m, ok := s.index[h]; ok {
-		return blobLoc{member: m}, true
-	}
-	path, ok := s.loose[h]
-	return blobLoc{loose: path}, ok
-}
-
-// locate finds h in the index of packs and loose files, else — once per
-// *relisted, which the caller shares across all the hashes of one call —
-// after listing the generations again, which is how a pack or a loose file
-// a peer wrote after Open is found. The index is consulted again after the
-// listing whatever it found: a concurrent call may have indexed h meanwhile.
-func (s *Store) locate(h Hash, relisted *bool) (blobLoc, bool) {
-	if loc, ok := s.indexed(h); ok || *relisted {
-		return loc, ok
+// locate finds h in the pack index, else — once per *relisted, which the
+// caller shares across all the hashes of one call — after listing the
+// generations again, which is how a pack a peer wrote after Open is found.
+// The index is consulted again after the listing whatever it found: a
+// concurrent call may have indexed h meanwhile.
+func (s *Store) locate(h Hash, relisted *bool) (member, bool) {
+	if m, ok := s.packed(h); ok || *relisted {
+		return m, ok
 	}
 	*relisted = true
 	s.relist()
-	return s.indexed(h)
-}
-
-// looseFiles lists every loose blob file, generation by generation.
-// Maintenance only (stats, scrub, compaction): it reads whole directories.
-func (s *Store) looseFiles() ([]string, error) {
-	var all []string
-	for _, g := range s.gens {
-		files, err := s.fs.Glob(filepath.Join(g, "*.pcb"))
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, files...)
-	}
-	return all, nil
+	return s.packed(h)
 }
 
 // sortedPacks snapshots the indexed packs in path order.
@@ -304,11 +222,6 @@ func (s *Store) sortedPacks() []*pack {
 	s.pmu.RUnlock()
 	sort.Slice(packs, func(i, j int) bool { return packs[i].path < packs[j].path })
 	return packs
-}
-
-// hashOf parses a loose blob file's name back into its content address.
-func hashOf(path string) (Hash, error) {
-	return ParseHash(strings.TrimSuffix(filepath.Base(path), ".pcb"))
 }
 
 // PutReport summarizes one batch of blob writes.
@@ -417,9 +330,9 @@ func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob
 // batch's or the store's record of it.
 func (s *Store) held(h Hash, enc []byte, batch map[Hash]int, relisted *bool) (uint64, bool) {
 	size, inBatch := batch[h]
-	loc, inStore := blobLoc{}, false
+	m, inStore := member{}, false
 	if !inBatch {
-		loc, inStore = s.locate(h, relisted)
+		m, inStore = s.locate(h, relisted)
 	}
 	switch {
 	case !inBatch && !inStore:
@@ -428,11 +341,8 @@ func (s *Store) held(h Hash, enc []byte, batch map[Hash]int, relisted *bool) (ui
 		return uint64(len(enc)), true
 	case inBatch:
 		return uint64(size), true
-	case loc.p != nil:
-		return uint64(loc.p.ix.offs[loc.i+1] - loc.p.ix.offs[loc.i]), true
 	}
-	enc, _, err := s.readRaw(h, relisted) // a loose blob: its file is its size
-	return uint64(len(enc)), err == nil
+	return m.size(), true
 }
 
 // tmpSeq makes temp names unique within the process; the pid makes them
@@ -483,7 +393,7 @@ func (s *Store) publish(path string, data []byte) error {
 }
 
 // Missing returns, each once, the hashes of the blobs man references that
-// this store holds in no pack and no loose file — what a machine must fetch
+// this store holds in no pack — what a machine must fetch
 // before it can prime from man. keep, when not nil, narrows that to the
 // traces it marks, as it narrows LocalTraces. It lists the generations at
 // most once, and stats each distinct pack it resolves a blob to once: a
@@ -511,25 +421,24 @@ func (s *Store) Missing(man *Manifest, keep []bool) []Hash {
 	return out
 }
 
-// present is Missing's lookup of h: found in the index, and, for a packed
-// blob, in a pack whose file is still there. onDisk records the packs
-// stat-ed so far.
+// present is Missing's lookup of h: found in the index, in a pack whose
+// file is still there. onDisk records the packs stat-ed so far.
 func (s *Store) present(h Hash, relisted *bool, onDisk map[*pack]bool) bool {
 	for {
-		loc, ok := s.locate(h, relisted)
-		if !ok || loc.p == nil {
-			return ok
+		m, ok := s.locate(h, relisted)
+		if !ok {
+			return false
 		}
-		there, checked := onDisk[loc.p]
+		there, checked := onDisk[m.p]
 		if !checked {
-			_, err := s.fs.Stat(loc.p.path)
+			_, err := s.fs.Stat(m.p.path)
 			there = !errors.Is(err, fs.ErrNotExist)
-			onDisk[loc.p] = there
+			onDisk[m.p] = there
 		}
 		if there {
 			return true
 		}
-		s.forget(loc.p)
+		s.forget(m.p)
 	}
 }
 
@@ -582,8 +491,7 @@ func (s *Store) AdoptPacks(files [][]byte) error {
 
 // PackFiles returns the files that hold the blobs with the given hashes, at
 // most maxBytes of them in all: each pack holding one, byte for byte as it
-// lies on disk and each once, and a loose blob as a one-member pack built
-// for the occasion. Hashes the store does not hold are in none of them, and
+// lies on disk and each once. Hashes the store does not hold are in none of them, and
 // a pack may hold blobs nobody asked for. A pack is verified whole the
 // first time it is served; one that fails is quarantined, as a failed read
 // would have it, and is never served.
@@ -607,40 +515,29 @@ func (s *Store) PackFiles(hashes []Hash, maxBytes int) [][]byte {
 	return out
 }
 
-// packFile returns the file PackFiles serves h in and the pack it is (nil
-// for a loose blob), or false when h is nowhere servable or its pack is in
-// sent already.
+// packFile returns the file PackFiles serves h in and the pack it is, or
+// false when h is nowhere servable or its pack is in sent already.
 func (s *Store) packFile(h Hash, relisted *bool, sent map[*pack]bool) ([]byte, *pack, bool) {
 	for {
-		loc, ok := s.locate(h, relisted)
-		switch {
-		case !ok:
-			return nil, nil, false
-		case loc.p == nil:
-			enc, _, err := s.readRaw(h, relisted)
-			if err != nil {
-				return nil, nil, false
-			}
-			_, _, data := encodePack([]Hash{h}, [][]byte{enc})
-			return data, nil, true
-		case sent[loc.p]:
+		m, ok := s.locate(h, relisted)
+		if !ok || sent[m.p] {
 			return nil, nil, false
 		}
-		data, err := s.fs.ReadFile(loc.p.path)
-		if err == nil && !loc.p.served.Load() {
+		data, err := s.fs.ReadFile(m.p.path)
+		if err == nil && !m.p.served.Load() {
 			if _, _, _, err = decodePack(data); err != nil {
 				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 			}
 		}
 		switch {
 		case err == nil:
-			loc.p.served.Store(true)
-			return data, loc.p, true
+			m.p.served.Store(true)
+			return data, m.p, true
 		case errors.Is(err, ErrBlobCorrupt):
-			s.quarantine(loc)
+			s.quarantine(m.p)
 			return nil, nil, false
 		case errors.Is(err, fs.ErrNotExist):
-			s.forget(loc.p) // compacted away since indexed: look again
+			s.forget(m.p) // compacted away since indexed: look again
 		default:
 			return nil, nil, false
 		}
@@ -651,34 +548,30 @@ func (s *Store) packFile(h Hash, relisted *bool, sent map[*pack]bool) ([]byte, *
 // compressed stream per pack, so a blob has no physical size of its own.
 func (s *Store) SizeOf(h Hash) (uint64, bool) {
 	relisted := false
-	loc, ok := s.locate(h, &relisted)
+	m, ok := s.locate(h, &relisted)
 	if !ok {
 		return 0, false
 	}
-	if loc.p != nil {
-		return uint64(loc.p.ix.offs[loc.i+1] - loc.p.ix.offs[loc.i]), true
-	}
-	enc, _, err := s.readRaw(h, &relisted)
-	return uint64(len(enc)), err == nil
+	return m.size(), true
 }
 
 // Get reads and decodes one blob from the local disk; each call returns a
 // blob of its own. A blob that fails the content-address or decode check
-// has its file — the whole pack, for a packed blob — quarantined and is
+// has its pack quarantined and is
 // reported as ErrBlobCorrupt; an absent blob returns ErrBlobMissing. A
 // launch reads a manifest through LocalTraces, not blob by blob.
 func (s *Store) Get(h Hash) (*Blob, error) {
 	relisted := false
-	enc, loc, err := s.readRaw(h, &relisted)
+	enc, m, err := s.readRaw(h, &relisted)
 	if err != nil {
 		return nil, err
 	}
 	b, err := DecodeBlob(enc)
 	if err != nil {
-		s.quarantine(loc)
+		s.quarantine(m.p)
 		return nil, fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
 	}
-	if loc.p != nil && loc.p.remote {
+	if m.p.remote {
 		s.met.hitsL3.Inc()
 	} else {
 		s.met.hitsL2.Inc()
@@ -686,12 +579,11 @@ func (s *Store) Get(h Hash) (*Blob, error) {
 	return b, nil
 }
 
-// openFile is a file LocalTraces has read: a pack's inflated stream, or a
-// loose blob's encoding standing as a one-member pack, with the members it
-// has counted. A pack that was not hot inflates into raw beside the read
-// (z) until LocalTraces has its verdict.
+// openFile is a pack LocalTraces has read: its inflated stream, with the
+// members it has counted. A pack that was not hot inflates into raw beside
+// the read (z) until LocalTraces has its verdict.
 type openFile struct {
-	loc  blobLoc // the file, for quarantine
+	p    *pack
 	raw  []byte
 	seen []bool
 	z    *inflation // nil once raw is whole and judged
@@ -714,15 +606,13 @@ func (f *openFile) member(m member, h Hash) ([]byte, error) {
 	return enc, nil
 }
 
-// manifestRead is one LocalTraces call's state: the files it has opened,
-// in the order it opened them and by pack, the loose blobs among them by
-// hash (the pack index does not know them), and whether it has listed the
+// manifestRead is one LocalTraces call's state: the packs it has opened, in
+// the order it opened them and by pack, and whether it has listed the
 // generations again.
 type manifestRead struct {
 	s        *Store
 	files    []*openFile
 	open     map[*pack]*openFile
-	loose    map[Hash]member
 	relisted bool
 }
 
@@ -736,8 +626,8 @@ type manifestRead struct {
 // Blob.Materialize would between them, and each distinct blob is counted
 // once as a hit of the tier that held it; each trace carries the address it
 // was read under (vm.Trace.Addr). A warm launch finds every blob in a pack
-// it has indexed; anything else — a pack a peer published since, a loose
-// blob, a file gone or damaged — is openBlob's, so the loop pays nothing
+// it has indexed; anything else — a pack a peer published since, a pack
+// gone or damaged — is openBlob's, so the loop pays nothing
 // for it. A pack that is not hot inflates on a goroutine of its own while
 // the loop verifies and decodes the members that have arrived; before
 // returning, LocalTraces has every such stream's verdict — whole, and
@@ -816,30 +706,18 @@ func (r *manifestRead) read(h Hash) (member, *openFile, []byte, error) {
 	return m, f, enc, nil
 }
 
-// openBlob finds h for LocalTraces when no file it has open holds it: in a
-// pack not opened yet, in a pack or loose file the index learns of by
-// listing the generations again (once per call), or in a loose file, read
-// as a one-member pack. find forgets a file gone since it was indexed and
-// quarantines one that fails to read back.
+// openBlob finds h for LocalTraces when no pack it has open holds it: in a
+// pack not opened yet, or in one the index learns of by listing the
+// generations again (once per call). find forgets a pack gone since it was
+// indexed and quarantines one that fails to read back.
 func (r *manifestRead) openBlob(h Hash) (member, *openFile, error) {
-	if m, ok := r.loose[h]; ok {
-		return m, r.open[m.p], nil
-	}
-	loc, raw, z, err := r.s.find(h, &r.relisted)
+	m, raw, z, err := r.s.find(h, &r.relisted)
 	if err != nil {
 		return member{}, nil, err
 	}
-	m := loc.member
-	if m.p == nil {
-		m.p = &pack{ix: &packIndex{hashes: []Hash{h}, offs: []uint32{0, uint32(len(raw))}}}
-		if r.loose == nil {
-			r.loose = make(map[Hash]member)
-		}
-		r.loose[h] = m
-	}
 	f := r.open[m.p]
 	if f == nil {
-		f = &openFile{loc: loc, raw: raw, seen: make([]bool, len(m.p.ix.hashes)), z: z}
+		f = &openFile{p: m.p, raw: raw, seen: make([]bool, len(m.p.ix.hashes)), z: z}
 		r.open[m.p] = f
 		r.files = append(r.files, f)
 	} else if z != nil {
@@ -856,7 +734,7 @@ func (r *manifestRead) finish() error {
 		if f.z == nil {
 			continue
 		}
-		err := r.s.settle(f.loc.p, f.z)
+		err := r.s.settle(f.p, f.z)
 		f.z = nil
 		if err != nil {
 			return r.fail(f, err)
@@ -877,82 +755,66 @@ func (r *manifestRead) abandon(err error) error {
 	return err
 }
 
-// fail stops this read's streams and quarantines the file f when err says
+// fail stops this read's streams and quarantines the pack f when err says
 // its bytes are bad — the whole pack, since one bad member means the file
 // cannot be trusted — and returns err.
 func (r *manifestRead) fail(f *openFile, err error) error {
 	r.abandon(nil)
 	if errors.Is(err, ErrBlobCorrupt) {
-		r.s.quarantine(f.loc)
+		r.s.quarantine(f.p)
 	}
 	return err
 }
 
-// find locates h and reads the file that holds it: a pack's stream, or a
-// loose blob's encoding. A pack that is not hot comes back still inflating
-// into raw (z): the caller has its verdict from settle, or stops it. A
-// file gone since it was indexed — a peer's compaction removed it; the
-// blob, if still live, is in a pack not listed yet — is forgotten and h
-// looked up again. A file that fails to read back is quarantined
-// (ErrBlobCorrupt); h nowhere, or a file that cannot be read now, is
-// ErrBlobMissing.
-func (s *Store) find(h Hash, relisted *bool) (blobLoc, []byte, *inflation, error) {
+// find locates h and reads the pack that holds it. A pack that is not hot
+// comes back still inflating into raw (z): the caller has its verdict from
+// settle, or stops it. A pack gone since it was indexed — a peer's
+// compaction removed it; the blob, if still live, is in a pack not listed
+// yet — is forgotten and h looked up again. A pack that fails to read back
+// is quarantined (ErrBlobCorrupt); h nowhere, or a pack that cannot be read
+// now, is ErrBlobMissing.
+func (s *Store) find(h Hash, relisted *bool) (member, []byte, *inflation, error) {
 	for {
-		loc, ok := s.locate(h, relisted)
+		m, ok := s.locate(h, relisted)
 		if !ok {
 			s.met.misses.Inc()
-			return loc, nil, nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
+			return m, nil, nil, fmt.Errorf("%w: %s", ErrBlobMissing, h)
 		}
-		var data []byte
-		var z *inflation
-		var err error
-		if loc.p != nil {
-			data, z, err = s.packStream(loc.p)
-		} else if data, err = s.fs.ReadFile(loc.loose); err == nil {
-			if data, err = inflateBlob(data); err != nil {
-				err = fmt.Errorf("%w: %v", ErrBlobCorrupt, err)
-			}
-		}
+		raw, z, err := s.packStream(m.p)
 		switch {
 		case err == nil:
-			return loc, data, z, nil
+			return m, raw, z, nil
 		case errors.Is(err, ErrBlobCorrupt):
-			s.quarantine(loc)
-			return loc, nil, nil, err
+			s.quarantine(m.p)
+			return m, nil, nil, err
 		case errors.Is(err, fs.ErrNotExist):
-			if loc.p != nil {
-				s.forget(loc.p)
-			} else {
-				s.forgetLoose(loc.loose)
-			}
+			s.forget(m.p)
 		default:
 			s.met.misses.Inc()
-			return loc, nil, nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
+			return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrBlobMissing, h, err)
 		}
 	}
 }
 
 // readRaw loads and hash-verifies one blob's bytes from disk, inflating
 // its pack to the end first when it is not hot.
-func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, blobLoc, error) {
-	loc, enc, z, err := s.find(h, relisted)
+func (s *Store) readRaw(h Hash, relisted *bool) ([]byte, member, error) {
+	m, raw, z, err := s.find(h, relisted)
 	if err != nil {
-		return nil, loc, err
+		return nil, m, err
 	}
 	if z != nil {
-		if err := s.settle(loc.p, z); err != nil {
-			s.quarantine(loc)
-			return nil, loc, err
+		if err := s.settle(m.p, z); err != nil {
+			s.quarantine(m.p)
+			return nil, m, err
 		}
 	}
-	if loc.p != nil {
-		enc = enc[loc.p.ix.offs[loc.i]:loc.p.ix.offs[loc.i+1]]
-	}
+	enc := raw[m.p.ix.offs[m.i]:m.p.ix.offs[m.i+1]]
 	if Sum(enc) != h {
-		s.quarantine(loc)
-		return nil, loc, fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
+		s.quarantine(m.p)
+		return nil, m, fmt.Errorf("%w: %s fails content check", ErrBlobCorrupt, h)
 	}
-	return enc, loc, nil
+	return enc, m, nil
 }
 
 // packStream returns p's inflated stream when the pack is hot; otherwise
@@ -1011,18 +873,13 @@ func (s *Store) heatLocked(p *pack, raw []byte) {
 	}
 }
 
-// quarantine moves the file behind loc out of the addressable space — for a
-// packed blob the whole pack, since one bad member means the file cannot be
-// trusted — so the next lookup of any blob in it is a clean miss (and the
-// next commit can rewrite it).
-func (s *Store) quarantine(loc blobLoc) {
-	if loc.p == nil {
-		s.quarantineFile(loc.loose)
-		s.forgetLoose(loc.loose)
-		return
-	}
-	s.quarantineFile(loc.p.path)
-	s.forget(loc.p)
+// quarantine moves pack p out of the addressable space — the whole pack,
+// since one bad member means the file cannot be trusted — so the next
+// lookup of any blob in it is a clean miss (and the next commit can
+// rewrite it).
+func (s *Store) quarantine(p *pack) {
+	s.quarantineFile(p.path)
+	s.forget(p)
 }
 
 // quarantineFile moves one store file into the quarantine directory,
@@ -1040,15 +897,16 @@ func (s *Store) quarantineFile(path string) bool {
 // Stats summarizes the store's physical state.
 type Stats struct {
 	Gen         int    `json:"gen"`
-	Blobs       int    `json:"blobs"`      // distinct addressable blobs, packed or loose
+	Blobs       int    `json:"blobs"`      // distinct addressable blobs: the packed ones
 	BlobBytes   uint64 `json:"blob_bytes"` // physical bytes: pack files (indexes included) and loose files
 	Generations int    `json:"generations"`
 	Packs       int    `json:"packs"`
-	LooseBlobs  int    `json:"loose_blobs"` // one-file-per-blob leftovers of earlier versions
+	LooseBlobs  int    `json:"loose_blobs"` // one-file-per-blob leftovers of earlier versions, not folded yet
 }
 
 // Stats walks the store directory for blob count and physical bytes, and
-// refreshes the pcc_store_blobs/blob_bytes/generation gauges from it.
+// refreshes the pcc_store_blobs/blob_bytes/generation gauges from it. A
+// pack a peer deleted since it was indexed is forgotten, as a read would.
 func (s *Store) Stats() Stats {
 	var st Stats
 	fmt.Sscanf(filepath.Base(s.gens[0]), "gen%d", &st.Gen)
@@ -1056,6 +914,9 @@ func (s *Store) Stats() Stats {
 	gens := make(map[string]bool)
 	for _, p := range s.sortedPacks() {
 		fi, err := s.fs.Stat(p.path)
+		if errors.Is(err, fs.ErrNotExist) {
+			s.forget(p)
+		}
 		if err != nil {
 			continue
 		}
@@ -1064,26 +925,15 @@ func (s *Store) Stats() Stats {
 		gens[filepath.Dir(p.path)] = true
 	}
 	files, _ := s.looseFiles()
-	var loose []Hash
 	for _, p := range files {
-		fi, err := s.fs.Stat(p)
-		if err != nil {
-			continue
-		}
-		st.LooseBlobs++
-		st.BlobBytes += uint64(fi.Size())
-		gens[filepath.Dir(p)] = true
-		if h, err := hashOf(p); err == nil {
-			loose = append(loose, h)
+		if fi, err := s.fs.Stat(p); err == nil {
+			st.LooseBlobs++
+			st.BlobBytes += uint64(fi.Size())
+			gens[filepath.Dir(p)] = true
 		}
 	}
 	s.pmu.RLock()
 	st.Blobs = len(s.index)
-	for _, h := range loose {
-		if _, packed := s.index[h]; !packed {
-			st.Blobs++
-		}
-	}
 	s.pmu.RUnlock()
 	st.Generations = len(gens)
 	s.met.blobs.Set(float64(st.Blobs))
@@ -1099,13 +949,17 @@ type RecoverReport struct {
 	TmpRemoved  int // abandoned temp files deleted
 }
 
-// Recover scrubs the store: every pack is read whole, every blob — packed
-// or loose — is re-hashed against its address and decoded (a file that
-// fails is quarantined), and temp files older than staleAfter are deleted.
-// A younger temp may be a live writer's, between its sync and its rename,
-// and is left alone.
+// Recover scrubs the store: loose blob files are folded into packs first
+// (FoldLoose), then every pack is read whole and every blob re-hashed
+// against its address and decoded (a pack that fails is quarantined), and
+// temp files older than staleAfter are deleted. A younger temp may be a live
+// writer's, between its sync and its rename, and is left alone.
 func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
-	rep := &RecoverReport{}
+	quarantined, err := s.FoldLoose()
+	if err != nil {
+		return nil, err
+	}
+	rep := &RecoverReport{Quarantined: quarantined}
 	cutoff := time.Now().Add(-staleAfter)
 	for _, d := range append([]string{s.dir}, s.gens...) {
 		tmps, err := s.fs.Glob(filepath.Join(d, "*.tmp"))
@@ -1141,34 +995,10 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 			rep.Quarantined++
 		}
 	}
-	files, err := s.looseFiles()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range files {
-		h, err := hashOf(p)
-		if err != nil {
-			s.fs.Remove(p)
-			continue
-		}
-		data, err := s.fs.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		if enc, err := inflateBlob(data); err == nil && Sum(enc) == h {
-			if _, err := DecodeBlob(enc); err == nil {
-				rep.Blobs++
-				continue
-			}
-		}
-		if s.quarantineFile(p) {
-			rep.Quarantined++
-		}
-	}
 	// Start over from what survived: nothing inflated before the scrub is
 	// trusted after it.
 	s.pmu.Lock()
-	s.packs, s.index, s.loose, s.hot = make(map[string]*pack), make(map[Hash]member), make(map[Hash]string), nil
+	s.packs, s.index, s.hot = make(map[string]*pack), make(map[Hash]member), nil
 	s.pmu.Unlock()
 	s.relist()
 	return rep, nil

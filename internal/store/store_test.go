@@ -282,42 +282,6 @@ func TestGetQuarantinesCorruptPack(t *testing.T) {
 	}
 }
 
-// TestLooseBlobsStayReadable: one-file-per-blob stores written by earlier
-// versions are served, deduplicated against, quarantined blob by blob, and
-// never added to.
-func TestLooseBlobsStayReadable(t *testing.T) {
-	dir := t.TempDir()
-	old, bad, fresh := mkBlob(30, 4), mkBlob(31, 4), mkBlob(32, 4)
-	writeLoose(t, dir, "gen0000", old)
-	badPath := writeLoose(t, dir, "gen0000", bad)
-	if err := os.WriteFile(badPath, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := openStore(t, dir)
-	if got, err := s.Get(old.Hash()); err != nil || got.Hash() != old.Hash() {
-		t.Fatalf("loose blob: %v", err)
-	}
-	if n, ok := s.SizeOf(old.Hash()); !ok || n != uint64(len(old.Encode())) {
-		t.Errorf("SizeOf(loose) = %d, %t", n, ok)
-	}
-	if _, err := s.Get(bad.Hash()); !errors.Is(err, store.ErrBlobCorrupt) {
-		t.Fatalf("want ErrBlobCorrupt, got %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(badPath))); err != nil {
-		t.Errorf("corrupt loose blob not quarantined: %v", err)
-	}
-	rep, _, err := s.PutAll([]*store.Blob{old, fresh})
-	if err != nil || rep.Added != 1 || rep.Deduped != 1 {
-		t.Fatalf("PutAll over a loose store: %+v, %v; want 1 added, 1 deduped", rep, err)
-	}
-	if loose := storeFiles(t, dir, ".pcb"); len(loose) != 1 {
-		t.Errorf("loose files after a put: %v, want only the old one", loose)
-	}
-	if st := s.Stats(); st.Blobs != 2 || st.Packs != 1 || st.LooseBlobs != 1 {
-		t.Errorf("stats %+v, want 2 blobs: 1 pack, 1 loose", st)
-	}
-}
-
 func TestRecoverScrubsPacksBlobsAndTemps(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -447,7 +411,7 @@ func TestReloadOnMiss(t *testing.T) {
 	}
 	listings := func() (n int) {
 		for _, op := range inj.Ops() {
-			if op.Op == fsx.OpGlob && strings.HasSuffix(op.Path, string(filepath.Separator)+"*") {
+			if op.Op == fsx.OpGlob && strings.HasSuffix(op.Path, string(filepath.Separator)+"*.pck") {
 				n++
 			}
 		}
@@ -494,7 +458,6 @@ func TestCompactPrunesOrphans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	looseOrphan := writeLoose(t, dir, "gen0000", mkBlob(11, 4))
 	reader := openStore(t, dir) // a peer that indexed the packs before they move
 	before := s.Stats().BlobBytes
 	live := map[store.Hash]bool{kept.Hash(): true}
@@ -502,17 +465,14 @@ func TestCompactPrunesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The all-dead pack and the loose orphan are removed; the mixed pack is
-	// rewritten as a pack of its one live blob.
+	// The all-dead pack is removed; the mixed pack is rewritten as a pack of
+	// its one live blob.
 	after := s.Stats()
-	if rep.PrunedOrphans != 4 || rep.ReclaimedBytes != before-after.BlobBytes {
-		t.Fatalf("compact: %+v, want 4 orphans and the %d bytes the store shrank by", rep, before-after.BlobBytes)
+	if rep.PrunedOrphans != 3 || rep.ReclaimedBytes != before-after.BlobBytes {
+		t.Fatalf("compact: %+v, want 3 orphans and the %d bytes the store shrank by", rep, before-after.BlobBytes)
 	}
 	if after.Blobs != 1 || after.Packs != 1 || after.LooseBlobs != 0 {
 		t.Fatalf("stats after compact: %+v, want 1 blob in 1 pack", after)
-	}
-	if _, err := os.Stat(looseOrphan); err == nil {
-		t.Error("loose orphan survived compaction")
 	}
 	for _, st := range []*store.Store{s, reader, openStore(t, dir)} {
 		if _, err := st.Get(kept.Hash()); err != nil {
@@ -533,6 +493,27 @@ func TestCompactPrunesOrphans(t *testing.T) {
 	}
 	if got := fmt.Sprint(storeFiles(t, dir, "")); got != names {
 		t.Errorf("second compact changed the store: %s, was %s", got, names)
+	}
+}
+
+// TestStatsForgetsPacksAPeerDeleted: a pack a peer compacts away after
+// this store indexed it leaves the stats — its blobs included — as it
+// leaves a read.
+func TestStatsForgetsPacksAPeerDeleted(t *testing.T) {
+	dir := t.TempDir()
+	s, peer := openStore(t, dir), openStore(t, dir)
+	if _, _, err := peer.PutAll([]*store.Blob{mkBlob(60, 3), mkBlob(61, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Blobs != 2 || st.Packs != 1 {
+		t.Fatalf("stats after the peer's put: %+v, want 2 blobs in 1 pack", st)
+	}
+	if _, err := peer.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := openStore(t, dir).Stats()
+	if st := s.Stats(); st != want || st.Blobs != 0 || st.Packs != 0 || st.BlobBytes != 0 {
+		t.Errorf("stats after the peer compacted the pack away: %+v, want those of a fresh store: %+v", st, want)
 	}
 }
 
@@ -577,8 +558,8 @@ func TestCompactInterruptedLeavesDuplicatesNotLosses(t *testing.T) {
 func TestOlderGenerationsStayReadable(t *testing.T) {
 	dir := t.TempDir()
 	old, older, fresh := mkBlob(17, 3), mkBlob(18, 3), mkBlob(19, 3)
-	writeLoose(t, dir, "gen0000", older)
-	writeLoose(t, dir, "gen0002", old)
+	writePackIn(t, dir, "gen0000", older)
+	writePackIn(t, dir, "gen0002", old)
 	s := openStore(t, dir)
 	rep, _, err := s.PutAll([]*store.Blob{old, older, fresh})
 	if err != nil {
@@ -587,7 +568,7 @@ func TestOlderGenerationsStayReadable(t *testing.T) {
 	if rep.Added != 1 || rep.Deduped != 2 {
 		t.Fatalf("added %d deduped %d, want 1/2", rep.Added, rep.Deduped)
 	}
-	if packs := storeFiles(t, dir, ".pck"); len(packs) != 1 || filepath.Base(filepath.Dir(packs[0])) != "gen0002" {
+	if packs := storeFiles(t, dir, ".pck"); len(packs) != 3 || filepath.Base(filepath.Dir(packs[2])) != "gen0002" {
 		t.Errorf("new pack not in the newest generation: %v", packs)
 	}
 	for _, st := range []*store.Store{s, openStore(t, dir)} {
@@ -599,6 +580,27 @@ func TestOlderGenerationsStayReadable(t *testing.T) {
 		if stats := st.Stats(); stats.Gen != 2 || stats.Blobs != 3 || stats.Generations != 2 {
 			t.Fatalf("stats: %+v, want gen 2, 3 blobs, 2 generations", stats)
 		}
+	}
+}
+
+// writePackIn publishes a pack holding b in generation gen of the store at
+// dir, as a store whose newest generation that was would have.
+func writePackIn(t *testing.T, dir, gen string, b *store.Blob) {
+	t.Helper()
+	scratch := t.TempDir()
+	if _, _, err := openStore(t, scratch).PutAll([]*store.Blob{b}); err != nil {
+		t.Fatal(err)
+	}
+	pack := storeFiles(t, scratch, ".pck")[0]
+	data, err := os.ReadFile(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, gen), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, gen, filepath.Base(pack)), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -746,7 +748,7 @@ func manifestOver(blobs ...*store.Blob) *store.Manifest {
 }
 
 // TestLocalTraces: the one read path answers a manifest with the traces
-// the Blob path builds, wherever each blob lies — packed or loose — counting
+// the Blob path builds, in whichever pack each blob lies, counting
 // one l2 hit per distinct blob. A blob nobody holds is ErrBlobMissing; one
 // that decodes but is not the blob the manifest describes is an error of
 // its own, and its pack stays; a damaged pack is ErrBlobCorrupt and moves
@@ -765,14 +767,16 @@ func TestLocalTraces(t *testing.T) {
 	if _, _, err := s.PutAll([]*store.Blob{c}); err != nil { // a second pack
 		t.Fatal(err)
 	}
-	loose := mkBlob(43, 2)
-	writeLoose(t, dir, "gen0000", loose)
+	third := mkBlob(43, 2)
+	if _, _, err := s.PutAll([]*store.Blob{third}); err != nil { // and a third
+		t.Fatal(err)
+	}
 	hits := func(tier string) float64 {
 		n, _ := reg.Snapshot().Value("pcc_store_blob_hits_total", tier)
 		return n
 	}
 
-	man := manifestOver(a, c, loose, b, a, loose) // packs and a loose file interleaved, two blobs twice
+	man := manifestOver(a, c, third, b, a, third) // three packs interleaved, two blobs twice
 	got, err := s.LocalTraces(man, nil)
 	if err != nil || len(got) != 6 {
 		t.Fatalf("LocalTraces: %d traces, %v", len(got), err)
@@ -780,7 +784,7 @@ func TestLocalTraces(t *testing.T) {
 	if hits("l2") != 4 {
 		t.Errorf("hits l2=%v, want 4 (a blob referenced twice is one lookup)", hits("l2"))
 	}
-	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode(), loose.Hash(): loose.Encode()}
+	enc := map[store.Hash][]byte{a.Hash(): a.Encode(), b.Hash(): b.Encode(), c.Hash(): c.Encode(), third.Hash(): third.Encode()}
 	for i, tr := range man.Traces {
 		if got[i].Addr == nil || *got[i].Addr != tr.Blob {
 			t.Errorf("trace %d carries address %x, want the %s it was read under", i, got[i].Addr, tr.Blob)
@@ -831,13 +835,13 @@ func TestLocalTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = openStore(t, dir)
-	if _, err := s.LocalTraces(manifestOver(a, b, c), nil); !errors.Is(err, store.ErrBlobCorrupt) {
+	if _, err := s.LocalTraces(manifestOver(a, b, c, third), nil); !errors.Is(err, store.ErrBlobCorrupt) {
 		t.Fatalf("damaged pack: %v, want ErrBlobCorrupt", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(path))); err != nil {
 		t.Errorf("damaged pack not quarantined: %v", err)
 	}
-	if _, err := s.LocalTraces(manifestOver(a, b, c), nil); !errors.Is(err, store.ErrBlobMissing) {
+	if _, err := s.LocalTraces(manifestOver(a, b, c, third), nil); !errors.Is(err, store.ErrBlobMissing) {
 		t.Errorf("after quarantine: %v, want ErrBlobMissing", err)
 	}
 }

@@ -57,11 +57,6 @@ type metricBinder interface {
 // pre-translated and pre-optimized.
 func WithOptimizer(o Optimizer) Option { return func(v *VM) { v.opt = o } }
 
-// AttachedOptimizer returns the optimizer attached with WithOptimizer, nil
-// without one (persistence key material: optimized caches only prime into
-// equally configured VMs).
-func (v *VM) AttachedOptimizer() Optimizer { return v.opt }
-
 // optimizeTrace runs the attached optimizer over a freshly decoded trace
 // and folds the outcome into the run's accounting. Called by prepareTrace.
 func (v *VM) optimizeTrace(t *Trace) {

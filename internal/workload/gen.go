@@ -34,10 +34,6 @@ type SharedLib struct {
 	BodyInsts   int
 }
 
-// InstsPerSvc returns the approximate static instruction count of one
-// service chain.
-func (l *SharedLib) InstsPerSvc() int { return l.FuncsPerSvc * (l.BodyInsts + funcOverhead) }
-
 // BuildSharedLib generates a shared library with the given number of
 // service chains.
 func BuildSharedLib(name string, seed uint64, services, funcsPerSvc, bodyInsts int) (*SharedLib, error) {

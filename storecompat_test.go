@@ -4,10 +4,11 @@ package persistcc_test
 // whose store kept an advisory index file next to its blobs, and taken
 // through that version's compaction, which moved every blob out of gen0000
 // into gen0001. It holds the entry of generated application compat-a and,
-// unreferenced, the twelve blobs of compat-b, whose entry was then evicted.
-// The store must serve it as it lies: ignore the index file, find the
-// loose one-file-per-blob blobs in gen0001, write new ones (as a pack, which
-// is all it writes) there, and reclaim the orphans.
+// unreferenced, the twelve blobs of compat-b, whose entry was then evicted,
+// all as loose one-file-per-blob files. The store reads packs only, so until
+// repair or migrate folds those files into packs the entry is a miss; after
+// the fold the store serves it, ignores the index file, writes new packs in
+// gen0001, and reclaims the orphans.
 //
 // The fixture is tied to the VM version and the workload generator through
 // its keys. After a deliberate change to either, rebuild it with the
@@ -21,12 +22,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
@@ -85,78 +88,225 @@ func warmRun(t *testing.T, dir, name string, seed uint64, shared ...workload.Ser
 	}
 }
 
-func TestIndexedStoreFixtureServesUnderIndexFreeStore(t *testing.T) {
-	const fixture = "testdata/indexed-store.db"
+// indexedFixture is the indexed-store fixture's path, and the addresses of
+// the 24 loose blobs it ships.
+const indexedFixture = "testdata/indexed-store.db"
+
+func indexedFixtureBlobs(t *testing.T) []store.Hash {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(indexedFixture, "store", "gen0001", "*.pcb"))
+	if len(files) != 24 {
+		t.Fatalf("fixture holds %d blobs in gen0001, want 24", len(files))
+	}
+	hashes := make([]store.Hash, len(files))
+	for i, f := range files {
+		h, err := store.ParseHash(strings.TrimSuffix(filepath.Base(f), ".pcb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[i] = h
+	}
+	return hashes
+}
+
+// indexedCopy copies the indexed-store fixture into a fresh database.
+func indexedCopy(t *testing.T) string {
+	t.Helper()
 	dir := testutil.TempDB(t)
-	if err := copyTree(fixture, dir); err != nil {
+	if err := copyTree(indexedFixture, dir); err != nil {
 		t.Fatal(err)
 	}
-	gen1 := filepath.Join(dir, "store", "gen0001")
-	blobsBefore, _ := filepath.Glob(filepath.Join(gen1, "*.pcb"))
-	if len(blobsBefore) != 24 {
-		t.Fatalf("fixture holds %d blobs in gen0001, want 24", len(blobsBefore))
-	}
+	return dir
+}
 
-	// Opened and primed from as it lies.
-	warmRun(t, dir, "compat-a", 11)
+// looseLeft lists the loose blob files left anywhere in the store at dir.
+func looseLeft(dir string) []string {
+	files, _ := filepath.Glob(filepath.Join(dir, "store", "gen*", "*.pcb"))
+	return files
+}
 
-	// Committed into: a new application's blobs join the newest generation.
+// TestIndexedStoreFixtureColdUntilFolded: before a fold the fixture's entry
+// is a miss — its blobs are loose files, which the store does not read — so
+// a launch runs cold, and nothing is quarantined: the entry and every loose
+// file stay where they are for the fold.
+func TestIndexedStoreFixtureColdUntilFolded(t *testing.T) {
+	dir := indexedCopy(t)
 	mgr, err := core.NewManager(dir, core.WithRelocatable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := compatVM(t, "compat-c", 13)
-	if _, err := vc.Run(); err != nil {
-		t.Fatal(err)
+	v := compatVM(t, "compat-a", 11)
+	if rep, err := mgr.Prime(v); !errors.Is(err, core.ErrNoCache) || rep.Installed != 0 {
+		t.Fatalf("prime from the unfolded fixture: %+v, %v; want a miss", rep, err)
 	}
-	crep, err := mgr.Commit(vc)
-	if err != nil {
-		t.Fatal(err)
+	if res, err := v.Run(); err != nil || res.Stats.InstsTranslated == 0 {
+		t.Fatalf("launch after the miss: %v; want a cold run", err)
 	}
-	blobsAfter, _ := filepath.Glob(filepath.Join(gen1, "*.pcb"))
-	packs, _ := filepath.Glob(filepath.Join(gen1, "*.pck"))
-	if len(blobsAfter) != len(blobsBefore) || len(packs) != 1 || crep.NewTraces == 0 {
-		t.Fatalf("gen0001 went from %d to %d loose blobs and %d packs for %d new traces; want one new pack",
-			len(blobsBefore), len(blobsAfter), len(packs), crep.NewTraces)
+	if q, _ := filepath.Glob(filepath.Join(dir, "*", core.QuarantineDir, "*")); len(q) != 0 {
+		t.Errorf("a launch over loose blobs quarantined %v", q)
 	}
-	if gens, _ := filepath.Glob(filepath.Join(dir, "store", "gen*")); len(gens) != 1 {
-		t.Fatalf("commit opened another generation: %v", gens)
+	if q, _ := filepath.Glob(filepath.Join(dir, core.QuarantineDir, "*")); len(q) != 0 {
+		t.Errorf("a launch over loose blobs quarantined %v", q)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ea8a03fcafc80c6e33df15f22515c8b1.pcm")); err != nil {
+		t.Errorf("the entry did not survive the miss: %v", err)
+	}
+	if n := len(looseLeft(dir)); n != 24 {
+		t.Errorf("%d loose files left after the miss, want all 24", n)
+	}
+}
+
+// TestIndexedStoreFixtureServesOnceFolded: after migrate or repair has
+// folded the fixture's loose files into packs, every shipped blob reads
+// from a pack, compat-a launches warm, a new application's commit joins
+// gen0001, and compaction reclaims exactly the evicted application's
+// twelve blobs.
+func TestIndexedStoreFixtureServesOnceFolded(t *testing.T) {
+	shipped := indexedFixtureBlobs(t)
+	for _, fold := range []struct {
+		name string
+		run  func(*core.Manager) error
+	}{
+		{"migrate", func(m *core.Manager) error { _, err := m.MigrateToStore(); return err }},
+		{"repair", func(m *core.Manager) error { _, err := m.RecoverIndex(); return err }},
+	} {
+		t.Run(fold.name, func(t *testing.T) {
+			dir := indexedCopy(t)
+			mgr, err := core.NewManager(dir, core.WithRelocatable())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fold.run(mgr); err != nil {
+				t.Fatal(err)
+			}
+			gen1 := filepath.Join(dir, "store", "gen0001")
+			if packs, _ := filepath.Glob(filepath.Join(gen1, "*.pck")); len(packs) != 1 || len(looseLeft(dir)) != 0 {
+				t.Fatalf("the fold left %d packs and loose files %v, want 1 pack and none", len(packs), looseLeft(dir))
+			}
+			st, err := store.Open(filepath.Join(dir, "store"), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range shipped {
+				if _, err := st.Get(h); err != nil {
+					t.Errorf("shipped blob %s after the fold: %v", h, err)
+				}
+			}
+			warmRun(t, dir, "compat-a", 11)
+
+			// Committed into: a new application's blobs join the newest
+			// generation.
+			vc := compatVM(t, "compat-c", 13)
+			if _, err := vc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			crep, err := mgr.Commit(vc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if packs, _ := filepath.Glob(filepath.Join(gen1, "*.pck")); len(packs) != 2 || crep.NewTraces == 0 {
+				t.Fatalf("gen0001 holds %d packs after %d new traces; want the folded one and one new", len(packs), crep.NewTraces)
+			}
+			if gens, _ := filepath.Glob(filepath.Join(dir, "store", "gen*")); len(gens) != 1 {
+				t.Fatalf("commit opened another generation: %v", gens)
+			}
+
+			// Compacted: exactly the evicted application's blobs go.
+			rep, err := mgr.CompactStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.PrunedOrphans != 12 || rep.ReclaimedBytes == 0 {
+				t.Fatalf("compact: %+v, want the 12 blobs of the evicted entry", rep)
+			}
+			warmRun(t, dir, "compat-a", 11)
+			warmRun(t, dir, "compat-c", 13)
+			st, err = store.Open(filepath.Join(dir, "store"), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone := 0
+			for _, h := range shipped {
+				if _, err := st.Get(h); errors.Is(err, store.ErrBlobMissing) {
+					gone++
+				} else if err != nil {
+					t.Errorf("shipped blob %s after compaction: %v", h, err)
+				}
+			}
+			if gone != rep.PrunedOrphans {
+				t.Errorf("%d shipped blobs are gone, compaction reported %d", gone, rep.PrunedOrphans)
+			}
+		})
+	}
+}
+
+// TestFoldCrashAtEveryPoint: repair of the indexed-store fixture crashes at
+// every filesystem operation it makes. Whatever the crash left — a torn
+// pack temp, a pack published with its loose files still beside it, some
+// of them removed — a clean repair afterwards quarantines nothing, every
+// shipped blob reads from a pack, compat-a launches warm and no loose file
+// is left: the fold removes a loose file only once a pack holding its blob
+// is in place.
+func TestFoldCrashAtEveryPoint(t *testing.T) {
+	shipped := indexedFixtureBlobs(t)
+	// repair runs RecoverIndex over dir through fsys, calling arm, when not
+	// nil, once the manager is open: the operations counted are the
+	// repair's alone.
+	repair := func(t *testing.T, dir string, fsys fsx.FS, arm func()) (*core.RecoverReport, error) {
+		t.Helper()
+		mgr, err := core.NewManager(dir, core.WithRelocatable(), core.WithLockTimeout(50*time.Millisecond), core.WithFS(fsys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm != nil {
+			arm()
+		}
+		return mgr.RecoverIndex()
 	}
 
-	// Compacted: exactly the evicted application's blobs go.
-	rep, err := mgr.CompactStore()
-	if err != nil {
+	rec := fsx.NewInject(fsx.OS)
+	if _, err := repair(t, indexedCopy(t), rec, rec.StartRecording); err != nil {
 		t.Fatal(err)
 	}
-	if rep.PrunedOrphans != 12 || rep.ReclaimedBytes == 0 {
-		t.Fatalf("compact: %+v, want the 12 blobs of the evicted entry", rep)
+	ops := rec.Ops()
+	// The sweep must cover the fold's window: a pack renamed into place, its
+	// loose files not removed yet.
+	window := false
+	for i := 0; i+1 < len(ops); i++ {
+		window = window || ops[i].Op == fsx.OpRename && strings.HasSuffix(ops[i].Path, ".pck") &&
+			ops[i+1].Op == fsx.OpRemove && strings.HasSuffix(ops[i+1].Path, ".pcb")
 	}
-	warmRun(t, dir, "compat-a", 11)
-	warmRun(t, dir, "compat-c", 13)
+	if !window {
+		t.Fatalf("the repair of %d operations has no pack rename followed by a loose file's removal: %v", len(ops), ops)
+	}
 
-	// Nothing the fixture shipped was rewritten: each of its store files
-	// is byte-identical or (an orphan) gone.
-	gone := 0
-	err = filepath.WalkDir(filepath.Join(fixture, "store"), func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, _ := filepath.Rel(fixture, p)
-		want, _ := os.ReadFile(p)
-		got, err := os.ReadFile(filepath.Join(dir, rel))
-		switch {
-		case err != nil:
-			gone++
-		case !bytes.Equal(got, want):
-			t.Errorf("%s was rewritten in place", rel)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gone != rep.PrunedOrphans {
-		t.Errorf("%d shipped files are gone, compaction reported %d", gone, rep.PrunedOrphans)
+	for k := 1; k <= len(ops); k++ {
+		op := ops[k-1]
+		t.Run(fmt.Sprintf("crash-%03d-%s-%s", k, op.Op, filepath.Base(op.Path)), func(t *testing.T) {
+			dir := indexedCopy(t)
+			inj := fsx.NewInject(fsx.OS)
+			repair(t, dir, inj, func() { inj.CrashAtIndex(k) })
+			if !inj.Crashed() {
+				t.Fatalf("crash point %d never reached", k)
+			}
+			rep, err := repair(t, dir, fsx.OS, nil)
+			if err != nil || rep.FilesQuarantined != 0 || rep.EntriesVerified != 1 {
+				t.Fatalf("repair after the crash: %+v, %v; want the entry verified and nothing quarantined", rep, err)
+			}
+			st, err := store.Open(filepath.Join(dir, "store"), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range shipped {
+				if _, err := st.Get(h); err != nil {
+					t.Errorf("shipped blob %s lost: %v", h, err)
+				}
+			}
+			warmRun(t, dir, "compat-a", 11)
+			if left := looseLeft(dir); len(left) != 0 {
+				t.Errorf("loose files left after the repair: %v", left)
+			}
+		})
 	}
 }
 
@@ -181,8 +331,10 @@ func copyTree(src, dst string) error {
 	})
 }
 
-// The pcc-cachectl list and stats output on the fixture, as printed by the
-// last version that read the entries from its index file.
+// The pcc-cachectl list and stats output on the fixture: the list as printed
+// by the last version that read the entries from its index file, and the
+// stats of a store that reads packs only, so the 24 loose blobs count as
+// files on disk but not as addressable blobs until a fold.
 const (
 	fixtureList = `file                                  application  traces  code pool  data pool  app key   tool key
 ---------------------------------------------------------------------------------------------------
@@ -192,9 +344,9 @@ ea8a03fcafc80c6e33df15f22515c8b1.pcm  compat-a     12      1000B      2.1KiB    
 traces: 12
 code pool: 1000B
 data pool: 2.1KiB
-store: 1 manifests over 24 shared blobs (2.6KiB physical)
+store: 1 manifests over 0 shared blobs (2.6KiB physical)
 packs: 0, loose blobs remaining: 24
-dedup: 1.4KiB logical → 0.0% saved by content addressing
+dedup: 0B logical → 0.0% saved by content addressing
 key classes
 VM key    tool key  entries  traces
 -----------------------------------

@@ -522,14 +522,11 @@ func BenchmarkSpecInstrumented(b *testing.B) { benchExperiment(b, "spec-instr") 
 
 func BenchmarkShellTools(b *testing.B) { benchExperiment(b, "shelltools") }
 
-func BenchmarkFleetWarmup(b *testing.B) { benchExperiment(b, "fleet") }
-
 func BenchmarkOptimizedWarmup(b *testing.B) {
 	// BenchmarkStoreWarmup with the translation-time optimizer attached:
 	// the cold run commits checker-proven optimized traces, and the warm
 	// path primes them pre-optimized (the optimizer's early return is the
-	// only per-install cost). Gated alongside the optimize experiment so
-	// optimized-warm regressions surface in bench-smoke.
+	// only per-install cost).
 	gcc, err := workload.BuildSpecBenchmark("176.gcc")
 	if err != nil {
 		b.Fatal(err)

@@ -686,7 +686,7 @@ func TestCLIWorkloadAndBenchList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("pcc-bench -list failed: %s", se)
 	}
-	for _, id := range []string{"fig2a", "fig5a", "table3a", "oracle", "warmup", "tracelog", "fleet"} {
+	for _, id := range []string{"fig2a", "fig5a", "table3a", "oracle", "warmup", "ablation-flush"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("bench list missing %s", id)
 		}

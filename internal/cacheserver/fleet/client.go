@@ -53,7 +53,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 // within d, the same request is raced against the next replica and the
 // first success wins — taming tail latency from one slow shard. Zero
 // (the default) keeps reads strictly sequential, which the deterministic
-// fleet experiment depends on.
+// Zipf fleet test depends on.
 func WithHedge(d time.Duration) Option {
 	return func(c *Client) { c.hedge = d }
 }
@@ -129,7 +129,7 @@ func StemFor(ks core.KeySet) string {
 func blobKey(h store.Hash) string { return hex.EncodeToString(h[:]) }
 
 // Owners returns the replica set for a routing key as shard IDs, primary
-// first — the placement contract the tests and the fleet experiment assert.
+// first — the placement contract the tests assert.
 func (c *Client) Owners(key string) []string {
 	idxs := c.ring.owners(key, c.replicas)
 	out := make([]string, len(idxs))

@@ -24,7 +24,7 @@ type ringPoint struct {
 
 // keyHash positions a routing key (cache-file stem or blob-hash hex) on
 // the circle: FNV-64a — stable across platforms and Go versions, which the
-// deterministic fleet experiment depends on — through a splitmix64
+// deterministic Zipf fleet test depends on — through a splitmix64
 // finalizer. The finalizer matters: raw FNV of short, similar strings
 // (the "id#vnode" labels) clusters on the circle badly enough that one
 // shard can own over half the key space at any vnode count.

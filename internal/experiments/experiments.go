@@ -271,16 +271,3 @@ func withTool(t vm.Tool) []vm.Option {
 	}
 	return []vm.Option{vm.WithTool(t)}
 }
-
-// All runs every experiment in order, stopping at the first failure.
-func All() ([]*Report, error) {
-	var out []*Report
-	for _, e := range Registry {
-		r, err := e.Run()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -203,6 +203,122 @@ func TestOptimizedTracesPersistAndReload(t *testing.T) {
 	}
 }
 
+// The GUI suite's summed warm dispatch-path ticks per pass configuration
+// when TestPassAblationOnGUISuite was written. Ticks are deterministic on
+// every machine; an arm may cost at most tickSlack times as much.
+const (
+	baselineWarmTicks  = 7_398_804
+	constFoldWarmTicks = 7_359_636
+	deadCodeWarmTicks  = 7_068_180
+	deadFlagWarmTicks  = 7_361_556
+	loadElimWarmTicks  = 7_398_804 // loads become register copies, no fewer insts: its win needs constfold and deadcode
+	allPassesWarmTicks = 6_241_140
+	tickSlack          = 1.25
+
+	// minAllPassesSaved is the acceptance bar: all passes together cut the
+	// suite's warm dispatch-path ticks by at least this fraction.
+	minAllPassesSaved = 0.10
+)
+
+// TestPassAblationOnGUISuite runs the five GUI applications warm, each
+// primed from a cache its own cold run committed under the same optimizer
+// configuration, once per pass alone, with none and with all. The warm
+// measure is dispatch-path time: cached execution, dispatch, indirect
+// lookups, link patching and analysis ops. Emulation-unit time (syscalls and
+// signals) is OS emulation no translation-time optimizer can touch, and
+// file-roller's signal-heavy session alone would drown the code signal.
+// Every arm's cold runs have their rewrites proven (0 checker rejects), every
+// warm run primes, re-optimizes nothing and behaves as the baseline's, and
+// all passes save >= 10 %.
+func TestPassAblationOnGUISuite(t *testing.T) {
+	gui, err := workload.BuildGUISuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loader.Config{Placement: loader.PlaceHashed}
+	arms := []struct {
+		name string
+		cfg  guestopt.Config
+		want uint64
+	}{
+		{"baseline", guestopt.Config{}, baselineWarmTicks},
+		{"constfold", guestopt.Config{ConstFold: true}, constFoldWarmTicks},
+		{"deadcode", guestopt.Config{DeadCode: true}, deadCodeWarmTicks},
+		{"deadflag", guestopt.Config{DeadFlag: true}, deadFlagWarmTicks},
+		{"loadelim", guestopt.Config{LoadElim: true}, loadElimWarmTicks},
+		{"all", guestopt.All(), allPassesWarmTicks},
+	}
+	var base, all uint64
+	baseOut := make(map[string]*vm.Result)
+	for _, arm := range arms {
+		mgr := testutil.NewMgr(t)
+		launch := func(app *workload.GUIApp, warm bool) *vm.Result {
+			t.Helper()
+			// The startup session, eight times over, so the warm measure
+			// is steady-state execution rather than entry effects.
+			in := workload.Input{Name: app.Startup.Name + ".opt"}
+			for _, u := range app.Startup.Units {
+				u.Iters *= 8
+				in.Units = append(in.Units, u)
+			}
+			var opts []vm.Option
+			if arm.cfg.Enabled() {
+				opts = append(opts, vm.WithOptimizer(guestopt.New(arm.cfg)))
+			}
+			v, err := app.Prog.NewVM(cfg, in, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm {
+				if rep, err := mgr.Prime(v); err != nil || rep.Installed == 0 {
+					t.Fatalf("%s/%s: warm run primed nothing: %+v, %v", arm.name, app.Name, rep, err)
+				}
+			}
+			res, err := v.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm {
+				if _, err := mgr.Commit(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return res
+		}
+		var ticks, rejects uint64
+		for _, app := range gui.Apps {
+			rejects += launch(app, false).Stats.OptRejects
+			warm := launch(app, true)
+			if b := baseOut[app.Name]; b == nil {
+				baseOut[app.Name] = warm
+			} else if warm.ExitCode != b.ExitCode || !bytes.Equal(warm.Output, b.Output) {
+				t.Errorf("%s/%s: warm run diverged from the baseline's", arm.name, app.Name)
+			}
+			s := warm.Stats
+			if s.TracesOptimized != 0 {
+				t.Errorf("%s/%s: warm run re-optimized %d persisted traces", arm.name, app.Name, s.TracesOptimized)
+			}
+			ticks += s.ExecTicks + s.DispatchTicks + s.IndirectTicks + s.LinkTicks + s.OpTicks
+		}
+		if rejects != 0 {
+			t.Errorf("%s: equivalence checker rejected %d engine rewrites", arm.name, rejects)
+		}
+		if float64(ticks) > tickSlack*float64(arm.want) {
+			t.Errorf("%s: %d warm dispatch ticks, want <= %.2fx %d", arm.name, ticks, tickSlack, arm.want)
+		}
+		t.Logf("%-9s %d warm dispatch ticks", arm.name, ticks)
+		switch arm.name {
+		case "baseline":
+			base = ticks
+		case "all":
+			all = ticks
+		}
+	}
+	if saved := 1 - float64(all)/float64(base); saved < minAllPassesSaved {
+		t.Errorf("all passes saved %.1f%% of warm dispatch ticks, want >= %.0f%%", 100*saved, 100*minAllPassesSaved)
+	}
+}
+
 // TestOptimizerKeysSeparateCaches: a cache committed with the optimizer must
 // not prime a VM without it (and vice versa) — the optimizer signature is
 // part of the VM key.

@@ -220,6 +220,7 @@ func main() {
 		fmt.Printf("quarantined: %d corrupt cache files (moved to %s)\n",
 			rep.FilesQuarantined, filepath.Join(*dir, core.QuarantineDir))
 		fmt.Printf("verified: %d cache files\n", rep.EntriesVerified)
+		fmt.Printf("folded: %d loose blobs into packs\n", rep.BlobsFolded)
 		fmt.Printf("removed: %d temp files from interrupted writes\n", rep.TmpFilesRemoved)
 		fmt.Printf("reclaimed: %s from the live database\n", stats.Bytes(rep.BytesReclaimed))
 	case "migrate":
@@ -237,6 +238,7 @@ func main() {
 		fmt.Printf("quarantined: %d that failed verification (moved to %s)\n",
 			rep.Quarantined, filepath.Join(*dir, core.QuarantineDir))
 		fmt.Printf("blobs: %d written, %d shared via dedup\n", rep.BlobsAdded, rep.BlobsShared)
+		fmt.Printf("folded: %d loose blobs into packs\n", rep.BlobsFolded)
 		if rep.BytesBefore > 0 {
 			fmt.Printf("bytes: %s → %s (%.1f%% saved)\n",
 				stats.Bytes(rep.BytesBefore), stats.Bytes(rep.BytesAfter),

@@ -60,6 +60,7 @@ const oldIndexFile = "index.json"
 type RecoverReport struct {
 	FilesScanned     int    `json:"files_scanned"`     // cache files examined
 	FilesQuarantined int    `json:"files_quarantined"` // cache files that failed verification
+	BlobsFolded      int    `json:"blobs_folded"`      // loose blob files folded into packs
 	EntriesVerified  int    `json:"entries_verified"`  // cache files that verified and stay live
 	TmpFilesRemoved  int    `json:"tmp_files_removed"` // crashed writers' temp debris deleted
 	BytesReclaimed   uint64 `json:"bytes_reclaimed"`   // bytes moved out of the live database
@@ -117,6 +118,7 @@ func (m *Manager) recoverLocked() (*RecoverReport, error) {
 		return nil, err
 	}
 	rep.FilesQuarantined += srep.Quarantined
+	rep.BlobsFolded += srep.Folded
 	rep.TmpFilesRemoved += srep.TmpRemoved
 
 	// Verify every manifest. Recovery exists because the database is

@@ -459,9 +459,10 @@ func FileStem(file string) string {
 type MigrateReport struct {
 	Scanned     int    `json:"scanned"`      // legacy cache files examined
 	Migrated    int    `json:"migrated"`     // converted to manifest+blobs
-	Quarantined int    `json:"quarantined"`  // images, manifests and packs that failed decode or verification
+	Quarantined int    `json:"quarantined"`  // images, manifests, packs and loose blobs that failed decode or verification
 	BlobsAdded  int    `json:"blobs_added"`  // new blobs written to the store
 	BlobsShared int    `json:"blobs_shared"` // blob writes elided by dedup
+	BlobsFolded int    `json:"blobs_folded"` // loose blob files folded into packs
 	BytesBefore uint64 `json:"bytes_before"` // legacy bytes of migrated files
 	BytesAfter  uint64 `json:"bytes_after"`  // manifest + new blob bytes written
 }
@@ -489,10 +490,11 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := st.FoldLoose(); err != nil {
+	folded, quarantined, err := st.FoldLoose()
+	if err != nil {
 		return nil, err
 	}
-	rep := &MigrateReport{}
+	rep := &MigrateReport{BlobsFolded: folded, Quarantined: quarantined}
 	files, err := m.fs.Glob(filepath.Join(m.dir, "*.pcc"))
 	if err != nil {
 		return nil, err
@@ -539,6 +541,7 @@ func (m *Manager) MigrateToStore() (*MigrateReport, error) {
 		return rep, err
 	}
 	rep.Quarantined += rrep.FilesQuarantined
+	rep.BlobsFolded += rrep.BlobsFolded
 	return rep, nil
 }
 

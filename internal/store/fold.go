@@ -80,7 +80,8 @@ func (s *Store) readLoose(path string) (Hash, []byte, error) {
 
 // FoldLoose moves the blobs of every loose file into packs, written as a
 // commit writes them (writePack) at most packMaxRaw raw bytes each, and
-// returns how many loose files it quarantined. A file leaves the store only
+// returns how many loose files it folded (removed, their blob packed) and
+// how many it quarantined. A file leaves the store only
 // once a pack holding its blob has been synced and renamed into place — the
 // pack the fold just published, or one the store already held — so a crash
 // at any point loses no blob: the next fold finds the file again and dedups
@@ -88,10 +89,10 @@ func (s *Store) readLoose(path string) (Hash, []byte, error) {
 // are not the blob its name claims is quarantined; one that cannot be read
 // now stays for the next fold. Nothing is deleted for being unreferenced:
 // compaction judges that once the blobs are packed.
-func (s *Store) FoldLoose() (quarantined int, err error) {
+func (s *Store) FoldLoose() (folded, quarantined int, err error) {
 	files, err := s.looseFiles()
 	if err != nil || len(files) == 0 {
-		return 0, err
+		return 0, 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,7 +107,9 @@ func (s *Store) FoldLoose() (quarantined int, err error) {
 			}
 		}
 		for _, p := range done {
-			s.fs.Remove(p) // one left behind is deduped and removed by the next fold
+			if s.fs.Remove(p) == nil { // one left behind is deduped and removed by the next fold
+				folded++
+			}
 		}
 		hashes, encs, done, raw = nil, nil, nil, 0
 		return nil
@@ -130,12 +133,13 @@ func (s *Store) FoldLoose() (quarantined int, err error) {
 		}
 		if raw+len(enc) > packMaxRaw {
 			if err := flush(); err != nil {
-				return quarantined, err
+				return folded, quarantined, err
 			}
 		}
 		batch[h] = true
 		hashes, encs, done = append(hashes, h), append(encs, enc), append(done, p)
 		raw += len(enc)
 	}
-	return quarantined, flush()
+	err = flush()
+	return folded, quarantined, err
 }

@@ -47,8 +47,8 @@ func TestRecoverFoldsLooseBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quarantined != 1 || rep.Blobs != 3 {
-		t.Fatalf("recover: %+v; want 1 file quarantined, 3 blobs scrubbed", rep)
+	if rep.Quarantined != 1 || rep.Folded != 4 || rep.Blobs != 3 {
+		t.Fatalf("recover: %+v; want 1 file quarantined, 4 folded, 3 blobs scrubbed", rep)
 	}
 	if loose := storeFiles(t, dir, ".pcb"); len(loose) != 0 {
 		t.Errorf("loose files left after the fold: %v", loose)
@@ -71,8 +71,8 @@ func TestRecoverFoldsLooseBlobs(t *testing.T) {
 		}
 	}
 	before := fmt.Sprint(storeFiles(t, dir, ""))
-	if quarantined, err := s.FoldLoose(); err != nil || quarantined != 0 || fmt.Sprint(storeFiles(t, dir, "")) != before {
-		t.Errorf("a second fold: %d quarantined, %v, store %v; want a no-op", quarantined, err, storeFiles(t, dir, ""))
+	if folded, quarantined, err := s.FoldLoose(); err != nil || folded != 0 || quarantined != 0 || fmt.Sprint(storeFiles(t, dir, "")) != before {
+		t.Errorf("a second fold: %d folded, %d quarantined, %v, store %v; want a no-op", folded, quarantined, err, storeFiles(t, dir, ""))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestFoldLooseChunksAtPackBound(t *testing.T) {
 		writeLoose(t, dir, "gen0000", blobs[seed])
 	}
 	s := openStore(t, dir)
-	if quarantined, err := s.FoldLoose(); err != nil || quarantined != 0 {
-		t.Fatalf("fold: %d quarantined, %v", quarantined, err)
+	if folded, quarantined, err := s.FoldLoose(); err != nil || folded != len(blobs) || quarantined != 0 {
+		t.Fatalf("fold: %d folded, %d quarantined, %v; want %d folded", folded, quarantined, err, len(blobs))
 	}
 	if packs := storeFiles(t, dir, ".pck"); len(packs) != 2 || len(storeFiles(t, dir, ".pcb")) != 0 {
 		t.Fatalf("%d loose blobs of ~32 KB folded into %d packs, left %d; want 2 packs and none left", len(blobs), len(packs), len(storeFiles(t, dir, ".pcb")))
@@ -176,9 +176,9 @@ func FuzzFoldLoose(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := openStore(t, dir)
-		quarantined, err := s.FoldLoose()
-		if err != nil || (quarantined == 0) != ok {
-			t.Fatalf("fold: %d quarantined, %v; want the file folded: %t", quarantined, err, ok)
+		folded, quarantined, err := s.FoldLoose()
+		if err != nil || folded+quarantined != 1 || (folded == 1) != ok {
+			t.Fatalf("fold: %d folded, %d quarantined, %v; want the file folded: %t", folded, quarantined, err, ok)
 		}
 		if loose := storeFiles(t, dir, ".pcb"); len(loose) != 0 {
 			t.Fatalf("the fold left %v", loose)

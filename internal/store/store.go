@@ -945,6 +945,7 @@ func (s *Store) Stats() Stats {
 // RecoverReport summarizes a store recovery pass.
 type RecoverReport struct {
 	Blobs       int // blobs that passed the scrub
+	Folded      int // loose blob files folded into packs
 	Quarantined int // files (packs or loose blobs) that failed it
 	TmpRemoved  int // abandoned temp files deleted
 }
@@ -955,11 +956,11 @@ type RecoverReport struct {
 // temp files older than staleAfter are deleted. A younger temp may be a live
 // writer's, between its sync and its rename, and is left alone.
 func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
-	quarantined, err := s.FoldLoose()
+	folded, quarantined, err := s.FoldLoose()
 	if err != nil {
 		return nil, err
 	}
-	rep := &RecoverReport{Quarantined: quarantined}
+	rep := &RecoverReport{Folded: folded, Quarantined: quarantined}
 	cutoff := time.Now().Add(-staleAfter)
 	for _, d := range append([]string{s.dir}, s.gens...) {
 		tmps, err := s.fs.Glob(filepath.Join(d, "*.tmp"))

@@ -180,6 +180,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			}
 		}
 	}
+	m.EncodedBytes = uint64(len(b))
 	return m, nil
 }
 

@@ -106,6 +106,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.AppPath != m.AppPath || len(got.Modules) != 1 || len(got.Traces) != 1 || got.Traces[0].Blob != b.Hash() {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
+	if got.EncodedBytes != uint64(len(enc)) {
+		t.Errorf("decoded EncodedBytes %d, want %d", got.EncodedBytes, len(enc))
+	}
 	if hs := got.BlobHashes(); len(hs) != 1 || hs[0] != b.Hash() {
 		t.Fatalf("BlobHashes: %v", hs)
 	}

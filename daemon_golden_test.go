@@ -17,7 +17,7 @@ import (
 // daemonGoldenDigest pins TestDaemonDatabaseGolden's output. It changes only
 // when what a daemon's database holds after a sequence of publishes, or what
 // the daemon answers about it, changes on purpose.
-const daemonGoldenDigest = "75c91080efc6a73dfab0a53d5c9f682145de045cfb986cb5aa6c13319e273847"
+const daemonGoldenDigest = "232d9c3328651c368c9d9e3688e16f74207f6fe7e2682fc0e51300fe93a79476"
 
 // TestDaemonDatabaseGolden publishes cold runs of the GUI apps and of
 // 176.gcc's Reference inputs to one in-process daemon, twice over in two

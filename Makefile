@@ -58,9 +58,8 @@ test-race:
 
 # Focused race pass over the packages with real concurrency: the manager's
 # concurrent commit/remove paths, the store, and the cache server with its
-# fleet client (whose hedged reads race a replica against the primary), with
-# the VM's tests riding along. Much faster than test-race, so it runs as its
-# own CI job on every push. The shared-store tests — goroutines, then real
+# fleet client, with the VM's tests riding along. Much faster than
+# test-race, so it runs as its own CI job on every push. The shared-store tests — goroutines, then real
 # processes, committing into one store directory with no lock, then a
 # manager crashing at every pack operation beside a live peer, readers of
 # one store's pack index while a peer publishes two packs a turn and the
@@ -72,7 +71,8 @@ test-race:
 # database, and the pack reads that inflate beside their decode: two primes
 # of one cold pack at once, every way a stream can fail while its reader
 # (and a second stream) runs, and Run's store opening beside a load that
-# fails.
+# fails. So do the daemon's publishes parked mid-write: one with a COMPACT
+# waiting on it, one with an EVICT and a second publish queued behind it.
 # The optimizer's goldens and its one-Optimizer-many-traces test ride along:
 # an Optimizer works in one scratch it owns, so reaching it from a second
 # goroutine is a data race on that scratch, and a trace reading what the
@@ -84,7 +84,7 @@ race-smoke:
 	$(GO) test -race ./internal/vm/ ./internal/core/... ./internal/store/ ./internal/cacheserver/...
 	$(GO) test -race -run 'TestOptimizerOutputGolden|TestCheckerVerdictsGolden|TestDifferentialRandomSequences' ./internal/guestopt/
 	$(GO) test -race -count=20 -run 'TestConcurrentManagersDedup|TestMultiProcessSharedStore|TestStoreChaosWithLivePeer|TestPackIndexUnderConcurrentPeers|TestCommitKeepsPeerTracesAddedAfterPrime|TestLockFreeSkipsRaceAccumulatingPeer|TestConcurrentPrimesHeatOnce|TestLocalTracesStreamFaults|TestRunStoreOpenRacesFailedLoad|TestCommitsRaceRecoverIndex' . ./internal/core/ ./internal/store/
-	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictStaysIndexed' ./internal/cacheserver/
+	$(GO) test -race -count=20 -run 'TestPublishRacingCompactKeepsDedupedBlobs|TestPublishQueuedBehindEvictIsServed' ./internal/cacheserver/
 
 # Tier-1 three times in shuffled order: an intermittent or order-dependent
 # failure has to show up here, not on somebody's unrelated push.

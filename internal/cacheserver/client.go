@@ -439,8 +439,8 @@ func (c *Client) UtilitySummary() ([]UtilityEntry, error) {
 	return decodeUtilityEntries(resp)
 }
 
-// Evict removes the named entries (by file stem) from the daemon's index,
-// disk, and in-memory state. Stems the daemon does not hold are ignored.
+// Evict removes the named entries (by file stem) from the daemon's
+// database. Stems the daemon does not hold are ignored.
 func (c *Client) Evict(stems []string) (*EvictReport, error) {
 	resp, err := c.do(OpEvict, encodeEvictRequest(stems))
 	if err != nil {
@@ -537,9 +537,8 @@ func (f *Fallback) Local() *core.Manager { return f.local }
 // moves; the packs holding the blobs of the traces that install, where the
 // machine-local store lacks them, follow through FETCHPACKS, and once the
 // store has adopted them the manifest reads as on a local warm launch.
-// An item that does not decode as a manifest — a legacy image an older
-// daemon served among them — is skipped. A miss, a failed transport or
-// nothing installable degrades to the local database.
+// An item that does not decode as a manifest is skipped. A miss, a failed
+// transport or nothing installable degrades to the local database.
 func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error) {
 	scope := ScopeExact
 	if interApp && all {
@@ -554,9 +553,6 @@ func (f *Fallback) prime(v *vm.VM, interApp, all bool) (*core.PrimeReport, error
 		// a previous degraded run may still exist.
 		v.RecordRemote(1, 0, 0)
 		return f.localPrime(v, interApp, all)
-	}
-	if !all && len(items) > 1 {
-		items = items[:1] // an older daemon reads ScopeBest as ScopeInterApp
 	}
 	// The run's own entry installs first, wherever the transport put it (a
 	// fleet's primary that missed the publish answers without it), and is

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
@@ -30,7 +29,6 @@ type Client struct {
 	ring      *ring
 	replicas  int
 	clients   []*cacheserver.Client // one per shard, index-aligned with cfg.Shards
-	hedge     time.Duration         // >0 races a delayed replica against a slow primary
 	shardOpts []cacheserver.ClientOption
 	registry  *metrics.Registry
 	m         *fleetMetrics
@@ -47,15 +45,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 			c.registry = reg
 		}
 	}
-}
-
-// WithHedge enables hedged reads: when the primary owner has not answered
-// within d, the same request is raced against the next replica and the
-// first success wins — taming tail latency from one slow shard. Zero
-// (the default) keeps reads strictly sequential, which the deterministic
-// Zipf fleet test depends on.
-func WithHedge(d time.Duration) Option {
-	return func(c *Client) { c.hedge = d }
 }
 
 // WithShardOptions forwards options (retry policy, timeouts, breaker
@@ -120,7 +109,7 @@ func (c *Client) Close() error {
 }
 
 // StemFor is the routing key for a key set: its manifest's stem, the same
-// identity the daemons index by.
+// identity the daemons name entries by.
 func StemFor(ks core.KeySet) string {
 	return core.FileStem(ks.ManifestFileName())
 }
@@ -139,87 +128,21 @@ func (c *Client) Owners(key string) []string {
 	return out
 }
 
-type readResult[T any] struct {
-	v    T
-	err  error
-	rank int
-}
-
 // readOwners walks a key's owners until one serves the request. Transport
 // errors and per-shard misses both advance the walk (a write that landed
 // while the primary was down lives only on replicas); a miss anywhere with
 // no success means ErrNoCache, and only all-transport-failure surfaces as
-// an error — which Fallback then degrades to the local tier. With hedging
-// enabled, a slow primary races the first replica and the first success
-// wins.
-func readOwners[T any](c *Client, op string, owners []int, try func(shard int) (T, error)) (T, error) {
-	var zero T
-	if c.hedge > 0 && len(owners) > 1 {
-		primary := make(chan readResult[T], 1)
-		go func() {
-			v, err := try(owners[0])
-			primary <- readResult[T]{v: v, err: err, rank: 0}
-		}()
-		timer := time.NewTimer(c.hedge)
-		defer timer.Stop()
-		select {
-		case r := <-primary:
-			if r.err == nil {
-				return r.v, nil
-			}
-			return walkOwners(c, op, owners[1:], 1, r.err, try)
-		case <-timer.C:
-			c.m.hedges.Inc()
-			secondary := make(chan readResult[T], 1)
-			go func() {
-				v, err := try(owners[1])
-				secondary <- readResult[T]{v: v, err: err, rank: 1}
-			}()
-			var firstErr, secondErr error
-			for i := 0; i < 2; i++ {
-				select {
-				case r := <-primary:
-					if r.err == nil {
-						return r.v, nil
-					}
-					firstErr = r.err
-				case r := <-secondary:
-					if r.err == nil {
-						c.m.hedgeWins.Inc()
-						c.m.redirects.With(op).Inc()
-						return r.v, nil
-					}
-					secondErr = r.err
-				}
-			}
-			err := firstErr
-			if errors.Is(secondErr, core.ErrNoCache) {
-				err = secondErr
-			}
-			return walkOwners(c, op, owners[2:], 2, err, try)
-		}
-	}
-	if len(owners) == 0 {
-		return zero, core.ErrNoCache
-	}
-	v, err := try(owners[0])
-	if err == nil {
-		return v, nil
-	}
-	return walkOwners(c, op, owners[1:], 1, err, try)
-}
-
-// walkOwners continues a sequential owner walk after earlier ranks failed
-// with priorErr.
-func walkOwners[T any](c *Client, op string, owners []int, rank int, priorErr error, try func(shard int) (T, error)) (T, error) {
-	var zero T
-	miss := errors.Is(priorErr, core.ErrNoCache)
-	lastErr := priorErr
-	for _, si := range owners {
-		v, err := try(si)
+// an error — which Fallback then degrades to the local tier.
+func (c *Client) readOwners(owners []int, ks core.KeySet, scope cacheserver.Scope) ([]cacheserver.ManifestItem, error) {
+	miss := false
+	var lastErr error
+	for rank, si := range owners {
+		items, err := c.clients[si].FetchEntries(ks, scope)
 		if err == nil {
-			c.m.redirects.With(op).Inc()
-			return v, nil
+			if rank > 0 {
+				c.m.redirects.With("fetchmanifests").Inc()
+			}
+			return items, nil
 		}
 		if errors.Is(err, core.ErrNoCache) {
 			miss = true
@@ -227,13 +150,10 @@ func walkOwners[T any](c *Client, op string, owners []int, rank int, priorErr er
 		}
 		lastErr = err
 	}
-	if miss {
-		return zero, core.ErrNoCache
+	if miss || lastErr == nil {
+		return nil, core.ErrNoCache
 	}
-	if lastErr == nil {
-		lastErr = core.ErrNoCache
-	}
-	return zero, lastErr
+	return nil, lastErr
 }
 
 // route records the logical op against its primary owner and returns the
@@ -258,9 +178,7 @@ func (c *Client) FetchEntries(ks core.KeySet, scope cacheserver.Scope) ([]caches
 	stem := StemFor(ks)
 	owners := c.route("fetchmanifests", stem)
 	if scope != cacheserver.ScopeInterApp {
-		return readOwners(c, "fetchmanifests", owners, func(si int) ([]cacheserver.ManifestItem, error) {
-			return c.clients[si].FetchEntries(ks, scope)
-		})
+		return c.readOwners(owners, ks, scope)
 	}
 	var out []cacheserver.ManifestItem
 	seen := make(map[string]bool)

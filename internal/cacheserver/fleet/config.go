@@ -1,8 +1,8 @@
 // Package fleet is how a run reaches shared cache daemons, one or many: static
 // membership configuration, consistent-hash routing of trace and blob keys
 // across N shards (with virtual nodes so the key space rebalances
-// smoothly), R-way replication with read fan-out and optional hedged
-// requests, fleet-wide STATS, and utility-based global cache management in
+// smoothly), R-way replication with reads that walk the owners in ring
+// order, fleet-wide STATS, and utility-based global cache management in
 // the ShareJIT style — per-shard usage summaries ranked fleet-wide by hit
 // frequency × translation cost, with the losers evicted everywhere.
 //

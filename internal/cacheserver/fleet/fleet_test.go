@@ -319,31 +319,6 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	}
 }
 
-// TestHedgedReads races every read against the replica (a hedge delay far
-// below one loopback round trip): whichever owner answers first, the read
-// returns the exact entry — and under -race, the two goroutines and their
-// shared result channels are checked.
-func TestHedgedReads(t *testing.T) {
-	fl, _ := startFleet(t, 2, fleet.WithHedge(time.Nanosecond))
-	w := buildWorld(t, "hedged", 9)
-	cf, ks := w.cacheFile(t)
-	if _, err := fl.Publish(cf); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		got, err := fetchManifest(fl, ks)
-		if err != nil {
-			t.Fatalf("hedged read %d: %v", i, err)
-		}
-		if len(got.Traces) != len(cf.Traces) {
-			t.Fatalf("hedged read %d: %d traces, want %d", i, len(got.Traces), len(cf.Traces))
-		}
-	}
-	if v, _ := fl.Metrics().Snapshot().Value("pcc_fleet_hedges_total"); v == 0 {
-		t.Error("no read was hedged; the test exercised nothing")
-	}
-}
-
 // TestSingleShardParity pins the degenerate fleet to the single-daemon
 // path: a one-shard fleet and a direct client against identically seeded
 // daemons, each holding two same-class apps, must agree on every read

@@ -10,8 +10,6 @@ type fleetMetrics struct {
 	redirects     *metrics.CounterVec // op: reads served by a non-primary owner
 	replicaWrites *metrics.Counter    // successful writes beyond the primary
 	writeErrors   *metrics.Counter    // per-owner publish failures
-	hedges        *metrics.Counter    // hedge timers fired (secondary launched)
-	hedgeWins     *metrics.Counter    // hedged secondaries that answered first
 	evictions     *metrics.Counter    // entries evicted by global compaction
 	shards        *metrics.Gauge      // configured fleet size
 }
@@ -22,8 +20,6 @@ func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
 		redirects:     r.CounterVec("pcc_fleet_redirects_total", "reads served by a replica after the primary owner failed or missed", "op"),
 		replicaWrites: r.Counter("pcc_fleet_replica_writes_total", "successful publishes to owners beyond the primary"),
 		writeErrors:   r.Counter("pcc_fleet_write_errors_total", "publishes that failed on one owner shard"),
-		hedges:        r.Counter("pcc_fleet_hedges_total", "hedged reads launched after the primary exceeded the hedge delay"),
-		hedgeWins:     r.Counter("pcc_fleet_hedge_wins_total", "hedged reads where the secondary answered first"),
 		evictions:     r.Counter("pcc_fleet_evictions_total", "entries evicted fleet-wide by utility-based global compaction"),
 		shards:        r.Gauge("pcc_fleet_shards", "shards in the fleet membership"),
 	}

@@ -31,8 +31,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame(StatusOK, encodeLookupInfo(&LookupInfo{File: "a.pcc", AppPath: "/bin/a", Traces: 3})))
 	f.Add(frame(StatusOK, encodeCommitReport(&core.CommitReport{Traces: 2, File: "a.pcc"})))
 	f.Add(frame(StatusOK, encodeDBStats(&core.DBStats{Files: 1, Classes: []core.KeyClassCount{{VM: "v", Tool: "t", Entries: 1}}})))
+	f.Add(frame(StatusOK, encodeManifestItems([]ManifestItem{{Kind: ItemKindManifest, Data: []byte("manifest")}})))
+	// Kind 0, the retired legacy-image kind, is unknown: the frame is refused.
 	f.Add(frame(StatusOK, encodeManifestItems([]ManifestItem{
-		{Kind: ItemKindManifest, Data: []byte("manifest")}, {Kind: ItemKindLegacy, Data: []byte("image")}})))
+		{Kind: ItemKindManifest, Data: []byte("manifest")}, {Kind: 0, Data: []byte("image")}})))
 	f.Add(frame(OpFetchPacks, encodePackRequest(core.KeySet{App: [32]byte{2}}, []store.Hash{h1, h2})))
 	f.Add(frame(StatusOK, encodePackFiles([][]byte{[]byte("PCK1 pack"), {}})))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1}) // hostile length field
@@ -76,11 +78,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			if got := encodeManifestItems(items); !bytes.Equal(got, payload) {
 				t.Fatalf("manifest items re-encode to % x, decoded from % x", got, payload)
 			}
-			// A prime takes manifests alone: a legacy image, which an older
-			// daemon served, is rejected like a corrupt item.
+			// A prime takes manifests alone: an item of any other kind
+			// fails the whole frame.
 			for _, it := range items {
-				if _, err := decodeItem(it); err == nil && it.Kind != ItemKindManifest {
-					t.Fatalf("a served item of kind %d decoded as a manifest", it.Kind)
+				if it.Kind != ItemKindManifest {
+					t.Fatalf("an item of kind %d decoded", it.Kind)
 				}
 			}
 		}

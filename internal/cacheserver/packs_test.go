@@ -207,8 +207,9 @@ func TestHostilePacksRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Kind 0 was a legacy image's; it is now an unknown kind.
 	answers["legacy item"] = answer{cacheserver.OpFetchManifests, cacheserver.EncodeManifestItemsForTest(
-		[]cacheserver.ManifestItem{{Kind: cacheserver.ItemKindLegacy, Data: image}})}
+		[]cacheserver.ManifestItem{{Kind: 0, Data: image}})}
 	for name, a := range answers {
 		t.Run(name, func(t *testing.T) {
 			addr := proxyDaemon(t, upstream, a.op, func([]byte) (uint8, []byte) {

@@ -56,7 +56,7 @@ const (
 	// management), and EVICTs the losers on every shard that holds them.
 	// COMPACT then reclaims the blobs no surviving manifest references.
 	OpUtility = 10 // → per-entry usage summaries (stem, hits, traces, code pool)
-	OpEvict   = 11 // entry stems → remove from index, disk, and memory
+	OpEvict   = 11 // entry stems → remove from the database
 	OpCompact = 12 // → reclaim unreferenced store blobs (store.CompactReport)
 )
 
@@ -175,14 +175,10 @@ func decodeKeyRequest(b []byte) (core.KeySet, Scope, error) {
 	return ks, scope, r.Done()
 }
 
-// Manifest-item kinds in FETCHMANIFESTS responses: an entry travels as its
-// raw manifest. A daemon older than the one-format database also served a
-// legacy entry as its serialized CacheFile image; the frame still parses,
-// and the client rejects the item like any corrupt one.
-const (
-	ItemKindLegacy   = 0
-	ItemKindManifest = 1
-)
+// ItemKindManifest is the one manifest-item kind in FETCHMANIFESTS
+// responses: an entry travels as its raw manifest. An item of any other
+// kind fails to decode.
+const ItemKindManifest = 1
 
 // ManifestItem is one database entry in a FETCHMANIFESTS response.
 // Exported so alternative transports (the fleet routing client) can relay
@@ -209,7 +205,7 @@ func decodeManifestItems(b []byte) ([]ManifestItem, error) {
 	items := make([]ManifestItem, 0, n)
 	for i := 0; i < n && r.Err == nil; i++ {
 		kind := r.U8()
-		if r.Err == nil && kind != ItemKindLegacy && kind != ItemKindManifest {
+		if r.Err == nil && kind != ItemKindManifest {
 			return nil, fmt.Errorf("cacheserver: unknown manifest item kind %d", kind)
 		}
 		ln := int(r.U32())
@@ -464,7 +460,7 @@ func decodeEvictRequest(b []byte) ([]string, error) {
 
 // EvictReport is the EVICT response: how much one shard actually removed.
 type EvictReport struct {
-	Evicted int // entries removed from index, disk, and the in-memory map
+	Evicted int // entries removed from the database
 	Traces  int // translated traces those entries held
 }
 

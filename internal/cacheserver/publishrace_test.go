@@ -1,11 +1,13 @@
 package cacheserver_test
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,12 +19,13 @@ import (
 )
 
 // gateFS holds the first manifest write (a *.pcm.tmp) made after arm until
-// the test releases it: a publish parked between its blobs and its manifest.
+// the test opens it: a publish parked between its blobs and its manifest.
 type gateFS struct {
 	fsx.FS
 	armed   atomic.Bool
 	reached chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
 
 func newGateFS() *gateFS {
@@ -30,6 +33,10 @@ func newGateFS() *gateFS {
 }
 
 func (g *gateFS) arm() { g.armed.Store(true) }
+
+// open releases the parked write, if any, and every later one; it may be
+// called more than once.
+func (g *gateFS) open() { g.once.Do(func() { close(g.release) }) }
 
 func (g *gateFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
 	if strings.HasSuffix(path, ".pcm.tmp") && g.armed.CompareAndSwap(true, false) {
@@ -64,6 +71,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // serveGated starts a daemon over a fresh database whose writes go through
 // a gateFS, and returns the gate, the database directory and the address.
+// The gate opens in a cleanup that runs before the server closes: a test
+// that fails while a publish is parked must not leave Close waiting on it.
 func serveGated(t *testing.T) (*gateFS, string, string) {
 	t.Helper()
 	gate, dir := newGateFS(), t.TempDir()
@@ -81,6 +90,7 @@ func serveGated(t *testing.T) (*gateFS, string, string) {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(gate.open)
 	return gate, dir, ln.Addr().String()
 }
 
@@ -125,7 +135,7 @@ func TestPublishRacingCompactKeepsDedupedBlobs(t *testing.T) {
 			return blockedOnLock("(*Manager).CompactStore(")
 		}
 	})
-	close(gate.release)
+	gate.open()
 	if err := <-published; err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +167,25 @@ func TestPublishRacingCompactKeepsDedupedBlobs(t *testing.T) {
 	}
 }
 
-// TestPublishQueuedBehindEvictStaysIndexed: a publish that waits for an
-// EVICT of its own entry writes that entry afresh, and the daemon must keep
-// serving it — LOOKUP finds it with the traces the publish reported.
-func TestPublishQueuedBehindEvictStaysIndexed(t *testing.T) {
+// TestPublishQueuedBehindEvictIsServed: an EVICT of a committed entry
+// queues on the database lock behind a publish of it, and a second publish
+// queues behind the EVICT. The lock orders the three on disk, so the entry
+// the last publish writes afresh is what LOOKUP then finds, with the traces
+// that publish reported.
+func TestPublishQueuedBehindEvictIsServed(t *testing.T) {
 	gate, _, addr := serveGated(t)
 	v, _ := buildWorld(t, "app", 1).ranVM(t, 10)
 	cf, ks := core.BuildCacheFile(v)
-	// A different payload for the same key set, so single-flight does not
-	// fold the second publish into the first.
-	second := *cf
+	// Three payloads for one key set, so single-flight folds none of them:
+	// the committed entry, the gated publish and the one behind the EVICT.
+	committed, second := *cf, *cf
+	committed.Traces = cf.Traces[2:]
 	second.Traces = cf.Traces[1:]
+	c := newClient(addr)
+	defer c.Close()
+	if _, err := c.Publish(&committed); err != nil {
+		t.Fatal(err)
+	}
 
 	gate.arm()
 	first := make(chan error, 1)
@@ -183,10 +201,13 @@ func TestPublishQueuedBehindEvictStaysIndexed(t *testing.T) {
 	go func() {
 		c := newClient(addr)
 		defer c.Close()
-		_, err := c.Evict([]string{core.FileStem(ks.ManifestFileName())})
+		rep, err := c.Evict([]string{core.FileStem(ks.ManifestFileName())})
+		if err == nil && rep.Evicted != 1 {
+			err = fmt.Errorf("EVICT removed %d entries, want 1", rep.Evicted)
+		}
 		evicted <- err
 	}()
-	waitUntil(t, "EVICT to queue behind the publish", func() bool { return blockedOnLock("(*Server).handleEvict(") })
+	waitUntil(t, "EVICT to queue behind the publish", func() bool { return blockedOnLock("(*Manager).RemoveEntry(") })
 
 	type result struct {
 		rep *core.CommitReport
@@ -199,9 +220,9 @@ func TestPublishQueuedBehindEvictStaysIndexed(t *testing.T) {
 		rep, err := c.Publish(&second)
 		republished <- result{rep, err}
 	}()
-	waitUntil(t, "the second publish to queue behind the EVICT", func() bool { return blockedOnLock("(*Server).merge(") })
+	waitUntil(t, "the second publish to queue behind the EVICT", func() bool { return blockedOnLock("(*Manager).CommitFile(") })
 
-	close(gate.release)
+	gate.open()
 	for _, ch := range []chan error{first, evicted} {
 		if err := <-ch; err != nil {
 			t.Fatal(err)
@@ -211,8 +232,9 @@ func TestPublishQueuedBehindEvictStaysIndexed(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	c := newClient(addr)
-	defer c.Close()
+	if r.rep.Accumulate || r.rep.Traces != len(second.Traces) {
+		t.Fatalf("the publish behind the EVICT reported %+v, want %d traces written afresh", r.rep, len(second.Traces))
+	}
 	info, err := c.Lookup(ks, false)
 	if err != nil {
 		t.Fatalf("lookup after the queued publish: %v", err)

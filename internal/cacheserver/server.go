@@ -2,13 +2,12 @@ package cacheserver
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"persistcc/internal/binenc"
@@ -19,28 +18,7 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("cacheserver: server closed")
 
-// entry is the in-memory state for one cache file.
-type entry struct {
-	meta core.IndexEntry // guarded by Server.idxMu
-
-	// hits counts FETCHMANIFESTS responses that carried this entry since
-	// daemon start — the frequency half of the fleet's utility ranking (hit
-	// frequency × translation cost). Atomic so the read path never takes a
-	// write lock.
-	hits atomic.Uint64
-
-	// mergeMu keeps a publish's commit and index update atomic against an
-	// EVICT of the same stem. Commits themselves are serialized by the
-	// manager's database lock; lookups proceed in parallel.
-	mergeMu sync.Mutex
-
-	// Single-flight dedup of concurrent identical publishes, keyed by the
-	// payload digest: the first arrival merges, later identical arrivals
-	// wait and share its report.
-	flMu     sync.Mutex
-	inflight map[[32]byte]*flight
-}
-
+// flight is one publish's merge in progress, which identical publishes join.
 type flight struct {
 	done chan struct{}
 	rep  *core.CommitReport
@@ -48,13 +26,23 @@ type flight struct {
 }
 
 // Server serves one persistent cache database to many client processes.
+// The database directory is the catalogue: every op reads it through the
+// manager, so an entry a peer commits or removes is served as it stands.
 type Server struct {
 	mgr *core.Manager
 
-	// The in-memory index: one entry per manifest, keyed by file stem (the
-	// key set's lookup hash). idxMu guards the map and every entry's meta.
-	idxMu   sync.RWMutex
-	entries map[string]*entry
+	// hits counts, per entry stem, the FETCHMANIFESTS responses that carried
+	// the entry since daemon start — the frequency half of the fleet's
+	// utility ranking (hit frequency × translation cost), and the one
+	// per-entry state the disk does not hold.
+	hitMu sync.Mutex
+	hits  map[string]uint64
+
+	// Single-flight dedup of concurrent identical publishes, keyed by the
+	// payload digest: the first arrival merges, later identical arrivals
+	// wait and share its report.
+	flMu     sync.Mutex
+	inflight map[[32]byte]*flight
 
 	logf         func(format string, args ...any)
 	metrics      *metrics.Registry
@@ -98,11 +86,13 @@ func WithIdleTimeout(d time.Duration) Option {
 	return func(s *Server) { s.idleTimeout = d }
 }
 
-// New builds a server over an opened database, loading its entry list
-// into memory.
+// New builds a server over an opened database. It reads nothing: each
+// request reads the database as it stands.
 func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 	s := &Server{
 		mgr:      mgr,
+		hits:     make(map[string]uint64),
+		inflight: make(map[[32]byte]*flight),
 		conns:    make(map[net.Conn]struct{}),
 		logf:     func(string, ...any) {},
 		maxFrame: MaxFrame,
@@ -114,33 +104,7 @@ func New(mgr *core.Manager, opts ...Option) (*Server, error) {
 		s.metrics = metrics.NewRegistry()
 	}
 	s.m = newServerMetrics(s.metrics)
-	entries, err := mgr.Entries()
-	if err != nil {
-		return nil, err
-	}
-	s.entries = make(map[string]*entry, len(entries))
-	for _, e := range entries {
-		s.entries[core.FileStem(e.File)] = &entry{meta: e, inflight: make(map[[32]byte]*flight)}
-	}
 	return s, nil
-}
-
-// entryFor returns the live entry for a cache file stem, creating it when
-// create is set (publish of a first cache for a key set).
-func (s *Server) entryFor(stem string, create bool) *entry {
-	s.idxMu.RLock()
-	e := s.entries[stem]
-	s.idxMu.RUnlock()
-	if e != nil || !create {
-		return e
-	}
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if e = s.entries[stem]; e == nil {
-		e = &entry{inflight: make(map[[32]byte]*flight)}
-		s.entries[stem] = e
-	}
-	return e
 }
 
 // Listen opens the daemon's listener: "unix:/path/to.sock" or a TCP
@@ -338,7 +302,7 @@ func (s *Server) dispatch(op uint8, payload []byte) (status uint8, out []byte) {
 	case OpPublish:
 		resp, err = s.handlePublish(payload)
 	case OpStats:
-		resp = s.handleStats()
+		resp, err = s.handleStats()
 	case OpMetrics:
 		s.mgr.Stats() // refresh the database gauges before snapshotting
 		resp = s.metrics.Snapshot().JSON()
@@ -378,66 +342,35 @@ func (s *Server) handleLookup(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := s.candidates(ks, scope != ScopeExact)
+	cands, err := s.mgr.Candidates(ks, scope != ScopeExact)
+	if err != nil {
+		return nil, err
+	}
 	if len(cands) == 0 {
 		return nil, core.ErrNoCache
 	}
-	meta := cands[0].meta
+	e := cands[0]
 	return encodeLookupInfo(&LookupInfo{
-		File: meta.File, AppPath: meta.AppPath, Traces: meta.Traces,
-		CodePool: meta.CodePool, DataPool: meta.DataPool,
+		File: e.File, AppPath: e.AppPath, Traces: e.Traces,
+		CodePool: e.CodePool, DataPool: e.DataPool,
 	}), nil
 }
 
-type candidate struct {
-	e    *entry
-	meta core.IndexEntry
-}
-
-// candidates enumerates the entries a key request covers, each with a
-// consistent copy of its metadata: the exact entry first, then — in
-// inter-application mode — every other entry of the same VM/Tool class
-// ("allowing the function to return a cache corresponding to any
-// application instrumented identically") in core.InterAppCandidates' order.
-// Entries whose first publish is still in flight (empty metadata) are
-// invisible.
-func (s *Server) candidates(ks core.KeySet, interApp bool) []candidate {
-	var out, all []candidate
-	var metas []core.IndexEntry
-	s.idxMu.RLock()
-	if e := s.entries[core.FileStem(ks.ManifestFileName())]; e != nil && e.meta.File != "" {
-		out = append(out, candidate{e, e.meta})
-	}
-	if interApp {
-		for _, e := range s.entries {
-			if e.meta.File != "" {
-				all = append(all, candidate{e, e.meta})
-				metas = append(metas, e.meta)
-			}
-		}
-	}
-	s.idxMu.RUnlock()
-	for _, i := range core.InterAppCandidates(ks, metas) {
-		out = append(out, all[i])
-	}
-	return out
-}
-
-// handlePublish merges a client's serialized cache file into the database.
+// handlePublish merges a client's serialized cache file into the database
+// the way a local commit does: through the manager, under its database
+// lock, which also orders it against an EVICT of the same entry.
 func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 	incoming := new(core.CacheFile)
 	if err := incoming.UnmarshalBinary(payload); err != nil {
 		return nil, err
 	}
-	d := core.DeltaOf(incoming)
-	e := s.entryFor(core.FileStem(d.Keys.ManifestFileName()), true)
 
 	// Single-flight: concurrent identical publishes (several processes
 	// exiting the same cold run at once) merge exactly once.
 	digest := sha256.Sum256(payload)
-	e.flMu.Lock()
-	if f := e.inflight[digest]; f != nil {
-		e.flMu.Unlock()
+	s.flMu.Lock()
+	if f := s.inflight[digest]; f != nil {
+		s.flMu.Unlock()
 		s.m.dedups.Inc()
 		<-f.done
 		if f.err != nil {
@@ -446,83 +379,55 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 		return encodeCommitReport(f.rep), nil
 	}
 	f := &flight{done: make(chan struct{})}
-	e.inflight[digest] = f
-	e.flMu.Unlock()
+	s.inflight[digest] = f
+	s.flMu.Unlock()
 
-	f.rep, f.err = s.merge(e, d)
-	e.flMu.Lock()
-	delete(e.inflight, digest)
-	e.flMu.Unlock()
+	f.rep, f.err = s.mgr.CommitFile(core.DeltaOf(incoming))
+	s.flMu.Lock()
+	delete(s.inflight, digest)
+	s.flMu.Unlock()
 	close(f.done)
 	if f.err != nil {
 		return nil, f.err
 	}
+	if !f.rep.Skipped {
+		s.logf("cacheserver: published %s: %d traces (%d new, %d dropped)", f.rep.File, f.rep.Traces, f.rep.NewTraces, f.rep.Dropped)
+	}
 	return encodeCommitReport(f.rep), nil
 }
 
-// merge commits a publish into the database the way a local commit does,
-// through the manager under its database lock, and refreshes the entry's
-// metadata from the report. An EVICT of the stem that ran while this publish
-// waited took e out of the index; the entry is on disk again, so e goes back.
-func (s *Server) merge(e *entry, d *core.Delta) (*core.CommitReport, error) {
-	e.mergeMu.Lock()
-	defer e.mergeMu.Unlock()
-	rep, err := s.mgr.CommitFile(d)
-	if err != nil || rep.Skipped {
-		return rep, err
+// handleStats answers STATS with this database's totals, Manager.Stats
+// itself. A daemon answers for itself only — adding up a fleet is its
+// client's job — so it ignores the payload, which older clients fill with a
+// scope byte.
+func (s *Server) handleStats() ([]byte, error) {
+	st, err := s.mgr.Stats()
+	if err != nil {
+		return nil, err
 	}
-	s.idxMu.Lock()
-	e.meta = core.IndexEntry{
-		App: d.Keys.App.Hex(), VM: d.Keys.VM.Hex(), Tool: d.Keys.Tool.Hex(), AppPath: d.AppPath,
-		File: rep.File, Traces: rep.Traces, CodePool: rep.CodePool, DataPool: rep.DataPool,
-	}
-	s.entries[core.FileStem(rep.File)] = e
-	s.idxMu.Unlock()
-	s.logf("cacheserver: published %s: %d traces (%d new, %d dropped)", rep.File, rep.Traces, rep.NewTraces, rep.Dropped)
-	return rep, nil
+	return encodeDBStats(st), nil
 }
 
-// handleStats answers STATS with this database's totals. A daemon answers
-// for itself only — adding up a fleet is its client's job — so it ignores
-// the payload, which older clients fill with a scope byte.
-func (s *Server) handleStats() []byte {
-	s.idxMu.RLock()
-	entries := make([]core.IndexEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e.meta)
-	}
-	s.idxMu.RUnlock()
-	st := core.AggregateStats(entries)
-	if ss, err := s.mgr.StoreStats(); err == nil {
-		st.Store = ss
-	}
-	return encodeDBStats(st)
-}
-
-// handleUtility reports every entry's usage summary, sorted by stem so the
+// handleUtility reports every entry's usage summary, in stem order so the
 // response is deterministic for a given state.
 func (s *Server) handleUtility() ([]byte, error) {
-	var out []UtilityEntry
-	s.idxMu.RLock()
-	for stem, e := range s.entries {
-		if e.meta.File == "" {
-			continue // first publish still in flight
-		}
-		out = append(out, UtilityEntry{
-			Stem:     stem,
-			Hits:     e.hits.Load(),
-			Traces:   e.meta.Traces,
-			CodePool: e.meta.CodePool,
-		})
+	entries, err := s.mgr.Entries()
+	if err != nil {
+		return nil, err
 	}
-	s.idxMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Stem < out[j].Stem })
+	out := make([]UtilityEntry, len(entries))
+	s.hitMu.Lock()
+	for i, e := range entries {
+		stem := core.FileStem(e.File)
+		out[i] = UtilityEntry{Stem: stem, Hits: s.hits[stem], Traces: e.Traces, CodePool: e.CodePool}
+	}
+	s.hitMu.Unlock()
 	return encodeUtilityEntries(out), nil
 }
 
-// handleEvict removes the named entries from the database and the in-memory
-// index — the enforcement half of the fleet's global eviction. Stems this
-// shard does not hold are ignored (a replica set rarely lines up exactly).
+// handleEvict removes the named entries from the database — the
+// enforcement half of the fleet's global eviction. Stems this shard does
+// not hold are ignored (a replica set rarely lines up exactly).
 func (s *Server) handleEvict(payload []byte) ([]byte, error) {
 	stems, err := decodeEvictRequest(payload)
 	if err != nil {
@@ -530,33 +435,27 @@ func (s *Server) handleEvict(payload []byte) ([]byte, error) {
 	}
 	rep := &EvictReport{}
 	for _, stem := range stems {
-		e := s.entryFor(stem, false)
-		if e == nil {
+		// A stem is a key set's lookup hash; anything else names no entry,
+		// and must not name a path outside the database.
+		if b, err := hex.DecodeString(stem); err != nil || len(b) != 16 {
 			continue
 		}
-		// Serialize against publishes of the same key set so an eviction
-		// cannot tear a concurrent merge.
-		e.mergeMu.Lock()
-		s.idxMu.Lock()
-		meta := e.meta
-		delete(s.entries, stem)
-		s.idxMu.Unlock()
-		var rerr error
-		if meta.File != "" {
-			rerr = s.mgr.RemoveEntry(meta.File)
+		e, err := s.mgr.Entry(stem + ".pcm")
+		if errors.Is(err, core.ErrNoCache) {
+			continue
 		}
-		e.mergeMu.Unlock()
-		if rerr != nil {
-			// Disk removal failed: restore the in-memory entry so the index
-			// stays consistent with what is still servable.
-			s.idxMu.Lock()
-			s.entries[stem] = e
-			s.idxMu.Unlock()
-			return nil, rerr
+		if err == nil {
+			err = s.mgr.RemoveEntry(e.File)
 		}
+		if err != nil {
+			return nil, err
+		}
+		s.hitMu.Lock()
+		delete(s.hits, stem)
+		s.hitMu.Unlock()
 		rep.Evicted++
-		rep.Traces += meta.Traces
-		s.logf("cacheserver: evicted %s (%d traces)", meta.File, meta.Traces)
+		rep.Traces += e.Traces
+		s.logf("cacheserver: evicted %s (%d traces)", e.File, e.Traces)
 	}
 	return encodeEvictReport(rep), nil
 }
@@ -572,16 +471,23 @@ func (s *Server) handleCompact() ([]byte, error) {
 }
 
 // handleFetchManifests serves the entries a key request's scope covers
-// (see candidates) in one round trip, exact entry first — with ScopeBest
-// only the first of them: each travels as its compact manifest, read
-// verbatim from disk (the client resolves its blobs separately, hitting its
-// local store first).
-// Only the entries sent count as hits. Entries gone since indexed are
+// (core.Manager.Candidates) in one round trip, exact entry first — with
+// ScopeBest only the first of them: each travels as its compact manifest,
+// read verbatim from disk (the client resolves its blobs separately,
+// hitting its local store first). ScopeExact reads the entry's manifest
+// alone, without listing the database.
+// Only the entries sent count as hits. Entries gone since listed are
 // skipped; the response is capped by maxBulkFiles and the frame bound.
 func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
 	ks, scope, err := decodeKeyRequest(payload)
 	if err != nil {
 		return nil, err
+	}
+	cands := []core.IndexEntry{{File: ks.ManifestFileName()}}
+	if scope != ScopeExact {
+		if cands, err = s.mgr.Candidates(ks, true); err != nil {
+			return nil, err
+		}
 	}
 	limit := maxBulkFiles
 	if scope == ScopeBest {
@@ -589,12 +495,12 @@ func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
 	}
 	var items []ManifestItem
 	total := 0
-	for _, c := range s.candidates(ks, scope != ScopeExact) {
+	for _, c := range cands {
 		if len(items) >= limit {
 			break
 		}
 		it := ManifestItem{Kind: ItemKindManifest}
-		if it.Data, err = s.mgr.ManifestBytes(c.meta.File); err != nil {
+		if it.Data, err = s.mgr.ManifestBytes(c.File); err != nil {
 			continue
 		}
 		// Leave room for the count/kind/length framing and the status byte.
@@ -603,7 +509,9 @@ func (s *Server) handleFetchManifests(payload []byte) ([]byte, error) {
 		}
 		items = append(items, it)
 		total += len(it.Data)
-		c.e.hits.Add(1)
+		s.hitMu.Lock()
+		s.hits[core.FileStem(c.File)]++
+		s.hitMu.Unlock()
 	}
 	if len(items) == 0 {
 		return nil, core.ErrNoCache

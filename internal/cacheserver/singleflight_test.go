@@ -22,23 +22,19 @@ func TestPublishSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An empty cache file decodes cleanly and carries the zero key set, so
-	// its publish lands on the entry planted below.
+	// An empty cache file decodes cleanly, so its publish would merge.
 	payload, err := (&core.CacheFile{}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	digest := sha256.Sum256(payload)
-	var ks core.KeySet
-	file := ks.CacheFileName()
 
 	// Plant an in-flight merge for the digest by hand.
-	e := s.entryFor(core.FileStem(file), true)
-	want := &core.CommitReport{Traces: 7, File: file}
+	want := &core.CommitReport{Traces: 7, File: "planted.pcm"}
 	f := &flight{done: make(chan struct{}), rep: want}
-	e.flMu.Lock()
-	e.inflight[digest] = f
-	e.flMu.Unlock()
+	s.flMu.Lock()
+	s.inflight[digest] = f
+	s.flMu.Unlock()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -59,9 +55,9 @@ func TestPublishSingleFlight(t *testing.T) {
 
 	// The publisher must be blocked on the flight, not merging.
 	time.Sleep(20 * time.Millisecond)
-	e.flMu.Lock()
-	delete(e.inflight, digest)
-	e.flMu.Unlock()
+	s.flMu.Lock()
+	delete(s.inflight, digest)
+	s.flMu.Unlock()
 	close(f.done)
 	wg.Wait()
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"path/filepath"
 	"slices"
 
@@ -37,19 +38,64 @@ func (m *Manager) Entries() ([]IndexEntry, error) {
 	slices.Sort(files)
 	entries := make([]IndexEntry, 0, len(files))
 	for _, f := range files {
-		fi, err := m.fs.Stat(f)
-		if err != nil {
-			continue
-		}
-		e, err := readEntryHeader(func(off int64, n int) ([]byte, error) {
-			return m.fs.ReadFileRange(f, off, n)
-		}, fi.Size())
-		if err == nil {
-			e.File = filepath.Base(f)
+		if e, err := m.Entry(filepath.Base(f)); err == nil {
 			entries = append(entries, e)
 		}
 	}
 	return entries, nil
+}
+
+// Entry reads one database entry, the manifest named file, from its header.
+// A missing file, or one whose header does not read, is ErrNoCache.
+func (m *Manager) Entry(file string) (IndexEntry, error) {
+	path := filepath.Join(m.dir, file)
+	fi, err := m.fs.Stat(path)
+	var e IndexEntry
+	if err == nil {
+		e, err = readEntryHeader(func(off int64, n int) ([]byte, error) {
+			return m.fs.ReadFileRange(path, off, n)
+		}, fi.Size())
+	}
+	switch {
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errEntryHeader):
+		return IndexEntry{}, ErrNoCache
+	case err != nil:
+		return IndexEntry{}, err
+	}
+	e.File = file
+	return e, nil
+}
+
+// Candidates lists the entries a lookup for ks may use, best first: the
+// exact entry, then — with interApp — every entry of another application
+// with the same VM and tool keys ("allowing the function to return a cache
+// corresponding to any application instrumented identically"), in
+// InterAppCandidates' order. Entries whose header does not read are left
+// out, as Entries leaves them out.
+func (m *Manager) Candidates(ks KeySet, interApp bool) ([]IndexEntry, error) {
+	exact := ks.ManifestFileName()
+	if !interApp {
+		e, err := m.Entry(exact)
+		if errors.Is(err, ErrNoCache) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		return []IndexEntry{e}, nil
+	}
+	entries, err := m.Entries()
+	if err != nil {
+		return nil, err
+	}
+	var out []IndexEntry
+	if i := slices.IndexFunc(entries, func(e IndexEntry) bool { return e.File == exact }); i >= 0 {
+		out = append(out, entries[i])
+	}
+	for _, i := range InterAppCandidates(ks, entries) {
+		out = append(out, entries[i])
+	}
+	return out, nil
 }
 
 const (

@@ -201,24 +201,26 @@ func (m *Manager) LookupInterApp(ks KeySet) (*CacheFile, error) {
 
 // interAppPath is the entry LookupInterApp picks for ks, or ErrNoCache.
 func (m *Manager) interAppPath(ks KeySet) (string, error) {
-	entries, err := m.Entries()
+	cands, err := m.Candidates(ks, true)
 	if err != nil {
 		return "", err
 	}
-	cands := InterAppCandidates(ks, entries)
+	if len(cands) > 0 && cands[0].File == ks.ManifestFileName() {
+		cands = cands[1:] // the exact entry: the application's own
+	}
 	if len(cands) == 0 {
 		m.m.lookups.With("interapp", "miss").Inc()
 		return "", ErrNoCache
 	}
 	// A candidate that is gone, or quarantined on the way (which takes it
 	// out of the listing), degrades to a miss: the run translates.
-	return filepath.Join(m.dir, entries[cands[0]].File), nil
+	return filepath.Join(m.dir, cands[0].File), nil
 }
 
-// InterAppCandidates is the one inter-application ranking rule, which the
-// local lookup and a daemon's both apply: the indexes of the entries a
-// lookup for ks may use (same VM and tool keys, another application), best
-// first — most traces, then file name.
+// InterAppCandidates is the one inter-application ranking rule, which
+// Candidates applies for the local lookup and a daemon's alike: the indexes
+// of the entries a lookup for ks may use (same VM and tool keys, another
+// application), best first — most traces, then file name.
 func InterAppCandidates(ks KeySet, entries []IndexEntry) []int {
 	if len(entries) == 0 {
 		return nil
@@ -872,7 +874,7 @@ func (m *Manager) Stats() (*DBStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := AggregateStats(entries)
+	st := aggregateStats(entries)
 	if ss, err := m.StoreStats(); err == nil {
 		st.Store = ss
 	}
@@ -883,9 +885,8 @@ func (m *Manager) Stats() (*DBStats, error) {
 	return st, nil
 }
 
-// AggregateStats folds database entries into per-database totals; the cache
-// server uses it over its in-memory index so STATS matches Manager.Stats.
-func AggregateStats(entries []IndexEntry) *DBStats {
+// aggregateStats folds database entries into per-database totals.
+func aggregateStats(entries []IndexEntry) *DBStats {
 	st := &DBStats{}
 	byClass := make(map[[2]string]*KeyClassCount)
 	for _, e := range entries {

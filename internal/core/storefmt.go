@@ -450,7 +450,7 @@ func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.Pu
 
 // FileStem strips the format extension, leaving the key-set lookup hash —
 // the identity an entry's manifest and its legacy image share. The cache
-// server keys its in-memory index by stem.
+// server names entries on the wire by stem.
 func FileStem(file string) string {
 	return strings.TrimSuffix(strings.TrimSuffix(file, ".pcc"), ".pcm")
 }

@@ -33,8 +33,8 @@ var ErrBreakerOpen = errors.New("cacheserver: circuit breaker open, daemon unrea
 // round trip that hits one is not retried, and opens the breaker at once: a
 // launch starts a fresh client, so a daemon that answers nothing must cost
 // it one deadline, not one per request. On a 2-core machine over
-// loopback, launch-path ops took at most 151 ms under `go test -race` and
-// 19 ms for a 415 KB PUBLISH. COMPACT grows with the daemon's database
+// loopback, launch-path ops took at most 151 ms under `go test -race`.
+// COMPACT grows with the daemon's database
 // (about 5 ms per MB) and EVICT with its stems; a launch sends neither, so
 // they get maintenanceBase, about 100 GB of database at that rate.
 const (
@@ -406,13 +406,33 @@ func BlobsFromPacks(packs [][]byte, hashes []store.Hash) (map[store.Hash][]byte,
 	return out, nil
 }
 
-// Publish sends a serialized cache file for server-side merge.
+// Publish sends the run cf holds for a server-side commit (Send).
 func (c *Client) Publish(cf *core.CacheFile) (*core.CommitReport, error) {
-	b, err := cf.MarshalBinary()
+	b, err := EncodePublication(cf, false)
 	if err != nil {
 		return nil, err
 	}
+	return c.Send(cf, b)
+}
+
+// EncodePublication builds cf's PUBLISH payload (core.NewPublication).
+func EncodePublication(cf *core.CacheFile, all bool) ([]byte, error) {
+	pub, err := core.NewPublication(cf, all)
+	if err != nil {
+		return nil, err
+	}
+	return encodePublication(pub), nil
+}
+
+// Send publishes cf, whose payload by address is b, and sends it once more
+// with every blob when the daemon lacks a blob b names (not found).
+func (c *Client) Send(cf *core.CacheFile, b []byte) (*core.CommitReport, error) {
 	resp, err := c.do(OpPublish, b)
+	if errors.Is(err, core.ErrNoCache) {
+		if b, err = EncodePublication(cf, true); err == nil {
+			resp, err = c.do(OpPublish, b)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

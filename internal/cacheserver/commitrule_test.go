@@ -23,6 +23,7 @@ import (
 type remote struct {
 	transport cacheserver.Transport
 	servers   []*cacheserver.Server
+	addrs     []string // the servers'
 }
 
 func newRemote(t *testing.T, shards int) *remote {
@@ -31,7 +32,7 @@ func newRemote(t *testing.T, shards int) *remote {
 	cfg := &fleet.Config{Replicas: 2}
 	for i := 0; i < shards; i++ {
 		srv, addr, _ := startServer(t)
-		r.servers = append(r.servers, srv)
+		r.servers, r.addrs = append(r.servers, srv), append(r.addrs, addr)
 		cfg.Shards = append(cfg.Shards, fleet.Shard{ID: fmt.Sprintf("s%d", i), Addr: addr})
 	}
 	fl, err := fleet.New(cfg, fleet.WithShardOptions(
@@ -55,12 +56,16 @@ func forEachRemote(t *testing.T, body func(t *testing.T, r *remote)) {
 	}
 }
 
-// publishes counts the PUBLISH requests the daemons have served. One
-// Publish reaches every owner, so it counts once per daemon here.
-func (r *remote) publishes() (n int) {
+// publishes counts the PUBLISH requests the daemons have answered with one
+// of statuses (ok or error when none is given). One Publish reaches every
+// owner, so it counts once per daemon here.
+func (r *remote) publishes(statuses ...string) (n int) {
+	if len(statuses) == 0 {
+		statuses = []string{"ok", "error"}
+	}
 	for _, srv := range r.servers {
 		snap := srv.Metrics().Snapshot()
-		for _, status := range []string{"ok", "error"} {
+		for _, status := range statuses {
 			v, _ := snap.Value("pcc_server_requests_total", "publish", status)
 			n += int(v)
 		}
@@ -168,6 +173,57 @@ func TestRemotePrimedRunThatTranslatesPublishes(t *testing.T) {
 		}
 		if crep.Traces != len(cf.Traces) {
 			t.Errorf("publish report %+v, want the merged %d traces", crep, len(cf.Traces))
+		}
+	})
+}
+
+// TestCompactionBetweenPrimeAndPublish: the remote entry a run was primed
+// from is evicted, and its blobs compacted away, before the run commits.
+// The run's publication names the blobs it reused by address, so each
+// owner answers its first PUBLISH not found; the resend with every blob
+// commits, no commit degrades to the local database, and the next launch
+// primes warm from what the resend wrote.
+func TestCompactionBetweenPrimeAndPublish(t *testing.T) {
+	forEachRemote(t, func(t *testing.T, r *remote) {
+		w := buildWorld(t, "compacted", 23)
+		cf := r.publishAllButOne(t, w)
+		f, v := r.machine(t), w.freshVM(t, 50)
+		if prep, err := f.Prime(v); err != nil || prep.Installed != len(cf.Traces)-1 {
+			t.Fatalf("prime %+v, %v; want all but one trace from the remote", prep, err)
+		}
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		stem := core.FileStem(core.KeysFor(v).ManifestFileName())
+		for _, addr := range r.addrs {
+			c := newClient(addr)
+			ev, err := c.Evict([]string{stem})
+			if err != nil || ev.Evicted != 1 {
+				t.Fatalf("EVICT: %+v, %v", ev, err)
+			}
+			if cr, err := c.CompactStore(); err != nil || cr.PrunedOrphans == 0 {
+				t.Fatalf("COMPACT: %+v, %v; want the entry's blobs pruned", cr, err)
+			}
+			c.Close()
+		}
+
+		notFound, ok := r.publishes("notfound"), r.publishes("ok")
+		crep, err := f.Commit(v)
+		if err != nil || crep.Skipped || crep.Traces != len(cf.Traces) {
+			t.Fatalf("commit %+v, %v; want the %d traces published", crep, err, len(cf.Traces))
+		}
+		if n := r.publishes("notfound") - notFound; n != len(r.servers) {
+			t.Errorf("%d PUBLISH requests answered not found, want the first try on each of %d owners", n, len(r.servers))
+		}
+		if n := r.publishes("ok") - ok; n != len(r.servers) {
+			t.Errorf("%d PUBLISH requests committed, want the resend on each of %d owners", n, len(r.servers))
+		}
+		if n := r.commitFallbacks(); n != 0 {
+			t.Errorf("pcc_client_fallbacks_total{op=\"commit\"} = %v, want 0", n)
+		}
+		res, prep, _ := runWithFallback(t, r.machine(t), w, 50)
+		if prep.Installed != len(cf.Traces) || res.Stats.TracesTranslated != 0 {
+			t.Errorf("next launch: prime %+v, %d traces translated; want warm from the resent entry", prep, res.Stats.TracesTranslated)
 		}
 	})
 }

@@ -70,3 +70,9 @@ func EncodeErrorForTest(msg string) []byte {
 func DecodeDBStatsForTest(b []byte) (*core.DBStats, error) {
 	return decodeDBStats(b)
 }
+
+// EncodePublicationForTest builds a PUBLISH payload, for the tests that send
+// publications no client would.
+func EncodePublicationForTest(pub *core.Publication) []byte {
+	return encodePublication(pub)
+}

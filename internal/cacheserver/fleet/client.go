@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/core"
@@ -286,24 +287,34 @@ func (c *Client) walkPacks(op string, order []int, ks core.KeySet, hashes []stor
 
 var _ cacheserver.Transport = (*Client)(nil)
 
-// Publish writes the cache file to every owner in its replica set. The
-// publish succeeds if at least one owner accepts it (the primary's report
-// preferred); per-owner failures are counted and absorbed — that is what
-// the replicas are for.
+// Publish writes the cache file to every owner in its replica set at once,
+// its payload built once for all of them. The publish succeeds if at least
+// one owner accepts it (the primary's report preferred); per-owner failures
+// are counted and absorbed — that is what the replicas are for.
 func (c *Client) Publish(cf *core.CacheFile) (*core.CommitReport, error) {
 	ks := core.KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}
 	owners := c.route("publish", StemFor(ks))
+	b, err := cacheserver.EncodePublication(cf, false)
+	if err != nil {
+		return nil, err
+	}
+	reps, errs := make([]*core.CommitReport, len(owners)), make([]error, len(owners))
+	var wg sync.WaitGroup
+	for rank, si := range owners {
+		wg.Add(1)
+		go func() { defer wg.Done(); reps[rank], errs[rank] = c.clients[si].Send(cf, b) }()
+	}
+	wg.Wait()
 	var rep *core.CommitReport
 	var lastErr error
-	for rank, si := range owners {
-		r, err := c.clients[si].Publish(cf)
+	for rank, err := range errs {
 		if err != nil {
 			c.m.writeErrors.Inc()
 			lastErr = err
 			continue
 		}
 		if rep == nil {
-			rep = r
+			rep = reps[rank]
 		}
 		if rank > 0 {
 			c.m.replicaWrites.Inc()

@@ -299,7 +299,11 @@ func TestBreakerOpenFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.CommitFile(core.DeltaOf(cf)); err != nil {
+	pub, err := core.NewPublication(cf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.CommitPublication(pub); err != nil {
 		t.Fatal(err)
 	}
 	fb := cacheserver.NewFallback(fl, local)

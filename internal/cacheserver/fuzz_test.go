@@ -12,9 +12,9 @@ import (
 // frame reader must be total on arbitrary byte streams, every frame it
 // accepts must re-encode to the identical bytes it consumed, and every
 // payload decoder must reject (never panic on) arbitrary payloads. The
-// server feeds readFrame bytes from untrusted clients, and the client feeds
-// the read-path decoders bytes from a daemon it does not control, so this
-// boundary has to hold under any input.
+// server feeds readFrame and the PUBLISH decoder bytes from untrusted
+// clients, and the client feeds the read-path decoders bytes from a daemon
+// it does not control, so this boundary has to hold under any input.
 func FuzzDecodeFrame(f *testing.F) {
 	frame := func(tag uint8, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -37,6 +37,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: ItemKindManifest, Data: []byte("manifest")}, {Kind: 0, Data: []byte("image")}})))
 	f.Add(frame(OpFetchPacks, encodePackRequest(core.KeySet{App: [32]byte{2}}, []store.Hash{h1, h2})))
 	f.Add(frame(StatusOK, encodePackFiles([][]byte{[]byte("PCK1 pack"), {}})))
+	empty, err := core.NewPublication(&core.CacheFile{}, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame(OpPublish, encodePublication(empty)))
+	f.Add(frame(OpPublish, encodePublication(&core.Publication{
+		Manifest: []byte("manifest"), Packs: [][]byte{[]byte("PCK1 pack")}, Fresh: 3})))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1}) // hostile length field
 	f.Add([]byte{0, 0, 0, 0, 0})             // zero length
 
@@ -94,6 +101,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		if packs, err := decodePackFiles(payload); err == nil {
 			if got := encodePackFiles(packs); !bytes.Equal(got, payload) {
 				t.Fatalf("pack files re-encode to % x, decoded from % x", got, payload)
+			}
+		}
+		// So is the PUBLISH payload codec.
+		if pub, err := decodePublication(payload); err == nil {
+			if got := encodePublication(pub); !bytes.Equal(got, payload) {
+				t.Fatalf("publication re-encodes to % x, decoded from % x", got, payload)
 			}
 		}
 	})

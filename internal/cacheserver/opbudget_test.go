@@ -17,7 +17,6 @@ import (
 func seededDB(t *testing.T, n int) (*core.Manager, *fsx.InjectFS, string) {
 	t.Helper()
 	seedVM, _ := buildWorld(t, "seed", 1).ranVM(t, 10)
-	seedCF, _ := core.BuildCacheFile(seedVM)
 	dir := t.TempDir()
 	inj := fsx.NewInject(nil)
 	mgr, err := core.NewManager(dir, core.WithFS(inj))
@@ -25,9 +24,9 @@ func seededDB(t *testing.T, n int) (*core.Manager, *fsx.InjectFS, string) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		cf := *seedCF
-		cf.AppKey[0], cf.AppKey[1] = byte(i), byte(i>>8)
-		if _, err := mgr.CommitFile(core.DeltaOf(&cf)); err != nil {
+		d := core.NewDelta(seedVM)
+		d.Keys.App[0], d.Keys.App[1] = byte(i), byte(i>>8)
+		if _, err := mgr.CommitFile(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +88,7 @@ func TestCommitOpsIndependentOfEntryCount(t *testing.T) {
 	for _, n := range []int{1, 100} {
 		mgr, inj, dir := seededDB(t, n)
 		inj.StartRecording()
-		if _, err := mgr.CommitFile(core.DeltaOf(incoming)); err != nil {
+		if _, err := mgr.CommitFile(core.NewDelta(freshVM)); err != nil {
 			t.Fatal(err)
 		}
 		commits = append(commits, check("commit", n, dir, inj.Ops()))

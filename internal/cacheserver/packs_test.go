@@ -127,7 +127,7 @@ func localMachine(t *testing.T, addr string, w *world) (*cacheserver.Fallback, *
 	}
 	v, _ := w.ranVM(t, 0)
 	cf, _ := core.BuildCacheFile(v)
-	if _, err := local.CommitFile(core.DeltaOf(cf)); err != nil {
+	if _, err := local.CommitFile(core.NewDelta(v)); err != nil {
 		t.Fatal(err)
 	}
 	c := newClient(addr)

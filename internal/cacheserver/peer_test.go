@@ -67,9 +67,7 @@ func TestPeerCommitsAreServed(t *testing.T) {
 
 	partial := *cf
 	partial.Traces = cf.Traces[1:]
-	if _, err := peer.CommitFile(core.DeltaOf(&partial)); err != nil {
-		t.Fatal(err)
-	}
+	commitFile(t, peer, &partial)
 	items, err := c.FetchManifests(ks, false)
 	if err != nil || len(items) != 1 {
 		t.Fatalf("exact FETCHMANIFESTS of the peer's entry: %d items, %v", len(items), err)
@@ -94,9 +92,7 @@ func TestPeerCommitsAreServed(t *testing.T) {
 		t.Errorf("UTILITY after the peer's commit: %+v, want %+v (both FETCHMANIFESTS counted)", u, want)
 	}
 
-	if _, err := peer.CommitFile(core.DeltaOf(cf)); err != nil {
-		t.Fatal(err)
-	}
+	commitFile(t, peer, cf)
 	if got := lookupTraces("after the peer's accumulation"); got != len(cf.Traces) {
 		t.Errorf("LOOKUP after the peer's accumulation: %d traces, want %d", got, len(cf.Traces))
 	}
@@ -112,5 +108,17 @@ func TestPeerCommitsAreServed(t *testing.T) {
 	}
 	if _, err := c.Lookup(ks, false); !errors.Is(err, core.ErrNoCache) {
 		t.Errorf("LOOKUP after the peer's removal: %v, want ErrNoCache", err)
+	}
+}
+
+// commitFile commits cf into mgr as a daemon commits a publish of it.
+func commitFile(t testing.TB, mgr *core.Manager, cf *core.CacheFile) {
+	t.Helper()
+	pub, err := core.NewPublication(cf, false)
+	if err == nil {
+		_, err = mgr.CommitPublication(pub)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -17,8 +17,9 @@
 // moves an entry as its manifest, and FETCHPACKS moves the daemon's
 // pack files, byte for byte, that hold the content-addressed blobs the
 // client's machine is missing; the client verifies every pack whole before
-// its store adopts it. PUBLISH moves a whole image. Images carry their own
-// integrity trailer, so every transfer is verified end to end.
+// its store adopts it. PUBLISH moves a run up in the same format: its
+// manifest plus a pack of the blobs it encoded. Manifests carry an integrity
+// trailer, so every transfer is verified end to end.
 package cacheserver
 
 import (
@@ -38,7 +39,7 @@ import (
 // StatusError.
 const (
 	OpLookup  = 1 // key set + scope → cache metadata, no payload transfer
-	OpPublish = 3 // serialized CacheFile → server-side merge, CommitReport
+	OpPublish = 3 // manifest + packs of the new blobs → server-side commit, CommitReport
 	OpStats   = 4 // → per-database totals (core.DBStats)
 	OpMetrics = 6 // → the daemon's metrics registry snapshot (JSON)
 
@@ -280,6 +281,31 @@ func decodePackFiles(b []byte) ([][]byte, error) {
 		packs = append(packs, p)
 	}
 	return packs, r.Done()
+}
+
+// encodePublication builds the PUBLISH payload: the count of traces the run
+// translated, its manifest, then the pack files holding the blobs of the
+// traces it encoded, framed as a FETCHPACKS response frames them.
+func encodePublication(pub *core.Publication) []byte {
+	w := &binenc.Writer{}
+	w.U32(uint32(pub.Fresh))
+	w.Bytes(pub.Manifest)
+	return append(w.Buf, encodePackFiles(pub.Packs)...)
+}
+
+// decodePublication splits a PUBLISH payload. The manifest and the packs
+// alias b and are not checked here: Manager.CommitPublication verifies
+// both whole before anything is written.
+func decodePublication(b []byte) (*core.Publication, error) {
+	r := &binenc.Reader{Buf: b}
+	pub := &core.Publication{Fresh: int(r.U32())}
+	pub.Manifest = r.Raw(int(r.U32()))
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	packs, err := decodePackFiles(b[r.Off:])
+	pub.Packs = packs
+	return pub, err
 }
 
 // LookupInfo is the metadata LOOKUP returns without transferring traces.

@@ -356,12 +356,12 @@ func (s *Server) handleLookup(payload []byte) ([]byte, error) {
 	}), nil
 }
 
-// handlePublish merges a client's serialized cache file into the database
-// the way a local commit does: through the manager, under its database
-// lock, which also orders it against an EVICT of the same entry.
+// handlePublish commits a client's publication into the database the way a
+// local commit does: through the manager (CommitPublication), under its
+// database lock, which also orders it against an EVICT of the same entry.
 func (s *Server) handlePublish(payload []byte) ([]byte, error) {
-	incoming := new(core.CacheFile)
-	if err := incoming.UnmarshalBinary(payload); err != nil {
+	pub, err := decodePublication(payload)
+	if err != nil {
 		return nil, err
 	}
 
@@ -382,7 +382,7 @@ func (s *Server) handlePublish(payload []byte) ([]byte, error) {
 	s.inflight[digest] = f
 	s.flMu.Unlock()
 
-	f.rep, f.err = s.mgr.CommitFile(core.DeltaOf(incoming))
+	f.rep, f.err = s.mgr.CommitPublication(pub)
 	s.flMu.Lock()
 	delete(s.inflight, digest)
 	s.flMu.Unlock()

@@ -22,11 +22,13 @@ func TestPublishSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An empty cache file decodes cleanly, so its publish would merge.
-	payload, err := (&core.CacheFile{}).MarshalBinary()
+	// An empty run's publication decodes cleanly, so its publish would
+	// commit.
+	pub, err := core.NewPublication(&core.CacheFile{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := encodePublication(pub)
 	digest := sha256.Sum256(payload)
 
 	// Plant an in-flight merge for the digest by hand.
@@ -42,8 +44,8 @@ func TestPublishSingleFlight(t *testing.T) {
 	var gotErr error
 	go func() {
 		defer wg.Done()
-		// If this publish did NOT join the planted flight it would merge
-		// the empty file itself and report zero traces — observably
+		// If this publish did NOT join the planted flight it would commit
+		// the empty run itself and report zero traces — observably
 		// different from the planted report.
 		resp, err := s.handlePublish(payload)
 		if err != nil {

@@ -48,3 +48,7 @@ func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
 		return nil, err
 	}
 }
+
+// DeltaOf is the delta of a whole cache file (deltaOf): the tests' way to
+// commit a file they built.
+func DeltaOf(cf *CacheFile) *Delta { return deltaOf(cf) }

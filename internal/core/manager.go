@@ -506,7 +506,7 @@ func traceKey(module int, off uint32) uint64 { return uint64(module)<<32 | uint6
 // Delta is what one run has to commit: its keys, application path and
 // module table, and its file-backed traces, each once (by module and
 // offset). Every commit takes one — local, fleet write-through, a daemon's
-// merge of a publish — and skips by one rule, AddsNothing.
+// commit of a publication — and skips by one rule, AddsNothing.
 type Delta struct {
 	Keys    KeySet
 	AppPath string
@@ -524,10 +524,9 @@ func NewDelta(v *vm.VM) *Delta {
 	return newDelta(KeysFor(v), records[0].Path, records, v.Cache().Traces())
 }
 
-// DeltaOf is the delta of a whole cache file (a daemon's decoded publish),
-// each trace classified by its own Persisted and Addr. Its traces must refer
-// inside its module table, as those of every decoded file do.
-func DeltaOf(cf *CacheFile) *Delta {
+// deltaOf is the delta of a whole cache file, each trace classified by its
+// own Persisted and Addr. Its traces must refer inside its module table.
+func deltaOf(cf *CacheFile) *Delta {
 	return newDelta(KeySet{App: cf.AppKey, VM: cf.VMKey, Tool: cf.ToolKey}, cf.AppPath, cf.Modules, cf.Traces)
 }
 
@@ -585,7 +584,7 @@ func (d *Delta) file() *CacheFile {
 	}
 }
 
-// CacheFile is the run as a whole cache file, the image a publish sends.
+// CacheFile is the run as a whole cache file, what a publication is built from.
 func (d *Delta) CacheFile() *CacheFile {
 	cf := d.file()
 	sortTraces(cf)
@@ -643,7 +642,7 @@ func MergeCacheFiles(incoming, prior *CacheFile, relocatable bool) (*CacheFile, 
 	if err := incoming.checkTraceModules(); err != nil {
 		return nil, nil, err
 	}
-	d := DeltaOf(incoming)
+	d := deltaOf(incoming)
 	if prior != nil && d.AddsNothing(len(prior.Traces), prior.Modules) {
 		return prior, &CommitReport{
 			Skipped: true, Accumulate: true,

@@ -20,7 +20,8 @@ import (
 //
 // A launch reads a manifest straight into traces; a commit judges the run's
 // Delta on the entry's manifest, writes reused traces by address and
-// encodes the rest. A CacheFile is what a merge builds and a publish sends.
+// encodes the rest; a publish sends the same (Publication). A CacheFile is
+// what a merge builds.
 // The store format is the only one the database holds: a legacy `.pcc`
 // image is invisible to every path but MigrateToStore, which converts it,
 // so until it runs the entry is a miss and its launch runs cold.
@@ -134,6 +135,78 @@ func manifestOf(cf *CacheFile) (*store.Manifest, func(int32) (store.Ref, error),
 		return store.Ref{Content: [32]byte(rec.Content), Base: rec.Base}, nil
 	}
 	return man, refOf, nil
+}
+
+// Publication is a run's commit as PUBLISH carries it: the run's manifest,
+// the pack files of the blobs of the traces it encoded, and how many traces
+// it translated.
+type Publication struct {
+	Manifest []byte
+	Packs    [][]byte
+	Fresh    int
+}
+
+// NewPublication builds cf's publication. A trace read from a blob and
+// unchanged since (vm.Trace.Addr) is named by that address, as a commit
+// writes it, unless all is set; every other trace is encoded into the
+// packs. Fresh counts the traces not Persisted. cf's traces must be
+// distinct, as a Delta's are: a pack lists each blob once.
+func NewPublication(cf *CacheFile, all bool) (*Publication, error) {
+	man, refOf, err := manifestOf(cf)
+	if err != nil {
+		return nil, err
+	}
+	pub := &Publication{}
+	var hashes []store.Hash
+	var encs [][]byte
+	for i, t := range cf.Traces {
+		if !t.Persisted {
+			pub.Fresh++
+		}
+		if t.Addr != nil && !all {
+			man.Traces[i].Blob = *t.Addr
+			continue
+		}
+		b, _, err := store.BlobFromTrace(t, refOf)
+		if err != nil {
+			return nil, err
+		}
+		enc := b.Encode()
+		man.Traces[i].Blob = store.Sum(enc)
+		hashes, encs = append(hashes, man.Traces[i].Blob), append(encs, enc)
+	}
+	pub.Manifest, pub.Packs = man.Encode(), store.EncodePacks(hashes, encs)
+	return pub, nil
+}
+
+// CommitPublication commits a publication another machine sent: its
+// manifest and packs are verified whole before the store takes the members
+// the manifest references (Store.PutPacks), then the manifest is read back
+// as a launch reads it, each blob checked against its hash and the module
+// table, and committed as the run's Delta. A blob the store cannot supply
+// is ErrNoCache, on which the sender sends every blob.
+func (m *Manager) CommitPublication(pub *Publication) (*CommitReport, error) {
+	man, err := store.DecodeManifest(pub.Manifest)
+	if err != nil {
+		return nil, err
+	}
+	st, err := m.Store()
+	if err == nil {
+		err = st.PutPacks(pub.Packs, man)
+	}
+	var cf *CacheFile
+	if err == nil {
+		cf, err = materializeManifest(man, st, nil)
+	}
+	if errors.Is(err, errBlobsUnavailable) {
+		err = fmt.Errorf("%w: %v", ErrNoCache, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d := deltaOf(cf)
+	d.Fresh = min(pub.Fresh, d.Len())
+	return m.CommitFile(d)
 }
 
 // MaterializeManifest rebuilds a cache file from a manifest and the local

@@ -45,7 +45,7 @@ func (s *Store) Compact(live map[Hash]bool) (*CompactReport, error) {
 			if !ok {
 				continue
 			}
-			written, err := s.writePack(keep, encs)
+			written, err := s.writePack(keep, encs, false)
 			if err != nil {
 				return rep, err
 			}

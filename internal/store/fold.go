@@ -102,7 +102,7 @@ func (s *Store) FoldLoose() (folded, quarantined int, err error) {
 	raw := 0
 	flush := func() error {
 		if len(hashes) > 0 {
-			if _, err := s.writePack(hashes, encs); err != nil {
+			if _, err := s.writePack(hashes, encs, false); err != nil {
 				return err
 			}
 		}

@@ -309,6 +309,36 @@ func encodePack(hashes []Hash, encs [][]byte) (Hash, *packIndex, []byte) {
 	return id, ix, buf.Bytes()
 }
 
+// packEnds splits encs, in order, into the runs one pack each holds — at
+// most packMaxRaw raw bytes, or one larger encoding — and returns where each
+// run ends.
+func packEnds(encs [][]byte) []int {
+	var ends []int
+	raw := 0
+	for i, enc := range encs {
+		if i > 0 && raw+len(enc) > packMaxRaw {
+			ends, raw = append(ends, i), 0
+		}
+		raw += len(enc)
+	}
+	if len(encs) > 0 {
+		ends = append(ends, len(encs))
+	}
+	return ends
+}
+
+// EncodePacks builds the pack files holding encs under hashes, split as a
+// put splits them (packEnds), so usually one. No hash may repeat.
+func EncodePacks(hashes []Hash, encs [][]byte) [][]byte {
+	var files [][]byte
+	start := 0
+	for _, end := range packEnds(encs) {
+		_, _, data := encodePack(hashes[start:end], encs[start:end])
+		files, start = append(files, data), end
+	}
+	return files
+}
+
 // Pack is a fully decoded and verified pack file.
 type Pack struct {
 	Hashes []Hash

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -70,4 +72,73 @@ func TestPackCodecsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPutPacksStoresWhatEncodePacksBuilt: the packs a publication carries,
+// split past packMaxRaw as a put splits its packs, land in a receiving store
+// as the same files, byte for byte, and stay hot; receiving them again
+// writes nothing, and a member the manifest does not reference is not
+// stored.
+func TestPutPacksStoresWhatEncodePacksBuilt(t *testing.T) {
+	hashes, encs := testMembers(1, 6000)
+	files := EncodePacks(hashes, encs)
+	if len(files) < 2 {
+		t.Fatalf("%d members in %d pack, want them split", len(hashes), len(files))
+	}
+	all := &Manifest{}
+	for _, h := range hashes {
+		all.Traces = append(all.Traces, TraceRef{Blob: h})
+	}
+	dir := t.TempDir()
+	s, err := Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := func() map[string]bool {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "gen*", "*.pck"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]bool)
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[string(b)] = true
+		}
+		return out
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.PutPacks(files, all); err != nil {
+			t.Fatal(err)
+		}
+		got := stored()
+		if len(got) != len(files) {
+			t.Fatalf("receive %d: the store holds %d packs, want the %d sent", i+1, len(got), len(files))
+		}
+		for j, f := range files {
+			if !got[string(f)] {
+				t.Errorf("receive %d: sent pack %d is not among the stored files", i+1, j)
+			}
+		}
+	}
+	if hot := HotPacks(s); len(hot) != len(files) {
+		t.Errorf("%d packs hot, want the %d written", len(hot), len(files))
+	}
+
+	fresh, err := Open(t.TempDir(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.PutPacks(files, &Manifest{Traces: all.Traces[1:]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.SizeOf(hashes[0]); ok {
+		t.Error("a member the manifest does not reference was stored")
+	}
+	if _, ok := fresh.SizeOf(hashes[1]); !ok {
+		t.Error("a referenced member was not stored")
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -261,37 +262,48 @@ func (s *Store) Put(known []Hash, blob func(i int) (*Blob, error)) (PutReport, [
 		encs[i] = b.Encode()
 		hashes[i] = Sum(encs[i])
 	}
-	rep, err := s.putEncoded(hashes, encs, blob)
+	rep, err := s.putEncoded(hashes, encs, blob, false)
 	return rep, hashes, err
+}
+
+// PutPacks stores, through the deduplicating put, the members of pack files
+// another machine sent that man references, and no other. The files are
+// untrusted: each is verified whole (DecodePack) before anything is
+// written. The packs written stay hot, so a read of man that follows does
+// not inflate again what arrived a moment ago.
+func (s *Store) PutPacks(files [][]byte, man *Manifest) error {
+	want := make(map[Hash]bool, len(man.Traces))
+	for _, tr := range man.Traces {
+		want[tr.Blob] = true
+	}
+	var hashes []Hash
+	var encs [][]byte
+	for i, data := range files {
+		p, err := DecodePack(data)
+		if err != nil {
+			return fmt.Errorf("store: received pack %d of %d: %w", i+1, len(files), err)
+		}
+		for j, h := range p.Hashes {
+			if want[h] {
+				hashes, encs = append(hashes, h), append(encs, p.Encs[j])
+			}
+		}
+	}
+	_, err := s.putEncoded(hashes, encs, nil, true)
+	return err
 }
 
 // putEncoded lands the encodings the store does not hold yet — none of them
 // twice — as packs of at most packMaxRaw raw bytes, usually one. encs[i]
 // must hash to hashes[i]; a nil encs[i] is a known address, built with blob
 // only when the store does not hold it (hashes[i] then becomes the address
-// of what was built).
-func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob, error)) (PutReport, error) {
+// of what was built). With hot set, the packs written keep their stream.
+func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob, error), hot bool) (PutReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep PutReport
 	var newHashes []Hash
 	var newEncs [][]byte
-	raw := 0
-	flush := func() error {
-		if len(newHashes) == 0 {
-			return nil
-		}
-		n, err := s.writePack(newHashes, newEncs)
-		if err != nil {
-			return err
-		}
-		rep.Added += len(newHashes)
-		rep.AddedBytes += n
-		s.met.written.Add(uint64(len(newHashes)))
-		s.met.writtenBytes.Add(n)
-		newHashes, newEncs, raw = nil, nil, 0
-		return nil
-	}
 	relisted := false
 	batch := make(map[Hash]int, len(hashes)) // encoded length of each blob this batch writes
 	for i, h := range hashes {
@@ -313,16 +325,22 @@ func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob
 			s.met.dedupBytes.Add(size)
 			continue
 		}
-		if raw+len(encs[i]) > packMaxRaw {
-			if err := flush(); err != nil {
-				return rep, err
-			}
-		}
 		batch[h] = len(encs[i])
 		newHashes, newEncs = append(newHashes, h), append(newEncs, encs[i])
-		raw += len(encs[i])
 	}
-	return rep, flush()
+	start := 0
+	for _, end := range packEnds(newEncs) {
+		n, err := s.writePack(newHashes[start:end], newEncs[start:end], hot)
+		if err != nil {
+			return rep, err
+		}
+		rep.Added += end - start
+		rep.AddedBytes += n
+		s.met.written.Add(uint64(end - start))
+		s.met.writtenBytes.Add(n)
+		start = end
+	}
+	return rep, nil
 }
 
 // held reports whether the store or the batch being written holds h, and
@@ -355,8 +373,8 @@ var tmpSeq atomic.Uint64
 // publish a short pack), then renamed into the newest generation: every
 // blob byte is durable before any name makes it reachable. A pack this
 // store already indexes under the same content-derived name is not written
-// again. Callers hold s.mu.
-func (s *Store) writePack(hashes []Hash, encs [][]byte) (uint64, error) {
+// again. With hot set, the pack keeps its stream. Callers hold s.mu.
+func (s *Store) writePack(hashes []Hash, encs [][]byte, hot bool) (uint64, error) {
 	id, ix, data := encodePack(hashes, encs)
 	path := filepath.Join(s.gens[0], id.Hex()+".pck")
 	s.pmu.RLock()
@@ -371,6 +389,9 @@ func (s *Store) writePack(hashes []Hash, encs [][]byte) (uint64, error) {
 	}
 	s.pmu.Lock()
 	s.addPackLocked(p)
+	if hot {
+		s.heatLocked(p, bytes.Join(encs, nil))
+	}
 	s.pmu.Unlock()
 	return written, nil
 }

@@ -12,7 +12,9 @@ package persistcc_test
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"persistcc"
@@ -281,6 +283,84 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perLaunch := (after.TotalAlloc - before.TotalAlloc) / runs; perLaunch > maxBytes {
 		t.Errorf("a warm launch allocates %d bytes, budget %d", perLaunch, maxBytes)
+	}
+}
+
+// coldLaunch is one cold launch end to end into the empty database at dir:
+// load, find nothing to prime, translate the start-up, commit every trace.
+func coldLaunch(tb testing.TB, app *workload.GUIApp, dir string) {
+	out, err := persistcc.Run(app.Prog.Exe, app.Prog.Libs, persistcc.RunOptions{
+		Input:   app.Startup.Words(),
+		Loader:  persistcc.LoaderConfig{Placement: persistcc.PlaceHashed},
+		Persist: true, CacheDir: dir,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if out.Stats.InstsTranslated == 0 || out.Prime.Installed != 0 || out.Commit.NewTraces == 0 {
+		tb.Fatalf("not a cold launch: translated %d instructions, primed %d traces, commit %+v",
+			out.Stats.InstsTranslated, out.Prime.Installed, out.Commit)
+	}
+}
+
+// emptyDirs makes n empty database directories under one temp directory,
+// so that making them is not part of what a launch is measured for.
+func emptyDirs(tb testing.TB, n int) []string {
+	root := tb.TempDir()
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(root, strconv.Itoa(i))
+		if err := os.Mkdir(dirs[i], 0o755); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return dirs
+}
+
+// BenchmarkLaunchColdGUI is gftp's first launch, into an empty database
+// each time: the path a memory profile of the commit's encoding is taken on
+// (-memprofile).
+func BenchmarkLaunchColdGUI(b *testing.B) {
+	app := gftp(b)
+	dirs := emptyDirs(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldLaunch(b, app, dirs[i])
+	}
+}
+
+// TestColdLaunchAllocBudget is the hard gate on what a cold launch
+// allocates, beside the warm one's: one gftp start-up through
+// persistcc.Run into an empty database, which translates every trace and
+// commits them all. Everything in it is deterministic, so the numbers are
+// too: 4 750 allocations and 1.63 MB (1.65 MB under -race), against 15 051
+// and 2.45 MB (2.49 MB) while the commit copied each trace into a Blob and
+// encoded every blob into a buffer of its own that grew as it was filled,
+// translation appended fetched instructions to a growing slice, and the
+// store's index map and its list of new blobs grew from empty. The budget
+// is those numbers and under 10 % more.
+func TestColdLaunchAllocBudget(t *testing.T) {
+	const maxBytes, maxAllocs = 1_790_000, 5200
+	app := gftp(t)
+	const runs = 10
+	// One database for the warm-up, one for AllocsPerRun's own, and one for
+	// each run of AllocsPerRun and of the loop below.
+	dirs := emptyDirs(t, 2+2*runs)
+	coldLaunch(t, app, dirs[0]) // one-time initialisation (codec pools, lazily built tables) is not the launch's cost
+	next := 1
+	launch := func() { coldLaunch(t, app, dirs[next]); next++ }
+	if allocs := testing.AllocsPerRun(runs, launch); allocs > maxAllocs {
+		t.Errorf("a cold launch makes %.0f allocations, budget %d", allocs, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	if perLaunch := (after.TotalAlloc - before.TotalAlloc) / runs; perLaunch > maxBytes {
+		t.Errorf("a cold launch allocates %d bytes, budget %d", perLaunch, maxBytes)
 	}
 }
 

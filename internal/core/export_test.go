@@ -5,6 +5,8 @@ import (
 	"io/fs"
 	"path/filepath"
 	"time"
+
+	"persistcc/internal/vm"
 )
 
 // SetLockTimeout lets tests shorten the advisory-lock steal deadline; it
@@ -52,3 +54,14 @@ func (m *Manager) ReadPrior(file string) (*CacheFile, error) {
 // DeltaOf is the delta of a whole cache file (deltaOf): the tests' way to
 // commit a file they built.
 func DeltaOf(cf *CacheFile) *Delta { return deltaOf(cf) }
+
+// CommitEncodings is what a commit of cf appends into its arena
+// (encodeBlobs) for every trace, an addressed one included: each trace's
+// blob encoding, index for index.
+func CommitEncodings(cf *CacheFile) ([][]byte, error) {
+	man, mods, err := manifestOf(cf)
+	if err != nil {
+		return nil, err
+	}
+	return encodeBlobs(cf, man, mods, func(*vm.Trace) bool { return true }), nil
+}

@@ -23,26 +23,35 @@ import (
 // blob's address, and a commit merges on the prior manifest, reading only
 // the prior traces the run neither carries nor drops.
 
-// byAddress checks that every trace of cf that carries an address encodes,
-// against cf's module table, to exactly that address — what the commit of
-// cf trusts when it writes the trace by address — and returns how many
-// carry one.
+// byAddress checks that the commit's arena encoder writes every trace of cf
+// to the bytes its interchange form encodes to, and that every trace that
+// carries an address encodes, against cf's module table, to exactly that
+// address — what the commit of cf trusts when it writes the trace by
+// address — and returns how many carry one.
 func byAddress(t *testing.T, what string, cf *core.CacheFile) int {
 	t.Helper()
 	refOf := func(mi int32) (store.Ref, error) {
 		return store.Ref{Content: cf.Modules[mi].Content, Base: cf.Modules[mi].Base}, nil
 	}
+	encs, err := core.CommitEncodings(cf)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
 	n := 0
-	for _, tr := range cf.Traces {
-		if tr.Addr == nil {
-			continue
-		}
-		n++
+	for i, tr := range cf.Traces {
 		b, _, err := store.BlobFromTrace(tr, refOf)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if got := store.Sum(b.Encode()); got != *tr.Addr {
+		enc := b.Encode()
+		if !bytes.Equal(encs[i], enc) {
+			t.Errorf("%s: trace at %#x: the commit encoder writes %d bytes that are not its blob's %d", what, tr.Start, len(encs[i]), len(enc))
+		}
+		if tr.Addr == nil {
+			continue
+		}
+		n++
+		if got := store.Sum(enc); got != *tr.Addr {
 			t.Errorf("%s: trace at %#x carries %s but encodes to %s", what, tr.Start, store.Hash(*tr.Addr), got)
 		}
 	}
@@ -75,7 +84,9 @@ func launch(t *testing.T, mgr *core.Manager, prog *workload.Program, in workload
 // other's entries and carry shared-library traces across manifests), and
 // over optimized gcc runs, every trace a commit would write by address —
 // the run's own, and those a merge accumulates from the prior entry —
-// encodes to exactly that address, and every entry written reads back.
+// encodes to exactly that address, the commit's arena encoder writes every
+// trace byte for byte as its interchange form encodes, and every entry
+// written reads back.
 // Across a relocation edge the rebased traces carry no address, so they
 // are written by content, and the entry they land in primes whole.
 func TestWrittenByAddressReencodes(t *testing.T) {

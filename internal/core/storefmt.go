@@ -97,10 +97,11 @@ func RecordModules(mods []store.Module) []ModuleRecord {
 // hashes in the manifest are left zero; the caller fills them from the
 // store's PutAll (which hashes while writing) to avoid encoding twice.
 func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
-	man, refOf, err := manifestOf(cf)
+	man, mods, err := manifestOf(cf)
 	if err != nil {
 		return nil, nil, err
 	}
+	refOf := func(mi int32) (store.Ref, error) { return mods[mi], nil }
 	blobs := make([]*store.Blob, len(cf.Traces))
 	for i, t := range cf.Traces {
 		if blobs[i], _, err = store.BlobFromTrace(t, refOf); err != nil {
@@ -112,8 +113,9 @@ func ToStoreFormat(cf *CacheFile) (*store.Manifest, []*store.Blob, error) {
 
 // manifestOf is cf's manifest with every trace ref but its blob hash filled
 // in, and the identity (content key, base) of each of cf's modules, which
-// is what a trace's blob records of the modules it refers to.
-func manifestOf(cf *CacheFile) (*store.Manifest, func(int32) (store.Ref, error), error) {
+// is what a trace's blob records of the modules it refers to. Every module
+// index in cf's traces is checked to be in the table.
+func manifestOf(cf *CacheFile) (*store.Manifest, []store.Ref, error) {
 	if err := cf.checkTraceModules(); err != nil {
 		return nil, nil, err
 	}
@@ -127,14 +129,34 @@ func manifestOf(cf *CacheFile) (*store.Manifest, func(int32) (store.Ref, error),
 	for i, t := range cf.Traces {
 		man.Traces[i] = store.TraceRef{Refs: store.TraceRefs(t), OptLevel: t.OptLevel}
 	}
-	refOf := func(mi int32) (store.Ref, error) {
-		if mi < 0 || int(mi) >= len(cf.Modules) {
-			return store.Ref{}, fmt.Errorf("core: trace references module %d of %d", mi, len(cf.Modules))
-		}
-		rec := cf.Modules[mi]
-		return store.Ref{Content: [32]byte(rec.Content), Base: rec.Base}, nil
+	mods := make([]store.Ref, len(cf.Modules))
+	for i, rec := range cf.Modules {
+		mods[i] = store.Ref{Content: [32]byte(rec.Content), Base: rec.Base}
 	}
-	return man, refOf, nil
+	return man, mods, nil
+}
+
+// encodeBlobs returns the blob encodings of the traces of cf that want
+// marks, index for index (nil for the others), each appended straight into
+// one arena sized exactly for all of them. Ref slot j of trace i is module
+// man.Traces[i].Refs[j], and mods holds each module's identity.
+func encodeBlobs(cf *CacheFile, man *store.Manifest, mods []store.Ref, want func(*vm.Trace) bool) [][]byte {
+	size := 0
+	for i, t := range cf.Traces {
+		if want(t) {
+			size += store.BlobLen(t, len(man.Traces[i].Refs))
+		}
+	}
+	arena := make([]byte, 0, size)
+	encs := make([][]byte, len(cf.Traces))
+	for i, t := range cf.Traces {
+		if want(t) {
+			start := len(arena)
+			arena = store.AppendBlob(arena, t, mods, man.Traces[i].Refs)
+			encs[i] = arena[start:len(arena):len(arena)]
+		}
+	}
+	return encs
 }
 
 // Publication is a run's commit as PUBLISH carries it: the run's manifest,
@@ -152,28 +174,24 @@ type Publication struct {
 // packs. Fresh counts the traces not Persisted. cf's traces must be
 // distinct, as a Delta's are: a pack lists each blob once.
 func NewPublication(cf *CacheFile, all bool) (*Publication, error) {
-	man, refOf, err := manifestOf(cf)
+	man, mods, err := manifestOf(cf)
 	if err != nil {
 		return nil, err
 	}
 	pub := &Publication{}
+	encoded := encodeBlobs(cf, man, mods, func(t *vm.Trace) bool { return t.Addr == nil || all })
 	var hashes []store.Hash
 	var encs [][]byte
 	for i, t := range cf.Traces {
 		if !t.Persisted {
 			pub.Fresh++
 		}
-		if t.Addr != nil && !all {
+		if enc := encoded[i]; enc != nil {
+			man.Traces[i].Blob = store.Sum(enc)
+			hashes, encs = append(hashes, man.Traces[i].Blob), append(encs, enc)
+		} else {
 			man.Traces[i].Blob = *t.Addr
-			continue
 		}
-		b, _, err := store.BlobFromTrace(t, refOf)
-		if err != nil {
-			return nil, err
-		}
-		enc := b.Encode()
-		man.Traces[i].Blob = store.Sum(enc)
-		hashes, encs = append(hashes, man.Traces[i].Blob), append(encs, enc)
 	}
 	pub.Manifest, pub.Packs = man.Encode(), store.EncodePacks(hashes, encs)
 	return pub, nil
@@ -484,7 +502,7 @@ func (m *Manager) mergeManifest(d *Delta, path string) (*CacheFile, *CommitRepor
 // only orphan blobs, which compaction collects. Returns the bytes
 // physically written (new blobs + manifest) and the store's put report.
 func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.PutReport, error) {
-	man, refOf, err := manifestOf(cf)
+	man, mods, err := manifestOf(cf)
 	if err != nil {
 		return 0, store.PutReport{}, err
 	}
@@ -493,16 +511,20 @@ func (m *Manager) writeStoreFormat(cf *CacheFile, path string) (uint64, store.Pu
 		return 0, store.PutReport{}, err
 	}
 	// A trace read from a blob is written by the address it was read under;
-	// only the others are encoded (and one whose blob has gone since).
+	// only the others are encoded, into the commit's arena (and one whose
+	// blob has gone since, on its own).
 	known := make([]store.Hash, len(cf.Traces))
 	for i, t := range cf.Traces {
 		if t.Addr != nil {
 			known[i] = *t.Addr
 		}
 	}
-	putRep, hashes, err := st.Put(known, func(i int) (*store.Blob, error) {
-		b, _, err := store.BlobFromTrace(cf.Traces[i], refOf)
-		return b, err
+	encs := encodeBlobs(cf, man, mods, func(t *vm.Trace) bool { return t.Addr == nil })
+	putRep, hashes, err := st.Put(known, func(i int) []byte {
+		if encs[i] == nil {
+			return store.AppendBlob(nil, cf.Traces[i], mods, man.Traces[i].Refs)
+		}
+		return encs[i]
 	})
 	if err != nil {
 		return 0, putRep, err

@@ -96,42 +96,82 @@ type Blob struct {
 // Encode serializes the blob deterministically. The encoding is the unit
 // of content addressing: Hash() is the SHA-256 of exactly these bytes.
 func (b *Blob) Encode() []byte {
-	w := &binenc.Writer{}
-	if b.OptLevel > 0 {
+	t := vm.Trace{
+		ModOff: b.ModOff, Insts: b.Insts, Ops: b.Ops, Notes: b.Notes,
+		OptLevel: b.OptLevel, OrigLen: b.OrigLen, SrcIdx: b.SrcIdx,
+	}
+	return AppendBlob(make([]byte, 0, BlobLen(&t, len(b.Refs))), &t, b.Refs, nil)
+}
+
+// BlobLen returns the length of t's blob encoding with refs module ref
+// slots: what AppendBlob appends.
+func BlobLen(t *vm.Trace, refs int) int {
+	n := len(blobMagic) + 4 + refs*refLen + 4 + 4 + len(t.Insts)*instLen +
+		4 + len(t.Ops)*opLen + 4 + len(t.Notes)*noteLen
+	if t.OptLevel > 0 {
+		n += 1 + 2 + 4 + len(t.SrcIdx)*srcLen
+	}
+	return n
+}
+
+// AppendBlob appends t's blob encoding to dst and returns the extended
+// slice: the one writer of the blob layout, which a commit, a publication
+// and Blob.Encode share. Ref slot i is the module mods[slots[i]], and a note
+// targeting module m is encoded as the first slot that names m; t's own
+// module and its Start are not encoded (ModOff is). With slots nil the
+// slots are mods themselves and t's note targets are slot numbers already,
+// as a Blob holds them. A dst with BlobLen bytes to spare is not grown.
+//
+//pcc:hotpath
+func AppendBlob(dst []byte, t *vm.Trace, mods []Ref, slots []int32) []byte {
+	w := binenc.Writer{Buf: dst}
+	if t.OptLevel > 0 {
 		w.Raw(blobMagicOpt[:])
 	} else {
 		w.Raw(blobMagic[:])
 	}
-	w.U32(uint32(len(b.Refs)))
-	for _, ref := range b.Refs {
-		w.Raw(ref.Content[:])
-		w.U32(ref.Base)
+	if slots == nil {
+		w.U32(uint32(len(mods)))
+		for i := range mods {
+			w.Raw(mods[i].Content[:])
+			w.U32(mods[i].Base)
+		}
+	} else {
+		w.U32(uint32(len(slots)))
+		for _, mi := range slots {
+			w.Raw(mods[mi].Content[:])
+			w.U32(mods[mi].Base)
+		}
 	}
-	w.U32(b.ModOff)
-	w.U32(uint32(len(b.Insts)))
-	for _, in := range b.Insts {
+	w.U32(t.ModOff)
+	w.U32(uint32(len(t.Insts)))
+	for _, in := range t.Insts {
 		w.U64(in.EncodeWord())
 	}
-	w.U32(uint32(len(b.Ops)))
-	for _, op := range b.Ops {
+	w.U32(uint32(len(t.Ops)))
+	for _, op := range t.Ops {
 		w.U16(op.Pos)
 		w.U16(uint16(op.Kind))
 		w.U64(op.Arg)
 		w.U32(op.Cost)
 		w.Bool(op.Spilled)
 	}
-	w.U32(uint32(len(b.Notes)))
-	for _, n := range b.Notes {
+	w.U32(uint32(len(t.Notes)))
+	for _, n := range t.Notes {
+		slot := n.Target
+		if slots != nil {
+			slot = int32(slices.Index(slots, n.Target))
+		}
 		w.U16(n.InstIdx)
 		w.U8(uint8(n.Type))
-		w.U32(uint32(n.Target))
+		w.U32(uint32(slot))
 		w.U32(n.TargetOff)
 	}
-	if b.OptLevel > 0 {
-		w.U8(b.OptLevel)
-		w.U16(b.OrigLen)
-		w.U32(uint32(len(b.SrcIdx)))
-		for _, s := range b.SrcIdx {
+	if t.OptLevel > 0 {
+		w.U8(t.OptLevel)
+		w.U16(t.OrigLen)
+		w.U32(uint32(len(t.SrcIdx)))
+		for _, s := range t.SrcIdx {
 			w.U16(s)
 		}
 	}
@@ -232,17 +272,23 @@ func (l *blobLayout) decodeInsts(dst []isa.Inst) error {
 	return nil
 }
 
-func (l *blobLayout) decodeOps(dst []vm.AnalysisOp) {
+// decodeOps fills dst and rejects a spilled flag other than 0 or 1, which
+// no writer writes: every accepted encoding is the one its decode encodes to.
+func (l *blobLayout) decodeOps(dst []vm.AnalysisOp) error {
 	for i := range dst {
 		e := l.ops[i*opLen:]
+		if e[16] > 1 {
+			return fmt.Errorf("store: blob op %d has spilled flag %d", i, e[16])
+		}
 		dst[i] = vm.AnalysisOp{
 			Pos:     binary.LittleEndian.Uint16(e),
 			Kind:    vm.OpKind(binary.LittleEndian.Uint16(e[2:])),
 			Arg:     binary.LittleEndian.Uint64(e[4:]),
 			Cost:    binary.LittleEndian.Uint32(e[12:]),
-			Spilled: e[16] != 0,
+			Spilled: e[16] == 1,
 		}
 	}
+	return nil
 }
 
 // decodeNotes fills dst with the notes as encoded — Target a ref slot — and
@@ -269,26 +315,6 @@ func (l *blobLayout) decodeSrc(dst []uint16) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint16(l.src[i*srcLen:])
 	}
-}
-
-// slab cuts exactly-sized slices out of shared chunks: a prime decodes
-// hundreds of ten-instruction traces, and one allocation per chunk is
-// cheaper than one per trace. The slices do not overlap and cannot grow into
-// each other (capacity is capped at length); a chunk lives as long as any
-// slice cut from it does, which for traces installed together is the life
-// of the code cache.
-type slab[T any] struct{ free []T }
-
-// slabChunk is the element count of one chunk (16 KB of instructions).
-const slabChunk = 2048
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.free = make([]T, max(n, slabChunk))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
 }
 
 // sized returns a slice for the n elements of one section: nil for none,
@@ -324,7 +350,9 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 	if err := l.decodeInsts(b.Insts); err != nil {
 		return nil, err
 	}
-	l.decodeOps(b.Ops)
+	if err := l.decodeOps(b.Ops); err != nil {
+		return nil, err
+	}
 	if err := l.decodeNotes(b.Notes); err != nil {
 		return nil, err
 	}
@@ -339,18 +367,17 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 // a VM will run — what DecodeBlob, Manifest.CheckBlob and Blob.Materialize
 // do between them, without the interchange form in the middle, and in that
 // order: bytes that do not decode are ErrBlobCorrupt (the file is bad); a
-// blob that decodes but is not the one tr describes — refs other than the
-// modules tr maps them to (content key and base), or another level — is a
-// plain error (the manifest is bad). Notes come out carrying module-table
+// blob that decodes but is not the one tr describes (matches) is a plain
+// error (the manifest is bad). Notes come out carrying module-table
 // indices. Instructions are cut from insts; nothing aliases enc or man.
 //
 //pcc:hotpath
-func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, tr TraceRef) error {
+func decodeTrace(t *vm.Trace, insts *vm.Slab[isa.Inst], enc []byte, man *Manifest, tr TraceRef) error {
 	l, err := scanBlob(enc)
 	if err == nil {
 		*t = vm.Trace{
 			ModOff:   l.modOff,
-			Insts:    insts.take(len(l.insts) / instLen),
+			Insts:    insts.Take(len(l.insts) / instLen),
 			Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
 			Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
 			OptLevel: l.optLevel,
@@ -360,7 +387,9 @@ func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, 
 		err = l.decodeInsts(t.Insts)
 	}
 	if err == nil {
-		l.decodeOps(t.Ops)
+		err = l.decodeOps(t.Ops)
+	}
+	if err == nil {
 		err = l.decodeNotes(t.Notes)
 	}
 	if err == nil {
@@ -370,6 +399,21 @@ func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, 
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBlobCorrupt, tr.Blob, err)
 	}
+	if err := l.matches(man, tr); err != nil {
+		return err
+	}
+	t.Start, t.Module = man.Modules[tr.Refs[0]].Base+l.modOff, tr.Refs[0]
+	for i := range t.Notes {
+		t.Notes[i].Target = tr.Refs[t.Notes[i].Target]
+	}
+	t.RecomputeStatic()
+	return nil
+}
+
+// matches reports whether the blob is the one tr describes: its refs are
+// the modules tr maps them to (content key and base), and its optimization
+// level is tr's. A blob that is not was written against another manifest.
+func (l *blobLayout) matches(man *Manifest, tr TraceRef) error {
 	if len(tr.Refs) != l.numRefs() {
 		return fmt.Errorf("store: blob %s has %d refs, manifest expects %d", tr.Blob, l.numRefs(), len(tr.Refs))
 	}
@@ -382,11 +426,6 @@ func decodeTrace(t *vm.Trace, insts *slab[isa.Inst], enc []byte, man *Manifest, 
 	if l.optLevel != tr.OptLevel {
 		return fmt.Errorf("store: blob %s has optimization level %d, manifest expects %d", tr.Blob, l.optLevel, tr.OptLevel)
 	}
-	t.Start, t.Module = man.Modules[tr.Refs[0]].Base+l.modOff, tr.Refs[0]
-	for i := range t.Notes {
-		t.Notes[i].Target = tr.Refs[t.Notes[i].Target]
-	}
-	t.RecomputeStatic()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -65,9 +66,14 @@ func viaBlob(enc []byte, man *store.Manifest, tr store.TraceRef) (*vm.Trace, err
 // reserves nothing. (2) What it accepts survives encode → decode unchanged.
 // (3) The launch path's decode-to-trace accepts exactly what DecodeBlob +
 // CheckBlob + Materialize accept, for a manifest that matches the blob and
-// for ones that do not, and yields the same trace field for field. The
-// corpus (testdata/fuzz/FuzzDecodeBlob) holds both encodings, a 20-byte
-// header claiming 4 096 instructions, and one blob per rejection rule.
+// for ones that do not, and yields the same trace field for field. (4) The
+// commit's encoder (AppendBlob, against the manifest's module table and the
+// trace's ref slots, each of which manifestFor gives a module of its own)
+// writes a trace decoded to trace back to exactly the input, at exactly
+// BlobLen bytes: the two are inverses, and a trace read from a blob and
+// written back by its address keeps that address. The corpus
+// (testdata/fuzz/FuzzDecodeBlob) holds both encodings, a 20-byte header
+// claiming 4 096 instructions, and one blob per rejection rule.
 func FuzzDecodeBlob(f *testing.F) {
 	f.Add(mkBlob(1, 4).Encode(), uint8(0), uint8(0))
 	f.Add(optBlob(2).Encode(), uint8(1), uint8(0))
@@ -101,6 +107,17 @@ func FuzzDecodeBlob(f *testing.F) {
 		}
 		if got.CodeBytes() != want.CodeBytes() || got.DataBytes() != want.DataBytes() {
 			t.Fatalf("pool bytes differ: %d/%d vs %d/%d", got.CodeBytes(), got.DataBytes(), want.CodeBytes(), want.DataBytes())
+		}
+
+		mods := make([]store.Ref, len(man.Modules))
+		for i, mod := range man.Modules {
+			mods[i] = store.Ref{Content: mod.Content, Base: mod.Base}
+		}
+		if n := store.BlobLen(got, len(tr.Refs)); n != len(data) {
+			t.Fatalf("BlobLen %d for a %d-byte encoding", n, len(data))
+		}
+		if again := store.AppendBlob(nil, got, mods, tr.Refs); !bytes.Equal(again, data) {
+			t.Fatalf("the commit encoder writes the decoded trace as\n%x\nnot\n%x", again, data)
 		}
 	})
 }

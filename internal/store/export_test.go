@@ -12,7 +12,7 @@ const PackMaxRaw = packMaxRaw
 // for the tests that hold it against DecodeBlob + CheckBlob + Materialize.
 func DecodeTrace(enc []byte, man *Manifest, tr TraceRef) (*vm.Trace, error) {
 	t := new(vm.Trace)
-	var insts slab[isa.Inst]
+	var insts vm.Slab[isa.Inst]
 	if err := decodeTrace(t, &insts, enc, man, tr); err != nil {
 		return nil, err
 	}

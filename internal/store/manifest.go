@@ -80,7 +80,7 @@ func (m *Manifest) BlobHashes() []Hash {
 // Encode serializes the manifest with a SHA-256 integrity trailer, the
 // same corruption net the legacy format uses.
 func (m *Manifest) Encode() []byte {
-	w := &binenc.Writer{}
+	w := &binenc.Writer{Buf: make([]byte, 0, m.encodedLen())}
 	w.Raw(ManifestMagic[:])
 	w.U32(ManifestVersion)
 	w.Raw(m.AppKey[:])
@@ -115,6 +115,19 @@ func (m *Manifest) Encode() []byte {
 	w.Raw(sum[:])
 	m.EncodedBytes = uint64(len(w.Buf))
 	return w.Buf
+}
+
+// encodedLen is the length of the manifest's encoding, trailer included.
+func (m *Manifest) encodedLen() int {
+	n := len(ManifestMagic) + 4 + 3*32 + 4 + len(m.AppPath) + 4
+	for _, mod := range m.Modules {
+		n += 4 + len(mod.Path) + 4 + 4 + 8 + 3*32
+	}
+	n += 4
+	for _, tr := range m.Traces {
+		n += 32 + 4 + 4*len(tr.Refs) + 1
+	}
+	return n + 8 + 8 + sha256.Size
 }
 
 // DecodeManifest decodes and verifies an encoded manifest.

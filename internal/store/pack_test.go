@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"persistcc/internal/isa"
 )
 
 // testMembers returns n encodings of a few hundred bytes each, distinct for
@@ -74,20 +76,51 @@ func TestPackCodecsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// testPublication returns n distinct blob encodings of one module, their
+// hashes, and the manifest that names each as a trace of that module.
+func testPublication(n int) (*Manifest, []Hash, [][]byte) {
+	mod := Module{Path: "m", Base: 0x40000000}
+	mod.Content[0] = 1
+	man := &Manifest{Modules: []Module{mod}}
+	hashes := make([]Hash, n)
+	encs := make([][]byte, n)
+	for i := range encs {
+		b := &Blob{Refs: []Ref{{Content: mod.Content, Base: mod.Base}}, ModOff: uint32(i) * 8}
+		for j := 0; j < 24; j++ {
+			b.Insts = append(b.Insts, isa.Inst{Op: isa.OpAddI, Rd: isa.RegA0, Rs1: isa.RegA0, Imm: int32(i*24 + j)})
+		}
+		encs[i] = b.Encode()
+		hashes[i] = Sum(encs[i])
+		man.Traces = append(man.Traces, TraceRef{Blob: hashes[i], Refs: []int32{0}})
+	}
+	return man, hashes, encs
+}
+
 // TestPutPacksStoresWhatEncodePacksBuilt: the packs a publication carries,
 // split past packMaxRaw as a put splits its packs, land in a receiving store
 // as the same files, byte for byte, and stay hot; receiving them again
 // writes nothing, and a member the manifest does not reference is not
-// stored.
+// stored. A publication one of whose members is not the blob its trace
+// describes writes nothing at all.
 func TestPutPacksStoresWhatEncodePacksBuilt(t *testing.T) {
-	hashes, encs := testMembers(1, 6000)
+	all, hashes, encs := testPublication(6000)
 	files := EncodePacks(hashes, encs)
 	if len(files) < 2 {
 		t.Fatalf("%d members in %d pack, want them split", len(hashes), len(files))
 	}
-	all := &Manifest{}
-	for _, h := range hashes {
-		all.Traces = append(all.Traces, TraceRef{Blob: h})
+	moved := *all
+	moved.Modules = []Module{all.Modules[0]}
+	moved.Modules[0].Base += 0x1000
+	refused := t.TempDir()
+	rs, err := Open(refused, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.PutPacks(files, &moved); err == nil {
+		t.Error("a publication whose blobs disagree with its module table was taken")
+	}
+	if packs, _ := filepath.Glob(filepath.Join(refused, "gen*", "*.pck")); len(packs) != 0 {
+		t.Errorf("the refused publication wrote %d packs", len(packs))
 	}
 	dir := t.TempDir()
 	s, err := Open(dir, nil, nil)
@@ -132,7 +165,7 @@ func TestPutPacksStoresWhatEncodePacksBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.PutPacks(files, &Manifest{Traces: all.Traces[1:]}); err != nil {
+	if err := fresh.PutPacks(files, &Manifest{Modules: all.Modules, Traces: all.Traces[1:]}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fresh.SizeOf(hashes[0]); ok {

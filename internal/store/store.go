@@ -116,7 +116,6 @@ func Open(dir string, fsys fsx.FS, reg *metrics.Registry) (*Store, error) {
 		met:   newStoreMetrics(reg),
 		gens:  gens,
 		packs: make(map[string]*pack),
-		index: make(map[Hash]member),
 	}
 	s.relist()
 	return s, nil
@@ -173,6 +172,9 @@ func (s *Store) readPackIndex(path string) (*packIndex, error) {
 // that several packs hold (two writers raced, or a compaction was
 // interrupted) resolves to the pack indexed last.
 func (s *Store) addPackLocked(p *pack) {
+	if s.index == nil { // sized by the first pack indexed
+		s.index = make(map[Hash]member, len(p.ix.hashes))
+	}
 	s.packs[p.path] = p
 	for i, h := range p.ix.hashes {
 		s.index[h] = member{p, i}
@@ -236,7 +238,7 @@ type PutReport struct {
 // PutAll writes a batch of blobs, deduplicating against the existing
 // content, and returns their hashes index-for-index.
 func (s *Store) PutAll(blobs []*Blob) (PutReport, []Hash, error) {
-	return s.Put(make([]Hash, len(blobs)), func(i int) (*Blob, error) { return blobs[i], nil })
+	return s.Put(make([]Hash, len(blobs)), func(i int) []byte { return blobs[i].Encode() })
 }
 
 // Put writes a batch of n = len(known) blobs, deduplicating against the
@@ -244,10 +246,10 @@ func (s *Store) PutAll(blobs []*Blob) (PutReport, []Hash, error) {
 // blob i's address when the caller has it — a trace read from a store
 // carries the address it was read under (vm.Trace.Addr) — and zero
 // otherwise. A known address the store holds is a dedup hit and nothing is
-// built for it; blob(i) builds every other blob, a known one only when its
-// blob has gone, and that one is then written under the address its
-// encoding hashes to.
-func (s *Store) Put(known []Hash, blob func(i int) (*Blob, error)) (PutReport, []Hash, error) {
+// encoded for it; encode(i) returns every other blob's encoding, a known
+// one's only when its blob has gone, and that one is then written under the
+// address its encoding hashes to.
+func (s *Store) Put(known []Hash, encode func(i int) []byte) (PutReport, []Hash, error) {
 	hashes := make([]Hash, len(known))
 	encs := make([][]byte, len(known))
 	for i, h := range known {
@@ -255,26 +257,25 @@ func (s *Store) Put(known []Hash, blob func(i int) (*Blob, error)) (PutReport, [
 			hashes[i] = h
 			continue
 		}
-		b, err := blob(i)
-		if err != nil {
-			return PutReport{}, nil, err
-		}
-		encs[i] = b.Encode()
+		encs[i] = encode(i)
 		hashes[i] = Sum(encs[i])
 	}
-	rep, err := s.putEncoded(hashes, encs, blob, false)
+	rep, err := s.putEncoded(hashes, encs, encode, false)
 	return rep, hashes, err
 }
 
 // PutPacks stores, through the deduplicating put, the members of pack files
 // another machine sent that man references, and no other. The files are
-// untrusted: each is verified whole (DecodePack) before anything is
-// written. The packs written stay hot, so a read of man that follows does
-// not inflate again what arrived a moment ago.
+// untrusted, and nothing is written until all of it is judged: each file is
+// verified whole (DecodePack), and each member a trace of man names is
+// checked against that trace as a read would check it — a blob (scanBlob),
+// and the one the trace describes (matches). The packs written stay hot, so
+// a read of man that follows does not inflate again what arrived a moment
+// ago.
 func (s *Store) PutPacks(files [][]byte, man *Manifest) error {
-	want := make(map[Hash]bool, len(man.Traces))
+	received := make(map[Hash][]byte, len(man.Traces)) // nil until a pack holds it
 	for _, tr := range man.Traces {
-		want[tr.Blob] = true
+		received[tr.Blob] = nil
 	}
 	var hashes []Hash
 	var encs [][]byte
@@ -284,9 +285,23 @@ func (s *Store) PutPacks(files [][]byte, man *Manifest) error {
 			return fmt.Errorf("store: received pack %d of %d: %w", i+1, len(files), err)
 		}
 		for j, h := range p.Hashes {
-			if want[h] {
+			if _, want := received[h]; want {
+				received[h] = p.Encs[j]
 				hashes, encs = append(hashes, h), append(encs, p.Encs[j])
 			}
+		}
+	}
+	for _, tr := range man.Traces {
+		enc := received[tr.Blob]
+		if enc == nil {
+			continue
+		}
+		l, err := scanBlob(enc)
+		if err == nil {
+			err = l.matches(man, tr)
+		}
+		if err != nil {
+			return fmt.Errorf("store: received blob %s: %w", tr.Blob, err)
 		}
 	}
 	_, err := s.putEncoded(hashes, encs, nil, true)
@@ -295,25 +310,27 @@ func (s *Store) PutPacks(files [][]byte, man *Manifest) error {
 
 // putEncoded lands the encodings the store does not hold yet — none of them
 // twice — as packs of at most packMaxRaw raw bytes, usually one. encs[i]
-// must hash to hashes[i]; a nil encs[i] is a known address, built with blob
-// only when the store does not hold it (hashes[i] then becomes the address
-// of what was built). With hot set, the packs written keep their stream.
-func (s *Store) putEncoded(hashes []Hash, encs [][]byte, blob func(i int) (*Blob, error), hot bool) (PutReport, error) {
+// must hash to hashes[i]; a nil encs[i] is a known address, encoded with
+// encode only when the store does not hold it (hashes[i] then becomes the
+// address of what was encoded). With hot set, the packs written keep their
+// stream.
+func (s *Store) putEncoded(hashes []Hash, encs [][]byte, encode func(i int) []byte, hot bool) (PutReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep PutReport
-	var newHashes []Hash
-	var newEncs [][]byte
+	encoded := 0 // the blobs most likely new: those the caller had no address for
+	for _, enc := range encs {
+		if enc != nil {
+			encoded++
+		}
+	}
+	newHashes, newEncs := make([]Hash, 0, encoded), make([][]byte, 0, encoded)
 	relisted := false
 	batch := make(map[Hash]int, len(hashes)) // encoded length of each blob this batch writes
 	for i, h := range hashes {
 		size, present := s.held(h, encs[i], batch, &relisted)
 		if !present && encs[i] == nil {
-			b, err := blob(i)
-			if err != nil {
-				return rep, err
-			}
-			encs[i] = b.Encode()
+			encs[i] = encode(i)
 			h = Sum(encs[i])
 			hashes[i] = h
 			size, present = s.held(h, encs[i], batch, &relisted)
@@ -673,7 +690,7 @@ func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 	}
 	traces := make([]*vm.Trace, n)
 	structs := make([]vm.Trace, n) // one allocation; traces[j] = &structs[j]
-	var insts slab[isa.Inst]
+	var insts vm.Slab[isa.Inst]
 	var local, remote uint64
 	j := 0
 	for i := range man.Traces {
@@ -1020,7 +1037,7 @@ func (s *Store) Recover(staleAfter time.Duration) (*RecoverReport, error) {
 	// Start over from what survived: nothing inflated before the scrub is
 	// trusted after it.
 	s.pmu.Lock()
-	s.packs, s.index, s.hot = make(map[string]*pack), make(map[Hash]member), nil
+	s.packs, s.index, s.hot = make(map[string]*pack), nil, nil
 	s.pmu.Unlock()
 	s.relist()
 	return rep, nil

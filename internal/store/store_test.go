@@ -57,6 +57,9 @@ func TestBlobRoundTrip(t *testing.T) {
 	if string(got.Encode()) != string(enc) {
 		t.Fatal("decode/re-encode is not the identity")
 	}
+	if cap(enc) != len(enc) {
+		t.Errorf("a %d-byte blob encoded into a %d-byte buffer", len(enc), cap(enc))
+	}
 	// Materialize maps blob-local ref slots back to module-table indices
 	// and derives the start address from ref 0.
 	tr, err := got.Materialize([]int32{3})
@@ -98,6 +101,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	enc := m.Encode()
 	if m.EncodedBytes != uint64(len(enc)) {
 		t.Errorf("EncodedBytes %d, want %d", m.EncodedBytes, len(enc))
+	}
+	if cap(enc) != len(enc) {
+		t.Errorf("a %d-byte manifest encoded into a %d-byte buffer", len(enc), cap(enc))
 	}
 	got, err := store.DecodeManifest(enc)
 	if err != nil {
@@ -916,9 +922,9 @@ func TestLocalTracesReadsOnlyKept(t *testing.T) {
 }
 
 // TestPutByAddress: a blob named by an address the store holds is a dedup
-// hit of the stored encoding's length, and nothing is built for it; one the
-// store does not hold is built and written under the address its encoding
-// hashes to.
+// hit of the stored encoding's length, and nothing is encoded for it; one
+// the store does not hold is encoded and written under the address its
+// encoding hashes to.
 func TestPutByAddress(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	a, b := mkBlob(60, 3), mkBlob(61, 6)
@@ -927,15 +933,15 @@ func TestPutByAddress(t *testing.T) {
 	}
 	built := 0
 	blobs := []*store.Blob{a, b, b}
-	rep, hashes, err := s.Put([]store.Hash{a.Hash(), b.Hash(), {}}, func(i int) (*store.Blob, error) {
+	rep, hashes, err := s.Put([]store.Hash{a.Hash(), b.Hash(), {}}, func(i int) []byte {
 		built++
-		return blobs[i], nil
+		return blobs[i].Encode()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built != 2 || !slices.Equal(hashes, []store.Hash{a.Hash(), b.Hash(), b.Hash()}) {
-		t.Errorf("built %d blobs, hashes %v: want b built twice (gone, then unknown), a never", built, hashes)
+		t.Errorf("encoded %d blobs, hashes %v: want b encoded twice (gone, then unknown), a never", built, hashes)
 	}
 	if rep.Added != 1 || rep.Deduped != 2 || rep.DedupBytes != uint64(len(a.Encode())+len(b.Encode())) {
 		t.Errorf("put report %+v: want b added once, a and the second b deduped at their lengths", rep)

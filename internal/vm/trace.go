@@ -411,6 +411,27 @@ func (c *CodeCache) DataBytes() uint64 { return c.dataBytes }
 // Flushes returns how many times the cache has been flushed.
 func (c *CodeCache) Flushes() int { return c.flushes }
 
+// Slab cuts exactly-sized slices out of shared chunks: a translation or a
+// prime makes hundreds of ten-instruction traces, and one allocation per
+// chunk is cheaper than one per trace. The slices do not overlap and cannot
+// grow into each other (capacity is capped at length); a chunk lives as long
+// as any slice cut from it does, which for traces installed together is the
+// life of the code cache.
+type Slab[T any] struct{ free []T }
+
+// slabChunk is the element count of one chunk (16 KB of instructions).
+const slabChunk = 2048
+
+// Take cuts the next n elements.
+func (s *Slab[T]) Take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
 // translate fetches and compiles the trace starting at pc, charging
 // translation cost and recording the translation-request timeline event.
 func (v *VM) translate(pc uint32) (*Trace, error) {
@@ -422,8 +443,9 @@ func (v *VM) translate(pc uint32) (*Trace, error) {
 		}
 	}
 	var buf [isa.InstSize]byte
+	fetched := v.fetched[:0]
 	cur := pc
-	for len(t.Insts) < v.maxTrace {
+	for len(fetched) < v.maxTrace {
 		if err := v.as.ReadBytes(cur, buf[:]); err != nil {
 			return nil, fmt.Errorf("vm: fetch at %#x: %w", cur, err)
 		}
@@ -431,12 +453,15 @@ func (v *VM) translate(pc uint32) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vm: decode at %#x: %w", cur, err)
 		}
-		t.Insts = append(t.Insts, in)
+		fetched = append(fetched, in)
 		if in.IsTerminator() {
 			break
 		}
 		cur += isa.InstSize
 	}
+	v.fetched = fetched
+	t.Insts = v.insts.Take(len(fetched))
+	copy(t.Insts, fetched)
 	v.prepareTrace(t)
 
 	// Cost accounting and bookkeeping. Fetch/decode (and the optimizer's

@@ -120,6 +120,11 @@ type VM struct {
 	maxTrace  int
 	maxInsts  uint64
 
+	// fetched is the buffer translate fetches a trace into; insts is the
+	// slab each translated trace's instructions are cut from.
+	fetched []isa.Inst
+	insts   Slab[isa.Inst]
+
 	regs  [isa.NumRegs]uint64
 	pc    uint32
 	clock uint64

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"persistcc/internal/isa"
 	"persistcc/internal/metrics"
 	"persistcc/internal/testutil"
 )
@@ -705,4 +707,113 @@ func TestCLIWorkloadAndBenchList(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "oracle.vxe")); err != nil {
 		t.Error("oracle.vxe missing")
 	}
+}
+
+// smcSource generates code on the heap, calls it, rewrites it in place and
+// calls it again. The versions return 1 and 2: a coherent run exits with
+// 1*10+2 = 12, one that keeps running the stale translation with 11.
+func smcSource() string {
+	enc := func(in isa.Inst) string { return fmt.Sprint(in.EncodeWord()) }
+	return `
+.text
+.global _start
+_start:
+	movi s2, 0x20000000
+	la   t0, words
+	ld   t1, 0(t0)
+	sd   t1, 0(s2)
+	ld   t1, 16(t0)
+	sd   t1, 8(s2)
+	callr s2
+	muli s1, a0, 10
+	la   t0, words
+	ld   t1, 8(t0)
+	sd   t1, 0(s2)
+	callr s2
+	add  s1, s1, a0
+	mv   a1, s1
+	movi a0, 1
+	sys
+	halt
+.data
+words:
+	.word64 ` + enc(isa.Inst{Op: isa.OpMovI, Rd: isa.RegA0, Imm: 1}) + `
+	.word64 ` + enc(isa.Inst{Op: isa.OpMovI, Rd: isa.RegA0, Imm: 2}) + `
+	.word64 ` + enc(isa.Inst{Op: isa.OpJalr, Rd: isa.RegZero, Rs1: isa.RegRA}) + `
+`
+}
+
+// TestCLIRunFlags drives the pcc-run flags whose effect lives inside
+// persistcc.Run, so that a flag the CLI stops passing on fails here:
+// -record/-replay, -metrics-out after a divergent replay, -verify-install
+// and -smc.
+func TestCLIRunFlags(t *testing.T) {
+	bin := testutil.BuildTools(t)
+	work := t.TempDir()
+	exe := buildTinyExe(t, bin, work)
+
+	t.Run("record-replay", func(t *testing.T) {
+		rec := filepath.Join(work, "tiny.rec")
+		db := filepath.Join(work, "rdb")
+		_, se, code := testutil.RunTool(t, bin, "pcc-run", "-record", rec, "-persist", db, exe)
+		if code != 35 || !strings.Contains(se, "pcc-run: recorded ") || !strings.Contains(se, "to "+rec) {
+			t.Fatalf("recording run: exit %d, want 35 and a recorded line\n%s", code, se)
+		}
+		_, se, code = testutil.RunTool(t, bin, "pcc-run", "-replay", rec, "-persist", filepath.Join(work, "rdb2"), exe)
+		if code != 35 || !strings.Contains(se, "pcc-run: replayed "+rec+" bit-exactly (") {
+			t.Fatalf("replay against a cold database: exit %d, want 35 and a bit-exact line\n%s", code, se)
+		}
+
+		// The recording's own database is warm now: the replay diverges on
+		// the cache counters, exits 1 and still writes its snapshot.
+		m := filepath.Join(work, "diverged.metrics.json")
+		_, se, code = testutil.RunTool(t, bin, "pcc-run", "-replay", rec, "-persist", db, "-metrics-out", m, exe)
+		if code != 1 || !strings.Contains(se, "diverged") {
+			t.Fatalf("replay against the warm database: exit %d, want 1 and a divergence\n%s", code, se)
+		}
+		if v, ok := readSnapshot(t, m).Value("pcc_replay_divergence_total"); !ok || v != 1 {
+			t.Errorf("pcc_replay_divergence_total = %v (present %v), want 1", v, ok)
+		}
+	})
+
+	t.Run("verify-install", func(t *testing.T) {
+		db := filepath.Join(work, "vdb")
+		if _, se, code := testutil.RunTool(t, bin, "pcc-run", "-persist", db, exe); code != 35 {
+			t.Fatalf("cold run exit %d, want 35\n%s", code, se)
+		}
+		_, se, code := testutil.RunTool(t, bin, "pcc-run", "-json", "-persist", db, exe)
+		if code != 35 {
+			t.Fatalf("warm run exit %d, want 35\n%s", code, se)
+		}
+		plain := parseStats(t, se)
+		_, se, code = testutil.RunTool(t, bin, "pcc-run", "-json", "-verify-install", "-persist", db, exe)
+		if code != 35 {
+			t.Fatalf("warm -verify-install run exit %d, want 35\n%s", code, se)
+		}
+		verified := parseStats(t, se)
+		if plain.Stats.TracesReused == 0 || verified.Stats.TracesReused != plain.Stats.TracesReused || verified.Stats.TracesTranslated != 0 {
+			t.Errorf("warm -verify-install reused %d traces and translated %d; a plain warm launch reused %d",
+				verified.Stats.TracesReused, verified.Stats.TracesTranslated, plain.Stats.TracesReused)
+		}
+	})
+
+	t.Run("smc", func(t *testing.T) {
+		src := filepath.Join(work, "smc.s")
+		if err := os.WriteFile(src, []byte(smcSource()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, se, code := testutil.RunTool(t, bin, "pcc-asm", src); code != 0 {
+			t.Fatalf("pcc-asm failed: %s", se)
+		}
+		smc := filepath.Join(work, "smc.vxe")
+		if _, se, code := testutil.RunTool(t, bin, "pcc-ld", "-o", smc, "-name", "smc", filepath.Join(work, "smc.vxo")); code != 0 {
+			t.Fatalf("pcc-ld failed: %s", se)
+		}
+		if _, se, code := testutil.RunTool(t, bin, "pcc-run", "-smc", smc); code != 12 {
+			t.Errorf("pcc-run -smc exit %d, want the coherent 12\n%s", code, se)
+		}
+		if _, se, code := testutil.RunTool(t, bin, "pcc-run", smc); code != 11 {
+			t.Errorf("pcc-run without -smc exit %d, want the stale 11\n%s", code, se)
+		}
+	})
 }

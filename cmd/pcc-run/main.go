@@ -1,6 +1,8 @@
 // Command pcc-run executes a VR64 executable — natively (interpreted) or
 // under the run-time compilation system, optionally with instrumentation
-// and persistent code caching.
+// and persistent code caching. It turns its flags into a
+// persistcc.RunOptions and launches through persistcc.Run, the same code
+// every benchmark workload times.
 //
 // Usage:
 //
@@ -21,18 +23,13 @@ import (
 	"strconv"
 	"strings"
 
-	"persistcc/internal/cacheserver"
-	"persistcc/internal/cacheserver/fleet"
-	"persistcc/internal/core"
-	"persistcc/internal/guestopt"
+	"persistcc"
 	"persistcc/internal/instr"
-	"persistcc/internal/loader"
 	"persistcc/internal/metrics"
 	tracelog "persistcc/internal/metrics/trace"
 	"persistcc/internal/obj"
 	"persistcc/internal/replay"
 	"persistcc/internal/stats"
-	"persistcc/internal/vm"
 )
 
 func main() {
@@ -55,7 +52,7 @@ func main() {
 	trace := flag.Uint64("trace", 0, "log the first N executed instructions to stderr")
 	jsonOut := flag.Bool("json", false, "print machine-readable run statistics to stderr")
 	smc := flag.Bool("smc", false, "detect self-modifying code (flush the cache on writes to translated pages)")
-	prefetch := flag.Bool("prefetch", false, "prime from the fleet in one bulk round trip: the exact entry plus, with -interapp, every inter-application candidate (needs -cache-server or -fleet-config)")
+	prefetch := flag.Bool("prefetch", false, "with -interapp, prime from the fleet in one bulk round trip: the exact entry plus every inter-application candidate; without -interapp it is the plain prime (needs -cache-server or -fleet-config)")
 	metricsOut := flag.String("metrics-out", "", "write the run's full metrics registry snapshot (JSON) to this file on exit")
 	eventsOut := flag.String("events-out", "", "write the run's translate/install/prime/commit event timeline (NDJSON) to this file on exit")
 	recordTo := flag.String("record", "", "record the run's nondeterministic inputs and final state to this replay log")
@@ -81,123 +78,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	exePath := flag.Arg(0)
-	exe, err := obj.ReadFile(exePath)
-	if err != nil {
-		fatal(err)
-	}
-	dirs := []string{filepath.Dir(exePath)}
-	if *libpath != "" {
-		dirs = strings.Split(*libpath, ":")
-	}
-	cfg := loader.Config{
-		MTime: mtimeOf(exePath),
-		Resolve: func(name string) (*obj.File, int64, error) {
-			for _, d := range dirs {
-				p := filepath.Join(d, name)
-				if f, err := obj.ReadFile(p); err == nil {
-					return f, mtimeOf(p), nil
-				}
-			}
-			return nil, 0, fmt.Errorf("library %s not found in %v", name, dirs)
-		},
-	}
-	switch {
-	case *aslr != 0:
-		cfg.Placement = loader.PlaceASLR
-		cfg.ASLRSeed = *aslr
-	case *hashed:
-		cfg.Placement = loader.PlaceHashed
-	}
-	var words []uint64
-	if *inputStr != "" {
-		for _, f := range strings.Split(*inputStr, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(f), 0, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad input word %q: %v", f, err))
-			}
-			words = append(words, v)
-		}
-	}
-	var rp *replay.Replayer
-	if *replayFrom != "" {
-		var err error
-		rp, err = replay.Open(nil, *replayFrom)
-		if err != nil {
-			fatal(err)
-		}
-		// The recording owns the load environment and the guest inputs.
-		cfg.Placement = rp.Placement()
-		cfg.ASLRSeed = rp.Seed()
-		words = rp.Input()
-	}
-
-	proc, err := loader.Load(exe, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	var opts []vm.Option
-	var tool vm.Tool
-	if *toolName != "" {
-		tool = instr.ByName(*toolName)
-		if tool == nil {
-			fatal(fmt.Errorf("unknown tool %q", *toolName))
-		}
-		opts = append(opts, vm.WithTool(tool))
-	}
-	if words != nil {
-		opts = append(opts, vm.WithInput(words))
-	}
-	if *maxInsts > 0 {
-		opts = append(opts, vm.WithMaxInsts(*maxInsts))
-	}
-	if *trace > 0 {
-		opts = append(opts, vm.WithExecLog(os.Stderr, *trace))
-	}
-	if *smc {
-		opts = append(opts, vm.WithSMCDetection())
-	}
-	if *optimize {
-		opts = append(opts, vm.WithOptimizer(guestopt.New(guestopt.All())))
-	}
-	// One registry spans the VM, the persistence manager and the cache
-	// client, so -metrics-out holds the process's entire view.
-	reg := metrics.NewRegistry()
-	opts = append(opts, vm.WithMetrics(reg))
-	var rec *replay.Recorder
-	switch {
-	case rp != nil:
-		if err := rp.VerifyLayout(proc); err != nil {
-			fatal(err)
-		}
-		rp.WithMetrics(replay.NewMetrics(reg))
-		opts = append(opts, vm.WithBoundary(rp), vm.WithPID(rp.PID()))
-	case *recordTo != "":
-		rec, err = replay.NewRecorder(nil, *recordTo)
-		if err != nil {
-			fatal(err)
-		}
-		rec.WithMetrics(replay.NewMetrics(reg))
-		if err := rec.Start(replay.StartInfo{
-			Program:   exe.Name,
-			Placement: cfg.Placement,
-			Seed:      cfg.ASLRSeed,
-			Input:     words,
-			PID:       1,
-			Proc:      proc,
-		}); err != nil {
-			fatal(err)
-		}
-		opts = append(opts, vm.WithBoundary(rec))
-	}
-	var events *tracelog.Log
-	if *eventsOut != "" {
-		events = tracelog.NewLog(0)
-		opts = append(opts, vm.WithEventLog(events))
-	}
-	v := vm.New(proc, opts...)
-
-	var mgr cacheserver.Manager
 	if (*cacheServer != "" || *fleetConfig != "") && *persistDir == "" {
 		fatal(fmt.Errorf("-cache-server/-fleet-config needs -persist for the local fallback database"))
 	}
@@ -207,97 +87,109 @@ func main() {
 	if *cacheServer != "" && *fleetConfig != "" {
 		fatal(fmt.Errorf("-cache-server and -fleet-config are mutually exclusive"))
 	}
-	if *persistDir != "" {
-		mopts := []core.ManagerOption{core.WithMetrics(reg)}
-		if *reloc {
-			mopts = append(mopts, core.WithRelocatable())
-		}
-		if *verifyInstall {
-			mopts = append(mopts, core.WithDeepVerify())
-		}
-		if *storeDir != "" {
-			mopts = append(mopts, core.WithStoreDir(*storeDir))
-		}
-		local, err := core.NewManager(*persistDir, mopts...)
-		if err != nil {
-			fatal(err)
-		}
-		mgr = local
-		var fb *cacheserver.Fallback
-		if *cacheServer != "" || *fleetConfig != "" {
-			cfg := fleet.Single(*cacheServer)
-			if *fleetConfig != "" {
-				if cfg, err = fleet.LoadConfig(*fleetConfig); err != nil {
-					fatal(err)
-				}
-			}
-			fc, err := fleet.New(cfg, fleet.WithMetrics(reg))
-			if err != nil {
-				fatal(err)
-			}
-			fb = cacheserver.NewFallback(fc, local)
-			mgr = fb
-		}
-		var rep *core.PrimeReport
-		if *prefetch {
-			rep, err = fb.PrimeStoreBulk(v, *interApp)
-		} else {
-			rep, err = mgr.Prime(v)
-			if errors.Is(err, core.ErrNoCache) && *interApp {
-				rep, err = mgr.PrimeInterApp(v)
-			}
-		}
-		if err != nil && !errors.Is(err, core.ErrNoCache) {
-			fatal(err)
-		}
-		if rep.Found {
-			fmt.Fprintf(os.Stderr, "pcc-run: persistent cache: %d traces installed (%d rebased, %d invalidated, %d remote)\n",
-				rep.Installed, rep.Rebased, rep.Invalidated(), v.Stats().RemoteHits)
-		}
-	}
 
-	var res *vm.Result
-	if *native {
-		res, err = v.RunNative()
-	} else {
-		res, err = v.Run()
-	}
+	exePath := flag.Arg(0)
+	exe, err := obj.ReadFile(exePath)
 	if err != nil {
 		fatal(err)
 	}
-	if rec != nil {
-		if err := rec.Finish(v, res); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pcc-run: recorded %d events (%d bytes) to %s\n",
-			rec.Events(), rec.Bytes(), rec.Path())
+	dirs := []string{filepath.Dir(exePath)}
+	if *libpath != "" {
+		dirs = strings.Split(*libpath, ":")
 	}
-	if rp != nil {
-		if err := rp.Finish(v, res); err != nil {
-			// pcc_replay_divergence_total matters most exactly when replay
-			// fails: flush the snapshot before exiting.
-			if *metricsOut != "" {
-				_ = os.WriteFile(*metricsOut, v.Metrics().Snapshot().JSON(), 0o644)
+	o := persistcc.RunOptions{
+		Native:        *native,
+		Persist:       *persistDir != "",
+		CacheDir:      *persistDir,
+		InterApp:      *interApp,
+		Relocatable:   *reloc,
+		StoreDir:      *storeDir,
+		VerifyInstall: *verifyInstall,
+		Optimize:      *optimize,
+		Prefetch:      *prefetch,
+		MaxInsts:      *maxInsts,
+		SMC:           *smc,
+		Record:        *recordTo,
+		Replay:        *replayFrom,
+		Loader: persistcc.LoaderConfig{
+			MTime: mtimeOf(exePath),
+			Resolve: func(name string) (*persistcc.Object, int64, error) {
+				for _, d := range dirs {
+					p := filepath.Join(d, name)
+					if f, err := obj.ReadFile(p); err == nil {
+						return f, mtimeOf(p), nil
+					}
+				}
+				return nil, 0, fmt.Errorf("library %s not found in %v", name, dirs)
+			},
+		},
+	}
+	switch {
+	case *aslr != 0:
+		o.Loader.Placement = persistcc.PlaceASLR
+		o.Loader.ASLRSeed = *aslr
+	case *hashed:
+		o.Loader.Placement = persistcc.PlaceHashed
+	}
+	if *inputStr != "" {
+		for _, f := range strings.Split(*inputStr, ",") {
+			v, err := strconv.ParseUint(strings.TrimSpace(f), 0, 64)
+			if err != nil {
+				fatal(fmt.Errorf("bad input word %q: %v", f, err))
 			}
+			o.Input = append(o.Input, v)
+		}
+	}
+	if *toolName != "" {
+		if o.Tool = instr.ByName(*toolName); o.Tool == nil {
+			fatal(fmt.Errorf("unknown tool %q", *toolName))
+		}
+	}
+	if *trace > 0 {
+		o.ExecLog, o.ExecLogLines = os.Stderr, *trace
+	}
+	switch {
+	case *cacheServer != "":
+		o.FleetConfig = &persistcc.FleetConfig{Shards: []persistcc.FleetShard{{ID: *cacheServer, Addr: *cacheServer}}}
+	case *fleetConfig != "":
+		if o.FleetConfig, err = persistcc.LoadFleetConfig(*fleetConfig); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "pcc-run: replayed %s bit-exactly (%d events)\n",
-			*replayFrom, len(rp.Log().Events))
+	}
+	if *metricsOut != "" {
+		o.Metrics = metrics.NewRegistry()
+	}
+	if *eventsOut != "" {
+		o.Events = tracelog.NewLog(0)
+	}
+
+	out, err := persistcc.Run(exe, nil, o)
+	if err != nil {
+		// pcc_replay_divergence_total matters most exactly when replay
+		// fails: flush the snapshot before exiting.
+		var div *persistcc.DivergenceError
+		if errors.As(err, &div) && o.Metrics != nil {
+			_ = os.WriteFile(*metricsOut, o.Metrics.Snapshot().JSON(), 0o644)
+		}
+		fatal(err)
+	}
+	res := out.Result
+	if rep := out.Prime; rep != nil && rep.Found {
+		fmt.Fprintf(os.Stderr, "pcc-run: persistent cache: %d traces installed (%d rebased, %d invalidated, %d remote)\n",
+			rep.Installed, rep.Rebased, rep.Invalidated(), res.Stats.RemoteHits)
+	}
+	if *recordTo != "" {
+		fmt.Fprintf(os.Stderr, "pcc-run: recorded %d events (%d bytes) to %s\n", out.LogEvents, out.LogBytes, *recordTo)
+	}
+	if *replayFrom != "" {
+		fmt.Fprintf(os.Stderr, "pcc-run: replayed %s bit-exactly (%d events)\n", *replayFrom, out.LogEvents)
 	}
 	os.Stdout.Write(res.Output)
-
-	if mgr != nil && !*native {
-		crep, err := mgr.Commit(v)
-		if err != nil {
-			fatal(err)
-		}
-		res.Stats.PersistTicks += crep.Ticks
-		res.Stats.Ticks += crep.Ticks
-		v.ChargePersist(crep.Ticks) // keep the registry's tick view consistent
+	if crep := out.Commit; crep != nil {
 		fmt.Fprintf(os.Stderr, "pcc-run: committed %d traces (%d new) to %s\n",
 			crep.Traces, crep.NewTraces, crep.File)
 	}
-	if cov, ok := tool.(*instr.CodeCov); ok {
+	if cov, ok := o.Tool.(*instr.CodeCov); ok {
 		fmt.Fprintf(os.Stderr, "pcc-run: codecov: %d static instructions covered\n", cov.Count())
 	}
 	if *jsonOut {
@@ -305,13 +197,13 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			ExitCode uint64
-			Stats    *vm.Stats
+			Stats    any
 		}{res.ExitCode, &res.Stats}); err != nil {
 			fatal(err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, v.Metrics().Snapshot().JSON(), 0o644); err != nil {
+		if err := os.WriteFile(*metricsOut, o.Metrics.Snapshot().JSON(), 0o644); err != nil {
 			fatal(err)
 		}
 	}
@@ -320,7 +212,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := events.WriteNDJSON(f); err != nil {
+		if err := o.Events.WriteNDJSON(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -16,9 +16,6 @@ func WithDeepVerify() ManagerOption {
 	return func(m *Manager) { m.deepVerify = true }
 }
 
-// DeepVerify reports whether the deep verifier runs on every read.
-func (m *Manager) DeepVerify() bool { return m.deepVerify }
-
 // VerifyDeep statically verifies every trace in the file against its
 // recorded module table: control flow re-derived from the instruction
 // stream, relocation notes re-checked against the loader's patch

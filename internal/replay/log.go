@@ -1,11 +1,11 @@
 // Package replay records and replays whole executions. The recorder logs
 // every nondeterministic input that crosses the VM boundary — the input
-// block, loader base placement, guest-visible syscall results, and
-// tool-injected state — into a compact length-prefixed binary log; the
-// replayer re-executes the program with every one of those inputs pinned to
-// its recorded value and verifies the run bit-exactly (registers, memory
-// image, output, and cache-behavior counters), failing loudly at the first
-// divergence with the log offset and the VM state delta.
+// block, loader base placement and guest-visible syscall results — into a
+// compact length-prefixed binary log; the replayer re-executes the program
+// with every one of those inputs pinned to its recorded value and verifies
+// the run bit-exactly (registers, memory image, output, and cache-behavior
+// counters), failing loudly at the first divergence with the log offset and
+// the VM state delta.
 //
 // The log is a sequence of records, each framed as
 //
@@ -48,8 +48,7 @@ const (
 	// KindSyscall records one system call crossing the boundary: the guest's
 	// request, the result it observed, and the output bytes it produced.
 	KindSyscall
-	// KindInject records one tool-injected register write (VM.InjectReg).
-	KindInject
+	_ // 6: reserved; was a tool-injected register write, which no tool made
 	// KindEnd closes a complete log with the final architectural state and
 	// the cache-behavior counters the replay must reproduce.
 	KindEnd
@@ -67,8 +66,6 @@ func (k Kind) String() string {
 		return "pid"
 	case KindSyscall:
 		return "syscall"
-	case KindInject:
-		return "inject"
 	case KindEnd:
 		return "end"
 	}
@@ -126,10 +123,6 @@ type Event struct {
 	Ret      uint64
 	OutDelta uint32
 
-	// KindInject
-	Reg uint8
-	Val uint64
-
 	// KindEnd
 	ExitCode uint64
 	Regs     []uint64
@@ -179,9 +172,6 @@ func encodePayload(ev *Event) []byte {
 		w.U64(ev.A3)
 		w.U64(ev.Ret)
 		w.U32(ev.OutDelta)
-	case KindInject:
-		w.U8(ev.Reg)
-		w.U64(ev.Val)
 	case KindEnd:
 		w.U64(ev.ExitCode)
 		w.U32(uint32(len(ev.Regs)))
@@ -236,9 +226,6 @@ func decodePayload(payload []byte) (*Event, error) {
 		ev.A3 = r.U64()
 		ev.Ret = r.U64()
 		ev.OutDelta = r.U32()
-	case KindInject:
-		ev.Reg = r.U8()
-		ev.Val = r.U64()
 	case KindEnd:
 		ev.ExitCode = r.U64()
 		n := r.Count(256)
@@ -347,9 +334,6 @@ func (ev *Event) jsonView(index int) map[string]any {
 		m["args"] = []uint64{ev.A1, ev.A2, ev.A3}
 		m["ret"] = ev.Ret
 		m["out_delta"] = ev.OutDelta
-	case KindInject:
-		m["reg"] = ev.Reg
-		m["val"] = ev.Val
 	case KindEnd:
 		m["exit_code"] = ev.ExitCode
 		m["regs"] = ev.Regs

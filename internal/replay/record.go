@@ -115,18 +115,6 @@ func (r *Recorder) Syscall(pc uint32, num, a1, a2, a3, ret uint64, outDelta int)
 	return ret, nil
 }
 
-// Inject implements vm.Boundary: tool-injected register writes are logged
-// and passed through unchanged.
-func (r *Recorder) Inject(reg uint8, val uint64) (uint64, error) {
-	r.emit(&Event{Kind: KindInject, Reg: reg, Val: val})
-	if r.pending >= flushEvery {
-		if err := r.flush(); err != nil {
-			return 0, err
-		}
-	}
-	return val, nil
-}
-
 // Finish seals the log with the run's final state — exit code, registers,
 // memory and output digests, cache-behavior counters — and flushes it.
 // Call it with the VM and result immediately after the run returns.

@@ -245,23 +245,6 @@ func (rp *Replayer) Syscall(pc uint32, num, a1, a2, a3, ret uint64, outDelta int
 	return ev.Ret, nil
 }
 
-// Inject implements vm.Boundary: tool-injected register writes are replaced
-// by their recorded values.
-func (rp *Replayer) Inject(reg uint8, val uint64) (uint64, error) {
-	got := fmt.Sprintf("inject r%d=%#x", reg, val)
-	ev, idx, err := rp.take(KindInject, got)
-	if err != nil {
-		return 0, rp.diverged(err)
-	}
-	if ev.Reg != reg {
-		return 0, rp.diverged(&DivergenceError{
-			Event: idx, Offset: ev.Offset,
-			Want: fmt.Sprintf("inject r%d=%#x", ev.Reg, ev.Val), Got: got,
-		})
-	}
-	return ev.Val, nil
-}
-
 // Finish verifies the replayed run's final state against the recording's
 // End record: every boundary event consumed, then exit code, registers,
 // memory image, output, and cache-behavior counters all bit-identical.

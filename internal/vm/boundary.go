@@ -6,15 +6,13 @@ package vm
 // implementation logs each value and passes it through unchanged; a
 // replaying implementation checks the value against the log, substitutes
 // the recorded one where the host environment may differ (virtual cycle
-// reads, pids, tool-injected state), and returns an error at the first
-// divergence, which aborts the run.
+// reads, pids), and returns an error at the first divergence, which aborts
+// the run.
 //
-// The guest-visible surface the boundary covers is deliberately complete:
-// all guest I/O and host values arrive through the emulated system calls
-// (Syscall), and all tool-injected state arrives through VM.InjectReg
-// (Inject). Everything else the guest observes — its binaries, its input
-// block, its module bases — is captured once at load time by the replay
-// layer itself.
+// The emulated system calls are the only run-time channel from the host
+// into the guest, so the boundary carries exactly them. Everything else the
+// guest observes — its binaries, its input block, its module bases — is
+// captured once at load time by the replay layer itself.
 type Boundary interface {
 	// Syscall is invoked after the emulation unit has executed the system
 	// call at pc and computed its result: num and a1..a3 as the guest
@@ -23,32 +21,7 @@ type Boundary interface {
 	// ret in a0, so a replayer can pin host-dependent results (cycles,
 	// getpid) to their recorded values. A non-nil error aborts the run.
 	Syscall(pc uint32, num, a1, a2, a3, ret uint64, outDelta int) (uint64, error)
-
-	// Inject is invoked when a tool writes host state into a guest
-	// register through VM.InjectReg: reg and the proposed value. The
-	// returned value is what is actually written, so a replayer can
-	// substitute the recorded injection for a host-dependent one.
-	Inject(reg uint8, val uint64) (uint64, error)
 }
 
 // WithBoundary attaches a boundary hook — the record/replay seam.
 func WithBoundary(b Boundary) Option { return func(v *VM) { v.boundary = b } }
-
-// InjectReg sets a guest register from outside the guest — the controlled
-// channel for tool-injected state on the instrumentation API. The value
-// routes through the attached Boundary (recorded under recording, replaced
-// by the recorded value under replay), so tools that feed host-dependent
-// data into the guest stay replayable. Returns the value actually written.
-func (v *VM) InjectReg(reg uint8, val uint64) (uint64, error) {
-	if v.boundary != nil {
-		nv, err := v.boundary.Inject(reg, val)
-		if err != nil {
-			return 0, err
-		}
-		val = nv
-	}
-	if reg != 0 && int(reg) < len(v.regs) {
-		v.regs[reg] = val
-	}
-	return val, nil
-}

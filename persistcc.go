@@ -27,6 +27,7 @@ package persistcc
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"persistcc/internal/asm"
 	"persistcc/internal/cacheserver"
@@ -36,6 +37,8 @@ import (
 	"persistcc/internal/instr"
 	"persistcc/internal/link"
 	"persistcc/internal/loader"
+	"persistcc/internal/metrics"
+	tracelog "persistcc/internal/metrics/trace"
 	"persistcc/internal/obj"
 	"persistcc/internal/replay"
 	"persistcc/internal/vm"
@@ -180,15 +183,37 @@ type RunOptions struct {
 	// caches, so warm runs load pre-optimized code.
 	Optimize bool
 
-	// Prefetch primes from the fleet in one bulk round trip: the exact
-	// entry plus, with InterApp, every inter-application candidate,
-	// installed together (Fallback.PrimeStoreBulk). Requires FleetConfig.
+	// Prefetch makes the fleet prime a bulk one (Fallback.PrimeStoreBulk):
+	// with InterApp, one round trip brings the exact entry and every
+	// inter-application candidate, installed together. Without InterApp it
+	// is the plain prime: one request for the exact entry, falling back to
+	// the local database. Requires FleetConfig.
 	Prefetch bool
+	// VerifyInstall deep-verifies cached traces (control flow and
+	// relocations, internal/core/verify) before installing them; a file
+	// that fails is quarantined and its code re-translated.
+	VerifyInstall bool
 
 	// Loader controls placement/ASLR; zero value = defaults.
 	Loader LoaderConfig
 	// MaxInsts bounds execution (0 = default budget).
 	MaxInsts uint64
+	// SMC detects self-modifying code: a guest store to a page holding
+	// translated code flushes the code cache.
+	SMC bool
+	// ExecLog receives a disassembly line for each of the first
+	// ExecLogLines executed instructions.
+	ExecLog      io.Writer
+	ExecLogLines uint64
+
+	// Metrics is a registry every layer of the run records into: the VM,
+	// the persistence manager, the fleet client and the replay log. Run
+	// leaves it synced to the VM's final accounting, commit ticks
+	// included, whether it returns an outcome or an error, so a replay
+	// divergence can still be read off it. Nil keeps each layer's own.
+	Metrics *metrics.Registry
+	// Events receives the run's translate/install/prime/commit timeline.
+	Events *tracelog.Log
 
 	// Record writes a replay log of the run to this path: the input block,
 	// the module layout the loader chose, and every nondeterministic value
@@ -211,6 +236,10 @@ type RunOutcome struct {
 	*Result
 	Prime  *PrimeReport  // nil without Persist
 	Commit *CommitReport // nil without Persist
+	// LogEvents counts the replay-log events the run wrote (Record) or
+	// matched (Replay); LogBytes is the size of the log Record wrote.
+	LogEvents int
+	LogBytes  uint64
 }
 
 // Run loads and executes an executable with its libraries.
@@ -267,6 +296,12 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		if o.StoreDir != "" {
 			mopts = append(mopts, core.WithStoreDir(o.StoreDir))
 		}
+		if o.VerifyInstall {
+			mopts = append(mopts, core.WithDeepVerify())
+		}
+		if o.Metrics != nil {
+			mopts = append(mopts, core.WithMetrics(o.Metrics))
+		}
 		var err error
 		if local, err = core.NewManager(o.CacheDir, mopts...); err != nil {
 			return nil, err
@@ -289,11 +324,17 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		if err := rp.VerifyLayout(proc); err != nil {
 			return nil, err
 		}
+		if o.Metrics != nil {
+			rp.WithMetrics(replay.NewMetrics(o.Metrics))
+		}
 		opts = append(opts, vm.WithBoundary(rp), vm.WithPID(rp.PID()))
 	case o.Record != "":
 		rec, err = replay.NewRecorder(nil, o.Record)
 		if err != nil {
 			return nil, err
+		}
+		if o.Metrics != nil {
+			rec.WithMetrics(replay.NewMetrics(o.Metrics))
 		}
 		if err := rec.Start(replay.StartInfo{
 			Program:   exe.Name,
@@ -319,7 +360,22 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 	if o.Optimize {
 		opts = append(opts, vm.WithOptimizer(guestopt.New(guestopt.All())))
 	}
+	if o.SMC {
+		opts = append(opts, vm.WithSMCDetection())
+	}
+	if o.ExecLog != nil {
+		opts = append(opts, vm.WithExecLog(o.ExecLog, o.ExecLogLines))
+	}
+	if o.Events != nil {
+		opts = append(opts, vm.WithEventLog(o.Events))
+	}
+	if o.Metrics != nil {
+		opts = append(opts, vm.WithMetrics(o.Metrics))
+	}
 	v := vm.New(proc, opts...)
+	if o.Metrics != nil {
+		defer v.Metrics() // syncs the registry to the VM's final accounting
+	}
 
 	out := &RunOutcome{}
 	var mgr cacheserver.Manager
@@ -327,7 +383,7 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		mgr = local
 		var fb *cacheserver.Fallback
 		if o.FleetConfig != nil {
-			fc, err := fleet.New(o.FleetConfig)
+			fc, err := fleet.New(o.FleetConfig, fleet.WithMetrics(o.Metrics))
 			if err != nil {
 				return nil, err
 			}
@@ -362,11 +418,13 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		if err := rec.Finish(v, out.Result); err != nil {
 			return nil, err
 		}
+		out.LogEvents, out.LogBytes = int(rec.Events()), rec.Bytes()
 	}
 	if rp != nil {
 		if err := rp.Finish(v, out.Result); err != nil {
 			return nil, err
 		}
+		out.LogEvents = len(rp.Log().Events)
 	}
 	if mgr != nil && !o.Native {
 		crep, err := mgr.Commit(v)
@@ -376,6 +434,7 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		out.Commit = crep
 		out.Result.Stats.PersistTicks += crep.Ticks
 		out.Result.Stats.Ticks += crep.Ticks
+		v.ChargePersist(crep.Ticks) // the registry's ticks agree with Result's
 	}
 	return out, nil
 }

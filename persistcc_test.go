@@ -1,7 +1,9 @@
 package persistcc_test
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"persistcc/internal/cacheserver"
 	"persistcc/internal/cacheserver/fleet"
 	"persistcc/internal/core"
+	"persistcc/internal/metrics"
 )
 
 const facadeProg = `
@@ -257,5 +260,96 @@ func TestFacadeOptimize(t *testing.T) {
 	}
 	if plain.Prime != nil && plain.Prime.Installed != 0 {
 		t.Error("optimizer cache leaked into an unoptimized run")
+	}
+}
+
+// greetProg writes a line, reads the virtual cycle counter (a host value
+// replay must pin) and exits with the sum of a loop, so a replay has
+// output, a host-dependent syscall and an exit code to reproduce.
+const greetProg = `
+.text
+.global _start
+_start:
+	movi a0, 2
+	movi a1, 1
+	la   a2, msg
+	movi a3, 4
+	sys
+	movi a0, 5
+	sys
+	movi s0, 20
+	movi s1, 0
+loop:
+	beqz s0, done
+	mv   a0, s1
+	call bump
+	mv   s1, a0
+	addi s0, s0, -1
+	j    loop
+done:
+	mv   a1, s1
+	movi a0, 1
+	sys
+	halt
+.data
+msg: .ascii "hi!\n"
+`
+
+// TestFacadeRecordReplay: a cold persistent launch recorded through Run
+// replays bit-exactly against a fresh, equally cold database, and diverges
+// against its own database, which the recording's commit left warm. The
+// caller's registry holds the recorded run's ticks, commit included, and
+// still counts the divergence after Run returns it.
+func TestFacadeRecordReplay(t *testing.T) {
+	exe, libs, err := persistcc.BuildExecutable("greet", greetProg, map[string]string{"libbump.so": facadeLib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := filepath.Join(t.TempDir(), "greet.rec")
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	recorded, err := persistcc.Run(exe, libs, persistcc.RunOptions{
+		Persist: true, CacheDir: dir, Record: rec, Metrics: reg,
+		Loader: persistcc.LoaderConfig{Placement: persistcc.PlaceASLR, ASLRSeed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The caller's registry holds the run's ticks, the commit's included.
+	snap := reg.Snapshot()
+	if v, _ := snap.Value("pcc_vm_ticks_total", "persist"); recorded.Commit.Ticks == 0 || v != float64(recorded.Stats.PersistTicks) {
+		t.Errorf("registry persist ticks %v, outcome %d (commit %d)", v, recorded.Stats.PersistTicks, recorded.Commit.Ticks)
+	}
+	if v, _ := snap.Value("pcc_vm_ticks_total", "total"); v != float64(recorded.Stats.Ticks) {
+		t.Errorf("registry total ticks %v, outcome %d", v, recorded.Stats.Ticks)
+	}
+	if recorded.ExitCode != 60 || string(recorded.Output) != "hi!\n" || recorded.Stats.TracesTranslated == 0 {
+		t.Fatalf("recorded run: exit %d, output %q, %d traces translated; want 60, \"hi!\\n\", some",
+			recorded.ExitCode, recorded.Output, recorded.Stats.TracesTranslated)
+	}
+	if recorded.LogEvents == 0 || recorded.LogBytes == 0 {
+		t.Errorf("recorded run reports %d events, %d bytes", recorded.LogEvents, recorded.LogBytes)
+	}
+
+	replayed, err := persistcc.Run(exe, libs, persistcc.RunOptions{Persist: true, CacheDir: t.TempDir(), Replay: rec})
+	if err != nil {
+		t.Fatalf("replay against a cold database: %v", err)
+	}
+	if replayed.ExitCode != recorded.ExitCode || string(replayed.Output) != string(recorded.Output) {
+		t.Errorf("replay: exit %d, output %q; recorded %d, %q",
+			replayed.ExitCode, replayed.Output, recorded.ExitCode, recorded.Output)
+	}
+	if replayed.LogEvents != recorded.LogEvents {
+		t.Errorf("replay matched %d events, the recording wrote %d", replayed.LogEvents, recorded.LogEvents)
+	}
+
+	reg = metrics.NewRegistry()
+	_, err = persistcc.Run(exe, libs, persistcc.RunOptions{Persist: true, CacheDir: dir, Replay: rec, Metrics: reg})
+	var div *persistcc.DivergenceError
+	if !errors.As(err, &div) {
+		t.Fatalf("replay against the warm database: %v, want a *DivergenceError", err)
+	}
+	if v, _ := reg.Snapshot().Value("pcc_replay_divergence_total"); v != 1 {
+		t.Errorf("pcc_replay_divergence_total = %v after a divergent replay, want 1", v)
 	}
 }

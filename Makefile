@@ -112,7 +112,8 @@ bench-smoke:
 # Brief native-fuzz pass over the parser trust boundaries (VR64 instruction
 # decode, wire-protocol frames, cache-file bytes and the entry headers the
 # database is listed from, store pack files and the blob encodings inside
-# them, and the loose blob files of older stores, which only the fold that
+# them, the manifests a database holds and a PUBLISH carries, and the loose
+# blob files of older stores, which only the fold that
 # repair and migrate run reads, packing the sound ones) plus the
 # differential translate/interpret equivalence property over generated
 # workloads, and the optimizer's prover (a reused Optimizer's verdict on a
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -fuzz FuzzTranslateEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodePack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzDecodeBlob -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzFoldLoose -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/guestopt/ -run '^$$' -fuzz FuzzCheckEquivalent -fuzztime $(FUZZTIME)
 

@@ -258,16 +258,19 @@ func BenchmarkPrimeWarmGUI(b *testing.B) {
 // TestWarmLaunchAllocBudget is the hard gate on what a warm launch
 // allocates, beside the loader's (TestLoadAllocBudget): one gftp start-up
 // through persistcc.Run against a seeded store database. Everything in it is
-// deterministic, so the numbers are too: 3 828 allocations and 1.67 MB
-// (1.69 MB under -race), against 3 847 and 1.74 MB (1.76 MB) while the
-// commit built the run's whole cache file and took the database lock to
-// find it added nothing, 3 953 and 1.98 MB while obj.File.Digest built each
-// module's whole encoding to hash it, and 17 674 and 3.46 MB when every
-// primed trace was decoded into a Blob, copied into a trace, copied again
-// and given liveness vectors twice. The budget is those numbers and under
-// 10 % more.
+// deterministic, so the numbers are too: 992 allocations and 1.335 MB (998
+// and 1.336 MB under -race), against 3 828 and 1.67 MB (1.69 MB) while each
+// primed trace's exits, notes and link slots were allocated on their own,
+// the manifest's traces and refs grew by doubling, page-table leaves were
+// 8 KB and the loader's tables grew from empty, 3 847 and 1.74 MB (1.76 MB)
+// while the commit built the run's whole cache file and took the database
+// lock to find it added nothing, 3 953 and 1.98 MB while obj.File.Digest
+// built each module's whole encoding to hash it, and 17 674 and 3.46 MB when
+// every primed trace was decoded into a Blob, copied into a trace, copied
+// again and given liveness vectors twice. The budget is those numbers and
+// under 10 % more.
 func TestWarmLaunchAllocBudget(t *testing.T) {
-	const maxBytes, maxAllocs = 1_830_000, 4200
+	const maxBytes, maxAllocs = 1_460_000, 1090
 	app, o := warmGFTP(t)
 	launch := func() { warmLaunch(t, app, o) }
 	launch() // one-time initialisation (codec pools, lazily built tables) is not the launch's cost
@@ -334,14 +337,16 @@ func BenchmarkLaunchColdGUI(b *testing.B) {
 // allocates, beside the warm one's: one gftp start-up through
 // persistcc.Run into an empty database, which translates every trace and
 // commits them all. Everything in it is deterministic, so the numbers are
-// too: 4 750 allocations and 1.63 MB (1.65 MB under -race), against 15 051
+// too: 3 214 allocations and 1.50 MB (3 218 and 1.52 MB under -race),
+// against 4 750 and 1.63 MB (1.65 MB) while each translated trace's struct
+// and link slots were allocated on their own, and 15 051
 // and 2.45 MB (2.49 MB) while the commit copied each trace into a Blob and
 // encoded every blob into a buffer of its own that grew as it was filled,
 // translation appended fetched instructions to a growing slice, and the
 // store's index map and its list of new blobs grew from empty. The budget
 // is those numbers and under 10 % more.
 func TestColdLaunchAllocBudget(t *testing.T) {
-	const maxBytes, maxAllocs = 1_790_000, 5200
+	const maxBytes, maxAllocs = 1_650_000, 3500
 	app := gftp(t)
 	const runs = 10
 	// One database for the warm-up, one for AllocsPerRun's own, and one for

@@ -13,15 +13,17 @@ import (
 // Writer appends primitive values to a byte buffer. A Writer with a Sink
 // streams what it writes instead of keeping it: Buf never grows past the
 // capacity it starts with, because whatever would overflow it goes to the
-// Sink first, so a long encoding passes through a buffer of fixed size.
-// Flush hands the Sink the rest.
+// Sink first, so a long encoding passes through a buffer of fixed size, and
+// a Bytes payload that does not fit goes to the Sink as it is. Flush hands
+// the Sink the rest.
 type Writer struct {
 	Buf  []byte
 	Sink io.Writer
 }
 
-// streamBuf is the buffer a streaming Writer given none works in.
-const streamBuf = 4 << 10
+// streamBuf is the buffer a streaming Writer given none works in. It only
+// gathers the small fields between the large payloads, which bypass it.
+const streamBuf = 512
 
 // spill hands what Buf holds to the Sink when n more bytes would not fit
 // in it. It stays out of line so that the writes that call it stay
@@ -78,14 +80,30 @@ func (w *Writer) U64(v uint64) {
 // I64 appends a signed 64-bit value.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// Bytes appends a length-prefixed byte slice.
+// Bytes appends a length-prefixed byte slice. A streaming writer hands a b
+// that does not fit in what is left of Buf to the Sink without copying it.
 func (w *Writer) Bytes(b []byte) {
 	w.U32(uint32(len(b)))
-	w.Raw(b)
+	if w.Sink != nil && len(w.Buf)+len(b) > cap(w.Buf) {
+		w.Flush()
+		w.Sink.Write(b)
+		return
+	}
+	w.Buf = append(w.Buf, b...)
 }
 
-// Str appends a length-prefixed string.
-func (w *Writer) Str(s string) { w.Bytes([]byte(s)) }
+// Str appends a length-prefixed string. It copies s into Buf, never hands
+// it to the Sink, so that s does not escape and costs no allocation.
+func (w *Writer) Str(s string) {
+	w.U32(uint32(len(s)))
+	for w.Sink != nil && len(w.Buf)+len(s) > cap(w.Buf) {
+		n := copy(w.Buf[len(w.Buf):cap(w.Buf)], s)
+		w.Buf = w.Buf[:len(w.Buf)+n]
+		s = s[n:]
+		w.Flush()
+	}
+	w.Buf = append(w.Buf, s...)
+}
 
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(b bool) {
@@ -209,7 +227,13 @@ func (r *Reader) Bytes(max int) []byte {
 }
 
 // Str reads a length-prefixed string of at most max bytes.
-func (r *Reader) Str(max int) string { return string(r.Bytes(max)) }
+func (r *Reader) Str(max int) string {
+	n := int(r.U32())
+	if r.Err == nil && n > max {
+		r.fail("length field exceeds limit")
+	}
+	return string(r.take(n))
+}
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
@@ -223,6 +247,9 @@ func (r *Reader) Count(max int) int {
 	}
 	return n
 }
+
+// Left returns how many bytes are left to read.
+func (r *Reader) Left() int { return len(r.Buf) - r.Off }
 
 // Raw reads n bytes without a length prefix (shared, not copied).
 func (r *Reader) Raw(n int) []byte { return r.take(n) }

@@ -384,7 +384,7 @@ func (m *Manager) installTraces(v *vm.VM, traces []*vm.Trace, states []modState,
 	cost := v.Cost()
 	v.ChargePersist(cost.PersistLoadFixed + cost.PersistKeyCheck*uint64(len(states)))
 
-	v.Cache().Reserve(len(traces))
+	v.Cache().Reserve(traces)
 	for _, t := range traces {
 		switch worst := worstOf(states, t); worst {
 		case modOK, modRebase:

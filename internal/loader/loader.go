@@ -285,7 +285,11 @@ func Load(exe *obj.File, cfg Config) (*Process, error) {
 		mod int
 		off uint32
 	}
-	exports := make(map[string]export)
+	nexp := 0
+	for _, m := range p.Modules {
+		nexp += len(m.File.Exports)
+	}
+	exports := make(map[string]export, nexp)
 	for mi, m := range p.Modules {
 		for _, e := range m.File.Exports {
 			if _, ok := exports[e.Name]; !ok {
@@ -296,6 +300,9 @@ func Load(exe *obj.File, cfg Config) (*Process, error) {
 
 	// Apply dynamic relocations and record sites.
 	for mi, m := range p.Modules {
+		if len(m.File.DynRelocs) > 0 {
+			m.Sites = make([]RelocSite, 0, len(m.File.DynRelocs))
+		}
 		for _, d := range m.File.DynRelocs {
 			site := RelocSite{Off: d.Off, Type: d.Type, InText: d.InText}
 			var targetAbs int64

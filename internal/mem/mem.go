@@ -4,7 +4,7 @@
 // Memory is demand-zero. Map only records the mapping; a page gets memory
 // of its own on the first write to it, and until then reads of it are
 // served from one shared zero page. Private pages are found through a
-// two-level table indexed by address bits (10 + 10 + 12), and whether an
+// two-level table indexed by address bits (11 + 9 + 12), and whether an
 // address is mapped at all is answered from the mapping table.
 //
 // Mappings carry the provenance metadata (path, base, size, modification
@@ -24,9 +24,17 @@ import (
 // PageSize is the granularity of guest memory allocation.
 const PageSize = 4096
 
+// The split of a page number between root and leaf is a trade between the
+// root, which every address space has whole, and the leaves, one per 2^(12
+// + leafBits) bytes of address space that hold a written page. A loader that
+// places each library at a hashed base scatters a GUI launch's written
+// pages over a dozen leaves, while a static SPEC binary's fill three: 4 KB
+// leaves (2 MB each) under a 16 KB root cost a GUI launch ~60 KB of tables
+// and 176.gcc ~28 KB, against ~110 KB and ~32 KB with 8 KB leaves under an
+// 8 KB root, and ~58 KB and ~38 KB with 2 KB leaves under a 32 KB one.
 const (
 	pageShift = 12
-	leafBits  = 10
+	leafBits  = 9
 	leafSize  = 1 << leafBits
 	rootSize  = 1 << (32 - pageShift - leafBits)
 )
@@ -72,7 +80,7 @@ func (m Mapping) Contains(addr uint32) bool {
 // AddressSpace is a sparse 32-bit guest memory. It is not safe for
 // concurrent use: the VM touches it from the dispatch thread only.
 type AddressSpace struct {
-	// root[addr>>22][addr>>12&1023] is the private page holding addr, nil
+	// root[addr>>21][addr>>12&511] is the private page holding addr, nil
 	// if the page was never written (or is not mapped).
 	root     [rootSize]*[leafSize]*page
 	resident int

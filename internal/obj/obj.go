@@ -201,8 +201,9 @@ func (f *File) ExportAddr(name string) (uint32, bool) {
 // Digest returns a content digest of the file, playing the role of the
 // paper's "program header" component in persistence keys: any change to the
 // binary changes the digest and therefore invalidates cached translations.
-// It is the SHA-256 of MarshalBinary's bytes, streamed into the hash
-// through a fixed-size buffer rather than built.
+// It is the SHA-256 of MarshalBinary's bytes, streamed into the hash rather
+// than built: the small fields through a fixed-size buffer, the text and
+// data sections straight from the file.
 func (f *File) Digest() [32]byte {
 	if f.encodable() != nil {
 		// MarshalBinary only fails on unrepresentable sizes; treat as

@@ -259,17 +259,38 @@ func (l *blobLayout) ref(i int) (ref Ref) {
 	return ref
 }
 
-// decodeInsts fills dst, which the caller sized to the section, validating
-// every instruction.
-func (l *blobLayout) decodeInsts(dst []isa.Inst) error {
+// decodeInsts fills dst, which the caller sized to the section, in one pass
+// over the words, and returns how many static exits the instructions give
+// their trace (vm.ExitsOf, plus the fall-through). Each instruction is built
+// straight from its word, and the opcode and register fields of the whole
+// section are checked together; isa.Decode runs only when that check fails,
+// to name the first word it rejects, so the two accept the same words and
+// give the same error.
+//
+//pcc:hotpath
+func (l *blobLayout) decodeInsts(dst []isa.Inst) (int, error) {
+	var regs uint64 // the high three bits of every register byte, or'd together
+	var op uint8    // the largest opcode
+	exits := 0
 	for i := range dst {
-		in, err := isa.Decode(l.insts[i*instLen:])
-		if err != nil {
-			return fmt.Errorf("store: blob inst %d: %w", i, err)
-		}
+		w := binary.LittleEndian.Uint64(l.insts[i*instLen:])
+		in := isa.Inst{Op: isa.Op(w), Rd: uint8(w >> 8), Rs1: uint8(w >> 16), Rs2: uint8(w >> 24), Imm: int32(w >> 32)}
+		regs |= w & 0xe0e0e000
+		op = max(op, uint8(w))
+		exits += vm.ExitsOf(in)
 		dst[i] = in
 	}
-	return nil
+	if regs != 0 || !isa.Op(op).Valid() {
+		for i := range dst {
+			if _, err := isa.Decode(l.insts[i*instLen:]); err != nil {
+				return 0, fmt.Errorf("store: blob inst %d: %w", i, err)
+			}
+		}
+	}
+	if !dst[len(dst)-1].IsTerminator() {
+		exits++
+	}
+	return exits, nil
 }
 
 // decodeOps fills dst and rejects a spilled flag other than 0 or 1, which
@@ -347,7 +368,7 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 	for i := range b.Refs {
 		b.Refs[i] = l.ref(i)
 	}
-	if err := l.decodeInsts(b.Insts); err != nil {
+	if _, err := l.decodeInsts(b.Insts); err != nil {
 		return nil, err
 	}
 	if err := l.decodeOps(b.Ops); err != nil {
@@ -363,28 +384,42 @@ func DecodeBlob(buf []byte) (*Blob, error) {
 	return b, nil
 }
 
+// traceSlabs are the slabs one batch of decoded traces — one LocalTraces
+// call's — cuts every slice it holds from, so that a prime makes a few
+// allocations per slab, not one per trace per slice.
+type traceSlabs struct {
+	insts vm.Slab[isa.Inst]
+	exits vm.Slab[vm.Exit]
+	ops   vm.Slab[vm.AnalysisOp]
+	notes vm.Slab[vm.RelocNote]
+	src   vm.Slab[uint16]
+}
+
 // decodeTrace decodes one hash-verified encoding straight into t, the trace
 // a VM will run — what DecodeBlob, Manifest.CheckBlob and Blob.Materialize
 // do between them, without the interchange form in the middle, and in that
 // order: bytes that do not decode are ErrBlobCorrupt (the file is bad); a
 // blob that decodes but is not the one tr describes (matches) is a plain
 // error (the manifest is bad). Notes come out carrying module-table
-// indices. Instructions are cut from insts; nothing aliases enc or man.
+// indices. Every slice, exits included, is cut from s at its final size;
+// nothing aliases enc or man.
 //
 //pcc:hotpath
-func decodeTrace(t *vm.Trace, insts *vm.Slab[isa.Inst], enc []byte, man *Manifest, tr TraceRef) error {
+func decodeTrace(t *vm.Trace, s *traceSlabs, enc []byte, man *Manifest, tr TraceRef) error {
 	l, err := scanBlob(enc)
 	if err == nil {
 		*t = vm.Trace{
 			ModOff:   l.modOff,
-			Insts:    insts.Take(len(l.insts) / instLen),
-			Ops:      sized[vm.AnalysisOp](len(l.ops) / opLen),
-			Notes:    sized[vm.RelocNote](len(l.notes) / noteLen),
+			Insts:    s.insts.Take(len(l.insts) / instLen),
+			Ops:      s.ops.Take(len(l.ops) / opLen),
+			Notes:    s.notes.Take(len(l.notes) / noteLen),
 			OptLevel: l.optLevel,
 			OrigLen:  l.origLen,
-			SrcIdx:   sized[uint16](len(l.src) / srcLen),
+			SrcIdx:   s.src.Take(len(l.src) / srcLen),
 		}
-		err = l.decodeInsts(t.Insts)
+		var exits int
+		exits, err = l.decodeInsts(t.Insts)
+		t.Exits = s.exits.Take(exits)[:0] // RecomputeStatic fills it
 	}
 	if err == nil {
 		err = l.decodeOps(t.Ops)

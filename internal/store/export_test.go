@@ -12,8 +12,7 @@ const PackMaxRaw = packMaxRaw
 // for the tests that hold it against DecodeBlob + CheckBlob + Materialize.
 func DecodeTrace(enc []byte, man *Manifest, tr TraceRef) (*vm.Trace, error) {
 	t := new(vm.Trace)
-	var insts vm.Slab[isa.Inst]
-	if err := decodeTrace(t, &insts, enc, man, tr); err != nil {
+	if err := decodeTrace(t, new(traceSlabs), enc, man, tr); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -43,4 +42,14 @@ func HotPacks(s *Store) []string {
 		paths = append(paths, p.path)
 	}
 	return paths
+}
+
+// InstExits runs the launch path's instruction decoder over an encoding's
+// instruction section and returns the exit count it derives along the way.
+func InstExits(enc []byte) (int, error) {
+	l, err := scanBlob(enc)
+	if err != nil {
+		return 0, err
+	}
+	return l.decodeInsts(make([]isa.Inst, len(l.insts)/instLen))
 }

@@ -19,6 +19,10 @@ const (
 	maxManifestModules = 4096
 	maxManifestTraces  = 4 << 20
 	maxManifestPathLen = 4096
+
+	// minModuleLen is the fewest bytes a module record encodes to: what a
+	// module count must be backed by before the decoder reserves room for it.
+	minModuleLen = 4 + 4 + 4 + 8 + 3*32
 )
 
 // Module mirrors one executable mapping captured at cache-creation time —
@@ -155,7 +159,11 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	copy(m.ToolKey[:], r.Raw(32))
 	m.AppPath = r.Str(maxManifestPathLen)
 
-	for i, n := 0, r.Count(maxManifestModules); i < n && r.Err == nil; i++ {
+	nm := r.Count(maxManifestModules)
+	if nm > 0 {
+		m.Modules = make([]Module, 0, min(nm, r.Left()/minModuleLen))
+	}
+	for i := 0; i < nm && r.Err == nil; i++ {
 		var mod Module
 		mod.Path = r.Str(maxManifestPathLen)
 		mod.Base = r.U32()
@@ -167,16 +175,38 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		m.Modules = append(m.Modules, mod)
 	}
 
-	for i, n := 0, r.Count(maxManifestTraces); i < n && r.Err == nil; i++ {
-		var tr TraceRef
+	// Every trace's Refs is cut from one slice, which a first pass over the
+	// section sizes: it reads what the second does and stops where the
+	// second would fail.
+	n := r.Count(maxManifestTraces)
+	scan, refs := *r, 0
+	for i := 0; i < n && scan.Err == nil; i++ {
+		scan.Raw(32)
+		nr := scan.Count(maxBlobRefs)
+		scan.Raw(4 * nr)
+		if version >= 2 {
+			scan.U8()
+		}
+		refs += nr
+	}
+	if scan.Err != nil {
+		return nil, fmt.Errorf("store: manifest decode: %w", scan.Err)
+	}
+	if n > 0 {
+		m.Traces = make([]TraceRef, n)
+	}
+	all := make([]int32, refs)
+	for i := range m.Traces {
+		tr := &m.Traces[i]
 		copy(tr.Blob[:], r.Raw(32))
-		for j, nr := 0, r.Count(maxBlobRefs); j < nr && r.Err == nil; j++ {
-			tr.Refs = append(tr.Refs, int32(r.U32()))
+		nr := r.Count(maxBlobRefs)
+		tr.Refs, all = all[:nr:nr], all[nr:]
+		for j := range tr.Refs {
+			tr.Refs[j] = int32(r.U32())
 		}
 		if version >= 2 {
 			tr.OptLevel = r.U8()
 		}
-		m.Traces = append(m.Traces, tr)
 	}
 	m.CodePool = r.U64()
 	m.DataPool = r.U64()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"persistcc/internal/binenc"
 )
@@ -90,15 +91,10 @@ func parsePackIndex(prefix []byte) (*packIndex, error) {
 		return nil, fmt.Errorf("store: pack index fails its checksum")
 	}
 	ix := &packIndex{hashes: make([]Hash, count), offs: make([]uint32, count+1)}
-	seen := make(map[Hash]bool, count)
 	off := uint64(0)
 	for i := 0; i < count; i++ {
 		e := prefix[packHeaderLen+i*packEntryLen:]
 		copy(ix.hashes[i][:], e[:32])
-		if seen[ix.hashes[i]] {
-			return nil, fmt.Errorf("store: pack lists %s twice", ix.hashes[i])
-		}
-		seen[ix.hashes[i]] = true
 		off += uint64(binary.LittleEndian.Uint32(e[32:]))
 		if off > packRawLimit {
 			return nil, fmt.Errorf("store: pack members exceed %d raw bytes", packRawLimit)
@@ -108,7 +104,40 @@ func parsePackIndex(prefix []byte) (*packIndex, error) {
 	if rawLen := binary.LittleEndian.Uint32(prefix[8:]); uint64(rawLen) != off {
 		return nil, fmt.Errorf("store: pack members cover %d of %d raw bytes", off, rawLen)
 	}
+	if h, ok := duplicate(ix.hashes); ok {
+		return nil, fmt.Errorf("store: pack lists %s twice", h)
+	}
 	return ix, nil
+}
+
+// duplicate returns a hash hashes lists twice, if there is one. It sorts the
+// hashes' first eight bytes, which tie only where two hashes are equal or
+// collide there — for content addresses, one index in about 2^64 / n^2 — and
+// compares whole hashes only when two tie.
+func duplicate(hashes []Hash) (Hash, bool) {
+	keys := make([]uint64, len(hashes))
+	for i := range hashes {
+		keys[i] = binary.BigEndian.Uint64(hashes[i][:])
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return duplicateSorted(hashes)
+		}
+	}
+	return Hash{}, false
+}
+
+// duplicateSorted is duplicate by sorting the hashes whole, in a copy.
+func duplicateSorted(hashes []Hash) (Hash, bool) {
+	sorted := slices.Clone(hashes)
+	slices.SortFunc(sorted, func(a, b Hash) int { return bytes.Compare(a[:], b[:]) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i], true
+		}
+	}
+	return Hash{}, false
 }
 
 // The codecs are reused process-wide. Measured with runtime.MemStats, a

@@ -175,3 +175,58 @@ func TestPutPacksStoresWhatEncodePacksBuilt(t *testing.T) {
 		t.Error("a referenced member was not stored")
 	}
 }
+
+// TestPackIndexRejectsListedTwice: an index that lists a hash twice is
+// refused, wherever the two entries sit and whether or not other hashes
+// share its first eight bytes; distinct hashes that share them are not.
+func TestPackIndexRejectsListedTwice(t *testing.T) {
+	hashes, encs := testMembers(1, 1000)
+	near := hashes[5] // the first eight bytes of hashes[5], then other bytes
+	near[31] ^= 0xff
+	cases := []struct {
+		name  string
+		order []int // indices into hashes; -1 is near
+		twice int   // the index listed twice, or -1
+	}{
+		{"distinct", []int{0, 1, 2, 3}, -1},
+		{"adjacent", []int{0, 1, 1, 2}, 1},
+		{"apart", []int{7, 0, 1, 2, 3, 4, 7}, 7},
+		{"prefix shared, hashes differ", []int{5, 0, -1, 1}, -1},
+		{"prefix shared, listed twice", []int{5, -1, 0, 5}, 5},
+		{"thousand distinct", seq(1000), -1},
+		{"thousand, first and last alike", append(seq(999), 0), 0},
+	}
+	for _, c := range cases {
+		hs, es := make([]Hash, len(c.order)), make([][]byte, len(c.order))
+		for i, k := range c.order {
+			if k < 0 {
+				hs[i], es[i] = near, encs[5]
+			} else {
+				hs[i], es[i] = hashes[k], encs[k]
+			}
+		}
+		_, _, data := encodePack(hs, es)
+		ix, err := parsePackIndex(data[:indexLen(len(hs))])
+		if c.twice < 0 {
+			if err != nil || len(ix.hashes) != len(hs) {
+				t.Errorf("%s: %v, want the index accepted", c.name, err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("store: pack lists %s twice", hashes[c.twice])
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", c.name, err, want)
+		}
+		if _, err := DecodePack(data); err == nil {
+			t.Errorf("%s: DecodePack accepts the pack", c.name)
+		}
+	}
+}
+
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"persistcc/internal/fsx"
-	"persistcc/internal/isa"
 	"persistcc/internal/metrics"
 	"persistcc/internal/vm"
 )
@@ -690,7 +689,7 @@ func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 	}
 	traces := make([]*vm.Trace, n)
 	structs := make([]vm.Trace, n) // one allocation; traces[j] = &structs[j]
-	var insts vm.Slab[isa.Inst]
+	var slabs traceSlabs
 	var local, remote uint64
 	j := 0
 	for i := range man.Traces {
@@ -702,7 +701,7 @@ func (s *Store) LocalTraces(man *Manifest, keep []bool) ([]*vm.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := decodeTrace(&structs[j], &insts, enc, man, *tr); err != nil {
+		if err := decodeTrace(&structs[j], &slabs, enc, man, *tr); err != nil {
 			return nil, r.fail(f, err)
 		}
 		structs[j].Addr = (*[32]byte)(&tr.Blob)

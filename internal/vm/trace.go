@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"persistcc/internal/isa"
 	tracelog "persistcc/internal/metrics/trace"
@@ -194,12 +195,7 @@ func (t *Trace) RecomputeStatic() {
 	t.LiveIn, t.LiveOut = nil, nil
 	n := 0
 	for _, in := range t.Insts {
-		if in.IsCondBranch() {
-			n++
-		}
-		if in.IsTerminator() { // each of the four terminators is one exit
-			n++
-		}
+		n += ExitsOf(in)
 	}
 	fall := !t.Insts[len(t.Insts)-1].IsTerminator()
 	if fall {
@@ -210,6 +206,9 @@ func (t *Trace) RecomputeStatic() {
 	}
 	t.Exits = t.Exits[:0]
 	for i, in := range t.Insts {
+		if ExitsOf(in) == 0 {
+			continue
+		}
 		pc := t.PC(i)
 		idx := uint16(i)
 		if in.IsCondBranch() {
@@ -237,6 +236,24 @@ func (t *Trace) RecomputeStatic() {
 		})
 	}
 }
+
+// ExitsOf returns how many static exits instruction in gives its trace: one
+// for a conditional branch (its taken side) and one for each of the four
+// terminators. A trace whose last instruction is not a terminator has one
+// more, its fall-through. A decoder that counts exits as it goes can cut
+// Exits to size, and RecomputeStatic then fills it without allocating.
+func ExitsOf(in isa.Inst) int { return int(exitsByOp[in.Op]) }
+
+// exitsByOp is ExitsOf by opcode byte, so that counting exits costs a load
+// per instruction rather than a classification.
+var exitsByOp = func() (n [256]uint8) {
+	for op := range n {
+		if in := (isa.Inst{Op: isa.Op(op)}); in.IsCondBranch() || in.IsTerminator() {
+			n[op] = 1
+		}
+	}
+	return n
+}()
 
 // Liveness returns the per-instruction live-register vectors, running the
 // backward dataflow pass the first time it is asked after the instructions
@@ -286,6 +303,8 @@ type CodeCache struct {
 	// Start to: lookupIndirect fills it, Insert overwrites it when it
 	// replaces that trace, Flush clears the table.
 	indirect [indirectSlots]*Trace
+	// links is the slab every inserted trace's link slots are cut from.
+	links Slab[*Trace]
 }
 
 // indirectSlots × 8 bytes = 2 KB per cache. On the SPEC models 256 slots
@@ -300,14 +319,20 @@ func NewCodeCache(limit uint64) *CodeCache {
 	return &CodeCache{limit: limit, byAddr: make(map[uint32]*Trace), codePages: make(map[uint32]int)}
 }
 
-// Reserve sizes an empty cache's translation map for n more traces, so a
-// prime that knows how many it is about to install does not grow the map
-// and the trace list a doubling at a time.
-func (c *CodeCache) Reserve(n int) {
+// Reserve readies the cache for traces about to be installed together, as
+// a prime's are: an empty cache's translation map and trace list are sized
+// for all of them, so neither grows a doubling at a time, and their link
+// slots are cut from one chunk.
+func (c *CodeCache) Reserve(traces []*Trace) {
 	if len(c.all) == 0 {
-		c.byAddr = make(map[uint32]*Trace, n)
-		c.all = make([]*Trace, 0, n)
+		c.byAddr = make(map[uint32]*Trace, len(traces))
+		c.all = make([]*Trace, 0, len(traces))
 	}
+	slots := 0
+	for _, t := range traces {
+		slots += len(t.Insts) + 1
+	}
+	c.links.Reserve(slots)
 }
 
 // PageHasCode reports whether any cached trace was fetched from the guest
@@ -376,7 +401,7 @@ func (c *CodeCache) Insert(t *Trace) {
 		}
 		c.indirect[indirectSlot(t.Start)] = t
 	}
-	t.links = make([]*Trace, len(t.Insts)+1)
+	t.links = c.links.Take(len(t.Insts) + 1)
 	c.byAddr[t.Start] = t
 	c.all = append(c.all, t)
 	c.codeBytes += t.CodeBytes()
@@ -385,11 +410,12 @@ func (c *CodeCache) Insert(t *Trace) {
 }
 
 // Flush discards all translated code and data structures. Dropped traces'
-// link slots are cleared so a trace still executing on the Go stack cannot
-// chain into stale translations: its next exit falls back to the dispatcher.
+// link slots are cleared in place so a trace still executing on the Go stack
+// cannot chain into stale translations: its next exit falls back to the
+// dispatcher.
 func (c *CodeCache) Flush() {
 	for _, t := range c.all {
-		t.links = make([]*Trace, len(t.Insts)+1)
+		clear(t.links)
 	}
 	c.byAddr = make(map[uint32]*Trace)
 	c.indirect = [indirectSlots]*Trace{}
@@ -416,26 +442,55 @@ func (c *CodeCache) Flushes() int { return c.flushes }
 // chunk is cheaper than one per trace. The slices do not overlap and cannot
 // grow into each other (capacity is capped at length); a chunk lives as long
 // as any slice cut from it does, which for traces installed together is the
-// life of the code cache.
-type Slab[T any] struct{ free []T }
+// life of the code cache. Chunks start at slabFirst bytes and double up to
+// slabMax, so a slab that cuts a few slices allocates little and one that
+// cuts thousands allocates once per slabMax. What a slab wastes is the
+// unused end of its last chunk, which slabMax bounds: a gftp launch cuts
+// ~100 KB of link slots, and 16 KB chunks wasted more of it than one
+// allocation per trace loses to size classes. Reserve sizes the next chunk
+// to what a caller knows it is about to cut, and wastes nothing.
+type Slab[T any] struct {
+	free  []T
+	chunk int // bytes in the last chunk Take allocated
+}
 
-// slabChunk is the element count of one chunk (16 KB of instructions).
-const slabChunk = 2048
+const (
+	slabFirst = 1 << 10
+	slabMax   = 4 << 10
+)
 
-// Take cuts the next n elements.
+// Take cuts the next n elements; nil for none, as an empty section decodes.
 func (s *Slab[T]) Take(n int) []T {
+	if n == 0 {
+		return nil
+	}
 	if n > len(s.free) {
-		s.free = make([]T, max(n, slabChunk))
+		s.refill(n)
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
 }
 
+// refill replaces the chunk with one that holds at least n elements.
+func (s *Slab[T]) refill(n int) {
+	var zero T
+	s.chunk = min(max(2*s.chunk, slabFirst), slabMax)
+	s.free = make([]T, max(n, s.chunk/max(1, int(unsafe.Sizeof(zero)))))
+}
+
+// Reserve makes sure the next n elements Take cuts come from one chunk.
+func (s *Slab[T]) Reserve(n int) {
+	if n > len(s.free) {
+		s.free = make([]T, n)
+	}
+}
+
 // translate fetches and compiles the trace starting at pc, charging
 // translation cost and recording the translation-request timeline event.
 func (v *VM) translate(pc uint32) (*Trace, error) {
-	t := &Trace{Start: pc, Module: -1}
+	t := &v.traces.Take(1)[0]
+	t.Start, t.Module = pc, -1
 	if v.proc != nil {
 		if mi := v.proc.ModuleAt(pc); mi >= 0 {
 			t.Module = int32(mi)

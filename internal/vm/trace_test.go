@@ -2,6 +2,7 @@ package vm
 
 import (
 	"testing"
+	"unsafe"
 
 	"persistcc/internal/isa"
 )
@@ -105,5 +106,47 @@ func TestDataBytesExceedCodeBytes(t *testing.T) {
 	tr := &Trace{Insts: make([]isa.Inst, 12), Exits: make([]Exit, 3), Notes: make([]RelocNote, 1)}
 	if tr.DataBytes() <= tr.CodeBytes() {
 		t.Errorf("DataBytes %d <= CodeBytes %d", tr.DataBytes(), tr.CodeBytes())
+	}
+}
+
+// TestLinkSlotsFromTheCacheSlab: link slots are cut from the cache's slab —
+// the traces a prime reserves for from one chunk, back to back — and Flush
+// clears a dropped trace's slots in place, so a trace still running cannot
+// chain into a stale translation and no slot is allocated again.
+func TestLinkSlotsFromTheCacheSlab(t *testing.T) {
+	c := NewCodeCache(DefaultCacheLimit)
+	traces := []*Trace{
+		{Start: 0x100, Insts: make([]isa.Inst, 3)},
+		{Start: 0x200, Insts: make([]isa.Inst, 5)},
+		{Start: 0x300, Insts: make([]isa.Inst, 1)},
+	}
+	c.Reserve(traces)
+	for _, tr := range traces {
+		c.Insert(tr)
+	}
+	for i, tr := range traces {
+		if len(tr.links) != len(tr.Insts)+1 || cap(tr.links) != len(tr.links) {
+			t.Fatalf("trace %d: %d link slots (capacity %d) for %d instructions", i, len(tr.links), cap(tr.links), len(tr.Insts))
+		}
+		if i > 0 {
+			prev := traces[i-1].links
+			if end := uintptr(unsafe.Pointer(&prev[0])) + uintptr(len(prev))*unsafe.Sizeof(prev[0]); end != uintptr(unsafe.Pointer(&tr.links[0])) {
+				t.Errorf("trace %d's slots do not follow trace %d's in one chunk", i, i-1)
+			}
+		}
+	}
+	first := &traces[0].links[0]
+	traces[0].links[1] = traces[1]
+	traces[1].links[5] = traces[2]
+	c.Flush()
+	for i, tr := range traces {
+		for slot, linked := range tr.links {
+			if linked != nil {
+				t.Errorf("trace %d slot %d still links %#x after Flush", i, slot, linked.Start)
+			}
+		}
+	}
+	if &traces[0].links[0] != first {
+		t.Error("Flush allocated new link slots instead of clearing the old ones")
 	}
 }

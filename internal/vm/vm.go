@@ -120,9 +120,11 @@ type VM struct {
 	maxTrace  int
 	maxInsts  uint64
 
-	// fetched is the buffer translate fetches a trace into; insts is the
-	// slab each translated trace's instructions are cut from.
+	// fetched is the buffer translate fetches a trace into; traces and
+	// insts are the slabs each translated trace and its instructions are
+	// cut from.
 	fetched []isa.Inst
+	traces  Slab[Trace]
 	insts   Slab[isa.Inst]
 
 	regs  [isa.NumRegs]uint64

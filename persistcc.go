@@ -144,7 +144,9 @@ type RunOptions struct {
 	Input []uint64
 	// Tool attaches instrumentation.
 	Tool Tool
-	// Native runs the original program (no translation machinery).
+	// Native runs the original program (no translation machinery). A
+	// native run has no translations to reuse or keep, so with Persist it
+	// neither opens the database nor primes nor commits.
 	Native bool
 
 	// Persist enables the persistent cache manager over CacheDir:
@@ -234,8 +236,8 @@ type RunOptions struct {
 // RunOutcome bundles the run result with the persistence reports.
 type RunOutcome struct {
 	*Result
-	Prime  *PrimeReport  // nil without Persist
-	Commit *CommitReport // nil without Persist
+	Prime  *PrimeReport  // nil without Persist, and for a Native run
+	Commit *CommitReport // nil without Persist, and for a Native run
 	// LogEvents counts the replay-log events the run wrote (Record) or
 	// matched (Replay); LogBytes is the size of the log Record wrote.
 	LogEvents int
@@ -285,10 +287,10 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 	// maps the process: the prime waits for the store (Manager.Store) only
 	// if the load is done before it.
 	var local *core.Manager
-	if o.Persist {
-		if o.CacheDir == "" {
-			return nil, errors.New("persistcc: Persist requires CacheDir")
-		}
+	if o.Persist && o.CacheDir == "" {
+		return nil, errors.New("persistcc: Persist requires CacheDir")
+	}
+	if o.Persist && !o.Native {
 		var mopts []core.ManagerOption
 		if o.Relocatable {
 			mopts = append(mopts, core.WithRelocatable())
@@ -426,7 +428,7 @@ func Run(exe *Object, libs []*Object, o RunOptions) (*RunOutcome, error) {
 		}
 		out.LogEvents = len(rp.Log().Events)
 	}
-	if mgr != nil && !o.Native {
+	if mgr != nil {
 		crep, err := mgr.Commit(v)
 		if err != nil {
 			return nil, err

@@ -3,8 +3,10 @@ package persistcc_test
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -120,6 +122,58 @@ func TestRunStoreOpenRacesFailedLoad(t *testing.T) {
 		}
 	}
 	warmLaunch(t, app, o)
+}
+
+// TestNativePersistLeavesDatabaseAlone: an interpreted (Native) launch
+// against a warm database has no translations to reuse or keep, so Persist
+// changes nothing about it: no prime, no commit, no persist ticks, the same
+// ticks as without Persist, and the database as it was.
+func TestNativePersistLeavesDatabaseAlone(t *testing.T) {
+	exe, libs := build(t)
+	dir := t.TempDir()
+	if _, err := persistcc.Run(exe, libs, persistcc.RunOptions{Persist: true, CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	plain, err := persistcc.Run(exe, libs, persistcc.RunOptions{Native: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := persistcc.Run(exe, libs, persistcc.RunOptions{Native: true, Persist: true, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Prime != nil || out.Commit != nil {
+		t.Errorf("native launch primed %+v and committed %+v, want neither", out.Prime, out.Commit)
+	}
+	if out.Stats.PersistTicks != 0 || out.Stats.Ticks != plain.Stats.Ticks || out.ExitCode != plain.ExitCode {
+		t.Errorf("native launch with Persist: %d persist ticks of %d, exit %d; without: %d ticks, exit %d",
+			out.Stats.PersistTicks, out.Stats.Ticks, out.ExitCode, plain.Stats.Ticks, plain.ExitCode)
+	}
+	if after := dirListing(t, dir); !slices.Equal(after, before) {
+		t.Errorf("native launch changed the database: %v -> %v", before, after)
+	}
+}
+
+// dirListing lists every file under dir with its size.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out = append(out, fmt.Sprintf("%s %d", path, info.Size()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestFacadePersistRequiresDir(t *testing.T) {
